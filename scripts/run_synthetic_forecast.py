@@ -24,7 +24,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-samples", type=int, default=12)
     ap.add_argument("--tune-iterations", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     table, pg = data.generate_synthetic(args.stations, args.steps, args.seed)
@@ -39,7 +38,7 @@ def main():
         t0 = time.time()
         cfg, trace = tuning.tune_spsa(
             cfg, pg, splits.val, standardizer=std,
-            iterations=args.tune_iterations, workers=args.workers,
+            iterations=args.tune_iterations,
         )
         print(
             f"SPSA: val huber {trace.best_losses[0]:.4f} -> {trace.best_losses[-1]:.4f} "
@@ -48,7 +47,7 @@ def main():
 
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=std)
     t0 = time.time()
-    rep = pipeline.evaluate(splits.test, ctx, max_samples=args.max_samples, workers=args.workers)
+    rep = pipeline.evaluate(splits.test, ctx, max_samples=args.max_samples)
     print(f"evaluated {rep['n_samples']} test windows in {time.time() - t0:.0f}s")
     print(f"pipeline     rmse {rep['rmse']:.4f}  mae {rep['mae']:.4f}  mape {rep['mape']:.2f}%")
     print(

@@ -62,7 +62,7 @@ def cmd_forecast(args) -> int:
         print(f"error: no {args.split} samples", file=sys.stderr)
         return 1
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
-    report = pipeline.evaluate(samples, ctx, max_samples=args.max_samples, workers=args.workers)
+    report = pipeline.evaluate(samples, ctx, max_samples=args.max_samples)
     chosen = pipeline.evenly_spaced_subset(samples, args.max_samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,7 +149,6 @@ def cmd_tune(args) -> int:
     best, trace = tuning.tune_spsa(
         cfg, pg, splits.val, standardizer=standardizer,
         iterations=args.iterations, eval_samples=args.eval_samples, interval=interval,
-        workers=args.workers,
     )
     best.save(args.out)
     start, end = trace.best_losses[0], trace.best_losses[-1]
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--max-samples", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_forecast)
 
     p = sub.add_parser("solve", help="single-sample solve with per-layer trace")
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--eval-samples", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--trace", default=None)
     p.set_defaults(fn=cmd_tune)
 

@@ -315,13 +315,30 @@ def normalized_laplacian(w: sp.spmatrix) -> sp.csr_matrix:
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")
 
 
+def _block_diag_csr(mats: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """Block-diagonal CSR from square CSR blocks, each row's entries kept in order."""
+    col_off = np.cumsum([0] + [m.shape[1] for m in mats[:-1]])
+    nnz_off = np.cumsum([0] + [m.nnz for m in mats[:-1]])
+    indptr = np.concatenate(
+        [mats[0].indptr[:1]] + [m.indptr[1:] + off for m, off in zip(mats, nnz_off)]
+    )
+    indices = np.concatenate([m.indices + off for m, off in zip(mats, col_off)])
+    data = np.concatenate([m.data for m in mats])
+    dim = int(sum(m.shape[0] for m in mats))
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
 @dataclass(eq=False)
 class MixedGraph:
-    """Assembled operators of one mixed product graph.
+    """Assembled operators of one mixed product graph, or of several stacked.
 
     Immutable after construction; all operators are CSR with float64 values.
     ``l_n`` is the normalized Laplacian of the symmetrized temporal graph,
     used only by the undirected-temporal solver variant.
+
+    A graph with ``lanes`` > 1 holds that many graphs of one shape (the heads
+    of a block) as the diagonal blocks of each operator; signals are the
+    per-lane vectors concatenated, and ``h_mask`` repeats once per lane.
     """
 
     n_stations: int
@@ -333,9 +350,11 @@ class MixedGraph:
     call_rd: sp.csr_matrix = field(default=None)
     l_n: sp.csr_matrix = None
     h_mask: np.ndarray = field(default=None)
+    lanes: int = 1
+    l_rd_t: sp.csr_matrix = field(default=None)
 
     def __post_init__(self):
-        dim = self.n_stations * self.n_instants
+        dim = self.n_nodes
         for name in ("l_u", "w_rd", "l_rd"):
             mat = getattr(self, name)
             if mat.shape != (dim, dim):
@@ -343,29 +362,67 @@ class MixedGraph:
         if self.call_rd is None:
             self.call_rd = symmetrized_dglr_matrix(self.l_rd)
         if self.h_mask is None:
-            mask = np.zeros(dim, dtype=bool)
-            mask[: self.n_stations * self.n_observed] = True
-            self.h_mask = mask
-        self._l_rd_t = self.l_rd.T.tocsr()
+            lane_mask = np.zeros(self.n_stations * self.n_instants, dtype=bool)
+            lane_mask[: self.n_stations * self.n_observed] = True
+            self.h_mask = np.tile(lane_mask, self.lanes)
+        if self.l_rd_t is None:
+            self.l_rd_t = self.l_rd.T.tocsr()
+        self._ops = {
+            "l_u": self.l_u,
+            "l_rd": self.l_rd,
+            "l_rd_t": self.l_rd_t,
+            "call_rd": self.call_rd,
+        }
+
+    @classmethod
+    def stack(cls, graphs: list["MixedGraph"]) -> "MixedGraph":
+        """One lane per graph, operators block-diagonal; one graph is returned as is.
+
+        Each operator's blocks keep their rows' entry order, so a product with
+        the stack equals, lane by lane and bit for bit, the products with the
+        separate graphs.
+        """
+        if len(graphs) == 1:
+            return graphs[0]
+        first = graphs[0]
+        shape = (first.n_stations, first.n_instants, first.n_observed)
+        for g in graphs[1:]:
+            if (g.n_stations, g.n_instants, g.n_observed) != shape:
+                raise ValueError("stacked graphs must share stations, instants and observed prefix")
+        ops = ["l_u", "w_rd", "l_rd", "call_rd", "l_rd_t"]
+        if all(g.l_n is not None for g in graphs):
+            ops.append("l_n")
+        return cls(
+            n_stations=first.n_stations,
+            n_instants=first.n_instants,
+            n_observed=first.n_observed,
+            h_mask=np.concatenate([g.h_mask for g in graphs]),
+            lanes=sum(g.lanes for g in graphs),
+            **{name: _block_diag_csr([getattr(g, name) for g in graphs]) for name in ops},
+        )
 
     @property
     def n_nodes(self) -> int:
-        return self.n_stations * self.n_instants
+        return self.lanes * self.n_stations * self.n_instants
+
+    def lane_of(self, entry: int | None) -> int | None:
+        """Lane holding flat position ``entry``; None if unknown among several lanes."""
+        if self.lanes == 1:
+            return 0
+        return None if entry is None else entry // (self.n_stations * self.n_instants)
 
     def apply(self, op: str, x: np.ndarray) -> np.ndarray:
-        """Operator-vector product; call_rd is applied as two chained products."""
+        """Operator-vector product, one sparse product with a prebuilt matrix.
+
+        ``call_rd`` is the assembled L_r' L_r, not two chained products.
+        """
+        mat = self._ops.get(op)
+        if mat is None:
+            raise ValueError(f"unknown operator {op!r}; expected one of {OPERATOR_NAMES}")
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_nodes,):
             raise ValueError(f"signal length {x.shape} != {self.n_nodes}")
-        if op == "l_u":
-            return self.l_u @ x
-        if op == "l_rd":
-            return self.l_rd @ x
-        if op == "l_rd_t":
-            return self._l_rd_t @ x
-        if op == "call_rd":
-            return self._l_rd_t @ (self.l_rd @ x)
-        raise ValueError(f"unknown operator {op!r}; expected one of {OPERATOR_NAMES}")
+        return mat @ x
 
     def project_observed(self, x: np.ndarray) -> np.ndarray:
         """H x: select observed entries."""

@@ -3,12 +3,12 @@ and ADMM blocks, merge heads, and score.
 
 The running signal is the stacked vector over stations x instants; each block
 relearns the mixed graph from the current signal, refines the signal with one
-per-head ADMM block, merges the heads, and applies a residual step.
+ADMM block that runs every head as a lane of a block-diagonal system, merges
+the heads, and applies a residual step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import attention, solver
 from .config import PipelineConfig
-from .graphs import PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
+from .graphs import MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
 
 
 @dataclass(eq=False)
@@ -183,20 +183,20 @@ def _forward(sample: Sample, ctx: PipelineContext) -> np.ndarray:
     for b in range(cfg.layers.blocks):
         embeddings = attention.embed(x, ctx.pg, t_steps, ctx.eigmap)
         feats = ctx.feature_map(embeddings, ctx.sskel)
-        graphs_h = attention.multi_head_graphs(
+        graph = MixedGraph.stack(attention.multi_head_graphs(
             feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=t_obs,
             with_undirected_temporal=needs_ln,
-        )
+        ))
         params = cfg.layers.layer_params(b, rho0)
-        outs = []
-        for h, graph in enumerate(graphs_h):
-            try:
-                outs.append(solver.admm_block(x, y, graph, params, sched, mode))
-            except solver.NumericFailure as exc:
-                raise solver.NumericFailure(
-                    f"block {b}, head {h}: {exc}", layer=exc.layer, step=exc.step
-                ) from None
-        x_new = sum(w * out for w, out in zip(merge, outs))
+        heads = graph.lanes
+        try:
+            out = solver.admm_block(
+                np.tile(x, heads), np.tile(y, heads), graph, params, sched, mode
+            )
+        except solver.NumericFailure as exc:
+            exc.block, exc.head = b, graph.lane_of(exc.entry)
+            raise
+        x_new = sum(w * out_h for w, out_h in zip(merge, out.reshape(heads, -1)))
         x = cfg.layers.residual[b] * x_new + (1.0 - cfg.layers.residual[b]) * x
 
     return ctx.standardizer.inverse(unflatten_time_major(x, n))
@@ -245,17 +245,16 @@ def evaluate(
     samples: list[Sample],
     ctx: PipelineContext,
     max_samples: int | None = None,
-    workers: int = 1,
 ) -> dict:
-    """Forecast a batch and aggregate metrics (plus the persistence baseline)."""
+    """Forecast a batch one window after another and aggregate metrics.
+
+    The persistence baseline is scored on the same windows; ``max_samples``
+    picks an evenly spaced subset.
+    """
     if not samples:
         raise ValueError("no samples to evaluate")
     chosen = evenly_spaced_subset(samples, max_samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            recons = list(pool.map(lambda s: _forward(s, ctx), chosen))
-    else:
-        recons = [_forward(s, ctx) for s in chosen]
+    recons = [_forward(s, ctx) for s in chosen]
     preds, targets, base = [], [], []
     hubers = []
     for s, recon in zip(chosen, recons):

@@ -5,7 +5,8 @@ update and the two l2-split auxiliaries) and one entrywise soft-threshold for
 the l1 auxiliary, followed by the multiplier updates. The l2 terms are split
 out of the signal system so each solve stays cheap and well conditioned; the
 unsplit system is kept as the ``direct_unsplit`` variant for fixed-point
-checks, alongside the three ablation variants.
+checks, alongside the three ablation variants. The heads of a block run
+together as lanes of one block-diagonal system (``MixedGraph.stack``).
 """
 
 from __future__ import annotations
@@ -26,21 +27,44 @@ DEFAULT_EXACT_TOL = 1e-10
 
 
 class NumericFailure(RuntimeError):
-    """A solve produced non-finite values; carries where it happened."""
+    """A solve produced non-finite values; carries where it happened.
 
-    def __init__(self, message, *, layer=None, step=None, iteration=None):
+    Each caller on the way out fills in the fields it knows (CG iteration,
+    then layer and step, then block and head) on the same exception and
+    re-raises it, so the message names each place once. ``entry`` is the
+    flat position of the first non-finite value, when one was seen; under
+    lanes it tells which lane failed.
+    """
+
+    def __init__(self, message, *, block=None, head=None, layer=None, step=None,
+                 iteration=None, entry=None):
+        super().__init__(message)
+        self.message = message
+        self.block = block
+        self.head = head
         self.layer = layer
         self.step = step
         self.iteration = iteration
-        where = []
-        if layer is not None:
-            where.append(f"layer {layer}")
-        if step is not None:
-            where.append(f"step {step}")
-        if iteration is not None:
-            where.append(f"cg iteration {iteration}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+        self.entry = entry
+
+    def __str__(self):
+        where = [
+            f"{label} {value}"
+            for label, value in (
+                ("block", self.block),
+                ("head", self.head),
+                ("layer", self.layer),
+                ("step", self.step),
+                ("cg iteration", self.iteration),
+            )
+            if value is not None
+        ]
+        return self.message + (f" ({', '.join(where)})" if where else "")
+
+
+def _first_nonfinite(vec: np.ndarray) -> int | None:
+    bad = np.flatnonzero(~np.isfinite(vec))
+    return int(bad[0]) if len(bad) else None
 
 
 @dataclass(frozen=True)
@@ -104,7 +128,10 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule) -> np.nd
 
     Exact mode iterates until ||A x - b|| <= tol (or the iteration cap);
     unrolled mode runs exactly ``sched.iters`` steps with the stored
-    alpha/beta coefficients instead of the classical formulas.
+    alpha/beta coefficients instead of the classical formulas. Unrolled mode
+    takes no dot products, so on a block-diagonal A (lanes) every lane
+    follows the path it would follow alone, bit for bit; exact mode runs one
+    CG on the whole system, whose stopping test bounds every lane's residual.
     """
     b = np.asarray(b, dtype=np.float64)
     x = np.array(x0, dtype=np.float64)
@@ -121,13 +148,17 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule) -> np.nd
             ap = apply_a(p)
             pap = float(p @ ap)
             if not np.isfinite(pap) or pap <= 0:
-                raise NumericFailure("CG curvature is not positive", iteration=k)
+                raise NumericFailure(
+                    "CG curvature is not positive", iteration=k, entry=_first_nonfinite(ap)
+                )
             alpha = rr / pap
             x += alpha * p
             r -= alpha * ap
             rr_new = float(r @ r)
             if not np.isfinite(rr_new):
-                raise NumericFailure("CG residual diverged", iteration=k)
+                raise NumericFailure(
+                    "CG residual diverged", iteration=k, entry=_first_nonfinite(r)
+                )
             p = r + (rr_new / rr) * p
             rr = rr_new
         return x
@@ -136,14 +167,14 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule) -> np.nd
         x = x + sched.alphas[k] * p
         r = r - sched.alphas[k] * ap
         if not np.all(np.isfinite(x)):
-            raise NumericFailure("unrolled CG diverged", iteration=k)
+            raise NumericFailure("unrolled CG diverged", iteration=k, entry=_first_nonfinite(x))
         p = r + sched.betas[k] * p
     return x
 
 
 @dataclass(eq=False)
 class AdmmState:
-    """One solver iterate; vectors all have length N * (T+S+1)."""
+    """One solver iterate; vectors all have length lanes * N * (T+S+1)."""
 
     x: np.ndarray
     z_u: np.ndarray
@@ -243,14 +274,17 @@ def update_multipliers(
 
 def _check_finite(vec: np.ndarray, layer: int, step: str):
     if not np.all(np.isfinite(vec)):
-        raise NumericFailure("non-finite values", layer=layer, step=step)
+        raise NumericFailure(
+            "non-finite values", layer=layer, step=step, entry=_first_nonfinite(vec)
+        )
 
 
 def _cg_wrap(layer, step, fn, *args):
     try:
         return fn(*args)
     except NumericFailure as exc:
-        raise NumericFailure(str(exc), layer=layer, step=step) from None
+        exc.layer, exc.step = layer, step
+        raise
 
 
 def _layer_full(state, graph, p, y, sched, layer):
@@ -387,6 +421,9 @@ def admm_block(
     multipliers; phi and the multipliers are then carried across layers.
     When ``trace`` is a list, a per-layer record with the objective and the
     three split residual norms is appended.
+
+    On a stacked graph (``graph.lanes`` > 1) ``x0``, ``y`` and the result
+    hold one lane after another, and a trace record covers all lanes at once.
     """
     if mode not in VARIANTS:
         raise ValueError(f"unknown solver variant {mode!r}")

@@ -8,7 +8,6 @@ layers inside a block), which keeps the search space small.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,15 +56,14 @@ def spsa_minimize(
     decay_exponent: float = 0.602,
     perturb_exponent: float = 0.101,
     project=None,
-    workers: int = 1,
 ) -> tuple[np.ndarray, float, SpsaTrace]:
     """Minimize a noisy scalar loss; returns (best theta, best loss, trace).
 
     Steps are taken in coordinates normalized by |theta0| so heterogeneous
     parameter scales perturb proportionally. A non-finite loss rejects the
-    candidate pair and halves the perturbation size from then on. With
-    workers > 1 the two mirror candidates of an iteration are evaluated
-    concurrently (the result is identical either way).
+    candidate pair and halves the perturbation size from then on. Each
+    iteration evaluates the loss at its two mirror candidates in turn, the
+    plus side first.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if project is None:
@@ -80,7 +78,6 @@ def spsa_minimize(
     if not np.isfinite(best_loss):
         raise ValueError("loss is non-finite at the starting point")
     trace = SpsaTrace(iterations=[], best_losses=[best_loss])
-    pool = ThreadPoolExecutor(max_workers=2) if workers > 1 else None
     c_factor = 1.0
     for k in range(iterations):
         a_k = step / (k + 1 + stab) ** decay_exponent
@@ -88,13 +85,8 @@ def spsa_minimize(
         delta = rng.choice([-1.0, 1.0], size=len(theta))
         cand_plus = project(theta + c_k * scale * delta)
         cand_minus = project(theta - c_k * scale * delta)
-        if pool is not None:
-            fut = pool.submit(loss_fn, cand_plus)
-            loss_minus = loss_fn(cand_minus)
-            loss_plus = fut.result()
-        else:
-            loss_plus = loss_fn(cand_plus)
-            loss_minus = loss_fn(cand_minus)
+        loss_plus = loss_fn(cand_plus)
+        loss_minus = loss_fn(cand_minus)
         if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
             c_factor *= 0.5
             trace.iterations.append(
@@ -112,8 +104,6 @@ def spsa_minimize(
             {"iter": k, "loss_plus": loss_plus, "loss_minus": loss_minus, "rejected": False}
         )
         trace.best_losses.append(best_loss)
-    if pool is not None:
-        pool.shutdown()
     return best_theta, best_loss, trace
 
 
@@ -220,7 +210,6 @@ def tune_spsa(
     eval_samples: int | None = None,
     seed: int | None = None,
     interval: float = 300.0,
-    workers: int = 1,
 ) -> tuple[PipelineConfig, SpsaTrace]:
     """Tune the compressed parameter set against validation Huber loss."""
     tcfg = config.tuner
@@ -259,7 +248,6 @@ def tune_spsa(
         decay_exponent=tcfg.decay_exponent,
         perturb_exponent=tcfg.perturb_exponent,
         project=make_projection(config, tunables),
-        workers=workers,
     )
     return unpack_config(config, tunables, best_theta), trace
 

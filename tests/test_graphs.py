@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stforecast.attention import build_mixed_graph
 from stforecast.graphs import (
     DegenerateDegreeError,
     EdgeListError,
-    MixedGraph,
     PhysicalGraph,
     SpaceTimeIndex,
     assemble_random_walk_digraph,
@@ -267,7 +267,7 @@ class TestSymmetrizedOperator:
         )
 
 
-def random_mixed(rng, n_stations=3, n_instants=4, window=2, n_observed=2):
+def random_mixed(rng, n_stations=3, n_instants=4, window=2, n_observed=2, with_l_n=False):
     edges = tuple(
         (i, j, float(rng.uniform(0.1, 2)))
         for i in range(n_stations)
@@ -278,12 +278,7 @@ def random_mixed(rng, n_stations=3, n_instants=4, window=2, n_observed=2):
     tskel = build_temporal_skeleton(n_stations, n_instants, window)
     wu = rng.uniform(0.2, 1.5, (n_instants, sskel.n_edges))
     wd = rng.uniform(0.2, 1.5, tskel.n_edges)
-    l_u = assemble_undirected_laplacian(sskel, wu)
-    w_rd, l_rd = assemble_random_walk_digraph(tskel, wd)
-    return MixedGraph(
-        n_stations=n_stations, n_instants=n_instants, n_observed=n_observed,
-        l_u=l_u, w_rd=w_rd, l_rd=l_rd,
-    )
+    return build_mixed_graph(wu, wd, sskel, tskel, n_observed, with_undirected_temporal=with_l_n)
 
 
 class TestMixedGraph:

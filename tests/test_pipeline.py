@@ -153,14 +153,6 @@ class TestRunForecast:
 
 
 class TestEvaluate:
-    def test_workers_agree(self):
-        splits, pg, std = tiny_dataset()
-        cfg = small_config(blocks=1)
-        ctx = PipelineContext.build(pg, cfg, standardizer=std)
-        seq = evaluate(splits.test, ctx, max_samples=3, workers=1)
-        par = evaluate(splits.test, ctx, max_samples=3, workers=3)
-        assert seq["rmse"] == par["rmse"]
-
     def test_persistence_baseline_reported(self):
         splits, pg, std = tiny_dataset()
         cfg = small_config(blocks=1)
