@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 
 from .graphs import (
     DirectedSkeleton,
@@ -25,15 +27,42 @@ from .graphs import (
     assemble_undirected_laplacian,
     normalized_laplacian,
     symmetrized_dglr_matrix,
+    unit_laplacian,
 )
 
 TEMPORAL_DIM = 10
 DEFAULT_SPATIAL_DIM = 5
 DEFAULT_FEATURE_DIM = 6
+# Station count above which the eigenmap switches from dense ``eigh``, O(N^3)
+# time and O(N^2) memory, to sparse shift-invert Lanczos per component.
+DENSE_EIGENMAP_MAX_STATIONS = 200
+EIGSH_SHIFT = -1e-2
 
 
 class DegenerateWeightError(ValueError):
-    """All attention weights in some neighborhood underflowed to zero."""
+    """All attention weights in some neighborhood underflowed to zero.
+
+    Raised with the instant; ``multi_head_graphs`` adds the head and the
+    forward pass the block, on the same exception, so the message names each
+    place once.
+    """
+
+    def __init__(self, message, *, block=None, head=None, instant=None):
+        super().__init__(message)
+        self.message = message
+        self.block = block
+        self.head = head
+        self.instant = instant
+
+    def __str__(self):
+        where = [
+            f"{label} {value}"
+            for label, value in (
+                ("block", self.block), ("head", self.head), ("instant", self.instant)
+            )
+            if value is not None
+        ]
+        return self.message + (f" ({', '.join(where)})" if where else "")
 
 
 def temporal_embedding(t_stamps: np.ndarray) -> np.ndarray:
@@ -51,27 +80,75 @@ def spatial_eigenmap(pg: PhysicalGraph, dim: int = DEFAULT_SPATIAL_DIM) -> np.nd
     """Smallest nontrivial eigenvectors of the unit-weight Laplacian of the road graph.
 
     Sign convention: first nonzero component of each eigenvector positive.
-    Zero-padded if the graph has fewer than ``dim`` nontrivial modes.
+    Zero-padded if the graph has fewer than ``dim`` nontrivial modes. Graphs
+    of up to ``DENSE_EIGENMAP_MAX_STATIONS`` stations use dense ``eigh``;
+    larger ones the sparse solve, whose vectors span the same eigenspaces
+    and, where the spectrum is simple, equal the dense ones up to rounding.
     """
     n = pg.n_stations
-    lap = np.zeros((n, n))
-    for i, j, _cost in pg.edges:
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-    vals, vecs = np.linalg.eigh(lap)
-    n_components = int(np.sum(vals < 1e-9))
+    lap = unit_laplacian(pg)
+    n_components = connected_components(lap, directed=False, return_labels=False)
     if n_components > 1:
         warnings.warn(f"road graph has {n_components} connected components", stacklevel=2)
-    out = np.zeros((n, dim))
     avail = min(dim, n - 1)
-    for c in range(avail):
-        v = vecs[:, 1 + c]
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        if len(nz) and v[nz[0]] < 0:
-            v = -v
-        out[:, c] = v
+    if n <= DENSE_EIGENMAP_MAX_STATIONS:
+        vecs = smallest_eigenpairs_dense(lap, avail + 1)[1]
+    else:
+        vecs = smallest_eigenpairs_sparse(lap, avail + 1)[1]
+    out = np.zeros((n, dim))
+    out[:, :avail] = orient_columns(vecs[:, 1:])
+    return out
+
+
+def smallest_eigenpairs_dense(lap: sp.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` smallest eigenpairs of a symmetric matrix, by dense ``eigh``."""
+    vals, vecs = np.linalg.eigh(lap.toarray())
+    return vals[:count], vecs[:, :count]
+
+
+def smallest_eigenpairs_sparse(lap: sp.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` smallest eigenpairs of a graph Laplacian, ascending.
+
+    Each connected component is solved on its own: every component adds one
+    copy of eigenvalue 0, and Lanczos from one start vector finds the copies
+    of a multiple eigenvalue only through rounding and can miss some. A
+    component is solved by
+    shift-invert Lanczos about a small negative shift (``lap - shift I`` is
+    positive definite and factorizes once), or by dense ``eigh`` when it has
+    at most ``count + 1`` nodes. The fixed start vector makes repeated calls
+    bitwise equal; it is not the all-ones vector, an exact eigenvector.
+    """
+    _n_components, labels = connected_components(lap, directed=False)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    vals, vecs = [], []
+    for idx in members:
+        sub = lap[idx][:, idx]
+        k = min(count, len(idx))
+        if len(idx) <= k + 1:
+            v, vec = smallest_eigenpairs_dense(sub, k)
+        else:
+            v0 = np.random.default_rng(0).standard_normal(len(idx))
+            v, vec = eigsh(sub.tocsc(), k=k, sigma=EIGSH_SHIFT, which="LM", v0=v0)
+            order = np.argsort(v, kind="stable")
+            v, vec = v[order], vec[:, order]
+        vals.append(v)
+        vecs.append(vec)
+    owner = np.repeat(np.arange(len(members)), [len(v) for v in vals])
+    column = np.concatenate([np.arange(len(v)) for v in vals])
+    pick = np.argsort(np.concatenate(vals), kind="stable")[:count]
+    out = np.zeros((lap.shape[0], count))
+    for c, p in enumerate(pick):
+        out[members[owner[p]], c] = vecs[owner[p]][:, column[p]]
+    return np.concatenate(vals)[pick], out
+
+
+def orient_columns(vecs: np.ndarray) -> np.ndarray:
+    """Flip each column so its first component above 1e-12 in magnitude is positive."""
+    out = vecs.copy()
+    for c in range(out.shape[1]):
+        nz = np.flatnonzero(np.abs(out[:, c]) > 1e-12)
+        if len(nz) and out[nz[0], c] < 0:
+            out[:, c] = -out[:, c]
     return out
 
 
@@ -139,15 +216,21 @@ class FeatureMap:
                 raise ValueError("neighbor aggregation needs the spatial skeleton")
             n = skel.n_stations
             n_instants = emb.shape[0] // n
-            agg = emb.copy()
-            for s, nbrs in enumerate(skel.neighbors):
-                if not nbrs:
-                    continue
-                idx = np.asarray(nbrs)
-                for t in range(n_instants):
-                    off = t * n
-                    agg[off + s] = 0.5 * (emb[off + s] + emb[off + idx].mean(axis=0))
-            emb = agg
+            ei, ej = skel.edges[:, 0], skel.edges[:, 1]
+            # CSR sorts each row, so neighbors are summed in ascending order
+            adj = sp.csr_matrix(
+                (np.ones(2 * len(ei)), (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
+                shape=(n, n),
+            )
+            deg = np.diff(adj.indptr)
+            has = deg > 0
+            # stations as rows, (instant, feature) as columns: one product sums
+            # every station's neighbors at every instant
+            by_time = emb.reshape(n_instants, n, -1)
+            nbr_sum = (adj @ by_time.transpose(1, 0, 2).reshape(n, -1)).reshape(n, n_instants, -1)
+            agg = by_time.copy()
+            agg[:, has] = 0.5 * (by_time[:, has] + nbr_sum[has].transpose(1, 0, 2) / deg[has, None])
+            emb = agg.reshape(emb.shape)
         feats = emb @ self.projection.T
         if self.bias is not None:
             feats = feats + self.bias
@@ -252,7 +335,7 @@ def undirected_weights(
         np.add.at(sums, ej, e)
         norm = np.sqrt(sums[ei] * sums[ej])
         if np.any(norm == 0):
-            raise DegenerateWeightError(f"zero attention mass at instant {t}")
+            raise DegenerateWeightError("zero attention mass", instant=t)
         out[t] = e / norm
     return out
 
@@ -347,7 +430,11 @@ def multi_head_graphs(
     out = []
     for h in range(bank.heads):
         feats = features_per_head[h] if isinstance(features_per_head, list) else features_per_head
-        wu = undirected_weights(feats, sskel, bank.undirected[h])
+        try:
+            wu = undirected_weights(feats, sskel, bank.undirected[h])
+        except DegenerateWeightError as exc:
+            exc.head = h
+            raise
         wd = directed_weights(feats, tskel, bank.directed[h])
         out.append(
             build_mixed_graph(wu, wd, sskel, tskel, n_observed, with_undirected_temporal)

@@ -10,6 +10,7 @@ instants inside a fixed window, and therefore form a DAG.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,31 +29,9 @@ def flat_index(station: int, instant: int, n_stations: int) -> int:
     return instant * n_stations + station
 
 
-def station_instant(flat: int, n_stations: int) -> tuple[int, int]:
-    return flat % n_stations, flat // n_stations
-
-
-@dataclass(frozen=True)
-class SpaceTimeIndex:
-    """One node of the product graph with its flat position."""
-
-    station: int
-    instant: int
-    n_stations: int
-
-    @property
-    def flat(self) -> int:
-        return flat_index(self.station, self.instant, self.n_stations)
-
-    @classmethod
-    def from_flat(cls, flat: int, n_stations: int) -> "SpaceTimeIndex":
-        s, t = station_instant(flat, n_stations)
-        return cls(s, t, n_stations)
-
-
 @dataclass(frozen=True)
 class PhysicalGraph:
-    """Road network: stations plus undirected edges with nonnegative costs."""
+    """Road network: stations plus undirected edges with finite nonnegative costs."""
 
     n_stations: int
     edges: tuple[tuple[int, int, float], ...]
@@ -66,6 +45,8 @@ class PhysicalGraph:
                 raise ValueError(f"self-edge at station {i}")
             if not (0 <= i < self.n_stations and 0 <= j < self.n_stations):
                 raise ValueError(f"edge ({i},{j}) outside station range")
+            if not math.isfinite(cost):
+                raise ValueError(f"non-finite cost {cost} on edge ({i},{j})")
             if cost < 0:
                 raise ValueError(f"negative cost on edge ({i},{j})")
             key = (min(i, j), max(i, j))
@@ -73,15 +54,11 @@ class PhysicalGraph:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add(key)
 
-    def incident_costs(self, station: int) -> list[tuple[float, int]]:
-        """(cost, neighbor) pairs for one station, unsorted."""
-        out = []
-        for i, j, cost in self.edges:
-            if i == station:
-                out.append((cost, j))
-            elif j == station:
-                out.append((cost, i))
-        return out
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge endpoints and costs as arrays: ``i``, ``j`` int64 and ``cost`` float64."""
+        ends = np.array([(i, j) for i, j, _ in self.edges], dtype=np.int64).reshape(-1, 2)
+        costs = np.array([cost for _, _, cost in self.edges], dtype=np.float64)
+        return ends[:, 0], ends[:, 1], costs
 
 
 def load_road_network(path) -> PhysicalGraph:
@@ -137,19 +114,26 @@ def build_spatial_skeleton(pg: PhysicalGraph, k: int) -> SpatialSkeleton:
         raise ValueError("k must be >= 1")
     if pg.n_stations < 1:
         raise ValueError("empty physical graph")
-    chosen: set[tuple[int, int]] = set()
-    for s in range(pg.n_stations):
-        ranked = sorted(pg.incident_costs(s))
-        for cost, nbr in ranked[:k]:
-            chosen.add((min(s, nbr), max(s, nbr)))
-    nbrs: list[set[int]] = [set() for _ in range(pg.n_stations)]
-    for i, j in chosen:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    edges = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+    n = pg.n_stations
+    ei, ej, cost = pg.edge_arrays()
+    # both directions of every edge, ranked by (station, cost, neighbor)
+    station = np.concatenate([ei, ej])
+    nbr = np.concatenate([ej, ei])
+    order = np.lexsort((nbr, np.concatenate([cost, cost]), station))
+    station, nbr = station[order], nbr[order]
+    rank = np.arange(len(station)) - np.searchsorted(station, station)
+    keep = rank < k
+    # each kept edge once as the key i * n + j with i < j; sorted keys are the
+    # lexicographically sorted edge list
+    key = np.unique(np.minimum(station, nbr)[keep] * n + np.maximum(station, nbr)[keep])
+    edges = np.stack([key // n, key % n], axis=1)
+    # both directions again, grouped by station with neighbors ascending
+    both = np.sort(np.concatenate([key, (key % n) * n + key // n]))
+    flat = (both % n).tolist()
+    bounds = np.searchsorted(both // n, np.arange(n + 1)).tolist()
     return SpatialSkeleton(
-        n_stations=pg.n_stations,
-        neighbors=tuple(tuple(sorted(n)) for n in nbrs),
+        n_stations=n,
+        neighbors=tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])),
         edges=edges,
     )
 
@@ -196,21 +180,22 @@ def build_temporal_skeleton(n_stations: int, n_instants: int, window: int) -> Te
         raise ValueError("need at least 2 instants")
     if not 1 <= window < n_instants:
         raise ValueError(f"window must satisfy 1 <= W < {n_instants}")
-    src, dst, lag = [], [], []
-    # child-major order keeps in-neighborhoods contiguous
-    for t in range(1, n_instants):
-        for d in range(1, min(t, window) + 1):
-            for s in range(n_stations):
-                src.append(flat_index(s, t - d, n_stations))
-                dst.append(flat_index(s, t, n_stations))
-                lag.append(d)
-    sources = np.arange(n_stations, dtype=np.int64)  # instant-0 nodes
+    # child-major order (instant, then lag, then station) keeps in-neighborhoods
+    # contiguous
+    t, lag = np.meshgrid(
+        np.arange(1, n_instants, dtype=np.int64),
+        np.arange(1, window + 1, dtype=np.int64),
+        indexing="ij",
+    )
+    keep = lag <= t
+    t, lag = t[keep], lag[keep]
+    stations = np.arange(n_stations, dtype=np.int64)
     return TemporalSkeleton(
         n_nodes=n_stations * n_instants,
-        src=np.array(src, dtype=np.int64),
-        dst=np.array(dst, dtype=np.int64),
-        lag=np.array(lag, dtype=np.int64),
-        sources=sources,
+        src=flat_index(stations, (t - lag)[:, None], n_stations).ravel(),
+        dst=flat_index(stations, t[:, None], n_stations).ravel(),
+        lag=np.repeat(lag, n_stations),
+        sources=stations,  # instant-0 nodes
         n_stations=n_stations,
         n_instants=n_instants,
         window=window,
@@ -297,6 +282,18 @@ def symmetrized_dglr_matrix(l_rd: sp.spmatrix) -> sp.csr_matrix:
     return mat
 
 
+def unit_laplacian(pg: PhysicalGraph) -> sp.csr_matrix:
+    """Unit-weight Laplacian D - A of the road graph, edge costs ignored."""
+    n = pg.n_stations
+    ei, ej, _cost = pg.edge_arrays()
+    ends = np.concatenate([ei, ej])
+    diag = np.arange(n)
+    vals = np.concatenate([-np.ones(len(ends)), np.bincount(ends, minlength=n).astype(np.float64)])
+    rows = np.concatenate([ends, diag])
+    cols = np.concatenate([ej, ei, diag])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def normalized_laplacian(w: sp.spmatrix) -> sp.csr_matrix:
     """I - D^{-1/2} W D^{-1/2}; rows of isolated nodes are zero."""
     w = w.tocsr()
@@ -305,11 +302,10 @@ def normalized_laplacian(w: sp.spmatrix) -> sp.csr_matrix:
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     d = sp.diags(inv_sqrt)
-    lap = sp.identity(w.shape[0], format="csr") - d @ w @ d
-    lap = lap.tolil()
-    for i in np.flatnonzero(~nz):
-        lap[i, i] = 0.0
-    return lap.tocsr()
+    # the identity part skips isolated nodes, so their diagonal is left empty
+    lap = (sp.diags(nz.astype(np.float64)) - d @ w @ d).tocsr()
+    lap.sort_indices()
+    return lap
 
 
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")

@@ -183,10 +183,15 @@ def _forward(sample: Sample, ctx: PipelineContext) -> np.ndarray:
     for b in range(cfg.layers.blocks):
         embeddings = attention.embed(x, ctx.pg, t_steps, ctx.eigmap)
         feats = ctx.feature_map(embeddings, ctx.sskel)
-        graph = MixedGraph.stack(attention.multi_head_graphs(
-            feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=t_obs,
-            with_undirected_temporal=needs_ln,
-        ))
+        try:
+            graphs = attention.multi_head_graphs(
+                feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=t_obs,
+                with_undirected_temporal=needs_ln,
+            )
+        except attention.DegenerateWeightError as exc:
+            exc.block = b
+            raise
+        graph = MixedGraph.stack(graphs)
         params = cfg.layers.layer_params(b, rho0)
         heads = graph.lanes
         try:

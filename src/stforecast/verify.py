@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles, priors, solver
-from .attention import MetricBank, directed_weights, undirected_weights
+from .attention import (
+    MetricBank,
+    directed_weights,
+    orient_columns,
+    smallest_eigenpairs_dense,
+    smallest_eigenpairs_sparse,
+    undirected_weights,
+)
+from .data import generate_synthetic
 from .graphs import (
     MixedGraph,
     PhysicalGraph,
@@ -22,6 +30,7 @@ from .graphs import (
     build_temporal_skeleton,
     directed_skeleton_from_edges,
     symmetrized_dglr_matrix,
+    unit_laplacian,
 )
 from .priors import PriorWeights
 from .solver import CgSchedule, LayerParams, admm_block, cg_solve
@@ -238,6 +247,23 @@ def check_graph_invariants(seed: int = 13, n_graphs: int = 10) -> CheckResult:
     )
 
 
+def check_sparse_eigenmap(n_stations: int = 300, dim: int = 5, seed: int = 17) -> CheckResult:
+    """Shift-invert eigenmap vectors equal dense ``eigh`` on a seeded road graph."""
+    _table, pg = generate_synthetic(n_stations, 1, seed)
+    lap = unit_laplacian(pg)
+    d_vals, d_vecs = smallest_eigenpairs_dense(lap, dim + 1)
+    s_vals, s_vecs = smallest_eigenpairs_sparse(lap, dim + 1)
+    dev = max(
+        float(np.abs(s_vals - d_vals).max()),
+        float(np.abs(orient_columns(s_vecs) - orient_columns(d_vecs)).max()),
+    )
+    return CheckResult(
+        f"sparse eigenmap vs dense eigh ({n_stations}-station road graph)",
+        dev <= 1e-10,
+        f"max deviation {dev:.1e}",
+    )
+
+
 ALL_CHECKS = (
     check_line_graph_symmetrization,
     check_four_node_line_matrices,
@@ -247,6 +273,7 @@ ALL_CHECKS = (
     check_spectral_filters,
     check_smooth_fixed_point,
     check_graph_invariants,
+    check_sparse_eigenmap,
 )
 
 

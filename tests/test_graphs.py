@@ -10,7 +10,6 @@ from stforecast.graphs import (
     DegenerateDegreeError,
     EdgeListError,
     PhysicalGraph,
-    SpaceTimeIndex,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
     build_spatial_skeleton,
@@ -18,7 +17,6 @@ from stforecast.graphs import (
     directed_skeleton_from_edges,
     flat_index,
     load_road_network,
-    station_instant,
     symmetrized_dglr_matrix,
 )
 
@@ -28,8 +26,7 @@ class TestIndexing:
     def test_flat_round_trip(self, n, s, t):
         s = s % n
         flat = flat_index(s, t, n)
-        assert station_instant(flat, n) == (s, t)
-        assert SpaceTimeIndex(s, t, n).flat == flat
+        assert divmod(flat, n) == (t, s)
 
     def test_time_major_blocks(self):
         # all stations of instant 0 come before any station of instant 1
@@ -48,6 +45,13 @@ class TestPhysicalGraph:
     def test_rejects_negative_cost(self):
         with pytest.raises(ValueError, match="negative"):
             PhysicalGraph(2, ((0, 1, -1.0),))
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_cost(self, cost):
+        # a NaN cost compares false to everything, so the skeleton it gave
+        # depended on edge order
+        with pytest.raises(ValueError, match="non-finite cost"):
+            PhysicalGraph(3, ((0, 1, 1.0), (1, 2, cost)))
 
 
 class TestRoadNetworkCsv:
@@ -68,6 +72,13 @@ class TestRoadNetworkCsv:
         path = tmp_path / "edges.csv"
         path.write_text("from,to,cost\n0,1,2.5\n1,x,1.0\n")
         with pytest.raises(EdgeListError, match="edges.csv:3"):
+            load_road_network(path)
+
+    @pytest.mark.parametrize("cost", ["nan", "inf"])
+    def test_nonfinite_cost_rejected(self, tmp_path, cost):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"from,to,cost\n0,1,2.5\n1,2,{cost}\n")
+        with pytest.raises(EdgeListError, match=r"edges\.csv: non-finite cost"):
             load_road_network(path)
 
     def test_duplicate_edge_rejected(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stforecast import data as dmod
+from stforecast.attention import DegenerateWeightError
 from stforecast.config import PipelineConfig
 from stforecast.pipeline import (
     PipelineContext,
@@ -142,6 +143,24 @@ class TestRunForecast:
         s = splits.test[0]
         recon = reconstruct(s, ctx)
         np.testing.assert_allclose(recon[:, 12:], run_forecast(s, ctx), atol=1e-12)
+
+    def test_degenerate_weights_name_block_head_instant(self):
+        # a huge metric factor on head 1 at instant 3 spreads the distances so
+        # far apart that every weight around some station underflows to zero
+        splits, pg, std = tiny_dataset()
+        cfg = small_config(heads=2)
+        huge = (1e6 * np.eye(cfg.graph.feature_dim)).tolist()
+        cfg.heads.metric_overrides = [{"head": 1, "instant": 3, "factor": huge}]
+        ctx = PipelineContext.build(pg, cfg, standardizer=std)
+        with pytest.raises(DegenerateWeightError) as info:
+            run_forecast(splits.test[0], ctx)
+        exc = info.value
+        assert isinstance(exc, ValueError)  # the tuner scores ValueError as a failed candidate
+        assert (exc.block, exc.head, exc.instant) == (0, 1, 3)
+        message = str(exc)
+        assert message.startswith("zero attention mass (")
+        for part in ("block 0", "head 1", "instant 3"):
+            assert message.count(part) == 1, message
 
     def test_window_mismatch_rejected(self):
         splits, pg, std = tiny_dataset()

@@ -1,0 +1,265 @@
+"""Context set-up at large station counts: array-built skeletons and the sparse eigenmap.
+
+The per-station loop versions of the skeleton builders, the neighbor
+aggregation and the normalized Laplacian are kept here as references; the
+array versions must reproduce them exactly. The sparse eigenmap is held to
+the dense ``eigh`` path: vector by vector where the spectrum is simple, by
+spanned subspace where it is not.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stforecast import attention
+from stforecast.attention import (
+    FeatureMap,
+    orient_columns,
+    smallest_eigenpairs_dense,
+    smallest_eigenpairs_sparse,
+    spatial_eigenmap,
+)
+from stforecast.config import PipelineConfig
+from stforecast.graphs import (
+    PhysicalGraph,
+    build_spatial_skeleton,
+    build_temporal_skeleton,
+    flat_index,
+    normalized_laplacian,
+    unit_laplacian,
+)
+from stforecast.pipeline import PipelineContext
+
+
+def loop_spatial_skeleton(pg, k):
+    """Reference: rank each station's incident edges by (cost, neighbor), one station at a time."""
+    chosen = set()
+    for s in range(pg.n_stations):
+        incident = [(c, j) for i, j, c in pg.edges if i == s] + [
+            (c, i) for i, j, c in pg.edges if j == s
+        ]
+        for _cost, nbr in sorted(incident)[:k]:
+            chosen.add((min(s, nbr), max(s, nbr)))
+    nbrs = [set() for _ in range(pg.n_stations)]
+    for i, j in chosen:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    edges = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+    return tuple(tuple(sorted(n)) for n in nbrs), edges
+
+
+def loop_temporal_skeleton(n, n_instants, window):
+    """Reference: the child-major triple loop."""
+    src, dst, lag = [], [], []
+    for t in range(1, n_instants):
+        for d in range(1, min(t, window) + 1):
+            for s in range(n):
+                src.append(flat_index(s, t - d, n))
+                dst.append(flat_index(s, t, n))
+                lag.append(d)
+    return tuple(np.array(v, dtype=np.int64) for v in (src, dst, lag, range(n)))
+
+
+def loop_aggregate(emb, skel):
+    """Reference: average each node with its neighbors' mean, one station and instant at a time."""
+    n = skel.n_stations
+    agg = emb.copy()
+    for s, nbrs in enumerate(skel.neighbors):
+        if not nbrs:
+            continue
+        idx = np.asarray(nbrs)
+        for t in range(emb.shape[0] // n):
+            off = t * n
+            agg[off + s] = 0.5 * (emb[off + s] + emb[off + idx].mean(axis=0))
+    return agg
+
+
+def lil_normalized_laplacian(w):
+    """Reference: zero the isolated nodes' diagonal through a LIL round trip."""
+    w = w.tocsr()
+    deg = np.asarray(w.sum(axis=1)).ravel()
+    inv_sqrt = np.zeros_like(deg)
+    nz = deg > 0
+    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    d = sp.diags(inv_sqrt)
+    lap = (sp.identity(w.shape[0], format="csr") - d @ w @ d).tolil()
+    for i in np.flatnonzero(~nz):
+        lap[i, i] = 0.0
+    return lap.tocsr()
+
+
+@st.composite
+def physical_graphs(draw, max_stations=12):
+    """Random edge subsets in random order and orientation; small integer costs force ties."""
+    n = draw(st.integers(1, max_stations))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    cost = st.integers(0, 3) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    edges = []
+    for i, j in chosen:
+        if draw(st.booleans()):
+            i, j = j, i
+        edges.append((i, j, draw(cost)))
+    return PhysicalGraph(n, tuple(edges))
+
+
+def random_connected(rng, n, extra):
+    """A random spanning tree plus ``extra`` random chords."""
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(extra):
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.add((i, j))
+    return sorted(edges)
+
+
+def eigenmap_with_threshold(pg, dim, threshold):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attention, "DENSE_EIGENMAP_MAX_STATIONS", threshold)
+        return spatial_eigenmap(pg, dim)
+
+
+def projector(vecs):
+    return vecs @ vecs.T
+
+
+class TestSkeletonsMatchLoops:
+    @given(physical_graphs(), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_spatial(self, pg, k):
+        neighbors, edges = loop_spatial_skeleton(pg, k)
+        skel = build_spatial_skeleton(pg, k)
+        assert skel.neighbors == neighbors
+        assert skel.edges.dtype == edges.dtype == np.int64
+        np.testing.assert_array_equal(skel.edges, edges)
+
+    @given(st.integers(1, 6), st.integers(2, 12), st.integers(1, 11))
+    @settings(max_examples=100, deadline=None)
+    def test_temporal(self, n, n_instants, window):
+        assume(window < n_instants)
+        skel = build_temporal_skeleton(n, n_instants, window)
+        refs = loop_temporal_skeleton(n, n_instants, window)
+        for name, ref in zip(("src", "dst", "lag", "sources"), refs):
+            got = getattr(skel, name)
+            assert got.dtype == ref.dtype, name
+            np.testing.assert_array_equal(got, ref, err_msg=name)
+
+
+class TestVectorisedLoopsMatch:
+    @given(physical_graphs(), st.integers(1, 8), st.integers(1, 5), st.integers(2, 16),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_neighbor_aggregation(self, pg, k, n_instants, width, seed):
+        # at least two embedding columns: the reference's mean over a single
+        # column of 8+ rows switches to pairwise summation
+        skel = build_spatial_skeleton(pg, k)
+        emb = np.random.default_rng(seed).standard_normal((pg.n_stations * n_instants, width))
+        out = FeatureMap(np.eye(width), aggregate_neighbors=True)(emb, skel)
+        np.testing.assert_array_equal(out, loop_aggregate(emb, skel) @ np.eye(width))
+
+    @given(st.integers(1, 25), st.floats(0.0, 0.6), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_normalized_laplacian(self, n, density, symmetric, seed):
+        rng = np.random.default_rng(seed)
+        w = sp.random(n, n, density=density, format="csr", random_state=rng)
+        if symmetric:
+            w = w + w.T
+        got, ref = normalized_laplacian(w), lil_normalized_laplacian(w)
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_array_equal(got.data, ref.data)
+
+
+class TestSparseEigenmap:
+    @given(st.integers(0, 2**32 - 1), st.integers(12, 80), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_on_simple_spectrum(self, seed, n, dim):
+        rng = np.random.default_rng(seed)
+        edges = random_connected(rng, n, int(rng.integers(0, 2 * n)))
+        pg = PhysicalGraph(n, tuple((i, j, 1.0) for i, j in edges))
+        vals = np.linalg.eigvalsh(unit_laplacian(pg).toarray())[: dim + 2]
+        assume(np.diff(vals).min() > 1e-4)
+        dense = eigenmap_with_threshold(pg, dim, n)
+        sparse = eigenmap_with_threshold(pg, dim, 0)
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10)
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=2, max_size=8),
+           st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_disconnected_spans_dense_subspace(self, seed, sizes, count):
+        # components of random sizes, isolated stations included; every
+        # component adds one copy of eigenvalue 0
+        rng = np.random.default_rng(seed)
+        edges, off = [], 0
+        for size in sizes:
+            edges += [(off + i, off + j) for i, j in random_connected(rng, size, size // 2)]
+            off += size
+        lap = unit_laplacian(PhysicalGraph(off, tuple((i, j, 1.0) for i, j in edges)))
+        count = min(count, off)
+        full = np.linalg.eigvalsh(lap.toarray())
+        assume(count == off or full[count] - full[count - 1] > 1e-4)
+        d_vals, d_vecs = smallest_eigenpairs_dense(lap, count)
+        s_vals, s_vecs = smallest_eigenpairs_sparse(lap, count)
+        np.testing.assert_allclose(s_vals, d_vals, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(s_vecs.T @ s_vecs, np.eye(count), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(projector(s_vecs), projector(d_vecs), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [40, 301])
+    def test_degenerate_spectra_span_dense_subspace(self, n):
+        # a cycle's nontrivial eigenvalues come in pairs, and counts 3 and 5
+        # cut between pairs; a star's eigenvalue 1 has multiplicity n - 2, so
+        # a cut at 6 falls inside it and only values and residuals are defined
+        cycle = unit_laplacian(PhysicalGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n))))
+        for count in (3, 5):
+            d_vals, d_vecs = smallest_eigenpairs_dense(cycle, count)
+            s_vals, s_vecs = smallest_eigenpairs_sparse(cycle, count)
+            np.testing.assert_allclose(s_vals, d_vals, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(projector(s_vecs), projector(d_vecs), rtol=0, atol=1e-10)
+        star = unit_laplacian(PhysicalGraph(n, tuple((0, i, 1.0) for i in range(1, n))))
+        s_vals, s_vecs = smallest_eigenpairs_sparse(star, 6)
+        np.testing.assert_allclose(s_vals, [0, 1, 1, 1, 1, 1], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(star @ s_vecs, s_vecs * s_vals, rtol=0, atol=1e-10)
+
+    def test_sparse_path_warns_on_disconnected(self):
+        pg = PhysicalGraph(30, tuple((i, i + 1, 1.0) for i in range(29) if i != 14))
+        with pytest.warns(UserWarning, match="2 connected components"):
+            eig = eigenmap_with_threshold(pg, 5, 0)
+        assert eig.shape == (30, 5)
+
+    def test_sparse_path_repeats_bitwise(self):
+        rng = np.random.default_rng(4)
+        pg = PhysicalGraph(400, tuple((i, j, 1.0) for i, j in random_connected(rng, 400, 600)))
+        first = spatial_eigenmap(pg)
+        np.testing.assert_array_equal(spatial_eigenmap(pg), first)
+        lap = unit_laplacian(pg)
+        a, b = smallest_eigenpairs_sparse(lap, 6), smallest_eigenpairs_sparse(lap, 6)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_orient_columns_sign_rule(self):
+        vecs = np.array([[0.0, 1e-13], [-2.0, -1.0], [1.0, 3.0]])
+        flipped = [[0.0, -1e-13], [2.0, 1.0], [-1.0, -3.0]]
+        np.testing.assert_array_equal(orient_columns(vecs), flipped)
+
+
+def test_large_context_skips_dense_eigh(monkeypatch):
+    """A 1500-station context builds without dense ``eigh``, the O(N^3) path."""
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigh called on a large graph")
+
+    rng = np.random.default_rng(0)
+    n = 1500
+    pg = PhysicalGraph(
+        n, tuple((i, j, float(rng.uniform(0.1, 2.0))) for i, j in random_connected(rng, n, 2 * n))
+    )
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = PipelineContext.build(pg, PipelineConfig())
+    assert ctx.eigmap.shape == (n, ctx.config.graph.spatial_dim)
+    assert np.all(np.isfinite(ctx.eigmap))
+    assert ctx.sskel.n_stations == n
