@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
     feats = ctx.feature_map(embeddings, ctx.sskel)
     graph = attention.multi_head_graphs(
         feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=sample.observed.shape[1],
-        with_undirected_temporal=cfg.solver.mode == "undirected_temporal",
+        with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
     )[args.head]
     params = cfg.layers.layer_params(0, cfg.default_rho(sample.n_stations))
     trace: list = []

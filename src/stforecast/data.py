@@ -180,13 +180,8 @@ def split_windows(samples: list[Sample], ratios) -> DatasetSplits:
 
 
 def load_dataset(spec: DatasetSpec) -> tuple[DatasetSplits, PhysicalGraph, Standardizer]:
-    pg = load_road_network(spec.edges_path)
     table = read_signal_csv(spec.signal_path)
-    if table.n_stations != pg.n_stations:
-        raise ParseError(
-            f"{spec.signal_path}: {table.n_stations} station columns but the "
-            f"road network has {pg.n_stations} stations"
-        )
+    pg = load_road_network(spec.edges_path, n_stations=table.n_stations)
     samples = cut_windows(table, spec.history, spec.horizon, spec.stride)
     splits = split_windows(samples, spec.ratios)
     if splits.train:

@@ -61,8 +61,13 @@ class PhysicalGraph:
         return ends[:, 0], ends[:, 1], costs
 
 
-def load_road_network(path) -> PhysicalGraph:
-    """Read an edge list CSV with header ``from,to,cost`` (0-based station ids)."""
+def load_road_network(path, n_stations: int | None = None) -> PhysicalGraph:
+    """Read an edge list CSV with header ``from,to,cost`` (0-based station ids).
+
+    ``n_stations`` is the station count, e.g. the signal's column count;
+    stations no edge touches are isolated, and an id at or beyond the count
+    is rejected. Without it the count is one past the largest id.
+    """
     edges = []
     max_station = -1
     with open(path, newline="") as fh:
@@ -83,10 +88,14 @@ def load_road_network(path) -> PhysicalGraph:
                 cost = float(row[2])
             except ValueError as exc:
                 raise EdgeListError(f"{path}:{lineno}: {exc}") from None
+            if n_stations is not None and max(i, j) >= n_stations:
+                raise EdgeListError(
+                    f"{path}:{lineno}: station {max(i, j)} out of range for {n_stations} stations"
+                )
             edges.append((i, j, cost))
             max_station = max(max_station, i, j)
     try:
-        return PhysicalGraph(max_station + 1, tuple(edges))
+        return PhysicalGraph(max_station + 1 if n_stations is None else n_stations, tuple(edges))
     except ValueError as exc:
         raise EdgeListError(f"{path}: {exc}") from None
 

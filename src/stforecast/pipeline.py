@@ -179,7 +179,7 @@ def _forward(sample: Sample, ctx: PipelineContext) -> np.ndarray:
     mode = cfg.solver.mode
     rho0 = cfg.default_rho(n)
     merge = ctx.config.heads.merge
-    needs_ln = mode == "undirected_temporal"
+    needs_ln = solver.TERMS[mode].temporal == "l_n"
     for b in range(cfg.layers.blocks):
         embeddings = attention.embed(x, ctx.pg, t_steps, ctx.eigmap)
         feats = ctx.feature_map(embeddings, ctx.sskel)

@@ -1,12 +1,17 @@
 """Unrolled ADMM for the mixed-graph reconstruction objective.
 
-Each layer runs four sub-steps: three conjugate-gradient solves (the signal
-update and the two l2-split auxiliaries) and one entrywise soft-threshold for
-the l1 auxiliary, followed by the multiplier updates. The l2 terms are split
-out of the signal system so each solve stays cheap and well conditioned; the
-unsplit system is kept as the ``direct_unsplit`` variant for fixed-point
-checks, alongside the three ablation variants. The heads of a block run
-together as lanes of one block-diagonal system (``MixedGraph.stack``).
+One layer function serves every solver variant. ``TERMS`` records, per
+variant, which terms of the objective it keeps (the directed l1 term, a
+directed or undirected temporal l2 term) and whether the l2 terms are split
+out into auxiliaries. A layer runs the signal solve (CG), one CG low-pass
+solve per l2 auxiliary (z_u spatial, z_d temporal), the entrywise
+soft-threshold for the l1 auxiliary phi, and dual ascent on the multipliers
+of the splits it has (Boyd et al., *Distributed Optimization and Statistical
+Learning via ADMM*, FnT ML 2011, section 3). ``full`` splits everything, so
+each solve stays cheap and well conditioned; ``direct_unsplit`` keeps the l2
+terms in the signal system, for fixed-point checks; the other three are the
+ablations. The heads of a block run together as lanes of one block-diagonal
+system (``MixedGraph.stack``).
 """
 
 from __future__ import annotations
@@ -18,12 +23,41 @@ import numpy as np
 from . import priors
 from .graphs import MixedGraph
 
-VARIANTS = ("full", "no_dgtv", "no_dglr", "undirected_temporal", "direct_unsplit")
-
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
 DEFAULT_CG_INIT = 0.08
 DEFAULT_EXACT_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class Terms:
+    """Which parts of the objective a variant keeps, and how it solves them.
+
+    ``l1``: the directed l1 term (DGTV), split out as phi = L_r x.
+    ``temporal``: the temporal l2 operator: ``"call_rd"`` for the directed
+    L_r'L_r (DGLR), ``"l_n"`` for the undirected normalized Laplacian, None
+    to drop the term.
+    ``split``: the l2 terms (spatial GLR and temporal) get auxiliaries z_u
+    and z_d; unsplit, they stay in the signal system.
+    """
+
+    l1: bool
+    temporal: str | None
+    split: bool
+
+    def __post_init__(self):
+        if not self.split and self.temporal == "l_n":
+            raise ValueError("the unsplit signal system takes only the directed temporal term")
+
+
+TERMS = {
+    "full": Terms(l1=True, temporal="call_rd", split=True),
+    "no_dgtv": Terms(l1=False, temporal="call_rd", split=True),
+    "no_dglr": Terms(l1=True, temporal=None, split=True),
+    "undirected_temporal": Terms(l1=False, temporal="l_n", split=True),
+    "direct_unsplit": Terms(l1=True, temporal="call_rd", split=False),
+}
+VARIANTS = tuple(TERMS)
 
 
 class NumericFailure(RuntimeError):
@@ -213,22 +247,38 @@ def update_x(
     p: LayerParams,
     y: np.ndarray,
     sched: CgSchedule,
+    terms: Terms = TERMS["full"],
 ) -> np.ndarray:
-    """Signal solve with the l2 terms split out (mask + temporal operator + identity)."""
+    """Signal solve: the mask plus one system term and one rhs part per active term.
+
+    The l1 split adds 0.5 rho L_r'L_r; a split l2 term adds its penalty times
+    the identity, an unsplit one its prior (the temporal prior then joins the
+    L_r'L_r coefficient). The rhs sums the l1, spatial and temporal parts and
+    H'y in that order.
+    """
     mask = graph.h_mask
-    shift = 0.5 * (p.rho_u + p.rho_d)
+    c_rd = 0.5 * p.rho if terms.l1 else 0.0
+    if terms.split:
+        shift = 0.5 * (p.rho_u + p.rho_d) if terms.temporal else 0.5 * p.rho_u
+    elif terms.temporal:
+        c_rd += p.mu_d2
 
     def apply_a(v):
-        out = 0.5 * p.rho * graph.apply("call_rd", v)
-        out += shift * v
+        out = shift * v if terms.split else p.mu_u * graph.apply("l_u", v)
+        if c_rd:
+            out += c_rd * graph.apply("call_rd", v)
         out[mask] += v[mask]
         return out
 
-    rhs = graph.apply("l_rd_t", 0.5 * state.gamma + 0.5 * p.rho * state.phi)
-    rhs += -0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u
-    rhs += -0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d
-    rhs += graph.lift_observed(y)
-    return cg_solve(apply_a, rhs, state.x, sched)
+    parts = []
+    if terms.l1:
+        parts.append(graph.apply("l_rd_t", 0.5 * state.gamma + 0.5 * p.rho * state.phi))
+    if terms.split:
+        parts.append(-0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u)
+        if terms.temporal:
+            parts.append(-0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d)
+    parts.append(graph.lift_observed(y))
+    return cg_solve(apply_a, sum(parts[1:], parts[0]), state.x, sched)
 
 
 def update_zu(state: AdmmState, graph: MixedGraph, p: LayerParams, sched: CgSchedule) -> np.ndarray:
@@ -241,11 +291,14 @@ def update_zu(state: AdmmState, graph: MixedGraph, p: LayerParams, sched: CgSche
     return cg_solve(apply_a, rhs, state.z_u, sched)
 
 
-def update_zd(state: AdmmState, graph: MixedGraph, p: LayerParams, sched: CgSchedule) -> np.ndarray:
-    """Low-pass solve against the symmetrized temporal operator."""
+def update_zd(
+    state: AdmmState, graph: MixedGraph, p: LayerParams, sched: CgSchedule, temporal: str = "call_rd"
+) -> np.ndarray:
+    """Low-pass solve against the temporal operator: L_r'L_r, or ``l_n`` when undirected."""
 
     def apply_a(v):
-        return p.mu_d2 * graph.apply("call_rd", v) + 0.5 * p.rho_d * v
+        tv = graph.l_n @ v if temporal == "l_n" else graph.apply(temporal, v)
+        return p.mu_d2 * tv + 0.5 * p.rho_d * v
 
     rhs = 0.5 * state.gamma_d + 0.5 * p.rho_d * state.x
     return cg_solve(apply_a, rhs, state.z_d, sched)
@@ -265,145 +318,43 @@ def update_multipliers(
     z_d_new: np.ndarray,
     graph: MixedGraph,
     p: LayerParams,
+    terms: Terms = TERMS["full"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gamma = state.gamma + p.rho * (phi_new - graph.apply("l_rd", x_new))
-    gamma_u = state.gamma_u + p.rho_u * (x_new - z_u_new)
-    gamma_d = state.gamma_d + p.rho_d * (x_new - z_d_new)
+    """Dual ascent on each split the variant has; the others keep their multiplier."""
+    gamma, gamma_u, gamma_d = state.gamma, state.gamma_u, state.gamma_d
+    if terms.l1:
+        gamma = gamma + p.rho * (phi_new - graph.apply("l_rd", x_new))
+    if terms.split:
+        gamma_u = gamma_u + p.rho_u * (x_new - z_u_new)
+        if terms.temporal:
+            gamma_d = gamma_d + p.rho_d * (x_new - z_d_new)
     return gamma, gamma_u, gamma_d
 
 
-def _check_finite(vec: np.ndarray, layer: int, step: str):
-    if not np.all(np.isfinite(vec)):
-        raise NumericFailure(
-            "non-finite values", layer=layer, step=step, entry=_first_nonfinite(vec)
-        )
-
-
-def _cg_wrap(layer, step, fn, *args):
+def _step(layer: int, name: str, fn, *args) -> np.ndarray:
+    """Run one sub-step; a failure in it, or a non-finite result, names layer and step."""
     try:
-        return fn(*args)
+        out = fn(*args)
     except NumericFailure as exc:
-        exc.layer, exc.step = layer, step
+        exc.layer, exc.step = layer, name
         raise
+    if not np.all(np.isfinite(out)):
+        raise NumericFailure("non-finite values", layer=layer, step=name, entry=_first_nonfinite(out))
+    return out
 
 
-def _layer_full(state, graph, p, y, sched, layer):
-    state.x = _cg_wrap(layer, "x", update_x, state, graph, p, y, sched)
-    _check_finite(state.x, layer, "x")
-    state.z_u = _cg_wrap(layer, "z_u", update_zu, state, graph, p, sched)
-    _check_finite(state.z_u, layer, "z_u")
-    state.z_d = _cg_wrap(layer, "z_d", update_zd, state, graph, p, sched)
-    _check_finite(state.z_d, layer, "z_d")
-    state.phi = update_phi(state.x, state.gamma, graph, p)
-    _check_finite(state.phi, layer, "phi")
+def _layer(state: AdmmState, graph: MixedGraph, p: LayerParams, y, sched, layer: int, terms: Terms):
+    state.x = _step(layer, "x", update_x, state, graph, p, y, sched, terms)
+    if terms.split:
+        state.z_u = _step(layer, "z_u", update_zu, state, graph, p, sched)
+        if terms.temporal:
+            name = "z_n" if terms.temporal == "l_n" else "z_d"
+            state.z_d = _step(layer, name, update_zd, state, graph, p, sched, terms.temporal)
+    if terms.l1:
+        state.phi = _step(layer, "phi", update_phi, state.x, state.gamma, graph, p)
     state.gamma, state.gamma_u, state.gamma_d = update_multipliers(
-        state, state.x, state.phi, state.z_u, state.z_d, graph, p
+        state, state.x, state.phi, state.z_u, state.z_d, graph, p, terms
     )
-
-
-def _layer_no_dgtv(state, graph, p, y, sched, layer):
-    # No l1 auxiliary: the signal system is mask + identity only.
-    mask = graph.h_mask
-    shift = 0.5 * (p.rho_u + p.rho_d)
-
-    def apply_a(v):
-        out = shift * v
-        out[mask] += v[mask]
-        return out
-
-    rhs = graph.lift_observed(y)
-    rhs -= 0.5 * (state.gamma_u + state.gamma_d)
-    rhs += 0.5 * p.rho_u * state.z_u + 0.5 * p.rho_d * state.z_d
-    state.x = _cg_wrap(layer, "x", cg_solve, apply_a, rhs, state.x, sched)
-    _check_finite(state.x, layer, "x")
-    state.z_u = _cg_wrap(layer, "z_u", update_zu, state, graph, p, sched)
-    _check_finite(state.z_u, layer, "z_u")
-    state.z_d = _cg_wrap(layer, "z_d", update_zd, state, graph, p, sched)
-    _check_finite(state.z_d, layer, "z_d")
-    state.gamma_u = state.gamma_u + p.rho_u * (state.x - state.z_u)
-    state.gamma_d = state.gamma_d + p.rho_d * (state.x - state.z_d)
-
-
-def _layer_no_dglr(state, graph, p, y, sched, layer):
-    # No l2 temporal auxiliary; the l1 split and the spatial split remain.
-    mask = graph.h_mask
-
-    def apply_a(v):
-        out = 0.5 * p.rho * graph.apply("call_rd", v)
-        out += 0.5 * p.rho_u * v
-        out[mask] += v[mask]
-        return out
-
-    rhs = graph.lift_observed(y)
-    rhs += graph.apply("l_rd_t", 0.5 * state.gamma + 0.5 * p.rho * state.phi)
-    rhs += -0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u
-    state.x = _cg_wrap(layer, "x", cg_solve, apply_a, rhs, state.x, sched)
-    _check_finite(state.x, layer, "x")
-    state.z_u = _cg_wrap(layer, "z_u", update_zu, state, graph, p, sched)
-    _check_finite(state.z_u, layer, "z_u")
-    state.phi = update_phi(state.x, state.gamma, graph, p)
-    _check_finite(state.phi, layer, "phi")
-    state.gamma = state.gamma + p.rho * (state.phi - graph.apply("l_rd", state.x))
-    state.gamma_u = state.gamma_u + p.rho_u * (state.x - state.z_u)
-
-
-def _layer_undirected_temporal(state, graph, p, y, sched, layer):
-    # Temporal DAG replaced by its symmetrized normalized Laplacian; the z_d
-    # slot carries the temporal auxiliary z_n and gamma_d its multiplier.
-    if graph.l_n is None:
-        raise ValueError("graph has no undirected temporal Laplacian (l_n)")
-    mask = graph.h_mask
-    shift = 0.5 * (p.rho_u + p.rho_d)
-
-    def apply_a(v):
-        out = shift * v
-        out[mask] += v[mask]
-        return out
-
-    rhs = graph.lift_observed(y)
-    rhs -= 0.5 * (state.gamma_u + state.gamma_d)
-    rhs += 0.5 * p.rho_u * state.z_u + 0.5 * p.rho_d * state.z_d
-    state.x = _cg_wrap(layer, "x", cg_solve, apply_a, rhs, state.x, sched)
-    _check_finite(state.x, layer, "x")
-    state.z_u = _cg_wrap(layer, "z_u", update_zu, state, graph, p, sched)
-    _check_finite(state.z_u, layer, "z_u")
-
-    def apply_an(v):
-        return p.mu_d2 * (graph.l_n @ v) + 0.5 * p.rho_d * v
-
-    rhs_n = 0.5 * state.gamma_d + 0.5 * p.rho_d * state.x
-    state.z_d = _cg_wrap(layer, "z_n", cg_solve, apply_an, rhs_n, state.z_d, sched)
-    _check_finite(state.z_d, layer, "z_n")
-    state.gamma_u = state.gamma_u + p.rho_u * (state.x - state.z_u)
-    state.gamma_d = state.gamma_d + p.rho_d * (state.x - state.z_d)
-
-
-def _layer_direct_unsplit(state, graph, p, y, sched, layer):
-    # Solve the original coupled system each layer instead of splitting.
-    mask = graph.h_mask
-
-    def apply_a(v):
-        out = p.mu_u * graph.apply("l_u", v)
-        out += (p.mu_d2 + 0.5 * p.rho) * graph.apply("call_rd", v)
-        out[mask] += v[mask]
-        return out
-
-    rhs = graph.apply("l_rd_t", 0.5 * p.rho * state.phi + 0.5 * state.gamma)
-    rhs += graph.lift_observed(y)
-    state.x = _cg_wrap(layer, "x", cg_solve, apply_a, rhs, state.x, sched)
-    _check_finite(state.x, layer, "x")
-    state.phi = update_phi(state.x, state.gamma, graph, p)
-    _check_finite(state.phi, layer, "phi")
-    state.gamma = state.gamma + p.rho * (state.phi - graph.apply("l_rd", state.x))
-
-
-_LAYER_FNS = {
-    "full": _layer_full,
-    "no_dgtv": _layer_no_dgtv,
-    "no_dglr": _layer_no_dglr,
-    "undirected_temporal": _layer_undirected_temporal,
-    "direct_unsplit": _layer_direct_unsplit,
-}
 
 
 def admm_block(
@@ -425,38 +376,35 @@ def admm_block(
     On a stacked graph (``graph.lanes`` > 1) ``x0``, ``y`` and the result
     hold one lane after another, and a trace record covers all lanes at once.
     """
-    if mode not in VARIANTS:
+    terms = TERMS.get(mode)
+    if terms is None:
         raise ValueError(f"unknown solver variant {mode!r}")
+    if terms.temporal == "l_n" and graph.l_n is None:
+        raise ValueError("graph has no undirected temporal Laplacian (l_n)")
     if not params:
         raise ValueError("need at least one layer")
     state = AdmmState.initial(x0, graph)
-    layer_fn = _LAYER_FNS[mode]
     for layer, p in enumerate(params):
-        layer_fn(state, graph, p, y, sched, layer)
+        _layer(state, graph, p, y, sched, layer, terms)
         if trace is not None:
-            trace.append(_trace_record(layer, state, graph, p, y, mode))
+            trace.append(_trace_record(layer, state, graph, p, y, terms))
     return state.x
 
 
-def _trace_record(layer, state, graph, p, y, mode):
+def _trace_record(layer, state, graph, p, y, terms):
+    """Objective and split residuals after one layer; NaN for the splits the variant drops."""
     rec = {"layer": layer}
     rec.update(state.residuals(graph))
-    if mode in ("no_dgtv", "undirected_temporal"):
+    if not terms.l1:
         rec["res_phi"] = float("nan")
-    if mode in ("no_dglr", "direct_unsplit"):
+    if not (terms.split and terms.temporal):
         rec["res_zd"] = float("nan")
-    if mode == "direct_unsplit":
+    if not terms.split:
         rec["res_zu"] = float("nan")
-    if mode == "undirected_temporal":
-        resid = y - graph.project_observed(state.x)
-        rec["objective"] = (
-            float(resid @ resid)
-            + p.mu_u * priors.glr(state.x, graph.l_u)
-            + p.mu_d2 * priors.glr(state.x, graph.l_n)
-        )
-    else:
-        mu_d1 = 0.0 if mode == "no_dgtv" else p.mu_d1
-        mu_d2 = 0.0 if mode == "no_dglr" else p.mu_d2
-        weights = priors.PriorWeights(p.mu_u, mu_d2, mu_d1)
-        rec["objective"] = priors.objective(state.x, y, graph, weights)
+    weights = priors.PriorWeights(
+        p.mu_u, p.mu_d2 if terms.temporal == "call_rd" else 0.0, p.mu_d1 if terms.l1 else 0.0
+    )
+    rec["objective"] = priors.objective(state.x, y, graph, weights)
+    if terms.temporal == "l_n":
+        rec["objective"] += p.mu_d2 * priors.glr(state.x, graph.l_n)
     return rec

@@ -10,8 +10,8 @@ from stforecast import priors
 from stforecast.attention import MetricBank, directed_weights, undirected_weights
 from stforecast.cli import cli_main
 from stforecast.config import PipelineConfig
-from stforecast.graphs import build_spatial_skeleton, build_temporal_skeleton
-from stforecast.pipeline import forecast_metrics, initial_extrapolation
+from stforecast.graphs import EdgeListError, build_spatial_skeleton, build_temporal_skeleton
+from stforecast.pipeline import PipelineContext, forecast_metrics, initial_extrapolation, run_forecast
 
 
 class TestSignalCsv:
@@ -114,11 +114,27 @@ class TestLoadDataset:
         train_end = int(np.searchsorted(table.timestamps, splits.train[-1].timestamps[-1])) + 1
         np.testing.assert_allclose(std.mean, table.values[:train_end].mean(axis=0))
 
-    def test_station_count_mismatch(self, tmp_path):
-        sig, edg, _ = self.make_files(tmp_path)
+    def test_station_without_edges_is_isolated(self, tmp_path):
+        # the station count comes from the signal columns, not the largest edge id
+        sig, _, _ = self.make_files(tmp_path)
+        sparse = tmp_path / "sparse_edges.csv"
+        sparse.write_text("from,to,cost\n0,1,1.0\n")
+        splits, pg, std = dmod.load_dataset(dmod.DatasetSpec(str(sig), str(sparse)))
+        assert pg.n_stations == 3
+        assert pg.edges == ((0, 1, 1.0),)
+        cfg = PipelineConfig.from_dict({
+            "graph": {"k": 1, "window": 2}, "layers": {"blocks": 1, "layers": 2},
+            "heads": {"count": 1},
+        })
+        with pytest.warns(UserWarning, match="2 connected components"):
+            ctx = PipelineContext.build(pg, cfg, standardizer=std)
+        assert np.all(np.isfinite(run_forecast(splits.test[0], ctx)))
+
+    def test_edge_id_beyond_signal_columns(self, tmp_path):
+        sig, _, _ = self.make_files(tmp_path)
         bad = tmp_path / "bad_edges.csv"
-        bad.write_text("from,to,cost\n0,1,1.0\n")
-        with pytest.raises(dmod.ParseError, match="station columns"):
+        bad.write_text("from,to,cost\n0,1,1.0\n1,3,1.0\n")
+        with pytest.raises(EdgeListError, match=r"bad_edges\.csv:3: station 3 out of range"):
             dmod.load_dataset(dmod.DatasetSpec(str(sig), str(bad)))
 
 

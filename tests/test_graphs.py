@@ -62,6 +62,20 @@ class TestRoadNetworkCsv:
         assert pg.n_stations == 3
         assert pg.edges == ((0, 1, 2.5), (1, 2, 1.0))
 
+    def test_station_count_given(self, tmp_path):
+        # stations beyond the largest edge id are kept, isolated
+        path = tmp_path / "edges.csv"
+        path.write_text("from,to,cost\n0,1,2.5\n")
+        pg = load_road_network(path, n_stations=4)
+        assert pg.n_stations == 4
+        assert pg.edges == ((0, 1, 2.5),)
+
+    def test_id_beyond_station_count_names_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("from,to,cost\n0,1,2.5\n4,1,1.0\n")
+        with pytest.raises(EdgeListError, match=r"edges\.csv:3: station 4 out of range for 4"):
+            load_road_network(path, n_stations=4)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("a,b,c\n0,1,2.5\n")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from stforecast import oracles
 from stforecast.priors import PriorWeights, glr, objective
 from stforecast.solver import (
+    TERMS,
+    VARIANTS,
     AdmmState,
     CgSchedule,
     LayerParams,
@@ -233,6 +235,34 @@ class TestUpdateX:
             - 0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d
             + g.lift_observed(y)
         )
+        np.testing.assert_allclose(x, oracles.dense_solve(a, rhs), atol=1e-8)
+
+    @pytest.mark.parametrize("mode", VARIANTS)
+    def test_variant_dense_oracle(self, mode):
+        # each variant's signal system and rhs, written out densely
+        rng = np.random.default_rng(29)
+        g = random_mixed(rng, n_stations=2, n_instants=3, window=2, n_observed=2)
+        n = g.n_nodes
+        y = rng.standard_normal(int(g.h_mask.sum()))
+        state = AdmmState.initial(rng.standard_normal(n), g)
+        state.gamma, state.gamma_u, state.gamma_d, state.z_u, state.z_d = (
+            rng.standard_normal(n) for _ in range(5)
+        )
+        p = LayerParams(0.6, 0.7, 0.5, rho=1.2, rho_u=0.8, rho_d=1.1)
+        h, eye = np.diag(g.h_mask.astype(float)), np.eye(n)
+        c, l_u = g.call_rd.toarray(), g.l_u.toarray()
+        l1 = g.l_rd.toarray().T @ (0.5 * state.gamma + 0.5 * p.rho * state.phi)
+        zu = -0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u
+        zd = -0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d
+        hy = g.lift_observed(y)
+        a, rhs = {
+            "full": (h + 0.5 * p.rho * c + 0.5 * (p.rho_u + p.rho_d) * eye, l1 + zu + zd + hy),
+            "no_dgtv": (h + 0.5 * (p.rho_u + p.rho_d) * eye, zu + zd + hy),
+            "no_dglr": (h + 0.5 * p.rho * c + 0.5 * p.rho_u * eye, l1 + zu + hy),
+            "undirected_temporal": (h + 0.5 * (p.rho_u + p.rho_d) * eye, zu + zd + hy),
+            "direct_unsplit": (h + p.mu_u * l_u + (p.mu_d2 + 0.5 * p.rho) * c, l1 + hy),
+        }[mode]
+        x = update_x(state, g, p, y, CgSchedule.exact(tol=1e-13), TERMS[mode])
         np.testing.assert_allclose(x, oracles.dense_solve(a, rhs), atol=1e-8)
 
     def test_linear_system_residual(self):
@@ -517,6 +547,39 @@ class TestVariants:
                 np.zeros(g.n_nodes), y, g,
                 [LayerParams(1, 1, 0, 1, 1, 1)], EXACT, "undirected_temporal",
             )
+
+    @pytest.mark.parametrize("mode", VARIANTS)
+    def test_trace_record(self, mode):
+        dropped = {
+            "full": (),
+            "no_dgtv": ("res_phi",),
+            "no_dglr": ("res_zd",),
+            "undirected_temporal": ("res_phi",),
+            "direct_unsplit": ("res_zu", "res_zd"),
+        }[mode]
+        g, y = self._graph_with_ln(np.random.default_rng(28))
+        p = LayerParams(0.8, 0.6, 0.4, 1.0, 1.0, 1.0)
+        trace = []
+        x = admm_block(g.lift_observed(y), y, g, [p] * 3, EXACT, mode, trace)
+        assert [rec["layer"] for rec in trace] == [0, 1, 2]
+        for key in ("res_phi", "res_zu", "res_zd"):
+            values = np.array([rec[key] for rec in trace])
+            if key in dropped:
+                assert np.all(np.isnan(values)), key
+            else:
+                assert np.all(np.isfinite(values)), key
+        if mode == "undirected_temporal":
+            resid = y - g.project_observed(x)
+            want = float(resid @ resid) + p.mu_u * glr(x, g.l_u) + p.mu_d2 * glr(x, g.l_n)
+        else:
+            weights = {
+                "full": PriorWeights(p.mu_u, p.mu_d2, p.mu_d1),
+                "no_dgtv": PriorWeights(p.mu_u, p.mu_d2, 0.0),
+                "no_dglr": PriorWeights(p.mu_u, 0.0, p.mu_d1),
+                "direct_unsplit": PriorWeights(p.mu_u, p.mu_d2, p.mu_d1),
+            }[mode]
+            want = objective(x, y, g, weights)
+        assert trace[-1]["objective"] == pytest.approx(want, rel=1e-12)
 
     @staticmethod
     def _graph_with_ln(rng):
