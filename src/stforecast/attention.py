@@ -42,9 +42,9 @@ EIGSH_SHIFT = -1e-2
 class DegenerateWeightError(ValueError):
     """All attention weights in some neighborhood underflowed to zero.
 
-    Raised with the instant; ``multi_head_graphs`` adds the head and the
-    forward pass the block, on the same exception, so the message names each
-    place once.
+    Raised with the instant, and with the head when the weights of several
+    heads are computed together; the forward pass adds the block on the same
+    exception, so the message names each place once.
     """
 
     def __init__(self, message, *, block=None, head=None, instant=None):
@@ -263,10 +263,26 @@ def mahalanobis(f_i: np.ndarray, f_j: np.ndarray, m: MetricMatrix) -> float:
     return float(md @ md)
 
 
-def _pairwise_distances(diffs: np.ndarray, m: MetricMatrix) -> np.ndarray:
-    """Mahalanobis distances for a batch of difference vectors (E, K)."""
-    md = diffs @ m.factor.T
-    return np.einsum("ek,ek->e", md, md)
+def _pairwise_distances(diffs: np.ndarray, factors_t: np.ndarray) -> np.ndarray:
+    """Mahalanobis distances of differences (..., E, K) under transposed factors (..., K, K).
+
+    Leading axes broadcast, so one call serves every head; each head's
+    distances are bitwise those of a call with that head alone.
+    """
+    md = diffs @ factors_t
+    return np.einsum("...ek,...ek->...e", md, md)
+
+
+def _transposed_factors(metrics) -> tuple[np.ndarray, bool]:
+    """Transposed factors M0' of metrics, one list or one list per head, as (heads, count, K, K).
+
+    Stored contiguously, because a product with the strided view
+    ``factor.T`` under a head axis runs several times slower. The flag tells
+    whether a single list (no head axis) was given.
+    """
+    single = isinstance(metrics[0], MetricMatrix)
+    rows = [metrics] if single else metrics
+    return np.array([[m.factor.T for m in row] for row in rows]), single
 
 
 @dataclass(eq=False)
@@ -312,60 +328,79 @@ class MetricBank:
 def undirected_weights(
     features: np.ndarray,
     skel: SpatialSkeleton,
-    metrics: list[MetricMatrix],
+    metrics: list,
 ) -> np.ndarray:
     """Per-instant spatial edge weights, shape (n_instants, n_edges).
 
     w_ij = exp(-d_ij) / sqrt(sum_l exp(-d_il) * sum_k exp(-d_jk)) with the
     sums running over the skeleton neighborhoods; symmetric by construction.
+
+    ``metrics`` holds one metric per instant, or one such list per head; with
+    heads the result is (heads, n_instants, n_edges), every head computed at
+    once per instant, and ``features`` may be shared (nodes, K) or per head
+    (heads, nodes, K).
     """
+    factors_t, single = _transposed_factors(metrics)
+    n_heads, n_instants = factors_t.shape[:2]
     n = skel.n_stations
-    n_instants = len(metrics)
-    if features.shape[0] != n * n_instants:
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape[-2] != n * n_instants:
         raise ValueError("feature rows must equal stations x instants")
-    ei, ej = skel.edges[:, 0], skel.edges[:, 1]
-    out = np.empty((n_instants, skel.n_edges))
-    for t, metric in enumerate(metrics):
-        feats = features[t * n : (t + 1) * n]
-        d = _pairwise_distances(feats[ei] - feats[ej], metric)
-        # shifting all distances cancels between numerator and denominator
-        e = np.exp(-(d - d.min())) if len(d) else d
-        sums = np.zeros(n)
-        np.add.at(sums, ei, e)
-        np.add.at(sums, ej, e)
-        norm = np.sqrt(sums[ei] * sums[ej])
-        if np.any(norm == 0):
-            raise DegenerateWeightError("zero attention mass", instant=t)
-        out[t] = e / norm
-    return out
+    out = np.empty((n_heads, n_instants, skel.n_edges))
+    if skel.n_edges:
+        ei, ej = skel.edges[:, 0], skel.edges[:, 1]
+        # each head's neighborhood sums in one bincount, head h's stations at h * n
+        ends = (np.arange(n_heads)[:, None] * n + np.concatenate([ei, ej])).ravel()
+        for t in range(n_instants):
+            feats = features[..., t * n : (t + 1) * n, :]
+            d = _pairwise_distances(feats[..., ei, :] - feats[..., ej, :], factors_t[:, t])
+            # shifting all distances cancels between numerator and denominator
+            e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
+            sums = np.bincount(ends, weights=np.concatenate([e, e], axis=-1).ravel(),
+                               minlength=n_heads * n).reshape(n_heads, n)
+            norm = np.sqrt(sums[:, ei] * sums[:, ej])
+            degenerate = np.flatnonzero((norm == 0).any(axis=-1))
+            if len(degenerate):
+                raise DegenerateWeightError(
+                    "zero attention mass", head=None if single else int(degenerate[0]), instant=t
+                )
+            out[:, t] = e / norm
+    return out[0] if single else out
 
 
 def directed_weights(
     features: np.ndarray,
     skel: DirectedSkeleton,
-    metrics: list[MetricMatrix],
+    metrics: list,
 ) -> np.ndarray:
     """Temporal edge weights: softmax over each child's predecessor set.
 
     The distance for an edge uses the metric of its lag; incoming weights of
-    every non-source node sum to one.
+    every non-source node sum to one. ``metrics`` holds one metric per lag,
+    or one such list per head, which gives a (heads, n_edges) result.
     """
+    factors_t, single = _transposed_factors(metrics)
+    n_heads = factors_t.shape[0]
     if skel.n_edges == 0:
-        return np.zeros(0)
-    if skel.lag.max() > len(metrics):
+        return np.zeros(0) if single else np.zeros((n_heads, 0))
+    if skel.lag.max() > factors_t.shape[1]:
         raise ValueError(f"need a metric for every lag up to {skel.lag.max()}")
-    d = np.empty(skel.n_edges)
+    features = np.asarray(features, dtype=np.float64)
+    d = np.empty((n_heads, skel.n_edges))
     for w in np.unique(skel.lag):
-        sel = skel.lag == w
-        metric = metrics[int(w) - 1]
-        d[sel] = _pairwise_distances(features[skel.dst[sel]] - features[skel.src[sel]], metric)
-    # per-child stable softmax
-    dmin = np.full(skel.n_nodes, np.inf)
-    np.minimum.at(dmin, skel.dst, d)
-    e = np.exp(-(d - dmin[skel.dst]))
-    denom = np.zeros(skel.n_nodes)
-    np.add.at(denom, skel.dst, e)
-    return e / denom[skel.dst]
+        sel = np.flatnonzero(skel.lag == w)
+        d[:, sel] = _pairwise_distances(
+            features[..., skel.dst[sel], :] - features[..., skel.src[sel], :], factors_t[:, w - 1]
+        )
+    # per-child stable softmax; head h's children are numbered from h * n_nodes
+    child = (np.arange(n_heads)[:, None] * skel.n_nodes + skel.dst).ravel()
+    d = d.ravel()
+    dmin = np.full(n_heads * skel.n_nodes, np.inf)
+    np.minimum.at(dmin, child, d)
+    e = np.exp(-(d - dmin[child]))
+    denom = np.bincount(child, weights=e, minlength=n_heads * skel.n_nodes)
+    out = (e / denom[child]).reshape(n_heads, skel.n_edges)
+    return out[0] if single else out
 
 
 def build_mixed_graph(
@@ -378,25 +413,51 @@ def build_mixed_graph(
 ) -> MixedGraph:
     """Assemble all operators from skeletons and weight maps.
 
-    Directed weights are already child-normalized, so the in-degree
-    normalization inside the random-walk assembly leaves them unchanged.
+    Weights of several heads, (heads, n_instants, n_edges) and (heads,
+    n_temporal_edges), give one graph with a lane per head: each operator is
+    assembled once, over the heads' (head, instant) slices and a temporal
+    skeleton repeated per lane, and is bitwise the block-diagonal stack of
+    the heads' own operators. Directed weights are already child-normalized,
+    so the in-degree normalization inside the random-walk assembly leaves
+    them unchanged.
     """
-    if weights_u.shape[0] != tskel.n_instants:
+    weights_u = np.asarray(weights_u, dtype=np.float64)
+    weights_d = np.asarray(weights_d, dtype=np.float64)
+    lanes = weights_u.shape[0] if weights_u.ndim == 3 else 1
+    if weights_u.shape[-2] != tskel.n_instants:
         raise ValueError("spatial weight map and temporal skeleton disagree on instants")
-    l_u = assemble_undirected_laplacian(sskel, weights_u)
-    w_rd, l_rd = assemble_random_walk_digraph(tskel, weights_d)
+    l_u = assemble_undirected_laplacian(
+        sskel, weights_u.reshape(lanes * tskel.n_instants, weights_u.shape[-1])
+    )
+    lane_skel = _lane_skeleton(tskel, lanes)
+    w_rd, l_rd = assemble_random_walk_digraph(lane_skel, weights_d.ravel())
     l_n = None
     if with_undirected_temporal:
-        l_n = _undirected_temporal_laplacian(tskel, weights_d)
+        l_n = _undirected_temporal_laplacian(lane_skel, weights_d.ravel())
     return MixedGraph(
         n_stations=sskel.n_stations,
-        n_instants=weights_u.shape[0],
+        n_instants=tskel.n_instants,
         n_observed=n_observed,
         l_u=l_u,
         w_rd=w_rd,
         l_rd=l_rd,
         call_rd=symmetrized_dglr_matrix(l_rd),
         l_n=l_n,
+        lanes=lanes,
+    )
+
+
+def _lane_skeleton(tskel: TemporalSkeleton, lanes: int) -> DirectedSkeleton:
+    """The temporal skeleton once per lane, lane h's node ids offset by h * n_nodes."""
+    if lanes == 1:
+        return tskel
+    offsets = np.arange(lanes)[:, None] * tskel.n_nodes
+    return DirectedSkeleton(
+        n_nodes=lanes * tskel.n_nodes,
+        src=(offsets + tskel.src).ravel(),
+        dst=(offsets + tskel.dst).ravel(),
+        lag=np.tile(tskel.lag, lanes),
+        sources=(offsets + tskel.sources).ravel(),
     )
 
 
@@ -419,24 +480,19 @@ def _undirected_temporal_laplacian(tskel: TemporalSkeleton, weights_d: np.ndarra
 
 
 def multi_head_graphs(
-    features_per_head: list[np.ndarray] | np.ndarray,
+    features: np.ndarray,
     sskel: SpatialSkeleton,
     tskel: TemporalSkeleton,
     bank: MetricBank,
     n_observed: int,
     with_undirected_temporal: bool = False,
-) -> list[MixedGraph]:
-    """One MixedGraph per head; features may be shared or given per head."""
-    out = []
-    for h in range(bank.heads):
-        feats = features_per_head[h] if isinstance(features_per_head, list) else features_per_head
-        try:
-            wu = undirected_weights(feats, sskel, bank.undirected[h])
-        except DegenerateWeightError as exc:
-            exc.head = h
-            raise
-        wd = directed_weights(feats, tskel, bank.directed[h])
-        out.append(
-            build_mixed_graph(wu, wd, sskel, tskel, n_observed, with_undirected_temporal)
-        )
-    return out
+) -> MixedGraph:
+    """Every head's graph as one MixedGraph with a lane per head.
+
+    Features are shared by the heads, (nodes, K), or given per head, (heads,
+    nodes, K). Lane h equals, bit for bit, the graph ``build_mixed_graph``
+    makes from head h's weights alone.
+    """
+    wu = undirected_weights(features, sskel, bank.undirected)
+    wd = directed_weights(features, tskel, bank.directed)
+    return build_mixed_graph(wu, wd, sskel, tskel, n_observed, with_undirected_temporal)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, pipeline, tuning, verify
+from .attention import MetricBank
 from .config import PipelineConfig
 from .graphs import EdgeListError
 from .solver import NumericFailure
@@ -38,8 +39,21 @@ def _load(args):
         history=cfg.data.history,
     )
     splits, pg, standardizer = data.load_dataset(spec)
-    table_interval = data.read_signal_csv(args.signals).interval
-    return cfg, splits, pg, standardizer, table_interval
+    return cfg, splits, pg, standardizer, _interval(splits)
+
+
+def _interval(splits) -> float:
+    """Sampling interval in seconds, from the first window's (uniform) timestamps."""
+    for part in (splits.train, splits.val, splits.test):
+        if part:
+            stamps = part[0].timestamps
+            return float(stamps[1] - stamps[0])
+    return 1.0
+
+
+def _head_bank(bank, head: int):
+    """The metric bank of one head, so ``multi_head_graphs`` builds that head's graph alone."""
+    return MetricBank([bank.undirected[head]], [bank.directed[head]])
 
 
 def cmd_synth(args) -> int:
@@ -113,9 +127,10 @@ def cmd_solve(args) -> int:
     embeddings = attention.embed(x0, pg, t_steps, ctx.eigmap)
     feats = ctx.feature_map(embeddings, ctx.sskel)
     graph = attention.multi_head_graphs(
-        feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=sample.observed.shape[1],
+        feats, ctx.sskel, ctx.tskel, _head_bank(ctx.bank, args.head),
+        n_observed=sample.observed.shape[1],
         with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
-    )[args.head]
+    )
     params = cfg.layers.layer_params(0, cfg.default_rho(sample.n_stations))
     trace: list = []
     try:
@@ -197,8 +212,9 @@ def cmd_graph_dump(args) -> int:
     t_steps = np.asarray(sample.timestamps, dtype=float) / interval
     feats = ctx.feature_map(attention.embed(x0, pg, t_steps, ctx.eigmap), ctx.sskel)
     graph = attention.multi_head_graphs(
-        feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=sample.observed.shape[1]
-    )[args.head]
+        feats, ctx.sskel, ctx.tskel, _head_bank(ctx.bank, args.head),
+        n_observed=sample.observed.shape[1],
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("l_u", "w_rd", "l_rd", "call_rd"):

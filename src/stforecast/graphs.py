@@ -212,9 +212,11 @@ def build_temporal_skeleton(n_stations: int, n_instants: int, window: int) -> Te
 
 
 def assemble_undirected_laplacian(skel: SpatialSkeleton, weights: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal D - W over instants.
+    """Block-diagonal D - W over slices, usually instants.
 
-    ``weights`` has shape (n_instants, n_edges) aligned with ``skel.edges``.
+    ``weights`` has shape (n_slices, n_edges) aligned with ``skel.edges``;
+    slice t holds nodes t*N .. t*N + N - 1, so the (head, instant) slices of
+    several heads, head-major, give one block per head.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[1] != skel.n_edges:
@@ -223,30 +225,24 @@ def assemble_undirected_laplacian(skel: SpatialSkeleton, weights: np.ndarray) ->
         )
     if np.any(weights < 0):
         raise ValueError("negative edge weight")
-    n_instants = weights.shape[0]
     n = skel.n_stations
-    dim = n * n_instants
+    dim = n * weights.shape[0]
     if skel.n_edges == 0:
         return sp.csr_matrix((dim, dim))
-    ei = skel.edges[:, 0]
-    ej = skel.edges[:, 1]
-    rows, cols, vals = [], [], []
-    for t in range(n_instants):
-        off = t * n
-        w = weights[t]
-        rows.extend([off + ei, off + ej])
-        cols.extend([off + ej, off + ei])
-        vals.extend([-w, -w])
-        deg = np.zeros(n)
-        np.add.at(deg, ei, w)
-        np.add.at(deg, ej, w)
-        rows.append(off + np.arange(n))
-        cols.append(off + np.arange(n))
-        vals.append(deg)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
+    off = (np.arange(weights.shape[0]) * n)[:, None]
+    ei = off + skel.edges[:, 0]  # (n_slices, n_edges)
+    ej = off + skel.edges[:, 1]
+    # each degree sums its slice's edges in edge order, the i ends first
+    deg = np.bincount(
+        np.concatenate([ei, ej], axis=1).ravel(),
+        weights=np.concatenate([weights, weights], axis=1).ravel(),
+        minlength=dim,
+    )
+    ei, ej, w, diag = ei.ravel(), ej.ravel(), weights.ravel(), np.arange(dim)
+    # no (row, col) pair repeats, so the sorted CSR does not depend on entry order
+    rows = np.concatenate([ei, ej, diag])
+    cols = np.concatenate([ej, ei, diag])
+    mat = sp.coo_matrix((np.concatenate([-w, -w, deg]), (rows, cols)), shape=(dim, dim)).tocsr()
     mat.sum_duplicates()
     return mat
 
@@ -385,7 +381,9 @@ class MixedGraph:
 
         Each operator's blocks keep their rows' entry order, so a product with
         the stack equals, lane by lane and bit for bit, the products with the
-        separate graphs.
+        separate graphs. The forward pass assembles its lanes directly
+        (``attention.multi_head_graphs``); stacking separately built graphs
+        is the reference the tests hold that assembly to.
         """
         if len(graphs) == 1:
             return graphs[0]

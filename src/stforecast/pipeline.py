@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import attention, solver
 from .config import PipelineConfig
-from .graphs import MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
+from .graphs import PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
 
 
 @dataclass(eq=False)
@@ -184,14 +184,13 @@ def _forward(sample: Sample, ctx: PipelineContext) -> np.ndarray:
         embeddings = attention.embed(x, ctx.pg, t_steps, ctx.eigmap)
         feats = ctx.feature_map(embeddings, ctx.sskel)
         try:
-            graphs = attention.multi_head_graphs(
+            graph = attention.multi_head_graphs(
                 feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=t_obs,
                 with_undirected_temporal=needs_ln,
             )
         except attention.DegenerateWeightError as exc:
             exc.block = b
             raise
-        graph = MixedGraph.stack(graphs)
         params = cfg.layers.layer_params(b, rho0)
         heads = graph.lanes
         try:

@@ -11,7 +11,9 @@ Learning via ADMM*, FnT ML 2011, section 3). ``full`` splits everything, so
 each solve stays cheap and well conditioned; ``direct_unsplit`` keeps the l2
 terms in the signal system, for fixed-point checks; the other three are the
 ablations. The heads of a block run together as lanes of one block-diagonal
-system (``MixedGraph.stack``).
+system (a lane-stacked ``MixedGraph``). Each CG solve applies one folded
+matrix, coef * operator + diag(shift [+ H'H]), built once per distinct set of
+layer scalars in a block.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import priors
 from .graphs import MixedGraph
@@ -172,37 +175,55 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule) -> np.nd
     if x.shape != b.shape:
         raise ValueError("x0 and b must have the same shape")
     r = b - apply_a(x)
+    if sched.mode == "unrolled":
+        out = _unrolled_steps(apply_a, x, r, sched, check=False)
+        # a non-finite entry of x stays non-finite through x + alpha p, so one
+        # check at the end sees every failure; the checked re-run names its step
+        if not np.all(np.isfinite(out)):
+            _unrolled_steps(apply_a, x, r, sched, check=True)
+        return out
     p = r.copy()
     rr = float(r @ r)
-    if sched.mode == "exact":
-        cap = sched.iters if sched.iters is not None else 2 * len(b) + 10
-        for k in range(cap):
-            if np.sqrt(rr) <= sched.tol:
-                break
-            ap = apply_a(p)
-            pap = float(p @ ap)
-            if not np.isfinite(pap) or pap <= 0:
-                raise NumericFailure(
-                    "CG curvature is not positive", iteration=k, entry=_first_nonfinite(ap)
-                )
-            alpha = rr / pap
-            x += alpha * p
-            r -= alpha * ap
-            rr_new = float(r @ r)
-            if not np.isfinite(rr_new):
-                raise NumericFailure(
-                    "CG residual diverged", iteration=k, entry=_first_nonfinite(r)
-                )
-            p = r + (rr_new / rr) * p
-            rr = rr_new
-        return x
-    for k in range(sched.iters):
+    cap = sched.iters if sched.iters is not None else 2 * len(b) + 10
+    for k in range(cap):
+        if np.sqrt(rr) <= sched.tol:
+            break
         ap = apply_a(p)
-        x = x + sched.alphas[k] * p
-        r = r - sched.alphas[k] * ap
-        if not np.all(np.isfinite(x)):
+        pap = float(p @ ap)
+        if not np.isfinite(pap) or pap <= 0:
+            raise NumericFailure(
+                "CG curvature is not positive", iteration=k, entry=_first_nonfinite(ap)
+            )
+        alpha = rr / pap
+        x += alpha * p
+        r -= alpha * ap
+        rr_new = float(r @ r)
+        if not np.isfinite(rr_new):
+            raise NumericFailure(
+                "CG residual diverged", iteration=k, entry=_first_nonfinite(r)
+            )
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x
+
+
+def _unrolled_steps(apply_a, x0: np.ndarray, r0: np.ndarray, sched: CgSchedule,
+                    check: bool) -> np.ndarray:
+    """The fixed-step CG iterations from x0 and its residual r0, which stay unchanged.
+
+    With ``check``, a non-finite iterate raises ``NumericFailure`` naming the
+    iteration and the first non-finite entry.
+    """
+    x, r, p = x0.copy(), r0.copy(), r0.copy()
+    scaled = np.empty_like(x)
+    for k, (alpha, beta) in enumerate(zip(sched.alphas.tolist(), sched.betas.tolist())):
+        ap = apply_a(p)
+        x += np.multiply(alpha, p, out=scaled)
+        r -= np.multiply(alpha, ap, out=scaled)
+        if check and not np.all(np.isfinite(x)):
             raise NumericFailure("unrolled CG diverged", iteration=k, entry=_first_nonfinite(x))
-        p = r + sched.betas[k] * p
+        p *= beta
+        p += r
     return x
 
 
@@ -241,34 +262,88 @@ class AdmmState:
         }
 
 
+def folded_system(
+    graph: MixedGraph,
+    ops: tuple[tuple[str, float], ...],
+    shift: float,
+    observed: bool = False,
+    memo: dict | None = None,
+) -> sp.csr_matrix:
+    """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one CSR matrix.
+
+    ``ops`` pairs operator names of ``graph`` with coefficients. One operator
+    that stores every diagonal entry gives a new ``data`` array on its own
+    ``indices`` and ``indptr``; otherwise the terms are added by scipy (its
+    sparse products drop exact zeros, so even ``call_rd`` may lack a diagonal
+    entry). ``memo``, a dict kept for one graph, returns the matrix it
+    already folded for the same scalars.
+    """
+    if memo is None:
+        memo = {}
+    key = (ops, shift, observed)
+    if key not in memo:
+        memo[key] = _fold(graph, ops, shift, observed)
+    return memo[key]
+
+
+def _fold(graph: MixedGraph, ops, shift: float, observed: bool) -> sp.csr_matrix:
+    diag = np.full(graph.n_nodes, shift)
+    if observed:
+        diag[graph.h_mask] += 1.0
+    if len(ops) == 1:
+        name, coef = ops[0]
+        op = getattr(graph, name)
+        rows = np.repeat(np.arange(graph.n_nodes), np.diff(op.indptr))
+        on_diag = np.flatnonzero(op.indices == rows)
+        if np.array_equal(rows[on_diag], np.arange(graph.n_nodes)):  # one per row
+            data = coef * op.data
+            data[on_diag] += diag
+            return sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+    folded = sp.diags(diag, format="csr")
+    for name, coef in ops:
+        folded = folded + coef * getattr(graph, name)
+    return folded.tocsr()
+
+
+def signal_system(terms: Terms, p: LayerParams) -> tuple[tuple[tuple[str, float], ...], float]:
+    """Operators with coefficients, and the identity shift, of the signal system less H'H.
+
+    The l1 split adds 0.5 rho L_r'L_r; a split l2 term adds its penalty times
+    the identity, an unsplit one its prior (the temporal prior then joins the
+    L_r'L_r coefficient).
+    """
+    c_rd = 0.5 * p.rho if terms.l1 else 0.0
+    ops = ()
+    shift = 0.0
+    if terms.split:
+        shift = 0.5 * (p.rho_u + p.rho_d) if terms.temporal else 0.5 * p.rho_u
+    else:
+        ops = (("l_u", p.mu_u),)
+        if terms.temporal:
+            c_rd += p.mu_d2
+    if c_rd:
+        ops += (("call_rd", c_rd),)
+    return ops, shift
+
+
 def update_x(
     state: AdmmState,
     graph: MixedGraph,
     p: LayerParams,
-    y: np.ndarray,
+    hty: np.ndarray,
     sched: CgSchedule,
     terms: Terms = TERMS["full"],
+    folds: dict | None = None,
 ) -> np.ndarray:
     """Signal solve: the mask plus one system term and one rhs part per active term.
 
-    The l1 split adds 0.5 rho L_r'L_r; a split l2 term adds its penalty times
-    the identity, an unsplit one its prior (the temporal prior then joins the
-    L_r'L_r coefficient). The rhs sums the l1, spatial and temporal parts and
-    H'y in that order.
+    The system is H'H plus ``signal_system``. The rhs sums the l1, spatial
+    and temporal parts and ``hty``, the observations lifted to full length
+    (H'y), in that order. ``folds`` memoises the folded system (see
+    ``folded_system``).
     """
-    mask = graph.h_mask
-    c_rd = 0.5 * p.rho if terms.l1 else 0.0
-    if terms.split:
-        shift = 0.5 * (p.rho_u + p.rho_d) if terms.temporal else 0.5 * p.rho_u
-    elif terms.temporal:
-        c_rd += p.mu_d2
-
-    def apply_a(v):
-        out = shift * v if terms.split else p.mu_u * graph.apply("l_u", v)
-        if c_rd:
-            out += c_rd * graph.apply("call_rd", v)
-        out[mask] += v[mask]
-        return out
+    ops, shift = signal_system(terms, p)
+    a = folded_system(graph, ops, shift, observed=True, memo=folds)
 
     parts = []
     if terms.l1:
@@ -277,36 +352,40 @@ def update_x(
         parts.append(-0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u)
         if terms.temporal:
             parts.append(-0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d)
-    parts.append(graph.lift_observed(y))
-    return cg_solve(apply_a, sum(parts[1:], parts[0]), state.x, sched)
+    parts.append(hty)
+    return cg_solve(a.dot, sum(parts[1:], parts[0]), state.x, sched)
 
 
-def update_zu(state: AdmmState, graph: MixedGraph, p: LayerParams, sched: CgSchedule) -> np.ndarray:
+def update_zu(
+    state: AdmmState,
+    graph: MixedGraph,
+    p: LayerParams,
+    sched: CgSchedule,
+    folds: dict | None = None,
+) -> np.ndarray:
     """Low-pass solve against the spatial Laplacian."""
-
-    def apply_a(v):
-        return p.mu_u * graph.apply("l_u", v) + 0.5 * p.rho_u * v
-
+    a = folded_system(graph, (("l_u", p.mu_u),), 0.5 * p.rho_u, memo=folds)
     rhs = 0.5 * state.gamma_u + 0.5 * p.rho_u * state.x
-    return cg_solve(apply_a, rhs, state.z_u, sched)
+    return cg_solve(a.dot, rhs, state.z_u, sched)
 
 
 def update_zd(
-    state: AdmmState, graph: MixedGraph, p: LayerParams, sched: CgSchedule, temporal: str = "call_rd"
+    state: AdmmState,
+    graph: MixedGraph,
+    p: LayerParams,
+    sched: CgSchedule,
+    temporal: str = "call_rd",
+    folds: dict | None = None,
 ) -> np.ndarray:
     """Low-pass solve against the temporal operator: L_r'L_r, or ``l_n`` when undirected."""
-
-    def apply_a(v):
-        tv = graph.l_n @ v if temporal == "l_n" else graph.apply(temporal, v)
-        return p.mu_d2 * tv + 0.5 * p.rho_d * v
-
+    a = folded_system(graph, ((temporal, p.mu_d2),), 0.5 * p.rho_d, memo=folds)
     rhs = 0.5 * state.gamma_d + 0.5 * p.rho_d * state.x
-    return cg_solve(apply_a, rhs, state.z_d, sched)
+    return cg_solve(a.dot, rhs, state.z_d, sched)
 
 
-def update_phi(x: np.ndarray, gamma: np.ndarray, graph: MixedGraph, p: LayerParams) -> np.ndarray:
-    """Entrywise soft threshold of L_r x - gamma/rho at level mu_d1/rho."""
-    delta = graph.apply("l_rd", x) - gamma / p.rho
+def update_phi(l_rd_x: np.ndarray, gamma: np.ndarray, p: LayerParams) -> np.ndarray:
+    """Entrywise soft threshold of L_r x - gamma/rho at level mu_d1/rho; ``l_rd_x`` is L_r x."""
+    delta = l_rd_x - gamma / p.rho
     return np.sign(delta) * np.maximum(np.abs(delta) - p.mu_d1 / p.rho, 0.0)
 
 
@@ -316,14 +395,17 @@ def update_multipliers(
     phi_new: np.ndarray,
     z_u_new: np.ndarray,
     z_d_new: np.ndarray,
-    graph: MixedGraph,
+    l_rd_x: np.ndarray | None,
     p: LayerParams,
     terms: Terms = TERMS["full"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual ascent on each split the variant has; the others keep their multiplier."""
+    """Dual ascent on each split the variant has; the others keep their multiplier.
+
+    ``l_rd_x`` is L_r ``x_new``, needed only with the l1 term.
+    """
     gamma, gamma_u, gamma_d = state.gamma, state.gamma_u, state.gamma_d
     if terms.l1:
-        gamma = gamma + p.rho * (phi_new - graph.apply("l_rd", x_new))
+        gamma = gamma + p.rho * (phi_new - l_rd_x)
     if terms.split:
         gamma_u = gamma_u + p.rho_u * (x_new - z_u_new)
         if terms.temporal:
@@ -343,17 +425,20 @@ def _step(layer: int, name: str, fn, *args) -> np.ndarray:
     return out
 
 
-def _layer(state: AdmmState, graph: MixedGraph, p: LayerParams, y, sched, layer: int, terms: Terms):
-    state.x = _step(layer, "x", update_x, state, graph, p, y, sched, terms)
+def _layer(state: AdmmState, graph: MixedGraph, p: LayerParams, hty, sched, layer: int,
+           terms: Terms, folds: dict):
+    state.x = _step(layer, "x", update_x, state, graph, p, hty, sched, terms, folds)
     if terms.split:
-        state.z_u = _step(layer, "z_u", update_zu, state, graph, p, sched)
+        state.z_u = _step(layer, "z_u", update_zu, state, graph, p, sched, folds)
         if terms.temporal:
             name = "z_n" if terms.temporal == "l_n" else "z_d"
-            state.z_d = _step(layer, name, update_zd, state, graph, p, sched, terms.temporal)
+            state.z_d = _step(layer, name, update_zd, state, graph, p, sched, terms.temporal, folds)
+    l_rd_x = None
     if terms.l1:
-        state.phi = _step(layer, "phi", update_phi, state.x, state.gamma, graph, p)
+        l_rd_x = graph.apply("l_rd", state.x)
+        state.phi = _step(layer, "phi", update_phi, l_rd_x, state.gamma, p)
     state.gamma, state.gamma_u, state.gamma_d = update_multipliers(
-        state, state.x, state.phi, state.z_u, state.z_d, graph, p, terms
+        state, state.x, state.phi, state.z_u, state.z_d, l_rd_x, p, terms
     )
 
 
@@ -384,8 +469,10 @@ def admm_block(
     if not params:
         raise ValueError("need at least one layer")
     state = AdmmState.initial(x0, graph)
+    hty = graph.lift_observed(y)
+    folds: dict = {}
     for layer, p in enumerate(params):
-        _layer(state, graph, p, y, sched, layer, terms)
+        _layer(state, graph, p, hty, sched, layer, terms, folds)
         if trace is not None:
             trace.append(_trace_record(layer, state, graph, p, y, terms))
     return state.x

@@ -12,16 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracles, priors, solver
+from . import oracles, pipeline, priors, solver
 from .attention import (
     MetricBank,
     directed_weights,
+    embed,
+    multi_head_graphs,
     orient_columns,
     smallest_eigenpairs_dense,
     smallest_eigenpairs_sparse,
     undirected_weights,
 )
-from .data import generate_synthetic
+from .config import PipelineConfig
+from .data import cut_windows, generate_synthetic
 from .graphs import (
     MixedGraph,
     PhysicalGraph,
@@ -264,6 +267,72 @@ def check_sparse_eigenmap(n_stations: int = 300, dim: int = 5, seed: int = 17) -
     )
 
 
+def _lane_rows(mat, lane: int, size: int):
+    """Lane ``lane``'s rows of a lane-stacked CSR operator, with lane-local columns."""
+    lo, hi = mat.indptr[lane * size], mat.indptr[(lane + 1) * size]
+    indptr = mat.indptr[lane * size : (lane + 1) * size + 1] - lo
+    return indptr, mat.indices[lo:hi] - lane * size, mat.data[lo:hi]
+
+
+def check_lanes_and_folds(seed: int = 0) -> CheckResult:
+    """Stacked heads equal the heads built alone; folded CG systems equal their products.
+
+    On the seeded desk graph (20 stations, the default model and its first
+    window), each lane of every operator of ``multi_head_graphs`` must equal,
+    bit for bit, the graph of that head built alone, and every folded system
+    of the first block's layer scalars must equal its unfolded operator
+    products to 1e-13 relative.
+    """
+    cfg = PipelineConfig()
+    table, pg = generate_synthetic(20, 2000, seed)
+    sample = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
+    ctx = pipeline.PipelineContext.build(pg, cfg)
+    n_obs = sample.observed.shape[1]
+    extrap = pipeline.initial_extrapolation(sample.observed, cfg.data.horizon, "hold-last")
+    x = pipeline.flatten_time_major(np.concatenate([sample.observed, extrap], axis=1))
+    feats = ctx.feature_map(embed(x, pg, sample.timestamps / ctx.interval, ctx.eigmap), ctx.sskel)
+    graph = multi_head_graphs(feats, ctx.sskel, ctx.tskel, ctx.bank, n_obs, True)
+    size = graph.n_nodes // graph.lanes
+    mismatched = []
+    for h in range(graph.lanes):
+        alone = multi_head_graphs(
+            feats, ctx.sskel, ctx.tskel,
+            MetricBank([ctx.bank.undirected[h]], [ctx.bank.directed[h]]), n_obs, True,
+        )
+        for name in ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n"):
+            got, want = _lane_rows(getattr(graph, name), h, size), getattr(alone, name)
+            same = all(
+                a.tobytes() == b.tobytes()
+                for a, b in zip(got, (want.indptr, want.indices, want.data))
+            )
+            if not same:
+                mismatched.append(f"head {h} {name}")
+
+    p = cfg.layers.layer_params(0, cfg.default_rho(pg.n_stations))[0]
+    systems = [
+        ((("l_u", p.mu_u),), 0.5 * p.rho_u, False),
+        ((("call_rd", p.mu_d2),), 0.5 * p.rho_d, False),
+        ((("l_n", p.mu_d2),), 0.5 * p.rho_d, False),
+    ] + [(*solver.signal_system(terms, p), True) for terms in solver.TERMS.values()]
+    v = np.random.default_rng(seed).standard_normal(graph.n_nodes)
+    worst = 0.0
+    for ops, shift, observed in systems:
+        want = shift * v + sum(coef * (getattr(graph, name) @ v) for name, coef in ops)
+        scale = (abs(shift) + 1.0) * np.abs(v) + sum(
+            abs(coef) * (abs(getattr(graph, name)) @ np.abs(v)) for name, coef in ops
+        )
+        if observed:
+            want[graph.h_mask] += v[graph.h_mask]
+        got = solver.folded_system(graph, ops, shift, observed) @ v
+        worst = max(worst, float(np.abs(got - want).max() / scale.max()))
+    return CheckResult(
+        f"lane-stacked assembly and folded CG systems ({graph.lanes} heads, desk graph)",
+        not mismatched and worst <= 1e-13,
+        f"lanes differ: {', '.join(mismatched)}" if mismatched
+        else f"lanes bitwise equal; folds max relative deviation {worst:.1e}",
+    )
+
+
 ALL_CHECKS = (
     check_line_graph_symmetrization,
     check_four_node_line_matrices,
@@ -274,6 +343,7 @@ ALL_CHECKS = (
     check_smooth_fixed_point,
     check_graph_invariants,
     check_sparse_eigenmap,
+    check_lanes_and_folds,
 )
 
 

@@ -166,6 +166,18 @@ class TestUndirectedWeights:
         with pytest.raises(DegenerateWeightError, match="instant 0"):
             undirected_weights(feats, skel, [MetricMatrix(np.eye(1))])
 
+    def test_heads_report_first_instant_then_first_head(self):
+        # heads 1 and 2 underflow at instant 1, head 0 only at instant 2
+        skel = path3_setup()
+        feats = np.tile([[0.0], [0.0], [1.0]], (3, 1))
+        bank = MetricBank.default(3, 1, feature_dim=1, heads=3)
+        huge = MetricMatrix(np.array([[np.sqrt(1e9)]]))
+        bank.undirected[0][2] = bank.undirected[1][1] = bank.undirected[2][1] = huge
+        with pytest.raises(DegenerateWeightError) as info:
+            undirected_weights(feats, skel, bank.undirected)
+        assert (info.value.head, info.value.instant) == (1, 1)
+        assert str(info.value) == "zero attention mass (head 1, instant 1)"
+
 
 class TestDirectedWeights:
     def test_single_predecessor_gets_unit_weight(self):
@@ -296,6 +308,13 @@ class TestBuildMixedGraph:
             assert dense[tskel.dst[e], tskel.src[e]] == pytest.approx(wd[e], abs=1e-15)
 
 
+def lane_blocks(graph, name):
+    """The dense diagonal block of operator ``name`` in every lane."""
+    size = graph.n_nodes // graph.lanes
+    dense = getattr(graph, name).toarray()
+    return [dense[h * size : (h + 1) * size, h * size : (h + 1) * size] for h in range(graph.lanes)]
+
+
 class TestMultiHead:
     def setup_method(self):
         rng = np.random.default_rng(7)
@@ -306,28 +325,32 @@ class TestMultiHead:
 
     def test_single_head_equals_direct_build(self):
         bank = MetricBank.default(4, 2, feature_dim=4, heads=1)
-        gs = multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2)
-        assert len(gs) == 1
+        g = multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2)
+        assert g.lanes == 1
         wu = undirected_weights(self.feats, self.sskel, bank.undirected[0])
         wd = directed_weights(self.feats, self.tskel, bank.directed[0])
         direct = build_mixed_graph(wu, wd, self.sskel, self.tskel, 2)
-        np.testing.assert_array_equal(gs[0].l_u.toarray(), direct.l_u.toarray())
-        np.testing.assert_array_equal(gs[0].l_rd.toarray(), direct.l_rd.toarray())
+        np.testing.assert_array_equal(g.l_u.toarray(), direct.l_u.toarray())
+        np.testing.assert_array_equal(g.l_rd.toarray(), direct.l_rd.toarray())
 
     def test_identical_replicas_identical_graphs(self):
         bank = MetricBank.default(4, 2, feature_dim=4, heads=3, scale_u=1.0, scale_d=1.0)
-        gs = multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2)
+        gs = lane_blocks(
+            multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2), "l_u"
+        )
         for g in gs[1:]:
-            np.testing.assert_array_equal(g.l_u.toarray(), gs[0].l_u.toarray())
+            np.testing.assert_array_equal(g, gs[0])
 
     def test_distinct_scales_distinct_graphs(self):
         bank = MetricBank.default(
             4, 2, feature_dim=4, heads=4, scale_u=[0.5, 1.0, 2.0, 4.0], scale_d=[0.5, 1.0, 2.0, 4.0]
         )
-        gs = multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2)
+        gs = lane_blocks(
+            multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2), "l_u"
+        )
         for a in range(4):
             for b in range(a + 1, 4):
-                assert np.abs(gs[a].l_u.toarray() - gs[b].l_u.toarray()).max() > 1e-6
+                assert np.abs(gs[a] - gs[b]).max() > 1e-6
 
 
 class TestMetricBank:

@@ -238,6 +238,43 @@ class TestCli:
         assert (out / "metrics.csv").exists()
         assert "rmse" in capsys.readouterr().out
 
+    def test_forecast_reads_the_signal_once(self, synth_dir, monkeypatch):
+        reads = []
+        read = dmod.read_signal_csv
+
+        def counting(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(dmod, "read_signal_csv", counting)
+        rc = cli_main([
+            "forecast", "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "config.json"),
+            "--out", str(synth_dir / "fc"), "--max-samples", "1",
+        ])
+        assert rc == 0
+        assert len(reads) == 1
+
+    def test_graph_dump_picks_the_head(self, synth_dir):
+        cfg = json.loads((synth_dir / "config.json").read_text())
+        cfg["heads"] = {"count": 2}
+        (synth_dir / "two_heads.json").write_text(json.dumps(cfg))
+        dumps = []
+        for head in ("0", "1"):
+            out = synth_dir / f"head{head}"
+            rc = cli_main([
+                "graph-dump", "--signals", str(synth_dir / "signals.csv"),
+                "--edges", str(synth_dir / "edges.csv"),
+                "--config", str(synth_dir / "two_heads.json"),
+                "--out", str(out), "--head", head,
+            ])
+            assert rc == 0
+            dumps.append((out / "l_u.csv").read_text())
+        assert dumps[0].splitlines()[0] == "row,col,value"
+        assert len(dumps[0].splitlines()) == len(dumps[1].splitlines())
+        assert dumps[0] != dumps[1]  # the heads' default metric scales differ
+
     def test_solve_trace(self, synth_dir, capsys):
         trace = synth_dir / "trace.csv"
         rc = cli_main([

@@ -174,7 +174,7 @@ class TestUpdateX:
         state = AdmmState.initial(np.zeros(g.n_nodes), g)
         state.phi[:] = 0.0
         p = LayerParams(0, 0, 0, rho=1e-12, rho_u=1e-6, rho_d=1e-6)
-        x = update_x(state, g, p, y, CgSchedule.exact(tol=1e-12))
+        x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-12))
         np.testing.assert_allclose(x[g.h_mask], y, atol=1e-5)
         np.testing.assert_allclose(x[~g.h_mask], 0.0, atol=1e-5)
 
@@ -198,7 +198,7 @@ class TestUpdateX:
         state.gamma_u = np.array([0.05, -0.2])
         state.gamma_d = np.array([0.15, 0.25])
         p = LayerParams(0.7, 0.9, 0.3, rho=1.4, rho_u=0.6, rho_d=1.2)
-        x = update_x(state, g, p, y, CgSchedule.exact(tol=1e-14))
+        x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-14))
         a = (
             np.diag([1.0, 0.0])
             + 0.5 * p.rho * g.call_rd.toarray()
@@ -223,7 +223,7 @@ class TestUpdateX:
         state.z_u = rng.standard_normal(4)
         state.z_d = rng.standard_normal(4)
         p = LayerParams(0.5, 0.5, 0.5, rho=1.2, rho_u=0.8, rho_d=1.1)
-        x = update_x(state, g, p, y, CgSchedule.exact(tol=1e-13))
+        x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-13))
         a = (
             np.diag(g.h_mask.astype(float))
             + 0.5 * p.rho * g.call_rd.toarray()
@@ -262,7 +262,7 @@ class TestUpdateX:
             "undirected_temporal": (h + 0.5 * (p.rho_u + p.rho_d) * eye, zu + zd + hy),
             "direct_unsplit": (h + p.mu_u * l_u + (p.mu_d2 + 0.5 * p.rho) * c, l1 + hy),
         }[mode]
-        x = update_x(state, g, p, y, CgSchedule.exact(tol=1e-13), TERMS[mode])
+        x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-13), TERMS[mode])
         np.testing.assert_allclose(x, oracles.dense_solve(a, rhs), atol=1e-8)
 
     def test_linear_system_residual(self):
@@ -271,7 +271,7 @@ class TestUpdateX:
         y = rng.standard_normal(int(g.h_mask.sum()))
         state = AdmmState.initial(rng.standard_normal(g.n_nodes), g)
         p = LayerParams(1, 1, 1, 1.0, 1.0, 1.0)
-        x = update_x(state, g, p, y, CgSchedule.exact(tol=1e-12))
+        x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-12))
         a = (
             np.diag(g.h_mask.astype(float))
             + 0.5 * g.call_rd.toarray()
@@ -293,7 +293,7 @@ class TestUpdatePhi:
     def test_zero_delta(self):
         g = self.make_graph()
         x = np.ones(g.n_nodes)  # L x = 0
-        phi = update_phi(x, np.zeros(g.n_nodes), g, LayerParams(1, 1, 1, 1, 1, 1))
+        phi = update_phi(g.apply("l_rd", x), np.zeros(g.n_nodes), LayerParams(1, 1, 1, 1, 1, 1))
         np.testing.assert_array_equal(phi, np.zeros(g.n_nodes))
 
     def test_no_shrink_when_mu_zero(self):
@@ -302,7 +302,7 @@ class TestUpdatePhi:
         x = rng.standard_normal(g.n_nodes)
         gamma = rng.standard_normal(g.n_nodes)
         p = LayerParams(1, 1, 0.0, rho=2.0, rho_u=1, rho_d=1)
-        phi = update_phi(x, gamma, g, p)
+        phi = update_phi(g.apply("l_rd", x), gamma, p)
         np.testing.assert_allclose(phi, g.apply("l_rd", x) - gamma / 2.0, atol=1e-14)
 
     def test_halfway_shrink(self):
@@ -338,7 +338,7 @@ class TestMultipliers:
         state.gamma_d = rng.standard_normal(g.n_nodes)
         phi = g.apply("l_rd", x)
         p = LayerParams(1, 1, 1, 1.3, 0.7, 2.1)
-        gamma, gamma_u, gamma_d = update_multipliers(state, x, phi, x, x, g, p)
+        gamma, gamma_u, gamma_d = update_multipliers(state, x, phi, x, x, g.apply("l_rd", x), p)
         np.testing.assert_allclose(gamma, state.gamma, atol=1e-14)
         np.testing.assert_allclose(gamma_u, state.gamma_u, atol=1e-14)
         np.testing.assert_allclose(gamma_d, state.gamma_d, atol=1e-14)
@@ -350,7 +350,9 @@ class TestMultipliers:
         p = LayerParams(1, 1, 1, 1.0, 1.0, 1.0)
         x = np.zeros(n)
         phi = g.apply("l_rd", x) + 1.0
-        gamma, gamma_u, gamma_d = update_multipliers(state, x, phi, x - 1.0, x - 1.0, g, p)
+        gamma, gamma_u, gamma_d = update_multipliers(
+            state, x, phi, x - 1.0, x - 1.0, g.apply("l_rd", x), p
+        )
         np.testing.assert_allclose(gamma, np.ones(n))
         np.testing.assert_allclose(gamma_u, np.ones(n))
         np.testing.assert_allclose(gamma_d, np.ones(n))
@@ -365,7 +367,7 @@ class TestMultipliers:
         )
         x, phi, zu, zd = (rng.standard_normal(n) for _ in range(4))
         p = LayerParams(1, 1, 1, 0.9, 1.7, 0.4)
-        gamma, gamma_u, gamma_d = update_multipliers(state, x, phi, zu, zd, g, p)
+        gamma, gamma_u, gamma_d = update_multipliers(state, x, phi, zu, zd, g.apply("l_rd", x), p)
         np.testing.assert_allclose(gamma, state.gamma + 0.9 * (phi - g.l_rd.toarray() @ x))
         np.testing.assert_allclose(gamma_u, state.gamma_u + 1.7 * (x - zu))
         np.testing.assert_allclose(gamma_d, state.gamma_d + 0.4 * (x - zd))
