@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, pipeline, tuning, verify
+from . import data, pipeline, solver, tuning, verify
 from .attention import MetricBank
 from .config import PipelineConfig
 from .graphs import EdgeListError
-from .solver import NumericFailure
 
 
 def _load_config(path: str | None) -> PipelineConfig:
@@ -49,6 +48,11 @@ def _interval(splits) -> float:
             stamps = part[0].timestamps
             return float(stamps[1] - stamps[0])
     return 1.0
+
+
+def _check_range(flag: str, value: int, count: int) -> None:
+    if not 0 <= value < count:
+        raise ValueError(f"{flag} {value} is out of range [0, {count})")
 
 
 def _head_bank(bank, head: int):
@@ -108,34 +112,21 @@ def cmd_forecast(args) -> int:
 def cmd_solve(args) -> int:
     cfg, splits, pg, standardizer, interval = _load(args)
     samples = getattr(splits, args.split)
-    if args.index >= len(samples):
-        print(f"error: sample index {args.index} out of range", file=sys.stderr)
-        return 1
+    _check_range("--index", args.index, len(samples))
+    _check_range("--head", args.head, cfg.heads.count)
     sample = samples[args.index]
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
     # single-graph single-block solve with a per-layer trace
-    from . import attention, solver
-
-    obs_std = ctx.standardizer.transform(sample.observed)
-    extrap = pipeline.initial_extrapolation(
-        obs_std, sample.target.shape[1], method=cfg.data.extrapolation,
-        trend_window=cfg.data.trend_window, seasonal_period=cfg.data.seasonal_period,
-    )
-    x0 = pipeline.flatten_time_major(np.concatenate([obs_std, extrap], axis=1))
-    y = x0[: sample.n_stations * sample.observed.shape[1]].copy()
-    t_steps = np.asarray(sample.timestamps, dtype=float) / interval
-    embeddings = attention.embed(x0, pg, t_steps, ctx.eigmap)
-    feats = ctx.feature_map(embeddings, ctx.sskel)
-    graph = attention.multi_head_graphs(
-        feats, ctx.sskel, ctx.tskel, _head_bank(ctx.bank, args.head),
-        n_observed=sample.observed.shape[1],
+    x0, y, t_steps = pipeline.initial_signal(sample, ctx)
+    graph = pipeline.block_graph(
+        ctx, x0, t_steps, sample.observed.shape[1], bank=_head_bank(ctx.bank, args.head),
         with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
     )
     params = cfg.layers.layer_params(0, cfg.default_rho(sample.n_stations))
     trace: list = []
     try:
         solver.admm_block(x0, y, graph, params, cfg.solver.schedule(), cfg.solver.mode, trace)
-    except NumericFailure as exc:
+    except solver.NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.trace:
@@ -199,21 +190,12 @@ def cmd_graph_dump(args) -> int:
     if not samples:
         print("error: dataset produced no samples", file=sys.stderr)
         return 1
+    _check_range("--head", args.head, cfg.heads.count)
     sample = samples[0]
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
-    from . import attention
-
-    obs_std = ctx.standardizer.transform(sample.observed)
-    extrap = pipeline.initial_extrapolation(
-        obs_std, sample.target.shape[1], method=cfg.data.extrapolation,
-        trend_window=cfg.data.trend_window, seasonal_period=cfg.data.seasonal_period,
-    )
-    x0 = pipeline.flatten_time_major(np.concatenate([obs_std, extrap], axis=1))
-    t_steps = np.asarray(sample.timestamps, dtype=float) / interval
-    feats = ctx.feature_map(attention.embed(x0, pg, t_steps, ctx.eigmap), ctx.sskel)
-    graph = attention.multi_head_graphs(
-        feats, ctx.sskel, ctx.tskel, _head_bank(ctx.bank, args.head),
-        n_observed=sample.observed.shape[1],
+    x0, _, t_steps = pipeline.initial_signal(sample, ctx)
+    graph = pipeline.block_graph(
+        ctx, x0, t_steps, sample.observed.shape[1], bank=_head_bank(ctx.bank, args.head)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -303,7 +285,7 @@ def cli_main(argv=None) -> int:
     except (data.ParseError, EdgeListError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericFailure as exc:
+    except solver.NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 

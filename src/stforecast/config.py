@@ -10,7 +10,7 @@ resolved at run time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .solver import (
 DEFAULT_MU = 3.0
 DEFAULT_RESIDUAL = 0.3
 EXTRAPOLATION_METHODS = ("hold-last", "linear-trend", "seasonal-naive")
+CG_MODES = ("unrolled", "exact")
 
 
 def _expand_table(value, blocks: int, layers: int, name: str) -> np.ndarray | None:
@@ -71,6 +72,8 @@ class SolverSettings:
     def __post_init__(self):
         if self.mode not in VARIANTS:
             raise ValueError(f"unknown solver mode {self.mode!r}")
+        if self.cg_mode not in CG_MODES:
+            raise ValueError(f"unknown cg_mode {self.cg_mode!r}; expected one of {CG_MODES}")
 
     def schedule(self) -> CgSchedule:
         if self.cg_mode == "exact":
@@ -96,23 +99,17 @@ class LayerSettings:
             raise ValueError("need blocks >= 0 and layers >= 1")
         for name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d"):
             setattr(self, name, _expand_table(getattr(self, name), b, m, name))
-        res = np.asarray(
-            np.broadcast_to(np.asarray(self.residual, dtype=np.float64), (b,))
-        ).copy()
+        res = np.broadcast_to(np.asarray(self.residual, dtype=np.float64), (b,)).copy()
         if np.any((res < 0) | (res > 1)):
             raise ValueError("residual coefficients must lie in [0, 1]")
         self.residual = res
 
     def layer_params(self, block: int, default_rho: float) -> list[LayerParams]:
-        def col(tab):
-            return tab[block] if tab is not None else np.full(self.layers, default_rho)
-
-        mu_u, mu_d2, mu_d1 = self.mu_u[block], self.mu_d2[block], self.mu_d1[block]
-        rho, rho_u, rho_d = col(self.rho), col(self.rho_u), col(self.rho_d)
-        return [
-            LayerParams(mu_u[m], mu_d2[m], mu_d1[m], rho[m], rho_u[m], rho_d[m])
-            for m in range(self.layers)
+        rho0 = np.full(self.layers, default_rho)
+        rows = [self.mu_u[block], self.mu_d2[block], self.mu_d1[block]] + [
+            rho0 if tab is None else tab[block] for tab in (self.rho, self.rho_u, self.rho_d)
         ]
+        return [LayerParams(*values) for values in zip(*rows)]
 
 
 @dataclass
@@ -133,12 +130,11 @@ class HeadSettings:
         if len(self.merge) != h or not np.all(np.isfinite(self.merge)):
             raise ValueError("merge weights must be finite with one entry per head")
         # default scales spread the heads apart so they are distinct untrained
-        if self.metric_scale_u is None:
-            self.metric_scale_u = _default_scales(h)
-        if self.metric_scale_d is None:
-            self.metric_scale_d = _default_scales(h)
-        self.metric_scale_u = np.asarray(self.metric_scale_u, dtype=float)
-        self.metric_scale_d = np.asarray(self.metric_scale_d, dtype=float)
+        for name in ("metric_scale_u", "metric_scale_d"):
+            value = getattr(self, name)
+            setattr(self, name, _default_scales(h) if value is None else np.asarray(value, float))
+        for i, entry in enumerate(self.metric_overrides):
+            _override_index(i, entry, "head", 0, h)
 
     def build_bank(self, n_instants: int, window: int, feature_dim: int) -> MetricBank:
         bank = MetricBank.default(
@@ -149,16 +145,32 @@ class HeadSettings:
             scale_u=self.metric_scale_u,
             scale_d=self.metric_scale_d,
         )
-        for entry in self.metric_overrides:
-            factor = MetricMatrix(np.asarray(entry["factor"], dtype=float))
-            h = int(entry["head"])
+        for i, entry in enumerate(self.metric_overrides):
+            h = _override_index(i, entry, "head", 0, self.count)
             if "instant" in entry:
-                bank.undirected[h][int(entry["instant"])] = factor
+                slots, slot = bank.undirected[h], _override_index(i, entry, "instant", 0, n_instants)
             elif "lag" in entry:
-                bank.directed[h][int(entry["lag"]) - 1] = factor
+                slots, slot = bank.directed[h], _override_index(i, entry, "lag", 1, window + 1) - 1
             else:
-                raise ValueError("metric override needs an 'instant' or 'lag' key")
+                raise ValueError(f"metric_overrides[{i}] needs an 'instant' or 'lag' key")
+            try:
+                factor = np.asarray(entry["factor"], dtype=float)
+            except (KeyError, TypeError, ValueError):
+                factor = None
+            if factor is None or factor.shape != (feature_dim, feature_dim):
+                raise ValueError(f"metric_overrides[{i}]: factor must be {feature_dim}x{feature_dim}")
+            slots[slot] = MetricMatrix(factor)
         return bank
+
+
+def _override_index(i: int, entry: dict, key: str, low: int, stop: int) -> int:
+    """``entry[key]``, checked to be an integer in [low, stop)."""
+    value = entry.get(key)
+    if not isinstance(value, int) or not low <= value < stop:
+        raise ValueError(
+            f"metric_overrides[{i}]: {key} must be an integer in [{low}, {stop - 1}], got {value!r}"
+        )
+    return value
 
 
 def _default_scales(h: int) -> np.ndarray:
@@ -219,80 +231,19 @@ class PipelineConfig:
         return float(np.sqrt(n_stations / self.data.n_instants))
 
     def to_dict(self) -> dict:
-        lay = self.layers
-        return {
-            "graph": {
-                "k": self.graph.k,
-                "window": self.graph.window,
-                "spatial_dim": self.graph.spatial_dim,
-                "feature_dim": self.graph.feature_dim,
-                "feature_seed": self.graph.feature_seed,
-                "aggregate_neighbors": self.graph.aggregate_neighbors,
-                "swish_beta": self.graph.swish_beta,
-                "projection": self.graph.projection,
-                "projection_bias": self.graph.projection_bias,
-            },
-            "solver": {
-                "mode": self.solver.mode,
-                "cg_mode": self.solver.cg_mode,
-                "cg_iters": self.solver.cg_iters,
-                "cg_alpha": _jsonable(self.solver.cg_alpha),
-                "cg_beta": _jsonable(self.solver.cg_beta),
-                "cg_tol": self.solver.cg_tol,
-                "exact_cap": self.solver.exact_cap,
-            },
-            "layers": {
-                "blocks": lay.blocks,
-                "layers": lay.layers,
-                **{
-                    name: _jsonable(getattr(lay, name))
-                    for name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d", "residual")
-                },
-            },
-            "heads": {
-                "count": self.heads.count,
-                "merge": _jsonable(self.heads.merge),
-                "metric_scale_u": _jsonable(self.heads.metric_scale_u),
-                "metric_scale_d": _jsonable(self.heads.metric_scale_d),
-                "metric_overrides": self.heads.metric_overrides,
-            },
-            "tuner": {
-                "iterations": self.tuner.iterations,
-                "seed": self.tuner.seed,
-                "step": self.tuner.step,
-                "perturb": self.tuner.perturb,
-                "decay_exponent": self.tuner.decay_exponent,
-                "perturb_exponent": self.tuner.perturb_exponent,
-                "eval_samples": self.tuner.eval_samples,
-            },
-            "data": {
-                "stride": self.data.stride,
-                "ratios": list(self.data.ratios),
-                "horizon": self.data.horizon,
-                "history": self.data.history,
-                "mape_floor": self.data.mape_floor,
-                "extrapolation": self.data.extrapolation,
-                "trend_window": self.data.trend_window,
-                "seasonal_period": self.data.seasonal_period,
-            },
-        }
+        return _jsonable(asdict(self))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {"graph", "solver", "layers", "heads", "tuner", "data"}
-        unknown = set(doc) - known
+        factories = {f.name: f.default_factory for f in fields(cls)}
+        unknown = set(doc) - set(factories)
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
         sections = {}
-        for name, klass in (
-            ("graph", GraphSettings), ("solver", SolverSettings), ("layers", LayerSettings),
-            ("heads", HeadSettings), ("tuner", TunerSettings), ("data", DataSettings),
-        ):
+        for name, klass in factories.items():
             try:
                 sections[name] = klass(**doc.get(name, {}))
-            except TypeError as exc:
-                raise ValueError(f"config section '{name}': {exc}") from None
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"config section '{name}': {exc}") from None
         return cls(**sections)
 
@@ -312,8 +263,11 @@ class PipelineConfig:
 
 
 def _jsonable(value):
-    if value is None:
-        return None
+    """Arrays and tuples as lists, recursively, so ``json`` can write the value."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     return value

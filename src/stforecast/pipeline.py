@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import attention, solver
 from .config import PipelineConfig
-from .graphs import PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
+from .graphs import MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
 
 
 @dataclass(eq=False)
@@ -154,40 +154,65 @@ class PipelineContext:
         return cls(pg, config, bank, standardizer, sskel, tskel, eigmap, feature_map, interval)
 
 
+def initial_signal(
+    sample: Sample, ctx: PipelineContext
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A window's starting point: (x, y, t_steps).
+
+    ``x`` is the standardized history with the extrapolated future appended,
+    flattened time-major; ``y`` is its observed part; ``t_steps`` are the
+    timestamps in sampling intervals.
+    """
+    data = ctx.config.data
+    obs_std = ctx.standardizer.transform(sample.observed)
+    extrap = initial_extrapolation(
+        obs_std,
+        sample.target.shape[1],
+        method=data.extrapolation,
+        trend_window=data.trend_window,
+        seasonal_period=data.seasonal_period,
+    )
+    x = flatten_time_major(np.concatenate([obs_std, extrap], axis=1))
+    y = x[: sample.observed.size].copy()
+    t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
+    return x, y, t_steps
+
+
+def block_graph(
+    ctx: PipelineContext,
+    x: np.ndarray,
+    t_steps: np.ndarray,
+    n_observed: int,
+    bank: attention.MetricBank | None = None,
+    with_undirected_temporal: bool = False,
+) -> MixedGraph:
+    """The mixed graph a block learns from signal ``x``: embed, feature map,
+    then one lane per head of ``bank`` (the context's bank by default)."""
+    embeddings = attention.embed(x, ctx.pg, t_steps, ctx.eigmap)
+    feats = ctx.feature_map(embeddings, ctx.sskel)
+    return attention.multi_head_graphs(
+        feats, ctx.sskel, ctx.tskel, ctx.bank if bank is None else bank,
+        n_observed=n_observed, with_undirected_temporal=with_undirected_temporal,
+    )
+
+
 def _forward(sample: Sample, ctx: PipelineContext) -> np.ndarray:
     """Full reconstruction in raw units, shape (N, T+1+S)."""
     cfg = ctx.config
     n = sample.n_stations
     t_obs = sample.observed.shape[1]
-    horizon = sample.target.shape[1]
-    if t_obs != cfg.data.history or horizon != cfg.data.horizon:
+    if t_obs != cfg.data.history or sample.target.shape[1] != cfg.data.horizon:
         raise ValueError("sample window does not match the configured history/horizon")
 
-    obs_std = ctx.standardizer.transform(sample.observed)
-    extrap = initial_extrapolation(
-        obs_std,
-        horizon,
-        method=cfg.data.extrapolation,
-        trend_window=cfg.data.trend_window,
-        seasonal_period=cfg.data.seasonal_period,
-    )
-    x = flatten_time_major(np.concatenate([obs_std, extrap], axis=1))
-    y = x[: n * t_obs].copy()
-    t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
-
+    x, y, t_steps = initial_signal(sample, ctx)
     sched = cfg.solver.schedule()
     mode = cfg.solver.mode
     rho0 = cfg.default_rho(n)
     merge = ctx.config.heads.merge
     needs_ln = solver.TERMS[mode].temporal == "l_n"
     for b in range(cfg.layers.blocks):
-        embeddings = attention.embed(x, ctx.pg, t_steps, ctx.eigmap)
-        feats = ctx.feature_map(embeddings, ctx.sskel)
         try:
-            graph = attention.multi_head_graphs(
-                feats, ctx.sskel, ctx.tskel, ctx.bank, n_observed=t_obs,
-                with_undirected_temporal=needs_ln,
-            )
+            graph = block_graph(ctx, x, t_steps, t_obs, with_undirected_temporal=needs_ln)
         except attention.DegenerateWeightError as exc:
             exc.block = b
             raise

@@ -9,30 +9,43 @@ layers inside a block), which keeps the search space small.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import pipeline
 from .config import PipelineConfig
-
-DEFAULT_TUNABLES = (
-    "mu_u",
-    "mu_d2",
-    "mu_d1",
-    "rho",
-    "rho_u",
-    "rho_d",
-    "residual",
-    "merge",
-    "metric_scale_u",
-    "metric_scale_d",
-    "cg_alpha",
-    "cg_beta",
-)
+from .solver import CG_ALPHA_MAX
 
 PARAM_FLOOR = 1e-6
 SCALE_FLOOR = 1e-3
-CG_ALPHA_MAX = 0.8
+
+
+class Tunable(NamedTuple):
+    """The config section holding the field, what sets its length in the
+    packed vector (``"blocks"``, ``"heads"`` or ``"1"``), and its bounds."""
+
+    section: str
+    size: str
+    lower: float
+    upper: float
+
+
+TUNABLES = {
+    "mu_u": Tunable("layers", "blocks", PARAM_FLOOR, np.inf),
+    "mu_d2": Tunable("layers", "blocks", PARAM_FLOOR, np.inf),
+    "mu_d1": Tunable("layers", "blocks", PARAM_FLOOR, np.inf),
+    "rho": Tunable("layers", "blocks", PARAM_FLOOR, np.inf),
+    "rho_u": Tunable("layers", "blocks", PARAM_FLOOR, np.inf),
+    "rho_d": Tunable("layers", "blocks", PARAM_FLOOR, np.inf),
+    "residual": Tunable("layers", "blocks", 0.0, 1.0),
+    "merge": Tunable("heads", "heads", -np.inf, np.inf),
+    "metric_scale_u": Tunable("heads", "heads", SCALE_FLOOR, np.inf),
+    "metric_scale_d": Tunable("heads", "heads", SCALE_FLOOR, np.inf),
+    "cg_alpha": Tunable("solver", "1", 0.0, CG_ALPHA_MAX),
+    "cg_beta": Tunable("solver", "1", 0.0, np.inf),
+}
+DEFAULT_TUNABLES = tuple(TUNABLES)
 
 
 @dataclass
@@ -87,39 +100,30 @@ def spsa_minimize(
         cand_minus = project(theta - c_k * scale * delta)
         loss_plus = loss_fn(cand_plus)
         loss_minus = loss_fn(cand_minus)
-        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
+        rejected = not (np.isfinite(loss_plus) and np.isfinite(loss_minus))
+        if rejected:
             c_factor *= 0.5
-            trace.iterations.append(
-                {"iter": k, "loss_plus": loss_plus, "loss_minus": loss_minus, "rejected": True}
-            )
-            trace.best_losses.append(best_loss)
-            continue
-        for cand, loss in ((cand_plus, loss_plus), (cand_minus, loss_minus)):
-            if loss < best_loss:
-                best_loss = loss
-                best_theta = cand.copy()
-        ghat = (loss_plus - loss_minus) / (2.0 * c_k) * delta
-        theta = project(theta - a_k * scale * ghat)
+        else:
+            for cand, loss in ((cand_plus, loss_plus), (cand_minus, loss_minus)):
+                if loss < best_loss:
+                    best_loss = loss
+                    best_theta = cand.copy()
+            ghat = (loss_plus - loss_minus) / (2.0 * c_k) * delta
+            theta = project(theta - a_k * scale * ghat)
         trace.iterations.append(
-            {"iter": k, "loss_plus": loss_plus, "loss_minus": loss_minus, "rejected": False}
+            {"iter": k, "loss_plus": loss_plus, "loss_minus": loss_minus, "rejected": rejected}
         )
         trace.best_losses.append(best_loss)
     return best_theta, best_loss, trace
 
 
 def _tunable_layout(config: PipelineConfig, tunables) -> list[tuple[str, int]]:
-    b = config.layers.blocks
-    h = config.heads.count
-    sizes = {
-        "mu_u": b, "mu_d2": b, "mu_d1": b, "rho": b, "rho_u": b, "rho_d": b,
-        "residual": b, "merge": h, "metric_scale_u": h, "metric_scale_d": h,
-        "cg_alpha": 1, "cg_beta": 1,
-    }
+    counts = {"blocks": config.layers.blocks, "heads": config.heads.count, "1": 1}
     layout = []
     for name in tunables:
-        if name not in sizes:
+        if name not in TUNABLES:
             raise ValueError(f"unknown tunable {name!r}")
-        layout.append((name, sizes[name]))
+        layout.append((name, counts[TUNABLES[name].size]))
     total = sum(s for _, s in layout)
     if total > 100:
         raise ValueError(f"tunable vector has dimension {total} > 100")
@@ -127,77 +131,42 @@ def _tunable_layout(config: PipelineConfig, tunables) -> list[tuple[str, int]]:
 
 
 def pack_config(config: PipelineConfig, tunables, n_stations: int) -> np.ndarray:
-    """Flatten the tunable subset of a config into a vector."""
+    """Flatten the tunable subset of a config into a vector.
+
+    Each entry is the mean of what it controls: a block's row of a per-layer
+    table, or the whole CG schedule. A null rho packs as its run-time default.
+    """
     rho0 = config.default_rho(n_stations)
     parts = []
     for name, size in _tunable_layout(config, tunables):
-        if name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d"):
-            tab = getattr(config.layers, name)
-            parts.append(np.full(size, rho0) if tab is None else tab.mean(axis=1))
-        elif name == "residual":
-            parts.append(np.asarray(config.layers.residual))
-        elif name == "merge":
-            parts.append(np.asarray(config.heads.merge))
-        elif name == "metric_scale_u":
-            parts.append(np.asarray(config.heads.metric_scale_u))
-        elif name == "metric_scale_d":
-            parts.append(np.asarray(config.heads.metric_scale_d))
-        elif name == "cg_alpha":
-            parts.append(np.atleast_1d(np.mean(config.solver.cg_alpha)))
-        elif name == "cg_beta":
-            parts.append(np.atleast_1d(np.mean(config.solver.cg_beta)))
+        value = getattr(getattr(config, TUNABLES[name].section), name)
+        value = np.full(size, rho0) if value is None else np.asarray(value, dtype=np.float64)
+        parts.append(value.reshape(size, -1).mean(axis=1))
     return np.concatenate(parts)
 
 
 def unpack_config(config: PipelineConfig, tunables, theta: np.ndarray) -> PipelineConfig:
-    """Rebuild a config with the tunable subset replaced by ``theta``."""
-    layers = replace(config.layers)
-    heads = replace(config.heads)
-    solv = replace(config.solver)
+    """Rebuild a config with the tunable subset replaced by ``theta``; a
+    per-block value fills every layer of its block."""
+    updates = {spec.section: {} for spec in TUNABLES.values()}
     pos = 0
-    m = config.layers.layers
     for name, size in _tunable_layout(config, tunables):
-        vals = theta[pos : pos + size]
+        vals = theta[pos : pos + size].copy()
         pos += size
-        if name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d"):
-            setattr(layers, name, np.repeat(vals[:, None], m, axis=1))
-        elif name == "residual":
-            layers.residual = vals.copy()
-        elif name == "merge":
-            heads.merge = vals.copy()
-        elif name == "metric_scale_u":
-            heads.metric_scale_u = vals.copy()
-        elif name == "metric_scale_d":
-            heads.metric_scale_d = vals.copy()
-        elif name == "cg_alpha":
-            solv.cg_alpha = float(vals[0])
-        elif name == "cg_beta":
-            solv.cg_beta = float(vals[0])
-    return replace(config, layers=layers, heads=heads, solver=solv)
+        spec = TUNABLES[name]
+        updates[spec.section][name] = float(vals[0]) if spec.size == "1" else vals
+    return replace(
+        config, **{sec: replace(getattr(config, sec), **vals) for sec, vals in updates.items()}
+    )
 
 
 def make_projection(config: PipelineConfig, tunables):
-    """Coordinate-wise feasibility projection for the packed vector."""
-    segments = []
-    for name, size in _tunable_layout(config, tunables):
-        segments.extend([name] * size)
-    names = np.asarray(segments)
-    positive = np.isin(names, ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d"))
-    unit = names == "residual"
-    scales = np.isin(names, ("metric_scale_u", "metric_scale_d"))
-    alpha = names == "cg_alpha"
-    beta = names == "cg_beta"
-
-    def project(theta: np.ndarray) -> np.ndarray:
-        out = theta.copy()
-        out[positive] = np.maximum(out[positive], PARAM_FLOOR)
-        out[unit] = np.clip(out[unit], 0.0, 1.0)
-        out[scales] = np.maximum(out[scales], SCALE_FLOOR)
-        out[alpha] = np.clip(out[alpha], 0.0, CG_ALPHA_MAX)
-        out[beta] = np.maximum(out[beta], 0.0)
-        return out
-
-    return project
+    """Coordinate-wise feasibility projection for the packed vector: clip to ``TUNABLES`` bounds."""
+    layout = _tunable_layout(config, tunables)
+    sizes = [size for _, size in layout]
+    lower = np.repeat([TUNABLES[name].lower for name, _ in layout], sizes)
+    upper = np.repeat([TUNABLES[name].upper for name, _ in layout], sizes)
+    return lambda theta: np.clip(theta, lower, upper)
 
 
 def tune_spsa(
@@ -227,7 +196,9 @@ def tune_spsa(
 
     def loss_fn(theta: np.ndarray) -> float:
         cand = unpack_config(config, tunables, theta)
-        ctx = _context_for(base_ctx, cand)
+        # the candidate reuses the base context's skeletons, eigenmap and feature map
+        bank = cand.heads.build_bank(cand.data.n_instants, cand.graph.window, cand.graph.feature_dim)
+        ctx = replace(base_ctx, config=cand, bank=bank)
         try:
             losses = [
                 pipeline.huber_loss(pipeline.reconstruct(s, ctx), s.full_truth())
@@ -251,20 +222,3 @@ def tune_spsa(
     )
     return unpack_config(config, tunables, best_theta), trace
 
-
-def _context_for(base_ctx: pipeline.PipelineContext, cand: PipelineConfig):
-    """Candidate context reusing the skeletons/eigenmap of the base context."""
-    bank = cand.heads.build_bank(
-        cand.data.n_instants, cand.graph.window, cand.graph.feature_dim
-    )
-    return pipeline.PipelineContext(
-        base_ctx.pg,
-        cand,
-        bank,
-        base_ctx.standardizer,
-        base_ctx.sskel,
-        base_ctx.tskel,
-        base_ctx.eigmap,
-        base_ctx.feature_map,
-        base_ctx.interval,
-    )

@@ -16,8 +16,6 @@ from . import oracles, pipeline, priors, solver
 from .attention import (
     MetricBank,
     directed_weights,
-    embed,
-    multi_head_graphs,
     orient_columns,
     smallest_eigenpairs_dense,
     smallest_eigenpairs_sparse,
@@ -288,16 +286,15 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     sample = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
     ctx = pipeline.PipelineContext.build(pg, cfg)
     n_obs = sample.observed.shape[1]
-    extrap = pipeline.initial_extrapolation(sample.observed, cfg.data.horizon, "hold-last")
-    x = pipeline.flatten_time_major(np.concatenate([sample.observed, extrap], axis=1))
-    feats = ctx.feature_map(embed(x, pg, sample.timestamps / ctx.interval, ctx.eigmap), ctx.sskel)
-    graph = multi_head_graphs(feats, ctx.sskel, ctx.tskel, ctx.bank, n_obs, True)
+    x, _, t_steps = pipeline.initial_signal(sample, ctx)
+    graph = pipeline.block_graph(ctx, x, t_steps, n_obs, with_undirected_temporal=True)
     size = graph.n_nodes // graph.lanes
     mismatched = []
     for h in range(graph.lanes):
-        alone = multi_head_graphs(
-            feats, ctx.sskel, ctx.tskel,
-            MetricBank([ctx.bank.undirected[h]], [ctx.bank.directed[h]]), n_obs, True,
+        alone = pipeline.block_graph(
+            ctx, x, t_steps, n_obs,
+            bank=MetricBank([ctx.bank.undirected[h]], [ctx.bank.directed[h]]),
+            with_undirected_temporal=True,
         )
         for name in ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n"):
             got, want = _lane_rows(getattr(graph, name), h, size), getattr(alone, name)

@@ -366,6 +366,50 @@ class TestCli:
         b = (synth_dir / "b" / "predictions.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "command,flag,value,count",
+        [
+            ("graph-dump", "--head", "2", 2),
+            ("graph-dump", "--head", "-1", 2),
+            ("solve", "--head", "2", 2),
+            ("solve", "--head", "-1", 2),
+            ("solve", "--index", "-1", None),
+            ("solve", "--index", "999", None),
+        ],
+    )
+    def test_out_of_range_head_or_index_rejected(self, synth_dir, capsys, command, flag,
+                                                 value, count):
+        cfg = json.loads((synth_dir / "config.json").read_text())
+        cfg["heads"] = {"count": 2}
+        (synth_dir / "two_heads.json").write_text(json.dumps(cfg))
+        args = [
+            command, "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "two_heads.json"), flag, value,
+        ]
+        if command == "graph-dump":
+            args += ["--out", str(synth_dir / "dump")]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {value} is out of range [0, "), err
+        if count is not None:
+            assert f"[0, {count})" in err
+        assert not (synth_dir / "dump").exists()
+
+    def test_bad_metric_override_exits_1(self, synth_dir, capsys):
+        cfg = json.loads((synth_dir / "config.json").read_text())
+        cfg["heads"] = {"count": 1, "metric_overrides": [
+            {"head": 0, "instant": 3, "factor": [[1.5]]}]}
+        (synth_dir / "bad_override.json").write_text(json.dumps(cfg))
+        rc = cli_main([
+            "forecast", "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "bad_override.json"), "--out", str(synth_dir / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: metric_overrides[0]: factor must be 6x6"), err
+
     def test_config_error_names_section(self, synth_dir, capsys):
         bad_cfg = synth_dir / "bad_config.json"
         bad_cfg.write_text(json.dumps({"layers": {"blocks": 1, "bogus_key": 2}}))

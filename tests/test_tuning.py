@@ -1,5 +1,7 @@
 """SPSA core behavior and config packing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stforecast.config import PipelineConfig
 from stforecast.pipeline import Standardizer
 from stforecast.tuning import (
     DEFAULT_TUNABLES,
+    TUNABLES,
     make_projection,
     pack_config,
     spsa_minimize,
@@ -87,6 +90,42 @@ class TestPackUnpack:
         assert float(np.asarray(rebuilt.solver.cg_alpha)) <= 0.8
         assert float(np.asarray(rebuilt.solver.cg_beta)) >= 0.0
 
+    # (tunable, lower bound, upper bound) as the tuner promises them
+    BOUNDS = [
+        *[(name, 1e-6, np.inf) for name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d")],
+        ("residual", 0.0, 1.0),
+        ("merge", -np.inf, np.inf),
+        ("metric_scale_u", 1e-3, np.inf),
+        ("metric_scale_d", 1e-3, np.inf),
+        ("cg_alpha", 0.0, 0.8),
+        ("cg_beta", 0.0, np.inf),
+    ]
+
+    def test_bounds_cover_every_tunable(self):
+        assert [name for name, _, _ in self.BOUNDS] == list(TUNABLES) == list(DEFAULT_TUNABLES)
+
+    @pytest.mark.parametrize("name,lower,upper", BOUNDS)
+    def test_each_tunable_clipped_to_its_bound(self, name, lower, upper):
+        cfg = PipelineConfig.from_dict(
+            {"layers": {"blocks": 2, "layers": 3}, "heads": {"count": 3}}
+        )
+        project = make_projection(cfg, (name,))
+        theta = pack_config(cfg, (name,), n_stations=10)
+        for shift, bound in ((-1e9, lower), (1e9, upper)):
+            clipped = project(theta + shift)
+            want = theta + shift if np.isinf(bound) else np.full_like(theta, bound)
+            np.testing.assert_array_equal(clipped, want)
+            # the clipped vector is a valid config, and packs back to itself
+            rebuilt = unpack_config(cfg, (name,), clipped)
+            np.testing.assert_array_equal(pack_config(rebuilt, (name,), n_stations=10), want)
+        inside = project(theta)
+        np.testing.assert_array_equal(inside, theta)
+        assert np.isnan(project(np.full_like(theta, np.nan))).all()
+
+    def test_unknown_tunable_rejected(self):
+        with pytest.raises(ValueError, match="unknown tunable 'mu_x'"):
+            pack_config(PipelineConfig(), ("mu_x",), n_stations=10)
+
     def test_unpack_sets_per_block_tables(self):
         cfg = PipelineConfig.from_dict(
             {"layers": {"blocks": 2, "layers": 3}, "heads": {"count": 1}}
@@ -120,6 +159,72 @@ class TestConfigRoundTrip:
     def test_bad_key_names_section(self):
         with pytest.raises(ValueError, match="section 'solver'"):
             PipelineConfig.from_dict({"solver": {"bogus": 1}})
+
+    def test_unknown_cg_mode_rejected(self):
+        with pytest.raises(ValueError, match="section 'solver': unknown cg_mode 'exakt'"):
+            PipelineConfig.from_dict({"solver": {"cg_mode": "exakt"}})
+
+    def test_saved_json_keeps_field_order(self, tmp_path):
+        cfg = PipelineConfig.from_dict({"layers": {"blocks": 2, "layers": 2, "rho": [0.5, 0.7]}})
+        path = tmp_path / "config.json"
+        cfg.save(path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["graph", "solver", "layers", "heads", "tuner", "data"]
+        assert list(doc["layers"]) == [
+            "blocks", "layers", "mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d", "residual"
+        ]
+        assert doc["layers"]["rho"] == [[0.5, 0.5], [0.7, 0.7]]
+        assert doc["layers"]["rho_u"] is None
+        assert doc["data"]["ratios"] == [0.6, 0.2, 0.2]
+
+    def test_array_valued_fields_serialize(self):
+        cfg = PipelineConfig()
+        cfg.heads.metric_overrides = [{"head": 0, "instant": 1, "factor": np.eye(6)}]
+        doc = json.loads(json.dumps(cfg.to_dict()))
+        assert doc["heads"]["metric_overrides"][0]["factor"] == np.eye(6).tolist()
+
+
+class TestMetricOverrides:
+    FACTOR = np.eye(6).tolist()
+
+    @pytest.mark.parametrize("head", [2, -1, "0", None])
+    def test_bad_head_rejected_at_load(self, head):
+        entry = {"head": head, "instant": 0, "factor": self.FACTOR}
+        with pytest.raises(ValueError, match=r"section 'heads': metric_overrides\[1\]: head"):
+            PipelineConfig.from_dict(
+                {"heads": {"count": 2, "metric_overrides": [
+                    {"head": 1, "lag": 1, "factor": self.FACTOR}, entry]}}
+            )
+
+    @pytest.mark.parametrize(
+        "entry,match",
+        [
+            ({"head": 0, "instant": 18}, r"instant must be an integer in \[0, 17\], got 18"),
+            ({"head": 0, "instant": -1}, "instant"),
+            ({"head": 0, "lag": 0}, r"lag must be an integer in \[1, 6\], got 0"),
+            ({"head": 0, "lag": 7}, "lag"),
+            ({"head": 0}, "needs an 'instant' or 'lag' key"),
+            ({"head": 0, "instant": 2, "factor": [[1.0]]}, "factor must be 6x6"),
+            ({"head": 0, "lag": 2, "factor": [[1.0, 0.0], [0.0]]}, "factor must be 6x6"),
+            ({"head": 0, "lag": 2, "factor": None}, "factor must be 6x6"),
+        ],
+    )
+    def test_bad_slot_or_factor_rejected_by_build_bank(self, entry, match):
+        cfg = PipelineConfig.from_dict(
+            {"heads": {"count": 2, "metric_overrides": [{"factor": self.FACTOR, **entry}]}}
+        )
+        with pytest.raises(ValueError, match=r"metric_overrides\[0\]") as info:
+            cfg.heads.build_bank(cfg.data.n_instants, cfg.graph.window, cfg.graph.feature_dim)
+        assert info.match(match)
+
+    def test_valid_overrides_installed(self):
+        cfg = PipelineConfig.from_dict({"heads": {"count": 2, "metric_overrides": [
+            {"head": 1, "instant": 17, "factor": (2 * np.eye(6)).tolist()},
+            {"head": 0, "lag": 6, "factor": (3 * np.eye(6)).tolist()},
+        ]}})
+        bank = cfg.heads.build_bank(cfg.data.n_instants, cfg.graph.window, cfg.graph.feature_dim)
+        np.testing.assert_array_equal(bank.undirected[1][17].factor, 2 * np.eye(6))
+        np.testing.assert_array_equal(bank.directed[0][5].factor, 3 * np.eye(6))
 
 
 class TestTuneSpsa:
