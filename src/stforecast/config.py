@@ -74,6 +74,7 @@ class SolverSettings:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.cg_mode not in CG_MODES:
             raise ValueError(f"unknown cg_mode {self.cg_mode!r}; expected one of {CG_MODES}")
+        self.schedule()  # a bad cg_iters, cg_alpha or cg_beta fails here, at load
 
     def schedule(self) -> CgSchedule:
         if self.cg_mode == "exact":
@@ -98,7 +99,14 @@ class LayerSettings:
         if b < 0 or m < 1:
             raise ValueError("need blocks >= 0 and layers >= 1")
         for name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d"):
-            setattr(self, name, _expand_table(getattr(self, name), b, m, name))
+            tab = _expand_table(getattr(self, name), b, m, name)
+            if name.startswith("mu") and tab is None:
+                raise ValueError(f"{name} must be a number or a table, not null")
+            if name.startswith("mu") and np.any(tab < 0):
+                raise ValueError(f"{name} must be nonnegative")
+            if name.startswith("rho") and tab is not None and np.any(tab <= 0):
+                raise ValueError(f"{name} must be positive")
+            setattr(self, name, tab)
         res = np.broadcast_to(np.asarray(self.residual, dtype=np.float64), (b,)).copy()
         if np.any((res < 0) | (res > 1)):
             raise ValueError("residual coefficients must lie in [0, 1]")
@@ -132,7 +140,10 @@ class HeadSettings:
         # default scales spread the heads apart so they are distinct untrained
         for name in ("metric_scale_u", "metric_scale_d"):
             value = getattr(self, name)
-            setattr(self, name, _default_scales(h) if value is None else np.asarray(value, float))
+            scales = _default_scales(h) if value is None else np.asarray(value, float)
+            if scales.shape != (h,):
+                raise ValueError(f"{name} must have one entry per head ({h}), got {value!r}")
+            setattr(self, name, scales)
         for i, entry in enumerate(self.metric_overrides):
             _override_index(i, entry, "head", 0, h)
 

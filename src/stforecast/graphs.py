@@ -316,19 +316,6 @@ def normalized_laplacian(w: sp.spmatrix) -> sp.csr_matrix:
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")
 
 
-def _block_diag_csr(mats: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """Block-diagonal CSR from square CSR blocks, each row's entries kept in order."""
-    col_off = np.cumsum([0] + [m.shape[1] for m in mats[:-1]])
-    nnz_off = np.cumsum([0] + [m.nnz for m in mats[:-1]])
-    indptr = np.concatenate(
-        [mats[0].indptr[:1]] + [m.indptr[1:] + off for m, off in zip(mats, nnz_off)]
-    )
-    indices = np.concatenate([m.indices + off for m, off in zip(mats, col_off)])
-    data = np.concatenate([m.data for m in mats])
-    dim = int(sum(m.shape[0] for m in mats))
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-
-
 @dataclass(eq=False)
 class MixedGraph:
     """Assembled operators of one mixed product graph, or of several stacked.
@@ -374,35 +361,6 @@ class MixedGraph:
             "l_rd_t": self.l_rd_t,
             "call_rd": self.call_rd,
         }
-
-    @classmethod
-    def stack(cls, graphs: list["MixedGraph"]) -> "MixedGraph":
-        """One lane per graph, operators block-diagonal; one graph is returned as is.
-
-        Each operator's blocks keep their rows' entry order, so a product with
-        the stack equals, lane by lane and bit for bit, the products with the
-        separate graphs. The forward pass assembles its lanes directly
-        (``attention.multi_head_graphs``); stacking separately built graphs
-        is the reference the tests hold that assembly to.
-        """
-        if len(graphs) == 1:
-            return graphs[0]
-        first = graphs[0]
-        shape = (first.n_stations, first.n_instants, first.n_observed)
-        for g in graphs[1:]:
-            if (g.n_stations, g.n_instants, g.n_observed) != shape:
-                raise ValueError("stacked graphs must share stations, instants and observed prefix")
-        ops = ["l_u", "w_rd", "l_rd", "call_rd", "l_rd_t"]
-        if all(g.l_n is not None for g in graphs):
-            ops.append("l_n")
-        return cls(
-            n_stations=first.n_stations,
-            n_instants=first.n_instants,
-            n_observed=first.n_observed,
-            h_mask=np.concatenate([g.h_mask for g in graphs]),
-            lanes=sum(g.lanes for g in graphs),
-            **{name: _block_diag_csr([getattr(g, name) for g in graphs]) for name in ops},
-        )
 
     @property
     def n_nodes(self) -> int:

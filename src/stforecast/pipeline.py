@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import attention, solver
 from .config import PipelineConfig
@@ -317,13 +318,12 @@ def evenly_spaced_subset(samples: list, max_samples: int | None) -> list:
     return [samples[i] for i in np.unique(idx)]
 
 
-def perron_centrality(
-    w_slice, tol: float = 1e-10, max_iter: int = 100000
-) -> np.ndarray:
-    """Dominant eigenvector of a nonnegative connected slice, 1-norm normalized.
+def perron_centrality(w_slice) -> np.ndarray:
+    """Perron vector of a connected nonnegative symmetric slice, 1-norm normalized.
 
-    Power iteration on the diagonally shifted matrix (the shift breaks the
-    +/- eigenvalue tie of bipartite slices without changing eigenvectors).
+    By Perron-Frobenius the eigenvector of the largest eigenvalue of such a
+    matrix is unique and positive, so it is read off one dense symmetric
+    eigensolve.
     """
     w = w_slice.toarray() if sp.issparse(w_slice) else np.asarray(w_slice, dtype=np.float64)
     n = w.shape[0]
@@ -331,39 +331,12 @@ def perron_centrality(
         raise ValueError("expected a square matrix")
     if np.any(w < 0):
         raise ValueError("matrix must be nonnegative")
-    if not _connected(w):
-        raise ValueError("slice is not connected")
-    if n == 1:
-        return np.ones(1)
-    shift = w.sum(axis=1).max()
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = w @ v + shift * v
-        nxt /= np.abs(nxt).sum()
-        if np.abs(nxt - v).sum() <= tol:
-            v = nxt
-            break
-        v = nxt
-    else:
-        applied = w @ v + shift * v
-        lam = float(v @ applied) / float(v @ v)
-        resid = float(np.abs(applied - lam * v).sum())
-        raise RuntimeError(f"power iteration did not converge (residual {resid:.3e})")
+    if not np.array_equal(w, w.T):
+        raise ValueError("matrix must be symmetric")
+    n_components = connected_components(w, directed=False, return_labels=False)
+    if n_components > 1:
+        raise ValueError(f"slice is not connected ({n_components} components)")
+    v = np.abs(np.linalg.eigh(w)[1][:, -1])
     if np.any(v <= 0):
-        raise RuntimeError("Perron vector has non-positive entries")
-    return v
-
-
-def _connected(w: np.ndarray) -> bool:
-    n = w.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    adj = w > 0
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(adj[i] | adj[:, i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return bool(seen.all())
+        raise ValueError("Perron vector has non-positive entries")
+    return v / v.sum()

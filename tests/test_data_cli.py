@@ -336,6 +336,44 @@ class TestCli:
         assert cent.sum() == pytest.approx(1.0)
         assert (cent > 0).all()
 
+    def test_graph_dump_disconnected_slice_exits_1(self, tmp_path, capsys):
+        # the default 4-nearest skeleton of this 200-station network has 3 components
+        assert cli_main([
+            "synth", "--out", str(tmp_path), "--stations", "200", "--steps", "200", "--seed", "0",
+        ]) == 0
+        rc = cli_main([
+            "graph-dump", "--signals", str(tmp_path / "signals.csv"),
+            "--edges", str(tmp_path / "edges.csv"), "--out", str(tmp_path / "dump"),
+        ])
+        assert rc == 1
+        assert "error: slice is not connected (3 components)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,section,bad,message",
+        [
+            ("forecast", "layers", {"mu_u": None}, "mu_u must be a number or a table, not null"),
+            ("forecast", "heads", {"count": 2, "metric_scale_u": [1.0]},
+             "metric_scale_u must have one entry per head (2)"),
+            ("tune", "heads", {"count": 2, "metric_scale_u": [1.0]},
+             "metric_scale_u must have one entry per head (2)"),
+            ("forecast", "solver", {"cg_alpha": [0.1, 0.2]}, "operands could not be broadcast"),
+        ],
+        ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
+             "forecast-cg_alpha-length"],
+    )
+    def test_bad_config_value_exits_1(self, synth_dir, capsys, command, section, bad, message):
+        cfg = json.loads((synth_dir / "config.json").read_text())
+        cfg[section] = {**cfg.get(section, {}), **bad}
+        (synth_dir / "bad.json").write_text(json.dumps(cfg))
+        rc = cli_main([
+            command, "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "bad.json"), "--out", str(synth_dir / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config section '{section}': {message}"), err
+
     def test_parse_error_exit_code(self, synth_dir, capsys):
         bad = synth_dir / "bad.csv"
         bad.write_text("timestamp,s0\n0,zzz\n")

@@ -284,6 +284,42 @@ class TestPerron:
     def test_single_node_trivial(self):
         np.testing.assert_array_equal(perron_centrality(np.zeros((1, 1))), [1.0])
 
+    def test_near_degenerate_slice(self):
+        # a unit-weight 3-clique and a 5-clique of weight 0.5 share the top
+        # eigenvalue 2; one 1e-7 edge joins them and leaves a gap of 5e-8
+        eps, lam0 = 1e-7, 2.0
+        w = np.zeros((8, 8))
+        w[:3, :3] = 1.0
+        w[3:, 3:] = 0.5
+        np.fill_diagonal(w, 0.0)
+        w[0, 3] = w[3, 0] = eps
+        v = perron_centrality(w)
+        spectrum = np.linalg.eigvalsh(w)
+        lam = v @ w @ v / (v @ v)
+        assert abs(lam - spectrum[-1]) <= 1e-12
+        assert np.abs(w @ v - lam * v).max() <= 1e-12 * v.max()
+        # closed form: at the top eigenvalue lam0 + d, clique c's bridge end p_c
+        # and other members q_c = w_c p_c / (w_c + d) satisfy
+        # d (1 + lam0 / (w_c + d)) p_c = eps p_other
+        d = eps
+        for _ in range(5):
+            d = eps / np.sqrt((1 + lam0 / (1 + d)) * (1 + lam0 / (0.5 + d)))
+        p_b = d * (1 + lam0 / (1 + d)) / eps
+        want = np.array([1.0, *[1 / (1 + d)] * 2, p_b, *[0.5 * p_b / (0.5 + d)] * 4])
+        # a backward-stable eigensolver is accurate to about eps * ||w|| / gap
+        tol = 4 * np.finfo(float).eps * spectrum[-1] / (spectrum[-1] - spectrum[-2])
+        np.testing.assert_allclose(v, want / want.sum(), rtol=0, atol=tol)
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            perron_centrality(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_disconnected_error_names_component_count(self):
+        w = np.zeros((5, 5))
+        w[0, 1] = w[1, 0] = 1.0
+        with pytest.raises(ValueError, match=r"slice is not connected \(4 components\)"):
+            perron_centrality(w)
+
 
 class TestEvaluateEdgeCases:
     def test_empty_sample_list_rejected(self):

@@ -164,6 +164,43 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="section 'solver': unknown cg_mode 'exakt'"):
             PipelineConfig.from_dict({"solver": {"cg_mode": "exakt"}})
 
+    @pytest.mark.parametrize(
+        "section,bad,message",
+        [
+            ("layers", {"mu_u": None}, "mu_u must be a number or a table, not null"),
+            ("layers", {"mu_d2": None}, "mu_d2 must be a number or a table, not null"),
+            ("layers", {"mu_d1": None}, "mu_d1 must be a number or a table, not null"),
+            ("layers", {"blocks": 2, "layers": 2, "mu_d2": [[1.0, 2.0], [3.0, -0.5]]},
+             "mu_d2 must be nonnegative"),
+            ("layers", {"rho": 0.0}, "rho must be positive"),
+            ("layers", {"blocks": 2, "rho_d": [1.0, -1.0]}, "rho_d must be positive"),
+            ("heads", {"count": 2, "metric_scale_u": [1.0]},
+             "metric_scale_u must have one entry per head (2)"),
+            ("heads", {"count": 3, "metric_scale_d": [1.0, 1.0, 1.0, 1.0]},
+             "metric_scale_d must have one entry per head (3)"),
+            ("heads", {"count": 2, "metric_scale_d": 1.0},
+             "metric_scale_d must have one entry per head (2)"),
+            ("solver", {"cg_iters": 0}, "unrolled mode needs a positive iteration count"),
+            ("solver", {"cg_iters": 4, "cg_beta": [0.1, 0.2]}, "operands could not be broadcast"),
+        ],
+        ids=[
+            "null-mu_u", "null-mu_d2", "null-mu_d1", "negative-mu_d2", "zero-rho",
+            "negative-rho_d", "short-scale_u", "long-scale_d", "scalar-scale_d", "zero-cg_iters",
+            "cg_beta-length",
+        ],
+    )
+    def test_bad_value_rejected_at_load(self, section, bad, message):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.from_dict({section: bad})
+        assert str(info.value).startswith(f"config section '{section}': {message}")
+
+    def test_null_rho_and_exact_mode_still_load(self):
+        cfg = PipelineConfig.from_dict(
+            {"layers": {"rho": None, "mu_u": 0.0}, "solver": {"cg_mode": "exact", "cg_iters": 0}}
+        )
+        assert cfg.layers.rho is None
+        assert (cfg.layers.mu_u == 0.0).all()
+
     def test_saved_json_keeps_field_order(self, tmp_path):
         cfg = PipelineConfig.from_dict({"layers": {"blocks": 2, "layers": 2, "rho": [0.5, 0.7]}})
         path = tmp_path / "config.json"
