@@ -12,8 +12,6 @@ import argparse
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from stforecast import data, pipeline
 from stforecast.config import PipelineConfig
 from stforecast.solver import VARIANTS
@@ -28,12 +26,8 @@ def main():
     args = ap.parse_args()
 
     table, pg = data.generate_synthetic(args.stations, args.steps, args.seed)
-    samples = data.cut_windows(table, 12, 6, 3)
-    splits = data.split_windows(samples, (0.6, 0.2, 0.2))
-    train_end = int(np.searchsorted(table.timestamps, splits.train[-1].timestamps[-1])) + 1
-    std = pipeline.Standardizer.fit(table.values[:train_end])
-
     base = PipelineConfig()
+    splits, std = data.split_dataset(table, base.data)
     results = {}
     for mode in VARIANTS:
         cfg = replace(base, solver=replace(base.solver, mode=mode))

@@ -11,8 +11,6 @@ against the hold-last baseline, and optionally tunes with SPSA first.
 import argparse
 import time
 
-import numpy as np
-
 from stforecast import data, pipeline, tuning
 from stforecast.config import PipelineConfig
 
@@ -27,13 +25,11 @@ def main():
     args = ap.parse_args()
 
     table, pg = data.generate_synthetic(args.stations, args.steps, args.seed)
-    samples = data.cut_windows(table, 12, 6, 3)
-    splits = data.split_windows(samples, (0.6, 0.2, 0.2))
-    train_end = int(np.searchsorted(table.timestamps, splits.train[-1].timestamps[-1])) + 1
-    std = pipeline.Standardizer.fit(table.values[:train_end])
-    print(f"{len(samples)} windows -> {len(splits.train)}/{len(splits.val)}/{len(splits.test)}")
-
     cfg = PipelineConfig()
+    splits, std = data.split_dataset(table, cfg.data)
+    counts = [len(splits.train), len(splits.val), len(splits.test)]
+    print(f"{sum(counts)} windows -> {counts[0]}/{counts[1]}/{counts[2]}")
+
     if args.tune_iterations > 0:
         t0 = time.time()
         cfg, trace = tuning.tune_spsa(

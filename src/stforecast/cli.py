@@ -9,7 +9,6 @@ graph-dump (assembled operators plus centrality as CSV).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -18,36 +17,13 @@ import numpy as np
 from . import data, pipeline, solver, tuning, verify
 from .attention import MetricBank
 from .config import PipelineConfig
-from .graphs import EdgeListError
-
-
-def _load_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    return PipelineConfig.load(path)
 
 
 def _load(args):
-    cfg = _load_config(args.config)
-    spec = data.DatasetSpec(
-        signal_path=args.signals,
-        edges_path=args.edges,
-        stride=cfg.data.stride,
-        ratios=cfg.data.ratios,
-        horizon=cfg.data.horizon,
-        history=cfg.data.history,
-    )
+    cfg = PipelineConfig() if args.config is None else PipelineConfig.load(args.config)
+    spec = data.DatasetSpec(args.signals, args.edges, cfg.data)
     splits, pg, standardizer = data.load_dataset(spec)
-    return cfg, splits, pg, standardizer, _interval(splits)
-
-
-def _interval(splits) -> float:
-    """Sampling interval in seconds, from the first window's (uniform) timestamps."""
-    for part in (splits.train, splits.val, splits.test):
-        if part:
-            stamps = part[0].timestamps
-            return float(stamps[1] - stamps[0])
-    return 1.0
+    return cfg, splits, pg, standardizer, splits.interval
 
 
 def _check_range(flag: str, value: int, count: int) -> None:
@@ -55,9 +31,18 @@ def _check_range(flag: str, value: int, count: int) -> None:
         raise ValueError(f"{flag} {value} is out of range [0, {count})")
 
 
-def _head_bank(bank, head: int):
-    """The metric bank of one head, so ``multi_head_graphs`` builds that head's graph alone."""
-    return MetricBank([bank.undirected[head]], [bank.directed[head]])
+def _head_graph(args, cfg, pg, standardizer, interval, sample):
+    """Head ``args.head``'s block-0 graph for ``sample``, with the start signal and observations."""
+    _check_range("--head", args.head, cfg.heads.count)
+    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
+    x0, y, t_steps = pipeline.initial_signal(sample, ctx)
+    # a one-head bank, so ``multi_head_graphs`` builds that head's graph alone
+    bank = MetricBank([ctx.bank.undirected[args.head]], [ctx.bank.directed[args.head]])
+    graph = pipeline.block_graph(
+        ctx, x0, t_steps, sample.observed.shape[1], bank=bank,
+        with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
+    )
+    return x0, y, graph
 
 
 def cmd_synth(args) -> int:
@@ -84,26 +69,19 @@ def cmd_forecast(args) -> int:
     chosen = pipeline.evenly_spaced_subset(samples, args.max_samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "predictions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station", "instant", "predicted", "actual"])
-        for si, (sample, pred) in enumerate(zip(chosen, report["predictions"])):
-            t_obs = sample.observed.shape[1]
-            for s in range(sample.n_stations):
-                for h in range(sample.target.shape[1]):
-                    writer.writerow(
-                        [s, int(sample.timestamps[t_obs + h]), repr(pred[s, h]),
-                         repr(float(sample.target[s, h]))]
-                    )
+    rows = (
+        [s, int(stamp), repr(pred[s, h]), repr(float(sample.target[s, h]))]
+        for sample, pred in zip(chosen, report["predictions"])
+        for s in range(sample.n_stations)
+        for h, stamp in enumerate(sample.timestamps[sample.observed.shape[1]:])
+    )
+    data.write_csv(out / "predictions.csv", ["station", "instant", "predicted", "actual"], rows)
     metrics_rows = {
         k: report[k]
         for k in ("n_samples", "rmse", "mae", "mape", "huber",
                   "persistence_rmse", "persistence_mae", "persistence_mape")
     }
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(metrics_rows))
-        writer.writerow([metrics_rows[k] for k in metrics_rows])
+    data.write_csv(out / "metrics.csv", list(metrics_rows), [list(metrics_rows.values())])
     for k, v in metrics_rows.items():
         print(f"{k}: {v}")
     return 0
@@ -113,15 +91,9 @@ def cmd_solve(args) -> int:
     cfg, splits, pg, standardizer, interval = _load(args)
     samples = getattr(splits, args.split)
     _check_range("--index", args.index, len(samples))
-    _check_range("--head", args.head, cfg.heads.count)
     sample = samples[args.index]
-    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
     # single-graph single-block solve with a per-layer trace
-    x0, y, t_steps = pipeline.initial_signal(sample, ctx)
-    graph = pipeline.block_graph(
-        ctx, x0, t_steps, sample.observed.shape[1], bank=_head_bank(ctx.bank, args.head),
-        with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
-    )
+    x0, y, graph = _head_graph(args, cfg, pg, standardizer, interval, sample)
     params = cfg.layers.layer_params(0, cfg.default_rho(sample.n_stations))
     trace: list = []
     try:
@@ -130,14 +102,9 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "objective", "res_phi", "res_zu", "res_zd"])
-            for rec in trace:
-                writer.writerow(
-                    [rec["layer"], repr(rec["objective"]), repr(rec["res_phi"]),
-                     repr(rec["res_zu"]), repr(rec["res_zd"])]
-                )
+        columns = ["layer", "objective", "res_phi", "res_zu", "res_zd"]
+        rows = ([rec["layer"], *(repr(rec[k]) for k in columns[1:])] for rec in trace)
+        data.write_csv(args.trace, columns, rows)
         print(f"wrote {args.trace} ({len(trace)} layers)")
     last = trace[-1]
     print(
@@ -162,12 +129,9 @@ def cmd_tune(args) -> int:
           f"({100.0 * (start - end) / start:.1f}% better)")
     print(f"wrote {args.out}")
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "loss_plus", "loss_minus", "best", "rejected"])
-            for rec, best_loss in zip(trace.iterations, trace.best_losses[1:]):
-                writer.writerow([rec["iter"], rec["loss_plus"], rec["loss_minus"],
-                                 best_loss, rec["rejected"]])
+        rows = ([rec["iter"], rec["loss_plus"], rec["loss_minus"], best_loss, rec["rejected"]]
+                for rec, best_loss in zip(trace.iterations, trace.best_losses[1:]))
+        data.write_csv(args.trace, ["iter", "loss_plus", "loss_minus", "best", "rejected"], rows)
         print(f"wrote {args.trace}")
     return 0
 
@@ -190,31 +154,18 @@ def cmd_graph_dump(args) -> int:
     if not samples:
         print("error: dataset produced no samples", file=sys.stderr)
         return 1
-    _check_range("--head", args.head, cfg.heads.count)
-    sample = samples[0]
-    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
-    x0, _, t_steps = pipeline.initial_signal(sample, ctx)
-    graph = pipeline.block_graph(
-        ctx, x0, t_steps, sample.observed.shape[1], bank=_head_bank(ctx.bank, args.head)
-    )
+    _, _, graph = _head_graph(args, cfg, pg, standardizer, interval, samples[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("l_u", "w_rd", "l_rd", "call_rd"):
         mat = getattr(graph, name).tocoo()
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            for r, c, v in zip(mat.row, mat.col, mat.data):
-                writer.writerow([int(r), int(c), repr(float(v))])
+        rows = zip(mat.row.tolist(), mat.col.tolist(), mat.data.tolist())
+        data.write_csv(out / f"{name}.csv", ["row", "col", "value"], rows)
     n = pg.n_stations
     w_slice = graph.l_u[:n, :n].toarray()
     np.fill_diagonal(w_slice, 0.0)
     centrality = pipeline.perron_centrality(-w_slice)
-    with open(out / "perron.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station", "centrality"])
-        for s, v in enumerate(centrality):
-            writer.writerow([s, repr(float(v))])
+    data.write_csv(out / "perron.csv", ["station", "centrality"], enumerate(centrality.tolist()))
     print(f"wrote operators and perron.csv to {out}")
     return 0
 
@@ -282,7 +233,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (data.ParseError, EdgeListError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except solver.NumericFailure as exc:

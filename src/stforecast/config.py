@@ -79,6 +79,12 @@ class SolverSettings:
     def schedule(self) -> CgSchedule:
         if self.cg_mode == "exact":
             return CgSchedule.exact(tol=self.cg_tol, iters=self.exact_cap)
+        for name in ("cg_alpha", "cg_beta"):
+            if np.shape(getattr(self, name)) not in ((), (1,), (self.cg_iters,)):
+                raise ValueError(
+                    f"{name} has {np.size(getattr(self, name))} entries; expected a scalar "
+                    f"or cg_iters = {self.cg_iters} entries"
+                )
         return CgSchedule.unrolled(self.cg_iters, self.cg_alpha, self.cg_beta)
 
 

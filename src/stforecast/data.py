@@ -1,9 +1,11 @@
-"""Dataset ingestion, window cutting, and synthetic data generation.
+"""Dataset ingestion, window cutting, synthetic generation, and every CSV format.
 
 Signal tables are CSV with a ``timestamp`` column followed by one column per
 station (``s0, s1, ...``). Values round-trip bit-exactly through repr. Empty
 cells are read as NaN but rejected when windows are cut: gaps in observed
 history are an unsupported case, surfaced as errors rather than imputed.
+Road networks are CSV with header ``from,to,cost``. Both are read by one row
+reader, and every CSV the package writes goes through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -11,17 +13,75 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .graphs import PhysicalGraph, load_road_network
+from .config import DataSettings
+from .graphs import EdgeError, PhysicalGraph
 from .pipeline import Sample, Standardizer
 
 
 class ParseError(ValueError):
     """Input file failed validation; message names file/line/column."""
+
+
+def _read_csv(path, check_header, parse_row) -> tuple[list[str], list[int], list]:
+    """The header, and the line and ``parse_row`` value of each data row, of a CSV file.
+
+    Reads ``path`` as UTF-8, vets the header with ``check_header``, skips
+    blank rows and rejects a row whose width differs from the header's. A
+    ``ValueError`` from either callback, malformed CSV and undecodable bytes
+    all become a ``ParseError`` prefixed ``path:line:``.
+    """
+    lines, values, line = [], [], 1
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            check_header(header)
+            end = reader.line_num
+            for row in reader:
+                # a quoted field may span lines: name the row's first one
+                line, end = end + 1, reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                lines.append(line)
+                values.append(parse_row(row))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"{path}:{line}: {exc}") from None
+    return header, lines, values
+
+
+def _not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8")
+    return ParseError(f"{path}: not UTF-8")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows``; floats are written as their repr, so they round-trip."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(eq=False)
@@ -51,78 +111,91 @@ class SignalTable:
 
 
 def write_signal_csv(table: SignalTable, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + [f"s{i}" for i in range(table.n_stations)])
-        for ts, row in zip(table.timestamps, table.values):
-            writer.writerow([int(ts)] + [repr(float(v)) for v in row])
+    header = ["timestamp"] + [f"s{i}" for i in range(table.n_stations)]
+    rows = ([int(ts), *row] for ts, row in zip(table.timestamps, table.values.tolist()))
+    write_csv(path, header, rows)
+
+
+def _check_signal_header(header: list[str]) -> None:
+    if not header or header[0].strip() != "timestamp":
+        raise ValueError("first column must be 'timestamp'")
+    if len(header) < 2:
+        raise ValueError("no station columns")
+
+
+def _signal_row(row: list[str]) -> tuple[int, list[float]]:
+    try:
+        stamp = int(row[0])
+    except ValueError:
+        raise ValueError(f"column 1: bad timestamp {row[0]!r}") from None
+    if not -(2**63) <= stamp < 2**63:
+        raise ValueError(f"column 1: timestamp {row[0]!r} does not fit in 64 bits")
+    try:
+        return stamp, [float(cell) for cell in row[1:]]
+    except ValueError:  # a blank or bad cell: go cell by cell to read NaN or name it
+        return stamp, [_signal_cell(col, cell) for col, cell in enumerate(row[1:], start=2)]
+
+
+def _signal_cell(col: int, cell: str) -> float:
+    cell = cell.strip()
+    if cell == "":
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"column {col}: non-numeric value {cell!r}") from None
 
 
 def read_signal_csv(path) -> SignalTable:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "timestamp":
-            raise ParseError(f"{path}:1: first column must be 'timestamp'")
-        n_stations = len(header) - 1
-        if n_stations < 1:
-            raise ParseError(f"{path}:1: no station columns")
-        timestamps, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != n_stations + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {n_stations + 1} columns, got {len(row)}"
-                )
-            try:
-                timestamps.append(int(row[0]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: column 1: bad timestamp {row[0]!r}") from None
-            vals = []
-            for col, cell in enumerate(row[1:], start=2):
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(math.nan)
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: column {col}: non-numeric value {cell!r}"
-                    ) from None
-            rows.append(vals)
+    header, _, rows = _read_csv(path, _check_signal_header, _signal_row)
+    timestamps = np.array([stamp for stamp, _ in rows], dtype=np.int64)
+    values = np.array([vals for _, vals in rows], dtype=np.float64)
     try:
-        return SignalTable(np.asarray(timestamps, dtype=np.int64), np.asarray(rows))
+        return SignalTable(timestamps, values.reshape(len(rows), len(header) - 1))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
 def write_edges_csv(pg: PhysicalGraph, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "cost"])
-        for i, j, cost in pg.edges:
-            writer.writerow([i, j, repr(float(cost))])
+    write_csv(path, ["from", "to", "cost"], ((i, j, float(cost)) for i, j, cost in pg.edges))
+
+
+def _check_edges_header(header: list[str]) -> None:
+    if [h.strip() for h in header] != ["from", "to", "cost"]:
+        raise ValueError("expected header 'from,to,cost'")
+
+
+def load_road_network(path, n_stations: int | None = None) -> PhysicalGraph:
+    """Read an edge list CSV with header ``from,to,cost`` (0-based station ids).
+
+    ``n_stations`` is the station count, e.g. the signal's column count;
+    stations no edge touches are isolated, and an id at or beyond the count
+    is rejected. Without it the count is one past the largest id. An edge
+    ``PhysicalGraph`` rejects is reported at its line.
+    """
+
+    def edge(row: list[str]) -> tuple[int, int, float]:
+        i, j, cost = int(row[0]), int(row[1]), float(row[2])
+        if n_stations is not None and max(i, j) >= n_stations:
+            raise ValueError(f"station {max(i, j)} out of range for {n_stations} stations")
+        return i, j, cost
+
+    _, lines, edges = _read_csv(path, _check_edges_header, edge)
+    if n_stations is None:
+        n_stations = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
+    try:
+        return PhysicalGraph(n_stations, tuple(edges))
+    except EdgeError as exc:
+        raise ParseError(f"{path}:{lines[exc.index]}: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @dataclass
 class DatasetSpec:
     signal_path: str
     edges_path: str
-    stride: int = 3
-    ratios: tuple = (0.6, 0.2, 0.2)
-    horizon: int = 6
-    history: int = 12
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
+    data: DataSettings = field(default_factory=DataSettings)
 
 
 @dataclass
@@ -130,6 +203,7 @@ class DatasetSplits:
     train: list = field(default_factory=list)
     val: list = field(default_factory=list)
     test: list = field(default_factory=list)
+    interval: float = 1.0  # sampling interval in seconds
 
 
 def cut_windows(table: SignalTable, history: int, horizon: int, stride: int) -> list[Sample]:
@@ -179,17 +253,24 @@ def split_windows(samples: list[Sample], ratios) -> DatasetSplits:
     )
 
 
-def load_dataset(spec: DatasetSpec) -> tuple[DatasetSplits, PhysicalGraph, Standardizer]:
-    table = read_signal_csv(spec.signal_path)
-    pg = load_road_network(spec.edges_path, n_stations=table.n_stations)
-    samples = cut_windows(table, spec.history, spec.horizon, spec.stride)
-    splits = split_windows(samples, spec.ratios)
+def split_dataset(table: SignalTable, settings: DataSettings) -> tuple[DatasetSplits, Standardizer]:
+    """Cut ``table`` into windows, split them in time order and fit the
+    standardizer on the span the training windows cover (all of it if none)."""
+    samples = cut_windows(table, settings.history, settings.horizon, settings.stride)
+    splits = split_windows(samples, settings.ratios)
+    splits.interval = table.interval
     if splits.train:
         last = splits.train[-1]
         train_end = int(np.searchsorted(table.timestamps, last.timestamps[-1])) + 1
     else:
         train_end = len(table.timestamps)
-    standardizer = Standardizer.fit(table.values[:train_end])
+    return splits, Standardizer.fit(table.values[:train_end])
+
+
+def load_dataset(spec: DatasetSpec) -> tuple[DatasetSplits, PhysicalGraph, Standardizer]:
+    table = read_signal_csv(spec.signal_path)
+    pg = load_road_network(spec.edges_path, n_stations=table.n_stations)
+    splits, standardizer = split_dataset(table, spec.data)
     return splits, pg, standardizer
 
 

@@ -9,7 +9,6 @@ instants inside a fixed window, and therefore form a DAG.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +20,12 @@ class DegenerateDegreeError(ValueError):
     """A non-source node ended up with zero incoming weight mass."""
 
 
-class EdgeListError(ValueError):
-    """A road-network edge list failed validation; message names the line."""
+class EdgeError(ValueError):
+    """A ``PhysicalGraph`` edge failed validation; ``index`` is its position in ``edges``."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 def flat_index(station: int, instant: int, n_stations: int) -> int:
@@ -40,18 +43,18 @@ class PhysicalGraph:
         if self.n_stations <= 0:
             raise ValueError("station count must be positive")
         seen = set()
-        for i, j, cost in self.edges:
+        for index, (i, j, cost) in enumerate(self.edges):
             if i == j:
-                raise ValueError(f"self-edge at station {i}")
+                raise EdgeError(index, f"self-edge at station {i}")
             if not (0 <= i < self.n_stations and 0 <= j < self.n_stations):
-                raise ValueError(f"edge ({i},{j}) outside station range")
+                raise EdgeError(index, f"edge ({i},{j}) outside station range")
             if not math.isfinite(cost):
-                raise ValueError(f"non-finite cost {cost} on edge ({i},{j})")
+                raise EdgeError(index, f"non-finite cost {cost} on edge ({i},{j})")
             if cost < 0:
-                raise ValueError(f"negative cost on edge ({i},{j})")
+                raise EdgeError(index, f"negative cost on edge ({i},{j})")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
+                raise EdgeError(index, f"duplicate edge ({i},{j})")
             seen.add(key)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,45 +62,6 @@ class PhysicalGraph:
         ends = np.array([(i, j) for i, j, _ in self.edges], dtype=np.int64).reshape(-1, 2)
         costs = np.array([cost for _, _, cost in self.edges], dtype=np.float64)
         return ends[:, 0], ends[:, 1], costs
-
-
-def load_road_network(path, n_stations: int | None = None) -> PhysicalGraph:
-    """Read an edge list CSV with header ``from,to,cost`` (0-based station ids).
-
-    ``n_stations`` is the station count, e.g. the signal's column count;
-    stations no edge touches are isolated, and an id at or beyond the count
-    is rejected. Without it the count is one past the largest id.
-    """
-    edges = []
-    max_station = -1
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EdgeListError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["from", "to", "cost"]:
-            raise EdgeListError(f"{path}:1: expected header 'from,to,cost'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise EdgeListError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                i, j = int(row[0]), int(row[1])
-                cost = float(row[2])
-            except ValueError as exc:
-                raise EdgeListError(f"{path}:{lineno}: {exc}") from None
-            if n_stations is not None and max(i, j) >= n_stations:
-                raise EdgeListError(
-                    f"{path}:{lineno}: station {max(i, j)} out of range for {n_stations} stations"
-                )
-            edges.append((i, j, cost))
-            max_station = max(max_station, i, j)
-    try:
-        return PhysicalGraph(max_station + 1 if n_stations is None else n_stations, tuple(edges))
-    except ValueError as exc:
-        raise EdgeListError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

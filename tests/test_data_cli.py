@@ -4,13 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stforecast import data as dmod
 from stforecast import priors
 from stforecast.attention import MetricBank, directed_weights, undirected_weights
 from stforecast.cli import cli_main
-from stforecast.config import PipelineConfig
-from stforecast.graphs import EdgeListError, build_spatial_skeleton, build_temporal_skeleton
+from stforecast.config import DataSettings, PipelineConfig
+from stforecast.graphs import build_spatial_skeleton, build_temporal_skeleton
 from stforecast.pipeline import PipelineContext, forecast_metrics, initial_extrapolation, run_forecast
 
 
@@ -107,7 +109,7 @@ class TestLoadDataset:
 
     def test_load_and_standardizer_fit_on_train(self, tmp_path):
         sig, edg, table = self.make_files(tmp_path)
-        spec = dmod.DatasetSpec(str(sig), str(edg), stride=3, horizon=6, history=12)
+        spec = dmod.DatasetSpec(str(sig), str(edg), data=DataSettings(stride=3, horizon=6, history=12))
         splits, pg, std = dmod.load_dataset(spec)
         assert pg.n_stations == 3
         assert len(splits.train) > 0
@@ -134,8 +136,134 @@ class TestLoadDataset:
         sig, _, _ = self.make_files(tmp_path)
         bad = tmp_path / "bad_edges.csv"
         bad.write_text("from,to,cost\n0,1,1.0\n1,3,1.0\n")
-        with pytest.raises(EdgeListError, match=r"bad_edges\.csv:3: station 3 out of range"):
+        with pytest.raises(dmod.ParseError, match=r"bad_edges\.csv:3: station 3 out of range"):
             dmod.load_dataset(dmod.DatasetSpec(str(sig), str(bad)))
+
+
+class TestCsvReader:
+    """The row reader shared by the signal and road-network formats."""
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "signals.csv"
+        path.write_bytes(b"timestamp,s0,s1\n0,1.0,2.0\n300,\xff,2.0\n")
+        with pytest.raises(dmod.ParseError, match=r"signals\.csv:3: byte 0xff is not UTF-8"):
+            dmod.read_signal_csv(path)
+
+    @pytest.mark.parametrize(
+        "read,text",
+        [(dmod.read_signal_csv, "timestamp,s0\n0,1.0\n300,{}\n"),
+         (dmod.load_road_network, "from,to,cost\n0,1,1.0\n1,2,{}\n")],
+        ids=["signals", "edges"],
+    )
+    def test_oversized_field_names_file_and_line(self, tmp_path, read, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text.format("9" * 200_000))
+        with pytest.raises(dmod.ParseError, match=r"in\.csv:3: field larger than field limit"):
+            read(path)
+
+    def test_timestamp_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "signals.csv"
+        path.write_text("timestamp,s0\n0,1.0\n99999999999999999999,2.0\n")
+        with pytest.raises(
+            dmod.ParseError,
+            match=r"signals\.csv:3: column 1: timestamp '99999999999999999999' does not fit",
+        ):
+            dmod.read_signal_csv(path)
+
+    def test_quoted_field_spanning_lines_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "signals.csv"
+        path.write_text('timestamp,s0\n0,"1.0\n"\n300,x\n')
+        with pytest.raises(dmod.ParseError, match=r"signals\.csv:4: column 2: non-numeric"):
+            dmod.read_signal_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("0,1,1.0\n1,1,1.0", "3: self-edge at station 1"),
+            ("0,1,1.0\n1,2,1.0\n\n1,0,2.0", "5: duplicate edge (1,0)"),
+            ("0,1,1.0\n1,2,-1.0", "3: negative cost on edge (1,2)"),
+            ("0,1,1.0\n1,2,inf", "3: non-finite cost inf on edge (1,2)"),
+            ("0,1,1.0\n-1,2,1.0", "3: edge (-1,2) outside station range"),
+        ],
+        ids=["self-edge", "duplicate", "negative-cost", "infinite-cost", "negative-id"],
+    )
+    def test_edge_validation_names_line(self, tmp_path, rows, message):
+        path = tmp_path / "edges.csv"
+        path.write_text("from,to,cost\n" + rows + "\n")
+        with pytest.raises(dmod.ParseError) as info:
+            dmod.load_road_network(path, n_stations=3)
+        assert str(info.value) == f"{path}:{message}"
+
+
+PAYLOADS = [b"", b" ", b"\xff", b'"', b",", b"\n", b"\r", b"\x00", b"-1", b"0", b"1e999",
+            b"nan", b"x", b"99999999999999999999", b"9" * 200_000]
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["byte", "cell", "row"]),
+        st.sampled_from(["drop", "duplicate", "insert", "replace"]),
+        st.integers(0, 4000),
+        st.integers(0, 40),
+        st.one_of(st.sampled_from(PAYLOADS), st.binary(max_size=3)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edit(seq: list, op: str, at: int, item) -> list:
+    if op == "insert" or not seq:
+        at %= len(seq) + 1
+        return seq[:at] + [item] + seq[at:]
+    at %= len(seq)
+    tail = {"drop": [], "duplicate": [seq[at], seq[at]], "replace": [item]}[op]
+    return seq[:at] + tail + seq[at + 1 :]
+
+
+def _mutate(raw: bytes, mutations) -> bytes:
+    """Apply byte, cell (comma-separated) and row (newline-separated) edits in turn."""
+    for unit, op, at, within, payload in mutations:
+        if unit == "byte":
+            raw = b"".join(_edit([raw[k : k + 1] for k in range(len(raw))], op, at, payload))
+            continue
+        rows = raw.split(b"\n")
+        if unit == "row":
+            rows = _edit(rows, op, at, payload)
+        else:
+            r = at % len(rows)
+            rows[r] = b",".join(_edit(rows[r].split(b","), op, within, payload))
+        raw = b"\n".join(rows)
+    return raw
+
+
+class TestReaderFuzz:
+    """Mutated valid files either load or raise a ParseError that starts with the path."""
+
+    TABLE, PG = dmod.generate_synthetic(3, 30, seed=0)
+    FUZZ = settings(max_examples=300, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @staticmethod
+    def _loads_or_names_path(path, read):
+        try:
+            read(path)
+        except dmod.ParseError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+
+    @FUZZ
+    @given(mutations=MUTATIONS)
+    def test_signal_reader(self, tmp_path, mutations):
+        path = tmp_path / "signals.csv"
+        dmod.write_signal_csv(self.TABLE, path)
+        path.write_bytes(_mutate(path.read_bytes(), mutations))
+        self._loads_or_names_path(path, dmod.read_signal_csv)
+
+    @FUZZ
+    @given(mutations=MUTATIONS, n_stations=st.sampled_from([None, 3]))
+    def test_edge_reader(self, tmp_path, mutations, n_stations):
+        path = tmp_path / "edges.csv"
+        dmod.write_edges_csv(self.PG, path)
+        path.write_bytes(_mutate(path.read_bytes(), mutations))
+        self._loads_or_names_path(path, lambda p: dmod.load_road_network(p, n_stations))
 
 
 class TestSyntheticData:
@@ -356,7 +484,8 @@ class TestCli:
              "metric_scale_u must have one entry per head (2)"),
             ("tune", "heads", {"count": 2, "metric_scale_u": [1.0]},
              "metric_scale_u must have one entry per head (2)"),
-            ("forecast", "solver", {"cg_alpha": [0.1, 0.2]}, "operands could not be broadcast"),
+            ("forecast", "solver", {"cg_alpha": [0.1, 0.2]},
+             "cg_alpha has 2 entries; expected a scalar or cg_iters = 8 entries"),
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
              "forecast-cg_alpha-length"],
@@ -373,6 +502,38 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config section '{section}': {message}"), err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"timestamp,s0\n0,1.0\n300,\xff\n", "3: byte 0xff is not UTF-8"),
+            (b"timestamp,s0\n0,1.0\n300," + b"9" * 200_000 + b"\n",
+             "3: field larger than field limit (131072)"),
+            (b"timestamp,s0\n0,1.0\n99999999999999999999,2.0\n",
+             "3: column 1: timestamp '99999999999999999999' does not fit in 64 bits"),
+        ],
+        ids=["not-utf8", "oversized-field", "timestamp-overflow"],
+    )
+    def test_unreadable_signal_file_exits_1(self, synth_dir, capsys, content, message):
+        bad = synth_dir / "bad.csv"
+        bad.write_bytes(content)
+        rc = cli_main([
+            "forecast", "--signals", str(bad),
+            "--edges", str(synth_dir / "edges.csv"), "--out", str(synth_dir / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{message}"), err
+
+    def test_missing_input_file_exits_1(self, synth_dir, capsys):
+        missing = synth_dir / "missing.csv"
+        rc = cli_main([
+            "forecast", "--signals", str(missing),
+            "--edges", str(synth_dir / "edges.csv"), "--out", str(synth_dir / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(missing) in err
 
     def test_parse_error_exit_code(self, synth_dir, capsys):
         bad = synth_dir / "bad.csv"

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stforecast.attention import build_mixed_graph
+from stforecast.data import ParseError, load_road_network
 from stforecast.graphs import (
     DegenerateDegreeError,
-    EdgeListError,
     PhysicalGraph,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
@@ -16,7 +16,6 @@ from stforecast.graphs import (
     build_temporal_skeleton,
     directed_skeleton_from_edges,
     flat_index,
-    load_road_network,
     symmetrized_dglr_matrix,
 )
 
@@ -73,32 +72,32 @@ class TestRoadNetworkCsv:
     def test_id_beyond_station_count_names_line(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("from,to,cost\n0,1,2.5\n4,1,1.0\n")
-        with pytest.raises(EdgeListError, match=r"edges\.csv:3: station 4 out of range for 4"):
+        with pytest.raises(ParseError, match=r"edges\.csv:3: station 4 out of range for 4"):
             load_road_network(path, n_stations=4)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("a,b,c\n0,1,2.5\n")
-        with pytest.raises(EdgeListError, match="header"):
+        with pytest.raises(ParseError, match="header"):
             load_road_network(path)
 
     def test_error_names_line(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("from,to,cost\n0,1,2.5\n1,x,1.0\n")
-        with pytest.raises(EdgeListError, match="edges.csv:3"):
+        with pytest.raises(ParseError, match="edges.csv:3"):
             load_road_network(path)
 
     @pytest.mark.parametrize("cost", ["nan", "inf"])
     def test_nonfinite_cost_rejected(self, tmp_path, cost):
         path = tmp_path / "edges.csv"
         path.write_text(f"from,to,cost\n0,1,2.5\n1,2,{cost}\n")
-        with pytest.raises(EdgeListError, match=r"edges\.csv: non-finite cost"):
+        with pytest.raises(ParseError, match=r"edges\.csv:3: non-finite cost"):
             load_road_network(path)
 
     def test_duplicate_edge_rejected(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("from,to,cost\n0,1,2.5\n1,0,3.0\n")
-        with pytest.raises(EdgeListError, match="duplicate"):
+        with pytest.raises(ParseError, match="duplicate"):
             load_road_network(path)
 
 

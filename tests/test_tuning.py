@@ -181,7 +181,8 @@ class TestConfigRoundTrip:
             ("heads", {"count": 2, "metric_scale_d": 1.0},
              "metric_scale_d must have one entry per head (2)"),
             ("solver", {"cg_iters": 0}, "unrolled mode needs a positive iteration count"),
-            ("solver", {"cg_iters": 4, "cg_beta": [0.1, 0.2]}, "operands could not be broadcast"),
+            ("solver", {"cg_iters": 4, "cg_beta": [0.1, 0.2]},
+             "cg_beta has 2 entries; expected a scalar or cg_iters = 4 entries"),
         ],
         ids=[
             "null-mu_u", "null-mu_d2", "null-mu_d1", "negative-mu_d2", "zero-rho",
