@@ -178,6 +178,14 @@ def embed(
     return out
 
 
+def seeded_projection(
+    embed_dim: int, feature_dim: int = DEFAULT_FEATURE_DIM, seed: int = 0
+) -> np.ndarray:
+    """Random (feature_dim, embed_dim) projection with entries N(0, 1/embed_dim)."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((feature_dim, embed_dim)) / np.sqrt(embed_dim)
+
+
 def _swish(v: np.ndarray, beta: float) -> np.ndarray:
     return v / (1.0 + np.exp(-beta * v))
 
@@ -201,13 +209,8 @@ class FeatureMap:
             raise ValueError("projection must be finite")
         if self.projection.ndim != 2 or self.projection.shape[0] < 1:
             raise ValueError("projection must be a (K, E) matrix with K >= 1")
-
-    @classmethod
-    def default(cls, embed_dim: int, feature_dim: int = DEFAULT_FEATURE_DIM, seed: int = 0,
-                aggregate_neighbors: bool = False, swish_beta: float | None = None) -> "FeatureMap":
-        rng = np.random.default_rng(seed)
-        proj = rng.standard_normal((feature_dim, embed_dim)) / np.sqrt(embed_dim)
-        return cls(proj, aggregate_neighbors=aggregate_neighbors, swish_beta=swish_beta)
+        if self.bias is not None:
+            self.bias = np.asarray(self.bias, dtype=np.float64)
 
     def __call__(self, embeddings: np.ndarray, skel: SpatialSkeleton | None = None) -> np.ndarray:
         emb = embeddings
@@ -239,30 +242,6 @@ class FeatureMap:
         return feats
 
 
-@dataclass(eq=False)
-class MetricMatrix:
-    """PSD metric M = M0' M0 learned through its square factor."""
-
-    factor: np.ndarray  # (K, K)
-
-    def __post_init__(self):
-        self.factor = np.asarray(self.factor, dtype=np.float64)
-        if self.factor.ndim != 2 or self.factor.shape[0] != self.factor.shape[1]:
-            raise ValueError("metric factor must be square")
-
-    @property
-    def metric(self) -> np.ndarray:
-        return self.factor.T @ self.factor
-
-
-def mahalanobis(f_i: np.ndarray, f_j: np.ndarray, m: MetricMatrix) -> float:
-    d = np.asarray(f_i, dtype=np.float64) - np.asarray(f_j, dtype=np.float64)
-    if d.shape[0] != m.factor.shape[0]:
-        raise ValueError("feature dimension does not match metric")
-    md = m.factor @ d
-    return float(md @ md)
-
-
 def _pairwise_distances(diffs: np.ndarray, factors_t: np.ndarray) -> np.ndarray:
     """Mahalanobis distances of differences (..., E, K) under transposed factors (..., K, K).
 
@@ -273,28 +252,33 @@ def _pairwise_distances(diffs: np.ndarray, factors_t: np.ndarray) -> np.ndarray:
     return np.einsum("...ek,...ek->...e", md, md)
 
 
-def _transposed_factors(metrics) -> tuple[np.ndarray, bool]:
-    """Transposed factors M0' of metrics, one list or one list per head, as (heads, count, K, K).
+def _transposed_factors(factors) -> tuple[np.ndarray, bool]:
+    """Transposed factors M0' as (heads, count, K, K), and whether the head axis was absent.
 
-    Stored contiguously, because a product with the strided view
-    ``factor.T`` under a head axis runs several times slower. The flag tells
-    whether a single list (no head axis) was given.
+    ``factors`` is (heads, count, K, K), or the one-head form: (count, K, K)
+    or a list of K x K arrays. Stored contiguously, because a product with
+    the strided view ``factor.T`` under a head axis runs several times slower.
     """
-    single = isinstance(metrics[0], MetricMatrix)
-    rows = [metrics] if single else metrics
-    return np.array([[m.factor.T for m in row] for row in rows]), single
+    factors = np.asarray(factors, dtype=np.float64)
+    single = factors.ndim == 3
+    return np.ascontiguousarray((factors[None] if single else factors).swapaxes(-1, -2)), single
 
 
 @dataclass(eq=False)
 class MetricBank:
-    """Per-head metric sets: one per instant (spatial) and one per lag (temporal)."""
+    """Per-head factors M0 of the PSD metrics M = M0' M0: one per instant
+    (spatial) and one per lag (temporal), lag w at index w - 1."""
 
-    undirected: list[list[MetricMatrix]]  # [head][instant]
-    directed: list[list[MetricMatrix]]  # [head][lag-1]
+    undirected: np.ndarray  # (heads, instants, K, K)
+    directed: np.ndarray  # (heads, window, K, K)
 
     @property
     def heads(self) -> int:
-        return len(self.undirected)
+        return self.undirected.shape[0]
+
+    def head(self, h: int) -> "MetricBank":
+        """Head ``h`` alone, as a one-head bank."""
+        return MetricBank(self.undirected[h : h + 1], self.directed[h : h + 1])
 
     @classmethod
     def default(
@@ -314,33 +298,28 @@ class MetricBank:
         su = np.broadcast_to(np.asarray(scale_u, dtype=float), (heads,))
         sd = np.broadcast_to(np.asarray(scale_d, dtype=float), (heads,))
         eye = np.eye(feature_dim)
-        und = [
-            [MetricMatrix(1.5 * su[h] * eye) for _ in range(n_instants)]
-            for h in range(heads)
-        ]
-        dire = [
-            [MetricMatrix((1.0 + 0.2 * w / window) * sd[h] * eye) for w in range(1, window + 1)]
-            for h in range(heads)
-        ]
-        return cls(und, dire)
+        und = (1.5 * su)[:, None, None, None] * eye
+        lag_scale = 1.0 + 0.2 * np.arange(1, window + 1) / window
+        dire = (lag_scale * sd[:, None])[..., None, None] * eye
+        return cls(np.repeat(und, n_instants, axis=1), dire)
 
 
 def undirected_weights(
     features: np.ndarray,
     skel: SpatialSkeleton,
-    metrics: list,
+    factors,
 ) -> np.ndarray:
     """Per-instant spatial edge weights, shape (n_instants, n_edges).
 
     w_ij = exp(-d_ij) / sqrt(sum_l exp(-d_il) * sum_k exp(-d_jk)) with the
     sums running over the skeleton neighborhoods; symmetric by construction.
 
-    ``metrics`` holds one metric per instant, or one such list per head; with
-    heads the result is (heads, n_instants, n_edges), every head computed at
-    once per instant, and ``features`` may be shared (nodes, K) or per head
-    (heads, nodes, K).
+    ``factors`` holds one metric factor per instant, or one such set per
+    head (see ``MetricBank``); with heads the result is (heads, n_instants,
+    n_edges), every head computed at once per instant, and ``features`` may
+    be shared (nodes, K) or per head (heads, nodes, K).
     """
-    factors_t, single = _transposed_factors(metrics)
+    factors_t, single = _transposed_factors(factors)
     n_heads, n_instants = factors_t.shape[:2]
     n = skel.n_stations
     features = np.asarray(features, dtype=np.float64)
@@ -371,15 +350,15 @@ def undirected_weights(
 def directed_weights(
     features: np.ndarray,
     skel: DirectedSkeleton,
-    metrics: list,
+    factors,
 ) -> np.ndarray:
     """Temporal edge weights: softmax over each child's predecessor set.
 
     The distance for an edge uses the metric of its lag; incoming weights of
-    every non-source node sum to one. ``metrics`` holds one metric per lag,
-    or one such list per head, which gives a (heads, n_edges) result.
+    every non-source node sum to one. ``factors`` holds one metric factor per
+    lag, or one such set per head, which gives a (heads, n_edges) result.
     """
-    factors_t, single = _transposed_factors(metrics)
+    factors_t, single = _transposed_factors(factors)
     n_heads = factors_t.shape[0]
     if skel.n_edges == 0:
         return np.zeros(0) if single else np.zeros((n_heads, 0))

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data, pipeline, solver, tuning, verify
-from .attention import MetricBank
 from .config import PipelineConfig
 
 
@@ -36,10 +35,8 @@ def _head_graph(args, cfg, pg, standardizer, interval, sample):
     _check_range("--head", args.head, cfg.heads.count)
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
     x0, y, t_steps = pipeline.initial_signal(sample, ctx)
-    # a one-head bank, so ``multi_head_graphs`` builds that head's graph alone
-    bank = MetricBank([ctx.bank.undirected[args.head]], [ctx.bank.directed[args.head]])
     graph = pipeline.block_graph(
-        ctx, x0, t_steps, sample.observed.shape[1], bank=bank,
+        ctx, x0, t_steps, sample.observed.shape[1], bank=ctx.bank.head(args.head),
         with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
     )
     return x0, y, graph
@@ -70,7 +67,7 @@ def cmd_forecast(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = (
-        [s, int(stamp), repr(pred[s, h]), repr(float(sample.target[s, h]))]
+        [s, int(stamp), repr(float(pred[s, h])), repr(float(sample.target[s, h]))]
         for sample, pred in zip(chosen, report["predictions"])
         for s in range(sample.n_stations)
         for h, stamp in enumerate(sample.timestamps[sample.observed.shape[1]:])

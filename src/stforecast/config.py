@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .attention import DEFAULT_FEATURE_DIM, DEFAULT_SPATIAL_DIM, MetricBank, MetricMatrix
+from .attention import DEFAULT_FEATURE_DIM, DEFAULT_SPATIAL_DIM, TEMPORAL_DIM, MetricBank
 from .solver import (
     DEFAULT_CG_INIT,
     DEFAULT_CG_ITERS,
@@ -57,6 +57,23 @@ class GraphSettings:
     swish_beta: float | None = None
     projection: list | None = None  # explicit (K, E) matrix overrides the seeded one
     projection_bias: list | None = None
+
+    def __post_init__(self):
+        k, e = self.feature_dim, 1 + self.spatial_dim + TEMPORAL_DIM
+        for name, shape, rule in (
+            ("projection", (k, e), f"be feature_dim x (1 + spatial_dim + {TEMPORAL_DIM}) = {k} x {e}"),
+            ("projection_bias", (k,), f"have feature_dim = {k} entries"),
+        ):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            got = _shape(value)
+            if got != shape:
+                raise ValueError(
+                    f"{name} must {rule}, got " + (repr(value) if got is None else f"shape {got}")
+                )
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -165,19 +182,23 @@ class HeadSettings:
         for i, entry in enumerate(self.metric_overrides):
             h = _override_index(i, entry, "head", 0, self.count)
             if "instant" in entry:
-                slots, slot = bank.undirected[h], _override_index(i, entry, "instant", 0, n_instants)
+                slots, slot = bank.undirected, _override_index(i, entry, "instant", 0, n_instants)
             elif "lag" in entry:
-                slots, slot = bank.directed[h], _override_index(i, entry, "lag", 1, window + 1) - 1
+                slots, slot = bank.directed, _override_index(i, entry, "lag", 1, window + 1) - 1
             else:
                 raise ValueError(f"metric_overrides[{i}] needs an 'instant' or 'lag' key")
-            try:
-                factor = np.asarray(entry["factor"], dtype=float)
-            except (KeyError, TypeError, ValueError):
-                factor = None
-            if factor is None or factor.shape != (feature_dim, feature_dim):
+            if _shape(entry.get("factor")) != (feature_dim, feature_dim):
                 raise ValueError(f"metric_overrides[{i}]: factor must be {feature_dim}x{feature_dim}")
-            slots[slot] = MetricMatrix(factor)
+            slots[h, slot] = entry["factor"]
         return bank
+
+
+def _shape(value) -> tuple | None:
+    """The shape of ``value`` as a float array, or None if it is not one."""
+    try:
+        return np.asarray(value, dtype=float).shape
+    except (TypeError, ValueError):
+        return None
 
 
 def _override_index(i: int, entry: dict, key: str, low: int, stop: int) -> int:

@@ -148,6 +148,8 @@ def _signal_cell(col: int, cell: str) -> float:
 
 def read_signal_csv(path) -> SignalTable:
     header, _, rows = _read_csv(path, _check_signal_header, _signal_row)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     timestamps = np.array([stamp for stamp, _ in rows], dtype=np.int64)
     values = np.array([vals for _, vals in rows], dtype=np.float64)
     try:

@@ -136,22 +136,17 @@ class PipelineContext:
             bank = config.heads.build_bank(config.data.n_instants, g.window, g.feature_dim)
         if standardizer is None:
             standardizer = Standardizer.identity(pg.n_stations)
-        embed_dim = 1 + g.spatial_dim + attention.TEMPORAL_DIM
-        if g.projection is not None:
-            feature_map = attention.FeatureMap(
-                np.asarray(g.projection, dtype=float),
-                bias=None if g.projection_bias is None else np.asarray(g.projection_bias),
-                aggregate_neighbors=g.aggregate_neighbors,
-                swish_beta=g.swish_beta,
+        projection = g.projection
+        if projection is None:
+            projection = attention.seeded_projection(
+                1 + g.spatial_dim + attention.TEMPORAL_DIM, g.feature_dim, g.feature_seed
             )
-        else:
-            feature_map = attention.FeatureMap.default(
-                embed_dim,
-                g.feature_dim,
-                seed=g.feature_seed,
-                aggregate_neighbors=g.aggregate_neighbors,
-                swish_beta=g.swish_beta,
-            )
+        feature_map = attention.FeatureMap(
+            projection,
+            bias=g.projection_bias,
+            aggregate_neighbors=g.aggregate_neighbors,
+            swish_beta=g.swish_beta,
+        )
         return cls(pg, config, bank, standardizer, sskel, tskel, eigmap, feature_map, interval)
 
 

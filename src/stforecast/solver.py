@@ -155,6 +155,8 @@ class CgSchedule:
         betas=DEFAULT_CG_INIT,
     ) -> "CgSchedule":
         """Fixed-step schedule; alphas clamped to [0, 0.8], betas to >= 0."""
+        if iters < 1:
+            raise ValueError("unrolled mode needs a positive iteration count")
         alphas = np.clip(np.broadcast_to(np.asarray(alphas, dtype=float), (iters,)), 0.0, CG_ALPHA_MAX)
         betas = np.maximum(np.broadcast_to(np.asarray(betas, dtype=float), (iters,)), 0.0)
         return cls(mode="unrolled", iters=iters, alphas=alphas, betas=betas)

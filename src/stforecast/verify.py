@@ -293,7 +293,7 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     for h in range(graph.lanes):
         alone = pipeline.block_graph(
             ctx, x, t_steps, n_obs,
-            bank=MetricBank([ctx.bank.undirected[h]], [ctx.bank.directed[h]]),
+            bank=ctx.bank.head(h),
             with_undirected_temporal=True,
         )
         for name in ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n"):

@@ -9,12 +9,12 @@ from stforecast.attention import (
     DegenerateWeightError,
     FeatureMap,
     MetricBank,
-    MetricMatrix,
+    _pairwise_distances,
     build_mixed_graph,
     directed_weights,
     embed,
-    mahalanobis,
     multi_head_graphs,
+    seeded_projection,
     spatial_eigenmap,
     temporal_embedding,
     undirected_weights,
@@ -84,18 +84,24 @@ class TestEmbed:
         np.testing.assert_array_equal(emb[3, 4:], temporal_embedding(np.array([1.0]))[0])
 
 
+def mahalanobis(f_i, f_j, factor):
+    """Squared distance of one feature pair under the metric factor' factor."""
+    diff = np.asarray(f_i, dtype=float) - np.asarray(f_j, dtype=float)
+    return float(_pairwise_distances(diff[None], np.asarray(factor, dtype=float).T)[0])
+
+
 class TestMahalanobis:
     def test_identical_features(self):
-        m = MetricMatrix(np.eye(3))
+        m = np.eye(3)
         assert mahalanobis(np.ones(3), np.ones(3), m) == 0.0
 
     def test_identity_metric_is_euclidean(self):
-        m = MetricMatrix(np.eye(2))
+        m = np.eye(2)
         assert mahalanobis(np.array([1.0, 2.0]), np.array([4.0, 6.0]), m) == pytest.approx(25.0)
 
     def test_hand_factor(self):
         # M0 = [[1,1],[0,1]] -> M = [[1,1],[1,2]]
-        m = MetricMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        m = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert mahalanobis(np.array([1.0, 0.0]), np.zeros(2), m) == pytest.approx(1.0)
         assert mahalanobis(np.array([0.0, 1.0]), np.zeros(2), m) == pytest.approx(2.0)
 
@@ -103,8 +109,8 @@ class TestMahalanobis:
         rng = np.random.default_rng(0)
         for _ in range(20):
             k = int(rng.integers(2, 16))
-            m = MetricMatrix(rng.standard_normal((k, k)))
-            assert np.linalg.eigvalsh(m.metric)[0] >= -1e-12
+            m = rng.standard_normal((k, k))
+            assert np.linalg.eigvalsh(m.T @ m)[0] >= -1e-12
             f = rng.standard_normal((2, k))
             assert mahalanobis(f[0], f[1], m) >= 0.0
 
@@ -120,14 +126,14 @@ class TestUndirectedWeights:
         pg = PhysicalGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
         skel = build_spatial_skeleton(pg, 2)
         feats = np.zeros((3, 2))
-        w = undirected_weights(feats, skel, [MetricMatrix(np.eye(2))])
+        w = undirected_weights(feats, skel, [np.eye(2)])
         np.testing.assert_allclose(w[0], 0.5)
 
     def test_two_node_self_normalizing(self):
         pg = PhysicalGraph(2, ((0, 1, 1.0),))
         skel = build_spatial_skeleton(pg, 1)
         feats = np.array([[0.0], [7.0]])  # large distance
-        w = undirected_weights(feats, skel, [MetricMatrix(np.eye(1))])
+        w = undirected_weights(feats, skel, [np.eye(1)])
         np.testing.assert_allclose(w[0], 1.0)
 
     def test_path3_hand_oracle(self):
@@ -135,7 +141,7 @@ class TestUndirectedWeights:
         # w01 = 1/sqrt(1 * 1.5), w12 = 0.5/sqrt(1.5 * 0.5)
         skel = path3_setup()
         feats = np.array([[0.0], [0.0], [np.sqrt(np.log(2.0))]])
-        w = undirected_weights(feats, skel, [MetricMatrix(np.eye(1))])
+        w = undirected_weights(feats, skel, [np.eye(1)])
         np.testing.assert_allclose(w[0][0], 1.0 / np.sqrt(1.5), atol=1e-12)
         np.testing.assert_allclose(w[0][1], 0.5 / np.sqrt(0.75), atol=1e-12)
 
@@ -144,7 +150,7 @@ class TestUndirectedWeights:
         skel = path3_setup()
         rng = np.random.default_rng(1)
         feats = rng.standard_normal((6, 3))
-        w = undirected_weights(feats, skel, [MetricMatrix(rng.standard_normal((3, 3)))] * 2)
+        w = undirected_weights(feats, skel, [rng.standard_normal((3, 3))] * 2)
         assert w.shape == (2, 2)
 
     def test_shift_invariance(self):
@@ -153,7 +159,7 @@ class TestUndirectedWeights:
         skel = path3_setup()
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((3, 2))
-        m = MetricMatrix(rng.standard_normal((2, 2)))
+        m = rng.standard_normal((2, 2))
         w1 = undirected_weights(feats, skel, [m])
         w2 = undirected_weights(feats * 1.0, skel, [m])
         np.testing.assert_array_equal(w1, w2)
@@ -164,15 +170,15 @@ class TestUndirectedWeights:
         skel = path3_setup()
         feats = np.array([[0.0], [0.0], [np.sqrt(1e9)]])
         with pytest.raises(DegenerateWeightError, match="instant 0"):
-            undirected_weights(feats, skel, [MetricMatrix(np.eye(1))])
+            undirected_weights(feats, skel, [np.eye(1)])
 
     def test_heads_report_first_instant_then_first_head(self):
         # heads 1 and 2 underflow at instant 1, head 0 only at instant 2
         skel = path3_setup()
         feats = np.tile([[0.0], [0.0], [1.0]], (3, 1))
         bank = MetricBank.default(3, 1, feature_dim=1, heads=3)
-        huge = MetricMatrix(np.array([[np.sqrt(1e9)]]))
-        bank.undirected[0][2] = bank.undirected[1][1] = bank.undirected[2][1] = huge
+        huge = np.array([[np.sqrt(1e9)]])
+        bank.undirected[0, 2] = bank.undirected[1, 1] = bank.undirected[2, 1] = huge
         with pytest.raises(DegenerateWeightError) as info:
             undirected_weights(feats, skel, bank.undirected)
         assert (info.value.head, info.value.instant) == (1, 1)
@@ -183,13 +189,13 @@ class TestDirectedWeights:
     def test_single_predecessor_gets_unit_weight(self):
         skel = build_temporal_skeleton(1, 3, 1)
         feats = np.random.default_rng(3).standard_normal((3, 2))
-        w = directed_weights(feats, skel, [MetricMatrix(np.eye(2))])
+        w = directed_weights(feats, skel, [np.eye(2)])
         np.testing.assert_allclose(w, 1.0)
 
     def test_equal_distances_split_evenly(self):
         skel = build_temporal_skeleton(1, 3, 2)
         feats = np.zeros((3, 2))
-        w = directed_weights(feats, skel, [MetricMatrix(np.eye(2))] * 2)
+        w = directed_weights(feats, skel, [np.eye(2)] * 2)
         child2 = skel.dst == 2
         np.testing.assert_allclose(w[child2], 0.5)
 
@@ -197,7 +203,7 @@ class TestDirectedWeights:
         # distances 0 and ln 3 over two predecessors give weights 3/4 and 1/4
         skel = directed_skeleton_from_edges(3, [(0, 2, 1), (1, 2, 1)])
         feats = np.array([[0.0], [np.sqrt(np.log(3.0))], [0.0]])
-        w = directed_weights(feats, skel, [MetricMatrix(np.eye(1))])
+        w = directed_weights(feats, skel, [np.eye(1)])
         np.testing.assert_allclose(sorted(w), [0.25, 0.75], atol=1e-12)
 
     def test_incoming_mass_sums_to_one(self):
@@ -215,7 +221,7 @@ class TestDirectedWeights:
     def test_monotone_attention(self):
         # pushing one predecessor's feature away strictly lowers its weight
         skel = directed_skeleton_from_edges(3, [(0, 2, 1), (1, 2, 1)])
-        metric = [MetricMatrix(np.eye(1))]
+        metric = [np.eye(1)]
         w_ref = directed_weights(np.array([[0.0], [1.0], [0.0]]), skel, metric)
         w_far = directed_weights(np.array([[0.0], [2.0], [0.0]]), skel, metric)
         edge_from_1 = skel.src == 1
@@ -227,7 +233,7 @@ class TestDirectedWeights:
         skel = build_temporal_skeleton(2, 4, 2)
         rng = np.random.default_rng(5)
         feats = rng.standard_normal((8, 3))
-        metrics = [MetricMatrix(s1 * np.eye(3)), MetricMatrix(s2 * np.eye(3))]
+        metrics = [s1 * np.eye(3), s2 * np.eye(3)]
         w = directed_weights(feats, skel, metrics)
         sums = np.zeros(8)
         np.add.at(sums, skel.dst, w)
@@ -236,13 +242,13 @@ class TestDirectedWeights:
 
 class TestFeatureMap:
     def test_projection_shape(self):
-        fm = FeatureMap.default(16, 6, seed=0)
+        fm = FeatureMap(seeded_projection(16, 6, seed=0))
         feats = fm(np.random.default_rng(0).standard_normal((10, 16)))
         assert feats.shape == (10, 6)
 
     def test_deterministic_under_seed(self):
-        a = FeatureMap.default(16, 6, seed=3).projection
-        b = FeatureMap.default(16, 6, seed=3).projection
+        a = FeatureMap(seeded_projection(16, 6, seed=3)).projection
+        b = FeatureMap(seeded_projection(16, 6, seed=3)).projection
         np.testing.assert_array_equal(a, b)
 
     def test_swish_applied(self):
@@ -271,7 +277,7 @@ class TestBuildMixedGraph:
         tskel = build_temporal_skeleton(1, 4, 1)
         sskel1 = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
         wu = np.zeros((4, 0))
-        wd = directed_weights(np.zeros((4, 1)), tskel, [MetricMatrix(np.eye(1))])
+        wd = directed_weights(np.zeros((4, 1)), tskel, [np.eye(1)])
         g = build_mixed_graph(wu, wd, sskel1, tskel, n_observed=2)
         np.testing.assert_array_equal(g.call_rd.toarray(), LINE4_CALL)
 
@@ -356,10 +362,10 @@ class TestMultiHead:
 class TestMetricBank:
     def test_default_fills(self):
         bank = MetricBank.default(5, 3, feature_dim=4, heads=1)
-        np.testing.assert_array_equal(bank.undirected[0][0].factor, 1.5 * np.eye(4))
+        np.testing.assert_array_equal(bank.undirected[0, 0], 1.5 * np.eye(4))
         for w in range(1, 4):
             np.testing.assert_allclose(
-                bank.directed[0][w - 1].factor, (1 + 0.2 * w / 3) * np.eye(4)
+                bank.directed[0, w - 1], (1 + 0.2 * w / 3) * np.eye(4)
             )
 
     def test_counts_match_dimensions(self):

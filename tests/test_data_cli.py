@@ -363,6 +363,8 @@ class TestCli:
         pred_lines = (out / "predictions.csv").read_text().strip().splitlines()
         assert pred_lines[0] == "station,instant,predicted,actual"
         assert len(pred_lines) == 1 + 2 * 5 * 6  # 2 samples x 5 stations x 6 steps
+        for line in pred_lines[1:]:
+            float(line.split(",")[2])  # a plain number, not a numpy repr
         assert (out / "metrics.csv").exists()
         assert "rmse" in capsys.readouterr().out
 
@@ -511,9 +513,11 @@ class TestCli:
              "3: field larger than field limit (131072)"),
             (b"timestamp,s0\n0,1.0\n99999999999999999999,2.0\n",
              "3: column 1: timestamp '99999999999999999999' does not fit in 64 bits"),
+            (b"timestamp,s0,s1,s2,s3,s4\n", " no data rows"),
         ],
-        ids=["not-utf8", "oversized-field", "timestamp-overflow"],
+        ids=["not-utf8", "oversized-field", "timestamp-overflow", "header-only"],
     )
+    @pytest.mark.filterwarnings("error")  # a rejected file must not reach numpy's warnings
     def test_unreadable_signal_file_exits_1(self, synth_dir, capsys, content, message):
         bad = synth_dir / "bad.csv"
         bad.write_bytes(content)

@@ -87,6 +87,21 @@ def small_config(**kw):
     return cfg
 
 
+class TestFeatureMapSettings:
+    def test_bias_applied_with_seeded_projection(self):
+        _, pg, _ = tiny_dataset()
+        bias = [0.5, -1.0, 2.0, 0.0, 3.0, -0.25]
+        plain = PipelineContext.build(pg, small_config())
+        cfg = small_config()
+        cfg.graph.projection_bias = bias
+        biased = PipelineContext.build(pg, cfg)
+        emb = np.random.default_rng(0).standard_normal((10, plain.feature_map.projection.shape[1]))
+        np.testing.assert_array_equal(biased.feature_map.projection, plain.feature_map.projection)
+        np.testing.assert_allclose(
+            biased.feature_map(emb) - plain.feature_map(emb), np.tile(bias, (10, 1)), atol=1e-12
+        )
+
+
 class TestRunForecast:
     def test_zero_blocks_returns_extrapolation(self):
         splits, pg, std = tiny_dataset()

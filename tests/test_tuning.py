@@ -181,13 +181,25 @@ class TestConfigRoundTrip:
             ("heads", {"count": 2, "metric_scale_d": 1.0},
              "metric_scale_d must have one entry per head (2)"),
             ("solver", {"cg_iters": 0}, "unrolled mode needs a positive iteration count"),
+            ("solver", {"cg_iters": -1}, "unrolled mode needs a positive iteration count"),
             ("solver", {"cg_iters": 4, "cg_beta": [0.1, 0.2]},
              "cg_beta has 2 entries; expected a scalar or cg_iters = 4 entries"),
+            ("graph", {"projection": [[0.0] * 16] * 5},
+             "projection must be feature_dim x (1 + spatial_dim + 10) = 6 x 16, got shape (5, 16)"),
+            ("graph", {"spatial_dim": 3, "projection": [[0.0] * 16] * 6},
+             "projection must be feature_dim x (1 + spatial_dim + 10) = 6 x 14, got shape (6, 16)"),
+            ("graph", {"projection": [[0.0, 1.0], [2.0]]},
+             "projection must be feature_dim x (1 + spatial_dim + 10) = 6 x 16, got [[0.0, 1.0], [2.0]]"),
+            ("graph", {"feature_dim": 4, "projection_bias": [0.0] * 6},
+             "projection_bias must have feature_dim = 4 entries, got shape (6,)"),
+            ("graph", {"projection_bias": [0.0] * 5 + [float("nan")]},
+             "projection_bias must be finite"),
         ],
         ids=[
             "null-mu_u", "null-mu_d2", "null-mu_d1", "negative-mu_d2", "zero-rho",
             "negative-rho_d", "short-scale_u", "long-scale_d", "scalar-scale_d", "zero-cg_iters",
-            "cg_beta-length",
+            "negative-cg_iters", "cg_beta-length", "short-projection", "projection-vs-spatial_dim",
+            "ragged-projection", "long-projection_bias", "nan-projection_bias",
         ],
     )
     def test_bad_value_rejected_at_load(self, section, bad, message):
@@ -261,8 +273,8 @@ class TestMetricOverrides:
             {"head": 0, "lag": 6, "factor": (3 * np.eye(6)).tolist()},
         ]}})
         bank = cfg.heads.build_bank(cfg.data.n_instants, cfg.graph.window, cfg.graph.feature_dim)
-        np.testing.assert_array_equal(bank.undirected[1][17].factor, 2 * np.eye(6))
-        np.testing.assert_array_equal(bank.directed[0][5].factor, 3 * np.eye(6))
+        np.testing.assert_array_equal(bank.undirected[1, 17], 2 * np.eye(6))
+        np.testing.assert_array_equal(bank.directed[0, 5], 3 * np.eye(6))
 
 
 class TestTuneSpsa:
