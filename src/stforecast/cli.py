@@ -30,13 +30,18 @@ def _check_range(flag: str, value: int, count: int) -> None:
         raise ValueError(f"{flag} {value} is out of range [0, {count})")
 
 
+def _check_at_least(flag: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _head_graph(args, cfg, pg, standardizer, interval, sample):
     """Head ``args.head``'s block-0 graph for ``sample``, with the start signal and observations."""
     _check_range("--head", args.head, cfg.heads.count)
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
     x0, y, t_steps = pipeline.initial_signal(sample, ctx)
     graph = pipeline.block_graph(
-        ctx, x0, t_steps, sample.observed.shape[1], bank=ctx.bank.head(args.head),
+        ctx, [x0], [t_steps], sample.observed.shape[1], bank=ctx.bank.head(args.head),
         with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
     )
     return x0, y, graph
@@ -56,6 +61,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _check_at_least("--max-samples", args.max_samples, 1)
     cfg, splits, pg, standardizer, interval = _load(args)
     samples = getattr(splits, args.split)
     if not samples:
@@ -112,6 +118,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    _check_at_least("--iterations", args.iterations, 0)
+    _check_at_least("--eval-samples", args.eval_samples, 1)
     cfg, splits, pg, standardizer, interval = _load(args)
     if not splits.val:
         print("error: no validation samples", file=sys.stderr)
@@ -121,9 +129,10 @@ def cmd_tune(args) -> int:
         iterations=args.iterations, eval_samples=args.eval_samples, interval=interval,
     )
     best.save(args.out)
-    start, end = trace.best_losses[0], trace.best_losses[-1]
-    print(f"validation huber: {start:.6g} -> {end:.6g} "
-          f"({100.0 * (start - end) / start:.1f}% better)")
+    if trace.best_losses:  # empty when no iteration ran
+        start, end = trace.best_losses[0], trace.best_losses[-1]
+        print(f"validation huber: {start:.6g} -> {end:.6g} "
+              f"({100.0 * (start - end) / start:.1f}% better)")
     print(f"wrote {args.out}")
     if args.trace:
         rows = ([rec["iter"], rec["loss_plus"], rec["loss_minus"], best_loss, rec["rejected"]]

@@ -288,9 +288,9 @@ class MixedGraph:
     ``l_n`` is the normalized Laplacian of the symmetrized temporal graph,
     used only by the undirected-temporal solver variant.
 
-    A graph with ``lanes`` > 1 holds that many graphs of one shape (the heads
-    of a block) as the diagonal blocks of each operator; signals are the
-    per-lane vectors concatenated, and ``h_mask`` repeats once per lane.
+    A graph with ``lanes`` > 1 holds that many graphs of one shape as the
+    diagonal blocks of each operator; signals are the per-lane vectors
+    concatenated, and ``h_mask`` repeats once per lane.
     """
 
     n_stations: int

@@ -4,11 +4,13 @@ and ADMM blocks, merge heads, and score.
 The running signal is the stacked vector over stations x instants; each block
 relearns the mixed graph from the current signal, refines the signal with one
 ADMM block that runs every head as a lane of a block-diagonal system, merges
-the heads, and applies a residual step.
+the heads, and applies a residual step. Several windows run together as
+further lanes of the same system, window-major, head-minor.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,13 @@ from scipy.sparse.csgraph import connected_components
 from . import attention, solver
 from .config import PipelineConfig
 from .graphs import MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
+
+# Windows run as lanes of one system while windows x heads x stations x
+# instants stays within this many nodes. Measured by
+# ``scripts/lane_budget_sweep.py`` (table in README): the gain of stacking
+# small windows is flat by here, and larger stacks run slower than separate
+# calls.
+LANE_NODE_BUDGET = 12000
 
 
 @dataclass(eq=False)
@@ -176,66 +185,106 @@ def initial_signal(
 
 def block_graph(
     ctx: PipelineContext,
-    x: np.ndarray,
-    t_steps: np.ndarray,
+    xs: Sequence[np.ndarray],
+    t_steps: Sequence[np.ndarray],
     n_observed: int,
     bank: attention.MetricBank | None = None,
     with_undirected_temporal: bool = False,
 ) -> MixedGraph:
-    """The mixed graph a block learns from signal ``x``: embed, feature map,
-    then one lane per head of ``bank`` (the context's bank by default)."""
-    embeddings = attention.embed(x, ctx.pg, t_steps, ctx.eigmap)
-    feats = ctx.feature_map(embeddings, ctx.sskel)
+    """The mixed graph a block learns from the signals ``xs`` of one or more
+    windows, with their ``t_steps``: embed and feature map each window, then
+    one lane per head of ``bank`` (the context's bank by default) for each
+    window, window-major."""
+    bank = ctx.bank if bank is None else bank
+    feats = np.stack([
+        ctx.feature_map(attention.embed(x, ctx.pg, t, ctx.eigmap), ctx.sskel)
+        for x, t in zip(xs, t_steps)
+    ])
     return attention.multi_head_graphs(
-        feats, ctx.sskel, ctx.tskel, ctx.bank if bank is None else bank,
+        np.repeat(feats, bank.heads, axis=0), ctx.sskel, ctx.tskel, bank,
         n_observed=n_observed, with_undirected_temporal=with_undirected_temporal,
     )
 
 
-def _forward(sample: Sample, ctx: PipelineContext) -> np.ndarray:
-    """Full reconstruction in raw units, shape (N, T+1+S)."""
-    cfg = ctx.config
-    n = sample.n_stations
-    t_obs = sample.observed.shape[1]
-    if t_obs != cfg.data.history or sample.target.shape[1] != cfg.data.horizon:
-        raise ValueError("sample window does not match the configured history/horizon")
+def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
+    """Full reconstructions in raw units, (N, T+1+S) each, of windows run together.
 
-    x, y, t_steps = initial_signal(sample, ctx)
+    Each block learns one graph over every head of every window and runs one
+    ADMM block on it, lanes window-major, head-minor. In unrolled CG each
+    window's result is bitwise the one it gets alone; exact CG runs one CG
+    on the whole stack. A failure names the window by its position in
+    ``samples``.
+    """
+    cfg = ctx.config
+    for s in samples:
+        if s.observed.shape[1] != cfg.data.history or s.target.shape[1] != cfg.data.horizon:
+            raise ValueError("sample window does not match the configured history/horizon")
+
+    starts = [initial_signal(s, ctx) for s in samples]
+    x = np.stack([x0 for x0, _, _ in starts])  # (windows, nodes)
+    t_steps = [t for _, _, t in starts]
+    heads = ctx.bank.heads
+    y = np.concatenate([np.tile(y0, heads) for _, y0, _ in starts])
     sched = cfg.solver.schedule()
     mode = cfg.solver.mode
-    rho0 = cfg.default_rho(n)
-    merge = ctx.config.heads.merge
+    rho0 = cfg.default_rho(ctx.pg.n_stations)
     needs_ln = solver.TERMS[mode].temporal == "l_n"
     for b in range(cfg.layers.blocks):
         try:
-            graph = block_graph(ctx, x, t_steps, t_obs, with_undirected_temporal=needs_ln)
+            graph = block_graph(
+                ctx, x, t_steps, cfg.data.history, with_undirected_temporal=needs_ln
+            )
         except attention.DegenerateWeightError as exc:
             exc.block = b
+            exc.window, exc.head = divmod(exc.head, heads)  # the lane it names
             raise
         params = cfg.layers.layer_params(b, rho0)
-        heads = graph.lanes
         try:
             out = solver.admm_block(
-                np.tile(x, heads), np.tile(y, heads), graph, params, sched, mode
+                np.repeat(x, heads, axis=0).ravel(), y, graph, params, sched, mode
             )
         except solver.NumericFailure as exc:
-            exc.block, exc.head = b, graph.lane_of(exc.entry)
+            lane = graph.lane_of(exc.entry)
+            exc.block = b
+            exc.window, exc.head = (None, None) if lane is None else divmod(lane, heads)
             raise
-        x_new = sum(w * out_h for w, out_h in zip(merge, out.reshape(heads, -1)))
+        del graph  # so that two blocks' graphs are never held at once
+        out = out.reshape(len(samples), heads, -1)
+        x_new = sum(w * out[:, h] for h, w in enumerate(cfg.heads.merge))
         x = cfg.layers.residual[b] * x_new + (1.0 - cfg.layers.residual[b]) * x
 
-    return ctx.standardizer.inverse(unflatten_time_major(x, n))
+    n = ctx.pg.n_stations
+    return [ctx.standardizer.inverse(unflatten_time_major(x_w, n)) for x_w in x]
+
+
+def reconstruct_batch(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
+    """Full reconstructions in raw units of many windows, stacked in chunks.
+
+    Windows join a chunk while its lane nodes, windows x heads x stations x
+    instants, stay within ``LANE_NODE_BUDGET``; a window over the budget on
+    its own runs alone. A failure names the window by its position in
+    ``samples``.
+    """
+    per_call = max(1, LANE_NODE_BUDGET // (ctx.bank.heads * ctx.tskel.n_nodes))
+    recons = []
+    for first in range(0, len(samples), per_call):
+        try:
+            recons += _forward(samples[first : first + per_call], ctx)
+        except (solver.NumericFailure, attention.DegenerateWeightError) as exc:
+            if exc.window is not None:
+                exc.window += first
+            raise
+    return recons
 
 
 def run_forecast(sample: Sample, ctx: PipelineContext) -> np.ndarray:
     """Predicted future block in raw units, shape (N, S)."""
-    recon = _forward(sample, ctx)
-    return recon[:, sample.observed.shape[1] :]
+    return reconstruct(sample, ctx)[:, sample.observed.shape[1] :]
 
 
 def reconstruct(sample: Sample, ctx: PipelineContext) -> np.ndarray:
     """Full reconstructed sequence (observed span included), raw units."""
-    return _forward(sample, ctx)
+    return _forward([sample], ctx)[0]
 
 
 def persistence_forecast(sample: Sample) -> np.ndarray:
@@ -271,15 +320,18 @@ def evaluate(
     ctx: PipelineContext,
     max_samples: int | None = None,
 ) -> dict:
-    """Forecast a batch one window after another and aggregate metrics.
+    """Forecast a batch of windows and aggregate metrics.
 
+    The windows run as lanes of stacked systems (``reconstruct_batch``), and
+    each forecast is bitwise the one the window gets alone in unrolled CG.
     The persistence baseline is scored on the same windows; ``max_samples``
-    picks an evenly spaced subset.
+    picks an evenly spaced subset, and a failure names the window by its
+    position in that subset.
     """
     if not samples:
         raise ValueError("no samples to evaluate")
     chosen = evenly_spaced_subset(samples, max_samples)
-    recons = [_forward(s, ctx) for s in chosen]
+    recons = reconstruct_batch(chosen, ctx)
     preds, targets, base = [], [], []
     hubers = []
     for s, recon in zip(chosen, recons):
@@ -307,6 +359,9 @@ def evaluate(
 
 
 def evenly_spaced_subset(samples: list, max_samples: int | None) -> list:
+    """At most ``max_samples`` evenly spaced items of ``samples``; all of them for None."""
+    if max_samples is not None and max_samples < 1:
+        raise ValueError(f"max_samples must be at least 1, got {max_samples}")
     if max_samples is None or max_samples >= len(samples):
         return list(samples)
     idx = np.linspace(0, len(samples) - 1, max_samples).round().astype(int)

@@ -10,10 +10,10 @@ of the splits it has (Boyd et al., *Distributed Optimization and Statistical
 Learning via ADMM*, FnT ML 2011, section 3). ``full`` splits everything, so
 each solve stays cheap and well conditioned; ``direct_unsplit`` keeps the l2
 terms in the signal system, for fixed-point checks; the other three are the
-ablations. The heads of a block run together as lanes of one block-diagonal
-system (a lane-stacked ``MixedGraph``). Each CG solve applies one folded
-matrix, coef * operator + diag(shift [+ H'H]), built once per distinct set of
-layer scalars in a block.
+ablations. The heads of a block, of one window or of several, run together
+as lanes of one block-diagonal system (a lane-stacked ``MixedGraph``). Each
+CG solve applies one folded matrix, coef * operator + diag(shift [+ H'H]),
+built once per distinct set of layer scalars in a block.
 """
 
 from __future__ import annotations
@@ -67,17 +67,18 @@ class NumericFailure(RuntimeError):
     """A solve produced non-finite values; carries where it happened.
 
     Each caller on the way out fills in the fields it knows (CG iteration,
-    then layer and step, then block and head) on the same exception and
-    re-raises it, so the message names each place once. ``entry`` is the
+    then layer and step, then block, window and head) on the same exception
+    and re-raises it, so the message names each place once. ``entry`` is the
     flat position of the first non-finite value, when one was seen; under
     lanes it tells which lane failed.
     """
 
-    def __init__(self, message, *, block=None, head=None, layer=None, step=None,
+    def __init__(self, message, *, block=None, window=None, head=None, layer=None, step=None,
                  iteration=None, entry=None):
         super().__init__(message)
         self.message = message
         self.block = block
+        self.window = window
         self.head = head
         self.layer = layer
         self.step = step
@@ -89,6 +90,7 @@ class NumericFailure(RuntimeError):
             f"{label} {value}"
             for label, value in (
                 ("block", self.block),
+                ("window", self.window),
                 ("head", self.head),
                 ("layer", self.layer),
                 ("step", self.step),

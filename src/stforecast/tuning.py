@@ -180,11 +180,20 @@ def tune_spsa(
     seed: int | None = None,
     interval: float = 300.0,
 ) -> tuple[PipelineConfig, SpsaTrace]:
-    """Tune the compressed parameter set against validation Huber loss."""
+    """Tune the compressed parameter set against validation Huber loss.
+
+    Each loss evaluation runs the ``eval_samples`` validation windows as
+    lanes of stacked systems (``pipeline.reconstruct_batch``); a candidate
+    whose forward pass fails scores NaN.
+    """
     tcfg = config.tuner
     iterations = tcfg.iterations if iterations is None else iterations
     eval_samples = tcfg.eval_samples if eval_samples is None else eval_samples
     seed = tcfg.seed if seed is None else seed
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
+    if eval_samples is not None and eval_samples < 1:
+        raise ValueError(f"eval_samples must be at least 1, got {eval_samples}")
     if iterations == 0:
         return config, SpsaTrace(iterations=[], best_losses=[])
     subset = pipeline.evenly_spaced_subset(val_samples, eval_samples)
@@ -200,12 +209,10 @@ def tune_spsa(
         bank = cand.heads.build_bank(cand.data.n_instants, cand.graph.window, cand.graph.feature_dim)
         ctx = replace(base_ctx, config=cand, bank=bank)
         try:
-            losses = [
-                pipeline.huber_loss(pipeline.reconstruct(s, ctx), s.full_truth())
-                for s in subset
-            ]
+            recons = pipeline.reconstruct_batch(subset, ctx)
         except (ValueError, RuntimeError):
             return float("nan")
+        losses = [pipeline.huber_loss(r, s.full_truth()) for s, r in zip(subset, recons)]
         return float(np.mean(losses))
 
     theta0 = pack_config(config, tunables, pg.n_stations)

@@ -287,12 +287,12 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     ctx = pipeline.PipelineContext.build(pg, cfg)
     n_obs = sample.observed.shape[1]
     x, _, t_steps = pipeline.initial_signal(sample, ctx)
-    graph = pipeline.block_graph(ctx, x, t_steps, n_obs, with_undirected_temporal=True)
+    graph = pipeline.block_graph(ctx, [x], [t_steps], n_obs, with_undirected_temporal=True)
     size = graph.n_nodes // graph.lanes
     mismatched = []
     for h in range(graph.lanes):
         alone = pipeline.block_graph(
-            ctx, x, t_steps, n_obs,
+            ctx, [x], [t_steps], n_obs,
             bank=ctx.bank.head(h),
             with_undirected_temporal=True,
         )
@@ -330,6 +330,33 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     )
 
 
+def check_window_lanes(seed: int = 0) -> CheckResult:
+    """Two desk windows run in one batch equal each window run alone.
+
+    On the seeded desk data (20 stations) the default model in unrolled CG
+    must agree bit for bit; exact CG, which runs one CG over the whole stack,
+    must agree to 1e-8 (a one-block, five-layer model, to keep it quick).
+    """
+    table, pg = generate_synthetic(20, 2000, seed)
+    exact = PipelineConfig()
+    exact.solver.cg_mode = "exact"
+    exact.layers.blocks, exact.layers.layers = 1, 5
+    gaps = []
+    for cfg in (PipelineConfig(), exact):
+        windows = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
+        ctx = pipeline.PipelineContext.build(pg, cfg)
+        batch = pipeline._forward(windows, ctx)
+        gaps.append(max(
+            float(np.abs(together - pipeline.reconstruct(w, ctx)).max())
+            for w, together in zip(windows, batch)
+        ))
+    return CheckResult(
+        "two desk windows in one batch vs each alone (unrolled, exact CG)",
+        gaps[0] == 0.0 and gaps[1] <= 1e-8,
+        f"max deviation unrolled {gaps[0]:.1e}, exact {gaps[1]:.1e}",
+    )
+
+
 ALL_CHECKS = (
     check_line_graph_symmetrization,
     check_four_node_line_matrices,
@@ -341,6 +368,7 @@ ALL_CHECKS = (
     check_graph_invariants,
     check_sparse_eigenmap,
     check_lanes_and_folds,
+    check_window_lanes,
 )
 
 

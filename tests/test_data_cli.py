@@ -450,6 +450,42 @@ class TestCli:
         tuned = PipelineConfig.load(out)
         assert tuned.layers.blocks == 1
 
+    @pytest.mark.parametrize(
+        "command,flag,value,low",
+        [
+            ("forecast", "--max-samples", "0", 1),
+            ("forecast", "--max-samples", "-2", 1),
+            ("tune", "--eval-samples", "0", 1),
+            ("tune", "--eval-samples", "-1", 1),
+            ("tune", "--iterations", "-1", 0),
+        ],
+    )
+    def test_bad_sample_or_iteration_count_exits_1(self, synth_dir, capsys, command, flag,
+                                                   value, low):
+        out = synth_dir / "out"
+        rc = cli_main([
+            command, "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "config.json"), "--out", str(out), flag, value,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be at least {low}, got {value}\n", err
+        assert not out.exists()
+
+    def test_tune_without_iterations_writes_the_config(self, synth_dir, capsys):
+        out = synth_dir / "untuned.json"
+        rc = cli_main([
+            "tune", "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "config.json"), "--out", str(out), "--iterations", "0",
+        ])
+        assert rc == 0
+        assert PipelineConfig.load(out).to_dict() == PipelineConfig.load(
+            synth_dir / "config.json"
+        ).to_dict()
+        assert capsys.readouterr().out == f"wrote {out}\n"
+
     def test_graph_dump(self, synth_dir):
         out = synth_dir / "dump"
         rc = cli_main([

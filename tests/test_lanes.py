@@ -1,4 +1,8 @@
-"""Heads as lanes: a stacked block-diagonal solve against one solve per head."""
+"""Heads and windows as lanes: a stacked block-diagonal solve against one
+solve per head and per window."""
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -6,8 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stforecast import attention
-from stforecast.config import HeadSettings
+from stforecast import attention, data, pipeline, solver
+from stforecast.config import HeadSettings, PipelineConfig
 from stforecast.graphs import (
     MixedGraph,
     PhysicalGraph,
@@ -19,8 +23,10 @@ from stforecast.graphs import (
 )
 from stforecast.pipeline import (
     PipelineContext,
+    Standardizer,
     flatten_time_major,
     initial_extrapolation,
+    reconstruct,
     run_forecast,
     unflatten_time_major,
 )
@@ -449,17 +455,7 @@ class TestForwardLanes:
     def test_failing_lane_names_its_head(self, monkeypatch):
         splits, pg, std = tiny_dataset()
         ctx = PipelineContext.build(pg, small_config(heads=2), standardizer=std)
-        build = attention.multi_head_graphs
-
-        def second_head_diverges(*args, **kwargs):
-            g = build(*args, **kwargs)
-            lane_scale = np.repeat([1.0, 1e200], g.n_nodes // g.lanes)
-            return MixedGraph(
-                g.n_stations, g.n_instants, g.n_observed,
-                l_u=sp.diags(lane_scale) @ g.l_u, w_rd=g.w_rd, l_rd=g.l_rd, lanes=g.lanes,
-            )
-
-        monkeypatch.setattr(attention, "multi_head_graphs", second_head_diverges)
+        monkeypatch.setattr(attention, "multi_head_graphs", diverge_lane(1))
         with pytest.raises(NumericFailure) as info:
             run_forecast(splits.test[0], ctx)
         exc = info.value
@@ -469,3 +465,154 @@ class TestForwardLanes:
         assert message.startswith("unrolled CG diverged (")
         for part in ("block 0", "head 1", "layer 0", "step z_u", f"cg iteration {exc.iteration}"):
             assert message.count(part) == 1, message
+
+
+@functools.lru_cache(maxsize=None)
+def cached_dataset():
+    return tiny_dataset()
+
+
+def window_context(heads, mode="full", cg_mode="unrolled"):
+    splits, pg, std = cached_dataset()
+    cfg = small_config(heads=heads)
+    cfg.solver.mode = mode
+    cfg.solver.cg_mode = cg_mode
+    return splits.test + splits.val, PipelineContext.build(pg, cfg, standardizer=std)
+
+
+def diverge_lane(lane, after_calls=0):
+    """A stand-in for ``multi_head_graphs`` whose graphs blow up in one lane.
+
+    The spatial Laplacian of ``lane`` is scaled by 1e200 from call number
+    ``after_calls`` on, so the first z_u solve there diverges.
+    """
+    build = attention.multi_head_graphs
+    calls = []
+
+    def diverging(*args, **kwargs):
+        g = build(*args, **kwargs)
+        calls.append(g.lanes)
+        if len(calls) <= after_calls:
+            return g
+        lane_scale = np.ones(g.lanes)
+        lane_scale[lane] = 1e200
+        return MixedGraph(
+            g.n_stations, g.n_instants, g.n_observed,
+            l_u=sp.diags(np.repeat(lane_scale, g.n_nodes // g.lanes)) @ g.l_u,
+            w_rd=g.w_rd, l_rd=g.l_rd, lanes=g.lanes,
+        )
+
+    return diverging
+
+
+class TestWindowLanes:
+    @given(
+        st.lists(st.integers(0, 20), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.sampled_from(VARIANTS),
+        st.sampled_from(("unrolled", "exact")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_per_head_forward_per_window(self, picks, heads, mode, cg_mode):
+        windows, ctx = window_context(heads, mode, cg_mode)
+        batch = [windows[i % len(windows)] for i in picks]
+        together = pipeline._forward(batch, ctx)
+        assert len(together) == len(batch)
+        for sample, got in zip(batch, together):
+            want = per_head_forward(sample, ctx)
+            if cg_mode == "unrolled":
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+    def test_batch_over_the_budget_runs_in_chunks(self, monkeypatch):
+        windows, ctx = window_context(heads=2)
+        windows = windows[:5]
+        alone = [reconstruct(s, ctx) for s in windows]
+        chunks = []
+        forward = pipeline._forward
+
+        def recording(samples, ctx):
+            chunks.append(len(samples))
+            return forward(samples, ctx)
+
+        monkeypatch.setattr(pipeline, "_forward", recording)
+        per_window = ctx.bank.heads * ctx.tskel.n_nodes
+        for budget, sizes in [
+            (2 * per_window, [2, 2, 1]),
+            (2 * per_window + 1, [2, 2, 1]),
+            (5 * per_window, [5]),
+            (per_window - 1, [1] * 5),  # a window over the budget still runs
+        ]:
+            monkeypatch.setattr(pipeline, "LANE_NODE_BUDGET", budget)
+            chunks.clear()
+            got = pipeline.reconstruct_batch(windows, ctx)
+            assert chunks == sizes
+            for g, a in zip(got, alone):
+                assert g.tobytes() == a.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("per_call,after_calls,window", [(2, 0, 1), (2, 2, 3), (4, 0, 1)])
+    def test_diverging_lane_names_window_and_head(self, monkeypatch, per_call, after_calls,
+                                                   window):
+        # lane 3 is window 1, head 1 of a chunk; with two windows per call and
+        # the first chunk's two blocks passed over, that is window 3 of the list
+        windows, ctx = window_context(heads=2)
+        monkeypatch.setattr(pipeline, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
+        monkeypatch.setattr(attention, "multi_head_graphs", diverge_lane(3, after_calls))
+        with pytest.raises(NumericFailure) as info:
+            pipeline.reconstruct_batch(windows[:4], ctx)
+        exc = info.value
+        assert (exc.block, exc.window, exc.head, exc.layer, exc.step) == (0, window, 1, 0, "z_u")
+        assert exc.iteration is not None
+        message = str(exc)
+        assert message.startswith("unrolled CG diverged (")
+        for part in (
+            "block 0", f"window {window}", "head 1", "layer 0", "step z_u",
+            f"cg iteration {exc.iteration}",
+        ):
+            assert message.count(part) == 1, message
+
+    @pytest.mark.parametrize("per_call", [1, 2])
+    def test_degenerate_weights_name_the_window(self, monkeypatch, per_call):
+        # one far-off value at instant 3 of the second window pushes that
+        # station so far from its neighbours that its attention mass underflows
+        windows, ctx = window_context(heads=2)
+        bad = dataclasses.replace(windows[1], observed=windows[1].observed.copy())
+        bad.observed[2, 3] = 1e9
+        monkeypatch.setattr(pipeline, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
+        with pytest.raises(attention.DegenerateWeightError) as info:
+            pipeline.evaluate([windows[0], bad], ctx)
+        exc = info.value
+        assert (exc.block, exc.window, exc.head, exc.instant) == (0, 1, 0, 3)
+        message = str(exc)
+        assert message == "zero attention mass (block 0, window 1, head 0, instant 3)"
+
+    def test_one_window_makes_the_same_solves_and_products(self, monkeypatch):
+        # the default 5 x 25 x 4 model on one desk-scale window: 3 CG solves of
+        # 1 + 8 folded products per layer, and L_r x once per block plus
+        # L_r' and L_r once per layer
+        table, pg = data.generate_synthetic(20, 200, 0)
+        cfg = PipelineConfig()
+        ctx = PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
+        window = data.cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
+        counts = {"cg": 0, "folded": 0, "apply": 0}
+        cg, apply = solver.cg_solve, MixedGraph.apply
+
+        def counting_cg(apply_a, *args):
+            counts["cg"] += 1
+
+            def product(v):
+                counts["folded"] += 1
+                return apply_a(v)
+
+            return cg(product, *args)
+
+        def counting_apply(graph, op, x):
+            counts["apply"] += 1
+            return apply(graph, op, x)
+
+        monkeypatch.setattr(solver, "cg_solve", counting_cg)
+        monkeypatch.setattr(MixedGraph, "apply", counting_apply)
+        run_forecast(window, ctx)
+        assert counts == {"cg": 375, "folded": 375 * 9, "apply": 5 * (1 + 2 * 25)}

@@ -10,6 +10,7 @@ from stforecast.pipeline import (
     PipelineContext,
     Standardizer,
     evaluate,
+    evenly_spaced_subset,
     forecast_metrics,
     huber_loss,
     initial_extrapolation,
@@ -197,6 +198,16 @@ class TestEvaluate:
             persistence_forecast(s), np.repeat(s.observed[:, -1:], 6, axis=1)
         )
         assert rep["persistence_rmse"] > 0
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_sample_count_below_one_rejected(self, count):
+        splits, pg, std = tiny_dataset()
+        ctx = PipelineContext.build(pg, small_config(blocks=1), standardizer=std)
+        message = f"max_samples must be at least 1, got {count}"
+        with pytest.raises(ValueError, match=message):
+            evenly_spaced_subset(splits.test, count)
+        with pytest.raises(ValueError, match=message):
+            evaluate(splits.test, ctx, max_samples=count)
 
 
 class TestMetrics:

@@ -300,6 +300,20 @@ class TestTuneSpsa:
         assert out is cfg
         assert trace.best_losses == []
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"iterations": -1}, "iterations must be nonnegative, got -1"),
+            ({"eval_samples": 0}, "eval_samples must be at least 1, got 0"),
+            ({"eval_samples": -1}, "eval_samples must be at least 1, got -1"),
+            ({"iterations": 0, "eval_samples": 0}, "eval_samples must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_counts_rejected(self, kwargs, message):
+        cfg, pg, splits, std = self.make_setup()
+        with pytest.raises(ValueError, match=message):
+            tune_spsa(cfg, pg, splits.val, standardizer=std, **kwargs)
+
     def test_best_seen_non_increasing(self):
         cfg, pg, splits, std = self.make_setup()
         out, trace = tune_spsa(cfg, pg, splits.val, standardizer=std)
