@@ -7,7 +7,7 @@ windows each, one stacked system per chunk, for every W in ``--windows``.
 The W values take turns within each repeat, so drift of the host's speed
 falls on all of them alike. It prints the median and the best (least)
 milliseconds per window over the repeats, each with its speed-up over the
-first W; ``pipeline.LANE_NODE_BUDGET`` is set from the lane nodes per call
+first W; ``solver.LANE_NODE_BUDGET`` is set from the lane nodes per call
 (W x heads x stations x instants) at which stacking stops paying.
 
     python scripts/lane_budget_sweep.py

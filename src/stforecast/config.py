@@ -225,7 +225,16 @@ class TunerSettings:
     perturb: float = 0.15
     decay_exponent: float = 0.602
     perturb_exponent: float = 0.101
-    eval_samples: int = 4
+    eval_samples: int | None = 4  # None: every validation window
+
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
+        if self.eval_samples is not None and self.eval_samples < 1:
+            raise ValueError(f"eval_samples must be at least 1, got {self.eval_samples}")
+        for name in ("step", "perturb"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass

@@ -21,13 +21,6 @@ from . import attention, solver
 from .config import PipelineConfig
 from .graphs import MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
 
-# Windows run as lanes of one system while windows x heads x stations x
-# instants stays within this many nodes. Measured by
-# ``scripts/lane_budget_sweep.py`` (table in README): the gain of stacking
-# small windows is flat by here, and larger stacks run slower than separate
-# calls.
-LANE_NODE_BUDGET = 12000
-
 
 @dataclass(eq=False)
 class Sample:
@@ -261,11 +254,11 @@ def reconstruct_batch(samples: list[Sample], ctx: PipelineContext) -> list[np.nd
     """Full reconstructions in raw units of many windows, stacked in chunks.
 
     Windows join a chunk while its lane nodes, windows x heads x stations x
-    instants, stay within ``LANE_NODE_BUDGET``; a window over the budget on
-    its own runs alone. A failure names the window by its position in
-    ``samples``.
+    instants, stay within ``solver.LANE_NODE_BUDGET``; a window over the
+    budget on its own runs alone. A failure names the window by its position
+    in ``samples``.
     """
-    per_call = max(1, LANE_NODE_BUDGET // (ctx.bank.heads * ctx.tskel.n_nodes))
+    per_call = max(1, solver.LANE_NODE_BUDGET // (ctx.bank.heads * ctx.tskel.n_nodes))
     recons = []
     for first in range(0, len(samples), per_call):
         try:

@@ -14,14 +14,23 @@ ablations. The heads of a block, of one window or of several, run together
 as lanes of one block-diagonal system (a lane-stacked ``MixedGraph``). Each
 CG solve applies one folded matrix, coef * operator + diag(shift [+ H'H]),
 built once per distinct set of layer scalars in a block.
+
+Unrolled CG with a fixed schedule is a fixed polynomial Q(A) of its system:
+x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
+2021). A fold that enough of a block's layers share gets Q(A) as one sparse
+matrix, found by column probing over its connected components (Curtis,
+Powell and Reid, IMA J. Appl. Math. 1974) with the steps run backwards, so
+each of its solves takes two sparse products instead of ``iters`` + 1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import priors
 from .graphs import MixedGraph
@@ -30,6 +39,16 @@ CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
 DEFAULT_CG_INIT = 0.08
 DEFAULT_EXACT_TOL = 1e-10
+
+# Windows run as lanes of one system while windows x heads x stations x
+# instants stays within this many nodes (``pipeline.reconstruct_batch``), and
+# only a folded system of at most this many nodes may be applied as its
+# unrolled polynomial (``block_folds``). One bound for both keeps a stacked
+# window on the path it takes alone, so its result stays bitwise the same.
+# Sized by ``scripts/lane_budget_sweep.py`` (table in README) for stacking;
+# the polynomial measured no slower than the recurrence up to 46 080 desk
+# nodes, so the bound is not where it stops paying (README, Layout).
+LANE_NODE_BUDGET = 12000
 
 
 @dataclass(frozen=True)
@@ -164,7 +183,8 @@ class CgSchedule:
         return cls(mode="unrolled", iters=iters, alphas=alphas, betas=betas)
 
 
-def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule) -> np.ndarray:
+def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
+             apply_g=None) -> np.ndarray:
     """Conjugate gradient on A x = b for an SPD operator.
 
     Exact mode iterates until ||A x - b|| <= tol (or the iteration cap);
@@ -173,6 +193,14 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule) -> np.nd
     takes no dot products, so on a block-diagonal A (lanes) every lane
     follows the path it would follow alone, bit for bit; exact mode runs one
     CG on the whole system, whose stopping test bounds every lane's residual.
+
+    ``apply_g``, in unrolled mode, applies the schedule's polynomial Q(A)
+    (``polynomial_operator``): the result is then x0 + Q(A)(b - A x0), two
+    products in all. It agrees with the step-by-step recurrence to rounding,
+    and can stay finite where the recurrence's own iterates overflow; when it
+    is not finite, the recurrence runs with a check per step, names the
+    failing iteration and entry, and its result is returned if it finds no
+    failure.
     """
     b = np.asarray(b, dtype=np.float64)
     x = np.array(x0, dtype=np.float64)
@@ -180,6 +208,11 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule) -> np.nd
         raise ValueError("x0 and b must have the same shape")
     r = b - apply_a(x)
     if sched.mode == "unrolled":
+        if apply_g is not None:
+            out = x + apply_g(r)
+            if np.all(np.isfinite(out)):
+                return out
+            return _unrolled_steps(apply_a, x, r, sched, check=True)
         out = _unrolled_steps(apply_a, x, r, sched, check=False)
         # a non-finite entry of x stays non-finite through x + alpha p, so one
         # check at the end sees every failure; the checked re-run names its step
@@ -229,6 +262,53 @@ def _unrolled_steps(apply_a, x0: np.ndarray, r0: np.ndarray, sched: CgSchedule,
         p *= beta
         p += r
     return x
+
+
+def polynomial_operator(apply_a, labels: np.ndarray, sched: CgSchedule) -> sp.csr_matrix:
+    """Q(A) of an unrolled schedule, x_K = x0 + Q(A) r0, as a CSR matrix.
+
+    ``labels`` gives the connected component of each node of A (as from
+    ``scipy.sparse.csgraph.connected_components``). Q(A) couples only nodes
+    of one component, so Q(A) applied to an (n x m) probe finds it, m being
+    the largest component's size: column j of the probe holds a 1 at the
+    j-th node (in index order) of every component. Each row of the result
+    stores its whole component, in ascending column order, with an int32
+    pattern.
+
+    The forward steps give Q(A) = sum_k alpha_k P_k(A), P_k(A) r0 being the
+    k-th search direction. The probe runs that sum in reverse, which needs
+    no x and no r: from s = v = alpha_{K-1} I, each k = K-2 .. 0 sets
+    v <- alpha_k (I - A s) + beta_k v and then s <- s + v, ending at
+    s = Q(A). That is ``iters`` - 1 products by A and four passes over the
+    probe per step, where the forward steps take ``iters`` and six; the
+    identity is added at the probe's n ones. Both orders agree to rounding.
+    """
+    labels = np.asarray(labels)
+    n = len(labels)
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")  # by component, then by index
+    rank = np.empty(n, dtype=np.intp)
+    rank[members] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    ones = (np.arange(n), rank)
+    alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
+    s = np.zeros((n, sizes.max()))
+    s[ones] = alphas[-1]
+    v = s.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # cg_solve checks what it applies
+        for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
+            step = apply_a(s)
+            step *= -alpha
+            v *= beta
+            v += step
+            v[ones] += alpha
+            s += v
+    # row i keeps columns 0 .. size - 1 of its probe row: its component's nodes by rank
+    by_rank = np.zeros((len(sizes), s.shape[1]), dtype=np.int32)
+    by_rank[labels, rank] = np.arange(n)
+    row_len = sizes[labels]
+    keep = np.arange(s.shape[1]) < row_len[:, None]
+    indptr = np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32)
+    return sp.csr_matrix((s[keep], by_rank[labels][keep], indptr), shape=(n, n))
 
 
 @dataclass(eq=False)
@@ -282,12 +362,43 @@ def folded_system(
     entry). ``memo``, a dict kept for one graph, returns the matrix it
     already folded for the same scalars.
     """
+    return _system(graph, (ops, shift, observed), memo)[0]
+
+
+def _system(graph: MixedGraph, key: tuple, memo: dict | None):
+    """(fold, Q(A) or None) of the system ``key`` = (ops, shift, observed), kept in ``memo``."""
     if memo is None:
         memo = {}
-    key = (ops, shift, observed)
     if key not in memo:
-        memo[key] = _fold(graph, ops, shift, observed)
+        memo[key] = (_fold(graph, *key), None)
     return memo[key]
+
+
+def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
+                sched: CgSchedule) -> dict:
+    """The memo of every CG system a block solves: its fold, and Q(A) where reuse pays.
+
+    A system gets its polynomial (``polynomial_operator``) when the schedule
+    is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
+    least m of the block's layers solve it, m being the size of its largest
+    connected component: the probe costs ``iters`` - 1 products on m
+    columns, and each solve then saves ``iters`` - 1 products.
+    """
+    uses = Counter(key for p in params for key in _layer_systems(terms, p))
+    folds = {}
+    for key, count in uses.items():
+        a, g = _fold(graph, *key), None
+        if sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET:
+            labels = connected_components(a, directed=False)[1]
+            if np.bincount(labels).max() <= count:
+                g = polynomial_operator(a.dot, labels, sched)
+        folds[key] = (a, g)
+    return folds
+
+
+def _sub_solve(graph, key, rhs, x0, sched, folds):
+    a, g = _system(graph, key, folds)
+    return cg_solve(a.dot, rhs, x0, sched, None if g is None else g.dot)
 
 
 def _fold(graph: MixedGraph, ops, shift: float, observed: bool) -> sp.csr_matrix:
@@ -330,6 +441,24 @@ def signal_system(terms: Terms, p: LayerParams) -> tuple[tuple[tuple[str, float]
     return ops, shift
 
 
+def _zu_system(p: LayerParams) -> tuple:
+    return (("l_u", p.mu_u),), 0.5 * p.rho_u, False
+
+
+def _zd_system(p: LayerParams, temporal: str) -> tuple:
+    return ((temporal, p.mu_d2),), 0.5 * p.rho_d, False
+
+
+def _layer_systems(terms: Terms, p: LayerParams) -> list[tuple]:
+    """The (ops, shift, observed) of each CG system one layer solves: x, then z_u and z_d."""
+    systems = [(*signal_system(terms, p), True)]
+    if terms.split:
+        systems.append(_zu_system(p))
+        if terms.temporal:
+            systems.append(_zd_system(p, terms.temporal))
+    return systems
+
+
 def update_x(
     state: AdmmState,
     graph: MixedGraph,
@@ -343,12 +472,9 @@ def update_x(
 
     The system is H'H plus ``signal_system``. The rhs sums the l1, spatial
     and temporal parts and ``hty``, the observations lifted to full length
-    (H'y), in that order. ``folds`` memoises the folded system (see
-    ``folded_system``).
+    (H'y), in that order. ``folds`` memoises the folded system and its
+    polynomial (see ``folded_system`` and ``block_folds``).
     """
-    ops, shift = signal_system(terms, p)
-    a = folded_system(graph, ops, shift, observed=True, memo=folds)
-
     parts = []
     if terms.l1:
         parts.append(graph.apply("l_rd_t", 0.5 * state.gamma + 0.5 * p.rho * state.phi))
@@ -357,7 +483,8 @@ def update_x(
         if terms.temporal:
             parts.append(-0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d)
     parts.append(hty)
-    return cg_solve(a.dot, sum(parts[1:], parts[0]), state.x, sched)
+    key = (*signal_system(terms, p), True)
+    return _sub_solve(graph, key, sum(parts[1:], parts[0]), state.x, sched, folds)
 
 
 def update_zu(
@@ -368,9 +495,8 @@ def update_zu(
     folds: dict | None = None,
 ) -> np.ndarray:
     """Low-pass solve against the spatial Laplacian."""
-    a = folded_system(graph, (("l_u", p.mu_u),), 0.5 * p.rho_u, memo=folds)
     rhs = 0.5 * state.gamma_u + 0.5 * p.rho_u * state.x
-    return cg_solve(a.dot, rhs, state.z_u, sched)
+    return _sub_solve(graph, _zu_system(p), rhs, state.z_u, sched, folds)
 
 
 def update_zd(
@@ -382,9 +508,8 @@ def update_zd(
     folds: dict | None = None,
 ) -> np.ndarray:
     """Low-pass solve against the temporal operator: L_r'L_r, or ``l_n`` when undirected."""
-    a = folded_system(graph, ((temporal, p.mu_d2),), 0.5 * p.rho_d, memo=folds)
     rhs = 0.5 * state.gamma_d + 0.5 * p.rho_d * state.x
-    return cg_solve(a.dot, rhs, state.z_d, sched)
+    return _sub_solve(graph, _zd_system(p, temporal), rhs, state.z_d, sched, folds)
 
 
 def update_phi(l_rd_x: np.ndarray, gamma: np.ndarray, p: LayerParams) -> np.ndarray:
@@ -474,7 +599,7 @@ def admm_block(
         raise ValueError("need at least one layer")
     state = AdmmState.initial(x0, graph)
     hty = graph.lift_observed(y)
-    folds: dict = {}
+    folds = block_folds(graph, params, terms, sched)
     for layer, p in enumerate(params):
         _layer(state, graph, p, hty, sched, layer, terms, folds)
         if trace is not None:

@@ -9,6 +9,7 @@ without a test harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .attention import (
     undirected_weights,
 )
 from .config import PipelineConfig
-from .data import cut_windows, generate_synthetic
+from .data import cut_windows, generate_synthetic, split_dataset
 from .graphs import (
     MixedGraph,
     PhysicalGraph,
@@ -357,6 +358,54 @@ def check_window_lanes(seed: int = 0) -> CheckResult:
     )
 
 
+def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
+    """Reused CG systems applied as their unrolled polynomial agree with the recurrence.
+
+    On the seeded desk graph (20 stations, the default model and its first
+    window) every CG system of the first block must get its polynomial
+    Q(A), and x0 + Q(A)(b - A x0) must match the step-by-step recurrence to
+    1e-12 relative. The 12 criterion-10 test forecasts (evenly spaced, the
+    training-split standardizer) must match the forecasts made with every
+    system on the recurrence to 1e-9 raw units.
+    """
+    cfg = PipelineConfig()
+    table, pg = generate_synthetic(20, 2000, seed)
+    splits, standardizer = split_dataset(table, cfg.data)
+    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer)
+    x, _, t_steps = pipeline.initial_signal(splits.train[0], ctx)
+    graph = pipeline.block_graph(ctx, [x], [t_steps], cfg.data.history)
+    sched = cfg.solver.schedule()
+    folds = solver.block_folds(
+        graph, cfg.layers.layer_params(0, cfg.default_rho(pg.n_stations)),
+        solver.TERMS[cfg.solver.mode], sched,
+    )
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for a, poly in folds.values():
+        if poly is None:
+            return CheckResult("unrolled CG as its polynomial (desk)", False,
+                               "a desk CG system stayed on the recurrence")
+        b, x0 = rng.standard_normal((2, graph.n_nodes))
+        want = cg_solve(a.dot, b, x0, sched)
+        got = cg_solve(a.dot, b, x0, sched, poly.dot)
+        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+
+    test = pipeline.evenly_spaced_subset(splits.test, 12)
+    polynomial = pipeline.reconstruct_batch(test, ctx)
+    with mock.patch.object(solver, "LANE_NODE_BUDGET", 0):  # every system on the recurrence
+        recurrence = pipeline.reconstruct_batch(test, ctx)
+    gap = max(
+        float(np.abs(p[:, cfg.data.history:] - r[:, cfg.data.history:]).max())
+        for p, r in zip(polynomial, recurrence)
+    )
+    return CheckResult(
+        f"unrolled CG as its polynomial vs the recurrence ({len(folds)} desk systems, "
+        f"{len(test)} forecasts)",
+        worst <= 1e-12 and gap <= 1e-9,
+        f"sub-solves max relative deviation {worst:.1e}; forecasts max deviation {gap:.1e}",
+    )
+
+
 ALL_CHECKS = (
     check_line_graph_symmetrization,
     check_four_node_line_matrices,
@@ -369,6 +418,7 @@ ALL_CHECKS = (
     check_sparse_eigenmap,
     check_lanes_and_folds,
     check_window_lanes,
+    check_polynomial_sub_solves,
 )
 
 

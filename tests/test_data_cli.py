@@ -524,9 +524,11 @@ class TestCli:
              "metric_scale_u must have one entry per head (2)"),
             ("forecast", "solver", {"cg_alpha": [0.1, 0.2]},
              "cg_alpha has 2 entries; expected a scalar or cg_iters = 8 entries"),
+            ("forecast", "tuner", {"iterations": -1}, "iterations must be nonnegative, got -1"),
+            ("tune", "tuner", {"eval_samples": 0}, "eval_samples must be at least 1, got 0"),
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
-             "forecast-cg_alpha-length"],
+             "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples"],
     )
     def test_bad_config_value_exits_1(self, synth_dir, capsys, command, section, bad, message):
         cfg = json.loads((synth_dir / "config.json").read_text())

@@ -1,16 +1,20 @@
 """Heads and windows as lanes: a stacked block-diagonal solve against one
 solve per head and per window."""
 
+import contextlib
 import dataclasses
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from stforecast import attention, data, pipeline, solver
+from stforecast.attention import build_mixed_graph
 from stforecast.config import HeadSettings, PipelineConfig
 from stforecast.graphs import (
     MixedGraph,
@@ -37,8 +41,10 @@ from stforecast.solver import (
     LayerParams,
     NumericFailure,
     admm_block,
+    block_folds,
     cg_solve,
     folded_system,
+    polynomial_operator,
     signal_system,
 )
 
@@ -355,26 +361,55 @@ def per_step_unrolled(apply_a, b, x0, sched):
     return x
 
 
+def exact_unrolled(d, b, x0, sched):
+    """Unrolled CG on diag(d) in exact rational arithmetic, rounded once at the end."""
+    out = []
+    for di, bi, xi in zip(*(map(Fraction, v.tolist()) for v in (d, b, x0))):
+        x, r = xi, bi - di * xi
+        p = r
+        for alpha, beta in zip(map(Fraction, sched.alphas.tolist()),
+                               map(Fraction, sched.betas.tolist())):
+            x += alpha * p
+            r -= alpha * di * p
+            p = r + beta * p
+        out.append(float(x))
+    return np.array(out)
+
+
 class TestUnrolledFailure:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_names_the_reference_iteration_and_entry(self, seed, iters):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_names_the_reference_iteration_and_entry(self, seed, iters, polynomial):
+        # the recurrence, or a diverging fold on the polynomial path
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
         # entries grow like (alpha d)^k, so large d overflow after a few steps
-        d = 10.0 ** rng.uniform(-1, 160, n)
+        a = sp.diags(10.0 ** rng.uniform(-1, 160, n), format="csr")
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
+        apply_g = polynomial_operator(a.dot, np.arange(n), sched).dot if polynomial else None
         try:
-            want = per_step_unrolled(lambda v: d * v, b, x0, sched)
+            want = per_step_unrolled(a.dot, b, x0, sched)
         except NumericFailure as ref:
-            with pytest.raises(NumericFailure) as info:
-                cg_solve(lambda v: d * v, b, x0, sched)
-            assert (info.value.iteration, info.value.entry) == (ref.iteration, ref.entry)
+            try:
+                got = cg_solve(a.dot, b, x0, sched, apply_g)
+            except NumericFailure as exc:
+                assert (exc.iteration, exc.entry) == (ref.iteration, ref.entry)
+            else:
+                # the polynomial path forms only x0 + Q(A) r0, which can stay
+                # finite where the recurrence's own iterates overflow; then it
+                # must be the exact-arithmetic result
+                assert polynomial
+                exact = exact_unrolled(a.diagonal(), b, x0, sched)
+                assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
         else:
-            np.testing.assert_array_equal(cg_solve(lambda v: d * v, b, x0, sched), want)
+            got = cg_solve(a.dot, b, x0, sched, apply_g)
+            if polynomial:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            else:
+                np.testing.assert_array_equal(got, want)
 
 
 class TestStackedBlock:
@@ -544,7 +579,7 @@ class TestWindowLanes:
             (5 * per_window, [5]),
             (per_window - 1, [1] * 5),  # a window over the budget still runs
         ]:
-            monkeypatch.setattr(pipeline, "LANE_NODE_BUDGET", budget)
+            monkeypatch.setattr(solver, "LANE_NODE_BUDGET", budget)
             chunks.clear()
             got = pipeline.reconstruct_batch(windows, ctx)
             assert chunks == sizes
@@ -558,7 +593,7 @@ class TestWindowLanes:
         # lane 3 is window 1, head 1 of a chunk; with two windows per call and
         # the first chunk's two blocks passed over, that is window 3 of the list
         windows, ctx = window_context(heads=2)
-        monkeypatch.setattr(pipeline, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
+        monkeypatch.setattr(solver, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
         monkeypatch.setattr(attention, "multi_head_graphs", diverge_lane(3, after_calls))
         with pytest.raises(NumericFailure) as info:
             pipeline.reconstruct_batch(windows[:4], ctx)
@@ -580,7 +615,7 @@ class TestWindowLanes:
         windows, ctx = window_context(heads=2)
         bad = dataclasses.replace(windows[1], observed=windows[1].observed.copy())
         bad.observed[2, 3] = 1e9
-        monkeypatch.setattr(pipeline, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
+        monkeypatch.setattr(solver, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
         with pytest.raises(attention.DegenerateWeightError) as info:
             pipeline.evaluate([windows[0], bad], ctx)
         exc = info.value
@@ -589,30 +624,166 @@ class TestWindowLanes:
         assert message == "zero attention mass (block 0, window 1, head 0, instant 3)"
 
     def test_one_window_makes_the_same_solves_and_products(self, monkeypatch):
-        # the default 5 x 25 x 4 model on one desk-scale window: 3 CG solves of
-        # 1 + 8 folded products per layer, and L_r x once per block plus
-        # L_r' and L_r once per layer
+        # the default 5 x 25 x 4 model on one desk-scale window: each block
+        # probes its 3 folded systems once (7 products by A each, Horner's rule
+        # on the 8-step schedule's degree-7 polynomial), then runs 3
+        # CG solves per layer of one product by A and one by G = Q(A); and
+        # L_r x once per block plus L_r' and L_r once per layer
         table, pg = data.generate_synthetic(20, 200, 0)
         cfg = PipelineConfig()
         ctx = PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
         window = data.cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
-        counts = {"cg": 0, "folded": 0, "apply": 0}
-        cg, apply = solver.cg_solve, MixedGraph.apply
+        counts = {"cg": 0, "folded": 0, "polynomial": 0, "probe": 0, "apply": 0}
+        cg, probe, apply = solver.cg_solve, solver.polynomial_operator, MixedGraph.apply
 
-        def counting_cg(apply_a, *args):
-            counts["cg"] += 1
-
+        def counted(name, fn):
             def product(v):
-                counts["folded"] += 1
-                return apply_a(v)
+                counts[name] += 1
+                return fn(v)
 
-            return cg(product, *args)
+            return product
+
+        def counting_cg(apply_a, b, x0, sched, apply_g=None):
+            counts["cg"] += 1
+            if apply_g is not None:
+                apply_g = counted("polynomial", apply_g)
+            return cg(counted("folded", apply_a), b, x0, sched, apply_g)
+
+        def counting_probe(apply_a, *args):
+            return probe(counted("probe", apply_a), *args)
 
         def counting_apply(graph, op, x):
             counts["apply"] += 1
             return apply(graph, op, x)
 
         monkeypatch.setattr(solver, "cg_solve", counting_cg)
+        monkeypatch.setattr(solver, "polynomial_operator", counting_probe)
         monkeypatch.setattr(MixedGraph, "apply", counting_apply)
         run_forecast(window, ctx)
-        assert counts == {"cg": 375, "folded": 375 * 9, "apply": 5 * (1 + 2 * 25)}
+        assert counts == {
+            "cg": 375, "folded": 375, "polynomial": 375, "probe": 5 * 3 * 7,
+            "apply": 5 * (1 + 2 * 25),
+        }
+
+
+def split_skeleton_graph(rng, lanes):
+    """Lanes of one random graph shape whose stations fall into several
+    spatial components (some isolated), with random edge weights per lane."""
+    n = int(rng.integers(2, 8))
+    cluster = rng.integers(0, 3, n)
+    edges = tuple(
+        (i, j, float(rng.uniform(0.1, 2)))
+        for i in range(n) for j in range(i + 1, n)
+        if cluster[i] == cluster[j] and rng.uniform() < 0.8
+    )
+    n_instants = int(rng.integers(3, 8))
+    sskel = build_spatial_skeleton(PhysicalGraph(n, edges), int(rng.integers(1, 4)))
+    tskel = build_temporal_skeleton(n, n_instants, int(rng.integers(1, 3)))
+    return build_mixed_graph(
+        rng.uniform(0.2, 1.5, (lanes, n_instants, sskel.n_edges)),
+        rng.uniform(0.2, 1.5, (lanes, tskel.n_edges)),
+        sskel, tskel, int(rng.integers(1, n_instants)), with_undirected_temporal=True,
+    )
+
+
+@contextlib.contextmanager
+def recurrence_only():
+    """A context in which no folded system is small enough for its polynomial."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "LANE_NODE_BUDGET", 0)
+        yield
+
+
+class TestPolynomialPath:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_recurrence(self, seed, lanes, iters):
+        rng = np.random.default_rng(seed)
+        g = split_skeleton_graph(rng, lanes)
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
+        for ops, shift, observed in fold_cases(p):
+            a = folded_system(g, ops, shift, observed)
+            labels = connected_components(a, directed=False)[1]
+            poly = polynomial_operator(a.dot, labels, sched)
+            assert poly.indices.dtype == np.int32 and poly.indptr.dtype == np.int32
+            assert poly.has_sorted_indices
+            # Q(A) of the reference recurrence run on the identity, densely
+            dense = a.toarray()
+            q = per_step_unrolled(lambda v: dense @ v, np.eye(g.n_nodes), np.zeros_like(dense),
+                                  sched)
+            assert np.abs(poly.toarray() - q).max() <= 1e-12 * np.abs(q).max()
+            for _ in range(2):
+                b, x0 = rng.standard_normal((2, g.n_nodes))
+                want = per_step_unrolled(a.dot, b, x0, sched)
+                got = cg_solve(a.dot, b, x0, sched, poly.dot)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (ops, shift)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from(VARIANTS))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_equals_alone(self, seed, heads, mode):
+        # 8 layers with one set of scalars: every fold whose components have
+        # at most 8 nodes (all but a large direct_unsplit lane) goes polynomial
+        rng = np.random.default_rng(seed)
+        graphs = random_heads(rng, heads)
+        params = random_params(rng, 1) * 8
+        sched = CgSchedule.unrolled(8, rng.uniform(0.05, 0.5, 8), rng.uniform(0, 1, 8))
+        n = graphs[0].n_nodes
+        x0 = rng.standard_normal(n)
+        y = rng.standard_normal(int(graphs[0].h_mask.sum()))
+        stack = stack_graphs(graphs)
+        folds = block_folds(stack, params, TERMS[mode], sched)
+        if TERMS[mode].split:
+            assert all(g is not None for _, g in folds.values())
+        per_head = [admm_block(x0, y, g, params, sched, mode) for g in graphs]
+        stacked = admm_block(np.tile(x0, heads), np.tile(y, heads), stack, params, sched, mode)
+        assert stacked.tobytes() == np.concatenate(per_head).tobytes()
+        with recurrence_only():
+            assert all(g is None for _, g in block_folds(stack, params, TERMS[mode], sched).values())
+            want = [admm_block(x0, y, g, params, sched, mode) for g in graphs]
+        np.testing.assert_allclose(
+            stacked, np.concatenate(want), rtol=0, atol=1e-10 * np.abs(want).max()
+        )
+
+    def test_windows_stacked_equal_alone_and_the_recurrence(self, monkeypatch):
+        # 18 layers: x and z_d (18 instants a station) and z_u (5 stations an
+        # instant) all go polynomial
+        splits, pg, std = cached_dataset()
+        cfg = small_config(heads=2, blocks=2, layers=18)
+        ctx = PipelineContext.build(pg, cfg, standardizer=std)
+        windows = splits.test[:3]
+        probes = []
+        probe = solver.polynomial_operator
+        monkeypatch.setattr(
+            solver, "polynomial_operator", lambda *args: probes.append(1) or probe(*args)
+        )
+        together = pipeline._forward(windows, ctx)
+        assert len(probes) == 2 * 3
+        with recurrence_only():
+            recurrence = pipeline._forward(windows, ctx)
+        assert len(probes) == 2 * 3
+        for w, got, want in zip(windows, together, recurrence):
+            assert got.tobytes() == reconstruct(w, ctx).tobytes()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_lane_names_the_same_place_as_the_recurrence(self, monkeypatch):
+        # 5 layers put z_u (5 stations an instant) on the polynomial path
+        splits, pg, std = cached_dataset()
+        ctx = PipelineContext.build(pg, small_config(heads=2, layers=5), standardizer=std)
+        monkeypatch.setattr(attention, "multi_head_graphs", diverge_lane(3))
+        probes = []
+        probe = solver.polynomial_operator
+        monkeypatch.setattr(
+            solver, "polynomial_operator", lambda *args: probes.append(1) or probe(*args)
+        )
+        places = []
+        for context in (contextlib.nullcontext(), recurrence_only()):
+            with context, pytest.raises(NumericFailure) as info:
+                pipeline._forward(splits.test[:2], ctx)
+            exc = info.value
+            places.append((exc.block, exc.window, exc.head, exc.layer, exc.step, exc.iteration,
+                           exc.entry, str(exc)))
+        assert len(probes) == 1  # z_u of block 0, on the polynomial path the first time
+        assert places[0] == places[1]
+        assert places[0][:5] == (0, 1, 1, 0, "z_u")

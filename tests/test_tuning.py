@@ -194,12 +194,17 @@ class TestConfigRoundTrip:
              "projection_bias must have feature_dim = 4 entries, got shape (6,)"),
             ("graph", {"projection_bias": [0.0] * 5 + [float("nan")]},
              "projection_bias must be finite"),
+            ("tuner", {"iterations": -1}, "iterations must be nonnegative, got -1"),
+            ("tuner", {"eval_samples": 0}, "eval_samples must be at least 1, got 0"),
+            ("tuner", {"step": 0.0}, "step must be positive, got 0.0"),
+            ("tuner", {"perturb": -0.1}, "perturb must be positive, got -0.1"),
         ],
         ids=[
             "null-mu_u", "null-mu_d2", "null-mu_d1", "negative-mu_d2", "zero-rho",
             "negative-rho_d", "short-scale_u", "long-scale_d", "scalar-scale_d", "zero-cg_iters",
             "negative-cg_iters", "cg_beta-length", "short-projection", "projection-vs-spatial_dim",
             "ragged-projection", "long-projection_bias", "nan-projection_bias",
+            "negative-iterations", "zero-eval_samples", "zero-step", "negative-perturb",
         ],
     )
     def test_bad_value_rejected_at_load(self, section, bad, message):
