@@ -377,9 +377,13 @@ def directed_weights(
     d = np.empty((n_heads, skel.n_edges))
     for w in np.unique(skel.lag):
         sel = np.flatnonzero(skel.lag == w)
-        d[:, sel] = _pairwise_distances(
-            _rows(features, skel.dst[sel]) - _rows(features, skel.src[sel]), factors_t[:, w - 1]
-        )
+        if isinstance(skel, TemporalSkeleton):
+            # lag-w edges run (s, t - w) -> (s, t) in child order: two contiguous slices
+            shift = w * skel.n_stations
+            diffs = features[..., shift:, :] - features[..., :-shift, :]
+        else:
+            diffs = _rows(features, skel.dst[sel]) - _rows(features, skel.src[sel])
+        d[:, sel] = _pairwise_distances(diffs, factors_t[:, w - 1])
     # per-child stable softmax; head h's children are numbered from h * n_nodes
     child = (np.arange(n_heads)[:, None] * skel.n_nodes + skel.dst).ravel()
     d = d.ravel()

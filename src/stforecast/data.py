@@ -4,14 +4,19 @@ Signal tables are CSV with a ``timestamp`` column followed by one column per
 station (``s0, s1, ...``). Values round-trip bit-exactly through repr. Empty
 cells are read as NaN but rejected when windows are cut: gaps in observed
 history are an unsupported case, surfaced as errors rather than imputed.
-Road networks are CSV with header ``from,to,cost``. Both are read by one row
-reader, and every CSV the package writes goes through ``write_csv``.
+Road networks are CSV with header ``from,to,cost``. Both readers vet the header,
+then parse the rest of the file with numpy's C parser (``_read_numeric``).
+Where that parse fails, as it does on a blank cell or any malformed row, they
+re-read the file with one row reader (``_read_csv``), which reads the blank
+cell as NaN or names the file and line of the error. Every CSV the package
+writes goes through ``write_csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .config import DataSettings
-from .graphs import EdgeError, PhysicalGraph
+from .graphs import EDGE_DTYPE, EdgeError, PhysicalGraph
 from .pipeline import Sample, Standardizer
 
 
@@ -31,10 +36,12 @@ class ParseError(ValueError):
 def _read_csv(path, check_header, parse_row) -> tuple[list[str], list[int], list]:
     """The header, and the line and ``parse_row`` value of each data row, of a CSV file.
 
-    Reads ``path`` as UTF-8, vets the header with ``check_header``, skips
-    blank rows and rejects a row whose width differs from the header's. A
-    ``ValueError`` from either callback, malformed CSV and undecodable bytes
-    all become a ``ParseError`` prefixed ``path:line:``.
+    The readers call it only where ``_read_numeric`` gives up on a file: for
+    errors, which it names by line, and for blank cells. Reads ``path`` as
+    UTF-8, vets the header with ``check_header``, skips blank rows and
+    rejects a row whose width differs from the header's. A ``ValueError``
+    from either callback, malformed CSV and undecodable bytes all become a
+    ``ParseError`` prefixed ``path:line:``.
     """
     lines, values, line = [], [], 1
     try:
@@ -63,6 +70,43 @@ def _read_csv(path, check_header, parse_row) -> tuple[list[str], list[int], list
     except ValueError as exc:
         raise ParseError(f"{path}:{line}: {exc}") from None
     return header, lines, values
+
+
+def _read_numeric(path, check_header, dtype_of) -> np.ndarray | None:
+    """The data rows of a CSV file as one structured array, or None to re-read it by rows.
+
+    Vets the header as ``_read_csv`` does, then parses the rest of the file,
+    streamed line by line, with one ``np.loadtxt`` call into the structured
+    dtype ``dtype_of(header)``. None when that fails or would
+    read a row otherwise than ``_read_csv``: a bad header, no data rows, a
+    row of the wrong width, a blank, quoted or non-numeric cell, a number
+    numpy reads only with a warning (``"1.0"`` as an integer under numpy 1.x),
+    a cell ``csv`` would refuse as too long, or an ASCII control character
+    that numpy but not ``int``/``float`` strips as whitespace.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header = next(csv.reader(fh), None)
+            if header is None:
+                return None
+            check_header(header)
+            rows = np.loadtxt(_plain_lines(fh), dtype=dtype_of(header), delimiter=",",
+                              comments=None, ndmin=1)
+    except (ValueError, csv.Error, Warning):
+        return None
+    return rows if len(rows) else None
+
+
+def _plain_lines(fh):
+    """The lines of ``fh``; ValueError at one that numpy and ``_read_csv`` may read differently."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("control character")
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            raise ValueError("field larger than field limit")
+        yield line
 
 
 def _not_utf8(path) -> ParseError:
@@ -146,14 +190,24 @@ def _signal_cell(col: int, cell: str) -> float:
         raise ValueError(f"column {col}: non-numeric value {cell!r}") from None
 
 
+def _signal_dtype(header: list[str]) -> np.dtype:
+    return np.dtype([("timestamp", np.int64), ("values", np.float64, (len(header) - 1,))])
+
+
 def read_signal_csv(path) -> SignalTable:
-    header, _, rows = _read_csv(path, _check_signal_header, _signal_row)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    timestamps = np.array([stamp for stamp, _ in rows], dtype=np.int64)
-    values = np.array([vals for _, vals in rows], dtype=np.float64)
+    rows = _read_numeric(path, _check_signal_header, _signal_dtype)
+    if rows is not None:
+        timestamps = np.ascontiguousarray(rows["timestamp"])
+        values = np.ascontiguousarray(rows["values"])
+    else:
+        header, _, rows = _read_csv(path, _check_signal_header, _signal_row)
+        if not rows:
+            raise ParseError(f"{path}: no data rows")
+        timestamps = np.array([stamp for stamp, _ in rows], dtype=np.int64)
+        values = np.array([vals for _, vals in rows], dtype=np.float64)
+        values = values.reshape(len(rows), len(header) - 1)
     try:
-        return SignalTable(timestamps, values.reshape(len(rows), len(header) - 1))
+        return SignalTable(timestamps, values)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -182,6 +236,17 @@ def load_road_network(path, n_stations: int | None = None) -> PhysicalGraph:
             raise ValueError(f"station {max(i, j)} out of range for {n_stations} stations")
         return i, j, cost
 
+    rows = _read_numeric(path, _check_edges_header, lambda header: EDGE_DTYPE)
+    if rows is not None:
+        ends = np.maximum(rows["from"], rows["to"])
+        if n_stations is None or ends.max() < n_stations:
+            try:
+                return PhysicalGraph(
+                    1 + int(ends.max()) if n_stations is None else n_stations,
+                    tuple(rows.tolist()),
+                )
+            except ValueError:
+                pass  # the row reader names the line of the bad edge
     _, lines, edges = _read_csv(path, _check_edges_header, edge)
     if n_stations is None:
         n_stations = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
@@ -209,28 +274,42 @@ class DatasetSplits:
 
 
 def cut_windows(table: SignalTable, history: int, horizon: int, stride: int) -> list[Sample]:
-    """Sliding windows of length history+horizon at the given stride."""
+    """Sliding windows of length history+horizon at the given stride.
+
+    One gather copies every window at once: window k's observed block, then
+    its target block, each C-contiguous, side by side in row k of one array.
+    """
     window = history + horizon
-    n_steps = len(table.timestamps)
+    n_steps, n = table.values.shape
     if window > n_steps:
         return []
-    samples = []
-    for start in range(0, n_steps - window + 1, stride):
-        chunk = table.values[start : start + window]
-        if np.isnan(chunk).any():
-            t_bad, s_bad = np.argwhere(np.isnan(chunk))[0]
+    starts = np.array(range(0, n_steps - window + 1, stride), dtype=np.int64)
+    gaps = np.flatnonzero(np.isnan(table.values).any(axis=1))
+    if len(gaps):
+        # each window's first row with a gap, if any, is the first gap at or after its start
+        first = gaps[np.minimum(np.searchsorted(gaps, starts), len(gaps) - 1)]
+        hit = np.flatnonzero((first >= starts) & (first < starts + window))
+        if len(hit):
+            t_bad = first[hit[0]]
+            s_bad = np.flatnonzero(np.isnan(table.values[t_bad]))[0]
             raise ParseError(
-                f"missing value at timestamp {table.timestamps[start + t_bad]} "
+                f"missing value at timestamp {table.timestamps[t_bad]} "
                 f"station s{s_bad}; gaps are unsupported"
             )
-        samples.append(
-            Sample(
-                observed=chunk[:history].T.copy(),
-                target=chunk[history:].T.copy(),
-                timestamps=table.timestamps[start : start + window].copy(),
-            )
+    # flat offset of (station, step) within a window, observed steps first
+    offsets = np.arange(n)[:, None] + n * np.arange(window)
+    offsets = np.concatenate([offsets[:, :history].ravel(), offsets[:, history:].ravel()])
+    blocks = np.take(table.values, n * starts[:, None] + offsets)
+    stamps = np.take(table.timestamps, starts[:, None] + np.arange(window))
+    split = n * history
+    return [
+        Sample(
+            observed=block[:split].reshape(n, history),
+            target=block[split:].reshape(n, horizon),
+            timestamps=ts,
         )
-    return samples
+        for block, ts in zip(blocks, stamps)
+    ]
 
 
 def split_counts(n: int, ratios) -> tuple[int, int, int]:

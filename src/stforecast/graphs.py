@@ -9,7 +9,6 @@ instants inside a fixed window, and therefore form a DAG.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,18 @@ def flat_index(station: int, instant: int, n_stations: int) -> int:
     return instant * n_stations + station
 
 
+# a road-network edge: two station ids and a cost
+EDGE_DTYPE = np.dtype([("from", np.int64), ("to", np.int64), ("cost", np.float64)])
+
+# PhysicalGraph's edge checks, in the order they are applied to one edge
+_EDGE_CHECKS = (
+    "self-edge at station {i}",
+    "edge ({i},{j}) outside station range",
+    "non-finite cost {cost} on edge ({i},{j})",
+    "negative cost on edge ({i},{j})",
+)
+
+
 @dataclass(frozen=True)
 class PhysicalGraph:
     """Road network: stations plus undirected edges with finite nonnegative costs."""
@@ -42,26 +53,40 @@ class PhysicalGraph:
     def __post_init__(self):
         if self.n_stations <= 0:
             raise ValueError("station count must be positive")
-        seen = set()
-        for index, (i, j, cost) in enumerate(self.edges):
-            if i == j:
-                raise EdgeError(index, f"self-edge at station {i}")
-            if not (0 <= i < self.n_stations and 0 <= j < self.n_stations):
-                raise EdgeError(index, f"edge ({i},{j}) outside station range")
-            if not math.isfinite(cost):
-                raise EdgeError(index, f"non-finite cost {cost} on edge ({i},{j})")
-            if cost < 0:
-                raise EdgeError(index, f"negative cost on edge ({i},{j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise EdgeError(index, f"duplicate edge ({i},{j})")
-            seen.add(key)
+        if not self.edges:
+            return
+        try:
+            table = np.array(list(self.edges), dtype=EDGE_DTYPE)
+        except OverflowError:  # ids beyond 64 bits: compare them as Python ints
+            table = np.array(list(self.edges), dtype=[(f, object) for f in EDGE_DTYPE.names])
+        i, j, cost = table["from"], table["to"], table["cost"].astype(np.float64, copy=False)
+        failed = np.array([
+            i == j,
+            (i < 0) | (i >= self.n_stations) | (j < 0) | (j >= self.n_stations),
+            ~np.isfinite(cost),
+            cost < 0,
+        ], dtype=bool)
+        bad = np.flatnonzero(failed.any(axis=0))
+        index = bad[0] if len(bad) else len(self.edges)
+        # a duplicate repeats the station pair of an earlier edge that passed
+        # every check: a stable sort by pair puts each pair's first edge first
+        lo, hi = np.minimum(i, j)[:index], np.maximum(i, j)[:index]
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        repeats = order[1:][(lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]
+        if len(repeats):
+            index, message = repeats.min(), "duplicate edge ({i},{j})"
+        elif index < len(self.edges):
+            message = _EDGE_CHECKS[np.argmax(failed[:, index])]
+        else:
+            return
+        i, j, cost = self.edges[index]
+        raise EdgeError(int(index), message.format(i=i, j=j, cost=cost))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edge endpoints and costs as arrays: ``i``, ``j`` int64 and ``cost`` float64."""
-        ends = np.array([(i, j) for i, j, _ in self.edges], dtype=np.int64).reshape(-1, 2)
-        costs = np.array([cost for _, _, cost in self.edges], dtype=np.float64)
-        return ends[:, 0], ends[:, 1], costs
+        table = np.array(list(self.edges), dtype=EDGE_DTYPE)
+        return tuple(np.ascontiguousarray(table[name]) for name in EDGE_DTYPE.names)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,8 @@ x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
 2021). A fold that enough of a block's layers share gets Q(A) as one sparse
 matrix, found by column probing over its connected components (Curtis,
 Powell and Reid, IMA J. Appl. Math. 1974) with the steps run backwards, so
-each of its solves takes two sparse products instead of ``iters`` + 1.
+each of its solves takes two sparse products instead of the recurrence's
+``iters`` (one for the starting residual, one for every step but the last).
 """
 
 from __future__ import annotations
@@ -189,10 +190,12 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
 
     Exact mode iterates until ||A x - b|| <= tol (or the iteration cap);
     unrolled mode runs exactly ``sched.iters`` steps with the stored
-    alpha/beta coefficients instead of the classical formulas. Unrolled mode
-    takes no dot products, so on a block-diagonal A (lanes) every lane
-    follows the path it would follow alone, bit for bit; exact mode runs one
-    CG on the whole system, whose stopping test bounds every lane's residual.
+    alpha/beta coefficients instead of the classical formulas, ``sched.iters``
+    products by A in all: the starting residual, then every step but the
+    last, which moves only x. Unrolled mode takes no dot products, so on a
+    block-diagonal A (lanes) every lane follows the path it would follow
+    alone, bit for bit; exact mode runs one CG on the whole system, whose
+    stopping test bounds every lane's residual.
 
     ``apply_g``, in unrolled mode, applies the schedule's polynomial Q(A)
     (``polynomial_operator``): the result is then x0 + Q(A)(b - A x0), two
@@ -248,17 +251,21 @@ def _unrolled_steps(apply_a, x0: np.ndarray, r0: np.ndarray, sched: CgSchedule,
                     check: bool) -> np.ndarray:
     """The fixed-step CG iterations from x0 and its residual r0, which stay unchanged.
 
-    With ``check``, a non-finite iterate raises ``NumericFailure`` naming the
+    Every step but the last takes one product by A; the last only moves x,
+    so a run of ``iters`` steps takes ``iters`` - 1 products. With
+    ``check``, a non-finite iterate raises ``NumericFailure`` naming the
     iteration and the first non-finite entry.
     """
     x, r, p = x0.copy(), r0.copy(), r0.copy()
     scaled = np.empty_like(x)
+    last = sched.iters - 1
     for k, (alpha, beta) in enumerate(zip(sched.alphas.tolist(), sched.betas.tolist())):
-        ap = apply_a(p)
         x += np.multiply(alpha, p, out=scaled)
-        r -= np.multiply(alpha, ap, out=scaled)
         if check and not np.all(np.isfinite(x)):
             raise NumericFailure("unrolled CG diverged", iteration=k, entry=_first_nonfinite(x))
+        if k == last:  # the residual would only feed a next direction
+            break
+        r -= np.multiply(alpha, apply_a(p), out=scaled)
         p *= beta
         p += r
     return x
@@ -279,9 +286,9 @@ def polynomial_operator(apply_a, labels: np.ndarray, sched: CgSchedule) -> sp.cs
     k-th search direction. The probe runs that sum in reverse, which needs
     no x and no r: from s = v = alpha_{K-1} I, each k = K-2 .. 0 sets
     v <- alpha_k (I - A s) + beta_k v and then s <- s + v, ending at
-    s = Q(A). That is ``iters`` - 1 products by A and four passes over the
-    probe per step, where the forward steps take ``iters`` and six; the
-    identity is added at the probe's n ones. Both orders agree to rounding.
+    s = Q(A). That is ``iters`` - 1 products by A, as many as the forward
+    steps take, but four passes over the probe per step where they take six;
+    the identity is added at the probe's n ones. Both orders agree to rounding.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -382,7 +389,9 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
     least m of the block's layers solve it, m being the size of its largest
     connected component: the probe costs ``iters`` - 1 products on m
-    columns, and each solve then saves ``iters`` - 1 products.
+    columns, and each solve then takes 2 products instead of ``iters``,
+    saving ``iters`` - 2. The rule was the break-even while the recurrence
+    took ``iters`` + 1, so it now admits a system a few solves early.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
     folds = {}

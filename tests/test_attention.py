@@ -20,6 +20,7 @@ from stforecast.attention import (
     undirected_weights,
 )
 from stforecast.graphs import (
+    DirectedSkeleton,
     PhysicalGraph,
     build_spatial_skeleton,
     build_temporal_skeleton,
@@ -226,6 +227,24 @@ class TestDirectedWeights:
         w_far = directed_weights(np.array([[0.0], [2.0], [0.0]]), skel, metric)
         edge_from_1 = skel.src == 1
         assert w_far[edge_from_1] < w_ref[edge_from_1]
+
+    @given(
+        n=st.integers(1, 6), instants=st.integers(2, 9), window=st.integers(1, 8),
+        lanes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lag_slices_equal_the_edge_gathers(self, n, instants, window, lanes, seed):
+        # the windowed skeleton's lag-w differences as slices, against the same
+        # edges as a plain DirectedSkeleton, whose differences are gathered
+        window = min(window, instants - 1)
+        skel = build_temporal_skeleton(n, instants, window)
+        plain = DirectedSkeleton(skel.n_nodes, skel.src, skel.dst, skel.lag, skel.sources)
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((lanes, skel.n_nodes, 3))
+        factors = rng.standard_normal((lanes, window, 3, 3))
+        got = directed_weights(feats, skel, factors)
+        assert got.tobytes() == directed_weights(feats, plain, factors).tobytes()
+        assert set(np.unique(skel.lag)) == set(range(1, window + 1))
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0))
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """Dataset I/O, window cutting, synthetic generation, and the CLI surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,52 @@ class TestWindowsAndSplits:
         for n in range(0, 50):
             c = dmod.split_counts(n, (0.6, 0.2, 0.2))
             assert sum(c) == n
+
+
+def cut_windows_by_loop(table, history, horizon, stride):
+    """Windows one at a time, each checked for gaps before it is copied (the reference)."""
+    window = history + horizon
+    samples = []
+    for start in range(0, len(table.timestamps) - window + 1, stride):
+        chunk = table.values[start : start + window]
+        if np.isnan(chunk).any():
+            t_bad, s_bad = np.argwhere(np.isnan(chunk))[0]
+            raise dmod.ParseError(
+                f"missing value at timestamp {table.timestamps[start + t_bad]} "
+                f"station s{s_bad}; gaps are unsupported"
+            )
+        samples.append((chunk[:history].T.copy(), chunk[history:].T.copy(),
+                        table.timestamps[start : start + window].copy()))
+    return samples
+
+
+class TestCutWindows:
+    @given(
+        steps=st.integers(1, 40), n=st.integers(1, 5), history=st.integers(1, 12),
+        horizon=st.integers(0, 6), stride=st.integers(1, 25),
+        gaps=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 4)), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, steps, n, history, horizon, stride, gaps):
+        values = np.random.default_rng(steps * 7 + n).standard_normal((steps, n))
+        for t, s in gaps:
+            values[t % steps, s % n] = np.nan
+        table = dmod.SignalTable(np.arange(steps, dtype=np.int64) * 60 + 5, values)
+        try:
+            want = cut_windows_by_loop(table, history, horizon, stride)
+        except dmod.ParseError as exc:
+            with pytest.raises(dmod.ParseError) as info:
+                dmod.cut_windows(table, history, horizon, stride)
+            assert str(info.value) == str(exc)
+            return
+        got = dmod.cut_windows(table, history, horizon, stride)
+        assert len(got) == len(want)
+        for sample, (observed, target, stamps) in zip(got, want):
+            for mine, ref in ((sample.observed, observed), (sample.target, target),
+                              (sample.timestamps, stamps)):
+                assert mine.flags.c_contiguous
+                assert mine.dtype == ref.dtype and mine.shape == ref.shape
+                assert mine.tobytes() == ref.tobytes()
 
 
 class TestLoadDataset:
@@ -196,7 +243,8 @@ class TestCsvReader:
 
 
 PAYLOADS = [b"", b" ", b"\xff", b'"', b",", b"\n", b"\r", b"\x00", b"-1", b"0", b"1e999",
-            b"nan", b"x", b"99999999999999999999", b"9" * 200_000]
+            b"nan", b"x", b"99999999999999999999", b"9" * 200_000, b"1.0", b"1_0", b'"1"',
+            b"#", b"\r\n", b"\t", b"\x1c", b"-nan", b"+1", b" 2 "]
 MUTATIONS = st.lists(
     st.tuples(
         st.sampled_from(["byte", "cell", "row"]),
@@ -264,6 +312,192 @@ class TestReaderFuzz:
         dmod.write_edges_csv(self.PG, path)
         path.write_bytes(_mutate(path.read_bytes(), mutations))
         self._loads_or_names_path(path, lambda p: dmod.load_road_network(p, n_stations))
+
+
+def _row_reader_only(read, path):
+    """``read(path)`` with the numpy parse switched off: the row reader alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmod, "_read_numeric", lambda *args: None)
+        return _outcome(read, path)
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives, in a form to compare bit for bit: the
+    table's or graph's bytes, or the error's type and text."""
+    try:
+        got = read(path)
+    except dmod.ParseError as exc:
+        return ("error", str(exc))
+    if isinstance(got, dmod.SignalTable):
+        return ("table", got.timestamps.dtype.str, got.timestamps.tobytes(),
+                got.values.dtype.str, got.values.shape, got.values.tobytes(),
+                got.values.flags.c_contiguous)
+    return ("graph", got.n_stations, [tuple(map(type, e)) for e in got.edges], repr(got.edges))
+
+
+def _read_edges(n_stations):
+    return lambda path: dmod.load_road_network(path, n_stations)
+
+
+def _assert_paths_agree(read, path, numpy_path=None):
+    """``read`` gives the row reader's result bit for bit, or its error text;
+    ``numpy_path`` says whether the numpy parse must have taken the file."""
+    calls = []
+    numeric = dmod._read_numeric
+
+    def spied(*args):
+        calls.append(numeric(*args))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmod, "_read_numeric", spied)
+        got = _outcome(read, path)
+    assert got == _row_reader_only(read, path)
+    if numpy_path is not None:
+        assert (calls[0] is not None) == numpy_path, got
+    return got
+
+
+SIGNAL_CASES = {
+    # name: (file text, whether numpy parses it; the table may still be rejected)
+    "clean": ("timestamp,s0,s1\n0,1.5,-2.0\n300,nan,1e999\n", True),
+    "one-row-one-station": ("timestamp,s0\n7,0.1\n", True),
+    "crlf": ("timestamp,s0,s1\r\n0,1.5,2\r\n300,3,4\r\n", True),
+    "bare-cr": ("timestamp,s0\r0,1.5\r300,3\r", True),
+    "padded-and-signed": ("timestamp, s0\n +0 , -1.5 \n300,\t+2\n", True),
+    "empty-lines": ("timestamp,s0\n\n0,1\n\n300,2\n\n", True),
+    "float-timestamp": ("timestamp,s0\n1.0,1\n", False),
+    "exponent-timestamp": ("timestamp,s0\n1e3,1\n", False),
+    "blank-cell": ("timestamp,s0,s1\n0,,2\n300,3, \n", False),
+    "whitespace-only-row": ("timestamp,s0\n0,1\n   \n300,2\n", False),
+    "blank-timestamp": ("timestamp,s0\n,1\n", False),
+    "quoted-number": ('timestamp,s0\n0,"1.5"\n300,2\n', False),
+    "quoted-timestamp": ('timestamp,s0\n"0",1.5\n', False),
+    "comment-line": ("timestamp,s0\n0,1\n# note\n300,2\n", False),
+    "hash-cell": ("timestamp,s0\n0,1 # note\n", False),
+    "underscore-value": ("timestamp,s0\n0,1_0\n", False),
+    "underscore-timestamp": ("timestamp,s0\n1_0,1\n", False),
+    "short-row": ("timestamp,s0,s1\n0,1\n", False),
+    "long-row": ("timestamp,s0\n0,1,2\n", False),
+    "every-row-short": ("timestamp,s0,s1\n0,1\n300,2\n", False),
+    "header-only": ("timestamp,s0,s1\n", False),
+    "header-and-blank-lines": ("timestamp,s0\n\n\n", False),
+    "empty": ("", False),
+    "bad-header": ("time,s0\n0,1\n", False),
+    "descending": ("timestamp,s0\n300,1\n0,2\n", True),
+    "int64-overflow": ("timestamp,s0\n9223372036854775808,1\n", False),
+    "int64-edge": ("timestamp,s0\n-9223372036854775808,1\n9223372036854775807,2\n", True),
+    "control-space": ("timestamp,s0\n\x1c0,1\n", False),
+    "control-space-value": ("timestamp,s0\n0,\x1f1\n", False),
+    "unicode-space": ("timestamp,s0\n\u20030,1\xa0\n", True),
+    "unicode-digit": ("timestamp,s0\n\u0661,1\n", False),
+    "nul": ("timestamp,s0\n0,1\x00\n", False),
+    "oversized-field": ("timestamp,s0\n0," + "9" * 200_000 + "\n", False),
+    # a line longer than csv's field limit (131 072) whose fields are short
+    "long-line": ("timestamp," + ",".join(f"s{i}" for i in range(30000)) + "\n0,"
+                  + ",".join(["0.25"] * 30000) + "\n", True),
+}
+
+
+EDGE_CASES = {
+    "clean": ("from,to,cost\n0,1,1.5\n1,2,0\n", True),
+    "crlf": ("from,to,cost\r\n0,1,1.5\r\n", True),
+    "float-id": ("from,to,cost\n0,1.0,1.5\n", False),
+    "blank-cost": ("from,to,cost\n0,1,\n", False),
+    "quoted-id": ('from,to,cost\n"0",1,1.5\n', False),
+    "comment-line": ("from,to,cost\n# roads\n0,1,1.5\n", False),
+    "underscore-id": ("from,to,cost\n0,1_0,1.5\n", False),
+    "whitespace-only-row": ("from,to,cost\n0,1,1\n \n", False),
+    "short-row": ("from,to,cost\n0,1\n", False),
+    "header-only": ("from,to,cost\n", False),
+    "duplicate": ("from,to,cost\n0,1,1\n\n\n1,0,2\n", True),
+    "self-edge": ("from,to,cost\n0,1,1\n2,2,1\n", True),
+    "negative-id": ("from,to,cost\n0,1,1\n-1,2,1\n", True),
+    "nan-cost": ("from,to,cost\n0,1,nan\n", True),
+    "negative-cost": ("from,to,cost\n0,1,-0.5\n", True),
+    "id-beyond-count": ("from,to,cost\n0,7,1\n", True),
+    "id-beyond-int64": ("from,to,cost\n0,99999999999999999999,1\n", False),
+    "control-space-cost": ("from,to,cost\n0,1,1\x1e\n", False),
+}
+
+
+class TestReaderPaths:
+    """Both readers parse with numpy first and fall back to the row reader;
+    every file gives the row reader's result bit for bit, or its error text."""
+
+    @pytest.mark.parametrize("name", SIGNAL_CASES)
+    def test_signal_cases(self, tmp_path, name):
+        text, numpy_path = SIGNAL_CASES[name]
+        path = tmp_path / "signals.csv"
+        path.write_bytes(text.encode())
+        _assert_paths_agree(dmod.read_signal_csv, path, numpy_path)
+
+    @pytest.mark.parametrize("n_stations", [None, 3])
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_edge_cases(self, tmp_path, name, n_stations):
+        text, numpy_path = EDGE_CASES[name]
+        path = tmp_path / "edges.csv"
+        path.write_bytes(text.encode())
+        _assert_paths_agree(_read_edges(n_stations), path, numpy_path)
+
+    def test_clean_files_skip_the_row_reader(self, tmp_path, monkeypatch):
+        table, pg = dmod.generate_synthetic(5, 40, seed=3)
+        dmod.write_signal_csv(table, tmp_path / "s.csv")
+        dmod.write_edges_csv(pg, tmp_path / "e.csv")
+        monkeypatch.setattr(dmod, "_read_csv", None)  # calling it would fail
+        back = dmod.read_signal_csv(tmp_path / "s.csv")
+        assert back.values.tobytes() == table.values.tobytes()
+        assert dmod.load_road_network(tmp_path / "e.csv", 5).edges == pg.edges
+
+    def test_parse_warning_falls_back_to_rows(self, tmp_path, monkeypatch):
+        # numpy 1.x reads the integer field "1.0" as 1 with a DeprecationWarning
+        loadtxt = np.loadtxt
+
+        def lenient(*args, **kwargs):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        path = tmp_path / "signals.csv"
+        path.write_text("timestamp,s0\n0,1.5\n")
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        assert dmod._read_numeric(path, dmod._check_signal_header, dmod._signal_dtype) is None
+        assert dmod.read_signal_csv(path).values.tolist() == [[1.5]]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=MUTATIONS)
+    def test_fuzzed_signal_files(self, tmp_path, mutations):
+        path = tmp_path / "signals.csv"
+        dmod.write_signal_csv(TestReaderFuzz.TABLE, path)
+        path.write_bytes(_mutate(path.read_bytes(), mutations))
+        _assert_paths_agree(dmod.read_signal_csv, path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=MUTATIONS, n_stations=st.sampled_from([None, 3]))
+    def test_fuzzed_edge_files(self, tmp_path, mutations, n_stations):
+        path = tmp_path / "edges.csv"
+        dmod.write_edges_csv(TestReaderFuzz.PG, path)
+        path.write_bytes(_mutate(path.read_bytes(), mutations))
+        _assert_paths_agree(_read_edges(n_stations), path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        cells=st.lists(
+            st.lists(st.text(st.sampled_from("0123456789.-+e_n ai\t\x1c\"#,"), max_size=6),
+                     min_size=1, max_size=3),
+            min_size=0, max_size=4,
+        ),
+        crlf=st.booleans(),
+    )
+    def test_random_cells(self, tmp_path, cells, crlf):
+        end = "\r\n" if crlf else "\n"
+        for header, read in (("timestamp,s0", dmod.read_signal_csv),
+                             ("from,to,cost", _read_edges(None))):
+            path = tmp_path / "in.csv"
+            path.write_bytes((end.join([header] + [",".join(row) for row in cells]) + end).encode())
+            _assert_paths_agree(read, path)
 
 
 class TestSyntheticData:

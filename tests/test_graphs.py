@@ -1,5 +1,7 @@
 """Graph construction and operator assembly."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from stforecast.attention import build_mixed_graph
 from stforecast.data import ParseError, load_road_network
 from stforecast.graphs import (
     DegenerateDegreeError,
+    EdgeError,
     PhysicalGraph,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
@@ -51,6 +54,46 @@ class TestPhysicalGraph:
         # depended on edge order
         with pytest.raises(ValueError, match="non-finite cost"):
             PhysicalGraph(3, ((0, 1, 1.0), (1, 2, cost)))
+
+
+def first_bad_edge(n_stations, edges):
+    """The index and message of the first edge failing validation, one edge at a time."""
+    seen = set()
+    for index, (i, j, cost) in enumerate(edges):
+        if i == j:
+            return index, f"self-edge at station {i}"
+        if not (0 <= i < n_stations and 0 <= j < n_stations):
+            return index, f"edge ({i},{j}) outside station range"
+        if not math.isfinite(cost):
+            return index, f"non-finite cost {cost} on edge ({i},{j})"
+        if cost < 0:
+            return index, f"negative cost on edge ({i},{j})"
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            return index, f"duplicate edge ({i},{j})"
+        seen.add(key)
+    return None
+
+
+STATION_IDS = st.one_of(st.integers(-2, 6), st.sampled_from([2**63, -(2**70), 2**70]))
+EDGE_LISTS = st.lists(
+    st.tuples(STATION_IDS, STATION_IDS,
+              st.sampled_from([0.0, 1.5, -1.0, float("inf"), float("-inf"), float("nan")])),
+    max_size=8,
+)
+
+
+class TestEdgeValidation:
+    @given(n_stations=st.one_of(st.integers(1, 6), st.just(2**71)), edges=EDGE_LISTS)
+    @settings(max_examples=400, deadline=None)
+    def test_first_bad_edge_matches_the_loop(self, n_stations, edges):
+        edges = tuple(edges)
+        try:
+            PhysicalGraph(n_stations, edges)
+            got = None
+        except EdgeError as exc:
+            got = (exc.index, str(exc))
+        assert got == first_bad_edge(n_stations, edges)
 
 
 class TestRoadNetworkCsv:

@@ -95,6 +95,53 @@ class TestCgSolve:
         with pytest.raises(NumericFailure, match="cg iteration"):
             cg_solve(lambda v: a @ v, np.ones(2), np.zeros(2), sched)
 
+    @staticmethod
+    def _counted(a):
+        calls = []
+
+        def apply_a(v):
+            calls.append(1)
+            return a @ v
+
+        return apply_a, calls
+
+    @pytest.mark.parametrize("iters", [1, 2, 8])
+    def test_unrolled_recurrence_takes_iters_products(self, iters):
+        # the starting residual, then one product for every step but the last
+        rng = np.random.default_rng(iters)
+        a = random_spd(rng, 6)
+        apply_a, calls = self._counted(a)
+        x = cg_solve(apply_a, rng.standard_normal(6), np.zeros(6), CgSchedule.unrolled(iters))
+        assert len(calls) == iters
+        assert np.all(np.isfinite(x))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("iters", [3, 30, 600])
+    def test_checked_rerun_names_the_step_with_every_product_taken(self, iters):
+        # the reference runs every step in full, its last product included
+        a = np.diag([1000.0, 2000.0, 3.0])
+        sched = CgSchedule.unrolled(iters=iters, alphas=0.8, betas=0.3)
+        b = np.array([1.0, -1.0, 1.0])
+        x, r = np.zeros(3), b.copy()
+        p, want = r.copy(), None
+        for k in range(iters):
+            ap = a @ p
+            x = x + 0.8 * p
+            r = r - 0.8 * ap
+            bad = np.flatnonzero(~np.isfinite(x))
+            if len(bad):
+                want = (k, int(bad[0]))
+                break
+            p = r + 0.3 * p
+        apply_a, calls = self._counted(a)
+        if want is None:
+            np.testing.assert_array_equal(cg_solve(apply_a, b, np.zeros(3), sched), x)
+            assert len(calls) == iters
+            return
+        with pytest.raises(NumericFailure) as info:
+            cg_solve(apply_a, b, np.zeros(3), sched)
+        assert (info.value.iteration, info.value.entry) == want
+
     def test_exact_rejects_indefinite(self):
         a = np.diag([1.0, -1.0])
         with pytest.raises(NumericFailure, match="curvature"):
