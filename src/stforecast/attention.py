@@ -4,7 +4,9 @@ This is the self-attention analogue: node embeddings (signal value, spatial
 eigenmap coordinates, sinusoidal time encoding) are projected to a small
 feature space, compared under learned PSD metrics, and turned into normalized
 edge weights. Spatial slices get one metric per instant, temporal edges one
-metric per lag, and the whole construction is replicated per head.
+metric per lag, and the whole construction is replicated per head. A
+neighbourhood whose every weight underflows raises ``DegenerateWeightError``,
+a ``NumericFailure`` of that lane.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from scipy.sparse.linalg import eigsh
 from .graphs import (
     DirectedSkeleton,
     MixedGraph,
+    NumericFailure,
     PhysicalGraph,
     SpatialSkeleton,
     TemporalSkeleton,
@@ -39,33 +42,14 @@ DENSE_EIGENMAP_MAX_STATIONS = 200
 EIGSH_SHIFT = -1e-2
 
 
-class DegenerateWeightError(ValueError):
+class DegenerateWeightError(NumericFailure, ValueError):
     """All attention weights in some neighborhood underflowed to zero.
 
-    Raised with the instant, and with the lane as ``head`` when the weights of
-    several lanes are computed together; the forward pass adds the block and
-    splits the lane into window and head on the same exception, so the
-    message names each place once.
+    Raised with the instant and the lane, and with the lane as ``head`` when
+    the weights of several lanes are computed together; the forward pass
+    re-splits the lane into window and head. A ``ValueError`` too, so a
+    caller that rejects bad input rejects it.
     """
-
-    def __init__(self, message, *, block=None, window=None, head=None, instant=None):
-        super().__init__(message)
-        self.message = message
-        self.block = block
-        self.window = window
-        self.head = head
-        self.instant = instant
-
-    def __str__(self):
-        where = [
-            f"{label} {value}"
-            for label, value in (
-                ("block", self.block), ("window", self.window), ("head", self.head),
-                ("instant", self.instant),
-            )
-            if value is not None
-        ]
-        return self.message + (f" ({', '.join(where)})" if where else "")
 
 
 def temporal_embedding(t_stamps: np.ndarray) -> np.ndarray:
@@ -349,8 +333,9 @@ def undirected_weights(
             norm = np.sqrt(sums[:, ei] * sums[:, ej])
             degenerate = np.flatnonzero((norm == 0).any(axis=-1))
             if len(degenerate):
+                lane = int(degenerate[0])
                 raise DegenerateWeightError(
-                    "zero attention mass", head=None if single else int(degenerate[0]), instant=t
+                    "zero attention mass", head=None if single else lane, instant=t, lane=lane
                 )
             out[:, t] = e / norm
     return out[0] if single else out

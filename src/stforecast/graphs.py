@@ -4,7 +4,11 @@ The node set is stations x instants, flattened time-major: node (s, t) sits at
 flat index t*N + s, so the observed prefix of the signal occupies a contiguous
 block of the stacked vector. Spatial edges are undirected and live within one
 instant; temporal edges are directed, connect a station to itself at later
-instants inside a fixed window, and therefore form a DAG.
+instants inside a fixed window, and therefore form a DAG. The spatial
+skeleton keeps the road graph's connected components.
+
+``NumericFailure`` is the one failure of a forward pass; it lives here, below
+both ``attention`` and ``solver``, which raise it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+
+class NumericFailure(RuntimeError):
+    """One lane of one block of a forward pass went bad; carries where.
+
+    The lane's graph learning found no attention mass, or one of its solves
+    produced non-finite values. Each caller on the way out fills in the
+    fields it knows (CG iteration; layer and step; lane; block, window and
+    head) on the same exception and re-raises it, so the message names each
+    place once. ``lane`` is the failing lane of a stacked graph and
+    ``entry`` the flat position of the first non-finite value, when seen;
+    neither is printed.
+    """
+
+    PLACES = (("block", "block"), ("window", "window"), ("head", "head"),
+              ("instant", "instant"), ("layer", "layer"), ("step", "step"),
+              ("iteration", "cg iteration"))
+
+    def __init__(self, message, *, block=None, window=None, head=None, instant=None, layer=None,
+                 step=None, iteration=None, lane=None, entry=None):
+        super().__init__(message)
+        self.message = message
+        self.block, self.window, self.head, self.instant = block, window, head, instant
+        self.layer, self.step, self.iteration = layer, step, iteration
+        self.lane, self.entry = lane, entry
+
+    def __str__(self):
+        where = [
+            f"{label} {getattr(self, name)}"
+            for name, label in self.PLACES
+            if getattr(self, name) is not None
+        ]
+        return self.message + (f" ({', '.join(where)})" if where else "")
 
 
 class DegenerateDegreeError(ValueError):
@@ -94,7 +132,6 @@ class SpatialSkeleton:
     """Per-instant undirected edge set over stations (shared by all instants)."""
 
     n_stations: int
-    neighbors: tuple[tuple[int, ...], ...]
     edges: np.ndarray  # (E, 2) with i < j, lexicographically sorted
 
     @property
@@ -103,10 +140,14 @@ class SpatialSkeleton:
 
 
 def build_spatial_skeleton(pg: PhysicalGraph, k: int) -> SpatialSkeleton:
-    """Keep each station's k lowest-cost physical neighbors, then symmetrize by union.
+    """Keep each station's k lowest-cost physical neighbors, symmetrize by union,
+    then join the pieces the road graph connects.
 
     Ties on cost are broken toward the lower station id so builds are
-    deterministic.
+    deterministic. The k-nearest union can split a connected road graph; then
+    the cheapest road edges between pieces, ranked by (cost, lower id, higher
+    id), are added along a minimum spanning forest of the pieces (Kruskal), so
+    the skeleton has the road graph's connected components.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -124,16 +165,35 @@ def build_spatial_skeleton(pg: PhysicalGraph, k: int) -> SpatialSkeleton:
     # each kept edge once as the key i * n + j with i < j; sorted keys are the
     # lexicographically sorted edge list
     key = np.unique(np.minimum(station, nbr)[keep] * n + np.maximum(station, nbr)[keep])
-    edges = np.stack([key // n, key % n], axis=1)
-    # both directions again, grouped by station with neighbors ascending
-    both = np.sort(np.concatenate([key, (key % n) * n + key // n]))
-    flat = (both % n).tolist()
-    bounds = np.searchsorted(both // n, np.arange(n + 1)).tolist()
-    return SpatialSkeleton(
-        n_stations=n,
-        neighbors=tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])),
-        edges=edges,
-    )
+    key = _join_pieces(n, key, np.minimum(ei, ej), np.maximum(ei, ej), cost)
+    return SpatialSkeleton(n_stations=n, edges=np.stack([key // n, key % n], axis=1))
+
+
+def _join_pieces(n: int, key: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 cost: np.ndarray) -> np.ndarray:
+    """Sorted edge keys ``key`` plus the road edges (lo, hi, cost) that join its pieces."""
+    kept = sp.coo_matrix((np.ones(len(key)), (key // n, key % n)), shape=(n, n))
+    piece = connected_components(kept, directed=False)[1]
+    across = np.flatnonzero(piece[lo] != piece[hi])
+    if not len(across):
+        return key
+    across = across[np.lexsort((hi[across], lo[across], cost[across]))]
+    root = list(range(piece.max() + 1))  # union-find over the pieces
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    added = []
+    for a, b, edge in zip(piece[lo[across]].tolist(), piece[hi[across]].tolist(),
+                          (lo[across] * n + hi[across]).tolist()):
+        a, b = find(a), find(b)
+        if a != b:
+            root[a] = b
+            added.append(edge)
+    return np.union1d(key, added)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ The running signal is the stacked vector over stations x instants; each block
 relearns the mixed graph from the current signal, refines the signal with one
 ADMM block that runs every head as a lane of a block-diagonal system, merges
 the heads, and applies a residual step. Several windows run together as
-further lanes of the same system, window-major, head-minor.
+further lanes of the same system, window-major, head-minor. A failing lane,
+in graph learning or in the solve, is reported as one ``NumericFailure``
+naming block, window and head.
 """
 
 from __future__ import annotations
@@ -227,19 +229,13 @@ def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
             graph = block_graph(
                 ctx, x, t_steps, cfg.data.history, with_undirected_temporal=needs_ln
             )
-        except attention.DegenerateWeightError as exc:
-            exc.block = b
-            exc.window, exc.head = divmod(exc.head, heads)  # the lane it names
-            raise
-        params = cfg.layers.layer_params(b, rho0)
-        try:
+            params = cfg.layers.layer_params(b, rho0)
             out = solver.admm_block(
                 np.repeat(x, heads, axis=0).ravel(), y, graph, params, sched, mode
             )
         except solver.NumericFailure as exc:
-            lane = graph.lane_of(exc.entry)
             exc.block = b
-            exc.window, exc.head = (None, None) if lane is None else divmod(lane, heads)
+            exc.window, exc.head = (None, None) if exc.lane is None else divmod(exc.lane, heads)
             raise
         del graph  # so that two blocks' graphs are never held at once
         out = out.reshape(len(samples), heads, -1)
@@ -263,7 +259,7 @@ def reconstruct_batch(samples: list[Sample], ctx: PipelineContext) -> list[np.nd
     for first in range(0, len(samples), per_call):
         try:
             recons += _forward(samples[first : first + per_call], ctx)
-        except (solver.NumericFailure, attention.DegenerateWeightError) as exc:
+        except solver.NumericFailure as exc:
             if exc.window is not None:
                 exc.window += first
             raise

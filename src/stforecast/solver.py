@@ -22,6 +22,10 @@ matrix, found by column probing over its connected components (Curtis,
 Powell and Reid, IMA J. Appl. Math. 1974) with the steps run backwards, so
 each of its solves takes two sparse products instead of the recurrence's
 ``iters`` (one for the starting residual, one for every step but the last).
+
+A solve whose result is not finite raises ``NumericFailure`` (from
+``graphs``, importable here) naming its CG iteration; the layer adds the
+sub-step and the block the lane.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import priors
-from .graphs import MixedGraph
+from .graphs import MixedGraph, NumericFailure
 
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
@@ -81,44 +85,6 @@ TERMS = {
     "direct_unsplit": Terms(l1=True, temporal="call_rd", split=False),
 }
 VARIANTS = tuple(TERMS)
-
-
-class NumericFailure(RuntimeError):
-    """A solve produced non-finite values; carries where it happened.
-
-    Each caller on the way out fills in the fields it knows (CG iteration,
-    then layer and step, then block, window and head) on the same exception
-    and re-raises it, so the message names each place once. ``entry`` is the
-    flat position of the first non-finite value, when one was seen; under
-    lanes it tells which lane failed.
-    """
-
-    def __init__(self, message, *, block=None, window=None, head=None, layer=None, step=None,
-                 iteration=None, entry=None):
-        super().__init__(message)
-        self.message = message
-        self.block = block
-        self.window = window
-        self.head = head
-        self.layer = layer
-        self.step = step
-        self.iteration = iteration
-        self.entry = entry
-
-    def __str__(self):
-        where = [
-            f"{label} {value}"
-            for label, value in (
-                ("block", self.block),
-                ("window", self.window),
-                ("head", self.head),
-                ("layer", self.layer),
-                ("step", self.step),
-                ("cg iteration", self.iteration),
-            )
-            if value is not None
-        ]
-        return self.message + (f" ({', '.join(where)})" if where else "")
 
 
 def _first_nonfinite(vec: np.ndarray) -> int | None:
@@ -200,10 +166,13 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
     ``apply_g``, in unrolled mode, applies the schedule's polynomial Q(A)
     (``polynomial_operator``): the result is then x0 + Q(A)(b - A x0), two
     products in all. It agrees with the step-by-step recurrence to rounding,
-    and can stay finite where the recurrence's own iterates overflow; when it
-    is not finite, the recurrence runs with a check per step, names the
-    failing iteration and entry, and its result is returned if it finds no
-    failure.
+    and can stay finite where the recurrence's own iterates overflow.
+
+    Either way an unrolled result is checked once, at the end: a non-finite
+    entry of x stays non-finite through x + alpha p, so the recurrence cannot
+    fail unseen. When the result is not finite, the recurrence runs again
+    with a check per step, names the failing iteration and entry, and its
+    result is returned if it finds no failure.
     """
     b = np.asarray(b, dtype=np.float64)
     x = np.array(x0, dtype=np.float64)
@@ -211,17 +180,13 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
         raise ValueError("x0 and b must have the same shape")
     r = b - apply_a(x)
     if sched.mode == "unrolled":
-        if apply_g is not None:
+        if apply_g is None:
+            out = _unrolled_steps(apply_a, x, r, sched, check=False)
+        else:
             out = x + apply_g(r)
-            if np.all(np.isfinite(out)):
-                return out
-            return _unrolled_steps(apply_a, x, r, sched, check=True)
-        out = _unrolled_steps(apply_a, x, r, sched, check=False)
-        # a non-finite entry of x stays non-finite through x + alpha p, so one
-        # check at the end sees every failure; the checked re-run names its step
-        if not np.all(np.isfinite(out)):
-            _unrolled_steps(apply_a, x, r, sched, check=True)
-        return out
+        if np.all(np.isfinite(out)):
+            return out
+        return _unrolled_steps(apply_a, x, r, sched, check=True)
     p = r.copy()
     rr = float(r @ r)
     cap = sched.iters if sched.iters is not None else 2 * len(b) + 10
@@ -598,6 +563,7 @@ def admm_block(
 
     On a stacked graph (``graph.lanes`` > 1) ``x0``, ``y`` and the result
     hold one lane after another, and a trace record covers all lanes at once.
+    A ``NumericFailure`` leaves with its ``lane`` set from its ``entry``.
     """
     terms = TERMS.get(mode)
     if terms is None:
@@ -610,7 +576,11 @@ def admm_block(
     hty = graph.lift_observed(y)
     folds = block_folds(graph, params, terms, sched)
     for layer, p in enumerate(params):
-        _layer(state, graph, p, hty, sched, layer, terms, folds)
+        try:
+            _layer(state, graph, p, hty, sched, layer, terms, folds)
+        except NumericFailure as exc:
+            exc.lane = graph.lane_of(exc.entry)
+            raise
         if trace is not None:
             trace.append(_trace_record(layer, state, graph, p, y, terms))
     return state.x

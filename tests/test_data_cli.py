@@ -9,12 +9,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stforecast import data as dmod
-from stforecast import priors
-from stforecast.attention import MetricBank, directed_weights, undirected_weights
+from stforecast import priors, tuning
+from stforecast.attention import (
+    DegenerateWeightError,
+    MetricBank,
+    directed_weights,
+    undirected_weights,
+)
 from stforecast.cli import cli_main
 from stforecast.config import DataSettings, PipelineConfig
 from stforecast.graphs import build_spatial_skeleton, build_temporal_skeleton
-from stforecast.pipeline import PipelineContext, forecast_metrics, initial_extrapolation, run_forecast
+from stforecast.pipeline import (
+    PipelineContext,
+    evaluate,
+    forecast_metrics,
+    initial_extrapolation,
+    run_forecast,
+)
+from stforecast.solver import NumericFailure
 
 
 class TestSignalCsv:
@@ -737,7 +749,26 @@ class TestCli:
         assert (cent > 0).all()
 
     def test_graph_dump_disconnected_slice_exits_1(self, tmp_path, capsys):
-        # the default 4-nearest skeleton of this 200-station network has 3 components
+        # a road network of two paths, stations 0-9 and 10-19, gives a
+        # spatial slice of two components
+        assert cli_main([
+            "synth", "--out", str(tmp_path), "--stations", "20", "--steps", "200", "--seed", "0",
+        ]) == 0
+        pieces = [(i, i + 1) for i in range(9)] + [(i, i + 1) for i in range(10, 19)]
+        (tmp_path / "edges.csv").write_text(
+            "from,to,cost\n" + "".join(f"{i},{j},1.0\n" for i, j in pieces)
+        )
+        with pytest.warns(UserWarning, match="2 connected components"):
+            rc = cli_main([
+                "graph-dump", "--signals", str(tmp_path / "signals.csv"),
+                "--edges", str(tmp_path / "edges.csv"), "--out", str(tmp_path / "dump"),
+            ])
+        assert rc == 1
+        assert "error: slice is not connected (2 components)" in capsys.readouterr().err
+
+    def test_graph_dump_joins_a_split_skeleton(self, tmp_path):
+        # the 4-nearest union alone splits this connected 200-station network
+        # into 3 pieces; the skeleton joins them, so every station gets a centrality
         assert cli_main([
             "synth", "--out", str(tmp_path), "--stations", "200", "--steps", "200", "--seed", "0",
         ]) == 0
@@ -745,8 +776,10 @@ class TestCli:
             "graph-dump", "--signals", str(tmp_path / "signals.csv"),
             "--edges", str(tmp_path / "edges.csv"), "--out", str(tmp_path / "dump"),
         ])
-        assert rc == 1
-        assert "error: slice is not connected (3 components)" in capsys.readouterr().err
+        assert rc == 0
+        rows = (tmp_path / "dump" / "perron.csv").read_text().strip().splitlines()[1:]
+        cent = np.array([float(r.split(",")[1]) for r in rows])
+        assert len(cent) == 200 and (cent > 0).all()
 
     @pytest.mark.parametrize(
         "command,section,bad,message",
@@ -896,3 +929,59 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "layers" in err and "bogus_key" in err
+
+
+class TestForwardFailure:
+    """A window whose attention mass underflows, from the signal CSV to the CLI and the tuner."""
+
+    @staticmethod
+    def bad_signals(synth_dir):
+        # one far-off value at step 145 of station 2 (column 3 after the
+        # timestamp) lies at instant 4 of the last test window, window 1 of
+        # the two that ``--max-samples 2`` picks: that station's attention
+        # mass underflows there
+        lines = (synth_dir / "signals.csv").read_text().splitlines()
+        cells = lines[1 + 145].split(",")
+        cells[3] = "1e9"
+        lines[1 + 145] = ",".join(cells)
+        path = synth_dir / "bad_signals.csv"
+        path.write_text("\n".join(lines) + "\n")
+        spec = dmod.DatasetSpec(path, synth_dir / "edges.csv",
+                                PipelineConfig.load(synth_dir / "config.json").data)
+        return path, dmod.load_dataset(spec)
+
+    def test_forecast_names_block_window_head_instant(self, synth_dir, capsys):
+        path, _loaded = self.bad_signals(synth_dir)
+        rc = cli_main([
+            "forecast", "--signals", str(path), "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "config.json"), "--out", str(synth_dir / "fc"),
+            "--max-samples", "2",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: zero attention mass (block 0, window 1, head 0, instant 4)\n", err
+
+    def test_is_a_numeric_failure_and_a_value_error(self, synth_dir):
+        _path, (splits, pg, std) = self.bad_signals(synth_dir)
+        cfg = PipelineConfig.load(synth_dir / "config.json")
+        ctx = PipelineContext.build(pg, cfg, standardizer=std, interval=splits.interval)
+        with pytest.raises(DegenerateWeightError) as info:
+            evaluate(splits.test, ctx, max_samples=2)
+        assert isinstance(info.value, NumericFailure)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "zero attention mass (block 0, window 1, head 0, instant 4)"
+
+    def test_tuner_scores_the_window_nan(self, synth_dir, monkeypatch):
+        _path, (splits, pg, std) = self.bad_signals(synth_dir)
+        cfg = PipelineConfig.load(synth_dir / "config.json")
+        losses = []
+
+        def first_loss(loss_fn, theta0, iterations, **kwargs):
+            losses.append(loss_fn(theta0))
+            return theta0, losses[0], tuning.SpsaTrace(iterations=[], best_losses=losses)
+
+        monkeypatch.setattr(tuning, "spsa_minimize", first_loss)
+        # the two windows the forecast above runs
+        tuning.tune_spsa(cfg, pg, splits.test, standardizer=std, iterations=1, eval_samples=2,
+                         interval=splits.interval)
+        assert len(losses) == 1 and np.isnan(losses[0])

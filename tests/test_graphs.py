@@ -148,7 +148,6 @@ class TestSpatialSkeleton:
     def test_path_k1(self):
         pg = PhysicalGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
         skel = build_spatial_skeleton(pg, 1)
-        assert skel.neighbors == ((1,), (0, 2), (1,))
         assert [tuple(e) for e in skel.edges] == [(0, 1), (1, 2)]
 
     def test_complete_graph_saturates(self):
@@ -161,14 +160,26 @@ class TestSpatialSkeleton:
         # cheapest leaves, each leaf keeps the center, and the union is the star
         pg = PhysicalGraph(5, ((0, 1, 4.0), (0, 2, 1.0), (0, 3, 3.0), (0, 4, 2.0)))
         skel = build_spatial_skeleton(pg, 2)
-        assert skel.neighbors[0] == (1, 2, 3, 4)
-        assert skel.n_edges == 4
+        assert [tuple(e) for e in skel.edges] == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_tie_breaks_toward_lower_id(self):
         pg = PhysicalGraph(3, ((0, 1, 1.0), (0, 2, 1.0)))
         skel = build_spatial_skeleton(pg, 1)
         # station 0 has two unit-cost options; the lower id wins
         assert (0, 1) in {tuple(e) for e in skel.edges}
+
+    def test_pieces_joined_by_cheapest_road_edge(self):
+        # k = 1 keeps (0,1) and (2,3); of the edges between the two pieces the
+        # cheapest wins, and a cost tie goes to the lower station ids
+        pg = PhysicalGraph(4, ((0, 1, 1.0), (2, 3, 1.0), (1, 2, 2.0), (0, 3, 2.0), (0, 2, 3.0)))
+        skel = build_spatial_skeleton(pg, 1)
+        assert [tuple(e) for e in skel.edges] == [(0, 1), (0, 3), (2, 3)]
+
+    def test_zero_cost_join(self):
+        # k = 1 keeps (0,3) and (1,2); the join is the zero-cost edge (2,3)
+        pg = PhysicalGraph(4, ((0, 3, 0.0), (1, 2, 0.0), (2, 3, 0.0)))
+        skel = build_spatial_skeleton(pg, 1)
+        assert [tuple(e) for e in skel.edges] == [(0, 3), (1, 2), (2, 3)]
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -12,10 +12,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stforecast import attention
+from stforecast import attention, data
 from stforecast.attention import (
     FeatureMap,
     orient_columns,
@@ -36,7 +37,9 @@ from stforecast.pipeline import PipelineContext
 
 
 def loop_spatial_skeleton(pg, k):
-    """Reference: rank each station's incident edges by (cost, neighbor), one station at a time."""
+    """Reference: rank each station's incident edges by (cost, neighbor), one station at a
+    time; then, while some road edge runs between two pieces, add the cheapest such edge
+    by (cost, lower id, higher id), finding the pieces afresh by graph search each time."""
     chosen = set()
     for s in range(pg.n_stations):
         incident = [(c, j) for i, j, c in pg.edges if i == s] + [
@@ -44,12 +47,39 @@ def loop_spatial_skeleton(pg, k):
         ]
         for _cost, nbr in sorted(incident)[:k]:
             chosen.add((min(s, nbr), max(s, nbr)))
-    nbrs = [set() for _ in range(pg.n_stations)]
-    for i, j in chosen:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    edges = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
-    return tuple(tuple(sorted(n)) for n in nbrs), edges
+    while True:
+        piece = loop_pieces(pg.n_stations, chosen)
+        between = sorted(
+            (c, min(i, j), max(i, j)) for i, j, c in pg.edges if piece[i] != piece[j]
+        )
+        if not between:
+            break
+        chosen.add(between[0][1:])
+    return np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+
+
+def loop_pieces(n, edges):
+    """Reference: the piece of every station, by depth-first search over ``edges``."""
+    nbrs = skeleton_neighbors(n, edges)
+    piece = [None] * n
+    for start in range(n):
+        if piece[start] is None:
+            piece[start], stack = start, [start]
+            while stack:
+                for j in nbrs[stack.pop()]:
+                    if piece[j] is None:
+                        piece[j] = start
+                        stack.append(j)
+    return piece
+
+
+def skeleton_neighbors(n, edges):
+    """Each station's neighbours in ascending order, from (i, j) edge pairs."""
+    nbrs = [set() for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].add(int(j))
+        nbrs[j].add(int(i))
+    return [sorted(s) for s in nbrs]
 
 
 def loop_temporal_skeleton(n, n_instants, window):
@@ -68,7 +98,7 @@ def loop_aggregate(emb, skel):
     """Reference: average each node with its neighbors' mean, one station and instant at a time."""
     n = skel.n_stations
     agg = emb.copy()
-    for s, nbrs in enumerate(skel.neighbors):
+    for s, nbrs in enumerate(skeleton_neighbors(n, skel.edges)):
         if not nbrs:
             continue
         idx = np.asarray(nbrs)
@@ -130,9 +160,8 @@ class TestSkeletonsMatchLoops:
     @given(physical_graphs(), st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
     def test_spatial(self, pg, k):
-        neighbors, edges = loop_spatial_skeleton(pg, k)
+        edges = loop_spatial_skeleton(pg, k)
         skel = build_spatial_skeleton(pg, k)
-        assert skel.neighbors == neighbors
         assert skel.edges.dtype == edges.dtype == np.int64
         np.testing.assert_array_equal(skel.edges, edges)
 
@@ -146,6 +175,21 @@ class TestSkeletonsMatchLoops:
             got = getattr(skel, name)
             assert got.dtype == ref.dtype, name
             np.testing.assert_array_equal(got, ref, err_msg=name)
+
+
+class TestSkeletonComponents:
+    @staticmethod
+    def components(n, edges):
+        adj = sp.coo_matrix((np.ones(len(edges)), tuple(np.asarray(edges).T)), shape=(n, n))
+        return connected_components(adj, directed=False)[0]
+
+    @pytest.mark.parametrize("n,seed", [(200, 0), (1000, 1), (1000, 2)])
+    def test_split_networks_are_joined(self, n, seed):
+        # the 4-nearest union alone has 3, 2 and 2 components on these networks
+        _table, pg = data.generate_synthetic(n, 20, seed)
+        ei, ej, _cost = pg.edge_arrays()
+        assert self.components(n, np.stack([ei, ej], axis=1)) == 1
+        assert self.components(n, build_spatial_skeleton(pg, 4).edges) == 1
 
 
 class TestVectorisedLoopsMatch:
