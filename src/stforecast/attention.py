@@ -28,6 +28,7 @@ from .graphs import (
     TemporalSkeleton,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
+    component_blocks,
     normalized_laplacian,
     symmetrized_dglr_matrix,
     unit_laplacian,
@@ -98,35 +99,43 @@ def smallest_eigenpairs_sparse(lap: sp.spmatrix, count: int) -> tuple[np.ndarray
 
     Each connected component is solved on its own: every component adds one
     copy of eigenvalue 0, and Lanczos from one start vector finds the copies
-    of a multiple eigenvalue only through rounding and can miss some. A
-    component is solved by
+    of a multiple eigenvalue only through rounding and can miss some. The
+    components of at most ``count + 1`` nodes are solved by dense ``eigh``,
+    one stacked call per size (``component_blocks``); a larger component by
     shift-invert Lanczos about a small negative shift (``lap - shift I`` is
-    positive definite and factorizes once), or by dense ``eigh`` when it has
-    at most ``count + 1`` nodes. The fixed start vector makes repeated calls
-    bitwise equal; it is not the all-ones vector, an exact eigenvector.
+    positive definite and factorizes once). The fixed start vector makes
+    repeated calls bitwise equal; it is not the all-ones vector, an exact
+    eigenvector. Ties between eigenvalues go to the lower component label.
     """
     _n_components, labels = connected_components(lap, directed=False)
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    vals, vecs = [], []
-    for idx in members:
-        sub = lap[idx][:, idx]
-        k = min(count, len(idx))
-        if len(idx) <= k + 1:
-            v, vec = smallest_eigenpairs_dense(sub, k)
-        else:
-            v0 = np.random.default_rng(0).standard_normal(len(idx))
-            v, vec = eigsh(sub.tocsc(), k=k, sigma=EIGSH_SHIFT, which="LM", v0=v0)
-            order = np.argsort(v, kind="stable")
-            v, vec = v[order], vec[:, order]
-        vals.append(v)
-        vecs.append(vec)
-    owner = np.repeat(np.arange(len(members)), [len(v) for v in vals])
-    column = np.concatenate([np.arange(len(v)) for v in vals])
-    pick = np.argsort(np.concatenate(vals), kind="stable")[:count]
+    sizes = np.bincount(labels)
+    # per part: members (C, k), eigenvalues (C, j) and eigenvectors (C, k, j)
+    parts = []
+    small = component_blocks(lap, labels, max_size=count + 1)
+    for members, blocks in zip(small.members, small.blocks):
+        v, vec = np.linalg.eigh(blocks)
+        k = min(count, members.shape[1])
+        parts.append((members, v[:, :k], vec[:, :, :k]))
+    by_label = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for comp in np.flatnonzero(sizes > count + 1):
+        idx = by_label[starts[comp] : starts[comp] + sizes[comp]]
+        v0 = np.random.default_rng(0).standard_normal(len(idx))
+        v, vec = eigsh(lap[idx][:, idx].tocsc(), k=count, sigma=EIGSH_SHIFT, which="LM", v0=v0)
+        order = np.argsort(v, kind="stable")
+        parts.append((idx[None], v[order][None], vec[:, order][None]))
+    # every eigenpair by (value, component label, column)
+    vals = np.concatenate([v.ravel() for _, v, _ in parts])
+    label = np.concatenate([np.repeat(labels[m[:, 0]], v.shape[1]) for m, v, _ in parts])
+    column = np.concatenate([np.tile(np.arange(v.shape[1]), len(v)) for _, v, _ in parts])
+    part = np.repeat(np.arange(len(parts)), [v.size for _, v, _ in parts])
+    row = np.concatenate([np.repeat(np.arange(len(v)), v.shape[1]) for _, v, _ in parts])
+    pick = np.lexsort((column, label, vals))[:count]
     out = np.zeros((lap.shape[0], count))
     for c, p in enumerate(pick):
-        out[members[owner[p]], c] = vecs[owner[p]][:, column[p]]
-    return np.concatenate(vals)[pick], out
+        members, _, vecs = parts[part[p]]
+        out[members[row[p]], c] = vecs[row[p], :, column[p]]
+    return vals[pick], out
 
 
 def orient_columns(vecs: np.ndarray) -> np.ndarray:

@@ -362,6 +362,79 @@ def normalized_laplacian(w: sp.spmatrix) -> sp.csr_matrix:
     return lap
 
 
+@dataclass(frozen=True, eq=False)
+class ComponentBlocks:
+    """A matrix that couples only nodes of one connected component, as dense
+    blocks: one stack per component size.
+
+    ``members[i]`` is a (C, k) array whose row c lists the nodes of one
+    component of k nodes in ascending order, and ``blocks[i]`` the (C, k, k)
+    stack of the matrix's entries among them, rows and columns in that order.
+    Stacks run in ascending k, and the components of one stack in label
+    order. A node in no stack has a zero row and column.
+    """
+
+    n_nodes: int
+    members: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """The matrix-vector product: per stack a gather, one batched matmul and a scatter."""
+        out = np.zeros(self.n_nodes)
+        for idx, blk in zip(self.members, self.blocks):
+            out[idx] = np.matmul(blk, v[idx][..., None])[..., 0]
+        return out
+
+
+def component_blocks(a: sp.spmatrix, labels: np.ndarray,
+                     max_size: int | None = None) -> ComponentBlocks:
+    """The entries of ``a`` among the nodes of each connected component, as
+    ``ComponentBlocks``.
+
+    ``labels`` gives the component of each node, as ``connected_components``
+    of ``a`` does: ``a`` must couple no two components. Components of more
+    than ``max_size`` nodes are left out. Every stack is a view of one buffer
+    of sum(k^2) values, filled by one scatter-add, so duplicate entries add
+    up and a stored -0.0 reads 0.0, as in ``toarray``.
+    """
+    a = a.tocsr()
+    labels = np.asarray(labels)
+    n = len(labels)
+    sizes = np.bincount(labels)
+    # each node's rank in its component, in index order
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(labels, kind="stable")] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # kept components by (size, label), each a run of nodes and a run of values
+    comps = np.argsort(sizes, kind="stable")
+    if max_size is not None:
+        comps = comps[sizes[comps] <= max_size]
+    k = sizes[comps]
+    node_start = np.full(len(sizes), -1, dtype=np.intp)
+    node_start[comps] = np.cumsum(k) - k
+    value_start = np.zeros(len(sizes), dtype=np.intp)
+    value_start[comps] = np.cumsum(k * k) - k * k
+    kept = node_start[labels] >= 0
+    members = np.empty(int(k.sum()), dtype=np.intp)
+    members[node_start[labels[kept]] + rank[kept]] = np.flatnonzero(kept)
+    # entry (i, j) sits at row rank(i), column rank(j) of its component's block
+    per_row = np.diff(a.indptr)
+    at = np.repeat(value_start[labels] + rank * sizes[labels], per_row) + rank[a.indices]
+    data = a.data
+    if not kept.all():
+        on = np.repeat(kept, per_row)
+        at, data = at[on], data[on]
+    values = np.bincount(at, weights=data, minlength=int((k * k).sum()))
+    size, count = np.unique(k, return_counts=True)
+    node_end, value_end = np.cumsum(count * size), np.cumsum(count * size * size)
+    return ComponentBlocks(
+        n_nodes=n,
+        members=tuple(members[e - c * s : e].reshape(c, s)
+                      for e, c, s in zip(node_end, count, size)),
+        blocks=tuple(values[e - c * s * s : e].reshape(c, s, s)
+                     for e, c, s in zip(value_end, count, size)),
+    )
+
+
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")
 
 

@@ -17,11 +17,11 @@ built once per distinct set of layer scalars in a block.
 
 Unrolled CG with a fixed schedule is a fixed polynomial Q(A) of its system:
 x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
-2021). A fold that enough of a block's layers share gets Q(A) as one sparse
-matrix, found by column probing over its connected components (Curtis,
-Powell and Reid, IMA J. Appl. Math. 1974) with the steps run backwards, so
-each of its solves takes two sparse products instead of the recurrence's
-``iters`` (one for the starting residual, one for every step but the last).
+2021). A fold that enough of a block's layers share gets Q(A) built once,
+as dense blocks over its connected components with the steps run backwards,
+so each of its solves takes one sparse product and one batched dense product
+instead of the recurrence's ``iters`` sparse products (one for the starting
+residual, one for every step but the last).
 
 A solve whose result is not finite raises ``NumericFailure`` (from
 ``graphs``, importable here) naming its CG iteration; the layer adds the
@@ -31,14 +31,14 @@ sub-step and the block the lane.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import priors
-from .graphs import MixedGraph, NumericFailure
+from .graphs import ComponentBlocks, MixedGraph, NumericFailure, component_blocks
 
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
@@ -51,8 +51,8 @@ DEFAULT_EXACT_TOL = 1e-10
 # unrolled polynomial (``block_folds``). One bound for both keeps a stacked
 # window on the path it takes alone, so its result stays bitwise the same.
 # Sized by ``scripts/lane_budget_sweep.py`` (table in README) for stacking;
-# the polynomial measured no slower than the recurrence up to 46 080 desk
-# nodes, so the bound is not where it stops paying (README, Layout).
+# it also bounds a polynomial's memory, n x m values for n nodes and a
+# largest component of m (README, Layout).
 LANE_NODE_BUDGET = 12000
 
 
@@ -236,51 +236,39 @@ def _unrolled_steps(apply_a, x0: np.ndarray, r0: np.ndarray, sched: CgSchedule,
     return x
 
 
-def polynomial_operator(apply_a, labels: np.ndarray, sched: CgSchedule) -> sp.csr_matrix:
-    """Q(A) of an unrolled schedule, x_K = x0 + Q(A) r0, as a CSR matrix.
+def polynomial_operator(a: sp.spmatrix, labels: np.ndarray, sched: CgSchedule) -> ComponentBlocks:
+    """Q(A) of an unrolled schedule, x_K = x0 + Q(A) r0, as dense component blocks.
 
     ``labels`` gives the connected component of each node of A (as from
     ``scipy.sparse.csgraph.connected_components``). Q(A) couples only nodes
-    of one component, so Q(A) applied to an (n x m) probe finds it, m being
-    the largest component's size: column j of the probe holds a 1 at the
-    j-th node (in index order) of every component. Each row of the result
-    stores its whole component, in ascending column order, with an int32
-    pattern.
+    of one component, so it is kept as ``graphs.component_blocks`` of A are:
+    one (C, k, k) stack per component size k, sum(k^2) values in all.
 
     The forward steps give Q(A) = sum_k alpha_k P_k(A), P_k(A) r0 being the
-    k-th search direction. The probe runs that sum in reverse, which needs
+    k-th search direction. The build runs that sum in reverse, which needs
     no x and no r: from s = v = alpha_{K-1} I, each k = K-2 .. 0 sets
     v <- alpha_k (I - A s) + beta_k v and then s <- s + v, ending at
-    s = Q(A). That is ``iters`` - 1 products by A, as many as the forward
-    steps take, but four passes over the probe per step where they take six;
-    the identity is added at the probe's n ones. Both orders agree to rounding.
+    s = Q(A): ``iters`` - 1 steps of one batched matmul per stack. Both
+    orders agree to rounding.
     """
-    labels = np.asarray(labels)
-    n = len(labels)
-    sizes = np.bincount(labels)
-    members = np.argsort(labels, kind="stable")  # by component, then by index
-    rank = np.empty(n, dtype=np.intp)
-    rank[members] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ones = (np.arange(n), rank)
+    blocks = component_blocks(a, labels)
     alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
-    s = np.zeros((n, sizes.max()))
-    s[ones] = alphas[-1]
-    v = s.copy()
+    q = []
     with np.errstate(over="ignore", invalid="ignore"):  # cg_solve checks what it applies
-        for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
-            step = apply_a(s)
-            step *= -alpha
-            v *= beta
-            v += step
-            v[ones] += alpha
-            s += v
-    # row i keeps columns 0 .. size - 1 of its probe row: its component's nodes by rank
-    by_rank = np.zeros((len(sizes), s.shape[1]), dtype=np.int32)
-    by_rank[labels, rank] = np.arange(n)
-    row_len = sizes[labels]
-    keep = np.arange(s.shape[1]) < row_len[:, None]
-    indptr = np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32)
-    return sp.csr_matrix((s[keep], by_rank[labels][keep], indptr), shape=(n, n))
+        for blk in blocks.blocks:
+            c, k, _ = blk.shape
+            s = np.zeros_like(blk)
+            s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]  # each diagonal, as a strided view
+            v, step = s.copy(), np.empty_like(blk)
+            for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
+                np.matmul(blk, s, out=step)
+                step *= -alpha
+                v *= beta
+                v += step
+                v.reshape(c, k * k)[:, :: k + 1] += alpha
+                s += v
+            q.append(s)
+    return replace(blocks, blocks=tuple(q))
 
 
 @dataclass(eq=False)
@@ -353,10 +341,10 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     A system gets its polynomial (``polynomial_operator``) when the schedule
     is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
     least m of the block's layers solve it, m being the size of its largest
-    connected component: the probe costs ``iters`` - 1 products on m
-    columns, and each solve then takes 2 products instead of ``iters``,
-    saving ``iters`` - 2. The rule was the break-even while the recurrence
-    took ``iters`` + 1, so it now admits a system a few solves early.
+    connected component. Each solve then takes 2 products instead of
+    ``iters``; the build takes ``iters`` - 1 batched matmuls of the
+    component blocks, cheaper than the m columns of products by A that the
+    rule was first sized for.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
     folds = {}
@@ -365,7 +353,7 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
         if sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET:
             labels = connected_components(a, directed=False)[1]
             if np.bincount(labels).max() <= count:
-                g = polynomial_operator(a.dot, labels, sched)
+                g = polynomial_operator(a, labels, sched)
         folds[key] = (a, g)
     return folds
 

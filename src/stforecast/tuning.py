@@ -15,6 +15,7 @@ import numpy as np
 
 from . import pipeline
 from .config import PipelineConfig
+from .graphs import NumericFailure
 from .solver import CG_ALPHA_MAX
 
 PARAM_FLOOR = 1e-6
@@ -184,7 +185,9 @@ def tune_spsa(
 
     Each loss evaluation runs the ``eval_samples`` validation windows as
     lanes of stacked systems (``pipeline.reconstruct_batch``); a candidate
-    whose forward pass fails scores NaN.
+    whose forward pass fails scores NaN. When the starting point itself
+    fails, its ``NumericFailure`` is raised, naming the window by its
+    position in the evaluated subset.
     """
     tcfg = config.tuner
     iterations = tcfg.iterations if iterations is None else iterations
@@ -203,29 +206,40 @@ def tune_spsa(
         pg, config, standardizer=standardizer, interval=interval
     )
 
+    failure = [None]  # the latest evaluation's forward-pass failure
+
     def loss_fn(theta: np.ndarray) -> float:
+        failure[0] = None
         cand = unpack_config(config, tunables, theta)
         # the candidate reuses the base context's skeletons, eigenmap and feature map
         bank = cand.heads.build_bank(cand.data.n_instants, cand.graph.window, cand.graph.feature_dim)
         ctx = replace(base_ctx, config=cand, bank=bank)
         try:
             recons = pipeline.reconstruct_batch(subset, ctx)
-        except (ValueError, RuntimeError):
+        except (ValueError, RuntimeError) as exc:
+            failure[0] = exc
             return float("nan")
         losses = [pipeline.huber_loss(r, s.full_truth()) for s, r in zip(subset, recons)]
         return float(np.mean(losses))
 
     theta0 = pack_config(config, tunables, pg.n_stations)
-    best_theta, _best, trace = spsa_minimize(
-        loss_fn,
-        theta0,
-        iterations,
-        seed=seed,
-        step=tcfg.step,
-        perturb=tcfg.perturb,
-        decay_exponent=tcfg.decay_exponent,
-        perturb_exponent=tcfg.perturb_exponent,
-        project=make_projection(config, tunables),
-    )
+    try:
+        best_theta, _best, trace = spsa_minimize(
+            loss_fn,
+            theta0,
+            iterations,
+            seed=seed,
+            step=tcfg.step,
+            perturb=tcfg.perturb,
+            decay_exponent=tcfg.decay_exponent,
+            perturb_exponent=tcfg.perturb_exponent,
+            project=make_projection(config, tunables),
+        )
+    except ValueError:
+        # only a non-finite loss at the starting point stops the search, right
+        # after its evaluation: name where that forward pass failed
+        if isinstance(failure[0], NumericFailure):
+            raise failure[0] from None
+        raise
     return unpack_config(config, tunables, best_theta), trace
 

@@ -366,7 +366,8 @@ def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
     Q(A), and x0 + Q(A)(b - A x0) must match the step-by-step recurrence to
     1e-12 relative. The 12 criterion-10 test forecasts (evenly spaced, the
     training-split standardizer) must match the forecasts made with every
-    system on the recurrence to 1e-9 raw units.
+    system on the recurrence, a reference that must build no Q(A), to 1e-9
+    raw units.
     """
     cfg = PipelineConfig()
     table, pg = generate_synthetic(20, 2000, seed)
@@ -392,8 +393,14 @@ def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
 
     test = pipeline.evenly_spaced_subset(splits.test, 12)
     polynomial = pipeline.reconstruct_batch(test, ctx)
-    with mock.patch.object(solver, "LANE_NODE_BUDGET", 0):  # every system on the recurrence
+    # every system on the recurrence: the reference must build no Q(A)
+    with mock.patch.object(solver, "LANE_NODE_BUDGET", 0), mock.patch.object(
+        solver, "polynomial_operator", wraps=solver.polynomial_operator
+    ) as build:
         recurrence = pipeline.reconstruct_batch(test, ctx)
+    if build.call_count:
+        return CheckResult("unrolled CG as its polynomial (desk)", False,
+                           f"the recurrence-only reference built {build.call_count} polynomials")
     gap = max(
         float(np.abs(p[:, cfg.data.history:] - r[:, cfg.data.history:]).max())
         for p, r in zip(polynomial, recurrence)

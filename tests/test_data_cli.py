@@ -935,15 +935,15 @@ class TestForwardFailure:
     """A window whose attention mass underflows, from the signal CSV to the CLI and the tuner."""
 
     @staticmethod
-    def bad_signals(synth_dir):
+    def bad_signals(synth_dir, step=145):
         # one far-off value at step 145 of station 2 (column 3 after the
         # timestamp) lies at instant 4 of the last test window, window 1 of
         # the two that ``--max-samples 2`` picks: that station's attention
         # mass underflows there
         lines = (synth_dir / "signals.csv").read_text().splitlines()
-        cells = lines[1 + 145].split(",")
+        cells = lines[1 + step].split(",")
         cells[3] = "1e9"
-        lines[1 + 145] = ",".join(cells)
+        lines[1 + step] = ",".join(cells)
         path = synth_dir / "bad_signals.csv"
         path.write_text("\n".join(lines) + "\n")
         spec = dmod.DatasetSpec(path, synth_dir / "edges.csv",
@@ -970,6 +970,22 @@ class TestForwardFailure:
         assert isinstance(info.value, NumericFailure)
         assert isinstance(info.value, ValueError)
         assert str(info.value) == "zero attention mass (block 0, window 1, head 0, instant 4)"
+
+    def test_tune_names_a_failure_at_its_starting_point(self, synth_dir, capsys):
+        # the far-off value at step 120 lies in validation windows: the
+        # untuned config already fails there, and tune names the same block,
+        # window, head and instant as a forecast of the windows it evaluates
+        path, _loaded = self.bad_signals(synth_dir, step=120)
+        data_args = ["--signals", str(path), "--edges", str(synth_dir / "edges.csv"),
+                     "--config", str(synth_dir / "config.json")]
+        assert cli_main(["forecast", *data_args, "--out", str(synth_dir / "fc"),
+                         "--split", "val", "--max-samples", "10"]) == 1
+        want = capsys.readouterr().err
+        assert want.startswith("error: zero attention mass (block 0, window "), want
+        assert cli_main(["tune", *data_args, "--out", str(synth_dir / "tuned.json"),
+                         "--eval-samples", "10"]) == 1
+        assert capsys.readouterr().err == want
+        assert not (synth_dir / "tuned.json").exists()
 
     def test_tuner_scores_the_window_nan(self, synth_dir, monkeypatch):
         _path, (splits, pg, std) = self.bad_signals(synth_dir)

@@ -389,7 +389,7 @@ class TestUnrolledFailure:
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
-        apply_g = polynomial_operator(a.dot, np.arange(n), sched).dot if polynomial else None
+        apply_g = polynomial_operator(a, np.arange(n), sched).dot if polynomial else None
         try:
             want = per_step_unrolled(a.dot, b, x0, sched)
         except NumericFailure as ref:
@@ -625,21 +625,24 @@ class TestWindowLanes:
 
     def test_one_window_makes_the_same_solves_and_products(self, monkeypatch):
         # the default 5 x 25 x 4 model on one desk-scale window: each block
-        # probes its 3 folded systems once (7 products by A each, Horner's rule
-        # on the 8-step schedule's degree-7 polynomial), then runs 3
-        # CG solves per layer of one product by A and one by G = Q(A); and
-        # L_r x once per block plus L_r' and L_r once per layer
+        # builds Q(A) of its 3 folded systems once, from dense component
+        # blocks with no sparse product, then runs 3 CG solves per layer of
+        # one product by A and one by G = Q(A); and L_r x once per block plus
+        # L_r' and L_r once per layer
         table, pg = data.generate_synthetic(20, 200, 0)
         cfg = PipelineConfig()
         ctx = PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
         window = data.cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
-        counts = {"cg": 0, "folded": 0, "polynomial": 0, "probe": 0, "apply": 0}
-        cg, probe, apply = solver.cg_solve, solver.polynomial_operator, MixedGraph.apply
+        counts = {"cg": 0, "folded": 0, "polynomial": 0, "build": 0, "build_sparse": 0,
+                  "apply": 0}
+        cg, build, apply = solver.cg_solve, solver.polynomial_operator, MixedGraph.apply
+        building = []
+        sparse_owner = next(c for c in sp.csr_matrix.__mro__ if "_matmul_vector" in c.__dict__)
 
         def counted(name, fn):
-            def product(v):
+            def product(v, *args):
                 counts[name] += 1
-                return fn(v)
+                return fn(v, *args)
 
             return product
 
@@ -649,19 +652,34 @@ class TestWindowLanes:
                 apply_g = counted("polynomial", apply_g)
             return cg(counted("folded", apply_a), b, x0, sched, apply_g)
 
-        def counting_probe(apply_a, *args):
-            return probe(counted("probe", apply_a), *args)
+        def counting_build(*args):
+            counts["build"] += 1
+            building.append(1)
+            try:
+                return build(*args)
+            finally:
+                building.pop()
+
+        def sparse_hook(fn):
+            def product(*args):
+                if building:
+                    counts["build_sparse"] += 1
+                return fn(*args)
+
+            return product
 
         def counting_apply(graph, op, x):
             counts["apply"] += 1
             return apply(graph, op, x)
 
         monkeypatch.setattr(solver, "cg_solve", counting_cg)
-        monkeypatch.setattr(solver, "polynomial_operator", counting_probe)
+        monkeypatch.setattr(solver, "polynomial_operator", counting_build)
         monkeypatch.setattr(MixedGraph, "apply", counting_apply)
+        for name in ("_matmul_vector", "_matmul_multivector"):
+            monkeypatch.setattr(sparse_owner, name, sparse_hook(getattr(sparse_owner, name)))
         run_forecast(window, ctx)
         assert counts == {
-            "cg": 375, "folded": 375, "polynomial": 375, "probe": 5 * 3 * 7,
+            "cg": 375, "folded": 375, "polynomial": 375, "build": 5 * 3, "build_sparse": 0,
             "apply": 5 * (1 + 2 * 25),
         }
 
@@ -705,14 +723,19 @@ class TestPolynomialPath:
         for ops, shift, observed in fold_cases(p):
             a = folded_system(g, ops, shift, observed)
             labels = connected_components(a, directed=False)[1]
-            poly = polynomial_operator(a.dot, labels, sched)
-            assert poly.indices.dtype == np.int32 and poly.indptr.dtype == np.int32
-            assert poly.has_sorted_indices
+            poly = polynomial_operator(a, labels, sched)
+            # one (C, k, k) stack per component size: sum(k^2) values, not C * m^2
+            sizes = np.bincount(labels)
+            assert sorted(q.shape[1] for q in poly.blocks) == sorted(set(sizes.tolist()))
+            assert sum(q.size for q in poly.blocks) == int((sizes**2).sum())
             # Q(A) of the reference recurrence run on the identity, densely
             dense = a.toarray()
             q = per_step_unrolled(lambda v: dense @ v, np.eye(g.n_nodes), np.zeros_like(dense),
                                   sched)
-            assert np.abs(poly.toarray() - q).max() <= 1e-12 * np.abs(q).max()
+            got = np.column_stack([poly.dot(e) for e in np.eye(g.n_nodes)])
+            assert np.abs(got - q).max() <= 1e-12 * np.abs(q).max()
+            # and nothing outside the components
+            assert np.all(got[labels[:, None] != labels[None, :]] == 0)
             for _ in range(2):
                 b, x0 = rng.standard_normal((2, g.n_nodes))
                 want = per_step_unrolled(a.dot, b, x0, sched)
@@ -752,16 +775,16 @@ class TestPolynomialPath:
         cfg = small_config(heads=2, blocks=2, layers=18)
         ctx = PipelineContext.build(pg, cfg, standardizer=std)
         windows = splits.test[:3]
-        probes = []
-        probe = solver.polynomial_operator
+        builds = []
+        build = solver.polynomial_operator
         monkeypatch.setattr(
-            solver, "polynomial_operator", lambda *args: probes.append(1) or probe(*args)
+            solver, "polynomial_operator", lambda *args: builds.append(1) or build(*args)
         )
         together = pipeline._forward(windows, ctx)
-        assert len(probes) == 2 * 3
+        assert len(builds) == 2 * 3
         with recurrence_only():
             recurrence = pipeline._forward(windows, ctx)
-        assert len(probes) == 2 * 3
+        assert len(builds) == 2 * 3
         for w, got, want in zip(windows, together, recurrence):
             assert got.tobytes() == reconstruct(w, ctx).tobytes()
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -772,10 +795,10 @@ class TestPolynomialPath:
         splits, pg, std = cached_dataset()
         ctx = PipelineContext.build(pg, small_config(heads=2, layers=5), standardizer=std)
         monkeypatch.setattr(attention, "multi_head_graphs", diverge_lane(3))
-        probes = []
-        probe = solver.polynomial_operator
+        builds = []
+        build = solver.polynomial_operator
         monkeypatch.setattr(
-            solver, "polynomial_operator", lambda *args: probes.append(1) or probe(*args)
+            solver, "polynomial_operator", lambda *args: builds.append(1) or build(*args)
         )
         places = []
         for context in (contextlib.nullcontext(), recurrence_only()):
@@ -784,6 +807,24 @@ class TestPolynomialPath:
             exc = info.value
             places.append((exc.block, exc.window, exc.head, exc.layer, exc.step, exc.iteration,
                            exc.entry, str(exc)))
-        assert len(probes) == 1  # z_u of block 0, on the polynomial path the first time
+        assert len(builds) == 1  # z_u of block 0, on the polynomial path the first time
         assert places[0] == places[1]
         assert places[0][:5] == (0, 1, 1, 0, "z_u")
+
+    def test_verify_check_needs_a_reference_without_q(self, monkeypatch):
+        # a node bound that no longer keeps the reference on the recurrence
+        # must fail the check, not compare the polynomial with itself
+        from stforecast import verify
+
+        assert verify.check_polynomial_sub_solves().passed
+        folds = solver.block_folds
+
+        def ignoring_the_bound(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "LANE_NODE_BUDGET", 10**9)
+                return folds(*args)
+
+        monkeypatch.setattr(solver, "block_folds", ignoring_the_bound)
+        result = verify.check_polynomial_sub_solves()
+        assert not result.passed
+        assert "the recurrence-only reference built" in result.detail

@@ -1,8 +1,9 @@
 """Context set-up at large station counts: array-built skeletons and the sparse eigenmap.
 
 The per-station loop versions of the skeleton builders, the neighbor
-aggregation and the normalized Laplacian are kept here as references; the
-array versions must reproduce them exactly. The sparse eigenmap is held to
+aggregation and the normalized Laplacian, and the per-component loop of the
+sparse eigensolve, are kept here as references; the array versions must
+reproduce them exactly. The sparse eigenmap is held to
 the dense ``eigh`` path: vector by vector where the spectrum is simple, by
 spanned subspace where it is not.
 """
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +148,33 @@ def random_connected(rng, n, extra):
     return sorted(edges)
 
 
+def loop_smallest_eigenpairs(lap, count):
+    """Reference: slice and solve one component at a time, then pick the
+    ``count`` smallest eigenvalues by a stable sort in component order."""
+    labels = connected_components(lap, directed=False)[1]
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    vals, vecs = [], []
+    for idx in members:
+        sub = lap[idx][:, idx]
+        k = min(count, len(idx))
+        if len(idx) <= k + 1:
+            v, vec = smallest_eigenpairs_dense(sub, k)
+        else:
+            v0 = np.random.default_rng(0).standard_normal(len(idx))
+            v, vec = eigsh(sub.tocsc(), k=k, sigma=attention.EIGSH_SHIFT, which="LM", v0=v0)
+            order = np.argsort(v, kind="stable")
+            v, vec = v[order], vec[:, order]
+        vals.append(v)
+        vecs.append(vec)
+    owner = np.repeat(np.arange(len(members)), [len(v) for v in vals])
+    column = np.concatenate([np.arange(len(v)) for v in vals])
+    pick = np.argsort(np.concatenate(vals), kind="stable")[:count]
+    out = np.zeros((lap.shape[0], count))
+    for c, p in enumerate(pick):
+        out[members[owner[p]], c] = vecs[owner[p]][:, column[p]]
+    return np.concatenate(vals)[pick], out
+
+
 def eigenmap_with_threshold(pg, dim, threshold):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attention, "DENSE_EIGENMAP_MAX_STATIONS", threshold)
@@ -250,6 +279,54 @@ class TestSparseEigenmap:
         np.testing.assert_allclose(s_vals, d_vals, rtol=0, atol=1e-10)
         np.testing.assert_allclose(s_vecs.T @ s_vecs, np.eye(count), rtol=0, atol=1e-10)
         np.testing.assert_allclose(projector(s_vecs), projector(d_vecs), rtol=0, atol=1e-10)
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 12), min_size=1, max_size=30),
+           st.integers(1, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fragmented_equals_the_component_loop_bitwise(self, seed, sizes, count, weighted):
+        # pieces of random sizes in a random station order, each solved
+        # either in a stacked dense eigh or by Lanczos: values, vectors and
+        # the choice and order of the picked pairs match the loop bit for bit
+        rng = np.random.default_rng(seed)
+        edges, off = [], 0
+        for size in sizes:
+            edges += [(off + int(rng.integers(i)), off + i) for i in range(1, size)]
+            off += size
+        perm = rng.permutation(off)
+        pg = PhysicalGraph(off, tuple((int(perm[i]), int(perm[j]), 1.0) for i, j in edges))
+        lap = unit_laplacian(pg)
+        if weighted:
+            lap = lap.multiply(rng.uniform(0.5, 2.0)).tocsr()
+        count = min(count, off)
+        got, want = smallest_eigenpairs_sparse(lap, count), loop_smallest_eigenpairs(lap, count)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_one_stacked_eigh_per_small_size(self, monkeypatch):
+        # 2000 two-station pieces, 100 three-station pieces and one path of
+        # 50: two stacked dense solves and one Lanczos solve
+        edges = [(2 * i, 2 * i + 1, 1.0) for i in range(2000)]
+        edges += [(4000 + 3 * i + d, 4001 + 3 * i + d, 1.0) for i in range(100) for d in (0, 1)]
+        edges += [(4300 + i, 4301 + i, 1.0) for i in range(49)]
+        lap = unit_laplacian(PhysicalGraph(4350, tuple(edges)))
+        calls = {"eigh": [], "eigsh": 0}
+        eigh, lanczos = np.linalg.eigh, attention.eigsh
+
+        def counting_eigh(a):
+            calls["eigh"].append(a.shape)
+            return eigh(a)
+
+        def counting_eigsh(*args, **kwargs):
+            calls["eigsh"] += 1
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(attention, "eigsh", counting_eigsh)
+        vals, vecs = smallest_eigenpairs_sparse(lap, 6)
+        assert calls == {"eigh": [(2000, 2, 2), (100, 3, 3)], "eigsh": 1}
+        monkeypatch.undo()
+        want = loop_smallest_eigenpairs(lap, 6)
+        assert vals.tobytes() == want[0].tobytes() and vecs.tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("n", [40, 301])
     def test_degenerate_spectra_span_dense_subspace(self, n):
