@@ -37,9 +37,10 @@ from .graphs import (
 TEMPORAL_DIM = 10
 DEFAULT_SPATIAL_DIM = 5
 DEFAULT_FEATURE_DIM = 6
-# Station count above which the eigenmap switches from dense ``eigh``, O(N^3)
-# time and O(N^2) memory, to sparse shift-invert Lanczos per component.
-DENSE_EIGENMAP_MAX_STATIONS = 200
+# Connected components of up to this many stations are solved by dense
+# ``eigh``, O(k^3) time and O(k^2) memory each; larger ones by sparse
+# shift-invert Lanczos.
+DENSE_COMPONENT_MAX_STATIONS = 200
 EIGSH_SHIFT = -1e-2
 
 
@@ -68,57 +69,53 @@ def spatial_eigenmap(pg: PhysicalGraph, dim: int = DEFAULT_SPATIAL_DIM) -> np.nd
     """Smallest nontrivial eigenvectors of the unit-weight Laplacian of the road graph.
 
     Sign convention: first nonzero component of each eigenvector positive.
-    Zero-padded if the graph has fewer than ``dim`` nontrivial modes. Graphs
-    of up to ``DENSE_EIGENMAP_MAX_STATIONS`` stations use dense ``eigh``;
-    larger ones the sparse solve, whose vectors span the same eigenspaces
-    and, where the spectrum is simple, equal the dense ones up to rounding.
+    Zero-padded if the graph has fewer than ``dim`` nontrivial modes. Every
+    connected component is solved on its own (``smallest_eigenpairs``), so
+    each column is nonzero on one component only, at every station count.
     """
     n = pg.n_stations
     lap = unit_laplacian(pg)
-    n_components = connected_components(lap, directed=False, return_labels=False)
+    n_components, labels = connected_components(lap, directed=False)
     if n_components > 1:
         warnings.warn(f"road graph has {n_components} connected components", stacklevel=2)
     avail = min(dim, n - 1)
-    if n <= DENSE_EIGENMAP_MAX_STATIONS:
-        vecs = smallest_eigenpairs_dense(lap, avail + 1)[1]
-    else:
-        vecs = smallest_eigenpairs_sparse(lap, avail + 1)[1]
+    vecs = smallest_eigenpairs(lap, avail + 1, labels)[1]
     out = np.zeros((n, dim))
     out[:, :avail] = orient_columns(vecs[:, 1:])
     return out
 
 
-def smallest_eigenpairs_dense(lap: sp.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` smallest eigenpairs of a symmetric matrix, by dense ``eigh``."""
-    vals, vecs = np.linalg.eigh(lap.toarray())
-    return vals[:count], vecs[:, :count]
-
-
-def smallest_eigenpairs_sparse(lap: sp.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
+def smallest_eigenpairs(lap: sp.spmatrix, count: int,
+                        labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` smallest eigenpairs of a graph Laplacian, ascending.
 
     Each connected component is solved on its own: every component adds one
     copy of eigenvalue 0, and Lanczos from one start vector finds the copies
-    of a multiple eigenvalue only through rounding and can miss some. The
-    components of at most ``count + 1`` nodes are solved by dense ``eigh``,
-    one stacked call per size (``component_blocks``); a larger component by
-    shift-invert Lanczos about a small negative shift (``lap - shift I`` is
-    positive definite and factorizes once). The fixed start vector makes
-    repeated calls bitwise equal; it is not the all-ones vector, an exact
-    eigenvector. Ties between eigenvalues go to the lower component label.
+    of a multiple eigenvalue only through rounding and can miss some.
+    ``labels``, the component of each node as ``connected_components`` gives
+    it, is computed when not given. The components of at most
+    max(``count`` + 1, ``DENSE_COMPONENT_MAX_STATIONS``) nodes are solved by
+    dense ``eigh``, one stacked call per size (``component_blocks``); a
+    larger component by shift-invert Lanczos about a small negative shift
+    (``lap - shift I`` is positive definite and factorizes once). The fixed
+    start vector makes repeated calls bitwise equal; it is not the all-ones
+    vector, an exact eigenvector. Ties between eigenvalues go to the lower
+    component label.
     """
-    _n_components, labels = connected_components(lap, directed=False)
+    if labels is None:
+        labels = connected_components(lap, directed=False)[1]
     sizes = np.bincount(labels)
+    dense_max = max(count + 1, DENSE_COMPONENT_MAX_STATIONS)
     # per part: members (C, k), eigenvalues (C, j) and eigenvectors (C, k, j)
     parts = []
-    small = component_blocks(lap, labels, max_size=count + 1)
+    small = component_blocks(lap, labels, max_size=dense_max)
     for members, blocks in zip(small.members, small.blocks):
         v, vec = np.linalg.eigh(blocks)
         k = min(count, members.shape[1])
         parts.append((members, v[:, :k], vec[:, :, :k]))
     by_label = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    for comp in np.flatnonzero(sizes > count + 1):
+    for comp in np.flatnonzero(sizes > dense_max):
         idx = by_label[starts[comp] : starts[comp] + sizes[comp]]
         v0 = np.random.default_rng(0).standard_normal(len(idx))
         v, vec = eigsh(lap[idx][:, idx].tocsc(), k=count, sigma=EIGSH_SHIFT, which="LM", v0=v0)

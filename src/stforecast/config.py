@@ -306,6 +306,9 @@ class PipelineConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: expected a JSON object of config sections, "
+                             f"got {json.dumps(doc)[:40]}")
         return cls.from_dict(doc)
 
 

@@ -1,16 +1,17 @@
 """Independent reference solvers used by tests, verification, and diagnostics.
 
 Nothing here shares code with the iterative solver path: dense elimination,
-dense spectral filters, scalar grid search, and an accelerated
+dense spectra and spectral filters, scalar grid search, and an accelerated
 proximal-gradient method provide second opinions at desk scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import MixedGraph
-from .priors import PriorWeights, spectrum_dense
+from .priors import PriorWeights
 
 
 def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,11 +46,25 @@ def undirected_temporal_minimizer(
     return dense_solve(a, graph.lift_observed(y))
 
 
+def dense_spectrum(a, dense_limit: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a
+    small symmetric matrix, dense or sparse, by one dense ``eigh``."""
+    mat = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=np.float64)
+    n = mat.shape[0]
+    if mat.shape != (n, n):
+        raise ValueError("expected a square matrix")
+    if n > dense_limit:
+        raise ValueError(f"matrix of size {n} exceeds dense limit {dense_limit}")
+    if not np.allclose(mat, mat.T, rtol=0, atol=1e-10 * max(1.0, np.abs(mat).max())):
+        raise ValueError("matrix is not symmetric")
+    return np.linalg.eigh(mat)
+
+
 def spectral_lowpass(mat, c: float, v: np.ndarray) -> np.ndarray:
     """Apply V diag(1/(1 + c*lambda)) V' to v via a dense eigendecomposition."""
-    spec = spectrum_dense(mat)
-    coeffs = spec.eigenvectors.T @ v
-    return spec.eigenvectors @ (coeffs / (1.0 + c * spec.eigenvalues))
+    vals, vecs = dense_spectrum(mat)
+    coeffs = vecs.T @ v
+    return vecs @ (coeffs / (1.0 + c * vals))
 
 
 def soft_threshold_grid(

@@ -71,30 +71,3 @@ def objective(x: np.ndarray, y: np.ndarray, graph: MixedGraph, w: PriorWeights) 
     if w.mu_d1:
         value += w.mu_d1 * dgtv(x, graph.l_rd)
     return value
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # orthonormal columns
-
-
-def spectrum_dense(a, dense_limit: int = 512) -> Spectrum:
-    """Eigen-pairs of a small symmetric operator; test/diagnostic use only."""
-    mat = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=np.float64)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError("expected a square matrix")
-    if n > dense_limit:
-        raise ValueError(f"matrix of size {n} exceeds dense limit {dense_limit}")
-    if not np.allclose(mat, mat.T, rtol=0, atol=1e-10 * max(1.0, np.abs(mat).max())):
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(mat)
-    return Spectrum(vals, vecs)
-
-
-def lowpass_response(lam: float, c: float) -> float:
-    """First-order low-pass response 1 / (1 + c * lambda)."""
-    if lam < 0 or c < 0:
-        raise ValueError("lambda and c must be nonnegative")
-    return 1.0 / (1.0 + c * lam)

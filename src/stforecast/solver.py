@@ -306,64 +306,16 @@ class AdmmState:
         }
 
 
-def folded_system(
-    graph: MixedGraph,
-    ops: tuple[tuple[str, float], ...],
-    shift: float,
-    observed: bool = False,
-    memo: dict | None = None,
-) -> sp.csr_matrix:
+def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: float,
+                  observed: bool) -> sp.csr_matrix:
     """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one CSR matrix.
 
     ``ops`` pairs operator names of ``graph`` with coefficients. One operator
     that stores every diagonal entry gives a new ``data`` array on its own
     ``indices`` and ``indptr``; otherwise the terms are added by scipy (its
     sparse products drop exact zeros, so even ``call_rd`` may lack a diagonal
-    entry). ``memo``, a dict kept for one graph, returns the matrix it
-    already folded for the same scalars.
+    entry).
     """
-    return _system(graph, (ops, shift, observed), memo)[0]
-
-
-def _system(graph: MixedGraph, key: tuple, memo: dict | None):
-    """(fold, Q(A) or None) of the system ``key`` = (ops, shift, observed), kept in ``memo``."""
-    if memo is None:
-        memo = {}
-    if key not in memo:
-        memo[key] = (_fold(graph, *key), None)
-    return memo[key]
-
-
-def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
-                sched: CgSchedule) -> dict:
-    """The memo of every CG system a block solves: its fold, and Q(A) where reuse pays.
-
-    A system gets its polynomial (``polynomial_operator``) when the schedule
-    is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
-    least m of the block's layers solve it, m being the size of its largest
-    connected component. Each solve then takes 2 products instead of
-    ``iters``; the build takes ``iters`` - 1 batched matmuls of the
-    component blocks, cheaper than the m columns of products by A that the
-    rule was first sized for.
-    """
-    uses = Counter(key for p in params for key in _layer_systems(terms, p))
-    folds = {}
-    for key, count in uses.items():
-        a, g = _fold(graph, *key), None
-        if sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET:
-            labels = connected_components(a, directed=False)[1]
-            if np.bincount(labels).max() <= count:
-                g = polynomial_operator(a, labels, sched)
-        folds[key] = (a, g)
-    return folds
-
-
-def _sub_solve(graph, key, rhs, x0, sched, folds):
-    a, g = _system(graph, key, folds)
-    return cg_solve(a.dot, rhs, x0, sched, None if g is None else g.dot)
-
-
-def _fold(graph: MixedGraph, ops, shift: float, observed: bool) -> sp.csr_matrix:
     diag = np.full(graph.n_nodes, shift)
     if observed:
         diag[graph.h_mask] += 1.0
@@ -380,6 +332,40 @@ def _fold(graph: MixedGraph, ops, shift: float, observed: bool) -> sp.csr_matrix
     for name, coef in ops:
         folded = folded + coef * getattr(graph, name)
     return folded.tocsr()
+
+
+def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
+                sched: CgSchedule) -> dict:
+    """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
+
+    Keys are the (ops, shift, observed) of ``_layer_systems``, values
+    (``folded_system``, Q(A) or None).
+
+    A system gets its polynomial (``polynomial_operator``) when the schedule
+    is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
+    least m of the block's layers solve it, m being the size of its largest
+    connected component. Each solve then takes 2 products instead of
+    ``iters``; the build takes ``iters`` - 1 batched matmuls of the
+    component blocks, cheaper than the m columns of products by A that the
+    rule was first sized for.
+    """
+    uses = Counter(key for p in params for key in _layer_systems(terms, p))
+    folds = {}
+    for key, count in uses.items():
+        a, g = folded_system(graph, *key), None
+        if sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET:
+            labels = connected_components(a, directed=False)[1]
+            if np.bincount(labels).max() <= count:
+                g = polynomial_operator(a, labels, sched)
+        folds[key] = (a, g)
+    return folds
+
+
+def _sub_solve(graph, key, rhs, x0, sched, folds):
+    """One CG solve of the system ``key`` = (ops, shift, observed): from the
+    block's plan ``folds`` (``block_folds``), or folded here without one."""
+    a, g = (folded_system(graph, *key), None) if folds is None else folds[key]
+    return cg_solve(a.dot, rhs, x0, sched, None if g is None else g.dot)
 
 
 def signal_system(terms: Terms, p: LayerParams) -> tuple[tuple[tuple[str, float], ...], float]:
@@ -434,8 +420,8 @@ def update_x(
 
     The system is H'H plus ``signal_system``. The rhs sums the l1, spatial
     and temporal parts and ``hty``, the observations lifted to full length
-    (H'y), in that order. ``folds`` memoises the folded system and its
-    polynomial (see ``folded_system`` and ``block_folds``).
+    (H'y), in that order. ``folds`` is the block's plan (``block_folds``);
+    without one the system is folded here.
     """
     parts = []
     if terms.l1:

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import pipeline
 from .config import PipelineConfig
-from .graphs import NumericFailure
 from .solver import CG_ALPHA_MAX
 
 PARAM_FLOOR = 1e-6
@@ -186,7 +185,7 @@ def tune_spsa(
     Each loss evaluation runs the ``eval_samples`` validation windows as
     lanes of stacked systems (``pipeline.reconstruct_batch``); a candidate
     whose forward pass fails scores NaN. When the starting point itself
-    fails, its ``NumericFailure`` is raised, naming the window by its
+    fails, its error is raised; a ``NumericFailure`` names the window by its
     position in the evaluated subset.
     """
     tcfg = config.tuner
@@ -237,8 +236,8 @@ def tune_spsa(
         )
     except ValueError:
         # only a non-finite loss at the starting point stops the search, right
-        # after its evaluation: name where that forward pass failed
-        if isinstance(failure[0], NumericFailure):
+        # after its evaluation: raise what failed in that forward pass
+        if failure[0] is not None:
             raise failure[0] from None
         raise
     return unpack_config(config, tunables, best_theta), trace

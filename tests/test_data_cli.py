@@ -918,6 +918,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: metric_overrides[0]: factor must be 6x6"), err
 
+    @pytest.mark.parametrize("doc", ["null", "5", "[]"])
+    def test_config_not_an_object_exits_1(self, synth_dir, capsys, doc):
+        bad_cfg = synth_dir / "not_an_object.json"
+        bad_cfg.write_text(doc + "\n")
+        rc = cli_main([
+            "forecast", "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(bad_cfg), "--out", str(synth_dir / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad_cfg}: expected a JSON object of config sections, got {doc}\n"
+
     def test_config_error_names_section(self, synth_dir, capsys):
         bad_cfg = synth_dir / "bad_config.json"
         bad_cfg.write_text(json.dumps({"layers": {"blocks": 1, "bogus_key": 2}}))

@@ -37,6 +37,7 @@ from stforecast.pipeline import (
 from stforecast.solver import (
     TERMS,
     VARIANTS,
+    AdmmState,
     CgSchedule,
     LayerParams,
     NumericFailure,
@@ -45,7 +46,7 @@ from stforecast.solver import (
     cg_solve,
     folded_system,
     polynomial_operator,
-    signal_system,
+    update_zu,
 )
 
 from test_graphs import random_mixed
@@ -276,12 +277,9 @@ def no_diagonal_graph():
 
 def fold_cases(p):
     """(ops, shift, observed) of every CG system the solver folds, for layer scalars p."""
-    cases = [
-        ((("l_u", p.mu_u),), 0.5 * p.rho_u, False),
-        ((("call_rd", p.mu_d2),), 0.5 * p.rho_d, False),
-        ((("l_n", p.mu_d2),), 0.5 * p.rho_d, False),
-    ]
-    return cases + [(*signal_system(terms, p), True) for terms in TERMS.values()]
+    return list(dict.fromkeys(
+        key for terms in TERMS.values() for key in solver._layer_systems(terms, p)
+    ))
 
 
 class TestFoldedSystem:
@@ -317,14 +315,19 @@ class TestFoldedSystem:
             assert not np.shares_memory(folded.data, op.data)
             np.testing.assert_array_equal(op.data, data)
 
-    def test_memo_returns_the_fold_for_equal_scalars(self):
+    def test_an_update_reads_its_plan(self):
+        # without a plan the system is folded for the one solve; a plan that
+        # lacks it raises
         g = random_mixed(np.random.default_rng(33))
-        memo = {}
-        first = folded_system(g, (("l_u", 0.7),), 0.3, memo=memo)
-        assert folded_system(g, (("l_u", 0.7),), 0.3, memo=memo) is first
-        assert folded_system(g, (("l_u", 0.7),), 0.4, memo=memo) is not first
-        assert folded_system(g, (("l_u", 0.7),), 0.3, observed=True, memo=memo) is not first
-        assert len(memo) == 3
+        p = LayerParams(0.5, 0.6, 0.7, 1.0, 1.1, 1.2)
+        sched = CgSchedule.unrolled()
+        state = AdmmState.initial(np.ones(g.n_nodes), g)
+        with recurrence_only():
+            plan = block_folds(g, [p], TERMS["full"], sched)
+        planned = update_zu(state, g, p, sched, plan)
+        assert planned.tobytes() == update_zu(state, g, p, sched).tobytes()
+        with pytest.raises(KeyError):
+            update_zu(state, g, p, sched, {})
 
     def test_block_folds_once_per_distinct_scalars(self, monkeypatch):
         from stforecast import solver

@@ -1,4 +1,4 @@
-"""Variational terms, spectra, and the reconstruction objective."""
+"""Variational terms, the dense spectrum oracle, and the reconstruction objective."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,13 @@ from stforecast.graphs import (
     build_spatial_skeleton,
     directed_skeleton_from_edges,
 )
+from stforecast.oracles import dense_spectrum
 from stforecast.priors import (
     PriorWeights,
     dglr,
     dgtv,
     glr,
-    lowpass_response,
     objective,
-    spectrum_dense,
 )
 
 from test_graphs import random_mixed
@@ -197,50 +196,34 @@ class TestObjective:
 
 class TestSpectrum:
     def test_identity(self):
-        spec = spectrum_dense(np.eye(5))
-        np.testing.assert_allclose(spec.eigenvalues, np.ones(5))
+        vals, _vecs = dense_spectrum(np.eye(5))
+        np.testing.assert_allclose(vals, np.ones(5))
 
     def test_two_node_laplacian(self):
-        spec = spectrum_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        np.testing.assert_allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-12)
+        vals, _vecs = dense_spectrum(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        np.testing.assert_allclose(vals, [0.0, 2.0], atol=1e-12)
 
     def test_path4_closed_form(self):
         # path-graph Laplacian eigenvalues are 2 - 2 cos(k pi / N)
         pg = PhysicalGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
         lap = assemble_undirected_laplacian(build_spatial_skeleton(pg, 2), np.ones((1, 3)))
         expected = sorted(2 - 2 * np.cos(k * np.pi / 4) for k in range(4))
-        np.testing.assert_allclose(spectrum_dense(lap).eigenvalues, expected, atol=1e-12)
+        np.testing.assert_allclose(dense_spectrum(lap)[0], expected, atol=1e-12)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((30, 30))
         a = a + a.T
-        spec = spectrum_dense(a)
-        recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
+        vals, vecs = dense_spectrum(a)
+        recon = vecs @ np.diag(vals) @ vecs.T
         assert np.linalg.norm(recon - a) <= 1e-8 * np.linalg.norm(a)
-        gram = spec.eigenvectors.T @ spec.eigenvectors
+        gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(30)).max() < 1e-10
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            spectrum_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            dense_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="dense limit"):
-            spectrum_dense(np.eye(600))
-
-
-class TestLowpassResponse:
-    def test_dc_gain(self):
-        assert lowpass_response(0.0, 5.0) == 1.0
-
-    def test_zero_strength(self):
-        assert lowpass_response(4.2, 0.0) == 1.0
-
-    def test_halving_point(self):
-        # c = 2 mu_u / rho_u with mu_u=1, rho_u=2 gives c=1; response at 1 is 1/2
-        assert lowpass_response(1.0, 2 * 1.0 / 2.0) == pytest.approx(0.5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            lowpass_response(-1.0, 1.0)
+            dense_spectrum(np.eye(600))

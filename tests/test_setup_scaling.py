@@ -1,13 +1,14 @@
-"""Context set-up at large station counts: array-built skeletons and the sparse eigenmap.
+"""Context set-up at large station counts: array-built skeletons and the eigenmap solve.
 
 The per-station loop versions of the skeleton builders, the neighbor
 aggregation and the normalized Laplacian, and the per-component loop of the
-sparse eigensolve, are kept here as references; the array versions must
-reproduce them exactly. The sparse eigenmap is held to
-the dense ``eigh`` path: vector by vector where the spectrum is simple, by
-spanned subspace where it is not.
+eigensolve, are kept here as references; the array versions must reproduce
+them exactly. The eigenmap solve is held to the dense oracle
+(``oracles.dense_spectrum``) on the whole graph: vector by vector where the
+spectrum is simple, by spanned subspace where it is not.
 """
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -22,8 +23,7 @@ from stforecast import attention, data
 from stforecast.attention import (
     FeatureMap,
     orient_columns,
-    smallest_eigenpairs_dense,
-    smallest_eigenpairs_sparse,
+    smallest_eigenpairs,
     spatial_eigenmap,
 )
 from stforecast.config import PipelineConfig
@@ -35,6 +35,7 @@ from stforecast.graphs import (
     normalized_laplacian,
     unit_laplacian,
 )
+from stforecast.oracles import dense_spectrum
 from stforecast.pipeline import PipelineContext
 
 
@@ -149,16 +150,18 @@ def random_connected(rng, n, extra):
 
 
 def loop_smallest_eigenpairs(lap, count):
-    """Reference: slice and solve one component at a time, then pick the
-    ``count`` smallest eigenvalues by a stable sort in component order."""
+    """Reference: slice and solve one component at a time, densely up to the
+    solver's bound, then pick the ``count`` smallest eigenvalues by a stable
+    sort in component order."""
     labels = connected_components(lap, directed=False)[1]
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     vals, vecs = [], []
     for idx in members:
         sub = lap[idx][:, idx]
         k = min(count, len(idx))
-        if len(idx) <= k + 1:
-            v, vec = smallest_eigenpairs_dense(sub, k)
+        if len(idx) <= max(count + 1, attention.DENSE_COMPONENT_MAX_STATIONS):
+            v, vec = dense_spectrum(sub)
+            v, vec = v[:k], vec[:, :k]
         else:
             v0 = np.random.default_rng(0).standard_normal(len(idx))
             v, vec = eigsh(sub.tocsc(), k=k, sigma=attention.EIGSH_SHIFT, which="LM", v0=v0)
@@ -175,10 +178,25 @@ def loop_smallest_eigenpairs(lap, count):
     return np.concatenate(vals)[pick], out
 
 
-def eigenmap_with_threshold(pg, dim, threshold):
+@contextlib.contextmanager
+def dense_bound(stations):
+    """A context in which components of more than max(count + 1, ``stations``)
+    stations take Lanczos; 0 sends every component it can to Lanczos."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attention, "DENSE_EIGENMAP_MAX_STATIONS", threshold)
-        return spatial_eigenmap(pg, dim)
+        mp.setattr(attention, "DENSE_COMPONENT_MAX_STATIONS", stations)
+        yield
+
+
+def oracle_eigenmap(pg, dim):
+    """The dense oracle's vectors 1..dim of the whole road graph, oriented."""
+    return orient_columns(dense_spectrum(unit_laplacian(pg))[1][:, 1 : dim + 1])
+
+
+def interleaved_copies(n):
+    """Two copies of an n-station path with a chord, one on the even and one
+    on the odd stations."""
+    base = [(i, i + 1) for i in range(n - 1)] + [(0, n // 2)]
+    return PhysicalGraph(2 * n, tuple((2 * i + c, 2 * j + c, 1.0) for i, j in base for c in (0, 1)))
 
 
 def projector(vecs):
@@ -247,23 +265,38 @@ class TestVectorisedLoopsMatch:
 
 
 class TestSparseEigenmap:
+    @pytest.mark.parametrize("n,seed", [(20, 0), (20, 1), (20, 2), (150, 0), (200, 0)])
+    def test_connected_equals_the_dense_oracle_bytewise(self, n, seed):
+        # one component of at most the bound: its stacked eigh is dense eigh
+        _table, pg = data.generate_synthetic(n, 20, seed)
+        assert spatial_eigenmap(pg).tobytes() == oracle_eigenmap(pg, 5).tobytes()
+
+    def test_interleaved_copies_keep_one_component_per_column(self):
+        # dense eigh of the whole graph mixes the two copies' null vectors
+        with pytest.warns(UserWarning, match="2 connected components"):
+            eig = spatial_eigenmap(interleaved_copies(10))
+        for column in eig.T:
+            assert sorted({i % 2 for i in np.flatnonzero(column)}) in ([0], [1])
+
     @given(st.integers(0, 2**32 - 1), st.integers(12, 80), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_on_simple_spectrum(self, seed, n, dim):
+        # Lanczos for the one component
         rng = np.random.default_rng(seed)
         edges = random_connected(rng, n, int(rng.integers(0, 2 * n)))
         pg = PhysicalGraph(n, tuple((i, j, 1.0) for i, j in edges))
         vals = np.linalg.eigvalsh(unit_laplacian(pg).toarray())[: dim + 2]
         assume(np.diff(vals).min() > 1e-4)
-        dense = eigenmap_with_threshold(pg, dim, n)
-        sparse = eigenmap_with_threshold(pg, dim, 0)
-        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10)
+        with dense_bound(0):
+            sparse = spatial_eigenmap(pg, dim)
+        np.testing.assert_allclose(sparse, oracle_eigenmap(pg, dim), rtol=0, atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=2, max_size=8),
-           st.integers(1, 8))
+           st.integers(1, 8), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_disconnected_spans_dense_subspace(self, seed, sizes, count):
-        # components of random sizes, isolated stations included; every
+    def test_disconnected_spans_dense_subspace(self, seed, sizes, count, lanczos):
+        # components of random sizes, isolated stations included, solved by
+        # stacked eigh or, past count + 1 stations, by Lanczos; every
         # component adds one copy of eigenvalue 0
         rng = np.random.default_rng(seed)
         edges, off = [], 0
@@ -274,19 +307,23 @@ class TestSparseEigenmap:
         count = min(count, off)
         full = np.linalg.eigvalsh(lap.toarray())
         assume(count == off or full[count] - full[count - 1] > 1e-4)
-        d_vals, d_vecs = smallest_eigenpairs_dense(lap, count)
-        s_vals, s_vecs = smallest_eigenpairs_sparse(lap, count)
+        d_vals, d_vecs = dense_spectrum(lap)
+        d_vals, d_vecs = d_vals[:count], d_vecs[:, :count]
+        with dense_bound(0 if lanczos else off):
+            s_vals, s_vecs = smallest_eigenpairs(lap, count)
         np.testing.assert_allclose(s_vals, d_vals, rtol=0, atol=1e-10)
         np.testing.assert_allclose(s_vecs.T @ s_vecs, np.eye(count), rtol=0, atol=1e-10)
         np.testing.assert_allclose(projector(s_vecs), projector(d_vecs), rtol=0, atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 12), min_size=1, max_size=30),
-           st.integers(1, 8), st.booleans())
+           st.integers(1, 8), st.booleans(), st.sampled_from([0, 6, 200]))
     @settings(max_examples=60, deadline=None)
-    def test_fragmented_equals_the_component_loop_bitwise(self, seed, sizes, count, weighted):
+    def test_fragmented_equals_the_component_loop_bitwise(self, seed, sizes, count, weighted,
+                                                          bound):
         # pieces of random sizes in a random station order, each solved
-        # either in a stacked dense eigh or by Lanczos: values, vectors and
-        # the choice and order of the picked pairs match the loop bit for bit
+        # either in a stacked dense eigh or, past the bound, by Lanczos:
+        # values, vectors and the choice and order of the picked pairs match
+        # the loop bit for bit
         rng = np.random.default_rng(seed)
         edges, off = [], 0
         for size in sizes:
@@ -298,13 +335,14 @@ class TestSparseEigenmap:
         if weighted:
             lap = lap.multiply(rng.uniform(0.5, 2.0)).tocsr()
         count = min(count, off)
-        got, want = smallest_eigenpairs_sparse(lap, count), loop_smallest_eigenpairs(lap, count)
+        with dense_bound(bound):
+            got, want = smallest_eigenpairs(lap, count), loop_smallest_eigenpairs(lap, count)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
     def test_one_stacked_eigh_per_small_size(self, monkeypatch):
         # 2000 two-station pieces, 100 three-station pieces and one path of
-        # 50: two stacked dense solves and one Lanczos solve
+        # 50, all within the bound: three stacked dense solves and no Lanczos
         edges = [(2 * i, 2 * i + 1, 1.0) for i in range(2000)]
         edges += [(4000 + 3 * i + d, 4001 + 3 * i + d, 1.0) for i in range(100) for d in (0, 1)]
         edges += [(4300 + i, 4301 + i, 1.0) for i in range(49)]
@@ -322,8 +360,8 @@ class TestSparseEigenmap:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(attention, "eigsh", counting_eigsh)
-        vals, vecs = smallest_eigenpairs_sparse(lap, 6)
-        assert calls == {"eigh": [(2000, 2, 2), (100, 3, 3)], "eigsh": 1}
+        vals, vecs = smallest_eigenpairs(lap, 6)
+        assert calls == {"eigh": [(2000, 2, 2), (100, 3, 3), (1, 50, 50)], "eigsh": 0}
         monkeypatch.undo()
         want = loop_smallest_eigenpairs(lap, 6)
         assert vals.tobytes() == want[0].tobytes() and vecs.tobytes() == want[1].tobytes()
@@ -332,22 +370,24 @@ class TestSparseEigenmap:
     def test_degenerate_spectra_span_dense_subspace(self, n):
         # a cycle's nontrivial eigenvalues come in pairs, and counts 3 and 5
         # cut between pairs; a star's eigenvalue 1 has multiplicity n - 2, so
-        # a cut at 6 falls inside it and only values and residuals are defined
+        # a cut at 6 falls inside it and only values and residuals are
+        # defined. 40 stations take a stacked eigh, 301 Lanczos
         cycle = unit_laplacian(PhysicalGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n))))
         for count in (3, 5):
-            d_vals, d_vecs = smallest_eigenpairs_dense(cycle, count)
-            s_vals, s_vecs = smallest_eigenpairs_sparse(cycle, count)
+            d_vals, d_vecs = dense_spectrum(cycle)
+            d_vals, d_vecs = d_vals[:count], d_vecs[:, :count]
+            s_vals, s_vecs = smallest_eigenpairs(cycle, count)
             np.testing.assert_allclose(s_vals, d_vals, rtol=0, atol=1e-10)
             np.testing.assert_allclose(projector(s_vecs), projector(d_vecs), rtol=0, atol=1e-10)
         star = unit_laplacian(PhysicalGraph(n, tuple((0, i, 1.0) for i in range(1, n))))
-        s_vals, s_vecs = smallest_eigenpairs_sparse(star, 6)
+        s_vals, s_vecs = smallest_eigenpairs(star, 6)
         np.testing.assert_allclose(s_vals, [0, 1, 1, 1, 1, 1], rtol=0, atol=1e-10)
         np.testing.assert_allclose(star @ s_vecs, s_vecs * s_vals, rtol=0, atol=1e-10)
 
     def test_sparse_path_warns_on_disconnected(self):
         pg = PhysicalGraph(30, tuple((i, i + 1, 1.0) for i in range(29) if i != 14))
-        with pytest.warns(UserWarning, match="2 connected components"):
-            eig = eigenmap_with_threshold(pg, 5, 0)
+        with pytest.warns(UserWarning, match="2 connected components"), dense_bound(0):
+            eig = spatial_eigenmap(pg, 5)
         assert eig.shape == (30, 5)
 
     def test_sparse_path_repeats_bitwise(self):
@@ -356,7 +396,7 @@ class TestSparseEigenmap:
         first = spatial_eigenmap(pg)
         np.testing.assert_array_equal(spatial_eigenmap(pg), first)
         lap = unit_laplacian(pg)
-        a, b = smallest_eigenpairs_sparse(lap, 6), smallest_eigenpairs_sparse(lap, 6)
+        a, b = smallest_eigenpairs(lap, 6), smallest_eigenpairs(lap, 6)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stforecast import data as dmod
+from stforecast import pipeline
 from stforecast.config import PipelineConfig
 from stforecast.pipeline import Standardizer
 from stforecast.tuning import (
@@ -318,6 +319,20 @@ class TestTuneSpsa:
         cfg, pg, splits, std = self.make_setup()
         with pytest.raises(ValueError, match=message):
             tune_spsa(cfg, pg, splits.val, standardizer=std, **kwargs)
+
+    def test_starting_point_raises_what_failed(self, monkeypatch):
+        # windows of history 10 under a config of history 12: the error the
+        # forward pass gives, after the one starting evaluation
+        cfg, pg, _splits, std = self.make_setup()
+        table, _pg = dmod.generate_synthetic(4, 150, seed=5, period=24)
+        short = dmod.cut_windows(table, 10, 6, 3)
+        calls = []
+        batch = pipeline.reconstruct_batch
+        monkeypatch.setattr(pipeline, "reconstruct_batch",
+                            lambda *args: calls.append(1) or batch(*args))
+        with pytest.raises(ValueError, match="sample window does not match"):
+            tune_spsa(cfg, pg, short, standardizer=std)
+        assert len(calls) == 1
 
     def test_best_seen_non_increasing(self):
         cfg, pg, splits, std = self.make_setup()
