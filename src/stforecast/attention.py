@@ -45,12 +45,12 @@ EIGSH_SHIFT = -1e-2
 
 
 class DegenerateWeightError(NumericFailure, ValueError):
-    """All attention weights in some neighborhood underflowed to zero.
+    """Attention weights underflowed to zero: all of some spatial
+    neighborhood's, or one temporal edge's.
 
-    Raised with the instant and the lane, and with the lane as ``head`` when
-    the weights of several lanes are computed together; the forward pass
-    re-splits the lane into window and head. A ``ValueError`` too, so a
-    caller that rejects bad input rejects it.
+    Raised with the instant and the lane; the forward pass splits the lane
+    into window and head. A ``ValueError`` too, so a caller that rejects bad
+    input rejects it.
     """
 
 
@@ -238,8 +238,8 @@ class FeatureMap:
 def _pairwise_distances(diffs: np.ndarray, factors_t: np.ndarray) -> np.ndarray:
     """Mahalanobis distances of differences (..., E, K) under transposed factors (..., K, K).
 
-    Leading axes broadcast, so one call serves every head; each head's
-    distances are bitwise those of a call with that head alone.
+    Leading axes broadcast, so one call serves every window and head; each
+    lane's distances are bitwise those of a call with that lane alone.
     """
     md = diffs @ factors_t
     return np.einsum("...ek,...ek->...e", md, md)
@@ -247,20 +247,24 @@ def _pairwise_distances(diffs: np.ndarray, factors_t: np.ndarray) -> np.ndarray:
 
 def _rows(features: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Feature rows of ``nodes``, (..., len(nodes), K). ``np.take`` gathers
-    them from a (lanes, nodes, K) array about twice as fast as ``[..., nodes, :]``."""
+    them from a (windows, 1, nodes, K) array about twice as fast as ``[..., nodes, :]``."""
     return np.take(features, nodes, axis=-2)
 
 
-def _transposed_factors(factors) -> tuple[np.ndarray, bool]:
-    """Transposed factors M0' as (heads, count, K, K), and whether the head axis was absent.
+def _lane_inputs(features, factors) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Features (..., 1, nodes, K), transposed factors M0' (heads, count, K, K)
+    and the weights' lane axes.
 
-    ``factors`` is (heads, count, K, K), or the one-head form: (count, K, K)
-    or a list of K x K arrays. Stored contiguously, because a product with
-    the strided view ``factor.T`` under a head axis runs several times slower.
+    The size-1 axis broadcasts the features over the heads. Factors in the
+    one-head form, (count, K, K) or a list of K x K arrays, add no head axis.
+    The transposes are stored contiguously, because a product with the
+    strided view ``factor.T`` under a head axis runs several times slower.
     """
+    features = np.asarray(features, dtype=np.float64)
     factors = np.asarray(factors, dtype=np.float64)
-    single = factors.ndim == 3
-    return np.ascontiguousarray((factors[None] if single else factors).swapaxes(-1, -2)), single
+    factors_t = factors.reshape((-1,) + factors.shape[-3:]).swapaxes(-1, -2)
+    lane_axes = features.shape[:-2] + factors.shape[:-3]
+    return features[..., None, :, :], np.ascontiguousarray(factors_t), lane_axes
 
 
 @dataclass(eq=False)
@@ -313,38 +317,36 @@ def undirected_weights(
     w_ij = exp(-d_ij) / sqrt(sum_l exp(-d_il) * sum_k exp(-d_jk)) with the
     sums running over the skeleton neighborhoods; symmetric by construction.
 
-    ``factors`` holds one metric factor per instant, or one such set per
-    head (see ``MetricBank``); with heads the result is (heads, n_instants,
-    n_edges), every head computed at once per instant, and ``features`` may
-    be shared (nodes, K) or per head (heads, nodes, K).
+    ``features`` are one window's, (nodes, K), or one set per window,
+    (windows, nodes, K), read by every head. ``factors`` holds one metric
+    factor per instant, or one such set per head (see ``MetricBank``). The
+    result has the windows' axis and the heads' in front: every lane at once
+    per instant, each bitwise equal to its window and head alone.
     """
-    factors_t, single = _transposed_factors(factors)
-    n_heads, n_instants = factors_t.shape[:2]
+    features, factors_t, lane_axes = _lane_inputs(features, factors)
+    lanes, n_instants = int(np.prod(lane_axes)), factors_t.shape[1]
     n = skel.n_stations
-    features = np.asarray(features, dtype=np.float64)
     if features.shape[-2] != n * n_instants:
         raise ValueError("feature rows must equal stations x instants")
-    out = np.empty((n_heads, n_instants, skel.n_edges))
+    out = np.empty((lanes, n_instants, skel.n_edges))
     if skel.n_edges:
         ei, ej = skel.edges[:, 0], skel.edges[:, 1]
-        # each head's neighborhood sums in one bincount, head h's stations at h * n
-        ends = (np.arange(n_heads)[:, None] * n + np.concatenate([ei, ej])).ravel()
+        # each lane's neighborhood sums in one bincount, lane l's stations at l * n
+        ends = (np.arange(lanes)[:, None] * n + np.concatenate([ei, ej])).ravel()
         for t in range(n_instants):
             feats = features[..., t * n : (t + 1) * n, :]
-            d = _pairwise_distances(_rows(feats, ei) - _rows(feats, ej), factors_t[:, t])
+            diffs = _rows(feats, ei) - _rows(feats, ej)
+            d = _pairwise_distances(diffs, factors_t[:, t]).reshape(lanes, -1)
             # shifting all distances cancels between numerator and denominator
             e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
             sums = np.bincount(ends, weights=np.concatenate([e, e], axis=-1).ravel(),
-                               minlength=n_heads * n).reshape(n_heads, n)
+                               minlength=lanes * n).reshape(lanes, n)
             norm = np.sqrt(sums[:, ei] * sums[:, ej])
             degenerate = np.flatnonzero((norm == 0).any(axis=-1))
             if len(degenerate):
-                lane = int(degenerate[0])
-                raise DegenerateWeightError(
-                    "zero attention mass", head=None if single else lane, instant=t, lane=lane
-                )
+                raise DegenerateWeightError("zero attention mass", instant=t, lane=int(degenerate[0]))
             out[:, t] = e / norm
-    return out[0] if single else out
+    return out.reshape(lane_axes + out.shape[1:])
 
 
 def directed_weights(
@@ -355,35 +357,42 @@ def directed_weights(
     """Temporal edge weights: softmax over each child's predecessor set.
 
     The distance for an edge uses the metric of its lag; incoming weights of
-    every non-source node sum to one. ``factors`` holds one metric factor per
-    lag, or one such set per head, which gives a (heads, n_edges) result.
+    every non-source node sum to one. ``features`` and ``factors`` take the
+    forms ``undirected_weights`` takes, with one factor per lag, and the
+    result has the same lane axes before (n_edges,). A weight that
+    underflows to zero names its lane and its child's instant.
     """
-    factors_t, single = _transposed_factors(factors)
-    n_heads = factors_t.shape[0]
+    features, factors_t, lane_axes = _lane_inputs(features, factors)
+    lanes = int(np.prod(lane_axes))
     if skel.n_edges == 0:
-        return np.zeros(0) if single else np.zeros((n_heads, 0))
+        return np.zeros(lane_axes + (0,))
     if skel.lag.max() > factors_t.shape[1]:
         raise ValueError(f"need a metric for every lag up to {skel.lag.max()}")
-    features = np.asarray(features, dtype=np.float64)
-    d = np.empty((n_heads, skel.n_edges))
+    temporal = isinstance(skel, TemporalSkeleton)
+    d = np.empty((lanes, skel.n_edges))
     for w in np.unique(skel.lag):
         sel = np.flatnonzero(skel.lag == w)
-        if isinstance(skel, TemporalSkeleton):
+        if temporal:
             # lag-w edges run (s, t - w) -> (s, t) in child order: two contiguous slices
             shift = w * skel.n_stations
             diffs = features[..., shift:, :] - features[..., :-shift, :]
         else:
             diffs = _rows(features, skel.dst[sel]) - _rows(features, skel.src[sel])
-        d[:, sel] = _pairwise_distances(diffs, factors_t[:, w - 1])
-    # per-child stable softmax; head h's children are numbered from h * n_nodes
-    child = (np.arange(n_heads)[:, None] * skel.n_nodes + skel.dst).ravel()
+        d[:, sel] = _pairwise_distances(diffs, factors_t[:, w - 1]).reshape(lanes, -1)
+    # per-child stable softmax; lane l's children are numbered from l * n_nodes
+    child = (np.arange(lanes)[:, None] * skel.n_nodes + skel.dst).ravel()
     d = d.ravel()
-    dmin = np.full(n_heads * skel.n_nodes, np.inf)
+    dmin = np.full(lanes * skel.n_nodes, np.inf)
     np.minimum.at(dmin, child, d)
     e = np.exp(-(d - dmin[child]))
-    denom = np.bincount(child, weights=e, minlength=n_heads * skel.n_nodes)
-    out = (e / denom[child]).reshape(n_heads, skel.n_edges)
-    return out[0] if single else out
+    denom = np.bincount(child, weights=e, minlength=lanes * skel.n_nodes)
+    out = e / denom[child]
+    zero = np.flatnonzero(out == 0)
+    if len(zero):
+        lane, edge = divmod(int(zero[0]), skel.n_edges)
+        instant = int(skel.dst[edge] // skel.n_stations) if temporal else None
+        raise DegenerateWeightError("zero temporal attention weight", instant=instant, lane=lane)
+    return out.reshape(lane_axes + (skel.n_edges,))
 
 
 def build_mixed_graph(
@@ -396,8 +405,8 @@ def build_mixed_graph(
 ) -> MixedGraph:
     """Assemble all operators from skeletons and weight maps.
 
-    Weights of several lanes, (lanes, n_instants, n_edges) and (lanes,
-    n_temporal_edges), give one graph with a lane each: each operator is
+    Weights with lane axes in front, (..., n_instants, n_edges) and (...,
+    n_temporal_edges), give one graph with a lane each, in C order: each operator is
     assembled once, over the lanes' (lane, instant) slices and a temporal
     skeleton repeated per lane, and is bitwise the block-diagonal stack of
     the lanes' own operators. Directed weights are already child-normalized,
@@ -406,7 +415,7 @@ def build_mixed_graph(
     """
     weights_u = np.asarray(weights_u, dtype=np.float64)
     weights_d = np.asarray(weights_d, dtype=np.float64)
-    lanes = weights_u.shape[0] if weights_u.ndim == 3 else 1
+    lanes = int(np.prod(weights_u.shape[:-2]))
     if weights_u.shape[-2] != tskel.n_instants:
         raise ValueError("spatial weight map and temporal skeleton disagree on instants")
     l_u = assemble_undirected_laplacian(
@@ -472,20 +481,11 @@ def multi_head_graphs(
 ) -> MixedGraph:
     """The graphs of every head of one or more windows as one MixedGraph.
 
-    Features are shared by the heads of one window, (nodes, K), or given per
-    lane, (lanes, nodes, K), for ``lanes // bank.heads`` windows: lanes run
-    window-major, head-minor, and the bank's factors repeat once per window.
-    Lane l equals, bit for bit, the graph ``build_mixed_graph`` makes from
-    lane l's weights alone.
+    ``features`` are one window's, (nodes, K), or one set per window,
+    (windows, nodes, K), and every head of a window reads that window's
+    features. Lanes run window-major, head-minor; lane l equals, bit for bit,
+    the graph ``build_mixed_graph`` makes from lane l's weights alone.
     """
-    windows = 1
-    if np.ndim(features) == 3:
-        windows, rest = divmod(np.shape(features)[0], bank.heads)
-        if rest or not windows:
-            raise ValueError(
-                f"{np.shape(features)[0]} feature lanes for a bank of {bank.heads} heads"
-            )
-    per_window = (windows, 1, 1, 1)
-    wu = undirected_weights(features, sskel, np.tile(bank.undirected, per_window))
-    wd = directed_weights(features, tskel, np.tile(bank.directed, per_window))
+    wu = undirected_weights(features, sskel, bank.undirected)
+    wd = directed_weights(features, tskel, bank.directed)
     return build_mixed_graph(wu, wd, sskel, tskel, n_observed, with_undirected_temporal)

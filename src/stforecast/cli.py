@@ -41,8 +41,7 @@ def _head_graph(args, cfg, pg, standardizer, interval, sample):
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
     x0, y, t_steps = pipeline.initial_signal(sample, ctx)
     graph = pipeline.block_graph(
-        ctx, [x0], [t_steps], sample.observed.shape[1], bank=ctx.bank.head(args.head),
-        with_undirected_temporal=solver.TERMS[cfg.solver.mode].temporal == "l_n",
+        ctx, [x0], [t_steps], sample.observed.shape[1], bank=ctx.bank.head(args.head)
     )
     return x0, y, graph
 

@@ -9,6 +9,7 @@ resolved at run time.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
 
@@ -251,6 +252,9 @@ class DataSettings:
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        for name in ("history", "horizon", "trend_window", "seasonal_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         ratios = tuple(float(r) for r in self.ratios)
         if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
             raise ValueError("ratios must be three numbers summing to 1")
@@ -289,7 +293,7 @@ class PipelineConfig:
         sections = {}
         for name, klass in factories.items():
             try:
-                sections[name] = klass(**doc.get(name, {}))
+                sections[name] = klass(**_checked_keys(klass, doc.get(name, {})))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"config section '{name}': {exc}") from None
         return cls(**sections)
@@ -310,6 +314,22 @@ class PipelineConfig:
             raise ValueError(f"{path}: expected a JSON object of config sections, "
                              f"got {json.dumps(doc)[:40]}")
         return cls.from_dict(doc)
+
+
+def _checked_keys(klass, section) -> dict:
+    """``section``, checked to be a JSON object of ``klass``'s fields with an
+    integer (not a boolean) in each integer field, or null where it may be."""
+    shown = functools.partial(json.dumps, default=repr)
+    if not isinstance(section, dict):
+        raise ValueError(f"expected a JSON object of settings, got {shown(section)}")
+    types = {f.name: f.type for f in fields(klass)}
+    for key, value in section.items():
+        if key not in types:
+            raise ValueError(f"unknown key {key!r} (value {shown(value)})")
+        allowed = {"int": int, "int | None": (int, type(None))}.get(types[key])
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ValueError(f"{key} must be an integer, got {shown(value)}")
+    return section
 
 
 def _jsonable(value):

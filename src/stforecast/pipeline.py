@@ -184,20 +184,20 @@ def block_graph(
     t_steps: Sequence[np.ndarray],
     n_observed: int,
     bank: attention.MetricBank | None = None,
-    with_undirected_temporal: bool = False,
 ) -> MixedGraph:
     """The mixed graph a block learns from the signals ``xs`` of one or more
     windows, with their ``t_steps``: embed and feature map each window, then
     one lane per head of ``bank`` (the context's bank by default) for each
-    window, window-major."""
+    window, window-major, every head reading its window's features. The
+    graph holds ``l_n`` when the configured solver mode needs it."""
     bank = ctx.bank if bank is None else bank
     feats = np.stack([
         ctx.feature_map(attention.embed(x, ctx.pg, t, ctx.eigmap), ctx.sskel)
         for x, t in zip(xs, t_steps)
     ])
     return attention.multi_head_graphs(
-        np.repeat(feats, bank.heads, axis=0), ctx.sskel, ctx.tskel, bank,
-        n_observed=n_observed, with_undirected_temporal=with_undirected_temporal,
+        feats, ctx.sskel, ctx.tskel, bank, n_observed=n_observed,
+        with_undirected_temporal=solver.TERMS[ctx.config.solver.mode].temporal == "l_n",
     )
 
 
@@ -221,17 +221,13 @@ def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
     heads = ctx.bank.heads
     y = np.concatenate([np.tile(y0, heads) for _, y0, _ in starts])
     sched = cfg.solver.schedule()
-    mode = cfg.solver.mode
     rho0 = cfg.default_rho(ctx.pg.n_stations)
-    needs_ln = solver.TERMS[mode].temporal == "l_n"
     for b in range(cfg.layers.blocks):
         try:
-            graph = block_graph(
-                ctx, x, t_steps, cfg.data.history, with_undirected_temporal=needs_ln
-            )
+            graph = block_graph(ctx, x, t_steps, cfg.data.history)
             params = cfg.layers.layer_params(b, rho0)
             out = solver.admm_block(
-                np.repeat(x, heads, axis=0).ravel(), y, graph, params, sched, mode
+                np.repeat(x, heads, axis=0).ravel(), y, graph, params, sched, cfg.solver.mode
             )
         except solver.NumericFailure as exc:
             exc.block = b

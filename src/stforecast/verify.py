@@ -293,37 +293,38 @@ def _lane_rows(mat, lane: int, size: int):
 
 
 def check_lanes_and_folds(seed: int = 0) -> CheckResult:
-    """Stacked heads equal the heads built alone; folded CG systems equal their products.
+    """Stacked windows and heads equal each built alone; folded CG systems equal their products.
 
-    On the seeded desk graph (20 stations, the default model and its first
-    window), each lane of every operator of ``multi_head_graphs`` must equal,
-    bit for bit, the graph of that head built alone, and every folded system
-    of the first block's layer scalars must equal its unfolded operator
-    products to 1e-13 relative.
+    On the seeded desk graph (20 stations, the default model in the
+    undirected-temporal mode, so that ``l_n`` is built too, and its first two
+    windows), each lane of every operator of ``multi_head_graphs`` must
+    equal, bit for bit, the graph of that window and head built alone, and
+    every folded system of the first block's layer scalars must equal its
+    unfolded operator products to 1e-13 relative.
     """
     cfg = PipelineConfig()
+    cfg.solver.mode = "undirected_temporal"
     table, pg = generate_synthetic(20, 2000, seed)
-    sample = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
+    samples = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
     ctx = pipeline.PipelineContext.build(pg, cfg)
-    n_obs = sample.observed.shape[1]
-    x, _, t_steps = pipeline.initial_signal(sample, ctx)
-    graph = pipeline.block_graph(ctx, [x], [t_steps], n_obs, with_undirected_temporal=True)
+    n_obs = cfg.data.history
+    starts = [pipeline.initial_signal(s, ctx) for s in samples]
+    xs, t_steps = [x for x, _, _ in starts], [t for _, _, t in starts]
+    graph = pipeline.block_graph(ctx, xs, t_steps, n_obs)
     size = graph.n_nodes // graph.lanes
     mismatched = []
-    for h in range(graph.lanes):
-        alone = pipeline.block_graph(
-            ctx, [x], [t_steps], n_obs,
-            bank=ctx.bank.head(h),
-            with_undirected_temporal=True,
-        )
+    for lane in range(graph.lanes):
+        w, h = divmod(lane, ctx.bank.heads)
+        alone = pipeline.block_graph(ctx, xs[w : w + 1], t_steps[w : w + 1], n_obs,
+                                     bank=ctx.bank.head(h))
         for name in ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n"):
-            got, want = _lane_rows(getattr(graph, name), h, size), getattr(alone, name)
+            got, want = _lane_rows(getattr(graph, name), lane, size), getattr(alone, name)
             same = all(
                 a.tobytes() == b.tobytes()
                 for a, b in zip(got, (want.indptr, want.indices, want.data))
             )
             if not same:
-                mismatched.append(f"head {h} {name}")
+                mismatched.append(f"window {w} head {h} {name}")
 
     p = cfg.layers.layer_params(0, cfg.default_rho(pg.n_stations))[0]
     systems = dict.fromkeys(
@@ -341,7 +342,8 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
         got = solver.folded_system(graph, ops, shift, observed) @ v
         worst = max(worst, float(np.abs(got - want).max() / scale.max()))
     return CheckResult(
-        f"lane-stacked assembly and folded CG systems ({graph.lanes} heads, desk graph)",
+        f"lane-stacked assembly and folded CG systems ({len(samples)} windows x "
+        f"{ctx.bank.heads} heads, desk graph)",
         not mismatched and worst <= 1e-13,
         f"lanes differ: {', '.join(mismatched)}" if mismatched
         else f"lanes bitwise equal; folds max relative deviation {worst:.1e}",

@@ -174,7 +174,8 @@ class TestUndirectedWeights:
             undirected_weights(feats, skel, [np.eye(1)])
 
     def test_heads_report_first_instant_then_first_head(self):
-        # heads 1 and 2 underflow at instant 1, head 0 only at instant 2
+        # heads 1 and 2 underflow at instant 1, head 0 only at instant 2; the
+        # failure names the lane, which the forward pass splits into window and head
         skel = path3_setup()
         feats = np.tile([[0.0], [0.0], [1.0]], (3, 1))
         bank = MetricBank.default(3, 1, feature_dim=1, heads=3)
@@ -182,8 +183,13 @@ class TestUndirectedWeights:
         bank.undirected[0, 2] = bank.undirected[1, 1] = bank.undirected[2, 1] = huge
         with pytest.raises(DegenerateWeightError) as info:
             undirected_weights(feats, skel, bank.undirected)
-        assert (info.value.head, info.value.instant) == (1, 1)
-        assert str(info.value) == "zero attention mass (head 1, instant 1)"
+        assert (info.value.lane, info.value.head, info.value.instant) == (1, None, 1)
+        assert str(info.value) == "zero attention mass (instant 1)"
+        # the same heads of a second window are lanes 3 to 5: lane 4 is window 1, head 1
+        far = np.tile([[0.0], [0.0], [0.0]], (3, 1))
+        with pytest.raises(DegenerateWeightError) as info:
+            undirected_weights(np.stack([far, feats]), skel, bank.undirected)
+        assert (info.value.lane, info.value.instant) == (4, 1)
 
 
 class TestDirectedWeights:
@@ -218,6 +224,18 @@ class TestDirectedWeights:
         nonsource = np.ones(18, dtype=bool)
         nonsource[skel.sources] = False
         np.testing.assert_allclose(sums[nonsource], 1.0, atol=1e-12)
+
+    def test_underflowed_weight_names_lane_and_instant(self):
+        # in window 1 the value at instant 1 sits so far off that, at child
+        # instant 2, its weight against the one from instant 0 underflows
+        skel = build_temporal_skeleton(1, 3, 2)
+        feats = np.zeros((2, 3, 1))
+        feats[1, 1] = np.sqrt(1e9)
+        bank = MetricBank.default(3, 2, feature_dim=1, heads=2)
+        with pytest.raises(DegenerateWeightError) as info:
+            directed_weights(feats, skel, bank.directed)
+        assert (info.value.lane, info.value.head, info.value.instant) == (2, None, 2)
+        assert str(info.value) == "zero temporal attention weight (instant 2)"
 
     def test_monotone_attention(self):
         # pushing one predecessor's feature away strictly lowers its weight

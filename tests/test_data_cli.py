@@ -793,9 +793,19 @@ class TestCli:
              "cg_alpha has 2 entries; expected a scalar or cg_iters = 8 entries"),
             ("forecast", "tuner", {"iterations": -1}, "iterations must be nonnegative, got -1"),
             ("tune", "tuner", {"eval_samples": 0}, "eval_samples must be at least 1, got 0"),
+            ("forecast", "graph", {"kk": 2}, "unknown key 'kk' (value 2)"),
+            ("forecast", "data", {"stride": 1.5}, "stride must be an integer, got 1.5"),
+            ("forecast", "data", {"history": 2.0}, "history must be an integer, got 2.0"),
+            ("forecast", "graph", {"k": 2.5}, "k must be an integer, got 2.5"),
+            ("tune", "heads", {"count": True}, "count must be an integer, got true"),
+            ("forecast", "data", {"horizon": 0}, "horizon must be at least 1, got 0"),
+            ("forecast", "data", {"history": -1}, "history must be at least 1, got -1"),
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
-             "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples"],
+             "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples",
+             "forecast-unknown-key", "forecast-fractional-stride", "forecast-float-history",
+             "forecast-fractional-k", "tune-boolean-count", "forecast-zero-horizon",
+             "forecast-negative-history"],
     )
     def test_bad_config_value_exits_1(self, synth_dir, capsys, command, section, bad, message):
         cfg = json.loads((synth_dir / "config.json").read_text())
@@ -931,6 +941,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {bad_cfg}: expected a JSON object of config sections, got {doc}\n"
 
+    @pytest.mark.parametrize("section,doc", [("layers", "[1]"), ("graph", "2"), ("data", "null")])
+    def test_config_section_not_an_object_exits_1(self, synth_dir, capsys, section, doc):
+        bad_cfg = synth_dir / "bad_section.json"
+        bad_cfg.write_text(f'{{"{section}": {doc}}}\n')
+        rc = cli_main([
+            "forecast", "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(bad_cfg), "--out", str(synth_dir / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: config section '{section}': "
+                       f"expected a JSON object of settings, got {doc}\n"), err
+
     def test_config_error_names_section(self, synth_dir, capsys):
         bad_cfg = synth_dir / "bad_config.json"
         bad_cfg.write_text(json.dumps({"layers": {"blocks": 1, "bogus_key": 2}}))
@@ -948,14 +972,13 @@ class TestForwardFailure:
     """A window whose attention mass underflows, from the signal CSV to the CLI and the tuner."""
 
     @staticmethod
-    def bad_signals(synth_dir, step=145):
-        # one far-off value at step 145 of station 2 (column 3 after the
-        # timestamp) lies at instant 4 of the last test window, window 1 of
-        # the two that ``--max-samples 2`` picks: that station's attention
-        # mass underflows there
+    def bad_signals(synth_dir, step=145, station=2, value="1e9"):
+        # one far-off value at step 145 of station 2 lies at instant 4 of the
+        # last test window, window 1 of the two that ``--max-samples 2``
+        # picks: that station's attention mass underflows there
         lines = (synth_dir / "signals.csv").read_text().splitlines()
         cells = lines[1 + step].split(",")
-        cells[3] = "1e9"
+        cells[1 + station] = value
         lines[1 + step] = ",".join(cells)
         path = synth_dir / "bad_signals.csv"
         path.write_text("\n".join(lines) + "\n")
@@ -973,6 +996,25 @@ class TestForwardFailure:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: zero attention mass (block 0, window 1, head 0, instant 4)\n", err
+
+    def test_forecast_names_an_underflowed_temporal_weight(self, synth_dir, capsys):
+        # with no road edge, station 4 has no spatial neighbours, and only its
+        # temporal weights see the far-off value: at instant 4 of window 1 the
+        # weights from its two predecessors differ so much that one underflows
+        lines = (synth_dir / "edges.csv").read_text().splitlines()
+        cut = synth_dir / "edges_cut.csv"
+        cut.write_text("\n".join(r for r in lines if "4" not in r.split(",")[:2]) + "\n")
+        path, _loaded = self.bad_signals(synth_dir, station=4, value="1e6")
+        with pytest.warns(UserWarning, match="2 connected components"):
+            rc = cli_main([
+                "forecast", "--signals", str(path), "--edges", str(cut),
+                "--config", str(synth_dir / "config.json"), "--out", str(synth_dir / "fc"),
+                "--max-samples", "2",
+            ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error: zero temporal attention weight "
+                       "(block 0, window 1, head 0, instant 4)\n"), err
 
     def test_is_a_numeric_failure_and_a_value_error(self, synth_dir):
         _path, (splits, pg, std) = self.bad_signals(synth_dir)

@@ -167,10 +167,12 @@ class TestLaneAssembly:
         st.integers(0, 2**32 - 1),
         st.integers(1, 4),
         st.booleans(),
-        st.booleans(),
+        st.sampled_from([None, 1, 2, 3]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_equals_stacked_per_head_graphs(self, seed, heads, with_l_n, per_head_features):
+    def test_equals_stacked_per_head_graphs(self, seed, heads, with_l_n, windows):
+        # ``windows`` None is one window's (nodes, K) features; otherwise one
+        # set per window, (windows, nodes, K), each read by every head
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         linked = int(rng.integers(1, n + 1))  # stations from `linked` on are isolated
@@ -192,23 +194,22 @@ class TestLaneAssembly:
         bank = HeadSettings(count=heads, metric_overrides=overrides).build_bank(
             n_instants, window, dim
         )
-        shape = (heads, n * n_instants, dim) if per_head_features else (n * n_instants, dim)
+        shape = (n * n_instants, dim) if windows is None else (windows, n * n_instants, dim)
         feats = rng.standard_normal(shape)
         n_observed = int(rng.integers(1, n_instants))
 
         stacked = attention.multi_head_graphs(feats, sskel, tskel, bank, n_observed, with_l_n)
-        per_head = [
+        alone = [
             attention.build_mixed_graph(
-                attention.undirected_weights(feats[h] if per_head_features else feats, sskel,
-                                             bank.undirected[h]),
-                attention.directed_weights(feats[h] if per_head_features else feats, tskel,
-                                           bank.directed[h]),
+                attention.undirected_weights(window_feats, sskel, bank.undirected[h]),
+                attention.directed_weights(window_feats, tskel, bank.directed[h]),
                 sskel, tskel, n_observed, with_l_n,
             )
+            for window_feats in (feats if windows else [feats])
             for h in range(heads)
         ]
-        expected = stack_graphs(per_head)
-        assert stacked.lanes == heads
+        expected = stack_graphs(alone)
+        assert stacked.lanes == (windows or 1) * heads
         np.testing.assert_array_equal(stacked.h_mask, expected.h_mask)
         for name in STACKED_OPS if with_l_n else STACKED_OPS[:-1]:
             assert_same_csr(getattr(stacked, name), getattr(expected, name))

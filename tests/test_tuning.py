@@ -157,6 +157,14 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown config section"):
             PipelineConfig.from_dict({"wat": {}})
 
+    def test_integer_fields_take_integers_or_their_null(self):
+        cfg = PipelineConfig.from_dict(
+            {"solver": {"exact_cap": None}, "tuner": {"eval_samples": None}, "graph": {"k": 3}}
+        )
+        assert (cfg.solver.exact_cap, cfg.tuner.eval_samples, cfg.graph.k) == (None, None, 3)
+        with pytest.raises(ValueError, match="section 'graph': k must be an integer, got null"):
+            PipelineConfig.from_dict({"graph": {"k": None}})
+
     def test_bad_key_names_section(self):
         with pytest.raises(ValueError, match="section 'solver'"):
             PipelineConfig.from_dict({"solver": {"bogus": 1}})
@@ -199,6 +207,14 @@ class TestConfigRoundTrip:
             ("tuner", {"eval_samples": 0}, "eval_samples must be at least 1, got 0"),
             ("tuner", {"step": 0.0}, "step must be positive, got 0.0"),
             ("tuner", {"perturb": -0.1}, "perturb must be positive, got -0.1"),
+            ("solver", {"bogus": 1}, "unknown key 'bogus' (value 1)"),
+            ("layers", [1], "expected a JSON object of settings, got [1]"),
+            ("data", {"stride": 1.5}, "stride must be an integer, got 1.5"),
+            ("layers", {"blocks": False}, "blocks must be an integer, got false"),
+            ("solver", {"exact_cap": 2.0}, "exact_cap must be an integer, got 2.0"),
+            ("data", {"history": 0}, "history must be at least 1, got 0"),
+            ("data", {"seasonal_period": 0}, "seasonal_period must be at least 1, got 0"),
+            ("data", {"trend_window": -2}, "trend_window must be at least 1, got -2"),
         ],
         ids=[
             "null-mu_u", "null-mu_d2", "null-mu_d1", "negative-mu_d2", "zero-rho",
@@ -206,6 +222,8 @@ class TestConfigRoundTrip:
             "negative-cg_iters", "cg_beta-length", "short-projection", "projection-vs-spatial_dim",
             "ragged-projection", "long-projection_bias", "nan-projection_bias",
             "negative-iterations", "zero-eval_samples", "zero-step", "negative-perturb",
+            "unknown-key", "section-not-an-object", "fractional-stride", "boolean-blocks",
+            "float-exact_cap", "zero-history", "zero-seasonal_period", "negative-trend_window",
         ],
     )
     def test_bad_value_rejected_at_load(self, section, bad, message):
