@@ -60,6 +60,9 @@ class GraphSettings:
     projection_bias: list | None = None
 
     def __post_init__(self):
+        for name, low in (("k", 1), ("spatial_dim", 0), ("feature_dim", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         k, e = self.feature_dim, 1 + self.spatial_dim + TEMPORAL_DIM
         for name, shape, rule in (
             ("projection", (k, e), f"be feature_dim x (1 + spatial_dim + {TEMPORAL_DIM}) = {k} x {e}"),
@@ -92,6 +95,8 @@ class SolverSettings:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.cg_mode not in CG_MODES:
             raise ValueError(f"unknown cg_mode {self.cg_mode!r}; expected one of {CG_MODES}")
+        if self.exact_cap is not None and self.exact_cap < 1:
+            raise ValueError(f"exact_cap must be at least 1 or null, got {self.exact_cap}")
         self.schedule()  # a bad cg_iters, cg_alpha or cg_beta fails here, at load
 
     def schedule(self) -> CgSchedule:
@@ -131,10 +136,13 @@ class LayerSettings:
             if name.startswith("rho") and tab is not None and np.any(tab <= 0):
                 raise ValueError(f"{name} must be positive")
             setattr(self, name, tab)
-        res = np.broadcast_to(np.asarray(self.residual, dtype=np.float64), (b,)).copy()
-        if np.any((res < 0) | (res > 1)):
+        # one coefficient per block: a table of one layer
+        res = _expand_table(self.residual, b, 1, "residual")
+        if res is None:
+            raise ValueError("residual must be a number or a per-block list, not null")
+        if not np.all((res >= 0) & (res <= 1)):  # NaN fails too
             raise ValueError("residual coefficients must lie in [0, 1]")
-        self.residual = res
+        self.residual = res[:, 0]
 
     def layer_params(self, block: int, default_rho: float) -> list[LayerParams]:
         rho0 = np.full(self.layers, default_rho)
@@ -256,8 +264,10 @@ class DataSettings:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         ratios = tuple(float(r) for r in self.ratios)
-        if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ValueError("ratios must be three numbers summing to 1")
+        if len(ratios) != 3 or not (min(ratios) >= 0 and abs(sum(ratios) - 1.0) <= 1e-9):
+            raise ValueError(
+                f"ratios must be three nonnegative numbers summing to 1, got {list(self.ratios)}"
+            )
         self.ratios = ratios
         if self.extrapolation not in EXTRAPOLATION_METHODS:
             raise ValueError(
@@ -277,6 +287,14 @@ class PipelineConfig:
     heads: HeadSettings = field(default_factory=HeadSettings)
     tuner: TunerSettings = field(default_factory=TunerSettings)
     data: DataSettings = field(default_factory=DataSettings)
+
+    def __post_init__(self):
+        # the one rule that spans two sections
+        if not 1 <= self.graph.window < self.data.n_instants:
+            raise ValueError(
+                f"config section 'graph': window must satisfy 1 <= window < history + horizon"
+                f" = {self.data.n_instants}, got {self.graph.window}"
+            )
 
     def default_rho(self, n_stations: int) -> float:
         return float(np.sqrt(n_stations / self.data.n_instants))

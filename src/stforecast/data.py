@@ -213,7 +213,7 @@ def read_signal_csv(path) -> SignalTable:
 
 
 def write_edges_csv(pg: PhysicalGraph, path):
-    write_csv(path, ["from", "to", "cost"], ((i, j, float(cost)) for i, j, cost in pg.edges))
+    write_csv(path, ["from", "to", "cost"], pg.edges.tolist())
 
 
 def _check_edges_header(header: list[str]) -> None:
@@ -225,33 +225,24 @@ def load_road_network(path, n_stations: int | None = None) -> PhysicalGraph:
     """Read an edge list CSV with header ``from,to,cost`` (0-based station ids).
 
     ``n_stations`` is the station count, e.g. the signal's column count;
-    stations no edge touches are isolated, and an id at or beyond the count
-    is rejected. Without it the count is one past the largest id. An edge
-    ``PhysicalGraph`` rejects is reported at its line.
+    stations no edge touches are isolated. Without it the count is one past
+    the largest id. The parsed table goes to ``PhysicalGraph`` as it is; an
+    edge it rejects, an id out of range among them, is reported at its line.
     """
-
-    def edge(row: list[str]) -> tuple[int, int, float]:
-        i, j, cost = int(row[0]), int(row[1]), float(row[2])
-        if n_stations is not None and max(i, j) >= n_stations:
-            raise ValueError(f"station {max(i, j)} out of range for {n_stations} stations")
-        return i, j, cost
-
     rows = _read_numeric(path, _check_edges_header, lambda header: EDGE_DTYPE)
     if rows is not None:
-        ends = np.maximum(rows["from"], rows["to"])
-        if n_stations is None or ends.max() < n_stations:
-            try:
-                return PhysicalGraph(
-                    1 + int(ends.max()) if n_stations is None else n_stations,
-                    tuple(rows.tolist()),
-                )
-            except ValueError:
-                pass  # the row reader names the line of the bad edge
-    _, lines, edges = _read_csv(path, _check_edges_header, edge)
+        top = int(np.maximum(rows["from"], rows["to"]).max())
+        count = 1 + top if n_stations is None else n_stations
+        try:
+            return PhysicalGraph(count, rows)
+        except ValueError:
+            pass  # the row reader names the line of the bad edge
+    _, lines, edges = _read_csv(path, _check_edges_header,
+                                lambda row: (int(row[0]), int(row[1]), float(row[2])))
     if n_stations is None:
         n_stations = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
     try:
-        return PhysicalGraph(n_stations, tuple(edges))
+        return PhysicalGraph(n_stations, edges)
     except EdgeError as exc:
         raise ParseError(f"{path}:{lines[exc.index]}: {exc}") from None
     except ValueError as exc:
@@ -384,12 +375,9 @@ def generate_synthetic(
     # union with the MST so the road graph is always connected
     mst = minimum_spanning_tree(sp.csr_matrix(dist + np.eye(n_stations))).toarray() > 0
     adj |= mst | mst.T
-    edges = tuple(
-        (i, j, float(dist[i, j]))
-        for i in range(n_stations)
-        for j in range(i + 1, n_stations)
-        if adj[i, j]
-    )
+    i, j = np.nonzero(np.triu(adj, 1))
+    edges = np.empty(len(i), dtype=EDGE_DTYPE)
+    edges["from"], edges["to"], edges["cost"] = i, j, dist[i, j]
     pg = PhysicalGraph(n_stations, edges)
 
     t = np.arange(steps)

@@ -81,22 +81,34 @@ _EDGE_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalGraph:
-    """Road network: stations plus undirected edges with finite nonnegative costs."""
+    """Road network: stations plus undirected edges with finite nonnegative costs.
+
+    ``edges``, given as ``(from, to, cost)`` triples or an ``EDGE_DTYPE`` table,
+    is kept as a read-only ``EDGE_DTYPE`` table (of objects for ids beyond 64 bits).
+    """
 
     n_stations: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n_stations <= 0:
             raise ValueError("station count must be positive")
-        if not self.edges:
-            return
-        try:
-            table = np.array(list(self.edges), dtype=EDGE_DTYPE)
-        except OverflowError:  # ids beyond 64 bits: compare them as Python ints
-            table = np.array(list(self.edges), dtype=[(f, object) for f in EDGE_DTYPE.names])
+        edges = self.edges
+        if isinstance(edges, np.ndarray):
+            if edges.dtype != EDGE_DTYPE or edges.ndim != 1:
+                raise ValueError(f"edges must be a 1-D EDGE_DTYPE table, "
+                                 f"got a {edges.ndim}-D {edges.dtype} array")
+            table = edges.copy()
+        else:
+            edges = list(edges)
+            try:
+                table = np.array(edges, dtype=EDGE_DTYPE)
+            except OverflowError:  # ids beyond 64 bits: compare them as Python ints
+                table = np.array(edges, dtype=[(f, object) for f in EDGE_DTYPE.names])
+        table.flags.writeable = False
+        object.__setattr__(self, "edges", table)
         i, j, cost = table["from"], table["to"], table["cost"].astype(np.float64, copy=False)
         failed = np.array([
             i == j,
@@ -105,7 +117,7 @@ class PhysicalGraph:
             cost < 0,
         ], dtype=bool)
         bad = np.flatnonzero(failed.any(axis=0))
-        index = bad[0] if len(bad) else len(self.edges)
+        index = bad[0] if len(bad) else len(edges)
         # a duplicate repeats the station pair of an earlier edge that passed
         # every check: a stable sort by pair puts each pair's first edge first
         lo, hi = np.minimum(i, j)[:index], np.maximum(i, j)[:index]
@@ -114,17 +126,12 @@ class PhysicalGraph:
         repeats = order[1:][(lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]
         if len(repeats):
             index, message = repeats.min(), "duplicate edge ({i},{j})"
-        elif index < len(self.edges):
+        elif index < len(edges):
             message = _EDGE_CHECKS[np.argmax(failed[:, index])]
         else:
             return
-        i, j, cost = self.edges[index]
+        i, j, cost = edges[index]
         raise EdgeError(int(index), message.format(i=i, j=j, cost=cost))
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge endpoints and costs as arrays: ``i``, ``j`` int64 and ``cost`` float64."""
-        table = np.array(list(self.edges), dtype=EDGE_DTYPE)
-        return tuple(np.ascontiguousarray(table[name]) for name in EDGE_DTYPE.names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +161,7 @@ def build_spatial_skeleton(pg: PhysicalGraph, k: int) -> SpatialSkeleton:
     if pg.n_stations < 1:
         raise ValueError("empty physical graph")
     n = pg.n_stations
-    ei, ej, cost = pg.edge_arrays()
+    ei, ej, cost = pg.edges["from"], pg.edges["to"], pg.edges["cost"]
     # both directions of every edge, ranked by (station, cost, neighbor)
     station = np.concatenate([ei, ej])
     nbr = np.concatenate([ej, ei])
@@ -339,7 +346,7 @@ def symmetrized_dglr_matrix(l_rd: sp.spmatrix) -> sp.csr_matrix:
 def unit_laplacian(pg: PhysicalGraph) -> sp.csr_matrix:
     """Unit-weight Laplacian D - A of the road graph, edge costs ignored."""
     n = pg.n_stations
-    ei, ej, _cost = pg.edge_arrays()
+    ei, ej = pg.edges["from"], pg.edges["to"]
     ends = np.concatenate([ei, ej])
     diag = np.arange(n)
     vals = np.concatenate([-np.ones(len(ends)), np.bincount(ends, minlength=n).astype(np.float64)])

@@ -45,20 +45,16 @@ class Standardizer:
     """Per-station affine normalization fitted on the training split."""
 
     mean: np.ndarray
-    std: np.ndarray
-    constant: np.ndarray  # stations whose training series had zero variance
+    std: np.ndarray  # 1 for a station whose training series is constant
 
     @classmethod
     def fit(cls, values_tn: np.ndarray) -> "Standardizer":
-        mean = values_tn.mean(axis=0)
         std = values_tn.std(axis=0)
-        constant = std == 0
-        std = np.where(constant, 1.0, std)
-        return cls(mean, std, constant)
+        return cls(values_tn.mean(axis=0), np.where(std == 0, 1.0, std))
 
     @classmethod
     def identity(cls, n_stations: int) -> "Standardizer":
-        return cls(np.zeros(n_stations), np.ones(n_stations), np.zeros(n_stations, dtype=bool))
+        return cls(np.zeros(n_stations), np.ones(n_stations))
 
     def transform(self, mat_ns: np.ndarray) -> np.ndarray:
         return (mat_ns - self.mean[:, None]) / self.std[:, None]

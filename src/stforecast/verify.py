@@ -261,13 +261,15 @@ def check_sparse_eigenmap(n_stations: int = 300, dim: int = 5, seed: int = 17,
     of the default pieces.
     """
     _table, pg = generate_synthetic(n_stations, 1, seed)
-    edges, offset = [], 0
+    tables, offset = [], 0
     for k, size in enumerate(pieces):
-        _table, piece = generate_synthetic(size, 1, seed + 1 + k)
-        edges += [(i + offset, j + offset, cost) for i, j, cost in piece.edges]
+        table = generate_synthetic(size, 1, seed + 1 + k)[1].edges.copy()
+        table["from"] += offset
+        table["to"] += offset
+        tables.append(table)
         offset += size
     dev = 0.0
-    for graph, by_vector in ((pg, True), (PhysicalGraph(offset, tuple(edges)), False)):
+    for graph, by_vector in ((pg, True), (PhysicalGraph(offset, np.concatenate(tables)), False)):
         lap = unit_laplacian(graph)
         d_vals, d_vecs = oracles.dense_spectrum(lap)
         d_vals, d_vecs = d_vals[: dim + 1], d_vecs[:, : dim + 1]

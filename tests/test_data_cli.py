@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from stforecast import data as dmod
 from stforecast import priors, tuning
@@ -18,7 +20,7 @@ from stforecast.attention import (
 )
 from stforecast.cli import cli_main
 from stforecast.config import DataSettings, PipelineConfig
-from stforecast.graphs import build_spatial_skeleton, build_temporal_skeleton
+from stforecast.graphs import EDGE_DTYPE, build_spatial_skeleton, build_temporal_skeleton
 from stforecast.pipeline import (
     PipelineContext,
     evaluate,
@@ -182,7 +184,7 @@ class TestLoadDataset:
         sparse.write_text("from,to,cost\n0,1,1.0\n")
         splits, pg, std = dmod.load_dataset(dmod.DatasetSpec(str(sig), str(sparse)))
         assert pg.n_stations == 3
-        assert pg.edges == ((0, 1, 1.0),)
+        assert pg.edges.tolist() == [(0, 1, 1.0)]
         cfg = PipelineConfig.from_dict({
             "graph": {"k": 1, "window": 2}, "layers": {"blocks": 1, "layers": 2},
             "heads": {"count": 1},
@@ -195,7 +197,8 @@ class TestLoadDataset:
         sig, _, _ = self.make_files(tmp_path)
         bad = tmp_path / "bad_edges.csv"
         bad.write_text("from,to,cost\n0,1,1.0\n1,3,1.0\n")
-        with pytest.raises(dmod.ParseError, match=r"bad_edges\.csv:3: station 3 out of range"):
+        with pytest.raises(dmod.ParseError,
+                           match=r"bad_edges\.csv:3: edge \(1,3\) outside station range"):
             dmod.load_dataset(dmod.DatasetSpec(str(sig), str(bad)))
 
 
@@ -344,7 +347,13 @@ def _outcome(read, path):
         return ("table", got.timestamps.dtype.str, got.timestamps.tobytes(),
                 got.values.dtype.str, got.values.shape, got.values.tobytes(),
                 got.values.flags.c_contiguous)
-    return ("graph", got.n_stations, [tuple(map(type, e)) for e in got.edges], repr(got.edges))
+    return ("graph", got.n_stations, got.edges.dtype, _edge_bytes(got.edges))
+
+
+def _edge_bytes(edges):
+    """The bytes of an edge table; its values where the ids overflow 64 bits
+    and it holds Python objects, whose bytes are addresses."""
+    return edges.tolist() if edges.dtype.hasobject else edges.tobytes()
 
 
 def _read_edges(n_stations):
@@ -459,7 +468,9 @@ class TestReaderPaths:
         monkeypatch.setattr(dmod, "_read_csv", None)  # calling it would fail
         back = dmod.read_signal_csv(tmp_path / "s.csv")
         assert back.values.tobytes() == table.values.tobytes()
-        assert dmod.load_road_network(tmp_path / "e.csv", 5).edges == pg.edges
+        edges = dmod.load_road_network(tmp_path / "e.csv", 5).edges
+        assert edges.dtype == pg.edges.dtype == EDGE_DTYPE
+        assert len(edges) > 1 and edges.tobytes() == pg.edges.tobytes()
 
     def test_parse_warning_falls_back_to_rows(self, tmp_path, monkeypatch):
         # numpy 1.x reads the integer field "1.0" as 1 with a DeprecationWarning
@@ -554,6 +565,19 @@ class TestSyntheticData:
         glr_shuf, dglr_shuf = priors_of(shuffled)
         assert glr_real < glr_shuf
         assert dglr_real < dglr_shuf
+
+    @pytest.mark.parametrize("n", [4, 20, 1000])
+    def test_edges_match_the_pair_loop(self, n):
+        # the generator's road graph rebuilt, its edges collected pair by pair
+        pos = np.random.default_rng(0).uniform(size=(n, 2))
+        dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
+        adj = (dist <= np.sqrt(2.5 / n)) & ~np.eye(n, dtype=bool)
+        mst = minimum_spanning_tree(sp.csr_matrix(dist + np.eye(n))).toarray() > 0
+        adj |= mst | mst.T
+        want = [(i, j, float(dist[i, j])) for i in range(n) for j in range(i + 1, n) if adj[i, j]]
+        _, pg = dmod.generate_synthetic(n, 1, seed=0)
+        assert pg.edges.dtype == EDGE_DTYPE
+        assert pg.edges.tobytes() == np.array(want, dtype=EDGE_DTYPE).tobytes()
 
     def test_connected_road_graph(self):
         _, pg = dmod.generate_synthetic(15, 50, seed=6)
@@ -800,12 +824,30 @@ class TestCli:
             ("tune", "heads", {"count": True}, "count must be an integer, got true"),
             ("forecast", "data", {"horizon": 0}, "horizon must be at least 1, got 0"),
             ("forecast", "data", {"history": -1}, "history must be at least 1, got -1"),
+            ("forecast", "graph", {"window": 30},
+             "window must satisfy 1 <= window < history + horizon = 18, got 30"),
+            ("forecast", "graph", {"spatial_dim": -2}, "spatial_dim must be at least 0, got -2"),
+            ("forecast", "graph", {"feature_dim": 0}, "feature_dim must be at least 1, got 0"),
+            ("forecast", "graph", {"k": 0}, "k must be at least 1, got 0"),
+            ("forecast", "solver", {"cg_mode": "exact", "exact_cap": 0},
+             "exact_cap must be at least 1 or null, got 0"),
+            ("tune", "solver", {"cg_mode": "exact", "exact_cap": -1},
+             "exact_cap must be at least 1 or null, got -1"),
+            ("forecast", "layers", {"residual": [0.5, 0.5]},
+             "residual: per-block list must have length 1"),
+            ("forecast", "layers", {"residual": None},
+             "residual must be a number or a per-block list, not null"),
+            ("forecast", "data", {"ratios": [1.2, -0.1, -0.1]},
+             "ratios must be three nonnegative numbers summing to 1, got [1.2, -0.1, -0.1]"),
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
              "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples",
              "forecast-unknown-key", "forecast-fractional-stride", "forecast-float-history",
              "forecast-fractional-k", "tune-boolean-count", "forecast-zero-horizon",
-             "forecast-negative-history"],
+             "forecast-negative-history", "forecast-long-window", "forecast-negative-spatial_dim",
+             "forecast-zero-feature_dim", "forecast-zero-k", "forecast-zero-exact_cap",
+             "tune-negative-exact_cap", "forecast-long-residual", "forecast-null-residual",
+             "forecast-negative-ratio"],
     )
     def test_bad_config_value_exits_1(self, synth_dir, capsys, command, section, bad, message):
         cfg = json.loads((synth_dir / "config.json").read_text())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stforecast.attention import build_mixed_graph
 from stforecast.data import ParseError, load_road_network
 from stforecast.graphs import (
+    EDGE_DTYPE,
     DegenerateDegreeError,
     EdgeError,
     PhysicalGraph,
@@ -56,6 +57,34 @@ class TestPhysicalGraph:
         # depended on edge order
         with pytest.raises(ValueError, match="non-finite cost"):
             PhysicalGraph(3, ((0, 1, 1.0), (1, 2, cost)))
+
+    def test_triples_and_table_give_one_read_only_table(self):
+        triples = ((0, 1, 1.5), (2, 1, 0.0))
+        table = np.array(list(triples), dtype=EDGE_DTYPE)
+        for given in (triples, table):
+            pg = PhysicalGraph(3, given)
+            assert pg.edges.dtype == EDGE_DTYPE
+            assert pg.edges.tobytes() == table.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                pg.edges["cost"][0] = 2.0
+        table["cost"][0] = 2.0  # the graph keeps its own copy
+        assert pg.edges["cost"][0] == 1.5
+
+    @pytest.mark.parametrize(
+        "table",
+        [np.zeros((1, 3)), np.zeros(1, dtype=[("from", "i4"), ("to", "i4"), ("cost", "f8")]),
+         np.zeros((1, 1), dtype=EDGE_DTYPE)],
+        ids=["plain", "int32-ids", "2-D"],
+    )
+    def test_rejects_other_arrays(self, table):
+        with pytest.raises(ValueError, match="edges must be a 1-D EDGE_DTYPE table"):
+            PhysicalGraph(3, table)
+
+    def test_table_error_quotes_the_edge(self):
+        table = np.array([(0, 1, 1.0), (1, 2, float("inf"))], dtype=EDGE_DTYPE)
+        with pytest.raises(EdgeError) as info:
+            PhysicalGraph(3, table)
+        assert (info.value.index, str(info.value)) == (1, "non-finite cost inf on edge (1,2)")
 
 
 def first_bad_edge(n_stations, edges):
@@ -104,7 +133,8 @@ class TestRoadNetworkCsv:
         path.write_text("from,to,cost\n0,1,2.5\n1,2,1.0\n")
         pg = load_road_network(path)
         assert pg.n_stations == 3
-        assert pg.edges == ((0, 1, 2.5), (1, 2, 1.0))
+        assert pg.edges.dtype == EDGE_DTYPE
+        assert pg.edges.tolist() == [(0, 1, 2.5), (1, 2, 1.0)]
 
     def test_station_count_given(self, tmp_path):
         # stations beyond the largest edge id are kept, isolated
@@ -112,13 +142,16 @@ class TestRoadNetworkCsv:
         path.write_text("from,to,cost\n0,1,2.5\n")
         pg = load_road_network(path, n_stations=4)
         assert pg.n_stations == 4
-        assert pg.edges == ((0, 1, 2.5),)
+        assert pg.edges.tolist() == [(0, 1, 2.5)]
 
     def test_id_beyond_station_count_names_line(self, tmp_path):
+        # one range rule: an id at or beyond the count reads as a negative one
         path = tmp_path / "edges.csv"
-        path.write_text("from,to,cost\n0,1,2.5\n4,1,1.0\n")
-        with pytest.raises(ParseError, match=r"edges\.csv:3: station 4 out of range for 4"):
-            load_road_network(path, n_stations=4)
+        for edge in ("4,1", "-1,1"):
+            path.write_text(f"from,to,cost\n0,1,2.5\n{edge},1.0\n")
+            with pytest.raises(ParseError) as info:
+                load_road_network(path, n_stations=4)
+            assert str(info.value) == f"{path}:3: edge ({edge}) outside station range"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -234,8 +234,7 @@ class TestSkeletonComponents:
     def test_split_networks_are_joined(self, n, seed):
         # the 4-nearest union alone has 3, 2 and 2 components on these networks
         _table, pg = data.generate_synthetic(n, 20, seed)
-        ei, ej, _cost = pg.edge_arrays()
-        assert self.components(n, np.stack([ei, ej], axis=1)) == 1
+        assert self.components(n, np.stack([pg.edges["from"], pg.edges["to"]], axis=1)) == 1
         assert self.components(n, build_spatial_skeleton(pg, 4).edges) == 1
 
 

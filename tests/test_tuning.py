@@ -215,6 +215,19 @@ class TestConfigRoundTrip:
             ("data", {"history": 0}, "history must be at least 1, got 0"),
             ("data", {"seasonal_period": 0}, "seasonal_period must be at least 1, got 0"),
             ("data", {"trend_window": -2}, "trend_window must be at least 1, got -2"),
+            ("graph", {"window": 0},
+             "window must satisfy 1 <= window < history + horizon = 18, got 0"),
+            ("graph", {"window": 18},
+             "window must satisfy 1 <= window < history + horizon = 18, got 18"),
+            ("graph", {"spatial_dim": -1}, "spatial_dim must be at least 0, got -1"),
+            ("solver", {"exact_cap": 0}, "exact_cap must be at least 1 or null, got 0"),
+            ("layers", {"blocks": 2, "residual": [0.1, 0.2, 0.3]},
+             "residual: per-block list must have length 2"),
+            ("layers", {"residual": None},
+             "residual must be a number or a per-block list, not null"),
+            ("layers", {"residual": float("nan")}, "residual coefficients must lie in [0, 1]"),
+            ("data", {"ratios": [0.5, 0.7, -0.2]},
+             "ratios must be three nonnegative numbers summing to 1, got [0.5, 0.7, -0.2]"),
         ],
         ids=[
             "null-mu_u", "null-mu_d2", "null-mu_d1", "negative-mu_d2", "zero-rho",
@@ -224,6 +237,8 @@ class TestConfigRoundTrip:
             "negative-iterations", "zero-eval_samples", "zero-step", "negative-perturb",
             "unknown-key", "section-not-an-object", "fractional-stride", "boolean-blocks",
             "float-exact_cap", "zero-history", "zero-seasonal_period", "negative-trend_window",
+            "zero-window", "window-of-every-instant", "negative-spatial_dim", "zero-exact_cap",
+            "long-residual", "null-residual", "nan-residual", "negative-ratio",
         ],
     )
     def test_bad_value_rejected_at_load(self, section, bad, message):
