@@ -91,6 +91,9 @@ def cmd_forecast(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg, splits, pg, standardizer, interval = _load(args)
+    if cfg.layers.blocks < 1:
+        raise ValueError(f"solve runs block 0: layers.blocks must be at least 1, "
+                         f"got {cfg.layers.blocks}")
     samples = getattr(splits, args.split)
     _check_range("--index", args.index, len(samples))
     sample = samples[args.index]

@@ -1,29 +1,26 @@
 """Pipeline configuration: dataclasses plus JSON load/save.
 
 The JSON document mirrors the dataclass sections: {graph, solver, layers,
-heads, tuner, data}. Layer parameters accept a scalar, a per-block list, or a
-full per-block-per-layer table; they are normalized to (blocks, layers)
-arrays internally. rho fields may be null, meaning sqrt(N / total instants)
-resolved at run time.
+heads, tuner, data}. Each setting declares the values it accepts once, as a
+``Rule`` in its field's metadata, checked by ``check_rules`` when its section is
+built; null is accepted only where the type says ``| None``. Structured
+settings keep their own checks: shapes, ``ratios``, and, once the sections are
+joined, ``graph.window`` and ``heads.metric_overrides``. Layer parameters take
+a scalar, a per-block list, or a per-block-per-layer table, normalized to
+(blocks, layers) arrays. A null rho means sqrt(N / total instants).
 """
 
 from __future__ import annotations
 
-import functools
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .attention import DEFAULT_FEATURE_DIM, DEFAULT_SPATIAL_DIM, TEMPORAL_DIM, MetricBank
-from .solver import (
-    DEFAULT_CG_INIT,
-    DEFAULT_CG_ITERS,
-    DEFAULT_EXACT_TOL,
-    VARIANTS,
-    CgSchedule,
-    LayerParams,
-)
+from .solver import (DEFAULT_CG_INIT, DEFAULT_CG_ITERS, DEFAULT_EXACT_TOL, VARIANTS,
+                     CgSchedule, LayerParams)
 
 DEFAULT_MU = 3.0
 DEFAULT_RESIDUAL = 0.3
@@ -31,118 +28,162 @@ EXTRAPOLATION_METHODS = ("hold-last", "linear-trend", "seasonal-naive")
 CG_MODES = ("unrolled", "exact")
 
 
+@dataclass(frozen=True)
+class Rule:
+    """Accepted values: one of ``options``, of the same type, or finite numbers x (each entry
+    of a table) with low <= x <= high and x > above, integers in an ``int`` field."""
+
+    low: float = -np.inf
+    above: float = -np.inf
+    high: float = np.inf
+    options: tuple = ()
+
+    def admits(self, value, kind: str) -> bool:
+        if self.options:
+            return any(type(value) is type(o) and value == o for o in self.options)
+        if kind.startswith("int"):
+            integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            return integer and self.low <= value <= self.high
+        x = _entries(value, nested="list" in kind)
+        if x is None:
+            return False
+        return bool(np.all(np.isfinite(x) & (x >= self.low) & (x > self.above) & (x <= self.high)))
+
+    def describe(self, kind: str) -> str:
+        if self.options:
+            return "one of " + ", ".join(map(json.dumps, self.options))
+        bound = (f" in [{self.low:g}, {self.high:g}]" if self.high < np.inf
+                 else f" > {self.above:g}" if self.above > -np.inf
+                 else f" >= {self.low:g}" if self.low > -np.inf else "")
+        if kind.startswith("int"):
+            return f"an integer{bound}"
+        return f"a finite number{bound}" + (" or a list of them" if "list" in kind else "")
+
+
+def _rule(default, **rule):
+    """A field with ``default`` whose values must satisfy ``Rule(**rule)``."""
+    return field(default=default, metadata={"rule": Rule(**rule)})
+
+
+def check_rules(section) -> None:
+    """Check every field of a section against the rule its metadata declares."""
+    for f in fields(section):
+        rule, value = f.metadata.get("rule"), getattr(section, f.name)
+        if rule is None or (value is None and "None" in f.type) or rule.admits(value, f.type):
+            continue
+        null = " or null" if "None" in f.type else ""
+        raise ValueError(f"{f.name} must be {rule.describe(f.type)}{null}, got {_shown(value)}")
+
+
+def _entries(value, nested: bool) -> np.ndarray | None:
+    """The entries of a number, or with ``nested`` of nested lists or arrays of numbers, as
+    floats; None if one is not a number."""
+    if nested and isinstance(value, np.ndarray):
+        return value.ravel() if value.dtype.kind in "iuf" else None
+    if nested and isinstance(value, (list, tuple)):
+        parts = [_entries(v, True) for v in value]
+        return None if any(p is None for p in parts) else np.concatenate([np.empty(0), *parts])
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return np.array([value if abs(value) <= 1e308 else np.inf], dtype=float)  # huge ints
+    return None
+
+
+def _shown(value) -> str:
+    """``value`` as JSON, arrays as lists."""
+    return json.dumps(value, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
+
+
+def _shape(value) -> tuple | None:
+    """The shape of ``value`` as a float array, or None if it is not one."""
+    try:
+        return np.asarray(value, dtype=float).shape
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _expand_table(value, blocks: int, layers: int, name: str) -> np.ndarray | None:
     """Normalize scalar / per-block / per-layer input to a (B, M) array."""
     if value is None:
         return None
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full((blocks, layers), float(arr))
-    if arr.ndim == 1:
-        if len(arr) != blocks:
-            raise ValueError(f"{name}: per-block list must have length {blocks}")
-        return np.repeat(arr[:, None], layers, axis=1)
-    if arr.shape == (blocks, layers):
-        return arr.copy()
-    raise ValueError(f"{name}: expected scalar, ({blocks},) or ({blocks},{layers}) values")
+    shape = _shape(value)
+    if shape == ():
+        return np.full((blocks, layers), float(value))
+    if shape == (blocks,):
+        return np.repeat(np.asarray(value, dtype=np.float64)[:, None], layers, axis=1)
+    if shape == (blocks, layers):
+        return np.array(value, dtype=np.float64)
+    raise ValueError(f"{name} must be a number, a per-block list of length {blocks} or a "
+                     f"{blocks} x {layers} table, got {_shown(value)}")
 
 
 @dataclass
 class GraphSettings:
-    k: int = 4
-    window: int = 6
-    spatial_dim: int = DEFAULT_SPATIAL_DIM
-    feature_dim: int = DEFAULT_FEATURE_DIM
-    feature_seed: int = 0
-    aggregate_neighbors: bool = False
-    swish_beta: float | None = None
-    projection: list | None = None  # explicit (K, E) matrix overrides the seeded one
-    projection_bias: list | None = None
+    k: int = _rule(4, low=1)
+    window: int = _rule(6, low=1)  # and below history + horizon: see PipelineConfig
+    spatial_dim: int = _rule(DEFAULT_SPATIAL_DIM, low=0)
+    feature_dim: int = _rule(DEFAULT_FEATURE_DIM, low=1)
+    feature_seed: int = _rule(0, low=0)
+    aggregate_neighbors: bool = _rule(False, options=(False, True))
+    swish_beta: float | None = _rule(None)
+    projection: list | None = _rule(None)  # explicit (K, E) matrix overrides the seeded one
+    projection_bias: list | None = _rule(None)
 
     def __post_init__(self):
-        for name, low in (("k", 1), ("spatial_dim", 0), ("feature_dim", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        check_rules(self)
         k, e = self.feature_dim, 1 + self.spatial_dim + TEMPORAL_DIM
         for name, shape, rule in (
             ("projection", (k, e), f"be feature_dim x (1 + spatial_dim + {TEMPORAL_DIM}) = {k} x {e}"),
             ("projection_bias", (k,), f"have feature_dim = {k} entries"),
         ):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            got = _shape(value)
-            if got != shape:
-                raise ValueError(
-                    f"{name} must {rule}, got " + (repr(value) if got is None else f"shape {got}")
-                )
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
+            value, got = getattr(self, name), _shape(getattr(self, name))
+            if value is not None and got != shape:
+                raise ValueError(f"{name} must {rule}, got "
+                                 + (_shown(value) if got is None else f"shape {got}"))
 
 
 @dataclass
 class SolverSettings:
-    mode: str = "full"
-    cg_mode: str = "unrolled"
-    cg_iters: int = DEFAULT_CG_ITERS
-    cg_alpha: float | list = DEFAULT_CG_INIT
-    cg_beta: float | list = DEFAULT_CG_INIT
-    cg_tol: float = DEFAULT_EXACT_TOL
-    exact_cap: int | None = None
+    mode: str = _rule("full", options=VARIANTS)
+    cg_mode: str = _rule("unrolled", options=CG_MODES)
+    cg_iters: int = _rule(DEFAULT_CG_ITERS)  # at least 1 in unrolled mode: see schedule
+    cg_alpha: float | list = _rule(DEFAULT_CG_INIT)  # CgSchedule clips alpha and beta
+    cg_beta: float | list = _rule(DEFAULT_CG_INIT)
+    cg_tol: float = _rule(DEFAULT_EXACT_TOL, low=0)
+    exact_cap: int | None = _rule(None, low=1)
 
     def __post_init__(self):
-        if self.mode not in VARIANTS:
-            raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.cg_mode not in CG_MODES:
-            raise ValueError(f"unknown cg_mode {self.cg_mode!r}; expected one of {CG_MODES}")
-        if self.exact_cap is not None and self.exact_cap < 1:
-            raise ValueError(f"exact_cap must be at least 1 or null, got {self.exact_cap}")
-        self.schedule()  # a bad cg_iters, cg_alpha or cg_beta fails here, at load
+        check_rules(self)
+        self.schedule()  # a bad cg_iters or schedule length fails here, at load
 
     def schedule(self) -> CgSchedule:
         if self.cg_mode == "exact":
             return CgSchedule.exact(tol=self.cg_tol, iters=self.exact_cap)
         for name in ("cg_alpha", "cg_beta"):
             if np.shape(getattr(self, name)) not in ((), (1,), (self.cg_iters,)):
-                raise ValueError(
-                    f"{name} has {np.size(getattr(self, name))} entries; expected a scalar "
-                    f"or cg_iters = {self.cg_iters} entries"
-                )
+                raise ValueError(f"{name} has {np.size(getattr(self, name))} entries; expected "
+                                 f"a scalar or cg_iters = {self.cg_iters} entries")
         return CgSchedule.unrolled(self.cg_iters, self.cg_alpha, self.cg_beta)
 
 
 @dataclass
 class LayerSettings:
-    blocks: int = 5
-    layers: int = 25
-    mu_u: object = DEFAULT_MU
-    mu_d2: object = DEFAULT_MU
-    mu_d1: object = DEFAULT_MU
-    rho: object = None  # None -> sqrt(N / n_instants) at run time
-    rho_u: object = None
-    rho_d: object = None
-    residual: object = DEFAULT_RESIDUAL  # per-block mixing into the running signal
+    blocks: int = _rule(5, low=0)
+    layers: int = _rule(25, low=1)
+    mu_u: float | list = _rule(DEFAULT_MU, low=0)
+    mu_d2: float | list = _rule(DEFAULT_MU, low=0)
+    mu_d1: float | list = _rule(DEFAULT_MU, low=0)
+    rho: float | list | None = _rule(None, above=0)  # None -> sqrt(N / n_instants) at run time
+    rho_u: float | list | None = _rule(None, above=0)
+    rho_d: float | list | None = _rule(None, above=0)
+    residual: float | list = _rule(DEFAULT_RESIDUAL, low=0, high=1)  # per-block mixing
 
     def __post_init__(self):
+        check_rules(self)
         b, m = self.blocks, self.layers
-        if b < 0 or m < 1:
-            raise ValueError("need blocks >= 0 and layers >= 1")
         for name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d"):
-            tab = _expand_table(getattr(self, name), b, m, name)
-            if name.startswith("mu") and tab is None:
-                raise ValueError(f"{name} must be a number or a table, not null")
-            if name.startswith("mu") and np.any(tab < 0):
-                raise ValueError(f"{name} must be nonnegative")
-            if name.startswith("rho") and tab is not None and np.any(tab <= 0):
-                raise ValueError(f"{name} must be positive")
-            setattr(self, name, tab)
+            setattr(self, name, _expand_table(getattr(self, name), b, m, name))
         # one coefficient per block: a table of one layer
-        res = _expand_table(self.residual, b, 1, "residual")
-        if res is None:
-            raise ValueError("residual must be a number or a per-block list, not null")
-        if not np.all((res >= 0) & (res <= 1)):  # NaN fails too
-            raise ValueError("residual coefficients must lie in [0, 1]")
-        self.residual = res[:, 0]
+        self.residual = _expand_table(self.residual, b, 1, "residual")[:, 0]
 
     def layer_params(self, block: int, default_rho: float) -> list[LayerParams]:
         rho0 = np.full(self.layers, default_rho)
@@ -154,125 +195,95 @@ class LayerSettings:
 
 @dataclass
 class HeadSettings:
-    count: int = 4
-    merge: list | None = None  # None -> uniform 1/H
-    metric_scale_u: list | None = None
-    metric_scale_d: list | None = None
-    metric_overrides: list = field(default_factory=list)
+    count: int = _rule(4, low=1)
+    merge: list | None = _rule(None)  # None -> uniform 1/H
+    metric_scale_u: list | None = _rule(None, above=0)
+    metric_scale_d: list | None = _rule(None, above=0)
+    metric_overrides: list = field(default_factory=list)  # checked by PipelineConfig
 
     def __post_init__(self):
+        check_rules(self)
         h = self.count
-        if h < 1:
-            raise ValueError("need at least one head")
-        self.merge = (
-            np.full(h, 1.0 / h) if self.merge is None else np.asarray(self.merge, dtype=float)
-        )
-        if len(self.merge) != h or not np.all(np.isfinite(self.merge)):
-            raise ValueError("merge weights must be finite with one entry per head")
-        # default scales spread the heads apart so they are distinct untrained
-        for name in ("metric_scale_u", "metric_scale_d"):
+        for name in ("merge", "metric_scale_u", "metric_scale_d"):
             value = getattr(self, name)
-            scales = _default_scales(h) if value is None else np.asarray(value, float)
-            if scales.shape != (h,):
-                raise ValueError(f"{name} must have one entry per head ({h}), got {value!r}")
-            setattr(self, name, scales)
-        for i, entry in enumerate(self.metric_overrides):
-            _override_index(i, entry, "head", 0, h)
+            if value is None:
+                # default scales spread the heads apart so they are distinct untrained
+                value = (np.full(h, 1.0 / h) if name == "merge" else
+                         np.ones(1) if h == 1 else 0.8 + 0.4 * np.arange(h) / (h - 1))
+            elif _shape(value) != (h,):
+                raise ValueError(f"{name} must have one entry per head ({h}), got {_shown(value)}")
+            setattr(self, name, np.asarray(value, dtype=float))
 
     def build_bank(self, n_instants: int, window: int, feature_dim: int) -> MetricBank:
-        bank = MetricBank.default(
-            n_instants,
-            window,
-            feature_dim,
-            heads=self.count,
-            scale_u=self.metric_scale_u,
-            scale_d=self.metric_scale_d,
-        )
-        for i, entry in enumerate(self.metric_overrides):
-            h = _override_index(i, entry, "head", 0, self.count)
-            if "instant" in entry:
-                slots, slot = bank.undirected, _override_index(i, entry, "instant", 0, n_instants)
-            elif "lag" in entry:
-                slots, slot = bank.directed, _override_index(i, entry, "lag", 1, window + 1) - 1
-            else:
-                raise ValueError(f"metric_overrides[{i}] needs an 'instant' or 'lag' key")
-            if _shape(entry.get("factor")) != (feature_dim, feature_dim):
-                raise ValueError(f"metric_overrides[{i}]: factor must be {feature_dim}x{feature_dim}")
-            slots[h, slot] = entry["factor"]
+        bank = MetricBank.default(n_instants, window, feature_dim, heads=self.count,
+                                  scale_u=self.metric_scale_u, scale_d=self.metric_scale_d)
+        slots = _override_slots(self.metric_overrides, self.count, n_instants, window, feature_dim)
+        for array, h, slot, factor in slots:
+            getattr(bank, array)[h, slot] = factor
         return bank
 
 
-def _shape(value) -> tuple | None:
-    """The shape of ``value`` as a float array, or None if it is not one."""
-    try:
-        return np.asarray(value, dtype=float).shape
-    except (TypeError, ValueError):
-        return None
+def _override_slots(overrides, heads: int, n_instants: int, window: int, feature_dim: int):
+    """(bank array, head, slot, factor) of each entry of ``metric_overrides``,
+    checked: a head in [0, heads), an instant in [0, n_instants) or a lag in
+    [1, window], and a finite feature_dim x feature_dim factor."""
+    def index(key: str, low: int, stop: int) -> int:
+        if not Rule(low=low, high=stop - 1).admits(entry.get(key), "int"):
+            raise ValueError(f"{where}: {key} must be an integer in [{low}, {stop - 1}], "
+                             f"got {_shown(entry.get(key))}")
+        return entry[key]
 
-
-def _override_index(i: int, entry: dict, key: str, low: int, stop: int) -> int:
-    """``entry[key]``, checked to be an integer in [low, stop)."""
-    value = entry.get(key)
-    if not isinstance(value, int) or not low <= value < stop:
-        raise ValueError(
-            f"metric_overrides[{i}]: {key} must be an integer in [{low}, {stop - 1}], got {value!r}"
-        )
-    return value
-
-
-def _default_scales(h: int) -> np.ndarray:
-    if h == 1:
-        return np.ones(1)
-    return 0.8 + 0.4 * np.arange(h) / (h - 1)
+    if not isinstance(overrides, list):
+        raise ValueError(f"metric_overrides must be a list of objects, got {_shown(overrides)}")
+    for i, entry in enumerate(overrides):
+        where = f"metric_overrides[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object with a head, an instant or a lag "
+                             f"and a factor, got {_shown(entry)}")
+        h = index("head", 0, heads)
+        if "instant" in entry:
+            array, slot = "undirected", index("instant", 0, n_instants)
+        elif "lag" in entry:
+            array, slot = "directed", index("lag", 1, window + 1) - 1
+        else:
+            raise ValueError(f"{where} needs an 'instant' or 'lag' key")
+        factor = entry.get("factor")
+        if _shape(factor) != (feature_dim, feature_dim) or not Rule().admits(factor, "list"):
+            raise ValueError(f"{where}: factor must be {feature_dim}x{feature_dim} and finite")
+        yield array, h, slot, factor
 
 
 @dataclass
 class TunerSettings:
-    iterations: int = 100
-    seed: int = 7
-    step: float = 0.2
-    perturb: float = 0.15
-    decay_exponent: float = 0.602
-    perturb_exponent: float = 0.101
-    eval_samples: int | None = 4  # None: every validation window
+    iterations: int = _rule(100, low=0)
+    seed: int = _rule(7, low=0)
+    step: float = _rule(0.2, above=0)
+    perturb: float = _rule(0.15, above=0)
+    decay_exponent: float = _rule(0.602, low=0)
+    perturb_exponent: float = _rule(0.101, low=0)
+    eval_samples: int | None = _rule(4, low=1)  # None: every validation window
 
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
-        if self.eval_samples is not None and self.eval_samples < 1:
-            raise ValueError(f"eval_samples must be at least 1, got {self.eval_samples}")
-        for name in ("step", "perturb"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+    __post_init__ = check_rules
 
 
 @dataclass
 class DataSettings:
-    stride: int = 3
+    stride: int = _rule(3, low=1)
     ratios: tuple = (0.6, 0.2, 0.2)
-    horizon: int = 6
-    history: int = 12  # observed steps T+1
-    mape_floor: float = 1.0
-    extrapolation: str = "hold-last"
-    trend_window: int = 6
-    seasonal_period: int = 288
+    horizon: int = _rule(6, low=1)
+    history: int = _rule(12, low=1)  # observed steps T+1
+    mape_floor: float = _rule(1.0, low=0)
+    extrapolation: str = _rule("hold-last", options=EXTRAPOLATION_METHODS)
+    trend_window: int = _rule(6, low=1)
+    seasonal_period: int = _rule(288, low=1)
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        for name in ("history", "horizon", "trend_window", "seasonal_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        ratios = tuple(float(r) for r in self.ratios)
-        if len(ratios) != 3 or not (min(ratios) >= 0 and abs(sum(ratios) - 1.0) <= 1e-9):
-            raise ValueError(
-                f"ratios must be three nonnegative numbers summing to 1, got {list(self.ratios)}"
-            )
-        self.ratios = ratios
-        if self.extrapolation not in EXTRAPOLATION_METHODS:
-            raise ValueError(
-                f"unknown extrapolation {self.extrapolation!r}; expected {EXTRAPOLATION_METHODS}"
-            )
+        check_rules(self)
+        ratios = _entries(self.ratios, nested=True) if _shape(self.ratios) == (3,) else None
+        if ratios is None or not (ratios.min() >= 0 and abs(ratios.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"ratios must be three nonnegative numbers summing to 1, "
+                             f"got {_shown(self.ratios)}")
+        self.ratios = tuple(ratios.tolist())
 
     @property
     def n_instants(self) -> int:
@@ -289,18 +300,22 @@ class PipelineConfig:
     data: DataSettings = field(default_factory=DataSettings)
 
     def __post_init__(self):
-        # the one rule that spans two sections
-        if not 1 <= self.graph.window < self.data.n_instants:
-            raise ValueError(
-                f"config section 'graph': window must satisfy 1 <= window < history + horizon"
-                f" = {self.data.n_instants}, got {self.graph.window}"
-            )
+        # the rules that span sections
+        g, heads, n = self.graph, self.heads, self.data.n_instants
+        if not g.window < n:
+            raise ValueError(f"config section 'graph': window must satisfy 1 <= window < "
+                             f"history + horizon = {n}, got {g.window}")
+        try:
+            list(_override_slots(heads.metric_overrides, heads.count, n, g.window, g.feature_dim))
+        except ValueError as exc:
+            raise ValueError(f"config section 'heads': {exc}") from None
 
     def default_rho(self, n_stations: int) -> float:
         return float(np.sqrt(n_stations / self.data.n_instants))
 
     def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
+        """The config as JSON values: arrays and tuples become lists."""
+        return json.loads(_shown(asdict(self)))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -335,27 +350,12 @@ class PipelineConfig:
 
 
 def _checked_keys(klass, section) -> dict:
-    """``section``, checked to be a JSON object of ``klass``'s fields with an
-    integer (not a boolean) in each integer field, or null where it may be."""
-    shown = functools.partial(json.dumps, default=repr)
+    """``section``, checked to be a JSON object of ``klass``'s fields."""
     if not isinstance(section, dict):
-        raise ValueError(f"expected a JSON object of settings, got {shown(section)}")
-    types = {f.name: f.type for f in fields(klass)}
+        raise ValueError(f"expected a JSON object of settings, got {_shown(section)}")
+    names = {f.name for f in fields(klass)}
     for key, value in section.items():
-        if key not in types:
-            raise ValueError(f"unknown key {key!r} (value {shown(value)})")
-        allowed = {"int": int, "int | None": (int, type(None))}.get(types[key])
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
-            raise ValueError(f"{key} must be an integer, got {shown(value)}")
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} (value {_shown(value)})")
     return section
 
-
-def _jsonable(value):
-    """Arrays and tuples as lists, recursively, so ``json`` can write the value."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value

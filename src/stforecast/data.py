@@ -275,18 +275,7 @@ def cut_windows(table: SignalTable, history: int, horizon: int, stride: int) -> 
     if window > n_steps:
         return []
     starts = np.array(range(0, n_steps - window + 1, stride), dtype=np.int64)
-    gaps = np.flatnonzero(np.isnan(table.values).any(axis=1))
-    if len(gaps):
-        # each window's first row with a gap, if any, is the first gap at or after its start
-        first = gaps[np.minimum(np.searchsorted(gaps, starts), len(gaps) - 1)]
-        hit = np.flatnonzero((first >= starts) & (first < starts + window))
-        if len(hit):
-            t_bad = first[hit[0]]
-            s_bad = np.flatnonzero(np.isnan(table.values[t_bad]))[0]
-            raise ParseError(
-                f"missing value at timestamp {table.timestamps[t_bad]} "
-                f"station s{s_bad}; gaps are unsupported"
-            )
+    _reject_gaps(table, starts, window)
     # flat offset of (station, step) within a window, observed steps first
     offsets = np.arange(n)[:, None] + n * np.arange(window)
     offsets = np.concatenate([offsets[:, :history].ravel(), offsets[:, history:].ravel()])
@@ -301,6 +290,23 @@ def cut_windows(table: SignalTable, history: int, horizon: int, stride: int) -> 
         )
         for block, ts in zip(blocks, stamps)
     ]
+
+
+def _reject_gaps(table: SignalTable, starts: np.ndarray, length: int) -> None:
+    """Raise a ParseError naming the first missing cell in the row spans
+    [start, start + length), taken in the order of ``starts``."""
+    gaps = np.flatnonzero(np.isnan(table.values).any(axis=1))
+    if len(gaps):
+        # each span's first row with a gap, if any, is the first gap at or after its start
+        first = gaps[np.minimum(np.searchsorted(gaps, starts), len(gaps) - 1)]
+        hit = np.flatnonzero((first >= starts) & (first < starts + length))
+        if len(hit):
+            t_bad = first[hit[0]]
+            s_bad = np.flatnonzero(np.isnan(table.values[t_bad]))[0]
+            raise ParseError(
+                f"missing value at timestamp {table.timestamps[t_bad]} "
+                f"station s{s_bad}; gaps are unsupported"
+            )
 
 
 def split_counts(n: int, ratios) -> tuple[int, int, int]:
@@ -327,7 +333,8 @@ def split_windows(samples: list[Sample], ratios) -> DatasetSplits:
 
 def split_dataset(table: SignalTable, settings: DataSettings) -> tuple[DatasetSplits, Standardizer]:
     """Cut ``table`` into windows, split them in time order and fit the
-    standardizer on the span the training windows cover (all of it if none)."""
+    standardizer on the span the training windows cover (all of it if none).
+    That span may hold rows no window covers; a gap there is rejected too."""
     samples = cut_windows(table, settings.history, settings.horizon, settings.stride)
     splits = split_windows(samples, settings.ratios)
     splits.interval = table.interval
@@ -336,7 +343,10 @@ def split_dataset(table: SignalTable, settings: DataSettings) -> tuple[DatasetSp
         train_end = int(np.searchsorted(table.timestamps, last.timestamps[-1])) + 1
     else:
         train_end = len(table.timestamps)
-    return splits, Standardizer.fit(table.values[:train_end])
+    standardizer = Standardizer.fit(table.values[:train_end])
+    if np.isnan(standardizer.mean).any():
+        _reject_gaps(table, np.zeros(1, dtype=np.int64), train_end)
+    return splits, standardizer
 
 
 def load_dataset(spec: DatasetSpec) -> tuple[DatasetSplits, PhysicalGraph, Standardizer]:
@@ -367,6 +377,12 @@ def generate_synthetic(
     """
     if n_stations < 2:
         raise ValueError("need at least 2 stations")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be a positive finite number, got {period}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     pos = rng.uniform(size=(n_stations, 2))
     dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))

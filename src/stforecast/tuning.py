@@ -184,9 +184,9 @@ def tune_spsa(
 
     Each loss evaluation runs the ``eval_samples`` validation windows as
     lanes of stacked systems (``pipeline.reconstruct_batch``); a candidate
-    whose forward pass fails scores NaN. When the starting point itself
-    fails, its error is raised; a ``NumericFailure`` names the window by its
-    position in the evaluated subset.
+    the config's rules reject, or whose forward pass fails, scores NaN. When
+    the starting point itself fails, its error is raised; a ``NumericFailure``
+    names the window by its position in the evaluated subset.
     """
     tcfg = config.tuner
     iterations = tcfg.iterations if iterations is None else iterations
@@ -209,11 +209,13 @@ def tune_spsa(
 
     def loss_fn(theta: np.ndarray) -> float:
         failure[0] = None
-        cand = unpack_config(config, tunables, theta)
-        # the candidate reuses the base context's skeletons, eigenmap and feature map
-        bank = cand.heads.build_bank(cand.data.n_instants, cand.graph.window, cand.graph.feature_dim)
-        ctx = replace(base_ctx, config=cand, bank=bank)
         try:
+            cand = unpack_config(config, tunables, theta)
+            # the candidate reuses the base context's skeletons, eigenmap and feature map
+            bank = cand.heads.build_bank(
+                cand.data.n_instants, cand.graph.window, cand.graph.feature_dim
+            )
+            ctx = replace(base_ctx, config=cand, bank=bank)
             recons = pipeline.reconstruct_batch(subset, ctx)
         except (ValueError, RuntimeError) as exc:
             failure[0] = exc

@@ -112,6 +112,29 @@ class TestWindowsAndSplits:
             c = dmod.split_counts(n, (0.6, 0.2, 0.2))
             assert sum(c) == n
 
+    @pytest.mark.parametrize(
+        "settings,row",
+        [({"stride": 20}, 18), ({"ratios": (0.0, 0.5, 0.5)}, 199)],
+        ids=["between-strided-windows", "after-the-last-window"],
+    )
+    def test_gap_in_the_fitted_span_rejected(self, settings, row):
+        # no window covers the gap, but the standardizer is fitted over its row
+        table = dmod.SignalTable(np.arange(200, dtype=np.int64) * 300, np.ones((200, 3)))
+        table.values[row, 1] = np.nan
+        covered = {t for s in dmod.cut_windows(table, 12, 6, settings.get("stride", 3))
+                   for t in s.timestamps.tolist()}
+        assert row * 300 not in covered
+        with pytest.raises(dmod.ParseError) as info:
+            dmod.split_dataset(table, DataSettings(**settings))
+        assert str(info.value) == (f"missing value at timestamp {row * 300} station s1; "
+                                   f"gaps are unsupported")
+
+    def test_gap_outside_windows_and_fitted_span_loads(self):
+        table = dmod.SignalTable(np.arange(200, dtype=np.int64) * 300, np.ones((200, 3)))
+        table.values[199, 1] = np.nan  # after the last window; training ends at row 117
+        splits, std = dmod.split_dataset(table, DataSettings(stride=20))
+        assert len(splits.train) == 6 and np.all(std.mean == 1.0)
+
 
 def cut_windows_by_loop(table, history, horizon, stride):
     """Windows one at a time, each checked for gaps before it is copied (the reference)."""
@@ -524,6 +547,21 @@ class TestReaderPaths:
 
 
 class TestSyntheticData:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"steps": 0}, "steps must be at least 1, got 0"),
+            ({"period": 0}, "period must be a positive finite number, got 0"),
+            ({"period": float("inf")}, "period must be a positive finite number, got inf"),
+            ({"noise": float("nan")}, "noise must be a finite number >= 0, got nan"),
+            ({"noise": -0.5}, "noise must be a finite number >= 0, got -0.5"),
+        ],
+        ids=["zero-steps", "zero-period", "infinite-period", "nan-noise", "negative-noise"],
+    )
+    def test_unusable_argument_rejected(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            dmod.generate_synthetic(**{"n_stations": 4, "steps": 30, "seed": 0, **bad})
+        assert str(info.value) == message
     def test_same_seed_identical_bytes(self, tmp_path):
         for run in range(2):
             table, pg = dmod.generate_synthetic(6, 200, seed=7)
@@ -808,37 +846,68 @@ class TestCli:
     @pytest.mark.parametrize(
         "command,section,bad,message",
         [
-            ("forecast", "layers", {"mu_u": None}, "mu_u must be a number or a table, not null"),
+            ("forecast", "layers", {"mu_u": None},
+             "mu_u must be a finite number >= 0 or a list of them, got null"),
             ("forecast", "heads", {"count": 2, "metric_scale_u": [1.0]},
              "metric_scale_u must have one entry per head (2)"),
             ("tune", "heads", {"count": 2, "metric_scale_u": [1.0]},
              "metric_scale_u must have one entry per head (2)"),
             ("forecast", "solver", {"cg_alpha": [0.1, 0.2]},
              "cg_alpha has 2 entries; expected a scalar or cg_iters = 8 entries"),
-            ("forecast", "tuner", {"iterations": -1}, "iterations must be nonnegative, got -1"),
-            ("tune", "tuner", {"eval_samples": 0}, "eval_samples must be at least 1, got 0"),
+            ("forecast", "tuner", {"iterations": -1}, "iterations must be an integer >= 0, got -1"),
+            ("tune", "tuner", {"eval_samples": 0},
+             "eval_samples must be an integer >= 1 or null, got 0"),
             ("forecast", "graph", {"kk": 2}, "unknown key 'kk' (value 2)"),
-            ("forecast", "data", {"stride": 1.5}, "stride must be an integer, got 1.5"),
-            ("forecast", "data", {"history": 2.0}, "history must be an integer, got 2.0"),
-            ("forecast", "graph", {"k": 2.5}, "k must be an integer, got 2.5"),
-            ("tune", "heads", {"count": True}, "count must be an integer, got true"),
-            ("forecast", "data", {"horizon": 0}, "horizon must be at least 1, got 0"),
-            ("forecast", "data", {"history": -1}, "history must be at least 1, got -1"),
+            ("forecast", "data", {"stride": 1.5}, "stride must be an integer >= 1, got 1.5"),
+            ("forecast", "data", {"history": 2.0}, "history must be an integer >= 1, got 2.0"),
+            ("forecast", "graph", {"k": 2.5}, "k must be an integer >= 1, got 2.5"),
+            ("tune", "heads", {"count": True}, "count must be an integer >= 1, got true"),
+            ("forecast", "data", {"horizon": 0}, "horizon must be an integer >= 1, got 0"),
+            ("forecast", "data", {"history": -1}, "history must be an integer >= 1, got -1"),
             ("forecast", "graph", {"window": 30},
              "window must satisfy 1 <= window < history + horizon = 18, got 30"),
-            ("forecast", "graph", {"spatial_dim": -2}, "spatial_dim must be at least 0, got -2"),
-            ("forecast", "graph", {"feature_dim": 0}, "feature_dim must be at least 1, got 0"),
-            ("forecast", "graph", {"k": 0}, "k must be at least 1, got 0"),
+            ("forecast", "graph", {"spatial_dim": -2}, "spatial_dim must be an integer >= 0, got -2"),
+            ("forecast", "graph", {"feature_dim": 0}, "feature_dim must be an integer >= 1, got 0"),
+            ("forecast", "graph", {"k": 0}, "k must be an integer >= 1, got 0"),
             ("forecast", "solver", {"cg_mode": "exact", "exact_cap": 0},
-             "exact_cap must be at least 1 or null, got 0"),
+             "exact_cap must be an integer >= 1 or null, got 0"),
             ("tune", "solver", {"cg_mode": "exact", "exact_cap": -1},
-             "exact_cap must be at least 1 or null, got -1"),
+             "exact_cap must be an integer >= 1 or null, got -1"),
             ("forecast", "layers", {"residual": [0.5, 0.5]},
-             "residual: per-block list must have length 1"),
+             "residual must be a number, a per-block list of length 1 or a 1 x 1 table, "
+             "got [0.5, 0.5]"),
             ("forecast", "layers", {"residual": None},
-             "residual must be a number or a per-block list, not null"),
+             "residual must be a finite number in [0, 1] or a list of them, got null"),
             ("forecast", "data", {"ratios": [1.2, -0.1, -0.1]},
              "ratios must be three nonnegative numbers summing to 1, got [1.2, -0.1, -0.1]"),
+            ("forecast", "heads", {"metric_overrides": [5]},
+             "metric_overrides[0] must be an object with a head, an instant or a lag and a "
+             "factor, got 5"),
+            ("forecast", "data", {"mape_floor": "1"},
+             'mape_floor must be a finite number >= 0, got "1"'),
+            ("forecast", "graph", {"swish_beta": "x"},
+             'swish_beta must be a finite number or null, got "x"'),
+            ("forecast", "graph", {"aggregate_neighbors": "no"},
+             'aggregate_neighbors must be one of false, true, got "no"'),
+            ("forecast", "layers", {"mu_u": float("nan")},
+             "mu_u must be a finite number >= 0 or a list of them, got NaN"),
+            ("forecast", "solver", {"cg_alpha": float("nan")},
+             "cg_alpha must be a finite number or a list of them, got NaN"),
+            ("forecast", "solver", {"cg_mode": "exact", "cg_tol": -1},
+             "cg_tol must be a finite number >= 0, got -1"),
+            ("tune", "tuner", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ("forecast", "graph", {"feature_seed": -1},
+             "feature_seed must be an integer >= 0, got -1"),
+            ("forecast", "layers", {"rho_u": float("nan")},
+             "rho_u must be a finite number > 0 or a list of them or null, got NaN"),
+            ("forecast", "heads", {"metric_scale_d": [float("nan")]},
+             "metric_scale_d must be a finite number > 0 or a list of them or null, got [NaN]"),
+            ("tune", "tuner", {"decay_exponent": float("nan")},
+             "decay_exponent must be a finite number >= 0, got NaN"),
+            ("tune", "tuner", {"step": float("inf")},
+             "step must be a finite number > 0, got Infinity"),
+            ("forecast", "layers", {"mu_u": True},
+             "mu_u must be a finite number >= 0 or a list of them, got true"),
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
              "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples",
@@ -847,7 +916,12 @@ class TestCli:
              "forecast-negative-history", "forecast-long-window", "forecast-negative-spatial_dim",
              "forecast-zero-feature_dim", "forecast-zero-k", "forecast-zero-exact_cap",
              "tune-negative-exact_cap", "forecast-long-residual", "forecast-null-residual",
-             "forecast-negative-ratio"],
+             "forecast-negative-ratio", "forecast-override-not-an-object",
+             "forecast-string-mape_floor", "forecast-string-swish_beta",
+             "forecast-string-aggregate_neighbors", "forecast-nan-mu_u", "forecast-nan-cg_alpha",
+             "forecast-negative-cg_tol", "tune-negative-seed", "forecast-negative-feature_seed",
+             "forecast-nan-rho_u", "forecast-nan-metric_scale_d", "tune-nan-decay_exponent",
+             "tune-infinite-step", "forecast-boolean-mu_u"],
     )
     def test_bad_config_value_exits_1(self, synth_dir, capsys, command, section, bad, message):
         cfg = json.loads((synth_dir / "config.json").read_text())
@@ -956,6 +1030,23 @@ class TestCli:
             assert f"[0, {count})" in err
         assert not (synth_dir / "dump").exists()
 
+    def test_solve_without_blocks_exits_1(self, synth_dir, capsys):
+        cfg = json.loads((synth_dir / "config.json").read_text())
+        cfg["layers"] = {"blocks": 0}
+        (synth_dir / "no_blocks.json").write_text(json.dumps(cfg))
+        rc = cli_main([
+            "solve", "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"), "--config", str(synth_dir / "no_blocks.json"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: solve runs block 0: layers.blocks must be at least 1, got 0\n"
+
+    def test_bad_synth_argument_exits_1(self, tmp_path, capsys):
+        assert cli_main(["synth", "--out", str(tmp_path), "--steps", "0"]) == 1
+        assert capsys.readouterr().err == "error: steps must be at least 1, got 0\n"
+        assert not (tmp_path / "signals.csv").exists()
+
     def test_bad_metric_override_exits_1(self, synth_dir, capsys):
         cfg = json.loads((synth_dir / "config.json").read_text())
         cfg["heads"] = {"count": 1, "metric_overrides": [
@@ -968,7 +1059,8 @@ class TestCli:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: metric_overrides[0]: factor must be 6x6"), err
+        assert err.startswith("error: config section 'heads': metric_overrides[0]: "
+                              "factor must be 6x6"), err
 
     @pytest.mark.parametrize("doc", ["null", "5", "[]"])
     def test_config_not_an_object_exits_1(self, synth_dir, capsys, doc):

@@ -7,7 +7,7 @@ import pytest
 
 from stforecast import data as dmod
 from stforecast import pipeline
-from stforecast.config import PipelineConfig
+from stforecast.config import HeadSettings, PipelineConfig
 from stforecast.pipeline import Standardizer
 from stforecast.tuning import (
     DEFAULT_TUNABLES,
@@ -138,6 +138,10 @@ class TestPackUnpack:
         np.testing.assert_allclose(out.layers.mu_u[1], 5.0)
 
 
+MU = "a finite number >= 0 or a list of them"  # the rule of mu_u, mu_d2 and mu_d1
+RHO = "a finite number > 0 or a list of them or null"  # and of rho, rho_u and rho_d
+
+
 class TestConfigRoundTrip:
     def test_save_load_preserves_values(self, tmp_path):
         cfg = PipelineConfig.from_dict(
@@ -162,7 +166,8 @@ class TestConfigRoundTrip:
             {"solver": {"exact_cap": None}, "tuner": {"eval_samples": None}, "graph": {"k": 3}}
         )
         assert (cfg.solver.exact_cap, cfg.tuner.eval_samples, cfg.graph.k) == (None, None, 3)
-        with pytest.raises(ValueError, match="section 'graph': k must be an integer, got null"):
+        with pytest.raises(ValueError, match="section 'graph': k must be an integer >= 1, "
+                                             "got null"):
             PipelineConfig.from_dict({"graph": {"k": None}})
 
     def test_bad_key_names_section(self):
@@ -170,19 +175,21 @@ class TestConfigRoundTrip:
             PipelineConfig.from_dict({"solver": {"bogus": 1}})
 
     def test_unknown_cg_mode_rejected(self):
-        with pytest.raises(ValueError, match="section 'solver': unknown cg_mode 'exakt'"):
+        with pytest.raises(ValueError, match="section 'solver': cg_mode must be one of "
+                           '"unrolled", "exact", got "exakt"'):
             PipelineConfig.from_dict({"solver": {"cg_mode": "exakt"}})
 
     @pytest.mark.parametrize(
         "section,bad,message",
         [
-            ("layers", {"mu_u": None}, "mu_u must be a number or a table, not null"),
-            ("layers", {"mu_d2": None}, "mu_d2 must be a number or a table, not null"),
-            ("layers", {"mu_d1": None}, "mu_d1 must be a number or a table, not null"),
+            ("layers", {"mu_u": None}, f"mu_u must be {MU}, got null"),
+            ("layers", {"mu_d2": None}, f"mu_d2 must be {MU}, got null"),
+            ("layers", {"mu_d1": None}, f"mu_d1 must be {MU}, got null"),
             ("layers", {"blocks": 2, "layers": 2, "mu_d2": [[1.0, 2.0], [3.0, -0.5]]},
-             "mu_d2 must be nonnegative"),
-            ("layers", {"rho": 0.0}, "rho must be positive"),
-            ("layers", {"blocks": 2, "rho_d": [1.0, -1.0]}, "rho_d must be positive"),
+             f"mu_d2 must be {MU}, got [[1.0, 2.0], [3.0, -0.5]]"),
+            ("layers", {"rho": 0.0}, f"rho must be {RHO}, got 0.0"),
+            ("layers", {"blocks": 2, "rho_d": [1.0, -1.0]},
+             f"rho_d must be {RHO}, got [1.0, -1.0]"),
             ("heads", {"count": 2, "metric_scale_u": [1.0]},
              "metric_scale_u must have one entry per head (2)"),
             ("heads", {"count": 3, "metric_scale_d": [1.0, 1.0, 1.0, 1.0]},
@@ -202,30 +209,32 @@ class TestConfigRoundTrip:
             ("graph", {"feature_dim": 4, "projection_bias": [0.0] * 6},
              "projection_bias must have feature_dim = 4 entries, got shape (6,)"),
             ("graph", {"projection_bias": [0.0] * 5 + [float("nan")]},
-             "projection_bias must be finite"),
-            ("tuner", {"iterations": -1}, "iterations must be nonnegative, got -1"),
-            ("tuner", {"eval_samples": 0}, "eval_samples must be at least 1, got 0"),
-            ("tuner", {"step": 0.0}, "step must be positive, got 0.0"),
-            ("tuner", {"perturb": -0.1}, "perturb must be positive, got -0.1"),
+             "projection_bias must be a finite number or a list of them or null, "
+             "got [0.0, 0.0, 0.0, 0.0, 0.0, NaN]"),
+            ("tuner", {"iterations": -1}, "iterations must be an integer >= 0, got -1"),
+            ("tuner", {"eval_samples": 0}, "eval_samples must be an integer >= 1 or null, got 0"),
+            ("tuner", {"step": 0.0}, "step must be a finite number > 0, got 0.0"),
+            ("tuner", {"perturb": -0.1}, "perturb must be a finite number > 0, got -0.1"),
             ("solver", {"bogus": 1}, "unknown key 'bogus' (value 1)"),
             ("layers", [1], "expected a JSON object of settings, got [1]"),
-            ("data", {"stride": 1.5}, "stride must be an integer, got 1.5"),
-            ("layers", {"blocks": False}, "blocks must be an integer, got false"),
-            ("solver", {"exact_cap": 2.0}, "exact_cap must be an integer, got 2.0"),
-            ("data", {"history": 0}, "history must be at least 1, got 0"),
-            ("data", {"seasonal_period": 0}, "seasonal_period must be at least 1, got 0"),
-            ("data", {"trend_window": -2}, "trend_window must be at least 1, got -2"),
-            ("graph", {"window": 0},
-             "window must satisfy 1 <= window < history + horizon = 18, got 0"),
+            ("data", {"stride": 1.5}, "stride must be an integer >= 1, got 1.5"),
+            ("layers", {"blocks": False}, "blocks must be an integer >= 0, got false"),
+            ("solver", {"exact_cap": 2.0}, "exact_cap must be an integer >= 1 or null, got 2.0"),
+            ("data", {"history": 0}, "history must be an integer >= 1, got 0"),
+            ("data", {"seasonal_period": 0}, "seasonal_period must be an integer >= 1, got 0"),
+            ("data", {"trend_window": -2}, "trend_window must be an integer >= 1, got -2"),
+            ("graph", {"window": 0}, "window must be an integer >= 1, got 0"),
             ("graph", {"window": 18},
              "window must satisfy 1 <= window < history + horizon = 18, got 18"),
-            ("graph", {"spatial_dim": -1}, "spatial_dim must be at least 0, got -1"),
-            ("solver", {"exact_cap": 0}, "exact_cap must be at least 1 or null, got 0"),
+            ("graph", {"spatial_dim": -1}, "spatial_dim must be an integer >= 0, got -1"),
+            ("solver", {"exact_cap": 0}, "exact_cap must be an integer >= 1 or null, got 0"),
             ("layers", {"blocks": 2, "residual": [0.1, 0.2, 0.3]},
-             "residual: per-block list must have length 2"),
+             "residual must be a number, a per-block list of length 2 or a 2 x 1 table, "
+             "got [0.1, 0.2, 0.3]"),
             ("layers", {"residual": None},
-             "residual must be a number or a per-block list, not null"),
-            ("layers", {"residual": float("nan")}, "residual coefficients must lie in [0, 1]"),
+             "residual must be a finite number in [0, 1] or a list of them, got null"),
+            ("layers", {"residual": float("nan")},
+             "residual must be a finite number in [0, 1] or a list of them, got NaN"),
             ("data", {"ratios": [0.5, 0.7, -0.2]},
              "ratios must be three nonnegative numbers summing to 1, got [0.5, 0.7, -0.2]"),
         ],
@@ -285,7 +294,7 @@ class TestMetricOverrides:
                     {"head": 1, "lag": 1, "factor": self.FACTOR}, entry]}}
             )
 
-    @pytest.mark.parametrize(
+    BAD_ENTRIES = pytest.mark.parametrize(
         "entry,match",
         [
             ({"head": 0, "instant": 18}, r"instant must be an integer in \[0, 17\], got 18"),
@@ -298,13 +307,41 @@ class TestMetricOverrides:
             ({"head": 0, "lag": 2, "factor": None}, "factor must be 6x6"),
         ],
     )
+
+    @BAD_ENTRIES
     def test_bad_slot_or_factor_rejected_by_build_bank(self, entry, match):
-        cfg = PipelineConfig.from_dict(
-            {"heads": {"count": 2, "metric_overrides": [{"factor": self.FACTOR, **entry}]}}
-        )
+        # a head section built on its own meets the same rules when its bank is built
+        heads = HeadSettings(count=2, metric_overrides=[{"factor": self.FACTOR, **entry}])
         with pytest.raises(ValueError, match=r"metric_overrides\[0\]") as info:
-            cfg.heads.build_bank(cfg.data.n_instants, cfg.graph.window, cfg.graph.feature_dim)
+            heads.build_bank(18, 6, 6)
         assert info.match(match)
+
+    @BAD_ENTRIES
+    def test_bad_slot_or_factor_rejected_at_load(self, entry, match):
+        prefix = r"^config section 'heads': metric_overrides\[0\]"
+        with pytest.raises(ValueError, match=prefix) as info:
+            PipelineConfig.from_dict(
+                {"heads": {"count": 2, "metric_overrides": [{"factor": self.FACTOR, **entry}]}}
+            )
+        assert info.match(match)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (5, "metric_overrides must be a list of objects, got 5"),
+            ([5], "metric_overrides[0] must be an object with a head, an instant or a lag and a "
+                  "factor, got 5"),
+            ([{"head": True, "instant": 0}], "metric_overrides[0]: head must be an integer in "
+                                              "[0, 1], got true"),
+            ([{"head": 0, "lag": 1, "factor": (np.eye(6) * np.nan).tolist()}],
+             "metric_overrides[0]: factor must be 6x6 and finite"),
+        ],
+        ids=["not-a-list", "entry-not-an-object", "boolean-head", "nan-factor"],
+    )
+    def test_malformed_overrides_rejected_at_load(self, overrides, message):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.from_dict({"heads": {"count": 2, "metric_overrides": overrides}})
+        assert str(info.value) == f"config section 'heads': {message}"
 
     def test_valid_overrides_installed(self):
         cfg = PipelineConfig.from_dict({"heads": {"count": 2, "metric_overrides": [
