@@ -1,12 +1,12 @@
 """Data-dependent edge weights via Mahalanobis distances.
 
 This is the self-attention analogue: node embeddings (signal value, spatial
-eigenmap coordinates, sinusoidal time encoding) are projected to a small
-feature space, compared under learned PSD metrics, and turned into normalized
-edge weights. Spatial slices get one metric per instant, temporal edges one
-metric per lag, and the whole construction is replicated per head. A
-neighbourhood whose every weight underflows raises ``DegenerateWeightError``,
-a ``NumericFailure`` of that lane.
+eigenmap coordinates, sinusoidal time encoding), optionally averaged over
+spatial-skeleton neighbors, are projected to a small feature space, compared
+under learned PSD metrics, and turned into normalized edge weights. Spatial
+slices get one metric per instant, temporal edges one metric per lag, and the
+whole construction is replicated per head. A neighbourhood whose every weight
+underflows raises ``DegenerateWeightError``, a ``NumericFailure`` of that lane.
 """
 
 from __future__ import annotations
@@ -145,20 +145,13 @@ def orient_columns(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed(
-    x: np.ndarray,
-    pg: PhysicalGraph,
-    t_stamps: np.ndarray,
-    eigmap: np.ndarray | None = None,
-) -> np.ndarray:
+def embed(x: np.ndarray, t_stamps: np.ndarray, eigmap: np.ndarray) -> np.ndarray:
     """Per-node embedding [signal value; spatial eigenmap; time encoding].
 
     ``x`` is the full stacked signal (observations plus current prediction);
-    rows follow the flat node ordering.
+    rows follow the flat node ordering. ``eigmap`` has one row per station.
     """
-    if eigmap is None:
-        eigmap = spatial_eigenmap(pg)
-    n = pg.n_stations
+    n = eigmap.shape[0]
     n_instants = len(t_stamps)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n * n_instants,):
@@ -187,13 +180,14 @@ def _swish(v: np.ndarray, beta: float) -> np.ndarray:
 class FeatureMap:
     """Fixed affine projection of embeddings to the feature space.
 
-    Optionally averages each node's embedding with its one-hop spatial
-    neighborhood first, and applies a swish nonlinearity after.
+    With a ``skeleton``, each node's embedding is first averaged with its
+    one-hop neighborhood in that spatial skeleton; a ``swish_beta`` applies
+    a swish nonlinearity after.
     """
 
     projection: np.ndarray  # (K, E)
     bias: np.ndarray | None = None
-    aggregate_neighbors: bool = False
+    skeleton: SpatialSkeleton | None = None
     swish_beta: float | None = None
 
     def __post_init__(self):
@@ -204,20 +198,21 @@ class FeatureMap:
             raise ValueError("projection must be a (K, E) matrix with K >= 1")
         if self.bias is not None:
             self.bias = np.asarray(self.bias, dtype=np.float64)
-
-    def __call__(self, embeddings: np.ndarray, skel: SpatialSkeleton | None = None) -> np.ndarray:
-        emb = embeddings
-        if self.aggregate_neighbors:
-            if skel is None:
-                raise ValueError("neighbor aggregation needs the spatial skeleton")
-            n = skel.n_stations
-            n_instants = emb.shape[0] // n
-            ei, ej = skel.edges[:, 0], skel.edges[:, 1]
+        if self.skeleton is not None:
+            n = self.skeleton.n_stations
+            ei, ej = self.skeleton.edges[:, 0], self.skeleton.edges[:, 1]
             # CSR sorts each row, so neighbors are summed in ascending order
-            adj = sp.csr_matrix(
+            self._adjacency = sp.csr_matrix(
                 (np.ones(2 * len(ei)), (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
                 shape=(n, n),
             )
+
+    def __call__(self, embeddings: np.ndarray) -> np.ndarray:
+        emb = embeddings
+        if self.skeleton is not None:
+            adj = self._adjacency
+            n = adj.shape[0]
+            n_instants = emb.shape[0] // n
             deg = np.diff(adj.indptr)
             has = deg > 0
             # stations as rows, (instant, feature) as columns: one product sums

@@ -22,7 +22,7 @@ def _load(args):
     cfg = PipelineConfig() if args.config is None else PipelineConfig.load(args.config)
     spec = data.DatasetSpec(args.signals, args.edges, cfg.data)
     splits, pg, standardizer = data.load_dataset(spec)
-    return cfg, splits, pg, standardizer, splits.interval
+    return cfg, splits, pg, standardizer
 
 
 def _check_range(flag: str, value: int, count: int) -> None:
@@ -38,11 +38,9 @@ def _check_at_least(flag: str, value: int | None, low: int) -> None:
 def _head_graph(args, cfg, pg, standardizer, interval, sample):
     """Head ``args.head``'s block-0 graph for ``sample``, with the start signal and observations."""
     _check_range("--head", args.head, cfg.heads.count)
-    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
+    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer, interval)
     x0, y, t_steps = pipeline.initial_signal(sample, ctx)
-    graph = pipeline.block_graph(
-        ctx, [x0], [t_steps], sample.observed.shape[1], bank=ctx.bank.head(args.head)
-    )
+    graph = pipeline.block_graph(ctx, [x0], [t_steps], bank=ctx.bank.head(args.head))
     return x0, y, graph
 
 
@@ -61,14 +59,14 @@ def cmd_synth(args) -> int:
 
 def cmd_forecast(args) -> int:
     _check_at_least("--max-samples", args.max_samples, 1)
-    cfg, splits, pg, standardizer, interval = _load(args)
+    cfg, splits, pg, standardizer = _load(args)
     samples = getattr(splits, args.split)
     if not samples:
         print(f"error: no {args.split} samples", file=sys.stderr)
         return 1
-    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer, interval=interval)
-    report = pipeline.evaluate(samples, ctx, max_samples=args.max_samples)
+    ctx = pipeline.PipelineContext.build(pg, cfg, standardizer, splits.interval)
     chosen = pipeline.evenly_spaced_subset(samples, args.max_samples)
+    report = pipeline.evaluate(chosen, ctx)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = (
@@ -90,7 +88,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg, splits, pg, standardizer, interval = _load(args)
+    cfg, splits, pg, standardizer = _load(args)
     if cfg.layers.blocks < 1:
         raise ValueError(f"solve runs block 0: layers.blocks must be at least 1, "
                          f"got {cfg.layers.blocks}")
@@ -98,7 +96,7 @@ def cmd_solve(args) -> int:
     _check_range("--index", args.index, len(samples))
     sample = samples[args.index]
     # single-graph single-block solve with a per-layer trace
-    x0, y, graph = _head_graph(args, cfg, pg, standardizer, interval, sample)
+    x0, y, graph = _head_graph(args, cfg, pg, standardizer, splits.interval, sample)
     params = cfg.layers.layer_params(0, cfg.default_rho(sample.n_stations))
     trace: list = []
     try:
@@ -122,13 +120,13 @@ def cmd_solve(args) -> int:
 def cmd_tune(args) -> int:
     _check_at_least("--iterations", args.iterations, 0)
     _check_at_least("--eval-samples", args.eval_samples, 1)
-    cfg, splits, pg, standardizer, interval = _load(args)
+    cfg, splits, pg, standardizer = _load(args)
     if not splits.val:
         print("error: no validation samples", file=sys.stderr)
         return 1
     best, trace = tuning.tune_spsa(
         cfg, pg, splits.val, standardizer=standardizer,
-        iterations=args.iterations, eval_samples=args.eval_samples, interval=interval,
+        iterations=args.iterations, eval_samples=args.eval_samples, interval=splits.interval,
     )
     best.save(args.out)
     if trace.best_losses:  # empty when no iteration ran
@@ -157,12 +155,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_graph_dump(args) -> int:
-    cfg, splits, pg, standardizer, interval = _load(args)
+    cfg, splits, pg, standardizer = _load(args)
     samples = splits.train or splits.test
     if not samples:
         print("error: dataset produced no samples", file=sys.stderr)
         return 1
-    _, _, graph = _head_graph(args, cfg, pg, standardizer, interval, samples[0])
+    _, _, graph = _head_graph(args, cfg, pg, standardizer, splits.interval, samples[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("l_u", "w_rd", "l_rd", "call_rd"):

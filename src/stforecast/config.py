@@ -158,6 +158,9 @@ class SolverSettings:
     def schedule(self) -> CgSchedule:
         if self.cg_mode == "exact":
             return CgSchedule.exact(tol=self.cg_tol, iters=self.exact_cap)
+        if self.cg_iters < 1:
+            raise ValueError(f"cg_iters must be an integer >= 1 in unrolled mode, "
+                             f"got {self.cg_iters}")
         for name in ("cg_alpha", "cg_beta"):
             if np.shape(getattr(self, name)) not in ((), (1,), (self.cg_iters,)):
                 raise ValueError(f"{name} has {np.size(getattr(self, name))} entries; expected "
@@ -225,8 +228,9 @@ class HeadSettings:
 
 def _override_slots(overrides, heads: int, n_instants: int, window: int, feature_dim: int):
     """(bank array, head, slot, factor) of each entry of ``metric_overrides``,
-    checked: a head in [0, heads), an instant in [0, n_instants) or a lag in
-    [1, window], and a finite feature_dim x feature_dim factor."""
+    checked: no key but head, instant, lag and factor, a head in [0, heads),
+    an instant in [0, n_instants) or a lag in [1, window], not both, and a
+    finite feature_dim x feature_dim factor."""
     def index(key: str, low: int, stop: int) -> int:
         if not Rule(low=low, high=stop - 1).admits(entry.get(key), "int"):
             raise ValueError(f"{where}: {key} must be an integer in [{low}, {stop - 1}], "
@@ -240,7 +244,13 @@ def _override_slots(overrides, heads: int, n_instants: int, window: int, feature
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object with a head, an instant or a lag "
                              f"and a factor, got {_shown(entry)}")
+        for key in entry:
+            if key not in ("head", "instant", "lag", "factor"):
+                raise ValueError(f"{where}: unknown key {key!r} (value {_shown(entry[key])})")
         h = index("head", 0, heads)
+        if "instant" in entry and "lag" in entry:
+            raise ValueError(f"{where}: give an instant or a lag, not both; got instant "
+                             f"{_shown(entry['instant'])} and lag {_shown(entry['lag'])}")
         if "instant" in entry:
             array, slot = "undirected", index("instant", 0, n_instants)
         elif "lag" in entry:

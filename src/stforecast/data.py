@@ -4,8 +4,9 @@ Signal tables are CSV with a ``timestamp`` column followed by one column per
 station (``s0, s1, ...``). Values round-trip bit-exactly through repr. Empty
 cells are read as NaN but rejected when windows are cut: gaps in observed
 history are an unsupported case, surfaced as errors rather than imputed.
-Road networks are CSV with header ``from,to,cost``. Both readers vet the header,
-then parse the rest of the file with numpy's C parser (``_read_numeric``).
+Road networks are CSV with header ``from,to,cost``. Files are UTF-8, with or
+without the byte-order mark that spreadsheet exports start with. Both readers
+vet the header, then parse the rest with numpy's C parser (``_read_numeric``).
 Where that parse fails, as it does on a blank cell or any malformed row, they
 re-read the file with one row reader (``_read_csv``), which reads the blank
 cell as NaN or names the file and line of the error. Every CSV the package
@@ -38,14 +39,14 @@ def _read_csv(path, check_header, parse_row) -> tuple[list[str], list[int], list
 
     The readers call it only where ``_read_numeric`` gives up on a file: for
     errors, which it names by line, and for blank cells. Reads ``path`` as
-    UTF-8, vets the header with ``check_header``, skips blank rows and
-    rejects a row whose width differs from the header's. A ``ValueError``
-    from either callback, malformed CSV and undecodable bytes all become a
-    ``ParseError`` prefixed ``path:line:``.
+    UTF-8 (a leading byte-order mark skipped), vets the header with
+    ``check_header``, skips blank rows and rejects a row whose width differs
+    from the header's. A ``ValueError`` from either callback, malformed CSV
+    and undecodable bytes all become a ``ParseError`` prefixed ``path:line:``.
     """
     lines, values, line = [], [], 1
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -85,7 +86,7 @@ def _read_numeric(path, check_header, dtype_of) -> np.ndarray | None:
     that numpy but not ``int``/``float`` strips as whitespace.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             header = next(csv.reader(fh), None)
             if header is None:
@@ -356,16 +357,18 @@ def load_dataset(spec: DatasetSpec) -> tuple[DatasetSplits, PhysicalGraph, Stand
     return splits, pg, standardizer
 
 
+SYNTH_INTERVAL = 300
+SYNTH_PHASE_SPREAD = 0.1
+SYNTH_AR_COEFF = 0.3
+SYNTH_DIFFUSION = 0.2
+
+
 def generate_synthetic(
     n_stations: int,
     steps: int,
     seed: int,
-    interval: int = 300,
     period: int = 288,
     noise: float = 2.5,
-    phase_spread: float = 0.1,
-    ar_coeff: float = 0.3,
-    diffusion: float = 0.2,
 ) -> tuple[SignalTable, PhysicalGraph]:
     """Seeded desk-scale dataset: geometric road graph, station-phase daily
     sinusoids, and graph-diffused AR(1) noise.
@@ -373,7 +376,10 @@ def generate_synthetic(
     Station phase/amplitude vary smoothly with position, so spatial neighbors
     carry similar signals; the noise keeps a large station-local component
     (lazy diffusion) and decorrelates quickly in time, so graph averaging has
-    something real to remove.
+    something real to remove. Fixed: a sample every ``SYNTH_INTERVAL`` = 300
+    s; station phases of ``SYNTH_PHASE_SPREAD`` = 0.1 rad per unit of the
+    second coordinate; AR(1) coefficient ``SYNTH_AR_COEFF`` = 0.3; each noise
+    draw takes ``SYNTH_DIFFUSION`` = 0.2 of its weight from the road neighbors.
     """
     if n_stations < 2:
         raise ValueError("need at least 2 stations")
@@ -399,7 +405,7 @@ def generate_synthetic(
     t = np.arange(steps)
     base = 45.0 + 15.0 * (pos[:, 0] + pos[:, 1]) / 2.0
     amp = 8.0 + 4.0 * pos[:, 0]
-    phase = phase_spread * pos[:, 1]
+    phase = SYNTH_PHASE_SPREAD * pos[:, 1]
     clean = base[None, :] + amp[None, :] * np.sin(
         2.0 * np.pi * t[:, None] / period + phase[None, :]
     )
@@ -407,13 +413,13 @@ def generate_synthetic(
     values = clean
     if noise > 0:
         deg = np.maximum(adj.sum(axis=1), 1)
-        smooth = (1.0 - diffusion) * np.eye(n_stations) + diffusion * adj / deg[:, None]
+        smooth = (1.0 - SYNTH_DIFFUSION) * np.eye(n_stations) + SYNTH_DIFFUSION * adj / deg[:, None]
         eps = noise * rng.standard_normal((steps, n_stations)) @ smooth.T
         ar = np.empty_like(eps)
         ar[0] = eps[0]
         for k in range(1, steps):
-            ar[k] = ar_coeff * ar[k - 1] + eps[k]
+            ar[k] = SYNTH_AR_COEFF * ar[k - 1] + eps[k]
         values = clean + ar
 
-    table = SignalTable(np.asarray(t * interval, dtype=np.int64), values)
+    table = SignalTable(np.asarray(t * SYNTH_INTERVAL, dtype=np.int64), values)
     return table, pg

@@ -1,13 +1,14 @@
 """End-to-end forecasting: standardize, extrapolate, iterate graph-learning
 and ADMM blocks, merge heads, and score.
 
-The running signal is the stacked vector over stations x instants; each block
-relearns the mixed graph from the current signal, refines the signal with one
-ADMM block that runs every head as a lane of a block-diagonal system, merges
-the heads, and applies a residual step. Several windows run together as
-further lanes of the same system, window-major, head-minor. A failing lane,
-in graph learning or in the solve, is reported as one ``NumericFailure``
-naming block, window and head.
+``PipelineContext.build`` derives what every window shares from the road
+network and the config alone. The running signal is the stacked vector over
+stations x instants; each block relearns the mixed graph from the current
+signal, refines it with one ADMM block that runs every head as a lane of a
+block-diagonal system, merges the heads, and applies a residual step.
+Several windows run together as further lanes of the same system,
+window-major, head-minor. A failing lane, in graph learning or in the solve,
+is reported as one ``NumericFailure`` naming block, window and head.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ class PipelineContext:
         cls,
         pg: PhysicalGraph,
         config: PipelineConfig,
-        bank: attention.MetricBank | None = None,
         standardizer: Standardizer | None = None,
         interval: float = 300.0,
     ) -> "PipelineContext":
@@ -132,8 +132,7 @@ class PipelineContext:
         sskel = build_spatial_skeleton(pg, g.k)
         tskel = build_temporal_skeleton(pg.n_stations, config.data.n_instants, g.window)
         eigmap = attention.spatial_eigenmap(pg, g.spatial_dim)
-        if bank is None:
-            bank = config.heads.build_bank(config.data.n_instants, g.window, g.feature_dim)
+        bank = config.heads.build_bank(config.data.n_instants, g.window, g.feature_dim)
         if standardizer is None:
             standardizer = Standardizer.identity(pg.n_stations)
         projection = g.projection
@@ -144,7 +143,7 @@ class PipelineContext:
         feature_map = attention.FeatureMap(
             projection,
             bias=g.projection_bias,
-            aggregate_neighbors=g.aggregate_neighbors,
+            skeleton=sskel if g.aggregate_neighbors else None,
             swish_beta=g.swish_beta,
         )
         return cls(pg, config, bank, standardizer, sskel, tskel, eigmap, feature_map, interval)
@@ -178,21 +177,20 @@ def block_graph(
     ctx: PipelineContext,
     xs: Sequence[np.ndarray],
     t_steps: Sequence[np.ndarray],
-    n_observed: int,
     bank: attention.MetricBank | None = None,
 ) -> MixedGraph:
     """The mixed graph a block learns from the signals ``xs`` of one or more
     windows, with their ``t_steps``: embed and feature map each window, then
     one lane per head of ``bank`` (the context's bank by default) for each
     window, window-major, every head reading its window's features. The
-    graph holds ``l_n`` when the configured solver mode needs it."""
+    configured history is the observed span. The graph holds ``l_n`` when
+    the configured solver mode needs it."""
     bank = ctx.bank if bank is None else bank
     feats = np.stack([
-        ctx.feature_map(attention.embed(x, ctx.pg, t, ctx.eigmap), ctx.sskel)
-        for x, t in zip(xs, t_steps)
+        ctx.feature_map(attention.embed(x, t, ctx.eigmap)) for x, t in zip(xs, t_steps)
     ])
     return attention.multi_head_graphs(
-        feats, ctx.sskel, ctx.tskel, bank, n_observed=n_observed,
+        feats, ctx.sskel, ctx.tskel, bank, n_observed=ctx.config.data.history,
         with_undirected_temporal=solver.TERMS[ctx.config.solver.mode].temporal == "l_n",
     )
 
@@ -220,7 +218,7 @@ def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
     rho0 = cfg.default_rho(ctx.pg.n_stations)
     for b in range(cfg.layers.blocks):
         try:
-            graph = block_graph(ctx, x, t_steps, cfg.data.history)
+            graph = block_graph(ctx, x, t_steps)
             params = cfg.layers.layer_params(b, rho0)
             out = solver.admm_block(
                 np.repeat(x, heads, axis=0).ravel(), y, graph, params, sched, cfg.solver.mode
@@ -289,11 +287,10 @@ def forecast_metrics(pred: np.ndarray, target: np.ndarray, mape_floor: float = 1
     return rmse, mae, mape
 
 
-def huber_loss(pred: np.ndarray, target: np.ndarray, delta: float = 1.0) -> float:
+def huber_loss(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean Huber loss with threshold 1: quadratic within 1 of the target, linear beyond."""
     err = np.abs(np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64))
-    quad = 0.5 * err**2
-    lin = delta * (err - 0.5 * delta)
-    return float(np.mean(np.where(err <= delta, quad, lin)))
+    return float(np.mean(np.where(err <= 1.0, 0.5 * err**2, err - 0.5)))
 
 
 def evaluate(

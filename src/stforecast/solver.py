@@ -468,25 +468,22 @@ def update_phi(l_rd_x: np.ndarray, gamma: np.ndarray, p: LayerParams) -> np.ndar
 
 def update_multipliers(
     state: AdmmState,
-    x_new: np.ndarray,
-    phi_new: np.ndarray,
-    z_u_new: np.ndarray,
-    z_d_new: np.ndarray,
     l_rd_x: np.ndarray | None,
     p: LayerParams,
     terms: Terms = TERMS["full"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dual ascent on each split the variant has; the others keep their multiplier.
 
-    ``l_rd_x`` is L_r ``x_new``, needed only with the l1 term.
+    Reads the layer's updated x, phi, z_u and z_d from ``state``; ``l_rd_x``
+    is L_r x, needed only with the l1 term.
     """
     gamma, gamma_u, gamma_d = state.gamma, state.gamma_u, state.gamma_d
     if terms.l1:
-        gamma = gamma + p.rho * (phi_new - l_rd_x)
+        gamma = gamma + p.rho * (state.phi - l_rd_x)
     if terms.split:
-        gamma_u = gamma_u + p.rho_u * (x_new - z_u_new)
+        gamma_u = gamma_u + p.rho_u * (state.x - state.z_u)
         if terms.temporal:
-            gamma_d = gamma_d + p.rho_d * (x_new - z_d_new)
+            gamma_d = gamma_d + p.rho_d * (state.x - state.z_d)
     return gamma, gamma_u, gamma_d
 
 
@@ -514,9 +511,7 @@ def _layer(state: AdmmState, graph: MixedGraph, p: LayerParams, hty, sched, laye
     if terms.l1:
         l_rd_x = graph.apply("l_rd", state.x)
         state.phi = _step(layer, "phi", update_phi, l_rd_x, state.gamma, p)
-    state.gamma, state.gamma_u, state.gamma_d = update_multipliers(
-        state, state.x, state.phi, state.z_u, state.z_d, l_rd_x, p, terms
-    )
+    state.gamma, state.gamma_u, state.gamma_d = update_multipliers(state, l_rd_x, p, terms)
 
 
 def admm_block(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pipeline
 from .config import PipelineConfig
-from .solver import CG_ALPHA_MAX
+from .solver import CG_ALPHA_MAX, NumericFailure
 
 PARAM_FLOOR = 1e-6
 SCALE_FLOOR = 1e-3
@@ -177,21 +177,21 @@ def tune_spsa(
     tunables=DEFAULT_TUNABLES,
     iterations: int | None = None,
     eval_samples: int | None = None,
-    seed: int | None = None,
     interval: float = 300.0,
 ) -> tuple[PipelineConfig, SpsaTrace]:
     """Tune the compressed parameter set against validation Huber loss.
 
-    Each loss evaluation runs the ``eval_samples`` validation windows as
-    lanes of stacked systems (``pipeline.reconstruct_batch``); a candidate
-    the config's rules reject, or whose forward pass fails, scores NaN. When
-    the starting point itself fails, its error is raised; a ``NumericFailure``
-    names the window by its position in the evaluated subset.
+    The search is seeded by ``config.tuner.seed``. Each loss evaluation runs
+    the ``eval_samples`` validation windows as lanes of stacked systems
+    (``pipeline.reconstruct_batch``). A candidate the config's rules reject
+    (a ``ValueError`` from ``unpack_config`` or ``build_bank``), or whose
+    forward pass raises a ``NumericFailure``, scores NaN; other errors, and
+    the starting point's failure, are raised. A ``NumericFailure`` names the
+    window by its position in the evaluated subset.
     """
     tcfg = config.tuner
     iterations = tcfg.iterations if iterations is None else iterations
     eval_samples = tcfg.eval_samples if eval_samples is None else eval_samples
-    seed = tcfg.seed if seed is None else seed
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     if eval_samples is not None and eval_samples < 1:
@@ -201,23 +201,23 @@ def tune_spsa(
     subset = pipeline.evenly_spaced_subset(val_samples, eval_samples)
     if not subset:
         raise ValueError("no validation samples to tune against")
-    base_ctx = pipeline.PipelineContext.build(
-        pg, config, standardizer=standardizer, interval=interval
-    )
+    base_ctx = pipeline.PipelineContext.build(pg, config, standardizer, interval)
 
-    failure = [None]  # the latest evaluation's forward-pass failure
+    failure = [None]  # why the latest evaluation scored NaN
 
     def loss_fn(theta: np.ndarray) -> float:
         failure[0] = None
         try:
             cand = unpack_config(config, tunables, theta)
+            bank = cand.heads.build_bank(cand.data.n_instants, cand.graph.window,
+                                         cand.graph.feature_dim)
+        except ValueError as exc:  # the config's rules reject the candidate
+            failure[0] = exc
+            return float("nan")
+        try:
             # the candidate reuses the base context's skeletons, eigenmap and feature map
-            bank = cand.heads.build_bank(
-                cand.data.n_instants, cand.graph.window, cand.graph.feature_dim
-            )
-            ctx = replace(base_ctx, config=cand, bank=bank)
-            recons = pipeline.reconstruct_batch(subset, ctx)
-        except (ValueError, RuntimeError) as exc:
+            recons = pipeline.reconstruct_batch(subset, replace(base_ctx, config=cand, bank=bank))
+        except NumericFailure as exc:
             failure[0] = exc
             return float("nan")
         losses = [pipeline.huber_loss(r, s.full_truth()) for s, r in zip(subset, recons)]
@@ -229,7 +229,7 @@ def tune_spsa(
             loss_fn,
             theta0,
             iterations,
-            seed=seed,
+            seed=tcfg.seed,
             step=tcfg.step,
             perturb=tcfg.perturb,
             decay_exponent=tcfg.decay_exponent,
@@ -237,8 +237,8 @@ def tune_spsa(
             project=make_projection(config, tunables),
         )
     except ValueError:
-        # only a non-finite loss at the starting point stops the search, right
-        # after its evaluation: raise what failed in that forward pass
+        # a NaN score stops the search only at the starting point, right after
+        # its evaluation: raise what made it NaN
         if failure[0] is not None:
             raise failure[0] from None
         raise

@@ -309,16 +309,14 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     table, pg = generate_synthetic(20, 2000, seed)
     samples = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
     ctx = pipeline.PipelineContext.build(pg, cfg)
-    n_obs = cfg.data.history
     starts = [pipeline.initial_signal(s, ctx) for s in samples]
     xs, t_steps = [x for x, _, _ in starts], [t for _, _, t in starts]
-    graph = pipeline.block_graph(ctx, xs, t_steps, n_obs)
+    graph = pipeline.block_graph(ctx, xs, t_steps)
     size = graph.n_nodes // graph.lanes
     mismatched = []
     for lane in range(graph.lanes):
         w, h = divmod(lane, ctx.bank.heads)
-        alone = pipeline.block_graph(ctx, xs[w : w + 1], t_steps[w : w + 1], n_obs,
-                                     bank=ctx.bank.head(h))
+        alone = pipeline.block_graph(ctx, xs[w : w + 1], t_steps[w : w + 1], bank=ctx.bank.head(h))
         for name in ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n"):
             got, want = _lane_rows(getattr(graph, name), lane, size), getattr(alone, name)
             same = all(
@@ -395,7 +393,7 @@ def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
     splits, standardizer = split_dataset(table, cfg.data)
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer)
     x, _, t_steps = pipeline.initial_signal(splits.train[0], ctx)
-    graph = pipeline.block_graph(ctx, [x], [t_steps], cfg.data.history)
+    graph = pipeline.block_graph(ctx, [x], [t_steps])
     sched = cfg.solver.schedule()
     folds = solver.block_folds(
         graph, cfg.layers.layer_params(0, cfg.default_rho(pg.n_stations)),

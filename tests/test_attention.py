@@ -58,7 +58,7 @@ class TestSpatialEigenmap:
     def test_symmetric_stations_match(self):
         pg = PhysicalGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
         x = np.zeros(4)
-        emb = embed(np.concatenate([x]), pg, np.array([0.0]))
+        emb = embed(x, np.array([0.0]), spatial_eigenmap(pg))
         # end stations sit in mirrored positions: same eigenmap magnitudes
         np.testing.assert_allclose(np.abs(emb[0, 1:6]), np.abs(emb[3, 1:6]), atol=1e-9)
 
@@ -76,9 +76,8 @@ class TestSpatialEigenmap:
 
 class TestEmbed:
     def test_layout(self):
-        pg = PhysicalGraph(2, ((0, 1, 1.0),))
         x = np.array([10.0, 20.0, 30.0, 40.0])
-        emb = embed(x, pg, np.array([0.0, 1.0]), eigmap=np.zeros((2, 3)))
+        emb = embed(x, np.array([0.0, 1.0]), np.zeros((2, 3)))
         assert emb.shape == (4, 1 + 3 + 10)
         np.testing.assert_array_equal(emb[:, 0], x)
         np.testing.assert_array_equal(emb[0, 4:], temporal_embedding(np.array([0.0]))[0])
@@ -297,9 +296,9 @@ class TestFeatureMap:
     def test_neighbor_aggregation(self):
         pg = PhysicalGraph(2, ((0, 1, 1.0),))
         skel = build_spatial_skeleton(pg, 1)
-        fm = FeatureMap(np.eye(2), aggregate_neighbors=True)
+        fm = FeatureMap(np.eye(2), skeleton=skel)
         emb = np.array([[0.0, 0.0], [2.0, 2.0]])
-        out = fm(emb, skel)
+        out = fm(emb)
         np.testing.assert_allclose(out, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_nonfinite_projection_rejected(self):

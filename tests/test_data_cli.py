@@ -484,6 +484,27 @@ class TestReaderPaths:
         path.write_bytes(text.encode())
         _assert_paths_agree(_read_edges(n_stations), path, numpy_path)
 
+    @pytest.mark.parametrize(
+        "read,cases,name",
+        [
+            (dmod.read_signal_csv, SIGNAL_CASES, "clean"),
+            (dmod.read_signal_csv, SIGNAL_CASES, "blank-cell"),
+            (_read_edges(None), EDGE_CASES, "clean"),
+            (_read_edges(None), EDGE_CASES, "whitespace-only-row"),
+            (_read_edges(None), EDGE_CASES, "blank-cost"),
+        ],
+        ids=["signals-clean", "signals-blank-cell", "edges-clean", "edges-blank-row",
+             "edges-blank-cost"],
+    )
+    def test_byte_order_mark_reads_as_without(self, tmp_path, read, cases, name):
+        # spreadsheet exports start with one; the same path, so errors compare too
+        text, numpy_path = cases[name]
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        plain = _outcome(read, path)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert _assert_paths_agree(read, path, numpy_path) == plain
+
     def test_clean_files_skip_the_row_reader(self, tmp_path, monkeypatch):
         table, pg = dmod.generate_synthetic(5, 40, seed=3)
         dmod.write_signal_csv(table, tmp_path / "s.csv")
@@ -908,6 +929,14 @@ class TestCli:
              "step must be a finite number > 0, got Infinity"),
             ("forecast", "layers", {"mu_u": True},
              "mu_u must be a finite number >= 0 or a list of them, got true"),
+            ("forecast", "heads", {"metric_overrides": [
+                {"head": 0, "instant": 2, "lag": 3, "factor": np.eye(6).tolist()}]},
+             "metric_overrides[0]: give an instant or a lag, not both; got instant 2 and lag 3"),
+            ("forecast", "heads", {"metric_overrides": [
+                {"head": 0, "instant": 2, "lag": 3, "factor": np.eye(6).tolist(), "scale": 9}]},
+             "metric_overrides[0]: unknown key 'scale' (value 9)"),
+            ("forecast", "solver", {"cg_iters": 0},
+             "cg_iters must be an integer >= 1 in unrolled mode, got 0"),
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
              "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples",
@@ -921,7 +950,8 @@ class TestCli:
              "forecast-string-aggregate_neighbors", "forecast-nan-mu_u", "forecast-nan-cg_alpha",
              "forecast-negative-cg_tol", "tune-negative-seed", "forecast-negative-feature_seed",
              "forecast-nan-rho_u", "forecast-nan-metric_scale_d", "tune-nan-decay_exponent",
-             "tune-infinite-step", "forecast-boolean-mu_u"],
+             "tune-infinite-step", "forecast-boolean-mu_u", "forecast-override-instant-and-lag",
+             "forecast-override-unknown-key", "forecast-zero-cg_iters"],
     )
     def test_bad_config_value_exits_1(self, synth_dir, capsys, command, section, bad, message):
         cfg = json.loads((synth_dir / "config.json").read_text())
@@ -986,6 +1016,21 @@ class TestCli:
         assert rc == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_files_with_a_byte_order_mark_forecast_as_plain(self, synth_dir):
+        for name in ("signals.csv", "edges.csv"):
+            (synth_dir / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + (synth_dir / name).read_bytes())
+        outputs = []
+        for prefix in ("", "bom_"):
+            out = synth_dir / f"{prefix}fc"
+            assert cli_main([
+                "forecast", "--signals", str(synth_dir / f"{prefix}signals.csv"),
+                "--edges", str(synth_dir / f"{prefix}edges.csv"),
+                "--config", str(synth_dir / "config.json"),
+                "--out", str(out), "--max-samples", "2",
+            ]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("predictions.csv", "metrics.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_forecast_deterministic_outputs(self, synth_dir):
         args = [

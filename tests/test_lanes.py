@@ -460,7 +460,7 @@ def per_head_forward(sample, ctx):
     y = x[: n * t_obs].copy()
     t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
     for b in range(cfg.layers.blocks):
-        feats = ctx.feature_map(attention.embed(x, ctx.pg, t_steps, ctx.eigmap), ctx.sskel)
+        feats = ctx.feature_map(attention.embed(x, t_steps, ctx.eigmap))
         graphs = [
             attention.build_mixed_graph(
                 attention.undirected_weights(feats, ctx.sskel, ctx.bank.undirected[h]),

@@ -257,14 +257,14 @@ class TestHuber:
         assert huber_loss(np.ones(5), np.ones(5)) == 0.0
 
     def test_boundary(self):
-        assert huber_loss(np.array([1.0]), np.array([0.0]), delta=1.0) == pytest.approx(0.5)
+        assert huber_loss(np.array([1.0]), np.array([0.0])) == pytest.approx(0.5)
 
     def test_linear_branch(self):
-        assert huber_loss(np.array([3.0]), np.array([0.0]), delta=1.0) == pytest.approx(2.5)
+        assert huber_loss(np.array([3.0]), np.array([0.0])) == pytest.approx(2.5)
 
     def test_mixed_mean(self):
-        # errors 0.5 and 2 with delta 1: (0.125 + 1.5) / 2
-        val = huber_loss(np.array([0.5, 2.0]), np.zeros(2), delta=1.0)
+        # errors 0.5 and 2 with threshold 1: (0.125 + 1.5) / 2
+        val = huber_loss(np.array([0.5, 2.0]), np.zeros(2))
         assert val == pytest.approx((0.125 + 1.5) / 2)
 
 

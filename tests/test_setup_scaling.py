@@ -247,7 +247,7 @@ class TestVectorisedLoopsMatch:
         # column of 8+ rows switches to pairwise summation
         skel = build_spatial_skeleton(pg, k)
         emb = np.random.default_rng(seed).standard_normal((pg.n_stations * n_instants, width))
-        out = FeatureMap(np.eye(width), aggregate_neighbors=True)(emb, skel)
+        out = FeatureMap(np.eye(width), skeleton=skel)(emb)
         np.testing.assert_array_equal(out, loop_aggregate(emb, skel) @ np.eye(width))
 
     @given(st.integers(1, 25), st.floats(0.0, 0.6), st.booleans(), st.integers(0, 2**32 - 1))

@@ -383,9 +383,9 @@ class TestMultipliers:
         state.gamma = rng.standard_normal(g.n_nodes)
         state.gamma_u = rng.standard_normal(g.n_nodes)
         state.gamma_d = rng.standard_normal(g.n_nodes)
-        phi = g.apply("l_rd", x)
         p = LayerParams(1, 1, 1, 1.3, 0.7, 2.1)
-        gamma, gamma_u, gamma_d = update_multipliers(state, x, phi, x, x, g.apply("l_rd", x), p)
+        # AdmmState.initial sets phi = L_r x and z_u = z_d = x: every split residual is zero
+        gamma, gamma_u, gamma_d = update_multipliers(state, g.apply("l_rd", x), p)
         np.testing.assert_allclose(gamma, state.gamma, atol=1e-14)
         np.testing.assert_allclose(gamma_u, state.gamma_u, atol=1e-14)
         np.testing.assert_allclose(gamma_d, state.gamma_d, atol=1e-14)
@@ -396,10 +396,8 @@ class TestMultipliers:
         state = AdmmState.initial(np.zeros(n), g)
         p = LayerParams(1, 1, 1, 1.0, 1.0, 1.0)
         x = np.zeros(n)
-        phi = g.apply("l_rd", x) + 1.0
-        gamma, gamma_u, gamma_d = update_multipliers(
-            state, x, phi, x - 1.0, x - 1.0, g.apply("l_rd", x), p
-        )
+        state.phi, state.z_u, state.z_d = g.apply("l_rd", x) + 1.0, x - 1.0, x - 1.0
+        gamma, gamma_u, gamma_d = update_multipliers(state, g.apply("l_rd", x), p)
         np.testing.assert_allclose(gamma, np.ones(n))
         np.testing.assert_allclose(gamma_u, np.ones(n))
         np.testing.assert_allclose(gamma_d, np.ones(n))
@@ -413,8 +411,9 @@ class TestMultipliers:
             rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n)
         )
         x, phi, zu, zd = (rng.standard_normal(n) for _ in range(4))
+        state.x, state.phi, state.z_u, state.z_d = x, phi, zu, zd
         p = LayerParams(1, 1, 1, 0.9, 1.7, 0.4)
-        gamma, gamma_u, gamma_d = update_multipliers(state, x, phi, zu, zd, g.apply("l_rd", x), p)
+        gamma, gamma_u, gamma_d = update_multipliers(state, g.apply("l_rd", x), p)
         np.testing.assert_allclose(gamma, state.gamma + 0.9 * (phi - g.l_rd.toarray() @ x))
         np.testing.assert_allclose(gamma_u, state.gamma_u + 1.7 * (x - zu))
         np.testing.assert_allclose(gamma_d, state.gamma_d + 0.4 * (x - zd))

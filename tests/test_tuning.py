@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from stforecast import data as dmod
-from stforecast import pipeline
+from stforecast import pipeline, tuning
 from stforecast.config import HeadSettings, PipelineConfig
+from stforecast.graphs import NumericFailure
 from stforecast.pipeline import Standardizer
 from stforecast.tuning import (
     DEFAULT_TUNABLES,
@@ -196,8 +197,9 @@ class TestConfigRoundTrip:
              "metric_scale_d must have one entry per head (3)"),
             ("heads", {"count": 2, "metric_scale_d": 1.0},
              "metric_scale_d must have one entry per head (2)"),
-            ("solver", {"cg_iters": 0}, "unrolled mode needs a positive iteration count"),
-            ("solver", {"cg_iters": -1}, "unrolled mode needs a positive iteration count"),
+            ("solver", {"cg_iters": 0}, "cg_iters must be an integer >= 1 in unrolled mode, got 0"),
+            ("solver", {"cg_iters": -1},
+             "cg_iters must be an integer >= 1 in unrolled mode, got -1"),
             ("solver", {"cg_iters": 4, "cg_beta": [0.1, 0.2]},
              "cg_beta has 2 entries; expected a scalar or cg_iters = 4 entries"),
             ("graph", {"projection": [[0.0] * 16] * 5},
@@ -335,8 +337,13 @@ class TestMetricOverrides:
                                               "[0, 1], got true"),
             ([{"head": 0, "lag": 1, "factor": (np.eye(6) * np.nan).tolist()}],
              "metric_overrides[0]: factor must be 6x6 and finite"),
+            ([{"head": 0, "instant": 2, "lag": 3, "factor": np.eye(6).tolist()}],
+             "metric_overrides[0]: give an instant or a lag, not both; got instant 2 and lag 3"),
+            ([{"head": 0, "instant": 2, "lag": 3, "factor": np.eye(6).tolist(), "scale": 9}],
+             "metric_overrides[0]: unknown key 'scale' (value 9)"),
         ],
-        ids=["not-a-list", "entry-not-an-object", "boolean-head", "nan-factor"],
+        ids=["not-a-list", "entry-not-an-object", "boolean-head", "nan-factor",
+             "instant-and-lag", "unknown-key"],
     )
     def test_malformed_overrides_rejected_at_load(self, overrides, message):
         with pytest.raises(ValueError) as info:
@@ -404,6 +411,35 @@ class TestTuneSpsa:
             tune_spsa(cfg, pg, short, standardizer=std)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "owner,name,error,raised",
+        [
+            (tuning, "unpack_config", ValueError("rejected by a rule"), False),
+            (pipeline, "reconstruct_batch", NumericFailure("diverged"), False),
+            (pipeline, "reconstruct_batch", ValueError("a bug"), True),
+        ],
+        ids=["rule-rejects-candidate", "forward-pass-numeric-failure", "forward-pass-bug"],
+    )
+    def test_only_rejected_or_failing_candidates_score_nan(self, monkeypatch, owner, name,
+                                                           error, raised):
+        cfg, pg, splits, std = self.make_setup()
+        real, calls = getattr(owner, name), []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) in (2, 3):  # the first iteration's two candidates, after the start
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, failing)
+        if raised:
+            with pytest.raises(ValueError, match="a bug"):
+                tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=1)
+        else:
+            _, trace = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=1)
+            assert trace.iterations[0]["rejected"]
+            assert np.isnan(trace.iterations[0]["loss_plus"])
+
     def test_best_seen_non_increasing(self):
         cfg, pg, splits, std = self.make_setup()
         out, trace = tune_spsa(cfg, pg, splits.val, standardizer=std)
@@ -414,6 +450,7 @@ class TestTuneSpsa:
 
     def test_deterministic_under_seed(self):
         cfg, pg, splits, std = self.make_setup()
-        _, t1 = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=4, seed=9)
-        _, t2 = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=4, seed=9)
+        cfg.tuner.seed = 9
+        _, t1 = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=4)
+        _, t2 = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=4)
         assert t1.best_losses == t2.best_losses
