@@ -7,6 +7,10 @@ under learned PSD metrics, and turned into normalized edge weights. Spatial
 slices get one metric per instant, temporal edges one metric per lag, and the
 whole construction is replicated per head. A neighbourhood whose every weight
 underflows raises ``DegenerateWeightError``, a ``NumericFailure`` of that lane.
+
+A mixed graph is assembled in two steps: ``plan_mixed_graph`` fixes every
+operator's pattern once for a graph shape and lane count, and
+``fill_mixed_graph`` fills a block's weights into it.
 """
 
 from __future__ import annotations
@@ -21,15 +25,21 @@ from scipy.sparse.linalg import eigsh
 
 from .graphs import (
     DirectedSkeleton,
+    LaplacianPlan,
     MixedGraph,
     NumericFailure,
+    Pattern,
     PhysicalGraph,
+    RandomWalkPlan,
     SpatialSkeleton,
     TemporalSkeleton,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
     component_blocks,
+    coo_pattern,
     normalized_laplacian,
+    plan_random_walk_digraph,
+    plan_undirected_laplacian,
     symmetrized_dglr_matrix,
     unit_laplacian,
 )
@@ -390,6 +400,109 @@ def directed_weights(
     return out.reshape(lane_axes + (skel.n_edges,))
 
 
+@dataclass(frozen=True, eq=False)
+class GraphPlan:
+    """What every mixed graph of one shape shares, whatever its weights.
+
+    The skeletons, the lane count and the observed prefix fix the plans of
+    ``assemble_undirected_laplacian`` (over every lane's instants) and
+    ``assemble_random_walk_digraph`` (over the temporal skeleton repeated
+    per lane), the mask, and, with ``l_n``, the symmetrized temporal
+    adjacency and the directed edge each of its entries reads. ``patterns``
+    holds each operator's pattern for weights that leave no entry 0.0: the
+    patterns of ``l_u``, ``call_rd`` and ``l_n`` know their components once
+    the plan is made.
+    """
+
+    sskel: SpatialSkeleton
+    tskel: TemporalSkeleton
+    lanes: int
+    n_observed: int
+    l_u: LaplacianPlan
+    walk: RandomWalkPlan
+    temporal: tuple[Pattern, np.ndarray] | None
+    patterns: dict
+    h_mask: np.ndarray
+
+
+def plan_mixed_graph(
+    sskel: SpatialSkeleton,
+    tskel: TemporalSkeleton,
+    lanes: int,
+    n_observed: int,
+    with_undirected_temporal: bool,
+) -> GraphPlan:
+    """Plan the operators of a graph with ``lanes`` lanes, its first
+    ``n_observed`` instants observed, with ``l_n`` when asked."""
+    lane_skel = _lane_skeleton(tskel, lanes)
+    l_u = plan_undirected_laplacian(sskel, lanes * tskel.n_instants)
+    walk = plan_random_walk_digraph(lane_skel)
+    # with ones for values the products cancel nowhere and store full patterns
+    patterns = {
+        "l_u": l_u.pattern,
+        "w_rd": walk.w_rd,
+        "l_rd": walk.l_rd,
+        "call_rd": Pattern.of(symmetrized_dglr_matrix(walk.l_rd.matrix(np.ones(walk.l_rd.nnz)))),
+    }
+    temporal = None
+    if with_undirected_temporal:
+        n, src, dst = lane_skel.n_nodes, lane_skel.src, lane_skel.dst
+        adjacency, order = coo_pattern(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
+        temporal = (adjacency, order % max(lane_skel.n_edges, 1))
+        patterns["l_n"] = Pattern.of(normalized_laplacian(adjacency.matrix(np.ones(adjacency.nnz))))
+    for name in ("l_u", "call_rd", "l_n"):
+        if name in patterns:
+            patterns[name].labels  # the folds' components, worked out here once
+    lane_mask = np.zeros(tskel.n_nodes, dtype=bool)
+    lane_mask[: sskel.n_stations * n_observed] = True
+    h_mask = np.tile(lane_mask, lanes)
+    h_mask.flags.writeable = False
+    return GraphPlan(sskel, tskel, lanes, n_observed, l_u, walk, temporal, patterns, h_mask)
+
+
+def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarray) -> MixedGraph:
+    """The operators of ``plan`` with the given weights, (lanes..., n_instants,
+    n_edges) and (lanes..., n_temporal_edges).
+
+    Lanes run in C order, and each operator is bitwise the block-diagonal
+    stack of the lanes' own operators. Directed weights are already
+    child-normalized, so the in-degree normalization inside the random-walk
+    assembly leaves them unchanged. ``call_rd`` and ``l_n`` are scipy's
+    sparse products: one that drops an entry summing to exactly 0.0 no
+    longer fits its planned pattern and gets its own (``MixedGraph``).
+    """
+    weights_u = np.asarray(weights_u, dtype=np.float64)
+    weights_d = np.asarray(weights_d, dtype=np.float64)
+    lanes = int(np.prod(weights_u.shape[:-2]))
+    if lanes != plan.lanes:
+        raise ValueError(f"weights of {lanes} lanes for a plan of {plan.lanes}")
+    if weights_u.shape[-2] != plan.tskel.n_instants:
+        raise ValueError("spatial weight map and temporal skeleton disagree on instants")
+    l_u = assemble_undirected_laplacian(
+        plan.l_u, weights_u.reshape(lanes * plan.tskel.n_instants, weights_u.shape[-1])
+    )
+    w_rd, l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
+    l_n = None
+    if plan.temporal is not None:
+        # each directed edge gives half its weight to the undirected edge (the
+        # average with the absent reverse edge); self-loops are dropped
+        adjacency, source = plan.temporal
+        l_n = normalized_laplacian(adjacency.matrix(0.5 * weights_d.ravel()[source]))
+    return MixedGraph(
+        n_stations=plan.sskel.n_stations,
+        n_instants=plan.tskel.n_instants,
+        n_observed=plan.n_observed,
+        l_u=l_u,
+        w_rd=w_rd,
+        l_rd=l_rd,
+        call_rd=symmetrized_dglr_matrix(l_rd),
+        l_n=l_n,
+        h_mask=plan.h_mask,
+        lanes=lanes,
+        patterns=plan.patterns,
+    )
+
+
 def build_mixed_graph(
     weights_u: np.ndarray,
     weights_d: np.ndarray,
@@ -398,40 +511,15 @@ def build_mixed_graph(
     n_observed: int,
     with_undirected_temporal: bool = True,
 ) -> MixedGraph:
-    """Assemble all operators from skeletons and weight maps.
+    """Assemble all operators from skeletons and weight maps, planned here
+    (``plan_mixed_graph``) and filled (``fill_mixed_graph``).
 
-    Weights with lane axes in front, (..., n_instants, n_edges) and (...,
-    n_temporal_edges), give one graph with a lane each, in C order: each operator is
-    assembled once, over the lanes' (lane, instant) slices and a temporal
-    skeleton repeated per lane, and is bitwise the block-diagonal stack of
-    the lanes' own operators. Directed weights are already child-normalized,
-    so the in-degree normalization inside the random-walk assembly leaves
-    them unchanged.
+    Weights with lane axes in front give one graph with a lane each, in C
+    order, bitwise the block-diagonal stack of the lanes' own graphs.
     """
-    weights_u = np.asarray(weights_u, dtype=np.float64)
-    weights_d = np.asarray(weights_d, dtype=np.float64)
-    lanes = int(np.prod(weights_u.shape[:-2]))
-    if weights_u.shape[-2] != tskel.n_instants:
-        raise ValueError("spatial weight map and temporal skeleton disagree on instants")
-    l_u = assemble_undirected_laplacian(
-        sskel, weights_u.reshape(lanes * tskel.n_instants, weights_u.shape[-1])
-    )
-    lane_skel = _lane_skeleton(tskel, lanes)
-    w_rd, l_rd = assemble_random_walk_digraph(lane_skel, weights_d.ravel())
-    l_n = None
-    if with_undirected_temporal:
-        l_n = _undirected_temporal_laplacian(lane_skel, weights_d.ravel())
-    return MixedGraph(
-        n_stations=sskel.n_stations,
-        n_instants=tskel.n_instants,
-        n_observed=n_observed,
-        l_u=l_u,
-        w_rd=w_rd,
-        l_rd=l_rd,
-        call_rd=symmetrized_dglr_matrix(l_rd),
-        l_n=l_n,
-        lanes=lanes,
-    )
+    lanes = int(np.prod(np.shape(weights_u)[:-2]))
+    plan = plan_mixed_graph(sskel, tskel, lanes, n_observed, with_undirected_temporal)
+    return fill_mixed_graph(plan, weights_u, weights_d)
 
 
 def _lane_skeleton(tskel: TemporalSkeleton, lanes: int) -> DirectedSkeleton:
@@ -448,39 +536,15 @@ def _lane_skeleton(tskel: TemporalSkeleton, lanes: int) -> DirectedSkeleton:
     )
 
 
-def _undirected_temporal_laplacian(tskel: TemporalSkeleton, weights_d: np.ndarray):
-    """Normalized Laplacian of the symmetrized temporal graph.
-
-    Each directed edge contributes half its weight to the undirected edge
-    (the average with the absent reverse edge); self-loops are dropped.
-    """
-    n = tskel.n_nodes
-    half = 0.5 * np.asarray(weights_d, dtype=np.float64)
-    w = sp.coo_matrix(
-        (
-            np.concatenate([half, half]),
-            (np.concatenate([tskel.src, tskel.dst]), np.concatenate([tskel.dst, tskel.src])),
-        ),
-        shape=(n, n),
-    ).tocsr()
-    return normalized_laplacian(w)
-
-
-def multi_head_graphs(
-    features: np.ndarray,
-    sskel: SpatialSkeleton,
-    tskel: TemporalSkeleton,
-    bank: MetricBank,
-    n_observed: int,
-    with_undirected_temporal: bool = False,
-) -> MixedGraph:
+def multi_head_graphs(features: np.ndarray, plan: GraphPlan, bank: MetricBank) -> MixedGraph:
     """The graphs of every head of one or more windows as one MixedGraph.
 
     ``features`` are one window's, (nodes, K), or one set per window,
     (windows, nodes, K), and every head of a window reads that window's
-    features. Lanes run window-major, head-minor; lane l equals, bit for bit,
-    the graph ``build_mixed_graph`` makes from lane l's weights alone.
+    features; ``plan`` is for windows x heads lanes. Lanes run window-major,
+    head-minor; lane l equals, bit for bit, the graph ``build_mixed_graph``
+    makes from lane l's weights alone.
     """
-    wu = undirected_weights(features, sskel, bank.undirected)
-    wd = directed_weights(features, tskel, bank.directed)
-    return build_mixed_graph(wu, wd, sskel, tskel, n_observed, with_undirected_temporal)
+    wu = undirected_weights(features, plan.sskel, bank.undirected)
+    wd = directed_weights(features, plan.tskel, bank.directed)
+    return fill_mixed_graph(plan, wu, wd)

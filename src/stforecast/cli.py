@@ -170,7 +170,7 @@ def cmd_graph_dump(args) -> int:
     n = pg.n_stations
     w_slice = graph.l_u[:n, :n].toarray()
     np.fill_diagonal(w_slice, 0.0)
-    centrality = pipeline.perron_centrality(-w_slice)
+    centrality = pipeline.component_centrality(-w_slice)
     data.write_csv(out / "perron.csv", ["station", "centrality"], enumerate(centrality.tolist()))
     print(f"wrote operators and perron.csv to {out}")
     return 0

@@ -7,6 +7,15 @@ instant; temporal edges are directed, connect a station to itself at later
 instants inside a fixed window, and therefore form a DAG. The spatial
 skeleton keeps the road graph's connected components.
 
+Operator assembly has two phases, as sparse direct methods split a symbolic
+from a numeric phase (Davis, *Direct Methods for Sparse Linear Systems*,
+SIAM 2006). A plan (``plan_undirected_laplacian``,
+``plan_random_walk_digraph``) holds what depends on the skeleton alone: each
+operator's CSR ``Pattern`` and where each stored entry's value comes from.
+An assembly fills values only. A ``Pattern`` works out, once and on first
+use, what the solver's folded systems read of it: the diagonal's positions,
+the connected components and the map into dense component blocks.
+
 ``NumericFailure`` is the one failure of a forward pass; it lives here, below
 both ``attention`` and ``solver``, which raise it.
 """
@@ -14,6 +23,7 @@ both ``attention`` and ``solver``, which raise it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -267,74 +277,232 @@ def build_temporal_skeleton(n_stations: int, n_instants: int, window: int) -> Te
     )
 
 
-def assemble_undirected_laplacian(skel: SpatialSkeleton, weights: np.ndarray) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class Pattern:
+    """The sparsity pattern of a square CSR operator: ``indptr`` and ``indices``.
+
+    Operators filled into one pattern share it, and with it what the cached
+    properties work out on first use: the diagonal's positions, the
+    connected components and the map into their dense blocks.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, mat: sp.csr_matrix) -> "Pattern":
+        return cls(mat.indptr, mat.indices)
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The operator with ``data`` in this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def fits(self, mat: sp.csr_matrix) -> bool:
+        """Whether ``mat`` stores exactly this pattern's entries, in its order."""
+        return (mat.shape == (self.n, self.n) and np.array_equal(mat.indptr, self.indptr)
+                and np.array_equal(mat.indices, self.indices))
+
+    @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The position of each row's diagonal entry; None if some row stores none, or two."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        on_diag = np.flatnonzero(self.indices == rows)
+        if not np.array_equal(rows[on_diag], np.arange(self.n)):
+            return None
+        return on_diag.astype(self.indices.dtype)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The connected component of each node; a stored entry couples its row and column."""
+        return connected_components(self.matrix(np.ones(self.nnz)), directed=False)[1]
+
+    @cached_property
+    def components(self) -> "ComponentMap":
+        return component_map(self, self.labels)
+
+
+def coo_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[Pattern, np.ndarray]:
+    """The n x n CSR pattern of entries at (``rows``, ``cols``), rows sorted,
+    and each stored entry's position in them; no (row, col) may repeat."""
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("an operator entry repeats")
+    # scipy's index dtype, int32 while it holds every index, serves the maps too
+    idx = np.int32 if max(n, len(order)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    indptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
+    return Pattern(indptr, (keys % n).astype(idx)), order.astype(idx)
+
+
+def _without_zeros(pattern: Pattern, data: np.ndarray) -> sp.csr_matrix:
+    """The operator with ``data`` in ``pattern``, less the entries that are exactly 0.0."""
+    keep = data != 0
+    rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+    indptr = np.zeros(pattern.n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows[keep], minlength=pattern.n))
+    return sp.csr_matrix((data[keep], pattern.indices[keep], indptr), shape=(pattern.n, pattern.n))
+
+
+@dataclass(frozen=True, eq=False)
+class LaplacianPlan:
+    """The pattern of ``assemble_undirected_laplacian`` for one skeleton and slice count.
+
+    Stored entry i reads value ``source[i]`` of the edge weights negated, in
+    (slice, edge) order, followed by the node degrees.
+    """
+
+    skel: SpatialSkeleton
+    n_slices: int
+    pattern: Pattern
+    source: np.ndarray
+
+
+def plan_undirected_laplacian(skel: SpatialSkeleton, n_slices: int) -> LaplacianPlan:
+    """Plan D - W over ``n_slices`` slices of ``skel``; without edges it stores no entry."""
+    n, m = skel.n_stations, n_slices * skel.n_edges
+    dim = n * n_slices
+    rows = cols = np.zeros(0, dtype=np.int64)
+    if skel.n_edges:
+        off = (np.arange(n_slices) * n)[:, None]
+        ei, ej = (off + skel.edges[:, 0]).ravel(), (off + skel.edges[:, 1]).ravel()
+        rows = np.concatenate([ei, ej, np.arange(dim)])
+        cols = np.concatenate([ej, ei, np.arange(dim)])
+    pattern, order = coo_pattern(rows, cols, dim)
+    # both entries of an edge read its one weight
+    return LaplacianPlan(skel, n_slices, pattern, np.where(order < m, order, order - m))
+
+
+def assemble_undirected_laplacian(skel, weights: np.ndarray) -> sp.csr_matrix:
     """Block-diagonal D - W over slices, usually instants.
 
-    ``weights`` has shape (n_slices, n_edges) aligned with ``skel.edges``;
+    ``weights`` has shape (n_slices, n_edges) aligned with the edges of
+    ``skel``, a ``SpatialSkeleton`` (planned here) or its ``LaplacianPlan``;
     slice t holds nodes t*N .. t*N + N - 1, so the (head, instant) slices of
     several heads, head-major, give one block per head.
     """
+    plan = skel if isinstance(skel, LaplacianPlan) else None
+    skel = skel.skel if plan else skel
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[1] != skel.n_edges:
+    if (weights.ndim != 2 or weights.shape[1] != skel.n_edges
+            or (plan and weights.shape[0] != plan.n_slices)):
         raise ValueError(
             f"weights shape {weights.shape} does not match {skel.n_edges} skeleton edges"
+            + (f" in {plan.n_slices} slices" if plan else "")
         )
     if np.any(weights < 0):
         raise ValueError("negative edge weight")
+    plan = plan or plan_undirected_laplacian(skel, weights.shape[0])
     n = skel.n_stations
-    dim = n * weights.shape[0]
-    if skel.n_edges == 0:
-        return sp.csr_matrix((dim, dim))
     off = (np.arange(weights.shape[0]) * n)[:, None]
-    ei = off + skel.edges[:, 0]  # (n_slices, n_edges)
-    ej = off + skel.edges[:, 1]
     # each degree sums its slice's edges in edge order, the i ends first
     deg = np.bincount(
-        np.concatenate([ei, ej], axis=1).ravel(),
+        np.concatenate([off + skel.edges[:, 0], off + skel.edges[:, 1]], axis=1).ravel(),
         weights=np.concatenate([weights, weights], axis=1).ravel(),
-        minlength=dim,
+        minlength=n * weights.shape[0],
     )
-    ei, ej, w, diag = ei.ravel(), ej.ravel(), weights.ravel(), np.arange(dim)
-    # no (row, col) pair repeats, so the sorted CSR does not depend on entry order
-    rows = np.concatenate([ei, ej, diag])
-    cols = np.concatenate([ej, ei, diag])
-    mat = sp.coo_matrix((np.concatenate([-w, -w, deg]), (rows, cols)), shape=(dim, dim)).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return plan.pattern.matrix(np.concatenate([-weights.ravel(), deg])[plan.source])
 
 
-def assemble_random_walk_digraph(
-    skel: DirectedSkeleton, weights: np.ndarray
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+@dataclass(frozen=True, eq=False)
+class RandomWalkPlan:
+    """The patterns of ``assemble_random_walk_digraph`` for one skeleton.
+
+    Stored W_r entry i is entry ``w_source[i]`` of the edges followed by a
+    self-loop per source. Stored L_r = I - W_r entry i reads 1 on the
+    diagonal (``l_diagonal``) less W_r entry ``l_source[i]`` (none at
+    ``w_rd.nnz``). L_r leaves out the diagonal of each row whose one W_r
+    entry is its own, W_r entry ``lone[j]``: it reads 1 - 1 = 0.
+    """
+
+    skel: DirectedSkeleton
+    w_rd: Pattern
+    w_source: np.ndarray
+    l_rd: Pattern
+    l_diagonal: np.ndarray
+    l_source: np.ndarray
+    lone: np.ndarray
+
+
+def plan_random_walk_digraph(skel: DirectedSkeleton) -> RandomWalkPlan:
+    """Plan W_r and I - W_r over ``skel``, a self-loop added at each source."""
+    n = skel.n_nodes
+    w_rd, w_source = coo_pattern(np.concatenate([skel.dst, skel.sources]),
+                                 np.concatenate([skel.src, skel.sources]), n)
+    per_row = np.diff(w_rd.indptr)
+    w_rows = np.repeat(np.arange(n), per_row)
+    diag = np.arange(n)
+    w_keys = w_rows * n + w_rd.indices
+    at = np.searchsorted(w_keys, diag * (n + 1))
+    has = at < w_rd.nnz
+    has[has] = w_keys[at[has]] == diag[has] * (n + 1)
+    # I - W_r over both patterns: W_r's entries, each diagonal W_r lacks
+    # inserted where it sorts in its row
+    at, lacking = at[~has], diag[~has]
+    rows = np.insert(w_rows, at, lacking)
+    w_diagonal = w_rd.indices == w_rows
+    diagonal = np.insert(w_diagonal, at, True)
+    source = np.insert(np.arange(w_rd.nnz), at, w_rd.nnz).astype(w_source.dtype)
+    lone = np.insert(w_diagonal & (per_row[w_rows] == 1), at, False)
+    l_rd, _ = coo_pattern(rows[~lone], np.insert(w_rd.indices, at, lacking)[~lone], n)
+    return RandomWalkPlan(skel, w_rd, w_source, l_rd, diagonal[~lone], source[~lone], source[lone])
+
+
+def assemble_random_walk_digraph(skel, weights: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Row-stochastic random-walk adjacency and its Laplacian I - W_r.
 
-    Every source node gets a self-loop of weight 1 before in-degree
-    normalization, so source rows of W_r are exactly their self-loop.
+    ``skel`` is a ``DirectedSkeleton`` (planned here) or its
+    ``RandomWalkPlan``. Every source node gets a self-loop of weight 1
+    before in-degree normalization, so source rows of W_r are exactly their
+    self-loop. In-degrees sum each node's edges in edge order, then its
+    self-loop. L_r stores no entry that is exactly 0.0, as scipy's I - W_r
+    does not: a planned entry that comes out 0.0, or a left-out one that
+    does not, gives L_r a pattern of its own.
     """
+    plan = skel if isinstance(skel, RandomWalkPlan) else None
+    skel = skel.skel if plan else skel
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != skel.src.shape:
         raise ValueError("weights must align with skeleton edges")
     if np.any(weights <= 0):
         raise ValueError("directed edge weights must be positive")
+    plan = plan or plan_random_walk_digraph(skel)
     n = skel.n_nodes
-    rows = np.concatenate([skel.dst, skel.sources])
-    cols = np.concatenate([skel.src, skel.sources])
-    vals = np.concatenate([weights, np.ones(len(skel.sources))])
-    indeg = np.zeros(n)
-    np.add.at(indeg, rows, vals)
+    indeg = np.bincount(skel.dst, weights=weights, minlength=n).astype(np.float64, copy=False)
+    indeg[skel.sources] += 1.0
     dead = np.flatnonzero(indeg == 0)
     if len(dead):
         raise DegenerateDegreeError(
             f"non-source node(s) {dead[:5].tolist()} have zero incoming weight"
         )
-    w_rd = sp.coo_matrix((vals / indeg[rows], (rows, cols)), shape=(n, n)).tocsr()
-    w_rd.sum_duplicates()
-    l_rd = (sp.identity(n, format="csr") - w_rd).tocsr()
-    return w_rd, l_rd
+    w_rows = np.repeat(np.arange(n), np.diff(plan.w_rd.indptr))
+    w_data = np.concatenate([weights, np.ones(len(skel.sources))])[plan.w_source] / indeg[w_rows]
+    l_data = plan.l_diagonal - np.append(w_data, 0.0)[plan.l_source]
+    left_out = 1.0 - w_data[plan.lone]
+    if l_data.all() and not left_out.any():
+        l_rd = plan.l_rd.matrix(l_data)
+    else:
+        rows = np.repeat(np.arange(n), np.diff(plan.l_rd.indptr))
+        union, order = coo_pattern(np.concatenate([rows, w_rows[plan.lone]]),
+                                   np.concatenate([plan.l_rd.indices, w_rows[plan.lone]]), n)
+        l_rd = _without_zeros(union, np.concatenate([l_data, left_out])[order])
+    return plan.w_rd.matrix(w_data), l_rd
 
 
 def symmetrized_dglr_matrix(l_rd: sp.spmatrix) -> sp.csr_matrix:
-    """L_r^T L_r: symmetric, PSD, annihilates the constant vector."""
+    """L_r^T L_r: symmetric, PSD, annihilates the constant vector.
+
+    scipy's sparse product stores no entry that sums to exactly 0.0.
+    """
     if l_rd.shape[0] != l_rd.shape[1]:
         raise ValueError("expected a square matrix")
     mat = (l_rd.T @ l_rd).tocsr()
@@ -393,18 +561,43 @@ class ComponentBlocks:
         return out
 
 
-def component_blocks(a: sp.spmatrix, labels: np.ndarray,
-                     max_size: int | None = None) -> ComponentBlocks:
-    """The entries of ``a`` among the nodes of each connected component, as
-    ``ComponentBlocks``.
+@dataclass(frozen=True, eq=False)
+class ComponentMap:
+    """Where the stored entries of one pattern go in ``ComponentBlocks``.
 
-    ``labels`` gives the component of each node, as ``connected_components``
-    of ``a`` does: ``a`` must couple no two components. Components of more
-    than ``max_size`` nodes are left out. Every stack is a view of one buffer
-    of sum(k^2) values, filled by one scatter-add, so duplicate entries add
-    up and a stored -0.0 reads 0.0, as in ``toarray``.
+    ``fill`` scatter-adds entry i's value to position ``at[i]`` of one buffer
+    of sum(k^2) values, entries outside the kept components (``on`` False)
+    left out, and cuts the buffer into one (C, k, k) stack per ``shapes``
+    entry (C, k). Duplicate entries add up, and a stored -0.0 reads 0.0, as
+    in ``toarray``.
     """
-    a = a.tocsr()
+
+    n_nodes: int
+    members: tuple[np.ndarray, ...]
+    shapes: tuple[tuple[int, int], ...]
+    at: np.ndarray
+    on: np.ndarray | None
+
+    def fill(self, data: np.ndarray) -> "ComponentBlocks":
+        if self.on is not None:
+            data = data[self.on]
+        sizes = [c * k * k for c, k in self.shapes]
+        values = np.bincount(self.at, weights=data, minlength=sum(sizes))
+        ends = np.cumsum(sizes)
+        return ComponentBlocks(
+            n_nodes=self.n_nodes,
+            members=self.members,
+            blocks=tuple(values[e - c * k * k : e].reshape(c, k, k)
+                         for e, (c, k) in zip(ends, self.shapes)),
+        )
+
+
+def component_map(pattern: Pattern, labels: np.ndarray,
+                  max_size: int | None = None) -> ComponentMap:
+    """The ``ComponentMap`` of ``pattern`` over the components ``labels``
+    gives, as ``connected_components`` of it does: the pattern must couple
+    no two components. Components of more than ``max_size`` nodes are left
+    out."""
     labels = np.asarray(labels)
     n = len(labels)
     sizes = np.bincount(labels)
@@ -424,22 +617,30 @@ def component_blocks(a: sp.spmatrix, labels: np.ndarray,
     members = np.empty(int(k.sum()), dtype=np.intp)
     members[node_start[labels[kept]] + rank[kept]] = np.flatnonzero(kept)
     # entry (i, j) sits at row rank(i), column rank(j) of its component's block
-    per_row = np.diff(a.indptr)
-    at = np.repeat(value_start[labels] + rank * sizes[labels], per_row) + rank[a.indices]
-    data = a.data
+    per_row = np.diff(pattern.indptr)
+    at = np.repeat(value_start[labels] + rank * sizes[labels], per_row) + rank[pattern.indices]
+    on = None
     if not kept.all():
         on = np.repeat(kept, per_row)
-        at, data = at[on], data[on]
-    values = np.bincount(at, weights=data, minlength=int((k * k).sum()))
+        at = at[on]
     size, count = np.unique(k, return_counts=True)
-    node_end, value_end = np.cumsum(count * size), np.cumsum(count * size * size)
-    return ComponentBlocks(
+    node_end = np.cumsum(count * size)
+    return ComponentMap(
         n_nodes=n,
         members=tuple(members[e - c * s : e].reshape(c, s)
                       for e, c, s in zip(node_end, count, size)),
-        blocks=tuple(values[e - c * s * s : e].reshape(c, s, s)
-                     for e, c, s in zip(value_end, count, size)),
+        shapes=tuple(zip(count.tolist(), size.tolist())),
+        at=at,
+        on=on,
     )
+
+
+def component_blocks(a: sp.spmatrix, labels: np.ndarray,
+                     max_size: int | None = None) -> ComponentBlocks:
+    """The entries of ``a`` among the nodes of each connected component, as
+    ``ComponentBlocks`` (``component_map`` of its pattern, filled)."""
+    a = a.tocsr()
+    return component_map(Pattern.of(a), labels, max_size).fill(a.data)
 
 
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")
@@ -456,6 +657,12 @@ class MixedGraph:
     A graph with ``lanes`` > 1 holds that many graphs of one shape as the
     diagonal blocks of each operator; signals are the per-lane vectors
     concatenated, and ``h_mask`` repeats once per lane.
+
+    ``patterns`` maps each operator's name to its ``Pattern``, whose index
+    arrays the operator uses. A graph filled from a plan is given the
+    plan's and keeps each that its operator fits, so what a pattern works
+    out is worked out once per plan; any other operator gets a pattern of
+    its own.
     """
 
     n_stations: int
@@ -469,6 +676,7 @@ class MixedGraph:
     h_mask: np.ndarray = field(default=None)
     lanes: int = 1
     l_rd_t: sp.csr_matrix = field(default=None)
+    patterns: dict = field(default=None)
 
     def __post_init__(self):
         dim = self.n_nodes
@@ -482,8 +690,20 @@ class MixedGraph:
             lane_mask = np.zeros(self.n_stations * self.n_instants, dtype=bool)
             lane_mask[: self.n_stations * self.n_observed] = True
             self.h_mask = np.tile(lane_mask, self.lanes)
+        given = self.patterns or {}
+        self.patterns = {}
+        for name in ("l_u", "w_rd", "l_rd", "call_rd", "l_n"):
+            mat, pattern = getattr(self, name), given.get(name)
+            if mat is None:
+                continue
+            if pattern is None or not pattern.fits(mat):
+                pattern = Pattern.of(mat)
+            elif not np.may_share_memory(mat.indices, pattern.indices):
+                setattr(self, name, pattern.matrix(mat.data))  # on the plan's index arrays
+            self.patterns[name] = pattern
         if self.l_rd_t is None:
             self.l_rd_t = self.l_rd.T.tocsr()
+        self.patterns["l_rd_t"] = Pattern.of(self.l_rd_t)
         self._ops = {
             "l_u": self.l_u,
             "l_rd": self.l_rd,

@@ -2,7 +2,9 @@
 
 Nothing here shares code with the iterative solver path: dense elimination,
 dense spectra and spectral filters, scalar grid search, and an accelerated
-proximal-gradient method provide second opinions at desk scale.
+proximal-gradient method provide second opinions at desk scale. Nor with the
+planned operator assembly: ``coo_operators`` builds every operator directly
+from scipy COO and CSR arithmetic.
 """
 
 from __future__ import annotations
@@ -10,8 +12,69 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import MixedGraph
+from .graphs import MixedGraph, SpatialSkeleton, TemporalSkeleton
 from .priors import PriorWeights
+
+
+def coo_operators(sskel: SpatialSkeleton, tskel: TemporalSkeleton, weights_u: np.ndarray,
+                  weights_d: np.ndarray, with_l_n: bool) -> dict[str, sp.csr_matrix]:
+    """Every operator of a lane-stacked mixed graph, each assembled on its own
+    from COO triplets and scipy sparse arithmetic, as a dict by name.
+
+    Weights take ``attention.build_mixed_graph``'s shapes, lanes in front.
+    The planned assembly must equal this bit for bit: ``indptr``,
+    ``indices`` and ``data``, dtypes included.
+    """
+    weights_u = np.asarray(weights_u, dtype=np.float64)
+    lanes = int(np.prod(weights_u.shape[:-2]))
+    w = weights_u.reshape(lanes * weights_u.shape[-2], sskel.n_edges)
+    n_slices, n = len(w), sskel.n_stations
+    dim = n * n_slices
+    if sskel.n_edges == 0:
+        l_u = sp.csr_matrix((dim, dim))
+    else:
+        off = (np.arange(n_slices) * n)[:, None]
+        ei, ej = off + sskel.edges[:, 0], off + sskel.edges[:, 1]
+        deg = np.bincount(np.concatenate([ei, ej], axis=1).ravel(),
+                          weights=np.concatenate([w, w], axis=1).ravel(), minlength=dim)
+        diag = np.arange(dim)
+        rows = np.concatenate([ei.ravel(), ej.ravel(), diag])
+        cols = np.concatenate([ej.ravel(), ei.ravel(), diag])
+        vals = np.concatenate([-w.ravel(), -w.ravel(), deg])
+        l_u = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+        l_u.sum_duplicates()
+
+    # the temporal skeleton once per lane, lane h's nodes offset by h * n_nodes
+    offsets = np.arange(lanes)[:, None] * tskel.n_nodes
+    src, dst = (offsets + tskel.src).ravel(), (offsets + tskel.dst).ravel()
+    sources = (offsets + tskel.sources).ravel()
+    nodes = lanes * tskel.n_nodes
+    wd = np.asarray(weights_d, dtype=np.float64).ravel()
+    rows, cols = np.concatenate([dst, sources]), np.concatenate([src, sources])
+    vals = np.concatenate([wd, np.ones(len(sources))])
+    indeg = np.zeros(nodes)
+    np.add.at(indeg, rows, vals)
+    w_rd = sp.coo_matrix((vals / indeg[rows], (rows, cols)), shape=(nodes, nodes)).tocsr()
+    w_rd.sum_duplicates()
+    l_rd = (sp.identity(nodes, format="csr") - w_rd).tocsr()
+    call_rd = (l_rd.T @ l_rd).tocsr()
+    call_rd.sort_indices()
+    ops = {"l_u": l_u, "w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd.T.tocsr(), "call_rd": call_rd}
+    if with_l_n:
+        half = 0.5 * wd
+        adj = sp.coo_matrix(
+            (np.concatenate([half, half]), (np.concatenate([src, dst]), np.concatenate([dst, src]))),
+            shape=(nodes, nodes),
+        ).tocsr()
+        d = np.asarray(adj.sum(axis=1)).ravel()
+        linked = d > 0
+        inv_sqrt = np.zeros_like(d)
+        inv_sqrt[linked] = 1.0 / np.sqrt(d[linked])
+        scale = sp.diags(inv_sqrt)
+        l_n = (sp.diags(linked.astype(np.float64)) - scale @ adj @ scale).tocsr()
+        l_n.sort_indices()
+        ops["l_n"] = l_n
+    return ops
 
 
 def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ is reported as one ``NumericFailure`` naming block, window and head.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,7 +108,12 @@ def unflatten_time_major(x: np.ndarray, n_stations: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class PipelineContext:
-    """Shared immutable pieces reused across samples."""
+    """Shared immutable pieces reused across samples.
+
+    ``plans`` keeps the operator plans (``attention.plan_mixed_graph``)
+    that ``block_graph`` makes on first use, one per lane count; a context
+    made from this one by ``dataclasses.replace`` shares the dict.
+    """
 
     pg: PhysicalGraph
     config: PipelineConfig
@@ -119,6 +124,7 @@ class PipelineContext:
     eigmap: np.ndarray
     feature_map: attention.FeatureMap
     interval: float
+    plans: dict = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -184,15 +190,19 @@ def block_graph(
     one lane per head of ``bank`` (the context's bank by default) for each
     window, window-major, every head reading its window's features. The
     configured history is the observed span. The graph holds ``l_n`` when
-    the configured solver mode needs it."""
+    the configured solver mode needs it. Its operators fill the context's
+    plan for their lane count, made here on first use."""
     bank = ctx.bank if bank is None else bank
     feats = np.stack([
         ctx.feature_map(attention.embed(x, t, ctx.eigmap)) for x, t in zip(xs, t_steps)
     ])
-    return attention.multi_head_graphs(
-        feats, ctx.sskel, ctx.tskel, bank, n_observed=ctx.config.data.history,
-        with_undirected_temporal=solver.TERMS[ctx.config.solver.mode].temporal == "l_n",
-    )
+    # everything the plan depends on, so a replaced context never reads a stale one
+    key = (ctx.sskel, ctx.tskel, len(xs) * bank.heads, ctx.config.data.history,
+           solver.TERMS[ctx.config.solver.mode].temporal == "l_n")
+    plan = ctx.plans.get(key)
+    if plan is None:
+        plan = ctx.plans[key] = attention.plan_mixed_graph(*key)
+    return attention.multi_head_graphs(feats, plan, bank)
 
 
 def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
@@ -353,6 +363,31 @@ def perron_centrality(w_slice) -> np.ndarray:
     matrix is unique and positive, so it is read off one dense symmetric
     eigensolve.
     """
+    w = _checked_slice(w_slice)
+    n_components = connected_components(w, directed=False, return_labels=False)
+    if n_components > 1:
+        raise ValueError(f"slice is not connected ({n_components} components)")
+    return _perron_vector(w)
+
+
+def component_centrality(w_slice) -> np.ndarray:
+    """The Perron vector of each connected component of a nonnegative
+    symmetric slice, each normalized to sum 1 over its own stations.
+
+    A connected slice gives ``perron_centrality``'s vector, bit for bit.
+    """
+    w = _checked_slice(w_slice)
+    labels = connected_components(w, directed=False)[1]
+    if labels.max() == 0:
+        return _perron_vector(w)
+    out = np.empty(len(w))
+    for comp in range(labels.max() + 1):
+        idx = np.flatnonzero(labels == comp)
+        out[idx] = _perron_vector(w[np.ix_(idx, idx)])
+    return out
+
+
+def _checked_slice(w_slice) -> np.ndarray:
     w = w_slice.toarray() if sp.issparse(w_slice) else np.asarray(w_slice, dtype=np.float64)
     n = w.shape[0]
     if w.shape != (n, n):
@@ -361,9 +396,11 @@ def perron_centrality(w_slice) -> np.ndarray:
         raise ValueError("matrix must be nonnegative")
     if not np.array_equal(w, w.T):
         raise ValueError("matrix must be symmetric")
-    n_components = connected_components(w, directed=False, return_labels=False)
-    if n_components > 1:
-        raise ValueError(f"slice is not connected ({n_components} components)")
+    return w
+
+
+def _perron_vector(w: np.ndarray) -> np.ndarray:
+    """The top eigenvector of a connected slice, made positive and summing to 1."""
     v = np.abs(np.linalg.eigh(w)[1][:, -1])
     if np.any(v <= 0):
         raise ValueError("Perron vector has non-positive entries")

@@ -21,7 +21,10 @@ x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
 as dense blocks over its connected components with the steps run backwards,
 so each of its solves takes one sparse product and one batched dense product
 instead of the recurrence's ``iters`` sparse products (one for the starting
-residual, one for every step but the last).
+residual, one for every step but the last). A fold of one operator is a new
+``data`` array on that operator's ``graphs.Pattern``, whose diagonal
+positions, components and block map the graph's plan worked out once; a
+block only fills values.
 
 A solve whose result is not finite raises ``NumericFailure`` (from
 ``graphs``, importable here) naming its CG iteration; the layer adds the
@@ -35,10 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import priors
-from .graphs import ComponentBlocks, MixedGraph, NumericFailure, component_blocks
+from .graphs import ComponentBlocks, MixedGraph, NumericFailure, Pattern
 
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
@@ -236,12 +238,11 @@ def _unrolled_steps(apply_a, x0: np.ndarray, r0: np.ndarray, sched: CgSchedule,
     return x
 
 
-def polynomial_operator(a: sp.spmatrix, labels: np.ndarray, sched: CgSchedule) -> ComponentBlocks:
+def polynomial_operator(blocks: ComponentBlocks, sched: CgSchedule) -> ComponentBlocks:
     """Q(A) of an unrolled schedule, x_K = x0 + Q(A) r0, as dense component blocks.
 
-    ``labels`` gives the connected component of each node of A (as from
-    ``scipy.sparse.csgraph.connected_components``). Q(A) couples only nodes
-    of one component, so it is kept as ``graphs.component_blocks`` of A are:
+    ``blocks`` holds A over its connected components (``graphs.ComponentBlocks``).
+    Q(A) couples only nodes of one component, so it is kept the same way:
     one (C, k, k) stack per component size k, sum(k^2) values in all.
 
     The forward steps give Q(A) = sum_k alpha_k P_k(A), P_k(A) r0 being the
@@ -251,7 +252,6 @@ def polynomial_operator(a: sp.spmatrix, labels: np.ndarray, sched: CgSchedule) -
     s = Q(A): ``iters`` - 1 steps of one batched matmul per stack. Both
     orders agree to rounding.
     """
-    blocks = component_blocks(a, labels)
     alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
     q = []
     with np.errstate(over="ignore", invalid="ignore"):  # cg_solve checks what it applies
@@ -311,27 +311,31 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
     """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one CSR matrix.
 
     ``ops`` pairs operator names of ``graph`` with coefficients. One operator
-    that stores every diagonal entry gives a new ``data`` array on its own
-    ``indices`` and ``indptr``; otherwise the terms are added by scipy (its
-    sparse products drop exact zeros, so even ``call_rd`` may lack a diagonal
+    whose pattern stores every diagonal entry gives a new ``data`` array on
+    that pattern; otherwise the terms are added by scipy (its sparse
+    products drop exact zeros, so even ``call_rd`` may lack a diagonal
     entry).
     """
+    return _fold(graph, ops, shift, observed)[0]
+
+
+def _fold(graph: MixedGraph, ops, shift, observed) -> tuple[sp.csr_matrix, Pattern]:
+    """``folded_system`` and its pattern: the operator's own for one operator."""
     diag = np.full(graph.n_nodes, shift)
     if observed:
         diag[graph.h_mask] += 1.0
     if len(ops) == 1:
         name, coef = ops[0]
-        op = getattr(graph, name)
-        rows = np.repeat(np.arange(graph.n_nodes), np.diff(op.indptr))
-        on_diag = np.flatnonzero(op.indices == rows)
-        if np.array_equal(rows[on_diag], np.arange(graph.n_nodes)):  # one per row
-            data = coef * op.data
-            data[on_diag] += diag
-            return sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+        pattern = graph.patterns[name]
+        if pattern.diagonal is not None:
+            data = coef * getattr(graph, name).data
+            data[pattern.diagonal] += diag
+            return pattern.matrix(data), pattern
     folded = sp.diags(diag, format="csr")
     for name, coef in ops:
         folded = folded + coef * getattr(graph, name)
-    return folded.tocsr()
+    folded = folded.tocsr()
+    return folded, Pattern.of(folded)
 
 
 def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
@@ -347,16 +351,18 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     connected component. Each solve then takes 2 products instead of
     ``iters``; the build takes ``iters`` - 1 batched matmuls of the
     component blocks, cheaper than the m columns of products by A that the
-    rule was first sized for.
+    rule was first sized for. The components and the blocks' scatter map are
+    the fold pattern's (``graphs.Pattern``), worked out once per pattern: a
+    fold of one operator of a planned graph shares its plan's; a sum of
+    operators (the unsplit signal system) works out its own.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
     folds = {}
     for key, count in uses.items():
-        a, g = folded_system(graph, *key), None
-        if sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET:
-            labels = connected_components(a, directed=False)[1]
-            if np.bincount(labels).max() <= count:
-                g = polynomial_operator(a, labels, sched)
+        (a, pattern), g = _fold(graph, *key), None
+        if (sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET
+                and np.bincount(pattern.labels).max() <= count):
+            g = polynomial_operator(pattern.components.fill(a.data), sched)
         folds[key] = (a, g)
     return folds
 

@@ -17,6 +17,7 @@ from . import oracles, pipeline, priors, solver
 from .attention import (
     MetricBank,
     directed_weights,
+    embed,
     orient_columns,
     smallest_eigenpairs,
     undirected_weights,
@@ -350,6 +351,47 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     )
 
 
+def check_planned_assembly(seed: int = 0) -> CheckResult:
+    """Operators filled into the context's plans equal the direct COO assembly, bit for bit.
+
+    On the seeded desk graph (20 stations, the default model in the
+    undirected-temporal mode, so that ``l_n`` is planned too) the graphs of
+    the first two windows, once each (4 lanes) and together (8 lanes), and
+    of the first window again on a reused plan, must equal
+    ``oracles.coo_operators`` of the same weights in every operator's
+    ``indptr``, ``indices`` and ``data``.
+    """
+    cfg = PipelineConfig()
+    cfg.solver.mode = "undirected_temporal"
+    table, pg = generate_synthetic(20, 2000, seed)
+    samples = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
+    ctx = pipeline.PipelineContext.build(pg, cfg)
+    starts = [pipeline.initial_signal(s, ctx) for s in samples]
+    xs, t_steps = [x for x, _, _ in starts], [t for _, _, t in starts]
+    mismatched, graphs = [], 0
+    for pick in ([0], [1], [0, 1], [0]):
+        graph = pipeline.block_graph(ctx, [xs[i] for i in pick], [t_steps[i] for i in pick])
+        feats = np.stack([ctx.feature_map(embed(xs[i], t_steps[i], ctx.eigmap)) for i in pick])
+        want = oracles.coo_operators(
+            ctx.sskel, ctx.tskel, undirected_weights(feats, ctx.sskel, ctx.bank.undirected),
+            directed_weights(feats, ctx.tskel, ctx.bank.directed), with_l_n=True,
+        )
+        graphs += 1
+        for name, mat in want.items():
+            got = getattr(graph, name)
+            if not all(getattr(got, part).dtype == getattr(mat, part).dtype
+                       and getattr(got, part).tobytes() == getattr(mat, part).tobytes()
+                       for part in ("indptr", "indices", "data")):
+                mismatched.append(f"windows {pick} {name}")
+    return CheckResult(
+        f"planned operator assembly vs the COO reference ({graphs} desk graphs, "
+        f"{len(ctx.plans)} plans)",
+        not mismatched and len(ctx.plans) == 2,
+        f"operators differ: {', '.join(mismatched)}" if mismatched
+        else f"{len(want)} operators bitwise equal in each graph",
+    )
+
+
 def check_window_lanes(seed: int = 0) -> CheckResult:
     """Two desk windows run in one batch equal each window run alone.
 
@@ -443,6 +485,7 @@ ALL_CHECKS = (
     check_graph_invariants,
     check_sparse_eigenmap,
     check_lanes_and_folds,
+    check_planned_assembly,
     check_window_lanes,
     check_polynomial_sub_solves,
 )

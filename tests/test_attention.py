@@ -14,6 +14,7 @@ from stforecast.attention import (
     directed_weights,
     embed,
     multi_head_graphs,
+    plan_mixed_graph,
     seeded_projection,
     spatial_eigenmap,
     temporal_embedding,
@@ -365,9 +366,13 @@ class TestMultiHead:
         self.tskel = build_temporal_skeleton(3, 4, 2)
         self.feats = rng.standard_normal((12, 4))
 
+    def graphs(self, bank):
+        plan = plan_mixed_graph(self.sskel, self.tskel, bank.heads, 2, False)
+        return multi_head_graphs(self.feats, plan, bank)
+
     def test_single_head_equals_direct_build(self):
         bank = MetricBank.default(4, 2, feature_dim=4, heads=1)
-        g = multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2)
+        g = self.graphs(bank)
         assert g.lanes == 1
         wu = undirected_weights(self.feats, self.sskel, bank.undirected[0])
         wd = directed_weights(self.feats, self.tskel, bank.directed[0])
@@ -378,7 +383,7 @@ class TestMultiHead:
     def test_identical_replicas_identical_graphs(self):
         bank = MetricBank.default(4, 2, feature_dim=4, heads=3, scale_u=1.0, scale_d=1.0)
         gs = lane_blocks(
-            multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2), "l_u"
+            self.graphs(bank), "l_u"
         )
         for g in gs[1:]:
             np.testing.assert_array_equal(g, gs[0])
@@ -388,7 +393,7 @@ class TestMultiHead:
             4, 2, feature_dim=4, heads=4, scale_u=[0.5, 1.0, 2.0, 4.0], scale_d=[0.5, 1.0, 2.0, 4.0]
         )
         gs = lane_blocks(
-            multi_head_graphs(self.feats, self.sskel, self.tskel, bank, n_observed=2), "l_u"
+            self.graphs(bank), "l_u"
         )
         for a in range(4):
             for b in range(a + 1, 4):

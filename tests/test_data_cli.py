@@ -831,13 +831,14 @@ class TestCli:
         assert cent.sum() == pytest.approx(1.0)
         assert (cent > 0).all()
 
-    def test_graph_dump_disconnected_slice_exits_1(self, tmp_path, capsys):
-        # a road network of two paths, stations 0-9 and 10-19, gives a
-        # spatial slice of two components
+    def test_graph_dump_writes_each_components_perron_vector(self, tmp_path):
+        # a road network of two 6-station pieces gives a spatial slice of two
+        # components: each gets its own Perron vector, summing to 1 over it
         assert cli_main([
-            "synth", "--out", str(tmp_path), "--stations", "20", "--steps", "200", "--seed", "0",
+            "synth", "--out", str(tmp_path), "--stations", "12", "--steps", "200", "--seed", "0",
         ]) == 0
-        pieces = [(i, i + 1) for i in range(9)] + [(i, i + 1) for i in range(10, 19)]
+        pieces = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        pieces += [(i + 6, j + 6) for i, j in pieces]
         (tmp_path / "edges.csv").write_text(
             "from,to,cost\n" + "".join(f"{i},{j},1.0\n" for i, j in pieces)
         )
@@ -846,8 +847,25 @@ class TestCli:
                 "graph-dump", "--signals", str(tmp_path / "signals.csv"),
                 "--edges", str(tmp_path / "edges.csv"), "--out", str(tmp_path / "dump"),
             ])
-        assert rc == 1
-        assert "error: slice is not connected (2 components)" in capsys.readouterr().err
+        assert rc == 0
+        lines = (tmp_path / "dump" / "perron.csv").read_text().strip().splitlines()
+        assert lines[0] == "station,centrality"
+        station, cent = np.array([[float(v) for v in r.split(",")] for r in lines[1:]]).T
+        np.testing.assert_array_equal(station, np.arange(12))
+        assert (cent > 0).all()
+        for piece in (cent[:6], cent[6:]):
+            assert piece.sum() == pytest.approx(1.0, abs=1e-12)
+        # each piece's vector is the top eigenvector of its own block of the slice
+        l_u = np.zeros((12, 12))
+        for r, c, v in np.loadtxt(tmp_path / "dump" / "l_u.csv", delimiter=",", skiprows=1):
+            if r < 12 and c < 12:
+                l_u[int(r), int(c)] = v
+        w = -l_u
+        np.fill_diagonal(w, 0.0)
+        for idx in (slice(0, 6), slice(6, 12)):
+            v = cent[idx]
+            lam = v @ w[idx, idx] @ v / (v @ v)
+            np.testing.assert_allclose(w[idx, idx] @ v, lam * v, atol=1e-12)
 
     def test_graph_dump_joins_a_split_skeleton(self, tmp_path):
         # the 4-nearest union alone splits this connected 200-station network

@@ -23,6 +23,7 @@ from stforecast.graphs import (
     assemble_undirected_laplacian,
     build_spatial_skeleton,
     build_temporal_skeleton,
+    component_blocks,
     directed_skeleton_from_edges,
 )
 from stforecast.pipeline import (
@@ -198,7 +199,9 @@ class TestLaneAssembly:
         feats = rng.standard_normal(shape)
         n_observed = int(rng.integers(1, n_instants))
 
-        stacked = attention.multi_head_graphs(feats, sskel, tskel, bank, n_observed, with_l_n)
+        lanes = (windows or 1) * heads
+        plan = attention.plan_mixed_graph(sskel, tskel, lanes, n_observed, with_l_n)
+        stacked = attention.multi_head_graphs(feats, plan, bank)
         alone = [
             attention.build_mixed_graph(
                 attention.undirected_weights(window_feats, sskel, bank.undirected[h]),
@@ -393,7 +396,7 @@ class TestUnrolledFailure:
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
         sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
-        apply_g = polynomial_operator(a, np.arange(n), sched).dot if polynomial else None
+        apply_g = polynomial_operator(component_blocks(a, np.arange(n)), sched).dot if polynomial else None
         try:
             want = per_step_unrolled(a.dot, b, x0, sched)
         except NumericFailure as ref:
@@ -691,6 +694,12 @@ class TestWindowLanes:
 def split_skeleton_graph(rng, lanes):
     """Lanes of one random graph shape whose stations fall into several
     spatial components (some isolated), with random edge weights per lane."""
+    return build_mixed_graph(*split_skeleton_inputs(rng, lanes), with_undirected_temporal=True)
+
+
+def split_skeleton_inputs(rng, lanes, window=None):
+    """The weights, skeletons and observed prefix of ``split_skeleton_graph``;
+    ``window`` = -1 takes the longest, one less than the instants."""
     n = int(rng.integers(2, 8))
     cluster = rng.integers(0, 3, n)
     edges = tuple(
@@ -700,11 +709,13 @@ def split_skeleton_graph(rng, lanes):
     )
     n_instants = int(rng.integers(3, 8))
     sskel = build_spatial_skeleton(PhysicalGraph(n, edges), int(rng.integers(1, 4)))
-    tskel = build_temporal_skeleton(n, n_instants, int(rng.integers(1, 3)))
-    return build_mixed_graph(
+    if window is None:
+        window = int(rng.integers(1, 3))
+    tskel = build_temporal_skeleton(n, n_instants, window % n_instants)
+    return (
         rng.uniform(0.2, 1.5, (lanes, n_instants, sskel.n_edges)),
         rng.uniform(0.2, 1.5, (lanes, tskel.n_edges)),
-        sskel, tskel, int(rng.integers(1, n_instants)), with_undirected_temporal=True,
+        sskel, tskel, int(rng.integers(1, n_instants)),
     )
 
 
@@ -727,7 +738,7 @@ class TestPolynomialPath:
         for ops, shift, observed in fold_cases(p):
             a = folded_system(g, ops, shift, observed)
             labels = connected_components(a, directed=False)[1]
-            poly = polynomial_operator(a, labels, sched)
+            poly = polynomial_operator(component_blocks(a, labels), sched)
             # one (C, k, k) stack per component size: sum(k^2) values, not C * m^2
             sizes = np.bincount(labels)
             assert sorted(q.shape[1] for q in poly.blocks) == sorted(set(sizes.tolist()))
