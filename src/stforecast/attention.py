@@ -438,11 +438,12 @@ def plan_mixed_graph(
     l_u = plan_undirected_laplacian(sskel, lanes * tskel.n_instants)
     walk = plan_random_walk_digraph(lane_skel)
     # with ones for values the products cancel nowhere and store full patterns
+    ones_l_rd = walk.l_rd.matrix(np.ones(walk.l_rd.nnz))
     patterns = {
         "l_u": l_u.pattern,
         "w_rd": walk.w_rd,
         "l_rd": walk.l_rd,
-        "call_rd": Pattern.of(symmetrized_dglr_matrix(walk.l_rd.matrix(np.ones(walk.l_rd.nnz)))),
+        "call_rd": Pattern.of(symmetrized_dglr_matrix(ones_l_rd, ones_l_rd.T.tocsr())),
     }
     temporal = None
     if with_undirected_temporal:
@@ -482,6 +483,7 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         plan.l_u, weights_u.reshape(lanes * plan.tskel.n_instants, weights_u.shape[-1])
     )
     w_rd, l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
+    l_rd_t = l_rd.T.tocsr()
     l_n = None
     if plan.temporal is not None:
         # each directed edge gives half its weight to the undirected edge (the
@@ -495,10 +497,11 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         l_u=l_u,
         w_rd=w_rd,
         l_rd=l_rd,
-        call_rd=symmetrized_dglr_matrix(l_rd),
+        call_rd=symmetrized_dglr_matrix(l_rd, l_rd_t),
         l_n=l_n,
         h_mask=plan.h_mask,
         lanes=lanes,
+        l_rd_t=l_rd_t,
         patterns=plan.patterns,
     )
 

@@ -24,7 +24,6 @@ from .solver import (DEFAULT_CG_INIT, DEFAULT_CG_ITERS, DEFAULT_EXACT_TOL, VARIA
 
 DEFAULT_MU = 3.0
 DEFAULT_RESIDUAL = 0.3
-EXTRAPOLATION_METHODS = ("hold-last", "linear-trend", "seasonal-naive")
 CG_MODES = ("unrolled", "exact")
 
 
@@ -283,9 +282,6 @@ class DataSettings:
     horizon: int = _rule(6, low=1)
     history: int = _rule(12, low=1)  # observed steps T+1
     mape_floor: float = _rule(1.0, low=0)
-    extrapolation: str = _rule("hold-last", options=EXTRAPOLATION_METHODS)
-    trend_window: int = _rule(6, low=1)
-    seasonal_period: int = _rule(288, low=1)
 
     def __post_init__(self):
         check_rules(self)

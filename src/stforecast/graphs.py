@@ -498,14 +498,15 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray) -> tuple[sp.csr_matr
     return plan.w_rd.matrix(w_data), l_rd
 
 
-def symmetrized_dglr_matrix(l_rd: sp.spmatrix) -> sp.csr_matrix:
-    """L_r^T L_r: symmetric, PSD, annihilates the constant vector.
+def symmetrized_dglr_matrix(l_rd: sp.csr_matrix, l_rd_t: sp.csr_matrix) -> sp.csr_matrix:
+    """L_r^T L_r from L_r and its transpose, as CSR: symmetric, PSD,
+    annihilates the constant vector.
 
     scipy's sparse product stores no entry that sums to exactly 0.0.
     """
     if l_rd.shape[0] != l_rd.shape[1]:
         raise ValueError("expected a square matrix")
-    mat = (l_rd.T @ l_rd).tocsr()
+    mat = l_rd_t @ l_rd
     # exact symmetry by construction of the product; enforce sorted indices
     mat.sort_indices()
     return mat
@@ -684,8 +685,10 @@ class MixedGraph:
             mat = getattr(self, name)
             if mat.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {mat.shape}, expected {(dim, dim)}")
+        if self.l_rd_t is None:
+            self.l_rd_t = self.l_rd.T.tocsr()
         if self.call_rd is None:
-            self.call_rd = symmetrized_dglr_matrix(self.l_rd)
+            self.call_rd = symmetrized_dglr_matrix(self.l_rd, self.l_rd_t)
         if self.h_mask is None:
             lane_mask = np.zeros(self.n_stations * self.n_instants, dtype=bool)
             lane_mask[: self.n_stations * self.n_observed] = True
@@ -701,8 +704,6 @@ class MixedGraph:
             elif not np.may_share_memory(mat.indices, pattern.indices):
                 setattr(self, name, pattern.matrix(mat.data))  # on the plan's index arrays
             self.patterns[name] = pattern
-        if self.l_rd_t is None:
-            self.l_rd_t = self.l_rd.T.tocsr()
         self.patterns["l_rd_t"] = Pattern.of(self.l_rd_t)
         self._ops = {
             "l_u": self.l_u,

@@ -1,5 +1,5 @@
-"""End-to-end forecasting: standardize, extrapolate, iterate graph-learning
-and ADMM blocks, merge heads, and score.
+"""End-to-end forecasting: standardize, hold the last observation as the
+first guess, iterate graph-learning and ADMM blocks, merge heads, and score.
 
 ``PipelineContext.build`` derives what every window shares from the road
 network and the config alone. The running signal is the stacked vector over
@@ -62,39 +62,6 @@ class Standardizer:
 
     def inverse(self, mat_ns: np.ndarray) -> np.ndarray:
         return mat_ns * self.std[:, None] + self.mean[:, None]
-
-
-def initial_extrapolation(
-    observed: np.ndarray,
-    horizon: int,
-    method: str = "linear-trend",
-    trend_window: int = 6,
-    seasonal_period: int = 288,
-) -> np.ndarray:
-    """First guess for the future block, shape (N, horizon).
-
-    seasonal-naive repeats the value one period back (falling back to
-    hold-last while the history is shorter than the period); linear-trend
-    fits a least-squares line over the last ``trend_window`` observations.
-    """
-    n, t_obs = observed.shape
-    if method == "hold-last":
-        return np.repeat(observed[:, -1:], horizon, axis=1)
-    if method == "linear-trend":
-        w = min(trend_window, t_obs)
-        ts = np.arange(w, dtype=np.float64)
-        design = np.vstack([ts, np.ones(w)]).T
-        coef, *_ = np.linalg.lstsq(design, observed[:, -w:].T, rcond=None)
-        future_t = np.arange(w, w + horizon, dtype=np.float64)
-        return (coef[0][:, None] * future_t[None, :]) + coef[1][:, None]
-    if method == "seasonal-naive":
-        series = observed.copy()
-        for h in range(horizon):
-            idx = series.shape[1] - seasonal_period
-            col = series[:, idx] if idx >= 0 else series[:, -1]
-            series = np.concatenate([series, col[:, None]], axis=1)
-        return series[:, t_obs:]
-    raise ValueError(f"unknown extrapolation method {method!r}")
 
 
 def flatten_time_major(mat_ns: np.ndarray) -> np.ndarray:
@@ -160,20 +127,13 @@ def initial_signal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A window's starting point: (x, y, t_steps).
 
-    ``x`` is the standardized history with the extrapolated future appended,
-    flattened time-major; ``y`` is its observed part; ``t_steps`` are the
-    timestamps in sampling intervals.
+    ``x`` is the standardized history with its last observation held over
+    the future, flattened time-major; ``y`` is its observed part;
+    ``t_steps`` are the timestamps in sampling intervals.
     """
-    data = ctx.config.data
     obs_std = ctx.standardizer.transform(sample.observed)
-    extrap = initial_extrapolation(
-        obs_std,
-        sample.target.shape[1],
-        method=data.extrapolation,
-        trend_window=data.trend_window,
-        seasonal_period=data.seasonal_period,
-    )
-    x = flatten_time_major(np.concatenate([obs_std, extrap], axis=1))
+    future = np.repeat(obs_std[:, -1:], sample.target.shape[1], axis=1)
+    x = flatten_time_major(np.concatenate([obs_std, future], axis=1))
     y = x[: sample.observed.size].copy()
     t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
     return x, y, t_steps
@@ -356,38 +316,14 @@ def evenly_spaced_subset(samples: list, max_samples: int | None) -> list:
     return [samples[i] for i in np.unique(idx)]
 
 
-def perron_centrality(w_slice) -> np.ndarray:
-    """Perron vector of a connected nonnegative symmetric slice, 1-norm normalized.
-
-    By Perron-Frobenius the eigenvector of the largest eigenvalue of such a
-    matrix is unique and positive, so it is read off one dense symmetric
-    eigensolve.
-    """
-    w = _checked_slice(w_slice)
-    n_components = connected_components(w, directed=False, return_labels=False)
-    if n_components > 1:
-        raise ValueError(f"slice is not connected ({n_components} components)")
-    return _perron_vector(w)
-
-
 def component_centrality(w_slice) -> np.ndarray:
     """The Perron vector of each connected component of a nonnegative
     symmetric slice, each normalized to sum 1 over its own stations.
 
-    A connected slice gives ``perron_centrality``'s vector, bit for bit.
+    By Perron-Frobenius the eigenvector of the largest eigenvalue of a
+    connected such matrix is unique and positive, so each is read off one
+    dense symmetric eigensolve.
     """
-    w = _checked_slice(w_slice)
-    labels = connected_components(w, directed=False)[1]
-    if labels.max() == 0:
-        return _perron_vector(w)
-    out = np.empty(len(w))
-    for comp in range(labels.max() + 1):
-        idx = np.flatnonzero(labels == comp)
-        out[idx] = _perron_vector(w[np.ix_(idx, idx)])
-    return out
-
-
-def _checked_slice(w_slice) -> np.ndarray:
     w = w_slice.toarray() if sp.issparse(w_slice) else np.asarray(w_slice, dtype=np.float64)
     n = w.shape[0]
     if w.shape != (n, n):
@@ -396,7 +332,14 @@ def _checked_slice(w_slice) -> np.ndarray:
         raise ValueError("matrix must be nonnegative")
     if not np.array_equal(w, w.T):
         raise ValueError("matrix must be symmetric")
-    return w
+    labels = connected_components(w, directed=False)[1]
+    if labels.max() == 0:
+        return _perron_vector(w)
+    out = np.empty(len(w))
+    for comp in range(labels.max() + 1):
+        idx = np.flatnonzero(labels == comp)
+        out[idx] = _perron_vector(w[np.ix_(idx, idx)])
+    return out
 
 
 def _perron_vector(w: np.ndarray) -> np.ndarray:

@@ -93,7 +93,7 @@ def check_line_graph_symmetrization() -> CheckResult:
     worst = 0.0
     for n in range(2, 33):
         _, l_rd = line_digraph(n)
-        call = symmetrized_dglr_matrix(l_rd).toarray()
+        call = symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr()).toarray()
         worst = max(worst, float(np.abs(call - path_laplacian(n)).max()))
     return CheckResult(
         "line-digraph symmetrization equals path Laplacian (N=2..32)",
@@ -113,7 +113,7 @@ def check_four_node_line_matrices() -> CheckResult:
     dev = max(
         float(np.abs(w_rd.toarray() - w_gold).max()),
         float(np.abs(l_rd.toarray() - l_gold).max()),
-        float(np.abs(symmetrized_dglr_matrix(l_rd).toarray() - call_gold).max()),
+        float(np.abs(symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr()).toarray() - call_gold).max()),
     )
     return CheckResult("4-node line golden matrices", dev == 0.0, f"max deviation {dev:.1e}")
 

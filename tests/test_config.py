@@ -9,11 +9,14 @@ from pathlib import Path
 import pytest
 
 from stforecast.config import PipelineConfig
+from stforecast.solver import VARIANTS
 
 SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}
 # settings whose accepted values depend on their shape or on other settings,
 # checked by their section's own code instead of a declared rule
 STRUCTURED = {"data.ratios", "heads.metric_overrides"}
+# the keys of a heads.metric_overrides entry, which the README's example names
+OVERRIDE_KEYS = {"head", "instant", "lag", "factor"}
 
 
 def _rule_cases():
@@ -79,13 +82,14 @@ def test_integer_past_float_range_rejected_in_a_float_field(section, key):
 
 
 def test_every_setting_documented_in_the_readme():
+    """The README's config block names each setting under its own section and
+    nothing else, and its solver.mode comment lists every solver variant."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
-    keys = set(re.findall(r'"(\w+)":', block))
-    missing = [
-        f"{section}.{f.name}"
-        for section, klass in SECTIONS.items()
-        for f in fields(klass)
-        if f.name not in keys or section not in keys
-    ]
-    assert missing == []
+    sections = re.findall(r'^  "(\w+)": \{\n(.*?)^  \}', block, re.S | re.M)
+    documented = {section: set(re.findall(r'"(\w+)":', body)) for section, body in sections}
+    documented["heads"] -= OVERRIDE_KEYS
+    declared = {section: {f.name for f in fields(klass)} for section, klass in SECTIONS.items()}
+    assert documented == declared
+    mode_comment = re.search(r'"mode":[^\n]*(?:\n *//[^\n]*)*', block).group(0).split("//", 1)[1]
+    assert tuple(re.findall(r'"(\w+)"', mode_comment)) == VARIANTS

@@ -25,7 +25,6 @@ from stforecast.pipeline import (
     PipelineContext,
     evaluate,
     forecast_metrics,
-    initial_extrapolation,
     run_forecast,
 )
 from stforecast.solver import NumericFailure
@@ -592,13 +591,12 @@ class TestSyntheticData:
         assert (tmp_path / "e0.csv").read_bytes() == (tmp_path / "e1.csv").read_bytes()
 
     def test_zero_noise_is_periodic(self):
-        # the period must fit inside the observed window for seasonal-naive
+        # repeating the last period of the observed window forecasts the next
         period = 6
         table, _ = dmod.generate_synthetic(4, 120, seed=3, period=period, noise=0.0)
         np.testing.assert_allclose(table.values[period:], table.values[:-period], atol=1e-9)
         window = table.values[: 12 + 6]
-        pred = initial_extrapolation(window[:12].T, 6, "seasonal-naive", seasonal_period=period)
-        rmse, _, _ = forecast_metrics(pred, window[12:].T)
+        rmse, _, _ = forecast_metrics(window[12 - period : 12].T, window[12:].T)
         assert rmse < 1e-9
 
     def test_smoothness_below_shuffled(self):
@@ -666,7 +664,6 @@ def synth_dir(tmp_path):
         "layers": {"blocks": 1, "layers": 3},
         "heads": {"count": 1},
         "tuner": {"iterations": 2, "eval_samples": 1},
-        "data": {"seasonal_period": 24},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -897,6 +894,8 @@ class TestCli:
             ("tune", "tuner", {"eval_samples": 0},
              "eval_samples must be an integer >= 1 or null, got 0"),
             ("forecast", "graph", {"kk": 2}, "unknown key 'kk' (value 2)"),
+            ("forecast", "data", {"extrapolation": "hold-last"},
+             "unknown key 'extrapolation' (value \"hold-last\")"),
             ("forecast", "data", {"stride": 1.5}, "stride must be an integer >= 1, got 1.5"),
             ("forecast", "data", {"history": 2.0}, "history must be an integer >= 1, got 2.0"),
             ("forecast", "graph", {"k": 2.5}, "k must be an integer >= 1, got 2.5"),
@@ -958,7 +957,8 @@ class TestCli:
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
              "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples",
-             "forecast-unknown-key", "forecast-fractional-stride", "forecast-float-history",
+             "forecast-unknown-key", "forecast-deleted-extrapolation",
+             "forecast-fractional-stride", "forecast-float-history",
              "forecast-fractional-k", "tune-boolean-count", "forecast-zero-horizon",
              "forecast-negative-history", "forecast-long-window", "forecast-negative-spatial_dim",
              "forecast-zero-feature_dim", "forecast-zero-k", "forecast-zero-exact_cap",

@@ -30,7 +30,6 @@ from stforecast.pipeline import (
     PipelineContext,
     Standardizer,
     flatten_time_major,
-    initial_extrapolation,
     reconstruct,
     run_forecast,
     unflatten_time_major,
@@ -452,14 +451,8 @@ def per_head_forward(sample, ctx):
     n = sample.n_stations
     t_obs = sample.observed.shape[1]
     obs_std = ctx.standardizer.transform(sample.observed)
-    extrap = initial_extrapolation(
-        obs_std,
-        sample.target.shape[1],
-        method=cfg.data.extrapolation,
-        trend_window=cfg.data.trend_window,
-        seasonal_period=cfg.data.seasonal_period,
-    )
-    x = flatten_time_major(np.concatenate([obs_std, extrap], axis=1))
+    future = np.repeat(obs_std[:, -1:], sample.target.shape[1], axis=1)
+    x = flatten_time_major(np.concatenate([obs_std, future], axis=1))
     y = x[: n * t_obs].copy()
     t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
     for b in range(cfg.layers.blocks):

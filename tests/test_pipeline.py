@@ -1,4 +1,4 @@
-"""Forecast orchestration: extrapolation, standardization, blocks, metrics."""
+"""Forecast orchestration: first guess, standardization, blocks, metrics."""
 
 import numpy as np
 import pytest
@@ -9,47 +9,17 @@ from stforecast.config import PipelineConfig
 from stforecast.pipeline import (
     PipelineContext,
     Standardizer,
+    component_centrality,
     evaluate,
     evenly_spaced_subset,
     forecast_metrics,
     huber_loss,
-    initial_extrapolation,
-    perron_centrality,
+    initial_signal,
     persistence_forecast,
     reconstruct,
     run_forecast,
+    unflatten_time_major,
 )
-
-
-class TestInitialExtrapolation:
-    def test_constant_signal_all_methods(self):
-        obs = np.full((3, 12), 4.2)
-        for method in ("hold-last", "linear-trend", "seasonal-naive"):
-            out = initial_extrapolation(obs, 6, method=method, seasonal_period=4)
-            np.testing.assert_allclose(out, 4.2, atol=1e-12)
-
-    def test_linear_ramp_continues(self):
-        slope = np.array([[1.0], [-2.0]])
-        obs = slope * np.arange(12)[None, :]
-        out = initial_extrapolation(obs, 4, method="linear-trend")
-        np.testing.assert_allclose(out, slope * np.arange(12, 16)[None, :], atol=1e-9)
-
-    def test_seasonal_naive_periodic_signal(self):
-        t = np.arange(12)
-        obs = np.sin(2 * np.pi * t / 6)[None, :].repeat(2, axis=0)
-        out = initial_extrapolation(obs, 6, method="seasonal-naive", seasonal_period=6)
-        want = np.sin(2 * np.pi * np.arange(12, 18) / 6)[None, :].repeat(2, axis=0)
-        np.testing.assert_allclose(out, want, atol=1e-12)
-
-    def test_hold_last(self):
-        obs = np.array([[1.0, 2.0, 7.0]])
-        np.testing.assert_array_equal(
-            initial_extrapolation(obs, 3, method="hold-last"), [[7.0, 7.0, 7.0]]
-        )
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown extrapolation"):
-            initial_extrapolation(np.zeros((1, 5)), 2, method="magic")
 
 
 class TestStandardizer:
@@ -81,10 +51,24 @@ def small_config(**kw):
             "graph": {"k": 2, "window": 3},
             "layers": {"blocks": kw.get("blocks", 2), "layers": kw.get("layers", 4)},
             "heads": {"count": kw.get("heads", 2)},
-            "data": {"horizon": 6, "history": 12, "seasonal_period": kw.get("period", 24)},
+            "data": {"horizon": 6, "history": 12},
         }
     )
     return cfg
+
+
+class TestInitialSignal:
+    def test_hold_last(self):
+        splits, pg, std = tiny_dataset()
+        ctx = PipelineContext.build(pg, small_config(), standardizer=std)
+        s = splits.test[0]
+        x, y, _ = initial_signal(s, ctx)
+        obs_std = std.transform(s.observed)
+        np.testing.assert_array_equal(
+            unflatten_time_major(x, s.n_stations),
+            np.concatenate([obs_std, np.repeat(obs_std[:, -1:], 6, axis=1)], axis=1),
+        )
+        np.testing.assert_array_equal(y, x[: s.observed.size])
 
 
 class TestFeatureMapSettings:
@@ -109,8 +93,7 @@ class TestRunForecast:
         ctx = PipelineContext.build(pg, cfg, standardizer=std)
         s = splits.test[0]
         pred = run_forecast(s, ctx)
-        want = initial_extrapolation(s.observed, 6, method=cfg.data.extrapolation)
-        np.testing.assert_allclose(pred, want, atol=1e-10)
+        np.testing.assert_allclose(pred, persistence_forecast(s), atol=1e-10)
 
     def test_zero_residual_bypasses_blocks(self):
         splits, pg, std = tiny_dataset()
@@ -119,8 +102,7 @@ class TestRunForecast:
         ctx = PipelineContext.build(pg, cfg, standardizer=std)
         s = splits.test[0]
         pred = run_forecast(s, ctx)
-        want = initial_extrapolation(s.observed, 6, method=cfg.data.extrapolation)
-        np.testing.assert_allclose(pred, want, atol=1e-10)
+        np.testing.assert_allclose(pred, persistence_forecast(s), atol=1e-10)
 
     def test_single_head_merge_degenerate(self):
         splits, pg, std = tiny_dataset()
@@ -274,40 +256,41 @@ class TestPerron:
         w = np.zeros((4, 4))
         for i in range(4):
             w[i, (i + 1) % 4] = w[(i + 1) % 4, i] = 1.0
-        v = perron_centrality(w)
+        v = component_centrality(w)
         np.testing.assert_allclose(v, 0.25, atol=1e-9)
 
     def test_star_center_dominates(self):
         # 4-node star: eigenvector (sqrt(3), 1, 1, 1) up to scale
         w = np.zeros((4, 4))
         w[0, 1:] = w[1:, 0] = 1.0
-        v = perron_centrality(w)
+        v = component_centrality(w)
         want = np.array([np.sqrt(3.0), 1.0, 1.0, 1.0])
         np.testing.assert_allclose(v, want / want.sum(), atol=1e-9)
         assert v[0] == v.max()
 
-    def test_disconnected_rejected(self):
+    def test_disconnected_components_each_sum_to_one(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
-        with pytest.raises(ValueError, match="connected"):
-            perron_centrality(w)
+        w[2, 3] = w[3, 2] = 2.0
+        v = component_centrality(w)
+        assert v[:2].sum() == pytest.approx(1.0) and v[2:].sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(v, 0.5, atol=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            perron_centrality(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+            component_centrality(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_unit_l1_norm_positive(self):
         rng = np.random.default_rng(2)
         w = rng.uniform(0.1, 1.0, (6, 6))
         w = np.triu(w, 1)
         w = w + w.T
-        v = perron_centrality(w)
+        v = component_centrality(w)
         assert v.sum() == pytest.approx(1.0)
         assert (v > 0).all()
 
     def test_single_node_trivial(self):
-        np.testing.assert_array_equal(perron_centrality(np.zeros((1, 1))), [1.0])
+        np.testing.assert_array_equal(component_centrality(np.zeros((1, 1))), [1.0])
 
     def test_near_degenerate_slice(self):
         # a unit-weight 3-clique and a 5-clique of weight 0.5 share the top
@@ -318,7 +301,7 @@ class TestPerron:
         w[3:, 3:] = 0.5
         np.fill_diagonal(w, 0.0)
         w[0, 3] = w[3, 0] = eps
-        v = perron_centrality(w)
+        v = component_centrality(w)
         spectrum = np.linalg.eigvalsh(w)
         lam = v @ w @ v / (v @ v)
         assert abs(lam - spectrum[-1]) <= 1e-12
@@ -337,13 +320,15 @@ class TestPerron:
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            perron_centrality(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            component_centrality(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    def test_disconnected_error_names_component_count(self):
+    def test_isolated_stations_each_sum_to_one(self):
+        # one edge and three isolated stations: four components
         w = np.zeros((5, 5))
         w[0, 1] = w[1, 0] = 1.0
-        with pytest.raises(ValueError, match=r"slice is not connected \(4 components\)"):
-            perron_centrality(w)
+        v = component_centrality(w)
+        assert v[:2].sum() == pytest.approx(1.0)
+        np.testing.assert_array_equal(v[2:], 1.0)
 
 
 class TestEvaluateEdgeCases:

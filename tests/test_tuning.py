@@ -150,7 +150,7 @@ class TestConfigRoundTrip:
                 "layers": {"blocks": 2, "layers": 3, "mu_u": [1.0, 2.0], "residual": 0.4},
                 "heads": {"count": 2, "merge": [0.7, 0.3]},
                 "solver": {"cg_mode": "exact", "cg_tol": 1e-9},
-                "data": {"horizon": 12, "extrapolation": "seasonal-naive"},
+                "data": {"horizon": 12, "mape_floor": 0.5},
             }
         )
         path = tmp_path / "config.json"
@@ -223,8 +223,10 @@ class TestConfigRoundTrip:
             ("layers", {"blocks": False}, "blocks must be an integer >= 0, got false"),
             ("solver", {"exact_cap": 2.0}, "exact_cap must be an integer >= 1 or null, got 2.0"),
             ("data", {"history": 0}, "history must be an integer >= 1, got 0"),
-            ("data", {"seasonal_period": 0}, "seasonal_period must be an integer >= 1, got 0"),
-            ("data", {"trend_window": -2}, "trend_window must be an integer >= 1, got -2"),
+            ("data", {"extrapolation": "linear-trend"},
+             "unknown key 'extrapolation' (value \"linear-trend\")"),
+            ("data", {"trend_window": 6}, "unknown key 'trend_window' (value 6)"),
+            ("data", {"seasonal_period": 288}, "unknown key 'seasonal_period' (value 288)"),
             ("graph", {"window": 0}, "window must be an integer >= 1, got 0"),
             ("graph", {"window": 18},
              "window must satisfy 1 <= window < history + horizon = 18, got 18"),
@@ -247,7 +249,8 @@ class TestConfigRoundTrip:
             "ragged-projection", "long-projection_bias", "nan-projection_bias",
             "negative-iterations", "zero-eval_samples", "zero-step", "negative-perturb",
             "unknown-key", "section-not-an-object", "fractional-stride", "boolean-blocks",
-            "float-exact_cap", "zero-history", "zero-seasonal_period", "negative-trend_window",
+            "float-exact_cap", "zero-history", "unknown-extrapolation", "unknown-trend_window",
+            "unknown-seasonal_period",
             "zero-window", "window-of-every-instant", "negative-spatial_dim", "zero-exact_cap",
             "long-residual", "null-residual", "nan-residual", "negative-ratio",
         ],
@@ -372,7 +375,6 @@ class TestTuneSpsa:
                 "layers": {"blocks": 1, "layers": 3},
                 "heads": {"count": 1},
                 "tuner": {"iterations": 6, "eval_samples": 2},
-                "data": {"seasonal_period": 24},
             }
         )
         return cfg, pg, splits, std
