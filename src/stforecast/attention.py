@@ -41,6 +41,7 @@ from .graphs import (
     plan_random_walk_digraph,
     plan_undirected_laplacian,
     symmetrized_dglr_matrix,
+    transpose,
     unit_laplacian,
 )
 
@@ -52,6 +53,11 @@ DEFAULT_FEATURE_DIM = 6
 # shift-invert Lanczos.
 DENSE_COMPONENT_MAX_STATIONS = 200
 EIGSH_SHIFT = -1e-2
+# Spatial weights take as many instants at once as keep a pass's distance
+# products (lanes x instants x edges x K) within this many values: few
+# passes at desk scale, one instant a pass at city scale, where one instant
+# already exceeds it.
+WEIGHT_PASS_VALUES = 2**14
 
 
 class DegenerateWeightError(NumericFailure, ValueError):
@@ -336,21 +342,28 @@ def undirected_weights(
     out = np.empty((lanes, n_instants, skel.n_edges))
     if skel.n_edges:
         ei, ej = skel.edges[:, 0], skel.edges[:, 1]
-        # each lane's neighborhood sums in one bincount, lane l's stations at l * n
-        ends = (np.arange(lanes)[:, None] * n + np.concatenate([ei, ej])).ravel()
-        for t in range(n_instants):
-            feats = features[..., t * n : (t + 1) * n, :]
+        by_instant = features.reshape(features.shape[:-2] + (n_instants, n, features.shape[-1]))
+        step = max(1, WEIGHT_PASS_VALUES // (lanes * skel.n_edges * features.shape[-1]))
+        for t0 in range(0, n_instants, step):
+            t1 = min(t0 + step, n_instants)
+            feats = by_instant[..., t0:t1, :, :]
             diffs = _rows(feats, ei) - _rows(feats, ej)
-            d = _pairwise_distances(diffs, factors_t[:, t]).reshape(lanes, -1)
+            d = _pairwise_distances(diffs, factors_t[:, t0:t1]).reshape(lanes, t1 - t0, -1)
             # shifting all distances cancels between numerator and denominator
             e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
+            # each (lane, instant)'s neighborhood sums in one bincount, its
+            # stations at (lane * instants + instant) * n
+            slices = lanes * (t1 - t0)
+            ends = (np.arange(slices)[:, None] * n + np.concatenate([ei, ej])).ravel()
             sums = np.bincount(ends, weights=np.concatenate([e, e], axis=-1).ravel(),
-                               minlength=lanes * n).reshape(lanes, n)
-            norm = np.sqrt(sums[:, ei] * sums[:, ej])
-            degenerate = np.flatnonzero((norm == 0).any(axis=-1))
+                               minlength=slices * n).reshape(lanes, t1 - t0, n)
+            norm = np.sqrt(sums[..., ei] * sums[..., ej])
+            # the first instant with a degenerate lane, then its first such lane
+            degenerate = np.flatnonzero((norm == 0).any(axis=-1).T)
             if len(degenerate):
-                raise DegenerateWeightError("zero attention mass", instant=t, lane=int(degenerate[0]))
-            out[:, t] = e / norm
+                t, lane = divmod(int(degenerate[0]), lanes)
+                raise DegenerateWeightError("zero attention mass", instant=t0 + t, lane=lane)
+            out[:, t0:t1] = e / norm
     return out.reshape(lane_axes + out.shape[1:])
 
 
@@ -443,7 +456,7 @@ def plan_mixed_graph(
         "l_u": l_u.pattern,
         "w_rd": walk.w_rd,
         "l_rd": walk.l_rd,
-        "call_rd": Pattern.of(symmetrized_dglr_matrix(ones_l_rd, ones_l_rd.T.tocsr())),
+        "call_rd": Pattern.of(symmetrized_dglr_matrix(ones_l_rd, transpose(ones_l_rd, walk.l_rd))),
     }
     temporal = None
     if with_undirected_temporal:
@@ -483,7 +496,7 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         plan.l_u, weights_u.reshape(lanes * plan.tskel.n_instants, weights_u.shape[-1])
     )
     w_rd, l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
-    l_rd_t = l_rd.T.tocsr()
+    l_rd_t = transpose(l_rd, plan.walk.l_rd)
     l_n = None
     if plan.temporal is not None:
         # each directed edge gives half its weight to the undirected edge (the

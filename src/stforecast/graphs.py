@@ -320,6 +320,23 @@ class Pattern:
         return on_diag.astype(self.indices.dtype)
 
     @cached_property
+    def transposed(self) -> tuple["Pattern", np.ndarray]:
+        """The transpose's pattern, and the entry of this pattern that each of
+        its entries reads.
+
+        Entries of one column keep their row order, as scipy's CSR-to-CSC
+        conversion places them, and the index arrays keep this pattern's
+        dtype, as scipy's does while every index fits in 32 bits: the
+        operator ``data`` fills here has its transpose,
+        ``matrix(data).T.tocsr()``, bit for bit in ``t.matrix(data[source])``.
+        """
+        source = np.argsort(self.indices, kind="stable").astype(self.indices.dtype)
+        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
+        indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
+        indptr[1:] = np.cumsum(np.bincount(self.indices, minlength=self.n))
+        return Pattern(indptr, rows[source]), source
+
+    @cached_property
     def labels(self) -> np.ndarray:
         """The connected component of each node; a stored entry couples its row and column."""
         return connected_components(self.matrix(np.ones(self.nnz)), directed=False)[1]
@@ -342,6 +359,17 @@ def coo_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[Pattern, np
     indptr = np.zeros(n + 1, dtype=idx)
     indptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
     return Pattern(indptr, (keys % n).astype(idx)), order.astype(idx)
+
+
+def transpose(mat: sp.csr_matrix, pattern: Pattern | None = None) -> sp.csr_matrix:
+    """``mat.T.tocsr()``, bit for bit: ``mat``'s values gathered into the
+    transpose's pattern (``Pattern.transposed``). A planned ``pattern`` that
+    ``mat`` fits works its transpose out once for every operator filled into
+    it; otherwise ``mat``'s own pattern works it out here."""
+    if pattern is None or not pattern.fits(mat):
+        pattern = Pattern.of(mat)
+    t, source = pattern.transposed
+    return t.matrix(mat.data[source])
 
 
 def _without_zeros(pattern: Pattern, data: np.ndarray) -> sp.csr_matrix:
@@ -686,7 +714,7 @@ class MixedGraph:
             if mat.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {mat.shape}, expected {(dim, dim)}")
         if self.l_rd_t is None:
-            self.l_rd_t = self.l_rd.T.tocsr()
+            self.l_rd_t = transpose(self.l_rd)
         if self.call_rd is None:
             self.call_rd = symmetrized_dglr_matrix(self.l_rd, self.l_rd_t)
         if self.h_mask is None:

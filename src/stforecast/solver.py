@@ -21,14 +21,22 @@ x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
 as dense blocks over its connected components with the steps run backwards,
 so each of its solves takes one sparse product and one batched dense product
 instead of the recurrence's ``iters`` sparse products (one for the starting
-residual, one for every step but the last). A fold of one operator is a new
-``data`` array on that operator's ``graphs.Pattern``, whose diagonal
-positions, components and block map the graph's plan worked out once; a
-block only fills values.
+residual, one for every step but the last).
 
-A solve whose result is not finite raises ``NumericFailure`` (from
-``graphs``, importable here) naming its CG iteration; the layer adds the
-sub-step and the block the lane.
+A fold (``Fold``) is a ``graphs.Pattern`` and a ``data`` array. A fold of
+one operator fills a new ``data`` array on that operator's pattern, whose
+diagonal positions, components and block map the graph's plan worked out
+once; a block only fills values. A fold applies itself by calling scipy's
+CSR matrix-vector kernel directly, the kernel ``A @ v`` runs, in the same
+summation order: no ``csr_matrix`` is built and no dispatch is paid per
+product. ``folded_system`` is its CSR view. ``MixedGraph.apply`` (L_r x
+and L_r' v, once per layer) stays on scipy's ``@``, the product the
+benchmark's tracer counts; once that tracer hooks one product function,
+both can run on the kernel.
+
+A solve returns a finite result or raises ``NumericFailure`` (from
+``graphs``, importable here), naming its CG iteration when it has one; the
+layer adds the sub-step and the block the lane.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec  # the kernel of scipy's CSR ``A @ v``
 
 from . import priors
 from .graphs import ComponentBlocks, MixedGraph, NumericFailure, Pattern
@@ -92,6 +101,13 @@ VARIANTS = tuple(TERMS)
 def _first_nonfinite(vec: np.ndarray) -> int | None:
     bad = np.flatnonzero(~np.isfinite(vec))
     return int(bad[0]) if len(bad) else None
+
+
+def _finite(vec: np.ndarray) -> np.ndarray:
+    """``vec``, or a ``NumericFailure`` naming its first non-finite entry."""
+    if not np.isfinite(vec).all():
+        raise NumericFailure("non-finite values", entry=_first_nonfinite(vec))
+    return vec
 
 
 @dataclass(frozen=True)
@@ -170,23 +186,28 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
     products in all. It agrees with the step-by-step recurrence to rounding,
     and can stay finite where the recurrence's own iterates overflow.
 
-    Either way an unrolled result is checked once, at the end: a non-finite
-    entry of x stays non-finite through x + alpha p, so the recurrence cannot
-    fail unseen. When the result is not finite, the recurrence runs again
-    with a check per step, names the failing iteration and entry, and its
-    result is returned if it finds no failure.
+    The result is finite, or the solve raises ``NumericFailure``. An
+    unrolled result is checked once, at the end: a non-finite entry of x
+    stays non-finite through x + alpha p, so the recurrence cannot fail
+    unseen. When the result is not finite, the recurrence runs again with a
+    check per step, names the failing iteration and entry, and its result is
+    returned if it finds no failure. Exact mode checks its curvature and
+    residual at every step, and the x it returns.
     """
     b = np.asarray(b, dtype=np.float64)
-    x = np.array(x0, dtype=np.float64)
+    unrolled = sched.mode == "unrolled"
+    # only exact mode moves x in place; unrolled mode reads x0 as given when
+    # it is a contiguous float64 array
+    x = np.ascontiguousarray(x0, dtype=np.float64) if unrolled else np.array(x0, dtype=np.float64)
     if x.shape != b.shape:
         raise ValueError("x0 and b must have the same shape")
     r = b - apply_a(x)
-    if sched.mode == "unrolled":
+    if unrolled:
         if apply_g is None:
             out = _unrolled_steps(apply_a, x, r, sched, check=False)
         else:
             out = x + apply_g(r)
-        if np.all(np.isfinite(out)):
+        if np.isfinite(out).all():
             return out
         return _unrolled_steps(apply_a, x, r, sched, check=True)
     p = r.copy()
@@ -211,7 +232,7 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
             )
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return x
+    return _finite(x)
 
 
 def _unrolled_steps(apply_a, x0: np.ndarray, r0: np.ndarray, sched: CgSchedule,
@@ -306,6 +327,42 @@ class AdmmState:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """A folded CG system: the values ``data`` in ``pattern``, applied by scipy's CSR kernel.
+
+    ``dot`` calls the kernel that ``pattern.matrix(data) @ v`` runs, in the
+    same summation order, so its product is bitwise that one's; it builds no
+    matrix and pays no dispatch per product. The kernel checks no bounds, so
+    ``dot`` checks the vector it is handed, and the index dtypes it dispatches
+    on, first.
+    """
+
+    pattern: Pattern
+    data: np.ndarray
+
+    def __post_init__(self):
+        if self.data.dtype != np.float64 or self.data.shape != (self.pattern.nnz,):
+            raise ValueError(f"a fold of {self.pattern.nnz} entries needs as many float64 values, "
+                             f"got {self.data.dtype} {self.data.shape}")
+
+    def matrix(self) -> sp.csr_matrix:
+        return self.pattern.matrix(self.data)
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        indptr, indices = self.pattern.indptr, self.pattern.indices
+        n = len(indptr) - 1
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
+                and v.flags.c_contiguous):
+            raise ValueError(f"a fold of {n} nodes applies a C-contiguous float64 vector of "
+                             f"length {n}, got {getattr(v, 'dtype', type(v))} {np.shape(v)}")
+        if indptr.dtype != indices.dtype:
+            raise ValueError(f"fold index arrays differ in dtype: {indptr.dtype}, {indices.dtype}")
+        out = np.zeros(n)
+        csr_matvec(n, n, indptr, indices, self.data, v, out)
+        return out
+
+
 def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: float,
                   observed: bool) -> sp.csr_matrix:
     """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one CSR matrix.
@@ -314,13 +371,13 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
     whose pattern stores every diagonal entry gives a new ``data`` array on
     that pattern; otherwise the terms are added by scipy (its sparse
     products drop exact zeros, so even ``call_rd`` may lack a diagonal
-    entry).
+    entry). This is the CSR view of the ``Fold`` the solver applies.
     """
-    return _fold(graph, ops, shift, observed)[0]
+    return _fold(graph, ops, shift, observed).matrix()
 
 
-def _fold(graph: MixedGraph, ops, shift, observed) -> tuple[sp.csr_matrix, Pattern]:
-    """``folded_system`` and its pattern: the operator's own for one operator."""
+def _fold(graph: MixedGraph, ops, shift, observed) -> Fold:
+    """The ``Fold`` of ``folded_system``, on the operator's own pattern for one operator."""
     diag = np.full(graph.n_nodes, shift)
     if observed:
         diag[graph.h_mask] += 1.0
@@ -330,12 +387,12 @@ def _fold(graph: MixedGraph, ops, shift, observed) -> tuple[sp.csr_matrix, Patte
         if pattern.diagonal is not None:
             data = coef * getattr(graph, name).data
             data[pattern.diagonal] += diag
-            return pattern.matrix(data), pattern
+            return Fold(pattern, data)
     folded = sp.diags(diag, format="csr")
     for name, coef in ops:
         folded = folded + coef * getattr(graph, name)
     folded = folded.tocsr()
-    return folded, Pattern.of(folded)
+    return Fold(Pattern.of(folded), folded.data)
 
 
 def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
@@ -343,7 +400,7 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
 
     Keys are the (ops, shift, observed) of ``_layer_systems``, values
-    (``folded_system``, Q(A) or None).
+    (``Fold``, Q(A) or None).
 
     A system gets its polynomial (``polynomial_operator``) when the schedule
     is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
@@ -359,19 +416,19 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
     folds = {}
     for key, count in uses.items():
-        (a, pattern), g = _fold(graph, *key), None
+        fold, g = _fold(graph, *key), None
         if (sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET
-                and np.bincount(pattern.labels).max() <= count):
-            g = polynomial_operator(pattern.components.fill(a.data), sched)
-        folds[key] = (a, g)
+                and np.bincount(fold.pattern.labels).max() <= count):
+            g = polynomial_operator(fold.pattern.components.fill(fold.data), sched)
+        folds[key] = (fold, g)
     return folds
 
 
 def _sub_solve(graph, key, rhs, x0, sched, folds):
     """One CG solve of the system ``key`` = (ops, shift, observed): from the
     block's plan ``folds`` (``block_folds``), or folded here without one."""
-    a, g = (folded_system(graph, *key), None) if folds is None else folds[key]
-    return cg_solve(a.dot, rhs, x0, sched, None if g is None else g.dot)
+    fold, g = (_fold(graph, *key), None) if folds is None else folds[key]
+    return cg_solve(fold.dot, rhs, x0, sched, None if g is None else g.dot)
 
 
 def signal_system(terms: Terms, p: LayerParams) -> tuple[tuple[tuple[str, float], ...], float]:
@@ -413,6 +470,13 @@ def _layer_systems(terms: Terms, p: LayerParams) -> list[tuple]:
     return systems
 
 
+def _weighted_sum(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
+    """a x + b y, in that order, as one new array."""
+    out = np.multiply(a, x)
+    out += np.multiply(b, y)
+    return out
+
+
 def update_x(
     state: AdmmState,
     graph: MixedGraph,
@@ -431,14 +495,17 @@ def update_x(
     """
     parts = []
     if terms.l1:
-        parts.append(graph.apply("l_rd_t", 0.5 * state.gamma + 0.5 * p.rho * state.phi))
+        parts.append(graph.apply("l_rd_t", _weighted_sum(0.5, state.gamma, 0.5 * p.rho, state.phi)))
     if terms.split:
-        parts.append(-0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u)
+        parts.append(_weighted_sum(-0.5, state.gamma_u, 0.5 * p.rho_u, state.z_u))
         if terms.temporal:
-            parts.append(-0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d)
+            parts.append(_weighted_sum(-0.5, state.gamma_d, 0.5 * p.rho_d, state.z_d))
     parts.append(hty)
+    rhs = parts[0]  # made here whenever a part follows it
+    for part in parts[1:]:
+        rhs += part
     key = (*signal_system(terms, p), True)
-    return _sub_solve(graph, key, sum(parts[1:], parts[0]), state.x, sched, folds)
+    return _sub_solve(graph, key, rhs, state.x, sched, folds)
 
 
 def update_zu(
@@ -449,7 +516,7 @@ def update_zu(
     folds: dict | None = None,
 ) -> np.ndarray:
     """Low-pass solve against the spatial Laplacian."""
-    rhs = 0.5 * state.gamma_u + 0.5 * p.rho_u * state.x
+    rhs = _weighted_sum(0.5, state.gamma_u, 0.5 * p.rho_u, state.x)
     return _sub_solve(graph, _zu_system(p), rhs, state.z_u, sched, folds)
 
 
@@ -462,14 +529,30 @@ def update_zd(
     folds: dict | None = None,
 ) -> np.ndarray:
     """Low-pass solve against the temporal operator: L_r'L_r, or ``l_n`` when undirected."""
-    rhs = 0.5 * state.gamma_d + 0.5 * p.rho_d * state.x
+    rhs = _weighted_sum(0.5, state.gamma_d, 0.5 * p.rho_d, state.x)
     return _sub_solve(graph, _zd_system(p, temporal), rhs, state.z_d, sched, folds)
 
 
 def update_phi(l_rd_x: np.ndarray, gamma: np.ndarray, p: LayerParams) -> np.ndarray:
-    """Entrywise soft threshold of L_r x - gamma/rho at level mu_d1/rho; ``l_rd_x`` is L_r x."""
-    delta = l_rd_x - gamma / p.rho
-    return np.sign(delta) * np.maximum(np.abs(delta) - p.mu_d1 / p.rho, 0.0)
+    """Entrywise soft threshold of L_r x - gamma/rho at level mu_d1/rho; ``l_rd_x`` is L_r x.
+
+    sign(delta) * max(|delta| - mu_d1/rho, 0), in three new arrays.
+    """
+    delta = np.divide(gamma, p.rho)
+    np.subtract(l_rd_x, delta, out=delta)
+    shrunk = np.abs(delta)
+    shrunk -= p.mu_d1 / p.rho
+    np.maximum(shrunk, 0.0, out=shrunk)
+    out = np.sign(delta)  # a new array: numpy's sign in place runs several times slower
+    out *= shrunk
+    return out
+
+
+def _ascent(gamma: np.ndarray, rho: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """gamma + rho (a - b), as one new array."""
+    out = np.subtract(a, b)
+    out *= rho
+    return np.add(gamma, out, out=out)
 
 
 def update_multipliers(
@@ -485,38 +568,38 @@ def update_multipliers(
     """
     gamma, gamma_u, gamma_d = state.gamma, state.gamma_u, state.gamma_d
     if terms.l1:
-        gamma = gamma + p.rho * (state.phi - l_rd_x)
+        gamma = _ascent(gamma, p.rho, state.phi, l_rd_x)
     if terms.split:
-        gamma_u = gamma_u + p.rho_u * (state.x - state.z_u)
+        gamma_u = _ascent(gamma_u, p.rho_u, state.x, state.z_u)
         if terms.temporal:
-            gamma_d = gamma_d + p.rho_d * (state.x - state.z_d)
+            gamma_d = _ascent(gamma_d, p.rho_d, state.x, state.z_d)
     return gamma, gamma_u, gamma_d
-
-
-def _step(layer: int, name: str, fn, *args) -> np.ndarray:
-    """Run one sub-step; a failure in it, or a non-finite result, names layer and step."""
-    try:
-        out = fn(*args)
-    except NumericFailure as exc:
-        exc.layer, exc.step = layer, name
-        raise
-    if not np.all(np.isfinite(out)):
-        raise NumericFailure("non-finite values", layer=layer, step=name, entry=_first_nonfinite(out))
-    return out
 
 
 def _layer(state: AdmmState, graph: MixedGraph, p: LayerParams, hty, sched, layer: int,
            terms: Terms, folds: dict):
-    state.x = _step(layer, "x", update_x, state, graph, p, hty, sched, terms, folds)
-    if terms.split:
-        state.z_u = _step(layer, "z_u", update_zu, state, graph, p, sched, folds)
-        if terms.temporal:
-            name = "z_n" if terms.temporal == "l_n" else "z_d"
-            state.z_d = _step(layer, name, update_zd, state, graph, p, sched, terms.temporal, folds)
-    l_rd_x = None
-    if terms.l1:
-        l_rd_x = graph.apply("l_rd", state.x)
-        state.phi = _step(layer, "phi", update_phi, l_rd_x, state.gamma, p)
+    """One ADMM layer; a failure in a sub-step names the layer and the step.
+
+    Each CG solve returns a finite result or raises (``cg_solve``), so only
+    phi, which no solve makes, is checked here.
+    """
+    step = "x"
+    try:
+        state.x = update_x(state, graph, p, hty, sched, terms, folds)
+        if terms.split:
+            step = "z_u"
+            state.z_u = update_zu(state, graph, p, sched, folds)
+            if terms.temporal:
+                step = "z_n" if terms.temporal == "l_n" else "z_d"
+                state.z_d = update_zd(state, graph, p, sched, terms.temporal, folds)
+        l_rd_x = None
+        if terms.l1:
+            step = "phi"
+            l_rd_x = graph.apply("l_rd", state.x)
+            state.phi = _finite(update_phi(l_rd_x, state.gamma, p))
+    except NumericFailure as exc:
+        exc.layer, exc.step = layer, step
+        raise
     state.gamma, state.gamma_u, state.gamma_d = update_multipliers(state, l_rd_x, p, terms)
 
 

@@ -302,8 +302,9 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     undirected-temporal mode, so that ``l_n`` is built too, and its first two
     windows), each lane of every operator of ``multi_head_graphs`` must
     equal, bit for bit, the graph of that window and head built alone, and
-    every folded system of the first block's layer scalars must equal its
-    unfolded operator products to 1e-13 relative.
+    every folded system of the first block's layer scalars, in every solver
+    variant, applied by its ``solver.Fold`` as the solver applies it, must
+    equal its unfolded operator products to 1e-13 relative.
     """
     cfg = PipelineConfig()
     cfg.solver.mode = "undirected_temporal"
@@ -328,19 +329,19 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
                 mismatched.append(f"window {w} head {h} {name}")
 
     p = cfg.layers.layer_params(0, cfg.default_rho(pg.n_stations))[0]
-    systems = dict.fromkeys(
-        key for terms in solver.TERMS.values() for key in solver._layer_systems(terms, p)
-    )
+    folds = {}
+    for terms in solver.TERMS.values():
+        folds.update(solver.block_folds(graph, [p], terms, CgSchedule.exact()))
     v = np.random.default_rng(seed).standard_normal(graph.n_nodes)
     worst = 0.0
-    for ops, shift, observed in systems:
+    for (ops, shift, observed), (fold, _) in folds.items():
         want = shift * v + sum(coef * (getattr(graph, name) @ v) for name, coef in ops)
         scale = (abs(shift) + 1.0) * np.abs(v) + sum(
             abs(coef) * (abs(getattr(graph, name)) @ np.abs(v)) for name, coef in ops
         )
         if observed:
             want[graph.h_mask] += v[graph.h_mask]
-        got = solver.folded_system(graph, ops, shift, observed) @ v
+        got = fold.dot(v)
         worst = max(worst, float(np.abs(got - want).max() / scale.max()))
     return CheckResult(
         f"lane-stacked assembly and folded CG systems ({len(samples)} windows x "

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stforecast import attention, data
 from stforecast.attention import (
     DegenerateWeightError,
     FeatureMap,
     MetricBank,
+    _lane_inputs,
     _pairwise_distances,
+    _rows,
     build_mixed_graph,
     directed_weights,
     embed,
@@ -190,6 +193,82 @@ class TestUndirectedWeights:
         with pytest.raises(DegenerateWeightError) as info:
             undirected_weights(np.stack([far, feats]), skel, bank.undirected)
         assert (info.value.lane, info.value.instant) == (4, 1)
+
+
+def per_instant_weights(features, skel, factors):
+    """``undirected_weights`` one instant at a time, every lane at once: the
+    reference that taking several instants a pass must equal bit for bit."""
+    features, factors_t, lane_axes = _lane_inputs(features, factors)
+    lanes, n_instants = int(np.prod(lane_axes)), factors_t.shape[1]
+    n = skel.n_stations
+    out = np.empty((lanes, n_instants, skel.n_edges))
+    ei, ej = skel.edges[:, 0], skel.edges[:, 1]
+    ends = (np.arange(lanes)[:, None] * n + np.concatenate([ei, ej])).ravel()
+    for t in range(n_instants):
+        feats = features[..., t * n : (t + 1) * n, :]
+        diffs = _rows(feats, ei) - _rows(feats, ej)
+        d = _pairwise_distances(diffs, factors_t[:, t]).reshape(lanes, -1)
+        e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
+        sums = np.bincount(ends, weights=np.concatenate([e, e], axis=-1).ravel(),
+                           minlength=lanes * n).reshape(lanes, n)
+        norm = np.sqrt(sums[:, ei] * sums[:, ej])
+        degenerate = np.flatnonzero((norm == 0).any(axis=-1))
+        if len(degenerate):
+            raise DegenerateWeightError("zero attention mass", instant=t, lane=int(degenerate[0]))
+        out[:, t] = e / norm
+    return out.reshape(lane_axes + out.shape[1:])
+
+
+class TestWeightPasses:
+    """Spatial weights over several instants a pass, on the desk road graph
+    (20 stations, 18 instants, K = 6)."""
+
+    N_INSTANTS, K = 18, 6
+
+    def inputs(self, lanes):
+        """Features and factors of 1 lane (one-head form), 4 (one window, 4
+        heads) or 8 (two windows, 4 heads)."""
+        _, pg = data.generate_synthetic(20, 40, 0)
+        skel = build_spatial_skeleton(pg, 4)
+        rng = np.random.default_rng(lanes)
+        windows = (2,) if lanes == 8 else ()
+        feats = rng.standard_normal(windows + (20 * self.N_INSTANTS, self.K))
+        heads = () if lanes == 1 else (4,)
+        factors = rng.standard_normal(heads + (self.N_INSTANTS, self.K, self.K)) / 2
+        return feats, skel, factors
+
+    @pytest.mark.parametrize("lanes", [1, 4, 8])
+    @pytest.mark.parametrize("instants_a_pass", [None, 1, 5, 18])
+    def test_equals_one_instant_at_a_time(self, monkeypatch, lanes, instants_a_pass):
+        # None: the default bound, which takes every instant in one pass at
+        # 1 lane and splits them at 4 and 8
+        feats, skel, factors = self.inputs(lanes)
+        if instants_a_pass is not None:
+            values = lanes * skel.n_edges * self.K * instants_a_pass
+            monkeypatch.setattr(attention, "WEIGHT_PASS_VALUES", values)
+        got = undirected_weights(feats, skel, factors)
+        want = per_instant_weights(feats, skel, factors)
+        assert got.shape == want.shape == feats.shape[:-2] + factors.shape[:-3] + (
+            self.N_INSTANTS, skel.n_edges)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("instants_a_pass", [None, 1, 5, 18])
+    def test_degenerate_names_first_instant_then_first_lane(self, monkeypatch, instants_a_pass):
+        # station 0 of window 1 is far off at instant 4, and of window 0 at
+        # instant 9; a zero metric keeps heads 0 and 2 at instant 4 finite,
+        # so lanes 5 and 7 (window 1, heads 1 and 3) fail first
+        feats, skel, factors = self.inputs(8)
+        n = 20
+        feats[1, 4 * n] = feats[0, 9 * n] = 1e5
+        factors[[0, 2], 4] = 0.0
+        if instants_a_pass is not None:
+            values = 8 * skel.n_edges * self.K * instants_a_pass
+            monkeypatch.setattr(attention, "WEIGHT_PASS_VALUES", values)
+        with pytest.raises(DegenerateWeightError) as want:
+            per_instant_weights(feats, skel, factors)
+        with pytest.raises(DegenerateWeightError) as got:
+            undirected_weights(feats, skel, factors)
+        assert (got.value.instant, got.value.lane) == (want.value.instant, want.value.lane) == (4, 5)
 
 
 class TestDirectedWeights:

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from stforecast import attention, data, pipeline, solver
-from stforecast.attention import build_mixed_graph
+from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed_graph
 from stforecast.config import HeadSettings, PipelineConfig
 from stforecast.graphs import (
     MixedGraph,
+    Pattern,
     PhysicalGraph,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
@@ -39,6 +40,7 @@ from stforecast.solver import (
     VARIANTS,
     AdmmState,
     CgSchedule,
+    Fold,
     LayerParams,
     NumericFailure,
     admm_block,
@@ -278,6 +280,43 @@ def no_diagonal_graph():
     return g
 
 
+def dropped_zero_graph(which):
+    """A planned one-station graph one of whose operators loses an entry that
+    comes out exactly 0.0, as scipy's products store none: its plan, the
+    graph, and the skeletons and weights it was filled from.
+
+    ``"cancelling_call_rd"``: (L'L)(1, 2) = -w(2 <- 1) + w(3 <- 1) w(3 <- 2)
+    = -1/8 + 1/2 * 1/4 = 0. ``"underflowing_walk_weight"``: 5e-324 / 2
+    rounds to 0.0, so L_r loses entry (2, 0), and half of it leaves l_n's
+    entries (0, 2) and (2, 0) at 0.0.
+    """
+    if which == "cancelling_call_rd":
+        # child-major: 1 <- 0; 2 <- 1, 0; 3 <- 2, 1, 0
+        n_instants, window, n_observed, with_l_n = 4, 3, 2, False
+        wd = np.array([1.0, 0.125, 0.875, 0.25, 0.5, 0.25])
+    else:
+        n_instants, window, n_observed, with_l_n = 3, 2, 1, True
+        wd = np.array([1.0, 2.0, 5e-324])
+    sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
+    tskel = build_temporal_skeleton(1, n_instants, window)
+    wu = np.zeros((n_instants, 0))
+    plan = plan_mixed_graph(sskel, tskel, 1, n_observed, with_l_n)
+    return plan, fill_mixed_graph(plan, wu, wd), (sskel, tskel, wu, wd)
+
+
+@functools.lru_cache(maxsize=1)
+def desk_lane_graph():
+    """The first block's graph of two desk windows (20 stations, the default
+    four heads, undirected-temporal mode so that ``l_n`` is built): 8 lanes."""
+    table, pg = data.generate_synthetic(20, 200, 0)
+    cfg = PipelineConfig()
+    cfg.solver.mode = "undirected_temporal"
+    ctx = PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
+    windows = data.cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
+    starts = [pipeline.initial_signal(w, ctx) for w in windows]
+    return pipeline.block_graph(ctx, [x for x, _, _ in starts], [t for _, _, t in starts])
+
+
 def fold_cases(p):
     """(ops, shift, observed) of every CG system the solver folds, for layer scalars p."""
     return list(dict.fromkeys(
@@ -349,6 +388,73 @@ class TestFoldedSystem:
         admm_block(np.zeros(g.n_nodes), y, g, params, CgSchedule.unrolled())
         assert len(systems) == 3 * 5  # x, z_u and z_d in every layer
         assert len({id(a) for a in systems}) == 3
+
+    @pytest.mark.parametrize("which", ["desk_lanes", "cancelling_call_rd", "underflowing_walk_weight"])
+    def test_kernel_product_is_the_csr_product(self, which):
+        # every system of every variant, as a block plans it: the fold's
+        # kernel product is bitwise its CSR view's product
+        g = desk_lane_graph() if which == "desk_lanes" else dropped_zero_graph(which)[1]
+        if which == "desk_lanes":
+            assert g.lanes == 8
+        rng = np.random.default_rng(36)
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        # the cancelling graph has no l_n, so no undirected-temporal systems
+        modes = [m for m in VARIANTS if g.l_n is not None or TERMS[m].temporal != "l_n"]
+        for mode in modes:
+            for key, (fold, _) in block_folds(g, [p], TERMS[mode], CgSchedule.exact()).items():
+                v = rng.standard_normal(g.n_nodes)
+                assert fold.dot(v).tobytes() == (folded_system(g, *key) @ v).tobytes(), (mode, key)
+
+
+class TestFoldKernel:
+    """``Fold.dot`` calls scipy's CSR kernel, which checks no bounds: the
+    contract it relies on, and the inputs it must refuse."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_either_index_dtype(self, index_dtype):
+        g = random_mixed(np.random.default_rng(37), n_stations=4, n_instants=5, with_l_n=True)
+        v = np.random.default_rng(38).standard_normal(g.n_nodes)
+        for name in ("l_u", "l_rd", "l_rd_t", "call_rd", "l_n"):
+            op = getattr(g, name)
+            pattern = Pattern(op.indptr.astype(index_dtype), op.indices.astype(index_dtype))
+            assert Fold(pattern, op.data).dot(v).tobytes() == (op @ v).tobytes(), name
+
+    def test_off_plan_l_rd(self):
+        # L_r rebuilt without its underflowed entry, on a pattern of its own
+        plan, g, _ = dropped_zero_graph("underflowing_walk_weight")
+        assert g.patterns["l_rd"] is not plan.patterns["l_rd"]
+        fold = Fold(g.patterns["l_rd"], g.l_rd.data)
+        v = np.random.default_rng(39).standard_normal(g.n_nodes)
+        assert fold.dot(v).tobytes() == (g.l_rd @ v).tobytes()
+
+    @pytest.mark.parametrize("bad", ["short", "long", "float32", "strided", "2-d", "list"])
+    def test_refuses_a_vector_the_kernel_would_misread(self, bad):
+        g = random_mixed(np.random.default_rng(40))
+        fold = solver._fold(g, (("l_u", 0.5),), 0.3, True)
+        n = g.n_nodes
+        v = {
+            "short": np.ones(n - 1),
+            "long": np.ones(n + 1),
+            "float32": np.ones(n, dtype=np.float32),
+            "strided": np.ones(2 * n)[::2],
+            "2-d": np.ones((n, 1)),
+            "list": [1.0] * n,
+        }[bad]
+        with pytest.raises(ValueError, match=f"C-contiguous float64 vector of length {n}"):
+            fold.dot(v)
+
+    def test_refuses_index_arrays_of_two_dtypes(self):
+        op = random_mixed(np.random.default_rng(41)).l_u
+        fold = Fold(Pattern(op.indptr.astype(np.int64), op.indices.astype(np.int32)), op.data)
+        with pytest.raises(ValueError, match="index arrays differ in dtype"):
+            fold.dot(np.ones(op.shape[0]))
+
+    @pytest.mark.parametrize("bad", ["short", "float32"])
+    def test_refuses_values_that_do_not_fill_the_pattern(self, bad):
+        op = random_mixed(np.random.default_rng(42)).l_u
+        data = op.data[:-1] if bad == "short" else op.data.astype(np.float32)
+        with pytest.raises(ValueError, match="float64 values"):
+            Fold(Pattern.of(op), data)
 
 
 def per_step_unrolled(apply_a, b, x0, sched):

@@ -13,17 +13,14 @@ from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed
 from stforecast.config import PipelineConfig
 from stforecast.graphs import (
     DegenerateDegreeError,
-    PhysicalGraph,
     assemble_random_walk_digraph,
-    build_spatial_skeleton,
-    build_temporal_skeleton,
     directed_skeleton_from_edges,
     plan_random_walk_digraph,
 )
 from stforecast.oracles import coo_operators
 from stforecast.solver import TERMS, CgSchedule, LayerParams, block_folds, cg_solve
 
-from test_lanes import split_skeleton_inputs
+from test_lanes import dropped_zero_graph, split_skeleton_inputs
 
 OPERATORS = ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n")
 
@@ -127,12 +124,6 @@ class TestPlannedErrors:
             graphs.assemble_undirected_laplacian(self.plan.l_u, one_slice)
 
 
-def one_station(n_instants, window):
-    """Skeletons of one station: no spatial edge, one temporal chain."""
-    sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
-    return sskel, build_temporal_skeleton(1, n_instants, window)
-
-
 class TestDroppedZeros:
     """scipy stores no entry of I - W_r, L_r'L_r or l_n that comes out exactly
     0.0; an operator that drops one gets a pattern of its own, and its folds
@@ -152,40 +143,28 @@ class TestDroppedZeros:
             want = shift * v + sum(coef * (getattr(graph, name) @ v) for name, coef in ops)
             if observed:
                 want[graph.h_mask] += v[graph.h_mask]
-            np.testing.assert_allclose(a @ v, want, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(a.dot(v), want, rtol=0, atol=1e-14)
             assert poly is not None
             b, x0 = rng.standard_normal((2, graph.n_nodes))
             np.testing.assert_allclose(cg_solve(a.dot, b, x0, sched, poly.dot),
                                        cg_solve(a.dot, b, x0, sched), rtol=0, atol=1e-12)
 
     def test_cancelling_call_rd_entry(self):
-        # (L'L)(1, 2) = -w(2 <- 1) + w(3 <- 1) w(3 <- 2) = -1/8 + 1/2 * 1/4 = 0
-        sskel, tskel = one_station(4, 3)
-        wu = np.zeros((4, 0))
-        # child-major: 1 <- 0; 2 <- 1, 0; 3 <- 2, 1, 0
-        wd = np.array([1.0, 0.125, 0.875, 0.25, 0.5, 0.25])
-        plan = plan_mixed_graph(sskel, tskel, 1, 2, False)
-        graph = fill_mixed_graph(plan, wu, wd)
+        plan, graph, inputs = dropped_zero_graph("cancelling_call_rd")
         assert graph.call_rd.nnz < plan.patterns["call_rd"].nnz
         assert graph.call_rd[1, 2] == 0.0
         assert graph.patterns["call_rd"] is not plan.patterns["call_rd"]
         assert graph.patterns["l_rd"] is plan.patterns["l_rd"]
-        assert_matches_reference(graph, sskel, tskel, wu, wd, False)
+        assert_matches_reference(graph, *inputs, False)
         self.check_folds(graph)
 
     def test_underflowing_walk_weight(self):
-        # 5e-324 / 2 rounds to 0.0: L_r loses entry (2, 0), and half of it
-        # leaves l_n's entries (0, 2) and (2, 0) at 0.0
-        sskel, tskel = one_station(3, 2)
-        wu = np.zeros((3, 0))
-        wd = np.array([1.0, 2.0, 5e-324])
-        plan = plan_mixed_graph(sskel, tskel, 1, 1, True)
-        graph = fill_mixed_graph(plan, wu, wd)
+        plan, graph, inputs = dropped_zero_graph("underflowing_walk_weight")
         for name in ("l_rd", "call_rd", "l_n"):
             assert getattr(graph, name).nnz < plan.patterns[name].nnz, name
             assert graph.patterns[name] is not plan.patterns[name], name
         assert graph.patterns["w_rd"] is plan.patterns["w_rd"]
-        assert_matches_reference(graph, sskel, tskel, wu, wd, True)
+        assert_matches_reference(graph, *inputs, True)
         self.check_folds(graph)
 
     def test_single_node_source_row(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stforecast import oracles
+from stforecast import oracles, solver
 from stforecast.priors import PriorWeights, glr, objective
 from stforecast.solver import (
     TERMS,
@@ -141,6 +141,16 @@ class TestCgSolve:
         with pytest.raises(NumericFailure) as info:
             cg_solve(apply_a, b, np.zeros(3), sched)
         assert (info.value.iteration, info.value.entry) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sched", [CgSchedule.exact(iters=0), CgSchedule.unrolled(iters=3)],
+                             ids=["exact", "unrolled"])
+    def test_result_is_finite_or_raises(self, sched):
+        # exact CG capped at no step returns its start unless it checks it
+        x0 = np.array([1.0, np.nan, 2.0])
+        with pytest.raises(NumericFailure) as info:
+            cg_solve(lambda v: 2.0 * v, np.ones(3), x0, sched)
+        assert info.value.entry == 1
 
     def test_exact_rejects_indefinite(self):
         a = np.diag([1.0, -1.0])
@@ -524,6 +534,37 @@ class TestAdmmBlock:
             admm_block(np.ones(g.n_nodes) * 1e3, y, g, params, sched)
         assert exc_info.value.layer is not None
         assert exc_info.value.step is not None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case, message", [
+        ("exact", "non-finite values (layer 0, step x)"),
+        ("unrolled", "unrolled CG diverged (layer 0, step x, cg iteration 0)"),
+        ("phi", "non-finite values (layer 1, step phi)"),
+    ])
+    def test_non_finite_sub_step_names_layer_and_step(self, monkeypatch, case, message):
+        # a start with a NaN fails the signal solve of the first layer, in
+        # either CG mode; a non-finite phi is checked by the layer itself
+        g, y = tiny_instance(np.random.default_rng(25))
+        x0 = np.zeros(g.n_nodes)
+        sched = CgSchedule.exact(iters=0) if case == "exact" else CgSchedule.unrolled(iters=3)
+        if case == "phi":
+            update_phi_of = solver.update_phi
+            calls = []
+
+            def failing_second(*args):
+                calls.append(1)
+                out = update_phi_of(*args)
+                if len(calls) == 2:
+                    out[-1] = np.inf
+                return out
+
+            monkeypatch.setattr(solver, "update_phi", failing_second)
+        else:
+            x0[1] = np.nan
+        with pytest.raises(NumericFailure) as info:
+            admm_block(x0, y, g, [LayerParams(1, 1, 1, 1, 1, 1)] * 2, sched)
+        assert str(info.value) == message
+        assert info.value.lane == 0
 
 
 class TestVariants:
