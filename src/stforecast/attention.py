@@ -6,7 +6,9 @@ spatial-skeleton neighbors, are projected to a small feature space, compared
 under learned PSD metrics, and turned into normalized edge weights. Spatial
 slices get one metric per instant, temporal edges one metric per lag, and the
 whole construction is replicated per head. A neighbourhood whose every weight
-underflows raises ``DegenerateWeightError``, a ``NumericFailure`` of that lane.
+underflows, or whose features are not finite, raises ``DegenerateWeightError``,
+a ``NumericFailure`` of that lane; no weight these functions return is
+non-finite, which the graph assembly rejects.
 
 A mixed graph is assembled in two steps: ``plan_mixed_graph`` fixes every
 operator's pattern once for a graph shape and lane count, and
@@ -358,8 +360,9 @@ def undirected_weights(
             sums = np.bincount(ends, weights=np.concatenate([e, e], axis=-1).ravel(),
                                minlength=slices * n).reshape(lanes, t1 - t0, n)
             norm = np.sqrt(sums[..., ei] * sums[..., ej])
-            # the first instant with a degenerate lane, then its first such lane
-            degenerate = np.flatnonzero((norm == 0).any(axis=-1).T)
+            # the first instant with a degenerate lane, then its first such
+            # lane: a zero mass, or a NaN one from non-finite features
+            degenerate = np.flatnonzero(~(norm > 0).all(axis=-1).T)
             if len(degenerate):
                 t, lane = divmod(int(degenerate[0]), lanes)
                 raise DegenerateWeightError("zero attention mass", instant=t0 + t, lane=lane)
@@ -405,7 +408,7 @@ def directed_weights(
     e = np.exp(-(d - dmin[child]))
     denom = np.bincount(child, weights=e, minlength=lanes * skel.n_nodes)
     out = e / denom[child]
-    zero = np.flatnonzero(out == 0)
+    zero = np.flatnonzero(~(out > 0))  # or NaN, from non-finite features
     if len(zero):
         lane, edge = divmod(int(zero[0]), skel.n_edges)
         instant = int(skel.dst[edge] // skel.n_stations) if temporal else None

@@ -427,8 +427,8 @@ def assemble_undirected_laplacian(skel, weights: np.ndarray) -> sp.csr_matrix:
             f"weights shape {weights.shape} does not match {skel.n_edges} skeleton edges"
             + (f" in {plan.n_slices} slices" if plan else "")
         )
-    if np.any(weights < 0):
-        raise ValueError("negative edge weight")
+    if not np.all((weights >= 0) & (weights < np.inf)):
+        raise ValueError("non-finite or negative edge weight")
     plan = plan or plan_undirected_laplacian(skel, weights.shape[0])
     n = skel.n_stations
     off = (np.arange(weights.shape[0]) * n)[:, None]
@@ -449,7 +449,8 @@ class RandomWalkPlan:
     self-loop per source. Stored L_r = I - W_r entry i reads 1 on the
     diagonal (``l_diagonal``) less W_r entry ``l_source[i]`` (none at
     ``w_rd.nnz``). L_r leaves out the diagonal of each row whose one W_r
-    entry is its own, W_r entry ``lone[j]``: it reads 1 - 1 = 0.
+    entry is its own: that entry is its weight over itself, exactly 1, and
+    the diagonal reads 1 - 1 = 0.
     """
 
     skel: DirectedSkeleton
@@ -458,7 +459,6 @@ class RandomWalkPlan:
     l_rd: Pattern
     l_diagonal: np.ndarray
     l_source: np.ndarray
-    lone: np.ndarray
 
 
 def plan_random_walk_digraph(skel: DirectedSkeleton) -> RandomWalkPlan:
@@ -482,7 +482,7 @@ def plan_random_walk_digraph(skel: DirectedSkeleton) -> RandomWalkPlan:
     source = np.insert(np.arange(w_rd.nnz), at, w_rd.nnz).astype(w_source.dtype)
     lone = np.insert(w_diagonal & (per_row[w_rows] == 1), at, False)
     l_rd, _ = coo_pattern(rows[~lone], np.insert(w_rd.indices, at, lacking)[~lone], n)
-    return RandomWalkPlan(skel, w_rd, w_source, l_rd, diagonal[~lone], source[~lone], source[lone])
+    return RandomWalkPlan(skel, w_rd, w_source, l_rd, diagonal[~lone], source[~lone])
 
 
 def assemble_random_walk_digraph(skel, weights: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -493,16 +493,16 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray) -> tuple[sp.csr_matr
     before in-degree normalization, so source rows of W_r are exactly their
     self-loop. In-degrees sum each node's edges in edge order, then its
     self-loop. L_r stores no entry that is exactly 0.0, as scipy's I - W_r
-    does not: a planned entry that comes out 0.0, or a left-out one that
-    does not, gives L_r a pattern of its own.
+    does not: a planned entry that comes out 0.0 gives L_r a pattern of its
+    own.
     """
     plan = skel if isinstance(skel, RandomWalkPlan) else None
     skel = skel.skel if plan else skel
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != skel.src.shape:
         raise ValueError("weights must align with skeleton edges")
-    if np.any(weights <= 0):
-        raise ValueError("directed edge weights must be positive")
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError("directed edge weights must be positive and finite")
     plan = plan or plan_random_walk_digraph(skel)
     n = skel.n_nodes
     indeg = np.bincount(skel.dst, weights=weights, minlength=n).astype(np.float64, copy=False)
@@ -515,14 +515,7 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray) -> tuple[sp.csr_matr
     w_rows = np.repeat(np.arange(n), np.diff(plan.w_rd.indptr))
     w_data = np.concatenate([weights, np.ones(len(skel.sources))])[plan.w_source] / indeg[w_rows]
     l_data = plan.l_diagonal - np.append(w_data, 0.0)[plan.l_source]
-    left_out = 1.0 - w_data[plan.lone]
-    if l_data.all() and not left_out.any():
-        l_rd = plan.l_rd.matrix(l_data)
-    else:
-        rows = np.repeat(np.arange(n), np.diff(plan.l_rd.indptr))
-        union, order = coo_pattern(np.concatenate([rows, w_rows[plan.lone]]),
-                                   np.concatenate([plan.l_rd.indices, w_rows[plan.lone]]), n)
-        l_rd = _without_zeros(union, np.concatenate([l_data, left_out])[order])
+    l_rd = plan.l_rd.matrix(l_data) if l_data.all() else _without_zeros(plan.l_rd, l_data)
     return plan.w_rd.matrix(w_data), l_rd
 
 
@@ -687,11 +680,11 @@ class MixedGraph:
     diagonal blocks of each operator; signals are the per-lane vectors
     concatenated, and ``h_mask`` repeats once per lane.
 
-    ``patterns`` maps each operator's name to its ``Pattern``, whose index
-    arrays the operator uses. A graph filled from a plan is given the
-    plan's and keeps each that its operator fits, so what a pattern works
-    out is worked out once per plan; any other operator gets a pattern of
-    its own.
+    ``patterns`` maps the name of each operator but ``l_rd_t``, which no
+    fold reads, to its ``Pattern``, whose index arrays the operator uses. A
+    graph filled from a plan is given the plan's and keeps each that its
+    operator fits, so what a pattern works out is worked out once per plan;
+    any other operator gets a pattern of its own.
     """
 
     n_stations: int
@@ -732,7 +725,6 @@ class MixedGraph:
             elif not np.may_share_memory(mat.indices, pattern.indices):
                 setattr(self, name, pattern.matrix(mat.data))  # on the plan's index arrays
             self.patterns[name] = pattern
-        self.patterns["l_rd_t"] = Pattern.of(self.l_rd_t)
         self._ops = {
             "l_u": self.l_u,
             "l_rd": self.l_rd,

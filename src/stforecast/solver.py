@@ -29,7 +29,7 @@ diagonal positions, components and block map the graph's plan worked out
 once; a block only fills values. A fold applies itself by calling scipy's
 CSR matrix-vector kernel directly, the kernel ``A @ v`` runs, in the same
 summation order: no ``csr_matrix`` is built and no dispatch is paid per
-product. ``folded_system`` is its CSR view. ``MixedGraph.apply`` (L_r x
+product; ``Fold.matrix`` is its CSR view. ``MixedGraph.apply`` (L_r x
 and L_r' v, once per layer) stays on scipy's ``@``, the product the
 benchmark's tracer counts; once that tracer hooks one product function,
 both can run on the kernel.
@@ -364,20 +364,15 @@ class Fold:
 
 
 def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: float,
-                  observed: bool) -> sp.csr_matrix:
-    """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one CSR matrix.
+                  observed: bool) -> Fold:
+    """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one ``Fold``.
 
     ``ops`` pairs operator names of ``graph`` with coefficients. One operator
     whose pattern stores every diagonal entry gives a new ``data`` array on
-    that pattern; otherwise the terms are added by scipy (its sparse
-    products drop exact zeros, so even ``call_rd`` may lack a diagonal
-    entry). This is the CSR view of the ``Fold`` the solver applies.
+    that operator's pattern; otherwise the terms are added by scipy (its
+    sparse products drop exact zeros, so even ``call_rd`` may lack a
+    diagonal entry). ``Fold.matrix`` is its CSR view.
     """
-    return _fold(graph, ops, shift, observed).matrix()
-
-
-def _fold(graph: MixedGraph, ops, shift, observed) -> Fold:
-    """The ``Fold`` of ``folded_system``, on the operator's own pattern for one operator."""
     diag = np.full(graph.n_nodes, shift)
     if observed:
         diag[graph.h_mask] += 1.0
@@ -416,7 +411,7 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
     folds = {}
     for key, count in uses.items():
-        fold, g = _fold(graph, *key), None
+        fold, g = folded_system(graph, *key), None
         if (sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET
                 and np.bincount(fold.pattern.labels).max() <= count):
             g = polynomial_operator(fold.pattern.components.fill(fold.data), sched)
@@ -427,7 +422,7 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
 def _sub_solve(graph, key, rhs, x0, sched, folds):
     """One CG solve of the system ``key`` = (ops, shift, observed): from the
     block's plan ``folds`` (``block_folds``), or folded here without one."""
-    fold, g = (_fold(graph, *key), None) if folds is None else folds[key]
+    fold, g = (folded_system(graph, *key), None) if folds is None else folds[key]
     return cg_solve(fold.dot, rhs, x0, sched, None if g is None else g.dot)
 
 

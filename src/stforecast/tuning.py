@@ -45,7 +45,6 @@ TUNABLES = {
     "cg_alpha": Tunable("solver", "1", 0.0, CG_ALPHA_MAX),
     "cg_beta": Tunable("solver", "1", 0.0, np.inf),
 }
-DEFAULT_TUNABLES = tuple(TUNABLES)
 
 
 @dataclass
@@ -117,40 +116,36 @@ def spsa_minimize(
     return best_theta, best_loss, trace
 
 
-def _tunable_layout(config: PipelineConfig, tunables) -> list[tuple[str, int]]:
+def _tunable_layout(config: PipelineConfig) -> list[tuple[str, int]]:
     counts = {"blocks": config.layers.blocks, "heads": config.heads.count, "1": 1}
-    layout = []
-    for name in tunables:
-        if name not in TUNABLES:
-            raise ValueError(f"unknown tunable {name!r}")
-        layout.append((name, counts[TUNABLES[name].size]))
+    layout = [(name, counts[spec.size]) for name, spec in TUNABLES.items()]
     total = sum(s for _, s in layout)
     if total > 100:
         raise ValueError(f"tunable vector has dimension {total} > 100")
     return layout
 
 
-def pack_config(config: PipelineConfig, tunables, n_stations: int) -> np.ndarray:
-    """Flatten the tunable subset of a config into a vector.
+def pack_config(config: PipelineConfig, n_stations: int) -> np.ndarray:
+    """Flatten the tunables of a config into a vector, in ``TUNABLES`` order.
 
     Each entry is the mean of what it controls: a block's row of a per-layer
     table, or the whole CG schedule. A null rho packs as its run-time default.
     """
     rho0 = config.default_rho(n_stations)
     parts = []
-    for name, size in _tunable_layout(config, tunables):
+    for name, size in _tunable_layout(config):
         value = getattr(getattr(config, TUNABLES[name].section), name)
         value = np.full(size, rho0) if value is None else np.asarray(value, dtype=np.float64)
         parts.append(value.reshape(size, -1).mean(axis=1))
     return np.concatenate(parts)
 
 
-def unpack_config(config: PipelineConfig, tunables, theta: np.ndarray) -> PipelineConfig:
-    """Rebuild a config with the tunable subset replaced by ``theta``; a
+def unpack_config(config: PipelineConfig, theta: np.ndarray) -> PipelineConfig:
+    """Rebuild a config with its tunables replaced by ``theta``; a
     per-block value fills every layer of its block."""
     updates = {spec.section: {} for spec in TUNABLES.values()}
     pos = 0
-    for name, size in _tunable_layout(config, tunables):
+    for name, size in _tunable_layout(config):
         vals = theta[pos : pos + size].copy()
         pos += size
         spec = TUNABLES[name]
@@ -160,9 +155,9 @@ def unpack_config(config: PipelineConfig, tunables, theta: np.ndarray) -> Pipeli
     )
 
 
-def make_projection(config: PipelineConfig, tunables):
+def make_projection(config: PipelineConfig):
     """Coordinate-wise feasibility projection for the packed vector: clip to ``TUNABLES`` bounds."""
-    layout = _tunable_layout(config, tunables)
+    layout = _tunable_layout(config)
     sizes = [size for _, size in layout]
     lower = np.repeat([TUNABLES[name].lower for name, _ in layout], sizes)
     upper = np.repeat([TUNABLES[name].upper for name, _ in layout], sizes)
@@ -174,7 +169,6 @@ def tune_spsa(
     pg,
     val_samples: list,
     standardizer=None,
-    tunables=DEFAULT_TUNABLES,
     iterations: int | None = None,
     eval_samples: int | None = None,
     interval: float = 300.0,
@@ -208,7 +202,7 @@ def tune_spsa(
     def loss_fn(theta: np.ndarray) -> float:
         failure[0] = None
         try:
-            cand = unpack_config(config, tunables, theta)
+            cand = unpack_config(config, theta)
             bank = cand.heads.build_bank(cand.data.n_instants, cand.graph.window,
                                          cand.graph.feature_dim)
         except ValueError as exc:  # the config's rules reject the candidate
@@ -223,7 +217,7 @@ def tune_spsa(
         losses = [pipeline.huber_loss(r, s.full_truth()) for s, r in zip(subset, recons)]
         return float(np.mean(losses))
 
-    theta0 = pack_config(config, tunables, pg.n_stations)
+    theta0 = pack_config(config, pg.n_stations)
     try:
         best_theta, _best, trace = spsa_minimize(
             loss_fn,
@@ -234,7 +228,7 @@ def tune_spsa(
             perturb=tcfg.perturb,
             decay_exponent=tcfg.decay_exponent,
             perturb_exponent=tcfg.perturb_exponent,
-            project=make_projection(config, tunables),
+            project=make_projection(config),
         )
     except ValueError:
         # a NaN score stops the search only at the starting point, right after
@@ -242,5 +236,5 @@ def tune_spsa(
         if failure[0] is not None:
             raise failure[0] from None
         raise
-    return unpack_config(config, tunables, best_theta), trace
+    return unpack_config(config, best_theta), trace
 

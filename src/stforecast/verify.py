@@ -295,6 +295,19 @@ def _lane_rows(mat, lane: int, size: int):
     return indptr, mat.indices[lo:hi] - lane * size, mat.data[lo:hi]
 
 
+def _desk_starts(seed: int):
+    """The set-up of the lane and plan checks: the default model in the
+    undirected-temporal mode on seeded desk data (20 stations), its context,
+    and the start signals and instants of its first two windows."""
+    cfg = PipelineConfig()
+    cfg.solver.mode = "undirected_temporal"
+    table, pg = generate_synthetic(20, 2000, seed)
+    samples = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
+    ctx = pipeline.PipelineContext.build(pg, cfg)
+    starts = [pipeline.initial_signal(s, ctx) for s in samples]
+    return cfg, pg, ctx, [x for x, _, _ in starts], [t for _, _, t in starts]
+
+
 def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     """Stacked windows and heads equal each built alone; folded CG systems equal their products.
 
@@ -306,13 +319,7 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     variant, applied by its ``solver.Fold`` as the solver applies it, must
     equal its unfolded operator products to 1e-13 relative.
     """
-    cfg = PipelineConfig()
-    cfg.solver.mode = "undirected_temporal"
-    table, pg = generate_synthetic(20, 2000, seed)
-    samples = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
-    ctx = pipeline.PipelineContext.build(pg, cfg)
-    starts = [pipeline.initial_signal(s, ctx) for s in samples]
-    xs, t_steps = [x for x, _, _ in starts], [t for _, _, t in starts]
+    cfg, pg, ctx, xs, t_steps = _desk_starts(seed)
     graph = pipeline.block_graph(ctx, xs, t_steps)
     size = graph.n_nodes // graph.lanes
     mismatched = []
@@ -344,7 +351,7 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
         got = fold.dot(v)
         worst = max(worst, float(np.abs(got - want).max() / scale.max()))
     return CheckResult(
-        f"lane-stacked assembly and folded CG systems ({len(samples)} windows x "
+        f"lane-stacked assembly and folded CG systems ({len(xs)} windows x "
         f"{ctx.bank.heads} heads, desk graph)",
         not mismatched and worst <= 1e-13,
         f"lanes differ: {', '.join(mismatched)}" if mismatched
@@ -362,13 +369,7 @@ def check_planned_assembly(seed: int = 0) -> CheckResult:
     ``oracles.coo_operators`` of the same weights in every operator's
     ``indptr``, ``indices`` and ``data``.
     """
-    cfg = PipelineConfig()
-    cfg.solver.mode = "undirected_temporal"
-    table, pg = generate_synthetic(20, 2000, seed)
-    samples = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:2]
-    ctx = pipeline.PipelineContext.build(pg, cfg)
-    starts = [pipeline.initial_signal(s, ctx) for s in samples]
-    xs, t_steps = [x for x, _, _ in starts], [t for _, _, t in starts]
+    _, _, ctx, xs, t_steps = _desk_starts(seed)
     mismatched, graphs = [], 0
     for pick in ([0], [1], [0, 1], [0]):
         graph = pipeline.block_graph(ctx, [xs[i] for i in pick], [t_steps[i] for i in pick])

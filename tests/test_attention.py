@@ -170,11 +170,13 @@ class TestUndirectedWeights:
 
     def test_all_underflowed_neighborhood_rejected(self):
         # station 2 sits so far in feature space that its entire attention
-        # mass underflows to zero
+        # mass underflows to zero; with non-finite features every distance,
+        # and so the mass, is NaN, which is no weight for the assembly either
         skel = path3_setup()
-        feats = np.array([[0.0], [0.0], [np.sqrt(1e9)]])
-        with pytest.raises(DegenerateWeightError, match="instant 0"):
-            undirected_weights(feats, skel, [np.eye(1)])
+        for feats in ([[0.0], [0.0], [np.sqrt(1e9)]], np.full((3, 1), np.inf)):
+            with pytest.raises(DegenerateWeightError, match="instant 0"):
+                with np.errstate(invalid="ignore"):
+                    undirected_weights(np.array(feats), skel, [np.eye(1)])
 
     def test_heads_report_first_instant_then_first_head(self):
         # heads 1 and 2 underflow at instant 1, head 0 only at instant 2; the
@@ -315,6 +317,12 @@ class TestDirectedWeights:
             directed_weights(feats, skel, bank.directed)
         assert (info.value.lane, info.value.head, info.value.instant) == (2, None, 2)
         assert str(info.value) == "zero temporal attention weight (instant 2)"
+
+    def test_nonfinite_features_rejected(self):
+        skel = build_temporal_skeleton(1, 3, 2)
+        bank = MetricBank.default(3, 2, feature_dim=1)
+        with pytest.raises(DegenerateWeightError, match="instant 1"), np.errstate(invalid="ignore"):
+            directed_weights(np.full((3, 1), np.inf), skel, bank.directed[0])
 
     def test_monotone_attention(self):
         # pushing one predecessor's feature away strictly lowers its weight

@@ -336,7 +336,7 @@ class TestFoldedSystem:
             g = no_diagonal_graph()
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         for ops, shift, observed in fold_cases(p):
-            folded = folded_system(g, ops, shift, observed)
+            folded = folded_system(g, ops, shift, observed).matrix()
             for _ in range(3):
                 v = rng.standard_normal(g.n_nodes)
                 want = shift * v + sum(coef * (getattr(g, name) @ v) for name, coef in ops)
@@ -351,7 +351,7 @@ class TestFoldedSystem:
         for name in ("l_u", "call_rd", "l_n"):
             op = getattr(g, name)
             data = op.data.copy()
-            folded = folded_system(g, ((name, 0.7),), 0.3, observed=True)
+            folded = folded_system(g, ((name, 0.7),), 0.3, observed=True).matrix()
             assert np.shares_memory(folded.indices, op.indices)
             assert np.shares_memory(folded.indptr, op.indptr)
             assert not np.shares_memory(folded.data, op.data)
@@ -403,7 +403,8 @@ class TestFoldedSystem:
         for mode in modes:
             for key, (fold, _) in block_folds(g, [p], TERMS[mode], CgSchedule.exact()).items():
                 v = rng.standard_normal(g.n_nodes)
-                assert fold.dot(v).tobytes() == (folded_system(g, *key) @ v).tobytes(), (mode, key)
+                want = folded_system(g, *key).matrix() @ v
+                assert fold.dot(v).tobytes() == want.tobytes(), (mode, key)
 
 
 class TestFoldKernel:
@@ -430,7 +431,7 @@ class TestFoldKernel:
     @pytest.mark.parametrize("bad", ["short", "long", "float32", "strided", "2-d", "list"])
     def test_refuses_a_vector_the_kernel_would_misread(self, bad):
         g = random_mixed(np.random.default_rng(40))
-        fold = solver._fold(g, (("l_u", 0.5),), 0.3, True)
+        fold = folded_system(g, (("l_u", 0.5),), 0.3, True)
         n = g.n_nodes
         v = {
             "short": np.ones(n - 1),
@@ -835,7 +836,7 @@ class TestPolynomialPath:
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
         for ops, shift, observed in fold_cases(p):
-            a = folded_system(g, ops, shift, observed)
+            a = folded_system(g, ops, shift, observed).matrix()
             labels = connected_components(a, directed=False)[1]
             poly = polynomial_operator(component_blocks(a, labels), sched)
             # one (C, k, k) stack per component size: sum(k^2) values, not C * m^2

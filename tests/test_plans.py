@@ -93,11 +93,13 @@ class TestPlannedErrors:
         self.plan = plan_mixed_graph(self.sskel, self.tskel, 2, self.n_observed, True)
 
     def test_negative_spatial_weight(self):
-        self.wu[1, 0, 0] = -0.5
-        with pytest.raises(ValueError, match="negative edge weight"):
-            fill_mixed_graph(self.plan, self.wu, self.wd)
+        for bad in (-0.5, np.nan, np.inf):
+            wu = self.wu.copy()
+            wu[1, 0, 0] = bad
+            with pytest.raises(ValueError, match="non-finite or negative edge weight"):
+                fill_mixed_graph(self.plan, wu, self.wd)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_directed_weight(self, bad):
         self.wd[1, -1] = bad
         with pytest.raises(ValueError, match="directed edge weights must be positive"):

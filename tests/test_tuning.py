@@ -11,7 +11,6 @@ from stforecast.config import HeadSettings, PipelineConfig
 from stforecast.graphs import NumericFailure
 from stforecast.pipeline import Standardizer
 from stforecast.tuning import (
-    DEFAULT_TUNABLES,
     TUNABLES,
     make_projection,
     pack_config,
@@ -66,9 +65,9 @@ class TestPackUnpack:
         cfg = PipelineConfig.from_dict(
             {"layers": {"blocks": 2, "layers": 3}, "heads": {"count": 2}}
         )
-        theta = pack_config(cfg, DEFAULT_TUNABLES, n_stations=10)
-        rebuilt = unpack_config(cfg, DEFAULT_TUNABLES, theta)
-        theta2 = pack_config(rebuilt, DEFAULT_TUNABLES, n_stations=10)
+        theta = pack_config(cfg, n_stations=10)
+        rebuilt = unpack_config(cfg, theta)
+        theta2 = pack_config(rebuilt, n_stations=10)
         np.testing.assert_allclose(theta, theta2)
 
     def test_dimension_capped(self):
@@ -76,16 +75,16 @@ class TestPackUnpack:
             {"layers": {"blocks": 20, "layers": 1}, "heads": {"count": 4}}
         )
         with pytest.raises(ValueError, match="> 100"):
-            pack_config(cfg, DEFAULT_TUNABLES, n_stations=10)
+            pack_config(cfg, n_stations=10)
 
     def test_projection_bounds(self):
         cfg = PipelineConfig.from_dict(
             {"layers": {"blocks": 2, "layers": 2}, "heads": {"count": 2}}
         )
-        project = make_projection(cfg, DEFAULT_TUNABLES)
-        theta = pack_config(cfg, DEFAULT_TUNABLES, n_stations=10)
+        project = make_projection(cfg)
+        theta = pack_config(cfg, n_stations=10)
         wild = project(theta - 100.0)
-        rebuilt = unpack_config(cfg, DEFAULT_TUNABLES, wild)
+        rebuilt = unpack_config(cfg, wild)
         assert rebuilt.layers.mu_u.min() >= 1e-6
         assert rebuilt.layers.rho.min() >= 1e-6
         assert rebuilt.layers.residual.min() >= 0.0
@@ -104,37 +103,47 @@ class TestPackUnpack:
     ]
 
     def test_bounds_cover_every_tunable(self):
-        assert [name for name, _, _ in self.BOUNDS] == list(TUNABLES) == list(DEFAULT_TUNABLES)
+        assert [name for name, _, _ in self.BOUNDS] == list(TUNABLES)
+
+    @staticmethod
+    def slot(cfg, name):
+        """Where tunable ``name`` sits in the packed vector of ``cfg``."""
+        start = 0
+        for other, size in tuning._tunable_layout(cfg):
+            if other == name:
+                return slice(start, start + size)
+            start += size
 
     @pytest.mark.parametrize("name,lower,upper", BOUNDS)
     def test_each_tunable_clipped_to_its_bound(self, name, lower, upper):
         cfg = PipelineConfig.from_dict(
             {"layers": {"blocks": 2, "layers": 3}, "heads": {"count": 3}}
         )
-        project = make_projection(cfg, (name,))
-        theta = pack_config(cfg, (name,), n_stations=10)
+        project = make_projection(cfg)
+        theta = pack_config(cfg, n_stations=10)
+        at = self.slot(cfg, name)
         for shift, bound in ((-1e9, lower), (1e9, upper)):
-            clipped = project(theta + shift)
-            want = theta + shift if np.isinf(bound) else np.full_like(theta, bound)
-            np.testing.assert_array_equal(clipped, want)
+            moved = theta.copy()
+            moved[at] += shift
+            clipped = project(moved)
+            want = moved[at] if np.isinf(bound) else np.full_like(moved[at], bound)
+            np.testing.assert_array_equal(clipped[at], want)
+            # the other tunables are inside their bounds and stay as they are
+            np.testing.assert_array_equal(np.delete(clipped, at), np.delete(theta, at))
             # the clipped vector is a valid config, and packs back to itself
-            rebuilt = unpack_config(cfg, (name,), clipped)
-            np.testing.assert_array_equal(pack_config(rebuilt, (name,), n_stations=10), want)
+            rebuilt = unpack_config(cfg, clipped)
+            np.testing.assert_array_equal(pack_config(rebuilt, n_stations=10)[at], want)
         inside = project(theta)
         np.testing.assert_array_equal(inside, theta)
         assert np.isnan(project(np.full_like(theta, np.nan))).all()
-
-    def test_unknown_tunable_rejected(self):
-        with pytest.raises(ValueError, match="unknown tunable 'mu_x'"):
-            pack_config(PipelineConfig(), ("mu_x",), n_stations=10)
 
     def test_unpack_sets_per_block_tables(self):
         cfg = PipelineConfig.from_dict(
             {"layers": {"blocks": 2, "layers": 3}, "heads": {"count": 1}}
         )
-        theta = pack_config(cfg, ("mu_u",), n_stations=4)
-        theta = theta + np.array([1.0, 2.0])
-        out = unpack_config(cfg, ("mu_u",), theta)
+        theta = pack_config(cfg, n_stations=4)
+        theta[self.slot(cfg, "mu_u")] += np.array([1.0, 2.0])
+        out = unpack_config(cfg, theta)
         np.testing.assert_allclose(out.layers.mu_u[0], 4.0)
         np.testing.assert_allclose(out.layers.mu_u[1], 5.0)
 
