@@ -349,10 +349,13 @@ def undirected_weights(
         for t0 in range(0, n_instants, step):
             t1 = min(t0 + step, n_instants)
             feats = by_instant[..., t0:t1, :, :]
-            diffs = _rows(feats, ei) - _rows(feats, ej)
-            d = _pairwise_distances(diffs, factors_t[:, t0:t1]).reshape(lanes, t1 - t0, -1)
-            # shifting all distances cancels between numerator and denominator
-            e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
+            # non-finite features give NaN or infinite distances, silently:
+            # the mass check below reports them
+            with np.errstate(invalid="ignore", over="ignore"):
+                diffs = _rows(feats, ei) - _rows(feats, ej)
+                d = _pairwise_distances(diffs, factors_t[:, t0:t1]).reshape(lanes, t1 - t0, -1)
+                # shifting all distances cancels between numerator and denominator
+                e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
             # each (lane, instant)'s neighborhood sums in one bincount, its
             # stations at (lane * instants + instant) * n
             slices = lanes * (t1 - t0)
@@ -391,23 +394,26 @@ def directed_weights(
         raise ValueError(f"need a metric for every lag up to {skel.lag.max()}")
     temporal = isinstance(skel, TemporalSkeleton)
     d = np.empty((lanes, skel.n_edges))
-    for w in np.unique(skel.lag):
-        sel = np.flatnonzero(skel.lag == w)
-        if temporal:
-            # lag-w edges run (s, t - w) -> (s, t) in child order: two contiguous slices
-            shift = w * skel.n_stations
-            diffs = features[..., shift:, :] - features[..., :-shift, :]
-        else:
-            diffs = _rows(features, skel.dst[sel]) - _rows(features, skel.src[sel])
-        d[:, sel] = _pairwise_distances(diffs, factors_t[:, w - 1]).reshape(lanes, -1)
-    # per-child stable softmax; lane l's children are numbered from l * n_nodes
-    child = (np.arange(lanes)[:, None] * skel.n_nodes + skel.dst).ravel()
-    d = d.ravel()
-    dmin = np.full(lanes * skel.n_nodes, np.inf)
-    np.minimum.at(dmin, child, d)
-    e = np.exp(-(d - dmin[child]))
-    denom = np.bincount(child, weights=e, minlength=lanes * skel.n_nodes)
-    out = e / denom[child]
+    # non-finite features give NaN or infinite distances, silently: the
+    # weight check below reports them
+    with np.errstate(invalid="ignore", over="ignore"):
+        for w in np.unique(skel.lag):
+            sel = np.flatnonzero(skel.lag == w)
+            if temporal:
+                # lag-w edges run (s, t - w) -> (s, t) in child order: two contiguous slices
+                shift = w * skel.n_stations
+                diffs = features[..., shift:, :] - features[..., :-shift, :]
+            else:
+                diffs = _rows(features, skel.dst[sel]) - _rows(features, skel.src[sel])
+            d[:, sel] = _pairwise_distances(diffs, factors_t[:, w - 1]).reshape(lanes, -1)
+        # per-child stable softmax; lane l's children are numbered from l * n_nodes
+        child = (np.arange(lanes)[:, None] * skel.n_nodes + skel.dst).ravel()
+        d = d.ravel()
+        dmin = np.full(lanes * skel.n_nodes, np.inf)
+        np.minimum.at(dmin, child, d)
+        e = np.exp(-(d - dmin[child]))
+        denom = np.bincount(child, weights=e, minlength=lanes * skel.n_nodes)
+        out = e / denom[child]
     zero = np.flatnonzero(~(out > 0))  # or NaN, from non-finite features
     if len(zero):
         lane, edge = divmod(int(zero[0]), skel.n_edges)
@@ -427,7 +433,8 @@ class GraphPlan:
     adjacency and the directed edge each of its entries reads. ``patterns``
     holds each operator's pattern for weights that leave no entry 0.0: the
     patterns of ``l_u``, ``call_rd`` and ``l_n`` know their components once
-    the plan is made.
+    the plan is made, and the temporal ones, ``call_rd`` and ``l_n``, their
+    layout as diagonals (``graphs.Band``).
     """
 
     sskel: SpatialSkeleton
@@ -467,6 +474,11 @@ def plan_mixed_graph(
         adjacency, order = coo_pattern(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
         temporal = (adjacency, order % max(lane_skel.n_edges, 1))
         patterns["l_n"] = Pattern.of(normalized_laplacian(adjacency.matrix(np.ones(adjacency.nnz))))
+    # the temporal operators couple (s, t) with (s, t + d) for |d| <= window
+    # only: 2 window + 1 diagonals at offsets d * stations, in every lane
+    for name in ("call_rd", "l_n"):
+        if name in patterns:
+            patterns[name] = patterns[name].banded()
     for name in ("l_u", "call_rd", "l_n"):
         if name in patterns:
             patterns[name].labels  # the folds' components, worked out here once

@@ -14,7 +14,10 @@ SIAM 2006). A plan (``plan_undirected_laplacian``,
 operator's CSR ``Pattern`` and where each stored entry's value comes from.
 An assembly fills values only. A ``Pattern`` works out, once and on first
 use, what the solver's folded systems read of it: the diagonal's positions,
-the connected components and the map into dense component blocks.
+the connected components and the map into dense component blocks. A plan
+gives a pattern of few diagonals, the temporal ones, its ``Band``: where
+each entry sits in scipy's DIA layout, so that a fold on it runs the DIA
+kernel (``solver.Fold``).
 
 ``NumericFailure`` is the one failure of a forward pass; it lives here, below
 both ``attention`` and ``solver``, which raise it.
@@ -278,20 +281,58 @@ def build_temporal_skeleton(n_stations: int, n_instants: int, window: int) -> Te
 
 
 @dataclass(frozen=True, eq=False)
+class Band:
+    """Where a pattern's entries sit among its diagonals, in scipy's DIA layout.
+
+    Row i of a (len(``offsets``), n) array holds diagonal ``offsets[i]``,
+    entry (j - offsets[i], j) at column j; ``offsets`` ascend. Stored entry
+    e of the pattern, in column ``indices[e]``, sits in row ``which[e]``,
+    and every other position holds 0.0: the padding of a diagonal's rows
+    that store nothing. ``which`` takes the smallest unsigned dtype that
+    holds the number of diagonals: one byte for up to 255.
+    """
+
+    offsets: np.ndarray
+    which: np.ndarray
+
+    @property
+    def zero(self) -> int:
+        """The row of the main diagonal, for a band that has one."""
+        return int(np.searchsorted(self.offsets, 0))
+
+
+@dataclass(frozen=True, eq=False)
 class Pattern:
     """The sparsity pattern of a square CSR operator: ``indptr`` and ``indices``.
 
     Operators filled into one pattern share it, and with it what the cached
     properties work out on first use: the diagonal's positions, the
-    connected components and the map into their dense blocks.
+    connected components and the map into their dense blocks. ``band``, set
+    by ``banded``, is the pattern's layout as diagonals, for a pattern of
+    few of them.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
+    band: Band | None = None
 
     @classmethod
     def of(cls, mat: sp.csr_matrix) -> "Pattern":
         return cls(mat.indptr, mat.indices)
+
+    def banded(self) -> "Pattern":
+        """This pattern with its ``Band``; the offsets keep the index dtype."""
+        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
+        offset = self.indices - rows
+        offsets = np.unique(offset)
+        which = np.searchsorted(offsets, offset).astype(np.min_scalar_type(len(offsets)))
+        return Pattern(self.indptr, self.indices, Band(offsets, which))
+
+    def band_values(self, data: np.ndarray) -> np.ndarray:
+        """The operator with ``data`` in this pattern as its ``band``'s diagonals."""
+        values = np.zeros((len(self.band.offsets), self.n))
+        values[self.band.which, self.indices] = data
+        return values
 
     @property
     def n(self) -> int:

@@ -25,14 +25,19 @@ residual, one for every step but the last).
 
 A fold (``Fold``) is a ``graphs.Pattern`` and a ``data`` array. A fold of
 one operator fills a new ``data`` array on that operator's pattern, whose
-diagonal positions, components and block map the graph's plan worked out
-once; a block only fills values. A fold applies itself by calling scipy's
-CSR matrix-vector kernel directly, the kernel ``A @ v`` runs, in the same
-summation order: no ``csr_matrix`` is built and no dispatch is paid per
-product; ``Fold.matrix`` is its CSR view. ``MixedGraph.apply`` (L_r x
+diagonal positions, components, block map and band the graph's plan worked
+out once; a block only fills values. A fold applies itself by calling one
+of scipy's matrix-vector kernels directly: no ``csr_matrix`` is built and
+no dispatch is paid per product; ``Fold.matrix`` is its CSR view. The
+temporal systems (x and z_d, or z_n) that the recurrence applies are bands
+of 2W + 1 diagonals on a planned graph, and hold their values as diagonals
+for scipy's DIA kernel, which reads no column index per value (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2003, section 3.4). Every
+other fold runs the CSR kernel that ``A @ v`` runs. On a finite vector both
+give the CSR product bit for bit (``Fold.dot``). ``MixedGraph.apply`` (L_r x
 and L_r' v, once per layer) stays on scipy's ``@``, the product the
 benchmark's tracer counts; once that tracer hooks one product function,
-both can run on the kernel.
+both can run on the kernels.
 
 A solve returns a finite result or raises ``NumericFailure`` (from
 ``graphs``, importable here), naming its CG iteration when it has one; the
@@ -46,7 +51,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec  # the kernel of scipy's CSR ``A @ v``
+# the kernels of scipy's CSR and DIA ``A @ v``
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from . import priors
 from .graphs import ComponentBlocks, MixedGraph, NumericFailure, Pattern
@@ -219,8 +225,12 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
         ap = apply_a(p)
         pap = float(p @ ap)
         if not np.isfinite(pap) or pap <= 0:
+            # a non-finite direction names its own entry, not one of A p,
+            # which a banded fold's padding can move into the lane before
+            bad = _first_nonfinite(p)
             raise NumericFailure(
-                "CG curvature is not positive", iteration=k, entry=_first_nonfinite(ap)
+                "CG curvature is not positive", iteration=k,
+                entry=_first_nonfinite(ap) if bad is None else bad,
             )
         alpha = rr / pap
         x += alpha * p
@@ -329,49 +339,92 @@ class AdmmState:
 
 @dataclass(frozen=True, eq=False)
 class Fold:
-    """A folded CG system: the values ``data`` in ``pattern``, applied by scipy's CSR kernel.
+    """A folded CG system: the values ``data`` in ``pattern``, applied by one of scipy's kernels.
 
-    ``dot`` calls the kernel that ``pattern.matrix(data) @ v`` runs, in the
-    same summation order, so its product is bitwise that one's; it builds no
-    matrix and pays no dispatch per product. The kernel checks no bounds, so
-    ``dot`` checks the vector it is handed, and the index dtypes it dispatches
-    on, first.
+    ``data`` holds one value per stored entry, in the pattern's order, and
+    ``dot`` runs the CSR kernel that ``pattern.matrix(data) @ v`` runs; or,
+    on a pattern with a ``band``, the band's diagonals, a (len(offsets), n)
+    array, and ``dot`` runs scipy's DIA kernel. Either way it builds no
+    matrix and pays no dispatch per product; ``matrix`` is the CSR view.
     """
 
     pattern: Pattern
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.dtype != np.float64 or self.data.shape != (self.pattern.nnz,):
-            raise ValueError(f"a fold of {self.pattern.nnz} entries needs as many float64 values, "
+        band = self.pattern.band
+        if self.data.ndim == 2 and band is not None:
+            shape = (len(band.offsets), self.pattern.n)
+            what = f"{shape[0]} diagonals of {shape[1]}"
+        else:
+            shape = (self.pattern.nnz,)
+            what = f"{shape[0]} entries"
+        if self.data.dtype != np.float64 or self.data.shape != shape:
+            raise ValueError(f"a fold of {what} needs as many float64 values, "
                              f"got {self.data.dtype} {self.data.shape}")
 
     def matrix(self) -> sp.csr_matrix:
-        return self.pattern.matrix(self.data)
+        data = self.data
+        if data.ndim == 2:  # the band's diagonals, gathered into entry order
+            data = data[self.pattern.band.which, self.pattern.indices]
+        return self.pattern.matrix(data)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
+        """``matrix() @ v``, bit for bit when ``v`` is finite.
+
+        The CSR kernel is the one scipy's product runs. The DIA kernel adds
+        each row's terms diagonal by diagonal, and the offsets ascend, so in
+        the CSR kernel's column order, from the same +0.0. Its padding adds
+        0.0 * v[j], a signed zero, to a partial sum that is never -0.0 (a
+        sum from +0.0 is -0.0 only if both terms are), which changes no bit.
+
+        A non-finite v[j] is another matter: 0.0 * inf is NaN, and the
+        padding carries it into rows that store nothing in column j, at a
+        lane boundary into the lane before. A failure still names the lane
+        that failed, because ``cg_solve`` never takes the place of a failure
+        from the product of such a vector: x0 is finite by its contract; the
+        recurrence checks x, which a non-finite direction makes non-finite,
+        before it applies the direction; exact CG checks each residual, and
+        a direction that fails its curvature check names its own first
+        non-finite entry; and the recurrence's unchecked first pass only
+        decides finite or not, where both kernels agree.
+
+        The kernels check no bounds, so the vector, and the index dtypes the
+        CSR kernel dispatches on, are checked first.
+        """
         indptr, indices = self.pattern.indptr, self.pattern.indices
         n = len(indptr) - 1
         if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
                 and v.flags.c_contiguous):
             raise ValueError(f"a fold of {n} nodes applies a C-contiguous float64 vector of "
                              f"length {n}, got {getattr(v, 'dtype', type(v))} {np.shape(v)}")
+        out = np.zeros(n)
+        if self.data.ndim == 2:
+            offsets = self.pattern.band.offsets
+            dia_matvec(n, n, len(offsets), n, offsets, self.data, v, out)
+            return out
         if indptr.dtype != indices.dtype:
             raise ValueError(f"fold index arrays differ in dtype: {indptr.dtype}, {indices.dtype}")
-        out = np.zeros(n)
         csr_matvec(n, n, indptr, indices, self.data, v, out)
         return out
 
 
 def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: float,
-                  observed: bool) -> Fold:
+                  observed: bool, on_band: bool = False) -> Fold:
     """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one ``Fold``.
 
     ``ops`` pairs operator names of ``graph`` with coefficients. One operator
     whose pattern stores every diagonal entry gives a new ``data`` array on
-    that operator's pattern; otherwise the terms are added by scipy (its
-    sparse products drop exact zeros, so even ``call_rd`` may lack a
-    diagonal entry). ``Fold.matrix`` is its CSR view.
+    that operator's pattern, coef times its values plus the diagonal;
+    otherwise the terms are added by scipy (its sparse products drop exact
+    zeros, so even ``call_rd`` may lack a diagonal entry). ``Fold.matrix``
+    is its CSR view.
+
+    With ``on_band``, a fold on a pattern with a ``band`` holds the band's
+    diagonals: the operator's values are scattered into them
+    (``Pattern.band_values``), scaled in place and given the diagonal on the
+    main diagonal's row, the same operations as in entry order, and no
+    entry-order copy is made.
     """
     diag = np.full(graph.n_nodes, shift)
     if observed:
@@ -380,8 +433,14 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
         name, coef = ops[0]
         pattern = graph.patterns[name]
         if pattern.diagonal is not None:
-            data = coef * getattr(graph, name).data
-            data[pattern.diagonal] += diag
+            values = getattr(graph, name).data
+            if on_band and pattern.band is not None:
+                data = pattern.band_values(values)
+                data *= coef
+                data[pattern.band.zero] += diag
+            else:
+                data = coef * values
+                data[pattern.diagonal] += diag
             return Fold(pattern, data)
     folded = sp.diags(diag, format="csr")
     for name, coef in ops:
@@ -395,7 +454,11 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
 
     Keys are the (ops, shift, observed) of ``_layer_systems``, values
-    (``Fold``, Q(A) or None).
+    (``Fold``, Q(A) or None). A fold that the recurrence applies, on a
+    pattern with a band (a planned temporal one), holds its band's
+    diagonals and runs the DIA kernel; a fold applied as Q(A) takes one
+    product per solve, which would not repay the scatter, and keeps its
+    values in entry order, which the polynomial's fill reads.
 
     A system gets its polynomial (``polynomial_operator``) when the schedule
     is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
@@ -409,11 +472,18 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     operators (the unsplit signal system) works out its own.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
+
+    def polynomial(pattern: Pattern, count: int) -> bool:
+        return (sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET
+                and np.bincount(pattern.labels).max() <= count)
+
     folds = {}
     for key, count in uses.items():
-        fold, g = folded_system(graph, *key), None
-        if (sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET
-                and np.bincount(fold.pattern.labels).max() <= count):
+        ops = key[0]
+        # a fold of one operator takes that operator's pattern
+        on_band = len(ops) == 1 and not polynomial(graph.patterns[ops[0][0]], count)
+        fold, g = folded_system(graph, *key, on_band=on_band), None
+        if polynomial(fold.pattern, count):
             g = polynomial_operator(fold.pattern.components.fill(fold.data), sched)
         folds[key] = (fold, g)
     return folds

@@ -316,8 +316,10 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     windows), each lane of every operator of ``multi_head_graphs`` must
     equal, bit for bit, the graph of that window and head built alone, and
     every folded system of the first block's layer scalars, in every solver
-    variant, applied by its ``solver.Fold`` as the solver applies it, must
-    equal its unfolded operator products to 1e-13 relative.
+    variant, applied by its ``solver.Fold`` as the solver applies it (the
+    temporal ones by the DIA kernel on their band), must equal its unfolded
+    operator products to 1e-13 relative, and its CSR view's product byte
+    for byte.
     """
     cfg, pg, ctx, xs, t_steps = _desk_starts(seed)
     graph = pipeline.block_graph(ctx, xs, t_steps)
@@ -341,6 +343,7 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
         folds.update(solver.block_folds(graph, [p], terms, CgSchedule.exact()))
     v = np.random.default_rng(seed).standard_normal(graph.n_nodes)
     worst = 0.0
+    unequal = []
     for (ops, shift, observed), (fold, _) in folds.items():
         want = shift * v + sum(coef * (getattr(graph, name) @ v) for name, coef in ops)
         scale = (abs(shift) + 1.0) * np.abs(v) + sum(
@@ -350,12 +353,21 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
             want[graph.h_mask] += v[graph.h_mask]
         got = fold.dot(v)
         worst = max(worst, float(np.abs(got - want).max() / scale.max()))
+        if got.tobytes() != (fold.matrix() @ v).tobytes():
+            unequal.append("+".join(name for name, _ in ops) or "identity")
+    banded = sum(fold.data.ndim == 2 for fold, _ in folds.values())
+    if mismatched:
+        detail = f"lanes differ: {', '.join(mismatched)}"
+    elif unequal:
+        detail = f"fold products differ from their CSR views': {', '.join(unequal)}"
+    else:
+        detail = (f"lanes bitwise equal; folds max relative deviation {worst:.1e}, each "
+                  f"product byte-equal to its CSR view's ({banded} of {len(folds)} on a band)")
     return CheckResult(
         f"lane-stacked assembly and folded CG systems ({len(xs)} windows x "
         f"{ctx.bank.heads} heads, desk graph)",
-        not mismatched and worst <= 1e-13,
-        f"lanes differ: {', '.join(mismatched)}" if mismatched
-        else f"lanes bitwise equal; folds max relative deviation {worst:.1e}",
+        not mismatched and not unequal and worst <= 1e-13,
+        detail,
     )
 
 

@@ -168,15 +168,16 @@ class TestUndirectedWeights:
         w2 = undirected_weights(feats * 1.0, skel, [m])
         np.testing.assert_array_equal(w1, w2)
 
+    @pytest.mark.filterwarnings("error")
     def test_all_underflowed_neighborhood_rejected(self):
         # station 2 sits so far in feature space that its entire attention
         # mass underflows to zero; with non-finite features every distance,
-        # and so the mass, is NaN, which is no weight for the assembly either
+        # and so the mass, is NaN, which is no weight for the assembly
+        # either; neither case warns before it raises
         skel = path3_setup()
         for feats in ([[0.0], [0.0], [np.sqrt(1e9)]], np.full((3, 1), np.inf)):
             with pytest.raises(DegenerateWeightError, match="instant 0"):
-                with np.errstate(invalid="ignore"):
-                    undirected_weights(np.array(feats), skel, [np.eye(1)])
+                undirected_weights(np.array(feats), skel, [np.eye(1)])
 
     def test_heads_report_first_instant_then_first_head(self):
         # heads 1 and 2 underflow at instant 1, head 0 only at instant 2; the
@@ -318,10 +319,11 @@ class TestDirectedWeights:
         assert (info.value.lane, info.value.head, info.value.instant) == (2, None, 2)
         assert str(info.value) == "zero temporal attention weight (instant 2)"
 
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_features_rejected(self):
         skel = build_temporal_skeleton(1, 3, 2)
         bank = MetricBank.default(3, 2, feature_dim=1)
-        with pytest.raises(DegenerateWeightError, match="instant 1"), np.errstate(invalid="ignore"):
+        with pytest.raises(DegenerateWeightError, match="instant 1"):
             directed_weights(np.full((3, 1), np.inf), skel, bank.directed[0])
 
     def test_monotone_attention(self):
@@ -485,6 +487,20 @@ class TestMultiHead:
         for a in range(4):
             for b in range(a + 1, 4):
                 assert np.abs(gs[a] - gs[b]).max() > 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_window_raises_without_warnings(self, fill):
+        # the second of two windows is all non-finite: each weight function
+        # names its first lane (window 1, head 0) and prints no numpy warning
+        bank = MetricBank.default(4, 2, feature_dim=4, heads=2)
+        feats = np.stack([self.feats, np.full_like(self.feats, fill)])
+        plan = plan_mixed_graph(self.sskel, self.tskel, 2 * bank.heads, 2, False)
+        for weights in (lambda: multi_head_graphs(feats, plan, bank),
+                        lambda: directed_weights(feats, self.tskel, bank.directed)):
+            with pytest.raises(DegenerateWeightError) as info:
+                weights()
+            assert info.value.lane == 2
 
 
 class TestMetricBank:

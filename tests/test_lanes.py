@@ -407,6 +407,21 @@ class TestFoldedSystem:
                 assert fold.dot(v).tobytes() == want.tobytes(), (mode, key)
 
 
+BAD_VECTORS = ["short", "long", "float32", "strided", "2-d", "list"]
+
+
+def bad_vector(bad, n):
+    """A vector that a fold of ``n`` nodes must refuse, of the kind ``bad``."""
+    return {
+        "short": np.ones(n - 1),
+        "long": np.ones(n + 1),
+        "float32": np.ones(n, dtype=np.float32),
+        "strided": np.ones(2 * n)[::2],
+        "2-d": np.ones((n, 1)),
+        "list": [1.0] * n,
+    }[bad]
+
+
 class TestFoldKernel:
     """``Fold.dot`` calls scipy's CSR kernel, which checks no bounds: the
     contract it relies on, and the inputs it must refuse."""
@@ -428,19 +443,12 @@ class TestFoldKernel:
         v = np.random.default_rng(39).standard_normal(g.n_nodes)
         assert fold.dot(v).tobytes() == (g.l_rd @ v).tobytes()
 
-    @pytest.mark.parametrize("bad", ["short", "long", "float32", "strided", "2-d", "list"])
+    @pytest.mark.parametrize("bad", BAD_VECTORS)
     def test_refuses_a_vector_the_kernel_would_misread(self, bad):
         g = random_mixed(np.random.default_rng(40))
         fold = folded_system(g, (("l_u", 0.5),), 0.3, True)
         n = g.n_nodes
-        v = {
-            "short": np.ones(n - 1),
-            "long": np.ones(n + 1),
-            "float32": np.ones(n, dtype=np.float32),
-            "strided": np.ones(2 * n)[::2],
-            "2-d": np.ones((n, 1)),
-            "list": [1.0] * n,
-        }[bad]
+        v = bad_vector(bad, n)
         with pytest.raises(ValueError, match=f"C-contiguous float64 vector of length {n}"):
             fold.dot(v)
 
@@ -456,6 +464,168 @@ class TestFoldKernel:
         data = op.data[:-1] if bad == "short" else op.data.astype(np.float32)
         with pytest.raises(ValueError, match="float64 values"):
             Fold(Pattern.of(op), data)
+
+
+def planned_graph(rng, lanes, n_stations=3, n_instants=5, window=2, n_observed=3):
+    """A graph of ``lanes`` lanes filled into its plan, ``l_n`` too, with random weights."""
+    edges = tuple((i, j, float(rng.uniform(0.1, 2)))
+                  for i in range(n_stations) for j in range(i + 1, n_stations))
+    sskel = build_spatial_skeleton(PhysicalGraph(n_stations, edges), 2)
+    tskel = build_temporal_skeleton(n_stations, n_instants, window)
+    plan = plan_mixed_graph(sskel, tskel, lanes, n_observed, True)
+    wu = rng.uniform(0.2, 1.5, (lanes, n_instants, sskel.n_edges))
+    wd = rng.uniform(0.2, 1.5, (lanes, tskel.n_edges))
+    return fill_mixed_graph(plan, wu, wd)
+
+
+@contextlib.contextmanager
+def kernel_calls(fail=False):
+    """The names of the scipy kernels ``Fold.dot`` calls, in order; with
+    ``fail``, a call raises instead."""
+    calls = []
+
+    def recording(name, kernel):
+        def call(*args):
+            if fail:
+                raise AssertionError(f"{name} ran")
+            calls.append(name)
+            return kernel(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("csr_matvec", "dia_matvec"):
+            mp.setattr(solver, name, recording(name, getattr(solver, name)))
+        yield calls
+
+
+FINITE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+
+
+class TestBandKernel:
+    """A planned temporal pattern (``call_rd``, ``l_n``) has a ``Band``, and
+    its folds run scipy's DIA kernel; every other fold runs the CSR kernel.
+    On a finite vector both give the CSR view's product bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 4, 8]),
+           st.sampled_from(["full", "no_dgtv", "undirected_temporal"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_csr_product(self, seed, lanes, mode, data):
+        rng = np.random.default_rng(seed)
+        n_instants = int(rng.integers(3, 7))
+        g = planned_graph(rng, lanes, n_stations=int(rng.integers(1, 5)), n_instants=n_instants,
+                          window=int(rng.integers(1, n_instants)),
+                          n_observed=int(rng.integers(1, n_instants)))
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        ran = set()
+        for key, (fold, _) in block_folds(g, [p], TERMS[mode], CgSchedule.exact()).items():
+            v = np.array(data.draw(st.lists(FINITE, min_size=g.n_nodes, max_size=g.n_nodes)))
+            banded = [name for name, _ in key[0]] in (["call_rd"], ["l_n"])
+            assert (fold.pattern.band is not None) == banded, key
+            assert (fold.data.ndim == 2) == banded, key
+            with kernel_calls() as calls:
+                got = fold.dot(v)
+            assert calls == ["dia_matvec" if banded else "csr_matvec"], key
+            assert got.tobytes() == (fold.matrix() @ v).tobytes(), key
+            ran.update(calls)
+        assert "dia_matvec" in ran  # every one of these modes has a temporal solve
+
+    @pytest.mark.parametrize("which", ["unplanned", "direct_unsplit", "cancelling_call_rd",
+                                       "polynomial"])
+    def test_other_folds_stay_on_csr(self, which):
+        # a graph made without a plan, the unsplit signal system (a sum of
+        # operators) and a call_rd that dropped an exact 0.0 have patterns
+        # of their own, without a band; a fold applied as Q(A) keeps its
+        # values in entry order, which the polynomial's fill reads
+        rng = np.random.default_rng(43)
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        if which == "unplanned":
+            g = stack_graphs(random_heads(rng, 2))
+            folds = block_folds(g, [p], TERMS["full"], CgSchedule.exact())
+        elif which == "direct_unsplit":
+            g = planned_graph(rng, 4)
+            folds = block_folds(g, [p], TERMS["direct_unsplit"], CgSchedule.exact())
+        elif which == "polynomial":
+            # 5 layers of one system, and components of 5 nodes (a station's instants)
+            g = planned_graph(rng, 4, n_instants=5)
+            folds = block_folds(g, [p] * 5, TERMS["full"], CgSchedule.unrolled())
+            assert all(q is not None for _, q in folds.values())
+        else:
+            plan, g, _ = dropped_zero_graph(which)
+            assert g.patterns["call_rd"] is not plan.patterns["call_rd"]
+            folds = block_folds(g, [p], TERMS["full"], CgSchedule.exact())
+        for key, (fold, _) in folds.items():
+            assert fold.data.ndim == 1, key
+            assert which == "polynomial" or fold.pattern.band is None, key
+            v = rng.standard_normal(g.n_nodes)
+            with kernel_calls() as calls:
+                got = fold.dot(v)
+            assert calls == ["csr_matvec"]
+            assert got.tobytes() == (fold.matrix() @ v).tobytes(), key
+
+    def test_banded_fold_holds_the_diagonals_only(self):
+        g = planned_graph(np.random.default_rng(44), 4)
+        fold = folded_system(g, (("call_rd", 0.7),), 0.3, True, on_band=True)
+        band = fold.pattern.band
+        assert band.which.dtype == np.uint8
+        assert fold.data.shape == (len(band.offsets), g.n_nodes)
+        np.testing.assert_array_equal(band.offsets, np.arange(-2, 3) * g.n_stations)
+        # the same operators without the plan's patterns fold on CSR
+        unplanned = MixedGraph(g.n_stations, g.n_instants, g.n_observed, l_u=g.l_u, w_rd=g.w_rd,
+                               l_rd=g.l_rd, lanes=g.lanes)
+        want = folded_system(unplanned, (("call_rd", 0.7),), 0.3, True)
+        assert want.pattern.band is None
+        assert_same_csr(fold.matrix(), want.matrix())
+        with pytest.raises(ValueError, match="5 diagonals of 60 needs as many float64 values"):
+            Fold(fold.pattern, fold.data[:, :-1])
+
+    @pytest.mark.parametrize("bad", BAD_VECTORS)
+    def test_refuses_a_vector_before_either_kernel(self, bad):
+        g = planned_graph(np.random.default_rng(45), 4)
+        n = g.n_nodes
+        v = bad_vector(bad, n)
+        for name in ("l_u", "call_rd", "l_n"):
+            fold = folded_system(g, ((name, 0.5),), 0.3, True, on_band=True)
+            assert (fold.data.ndim == 2) == (name != "l_u")
+            with kernel_calls(fail=True), pytest.raises(
+                    ValueError, match=f"C-contiguous float64 vector of length {n}"):
+                fold.dot(v)
+
+    def test_verify_check_needs_byte_equal_products(self, monkeypatch):
+        # one ulp off in one entry is far inside the check's 1e-13 tolerance;
+        # only the byte comparison with the CSR view sees it
+        from stforecast import verify
+
+        result = verify.check_lanes_and_folds()
+        assert result.passed, result.detail
+        assert "each product byte-equal to its CSR view's" in result.detail
+        kernel = solver.dia_matvec
+
+        def one_ulp_off(*args):
+            kernel(*args)
+            args[-1][0] = np.nextafter(args[-1][0], np.inf)
+
+        monkeypatch.setattr(solver, "dia_matvec", one_ulp_off)
+        result = verify.check_lanes_and_folds()
+        assert not result.passed
+        assert result.detail.startswith("fold products differ from their CSR views': call_rd")
+
+    def test_exact_cg_names_a_nonfinite_direction_in_its_own_lane(self):
+        # the first direction is the starting residual; one inf in lane 1
+        # reaches lane 0's last rows through the band's padding (0 * inf),
+        # so the failure must name the direction's entry, not A p's first
+        g = planned_graph(np.random.default_rng(46), 2)
+        fold = folded_system(g, (("call_rd", 0.7),), 0.3, True, on_band=True)
+        b = np.ones(g.n_nodes)
+        size = g.n_nodes // 2
+        b[size + 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            ap = fold.dot(b)
+        assert not np.isfinite(ap[:size]).all()  # the padding carried it over
+        with pytest.raises(NumericFailure, match="curvature") as info, \
+                np.errstate(invalid="ignore"):
+            cg_solve(fold.dot, b, np.zeros(g.n_nodes), CgSchedule.exact())
+        assert info.value.entry == size + 1
+        assert g.lane_of(info.value.entry) == 1
 
 
 def per_step_unrolled(apply_a, b, x0, sched):
@@ -647,6 +817,33 @@ def diverge_lane(lane, after_calls=0):
     return diverging
 
 
+def diverge_temporal_lane(lane):
+    """A stand-in for ``multi_head_graphs`` whose temporal operators, ``call_rd``
+    and ``l_n``, have lane ``lane``'s rows scaled by 1e200, on the plan's
+    patterns: their folds run the band kernel."""
+    build = attention.multi_head_graphs
+
+    def diverging(features, plan, bank):
+        g = build(features, plan, bank)
+        lane_scale = np.ones(g.lanes)
+        lane_scale[lane] = 1e200
+        rows = np.repeat(lane_scale, g.n_nodes // g.lanes)
+        scaled = {}
+        for name in ("call_rd", "l_n"):
+            op = getattr(g, name)
+            if op is not None:
+                data = op.data * np.repeat(rows, np.diff(op.indptr))
+                scaled[name] = sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+        out = MixedGraph(
+            g.n_stations, g.n_instants, g.n_observed, l_u=g.l_u, w_rd=g.w_rd, l_rd=g.l_rd,
+            h_mask=g.h_mask, lanes=g.lanes, l_rd_t=g.l_rd_t, patterns=plan.patterns, **scaled,
+        )
+        assert all(out.patterns[name] is plan.patterns[name] for name in scaled)
+        return out
+
+    return diverging
+
+
 class TestWindowLanes:
     @given(
         st.lists(st.integers(0, 20), min_size=1, max_size=3),
@@ -713,6 +910,27 @@ class TestWindowLanes:
             "block 0", f"window {window}", "head 1", "layer 0", "step z_u",
             f"cg iteration {exc.iteration}",
         ):
+            assert message.count(part) == 1, message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cg_mode", ["unrolled", "exact"])
+    @pytest.mark.parametrize("mode,step", [("full", "x"), ("no_dgtv", "z_d"),
+                                           ("undirected_temporal", "z_n")])
+    def test_diverging_temporal_lane_names_its_own_window(self, monkeypatch, mode, step,
+                                                          cg_mode):
+        # lane 3 (window 1, head 1) diverges in the first solve on its
+        # temporal operator, which runs the band kernel: the failure names
+        # that lane, not lane 2, whose last rows the padding reaches
+        windows, ctx = window_context(heads=2, mode=mode, cg_mode=cg_mode)
+        monkeypatch.setattr(solver, "LANE_NODE_BUDGET", 2 * 2 * ctx.tskel.n_nodes)
+        monkeypatch.setattr(attention, "multi_head_graphs", diverge_temporal_lane(3))
+        with kernel_calls() as calls, pytest.raises(NumericFailure) as info:
+            pipeline.reconstruct_batch(windows[:2], ctx)
+        assert "dia_matvec" in calls
+        exc = info.value
+        assert (exc.block, exc.window, exc.head, exc.layer, exc.step) == (0, 1, 1, 0, step)
+        message = str(exc)
+        for part in ("block 0", "window 1", "head 1", "layer 0", f"step {step}"):
             assert message.count(part) == 1, message
 
     @pytest.mark.parametrize("per_call", [1, 2])
