@@ -431,10 +431,11 @@ class GraphPlan:
     ``assemble_random_walk_digraph`` (over the temporal skeleton repeated
     per lane), the mask, and, with ``l_n``, the symmetrized temporal
     adjacency and the directed edge each of its entries reads. ``patterns``
-    holds each operator's pattern for weights that leave no entry 0.0: the
-    patterns of ``l_u``, ``call_rd`` and ``l_n`` know their components once
-    the plan is made, and the temporal ones, ``call_rd`` and ``l_n``, their
-    layout as diagonals (``graphs.Band``).
+    holds the pattern of each operator a fold reads, ``l_u``, ``call_rd``
+    and ``l_n``, for weights that leave no entry 0.0; the temporal ones,
+    ``call_rd`` and ``l_n``, with their layout as diagonals
+    (``graphs.Band``). A pattern works out its components only when a
+    fold's Q(A) asks (``solver.block_folds``).
     """
 
     sskel: SpatialSkeleton
@@ -460,28 +461,19 @@ def plan_mixed_graph(
     lane_skel = _lane_skeleton(tskel, lanes)
     l_u = plan_undirected_laplacian(sskel, lanes * tskel.n_instants)
     walk = plan_random_walk_digraph(lane_skel)
-    # with ones for values the products cancel nowhere and store full patterns
+    # with ones for values the products cancel nowhere and store full
+    # patterns; the temporal ones couple (s, t) with (s, t + d), |d| <= window
+    # only: 2 window + 1 diagonals at offsets d * stations, in every lane
     ones_l_rd = walk.l_rd.matrix(np.ones(walk.l_rd.nnz))
-    patterns = {
-        "l_u": l_u.pattern,
-        "w_rd": walk.w_rd,
-        "l_rd": walk.l_rd,
-        "call_rd": Pattern.of(symmetrized_dglr_matrix(ones_l_rd, transpose(ones_l_rd, walk.l_rd))),
-    }
+    call_rd = symmetrized_dglr_matrix(ones_l_rd, transpose(ones_l_rd, walk.l_rd))
+    patterns = {"l_u": l_u.pattern, "call_rd": Pattern.of(call_rd).banded()}
     temporal = None
     if with_undirected_temporal:
         n, src, dst = lane_skel.n_nodes, lane_skel.src, lane_skel.dst
         adjacency, order = coo_pattern(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
         temporal = (adjacency, order % max(lane_skel.n_edges, 1))
-        patterns["l_n"] = Pattern.of(normalized_laplacian(adjacency.matrix(np.ones(adjacency.nnz))))
-    # the temporal operators couple (s, t) with (s, t + d) for |d| <= window
-    # only: 2 window + 1 diagonals at offsets d * stations, in every lane
-    for name in ("call_rd", "l_n"):
-        if name in patterns:
-            patterns[name] = patterns[name].banded()
-    for name in ("l_u", "call_rd", "l_n"):
-        if name in patterns:
-            patterns[name].labels  # the folds' components, worked out here once
+        l_n = normalized_laplacian(adjacency.matrix(np.ones(adjacency.nnz)))
+        patterns["l_n"] = Pattern.of(l_n).banded()
     lane_mask = np.zeros(tskel.n_nodes, dtype=bool)
     lane_mask[: sskel.n_stations * n_observed] = True
     h_mask = np.tile(lane_mask, lanes)

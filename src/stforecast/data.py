@@ -222,26 +222,22 @@ def _check_edges_header(header: list[str]) -> None:
         raise ValueError("expected header 'from,to,cost'")
 
 
-def load_road_network(path, n_stations: int | None = None) -> PhysicalGraph:
+def load_road_network(path, n_stations: int) -> PhysicalGraph:
     """Read an edge list CSV with header ``from,to,cost`` (0-based station ids).
 
     ``n_stations`` is the station count, e.g. the signal's column count;
-    stations no edge touches are isolated. Without it the count is one past
-    the largest id. The parsed table goes to ``PhysicalGraph`` as it is; an
-    edge it rejects, an id out of range among them, is reported at its line.
+    stations no edge touches are isolated. The parsed table goes to
+    ``PhysicalGraph`` as it is; an edge it rejects, an id out of range
+    among them, is reported at its line.
     """
     rows = _read_numeric(path, _check_edges_header, lambda header: EDGE_DTYPE)
     if rows is not None:
-        top = int(np.maximum(rows["from"], rows["to"]).max())
-        count = 1 + top if n_stations is None else n_stations
         try:
-            return PhysicalGraph(count, rows)
+            return PhysicalGraph(n_stations, rows)
         except ValueError:
             pass  # the row reader names the line of the bad edge
     _, lines, edges = _read_csv(path, _check_edges_header,
                                 lambda row: (int(row[0]), int(row[1]), float(row[2])))
-    if n_stations is None:
-        n_stations = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
     try:
         return PhysicalGraph(n_stations, edges)
     except EdgeError as exc:

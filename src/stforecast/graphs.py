@@ -12,9 +12,10 @@ from a numeric phase (Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006). A plan (``plan_undirected_laplacian``,
 ``plan_random_walk_digraph``) holds what depends on the skeleton alone: each
 operator's CSR ``Pattern`` and where each stored entry's value comes from.
-An assembly fills values only. A ``Pattern`` works out, once and on first
-use, what the solver's folded systems read of it: the diagonal's positions,
-the connected components and the map into dense component blocks. A plan
+An assembly fills values only. A ``Pattern`` works out on first use, and
+keeps, what the solver's folded systems read of it: the diagonal's
+positions and, for a fold applied as its polynomial, the connected
+components and the map into dense component blocks. A plan
 gives a pattern of few diagonals, the temporal ones, its ``Band``: where
 each entry sits in scipy's DIA layout, so that a fold on it runs the DIA
 kernel (``solver.Fold``).
@@ -721,11 +722,12 @@ class MixedGraph:
     diagonal blocks of each operator; signals are the per-lane vectors
     concatenated, and ``h_mask`` repeats once per lane.
 
-    ``patterns`` maps the name of each operator but ``l_rd_t``, which no
-    fold reads, to its ``Pattern``, whose index arrays the operator uses. A
-    graph filled from a plan is given the plan's and keeps each that its
-    operator fits, so what a pattern works out is worked out once per plan;
-    any other operator gets a pattern of its own.
+    ``patterns`` maps the name of each operator a fold reads, ``l_u``,
+    ``call_rd`` and ``l_n`` when there is one, to its ``Pattern``, whose
+    index arrays the operator uses. A graph filled from a plan is given the
+    plan's and keeps each that its operator fits, so what a pattern works
+    out is shared by every graph of the plan; any other operator gets a
+    pattern of its own.
     """
 
     n_stations: int
@@ -757,7 +759,7 @@ class MixedGraph:
             self.h_mask = np.tile(lane_mask, self.lanes)
         given = self.patterns or {}
         self.patterns = {}
-        for name in ("l_u", "w_rd", "l_rd", "call_rd", "l_n"):
+        for name in ("l_u", "call_rd", "l_n"):
             mat, pattern = getattr(self, name), given.get(name)
             if mat is None:
                 continue

@@ -24,11 +24,13 @@ instead of the recurrence's ``iters`` sparse products (one for the starting
 residual, one for every step but the last).
 
 A fold (``Fold``) is a ``graphs.Pattern`` and a ``data`` array. A fold of
-one operator fills a new ``data`` array on that operator's pattern, whose
-diagonal positions, components, block map and band the graph's plan worked
-out once; a block only fills values. A fold applies itself by calling one
-of scipy's matrix-vector kernels directly: no ``csr_matrix`` is built and
-no dispatch is paid per product; ``Fold.matrix`` is its CSR view. The
+one operator fills a new ``data`` array on that operator's pattern, which
+the graph's plan shares with every block: its band, set by the plan, and
+its diagonal positions and, for a fold applied as Q(A), its components and
+block map, kept from the first block that reads them. A block only fills
+values. A fold applies itself by calling one of scipy's matrix-vector
+kernels directly: no ``csr_matrix`` is built and no dispatch is paid per
+product; ``Fold.matrix`` is its CSR view. The
 temporal systems (x and z_d, or z_n) that the recurrence applies are bands
 of 2W + 1 diagonals on a planned graph, and hold their values as diagonals
 for scipy's DIA kernel, which reads no column index per value (Saad,
@@ -467,9 +469,10 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     ``iters``; the build takes ``iters`` - 1 batched matmuls of the
     component blocks, cheaper than the m columns of products by A that the
     rule was first sized for. The components and the blocks' scatter map are
-    the fold pattern's (``graphs.Pattern``), worked out once per pattern: a
-    fold of one operator of a planned graph shares its plan's; a sum of
-    operators (the unsplit signal system) works out its own.
+    the fold pattern's (``graphs.Pattern``), worked out when this rule first
+    reads them, after the node budget, and kept: a fold of one operator of a
+    planned graph shares its plan's; a sum of operators (the unsplit signal
+    system) works out its own.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
 
@@ -686,7 +689,8 @@ def admm_block(
 
     On a stacked graph (``graph.lanes`` > 1) ``x0``, ``y`` and the result
     hold one lane after another, and a trace record covers all lanes at once.
-    A ``NumericFailure`` leaves with its ``lane`` set from its ``entry``.
+    A ``NumericFailure`` leaves with its ``lane`` set from its ``entry``;
+    numpy warns of no overflow or invalid value on the way.
     """
     terms = TERMS.get(mode)
     if terms is None:
@@ -697,15 +701,17 @@ def admm_block(
         raise ValueError("need at least one layer")
     state = AdmmState.initial(x0, graph)
     hty = graph.lift_observed(y)
-    folds = block_folds(graph, params, terms, sched)
-    for layer, p in enumerate(params):
-        try:
-            _layer(state, graph, p, hty, sched, layer, terms, folds)
-        except NumericFailure as exc:
-            exc.lane = graph.lane_of(exc.entry)
-            raise
-        if trace is not None:
-            trace.append(_trace_record(layer, state, graph, p, y, terms))
+    # the solves and the layer report overflow and NaN, naming where
+    with np.errstate(over="ignore", invalid="ignore"):
+        folds = block_folds(graph, params, terms, sched)
+        for layer, p in enumerate(params):
+            try:
+                _layer(state, graph, p, hty, sched, layer, terms, folds)
+            except NumericFailure as exc:
+                exc.lane = graph.lane_of(exc.entry)
+                raise
+            if trace is not None:
+                trace.append(_trace_record(layer, state, graph, p, y, terms))
     return state.x
 
 

@@ -236,7 +236,7 @@ class TestCsvReader:
     @pytest.mark.parametrize(
         "read,text",
         [(dmod.read_signal_csv, "timestamp,s0\n0,1.0\n300,{}\n"),
-         (dmod.load_road_network, "from,to,cost\n0,1,1.0\n1,2,{}\n")],
+         (lambda path: dmod.load_road_network(path, 3), "from,to,cost\n0,1,1.0\n1,2,{}\n")],
         ids=["signals", "edges"],
     )
     def test_oversized_field_names_file_and_line(self, tmp_path, read, text):
@@ -282,6 +282,9 @@ class TestCsvReader:
 PAYLOADS = [b"", b" ", b"\xff", b'"', b",", b"\n", b"\r", b"\x00", b"-1", b"0", b"1e999",
             b"nan", b"x", b"99999999999999999999", b"9" * 200_000, b"1.0", b"1_0", b'"1"',
             b"#", b"\r\n", b"\t", b"\x1c", b"-nan", b"+1", b" 2 "]
+# a station count above every id of the edge cases and of each payload,
+# 99999999999999999999 among them: a file then loads unless it is at fault
+ABOVE_EVERY_ID = 10**20
 MUTATIONS = st.lists(
     st.tuples(
         st.sampled_from(["byte", "cell", "row"]),
@@ -343,7 +346,7 @@ class TestReaderFuzz:
         self._loads_or_names_path(path, dmod.read_signal_csv)
 
     @FUZZ
-    @given(mutations=MUTATIONS, n_stations=st.sampled_from([None, 3]))
+    @given(mutations=MUTATIONS, n_stations=st.sampled_from([ABOVE_EVERY_ID, 3]))
     def test_edge_reader(self, tmp_path, mutations, n_stations):
         path = tmp_path / "edges.csv"
         dmod.write_edges_csv(self.PG, path)
@@ -475,22 +478,22 @@ class TestReaderPaths:
         path.write_bytes(text.encode())
         _assert_paths_agree(dmod.read_signal_csv, path, numpy_path)
 
-    @pytest.mark.parametrize("n_stations", [None, 3])
+    @pytest.mark.parametrize("n_stations", [None, 3])  # None: ABOVE_EVERY_ID
     @pytest.mark.parametrize("name", EDGE_CASES)
     def test_edge_cases(self, tmp_path, name, n_stations):
         text, numpy_path = EDGE_CASES[name]
         path = tmp_path / "edges.csv"
         path.write_bytes(text.encode())
-        _assert_paths_agree(_read_edges(n_stations), path, numpy_path)
+        _assert_paths_agree(_read_edges(n_stations or ABOVE_EVERY_ID), path, numpy_path)
 
     @pytest.mark.parametrize(
         "read,cases,name",
         [
             (dmod.read_signal_csv, SIGNAL_CASES, "clean"),
             (dmod.read_signal_csv, SIGNAL_CASES, "blank-cell"),
-            (_read_edges(None), EDGE_CASES, "clean"),
-            (_read_edges(None), EDGE_CASES, "whitespace-only-row"),
-            (_read_edges(None), EDGE_CASES, "blank-cost"),
+            (_read_edges(3), EDGE_CASES, "clean"),
+            (_read_edges(3), EDGE_CASES, "whitespace-only-row"),
+            (_read_edges(3), EDGE_CASES, "blank-cost"),
         ],
         ids=["signals-clean", "signals-blank-cell", "edges-clean", "edges-blank-row",
              "edges-blank-cost"],
@@ -540,7 +543,7 @@ class TestReaderPaths:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutations=MUTATIONS, n_stations=st.sampled_from([None, 3]))
+    @given(mutations=MUTATIONS, n_stations=st.sampled_from([ABOVE_EVERY_ID, 3]))
     def test_fuzzed_edge_files(self, tmp_path, mutations, n_stations):
         path = tmp_path / "edges.csv"
         dmod.write_edges_csv(TestReaderFuzz.PG, path)
@@ -560,7 +563,7 @@ class TestReaderPaths:
     def test_random_cells(self, tmp_path, cells, crlf):
         end = "\r\n" if crlf else "\n"
         for header, read in (("timestamp,s0", dmod.read_signal_csv),
-                             ("from,to,cost", _read_edges(None))):
+                             ("from,to,cost", _read_edges(ABOVE_EVERY_ID))):
             path = tmp_path / "in.csv"
             path.write_bytes((end.join([header] + [",".join(row) for row in cells]) + end).encode())
             _assert_paths_agree(read, path)
@@ -1124,6 +1127,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: config section 'heads': metric_overrides[0]: "
                               "factor must be 6x6"), err
+
+    @pytest.mark.parametrize("cg_mode", ["unrolled", "exact"])
+    @pytest.mark.parametrize("key,step", [("mu_u", "z_u"), ("mu_d2", "z_d"), ("rho", "x")])
+    def test_diverging_solve_prints_only_its_failure(self, tmp_path, capsys, key, step, cg_mode):
+        # a prior or penalty of 1e306 overflows the first solve on it; the
+        # solver reports that, and numpy warns of nothing before it
+        assert cli_main(["synth", "--out", str(tmp_path), "--stations", "20", "--steps", "400",
+                         "--seed", "2", "--period", "24"]) == 0
+        cfg = {"graph": {"k": 2, "window": 2}, "heads": {"count": 1},
+               "layers": {"blocks": 1, "layers": 2, key: 1e306}, "solver": {"cg_mode": cg_mode}}
+        (tmp_path / "diverging.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_main([
+                "forecast", "--signals", str(tmp_path / "signals.csv"),
+                "--edges", str(tmp_path / "edges.csv"),
+                "--config", str(tmp_path / "diverging.json"), "--out", str(tmp_path / "x"),
+            ])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        failure = ("unrolled CG diverged" if cg_mode == "unrolled"
+                   else "CG curvature is not positive")
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: {failure} (block 0, window 0, head 0, layer 0, "
+                              f"step {step}, cg iteration "), err
+        assert err.count("\n") == 1 and err.endswith(")\n"), err
 
     @pytest.mark.parametrize("doc", ["null", "5", "[]"])
     def test_config_not_an_object_exits_1(self, synth_dir, capsys, doc):

@@ -131,8 +131,7 @@ class TestRoadNetworkCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("from,to,cost\n0,1,2.5\n1,2,1.0\n")
-        pg = load_road_network(path)
-        assert pg.n_stations == 3
+        pg = load_road_network(path, n_stations=3)
         assert pg.edges.dtype == EDGE_DTYPE
         assert pg.edges.tolist() == [(0, 1, 2.5), (1, 2, 1.0)]
 
@@ -157,26 +156,26 @@ class TestRoadNetworkCsv:
         path = tmp_path / "edges.csv"
         path.write_text("a,b,c\n0,1,2.5\n")
         with pytest.raises(ParseError, match="header"):
-            load_road_network(path)
+            load_road_network(path, n_stations=3)
 
     def test_error_names_line(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("from,to,cost\n0,1,2.5\n1,x,1.0\n")
         with pytest.raises(ParseError, match="edges.csv:3"):
-            load_road_network(path)
+            load_road_network(path, n_stations=3)
 
     @pytest.mark.parametrize("cost", ["nan", "inf"])
     def test_nonfinite_cost_rejected(self, tmp_path, cost):
         path = tmp_path / "edges.csv"
         path.write_text(f"from,to,cost\n0,1,2.5\n1,2,{cost}\n")
         with pytest.raises(ParseError, match=r"edges\.csv:3: non-finite cost"):
-            load_road_network(path)
+            load_road_network(path, n_stations=3)
 
     def test_duplicate_edge_rejected(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("from,to,cost\n0,1,2.5\n1,0,3.0\n")
         with pytest.raises(ParseError, match="duplicate"):
-            load_road_network(path)
+            load_road_network(path, n_stations=3)
 
 
 class TestSpatialSkeleton:

@@ -438,8 +438,8 @@ class TestFoldKernel:
     def test_off_plan_l_rd(self):
         # L_r rebuilt without its underflowed entry, on a pattern of its own
         plan, g, _ = dropped_zero_graph("underflowing_walk_weight")
-        assert g.patterns["l_rd"] is not plan.patterns["l_rd"]
-        fold = Fold(g.patterns["l_rd"], g.l_rd.data)
+        assert not np.shares_memory(g.l_rd.indices, plan.walk.l_rd.indices)
+        fold = Fold(Pattern.of(g.l_rd), g.l_rd.data)
         v = np.random.default_rng(39).standard_normal(g.n_nodes)
         assert fold.dot(v).tobytes() == (g.l_rd @ v).tobytes()
 
@@ -763,7 +763,6 @@ class TestForwardLanes:
             expected = per_head_forward(s, ctx)[:, s.observed.shape[1]:]
             np.testing.assert_allclose(run_forecast(s, ctx), expected, rtol=0, atol=1e-10)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_lane_names_its_head(self, monkeypatch):
         splits, pg, std = tiny_dataset()
         ctx = PipelineContext.build(pg, small_config(heads=2), standardizer=std)
@@ -890,7 +889,6 @@ class TestWindowLanes:
             for g, a in zip(got, alone):
                 assert g.tobytes() == a.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("per_call,after_calls,window", [(2, 0, 1), (2, 2, 3), (4, 0, 1)])
     def test_diverging_lane_names_window_and_head(self, monkeypatch, per_call, after_calls,
                                                    window):
@@ -912,7 +910,6 @@ class TestWindowLanes:
         ):
             assert message.count(part) == 1, message
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("cg_mode", ["unrolled", "exact"])
     @pytest.mark.parametrize("mode,step", [("full", "x"), ("no_dgtv", "z_d"),
                                            ("undirected_temporal", "z_n")])
@@ -1122,7 +1119,6 @@ class TestPolynomialPath:
             assert got.tobytes() == reconstruct(w, ctx).tobytes()
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_lane_names_the_same_place_as_the_recurrence(self, monkeypatch):
         # 5 layers put z_u (5 stations an instant) on the polynomial path
         splits, pg, std = cached_dataset()

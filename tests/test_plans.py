@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stforecast import attention, data, graphs, pipeline, tuning
+from stforecast import attention, data, graphs, pipeline, solver, tuning
 from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed_graph
 from stforecast.config import PipelineConfig
 from stforecast.graphs import (
@@ -65,9 +65,13 @@ class TestPlannedAssembly:
             wu, wd = rng.uniform(0.2, 1.5, wu.shape), rng.uniform(0.2, 1.5, wd.shape)
             graph = fill_mixed_graph(plan, wu, wd)
             assert_matches_reference(graph, sskel, tskel, wu, wd, True)
-            for name in ("l_u", "w_rd", "l_rd", "call_rd", "l_n"):
+            assert set(graph.patterns) == set(plan.patterns) == {"l_u", "call_rd", "l_n"}
+            for name in ("l_u", "call_rd", "l_n"):
                 assert graph.patterns[name] is plan.patterns[name], name
                 assert np.shares_memory(getattr(graph, name).indices, plan.patterns[name].indices)
+            for name in ("w_rd", "l_rd"):
+                assert np.shares_memory(getattr(graph, name).indices,
+                                        getattr(plan.walk, name).indices), name
             assert graph.h_mask is plan.h_mask
 
     def test_zero_spatial_weights_stored(self):
@@ -156,16 +160,18 @@ class TestDroppedZeros:
         assert graph.call_rd.nnz < plan.patterns["call_rd"].nnz
         assert graph.call_rd[1, 2] == 0.0
         assert graph.patterns["call_rd"] is not plan.patterns["call_rd"]
-        assert graph.patterns["l_rd"] is plan.patterns["l_rd"]
+        assert np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
         assert_matches_reference(graph, *inputs, False)
         self.check_folds(graph)
 
     def test_underflowing_walk_weight(self):
         plan, graph, inputs = dropped_zero_graph("underflowing_walk_weight")
-        for name in ("l_rd", "call_rd", "l_n"):
+        assert graph.l_rd.nnz < plan.walk.l_rd.nnz
+        assert not np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
+        for name in ("call_rd", "l_n"):
             assert getattr(graph, name).nnz < plan.patterns[name].nnz, name
             assert graph.patterns[name] is not plan.patterns[name], name
-        assert graph.patterns["w_rd"] is plan.patterns["w_rd"]
+        assert np.shares_memory(graph.w_rd.indices, plan.walk.w_rd.indices)
         assert_matches_reference(graph, *inputs, True)
         self.check_folds(graph)
 
@@ -188,7 +194,8 @@ class TestPlanReuse:
     def test_one_plan_per_lane_count(self, monkeypatch):
         # the default 5 x 25 x 4 model: context set-up builds no plan; one
         # window (4 lanes) and two (8 lanes) each build theirs once, and
-        # connected_components runs only while a plan is built
+        # connected_components runs once for each fold pattern of a plan,
+        # not while the plan is built but when a first block's Q(A) asks
         pg, cfg, ctx, windows = desk_context()
         assert ctx.plans == {}
         built, building, components = [], [], []
@@ -214,7 +221,50 @@ class TestPlanReuse:
         assert built == [4, 8]
         assert sorted(key[2] for key in ctx.plans) == [4, 8]
         # the l_u and call_rd fold patterns of each plan
-        assert components == [True] * 4
+        assert components == [False] * 4
+
+    @pytest.mark.parametrize("budget", [solver.LANE_NODE_BUDGET, 0], ids=["within", "over"])
+    def test_components_only_when_a_polynomial_asks(self, monkeypatch, budget):
+        # over the node budget no system takes Q(A) and no fold pattern
+        # works its components out; within it the first block does. Either
+        # way, plans that work them out up front choose the same Q(A) and
+        # forecast bitwise the same
+        monkeypatch.setattr(solver, "LANE_NODE_BUDGET", budget)
+        plan, folds_of = attention.plan_mixed_graph, solver.block_folds
+
+        def eager(*args):
+            out = plan(*args)
+            for pattern in out.patterns.values():
+                pattern.labels
+            return out
+
+        runs = []
+        for planner in (plan, eager):
+            plans, choices = [], []
+
+            def spied_plan(*args):
+                plans.append(planner(*args))
+                if planner is plan:
+                    assert not any("labels" in p.__dict__ for p in plans[-1].patterns.values())
+                return plans[-1]
+
+            def spied_folds(*args):
+                folds = folds_of(*args)
+                choices.append({key: g is not None for key, (_, g) in folds.items()})
+                return folds
+
+            monkeypatch.setattr(attention, "plan_mixed_graph", spied_plan)
+            monkeypatch.setattr(solver, "block_folds", spied_folds)
+            _, _, ctx, windows = desk_context()
+            forecast = pipeline.run_forecast(windows[0], ctx)
+            (made,) = plans
+            known = {name: "labels" in made.patterns[name].__dict__ for name in ("l_u", "call_rd")}
+            runs.append((forecast.tobytes(), choices, known))
+        (lazy, lazy_choices, lazy_known), (eager_, eager_choices, _) = runs
+        assert lazy == eager_ and lazy_choices == eager_choices
+        polynomials = any(lazy_choices[0].values())
+        assert polynomials == (budget > 0)
+        assert lazy_known == {"l_u": polynomials, "call_rd": polynomials}
 
     def test_tune_candidates_share_the_base_plan(self, monkeypatch):
         pg, cfg, _, windows = desk_context()

@@ -142,7 +142,6 @@ class TestCgSolve:
             cg_solve(apply_a, b, np.zeros(3), sched)
         assert (info.value.iteration, info.value.entry) == want
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sched", [CgSchedule.exact(iters=0), CgSchedule.unrolled(iters=3)],
                              ids=["exact", "unrolled"])
     def test_result_is_finite_or_raises(self, sched):
@@ -525,7 +524,6 @@ class TestAdmmBlock:
         with pytest.raises(ValueError, match="layer"):
             admm_block(np.zeros(g.n_nodes), y, g, [], EXACT)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_carries_layer_and_step(self):
         g, y = tiny_instance(np.random.default_rng(21))
         params = [LayerParams(1000.0, 1, 1, 1.0, 1.0, 1.0)] * 3
@@ -535,7 +533,6 @@ class TestAdmmBlock:
         assert exc_info.value.layer is not None
         assert exc_info.value.step is not None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case, message", [
         ("exact", "non-finite values (layer 0, step x)"),
         ("unrolled", "unrolled CG diverged (layer 0, step x, cg iteration 0)"),
