@@ -5,10 +5,13 @@ eigenmap coordinates, sinusoidal time encoding), optionally averaged over
 spatial-skeleton neighbors, are projected to a small feature space, compared
 under learned PSD metrics, and turned into normalized edge weights. Spatial
 slices get one metric per instant, temporal edges one metric per lag, and the
-whole construction is replicated per head. A neighbourhood whose every weight
-underflows, or whose features are not finite, raises ``DegenerateWeightError``,
-a ``NumericFailure`` of that lane; no weight these functions return is
-non-finite, which the graph assembly rejects.
+whole construction is replicated per head. The projection is always the
+seeded one (``seeded_projection``). Spatial weights take every lane and
+every instant in one pass, temporal weights one pass per lag. A
+neighbourhood whose every weight underflows, or whose features are not
+finite, raises ``DegenerateWeightError``, a ``NumericFailure`` of that lane;
+no weight these functions return is non-finite, which the graph assembly
+rejects.
 
 A mixed graph is assembled in two steps: ``plan_mixed_graph`` fixes every
 operator's pattern once for a graph shape and lane count, and
@@ -55,11 +58,6 @@ DEFAULT_FEATURE_DIM = 6
 # shift-invert Lanczos.
 DENSE_COMPONENT_MAX_STATIONS = 200
 EIGSH_SHIFT = -1e-2
-# Spatial weights take as many instants at once as keep a pass's distance
-# products (lanes x instants x edges x K) within this many values: few
-# passes at desk scale, one instant a pass at city scale, where one instant
-# already exceeds it.
-WEIGHT_PASS_VALUES = 2**14
 
 
 class DegenerateWeightError(NumericFailure, ValueError):
@@ -333,44 +331,42 @@ def undirected_weights(
     ``features`` are one window's, (nodes, K), or one set per window,
     (windows, nodes, K), read by every head. ``factors`` holds one metric
     factor per instant, or one such set per head (see ``MetricBank``). The
-    result has the windows' axis and the heads' in front: every lane at once
-    per instant, each bitwise equal to its window and head alone.
+    result has the windows' axis and the heads' in front. Every lane and
+    every instant is taken in one pass, each bitwise equal to its window,
+    head and instant alone; the pass holds lanes x instants x edges x K
+    distance products, and the forward pass bounds its lanes by
+    ``solver.LANE_NODE_BUDGET``.
     """
     features, factors_t, lane_axes = _lane_inputs(features, factors)
     lanes, n_instants = int(np.prod(lane_axes)), factors_t.shape[1]
     n = skel.n_stations
     if features.shape[-2] != n * n_instants:
         raise ValueError("feature rows must equal stations x instants")
-    out = np.empty((lanes, n_instants, skel.n_edges))
-    if skel.n_edges:
-        ei, ej = skel.edges[:, 0], skel.edges[:, 1]
-        by_instant = features.reshape(features.shape[:-2] + (n_instants, n, features.shape[-1]))
-        step = max(1, WEIGHT_PASS_VALUES // (lanes * skel.n_edges * features.shape[-1]))
-        for t0 in range(0, n_instants, step):
-            t1 = min(t0 + step, n_instants)
-            feats = by_instant[..., t0:t1, :, :]
-            # non-finite features give NaN or infinite distances, silently:
-            # the mass check below reports them
-            with np.errstate(invalid="ignore", over="ignore"):
-                diffs = _rows(feats, ei) - _rows(feats, ej)
-                d = _pairwise_distances(diffs, factors_t[:, t0:t1]).reshape(lanes, t1 - t0, -1)
-                # shifting all distances cancels between numerator and denominator
-                e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
-            # each (lane, instant)'s neighborhood sums in one bincount, its
-            # stations at (lane * instants + instant) * n
-            slices = lanes * (t1 - t0)
-            ends = (np.arange(slices)[:, None] * n + np.concatenate([ei, ej])).ravel()
-            sums = np.bincount(ends, weights=np.concatenate([e, e], axis=-1).ravel(),
-                               minlength=slices * n).reshape(lanes, t1 - t0, n)
-            norm = np.sqrt(sums[..., ei] * sums[..., ej])
-            # the first instant with a degenerate lane, then its first such
-            # lane: a zero mass, or a NaN one from non-finite features
-            degenerate = np.flatnonzero(~(norm > 0).all(axis=-1).T)
-            if len(degenerate):
-                t, lane = divmod(int(degenerate[0]), lanes)
-                raise DegenerateWeightError("zero attention mass", instant=t0 + t, lane=lane)
-            out[:, t0:t1] = e / norm
-    return out.reshape(lane_axes + out.shape[1:])
+    if not skel.n_edges:
+        return np.empty(lane_axes + (n_instants, 0))
+    ei, ej = skel.edges[:, 0], skel.edges[:, 1]
+    by_instant = features.reshape(features.shape[:-2] + (n_instants, n, features.shape[-1]))
+    # non-finite features give NaN or infinite distances, silently: the mass
+    # check below reports them
+    with np.errstate(invalid="ignore", over="ignore"):
+        diffs = _rows(by_instant, ei) - _rows(by_instant, ej)
+        d = _pairwise_distances(diffs, factors_t).reshape(lanes, n_instants, -1)
+        # shifting all distances cancels between numerator and denominator
+        e = np.exp(-(d - d.min(axis=-1, keepdims=True)))
+    # each (lane, instant)'s neighborhood sums in one bincount, its stations
+    # at (lane * instants + instant) * n
+    slices = lanes * n_instants
+    ends = (np.arange(slices)[:, None] * n + np.concatenate([ei, ej])).ravel()
+    sums = np.bincount(ends, weights=np.concatenate([e, e], axis=-1).ravel(),
+                       minlength=slices * n).reshape(lanes, n_instants, n)
+    norm = np.sqrt(sums[..., ei] * sums[..., ej])
+    # the first instant with a degenerate lane, then its first such lane: a
+    # zero mass, or a NaN one from non-finite features
+    degenerate = np.flatnonzero(~(norm > 0).all(axis=-1).T)
+    if len(degenerate):
+        t, lane = divmod(int(degenerate[0]), lanes)
+        raise DegenerateWeightError("zero attention mass", instant=t, lane=lane)
+    return (e / norm).reshape(lane_axes + (n_instants, skel.n_edges))
 
 
 def directed_weights(

@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
 
 def cmd_graph_dump(args) -> int:
     cfg, splits, pg, standardizer = _load(args)
-    samples = splits.train or splits.test
+    samples = splits.train or splits.val or splits.test
     if not samples:
         print("error: dataset produced no samples", file=sys.stderr)
         return 1

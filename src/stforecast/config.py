@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .attention import DEFAULT_FEATURE_DIM, DEFAULT_SPATIAL_DIM, TEMPORAL_DIM, MetricBank
+from .attention import DEFAULT_FEATURE_DIM, DEFAULT_SPATIAL_DIM, MetricBank
 from .solver import (DEFAULT_CG_INIT, DEFAULT_CG_ITERS, DEFAULT_EXACT_TOL, VARIANTS,
                      CgSchedule, LayerParams)
 
@@ -124,20 +124,14 @@ class GraphSettings:
     feature_seed: int = _rule(0, low=0)
     aggregate_neighbors: bool = _rule(False, options=(False, True))
     swish_beta: float | None = _rule(None)
-    projection: list | None = _rule(None)  # explicit (K, E) matrix overrides the seeded one
     projection_bias: list | None = _rule(None)
 
     def __post_init__(self):
         check_rules(self)
-        k, e = self.feature_dim, 1 + self.spatial_dim + TEMPORAL_DIM
-        for name, shape, rule in (
-            ("projection", (k, e), f"be feature_dim x (1 + spatial_dim + {TEMPORAL_DIM}) = {k} x {e}"),
-            ("projection_bias", (k,), f"have feature_dim = {k} entries"),
-        ):
-            value, got = getattr(self, name), _shape(getattr(self, name))
-            if value is not None and got != shape:
-                raise ValueError(f"{name} must {rule}, got "
-                                 + (_shown(value) if got is None else f"shape {got}"))
+        bias, got = self.projection_bias, _shape(self.projection_bias)
+        if bias is not None and got != (self.feature_dim,):
+            raise ValueError(f"projection_bias must have feature_dim = {self.feature_dim} "
+                             "entries, got " + (_shown(bias) if got is None else f"shape {got}"))
 
 
 @dataclass
@@ -268,8 +262,6 @@ class TunerSettings:
     seed: int = _rule(7, low=0)
     step: float = _rule(0.2, above=0)
     perturb: float = _rule(0.15, above=0)
-    decay_exponent: float = _rule(0.602, low=0)
-    perturb_exponent: float = _rule(0.101, low=0)
     eval_samples: int | None = _rule(4, low=1)  # None: every validation window
 
     __post_init__ = check_rules

@@ -108,13 +108,10 @@ class PipelineContext:
         bank = config.heads.build_bank(config.data.n_instants, g.window, g.feature_dim)
         if standardizer is None:
             standardizer = Standardizer.identity(pg.n_stations)
-        projection = g.projection
-        if projection is None:
-            projection = attention.seeded_projection(
-                1 + g.spatial_dim + attention.TEMPORAL_DIM, g.feature_dim, g.feature_seed
-            )
         feature_map = attention.FeatureMap(
-            projection,
+            attention.seeded_projection(
+                1 + g.spatial_dim + attention.TEMPORAL_DIM, g.feature_dim, g.feature_seed
+            ),
             bias=g.projection_bias,
             skeleton=sskel if g.aggregate_neighbors else None,
             swish_beta=g.swish_beta,

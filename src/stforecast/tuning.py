@@ -3,7 +3,10 @@
 Simultaneous-perturbation stochastic approximation over the validation Huber
 loss: each iteration evaluates the loss at two random mirror points and takes
 a gradient-like step. Parameters are tuned per block (shared across the
-layers inside a block), which keeps the search space small.
+layers inside a block), which keeps the search space small. The gains decay
+as a_k = step / (k + 1 + A)^0.602 and c_k = perturb / (k + 1)^0.101, the
+exponents Spall recommends (IEEE Trans. Aerospace and Electronic Systems
+34(3), 1998).
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .solver import CG_ALPHA_MAX, NumericFailure
 
 PARAM_FLOOR = 1e-6
 SCALE_FLOOR = 1e-3
+DECAY_EXPONENT = 0.602
+PERTURB_EXPONENT = 0.101
 
 
 class Tunable(NamedTuple):
@@ -65,8 +70,6 @@ def spsa_minimize(
     seed: int = 0,
     step: float = 0.2,
     perturb: float = 0.15,
-    decay_exponent: float = 0.602,
-    perturb_exponent: float = 0.101,
     project=None,
 ) -> tuple[np.ndarray, float, SpsaTrace]:
     """Minimize a noisy scalar loss; returns (best theta, best loss, trace).
@@ -92,8 +95,8 @@ def spsa_minimize(
     trace = SpsaTrace(iterations=[], best_losses=[best_loss])
     c_factor = 1.0
     for k in range(iterations):
-        a_k = step / (k + 1 + stab) ** decay_exponent
-        c_k = c_factor * perturb / (k + 1) ** perturb_exponent
+        a_k = step / (k + 1 + stab) ** DECAY_EXPONENT
+        c_k = c_factor * perturb / (k + 1) ** PERTURB_EXPONENT
         delta = rng.choice([-1.0, 1.0], size=len(theta))
         cand_plus = project(theta + c_k * scale * delta)
         cand_minus = project(theta - c_k * scale * delta)
@@ -226,8 +229,6 @@ def tune_spsa(
             seed=tcfg.seed,
             step=tcfg.step,
             perturb=tcfg.perturb,
-            decay_exponent=tcfg.decay_exponent,
-            perturb_exponent=tcfg.perturb_exponent,
             project=make_projection(config),
         )
     except ValueError:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stforecast import attention, data
+from stforecast import data
 from stforecast.attention import (
     DegenerateWeightError,
     FeatureMap,
@@ -200,7 +200,7 @@ class TestUndirectedWeights:
 
 def per_instant_weights(features, skel, factors):
     """``undirected_weights`` one instant at a time, every lane at once: the
-    reference that taking several instants a pass must equal bit for bit."""
+    reference that taking every instant in one pass must equal bit for bit."""
     features, factors_t, lane_axes = _lane_inputs(features, factors)
     lanes, n_instants = int(np.prod(lane_axes)), factors_t.shape[1]
     n = skel.n_stations
@@ -222,9 +222,28 @@ def per_instant_weights(features, skel, factors):
     return out.reshape(lane_axes + out.shape[1:])
 
 
+def weights_in_runs(features, skel, factors, run):
+    """``undirected_weights`` called on runs of ``run`` consecutive instants
+    (None: every instant in one call), joined along the instants' axis; a
+    degenerate run's error names its instant within the whole window."""
+    n_instants, n = factors.shape[-3], skel.n_stations
+    run = run or n_instants
+    parts = []
+    for t0 in range(0, n_instants, run):
+        t1 = min(t0 + run, n_instants)
+        try:
+            parts.append(undirected_weights(
+                features[..., t0 * n : t1 * n, :], skel, factors[..., t0:t1, :, :]))
+        except DegenerateWeightError as err:
+            raise DegenerateWeightError(
+                "zero attention mass", instant=t0 + err.instant, lane=err.lane) from err
+    return np.concatenate(parts, axis=-2)
+
+
 class TestWeightPasses:
-    """Spatial weights over several instants a pass, on the desk road graph
-    (20 stations, 18 instants, K = 6)."""
+    """Spatial weights over every instant in one pass, on the desk road graph
+    (20 stations, 18 instants, K = 6): each instant's weights and failure are
+    the same whichever other instants share the call."""
 
     N_INSTANTS, K = 18, 6
 
@@ -241,22 +260,17 @@ class TestWeightPasses:
         return feats, skel, factors
 
     @pytest.mark.parametrize("lanes", [1, 4, 8])
-    @pytest.mark.parametrize("instants_a_pass", [None, 1, 5, 18])
-    def test_equals_one_instant_at_a_time(self, monkeypatch, lanes, instants_a_pass):
-        # None: the default bound, which takes every instant in one pass at
-        # 1 lane and splits them at 4 and 8
+    @pytest.mark.parametrize("instants_a_call", [None, 1, 5, 18])
+    def test_equals_one_instant_at_a_time(self, lanes, instants_a_call):
         feats, skel, factors = self.inputs(lanes)
-        if instants_a_pass is not None:
-            values = lanes * skel.n_edges * self.K * instants_a_pass
-            monkeypatch.setattr(attention, "WEIGHT_PASS_VALUES", values)
-        got = undirected_weights(feats, skel, factors)
+        got = weights_in_runs(feats, skel, factors, instants_a_call)
         want = per_instant_weights(feats, skel, factors)
         assert got.shape == want.shape == feats.shape[:-2] + factors.shape[:-3] + (
             self.N_INSTANTS, skel.n_edges)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("instants_a_pass", [None, 1, 5, 18])
-    def test_degenerate_names_first_instant_then_first_lane(self, monkeypatch, instants_a_pass):
+    @pytest.mark.parametrize("instants_a_call", [None, 1, 5, 18])
+    def test_degenerate_names_first_instant_then_first_lane(self, instants_a_call):
         # station 0 of window 1 is far off at instant 4, and of window 0 at
         # instant 9; a zero metric keeps heads 0 and 2 at instant 4 finite,
         # so lanes 5 and 7 (window 1, heads 1 and 3) fail first
@@ -264,13 +278,10 @@ class TestWeightPasses:
         n = 20
         feats[1, 4 * n] = feats[0, 9 * n] = 1e5
         factors[[0, 2], 4] = 0.0
-        if instants_a_pass is not None:
-            values = 8 * skel.n_edges * self.K * instants_a_pass
-            monkeypatch.setattr(attention, "WEIGHT_PASS_VALUES", values)
         with pytest.raises(DegenerateWeightError) as want:
             per_instant_weights(feats, skel, factors)
         with pytest.raises(DegenerateWeightError) as got:
-            undirected_weights(feats, skel, factors)
+            weights_in_runs(feats, skel, factors, instants_a_call)
         assert (got.value.instant, got.value.lane) == (want.value.instant, want.value.lane) == (4, 5)
 
 

@@ -17,13 +17,22 @@ SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}
 STRUCTURED = {"data.ratios", "heads.metric_overrides"}
 # the keys of a heads.metric_overrides entry, which the README's example names
 OVERRIDE_KEYS = {"head", "instant", "lag", "factor"}
+# settings deleted from the config, with the values their rules rejected: a
+# config that still names one, as a config saved before the deletion does, is
+# rejected at load as an unknown key, whatever its value
+RETIRED = {
+    ("graph", "projection"): [True, "1", math.nan, math.inf, [math.nan]],
+    ("tuner", "decay_exponent"): [True, "1", math.nan, math.inf, -0.5, None],
+    ("tuner", "perturb_exponent"): [True, "1", math.nan, math.inf, -0.5, None],
+}
 
 
 def _rule_cases():
     """(section, key, value) for values each declared rule rejects: a boolean
     and a string for every number, NaN and infinity for every float, a
     fraction for every integer, each side of a range and a list entry of a
-    table; a value of another type or no option for a choice."""
+    table; a value of another type or no option for a choice. Then the
+    values each ``RETIRED`` setting's rule rejected, under its old key."""
     for section, klass in SECTIONS.items():
         for f in fields(klass):
             rule = f.metadata.get("rule")
@@ -42,6 +51,9 @@ def _rule_cases():
             for value in bad:
                 name = f"{section}.{f.name}={json.dumps(value)}"
                 yield pytest.param(section, f.name, value, id=name)
+    for (section, key), bad in RETIRED.items():
+        for value in bad:
+            yield pytest.param(section, key, value, id=f"{section}.{key}={json.dumps(value)}")
 
 
 def test_every_setting_declares_a_rule_or_is_structured():
@@ -59,6 +71,10 @@ def test_value_breaking_its_rule_rejected_at_load(section, key, value):
     with pytest.raises(ValueError) as info:
         PipelineConfig.from_dict({section: {key: value}})
     message = str(info.value)
+    if (section, key) in RETIRED:
+        want = f"config section '{section}': unknown key '{key}' (value {json.dumps(value)})"
+        assert message == want
+        return
     assert message.startswith(f"config section '{section}': {key} must be "), message
     assert message.endswith(f", got {json.dumps(value)}"), message
 

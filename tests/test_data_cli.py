@@ -831,6 +831,24 @@ class TestCli:
         assert cent.sum() == pytest.approx(1.0)
         assert (cent > 0).all()
 
+    def test_graph_dump_reads_the_validation_split(self, tmp_path):
+        # every window in validation: the dump is its first window's, the
+        # same graph as when every window is in test
+        assert cli_main([
+            "synth", "--out", str(tmp_path), "--stations", "8", "--steps", "300", "--seed", "0",
+        ]) == 0
+        dumps = {}
+        for split, ratios in (("val", [0, 1, 0]), ("test", [0, 0, 1])):
+            (tmp_path / f"{split}.json").write_text(json.dumps({"data": {"ratios": ratios}}))
+            assert cli_main([
+                "graph-dump", "--signals", str(tmp_path / "signals.csv"),
+                "--edges", str(tmp_path / "edges.csv"), "--config", str(tmp_path / f"{split}.json"),
+                "--out", str(tmp_path / split),
+            ]) == 0
+            dumps[split] = {name: (tmp_path / split / f"{name}.csv").read_bytes()
+                            for name in ("l_u", "w_rd", "l_rd", "call_rd", "perron")}
+        assert dumps["val"] == dumps["test"]
+
     def test_graph_dump_writes_each_components_perron_vector(self, tmp_path):
         # a road network of two 6-station pieces gives a spatial slice of two
         # components: each gets its own Perron vector, summing to 1 over it
@@ -944,7 +962,10 @@ class TestCli:
             ("forecast", "heads", {"metric_scale_d": [float("nan")]},
              "metric_scale_d must be a finite number > 0 or a list of them or null, got [NaN]"),
             ("tune", "tuner", {"decay_exponent": float("nan")},
-             "decay_exponent must be a finite number >= 0, got NaN"),
+             "unknown key 'decay_exponent' (value NaN)"),
+            ("tune", "tuner", {"perturb_exponent": 0.101},
+             "unknown key 'perturb_exponent' (value 0.101)"),
+            ("forecast", "graph", {"projection": [[1.0]]}, "unknown key 'projection' (value [[1.0]])"),
             ("tune", "tuner", {"step": float("inf")},
              "step must be a finite number > 0, got Infinity"),
             ("forecast", "layers", {"mu_u": True},
@@ -971,6 +992,7 @@ class TestCli:
              "forecast-string-aggregate_neighbors", "forecast-nan-mu_u", "forecast-nan-cg_alpha",
              "forecast-negative-cg_tol", "tune-negative-seed", "forecast-negative-feature_seed",
              "forecast-nan-rho_u", "forecast-nan-metric_scale_d", "tune-nan-decay_exponent",
+             "tune-deleted-perturb_exponent", "forecast-deleted-projection",
              "tune-infinite-step", "forecast-boolean-mu_u", "forecast-override-instant-and-lag",
              "forecast-override-unknown-key", "forecast-zero-cg_iters"],
     )

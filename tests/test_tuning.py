@@ -211,12 +211,14 @@ class TestConfigRoundTrip:
              "cg_iters must be an integer >= 1 in unrolled mode, got -1"),
             ("solver", {"cg_iters": 4, "cg_beta": [0.1, 0.2]},
              "cg_beta has 2 entries; expected a scalar or cg_iters = 4 entries"),
+            # graph.projection is deleted: a config naming it, with any shape,
+            # is rejected as an unknown key
             ("graph", {"projection": [[0.0] * 16] * 5},
-             "projection must be feature_dim x (1 + spatial_dim + 10) = 6 x 16, got shape (5, 16)"),
+             f"unknown key 'projection' (value {json.dumps([[0.0] * 16] * 5)})"),
             ("graph", {"spatial_dim": 3, "projection": [[0.0] * 16] * 6},
-             "projection must be feature_dim x (1 + spatial_dim + 10) = 6 x 14, got shape (6, 16)"),
+             f"unknown key 'projection' (value {json.dumps([[0.0] * 16] * 6)})"),
             ("graph", {"projection": [[0.0, 1.0], [2.0]]},
-             "projection must be feature_dim x (1 + spatial_dim + 10) = 6 x 16, got [[0.0, 1.0], [2.0]]"),
+             "unknown key 'projection' (value [[0.0, 1.0], [2.0]])"),
             ("graph", {"feature_dim": 4, "projection_bias": [0.0] * 6},
              "projection_bias must have feature_dim = 4 entries, got shape (6,)"),
             ("graph", {"projection_bias": [0.0] * 5 + [float("nan")]},
@@ -226,6 +228,9 @@ class TestConfigRoundTrip:
             ("tuner", {"eval_samples": 0}, "eval_samples must be an integer >= 1 or null, got 0"),
             ("tuner", {"step": 0.0}, "step must be a finite number > 0, got 0.0"),
             ("tuner", {"perturb": -0.1}, "perturb must be a finite number > 0, got -0.1"),
+            ("tuner", {"decay_exponent": 0.602}, "unknown key 'decay_exponent' (value 0.602)"),
+            ("tuner", {"perturb_exponent": 0.101},
+             "unknown key 'perturb_exponent' (value 0.101)"),
             ("solver", {"bogus": 1}, "unknown key 'bogus' (value 1)"),
             ("layers", [1], "expected a JSON object of settings, got [1]"),
             ("data", {"stride": 1.5}, "stride must be an integer >= 1, got 1.5"),
@@ -257,6 +262,7 @@ class TestConfigRoundTrip:
             "negative-cg_iters", "cg_beta-length", "short-projection", "projection-vs-spatial_dim",
             "ragged-projection", "long-projection_bias", "nan-projection_bias",
             "negative-iterations", "zero-eval_samples", "zero-step", "negative-perturb",
+            "unknown-decay_exponent", "unknown-perturb_exponent",
             "unknown-key", "section-not-an-object", "fractional-stride", "boolean-blocks",
             "float-exact_cap", "zero-history", "unknown-extrapolation", "unknown-trend_window",
             "unknown-seasonal_period",
