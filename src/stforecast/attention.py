@@ -15,7 +15,9 @@ rejects.
 
 A mixed graph is assembled in two steps: ``plan_mixed_graph`` fixes every
 operator's pattern once for a graph shape and lane count, and
-``fill_mixed_graph`` fills a block's weights into it.
+``fill_mixed_graph`` fills a block's weights into it and decides which
+pattern each filled operator sits on: the plan's, or its own where an entry
+came out exactly 0.0 and was dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .graphs import (
     plan_random_walk_digraph,
     plan_undirected_laplacian,
     symmetrized_dglr_matrix,
-    transpose,
     unit_laplacian,
 )
 
@@ -460,8 +461,9 @@ def plan_mixed_graph(
     # with ones for values the products cancel nowhere and store full
     # patterns; the temporal ones couple (s, t) with (s, t + d), |d| <= window
     # only: 2 window + 1 diagonals at offsets d * stations, in every lane
-    ones_l_rd = walk.l_rd.matrix(np.ones(walk.l_rd.nnz))
-    call_rd = symmetrized_dglr_matrix(ones_l_rd, transpose(ones_l_rd, walk.l_rd))
+    ones_l_rd_t = walk.l_rd.transposed[0]
+    call_rd = symmetrized_dglr_matrix(walk.l_rd.matrix(np.ones(walk.l_rd.nnz)),
+                                      ones_l_rd_t.matrix(np.ones(ones_l_rd_t.nnz)))
     patterns = {"l_u": l_u.pattern, "call_rd": Pattern.of(call_rd).banded()}
     temporal = None
     if with_undirected_temporal:
@@ -484,9 +486,14 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
     Lanes run in C order, and each operator is bitwise the block-diagonal
     stack of the lanes' own operators. Directed weights are already
     child-normalized, so the in-degree normalization inside the random-walk
-    assembly leaves them unchanged. ``call_rd`` and ``l_n`` are scipy's
-    sparse products: one that drops an entry summing to exactly 0.0 no
-    longer fits its planned pattern and gets its own (``MixedGraph``).
+    assembly leaves them unchanged.
+
+    A filled operator loses a planned entry only where its value comes out
+    exactly 0.0: L_r in its assembly, ``call_rd`` and ``l_n`` in scipy's
+    products and sums; ``l_u`` and ``w_rd`` lose none. So it sits on its
+    plan's pattern exactly when it stores as many entries. Then it goes on
+    the plan's index arrays, and ``MixedGraph`` is given the plan's pattern,
+    with all it has worked out; otherwise the operator's own.
     """
     weights_u = np.asarray(weights_u, dtype=np.float64)
     weights_d = np.asarray(weights_d, dtype=np.float64)
@@ -499,13 +506,22 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         plan.l_u, weights_u.reshape(lanes * plan.tskel.n_instants, weights_u.shape[-1])
     )
     w_rd, l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
-    l_rd_t = transpose(l_rd, plan.walk.l_rd)
-    l_n = None
+    l_rd_pattern = plan.walk.l_rd if l_rd.nnz == plan.walk.l_rd.nnz else Pattern.of(l_rd)
+    t, source = l_rd_pattern.transposed
+    l_rd_t = t.matrix(l_rd.data[source])
+    ops = {"call_rd": symmetrized_dglr_matrix(l_rd, l_rd_t)}
     if plan.temporal is not None:
         # each directed edge gives half its weight to the undirected edge (the
         # average with the absent reverse edge); self-loops are dropped
         adjacency, source = plan.temporal
-        l_n = normalized_laplacian(adjacency.matrix(0.5 * weights_d.ravel()[source]))
+        ops["l_n"] = normalized_laplacian(adjacency.matrix(0.5 * weights_d.ravel()[source]))
+    patterns = {"l_u": plan.patterns["l_u"]}  # l_u is filled into the plan's
+    for name, mat in ops.items():
+        planned = plan.patterns[name]
+        if mat.nnz == planned.nnz:
+            patterns[name], ops[name] = planned, planned.matrix(mat.data)
+        else:
+            patterns[name] = Pattern.of(mat)
     return MixedGraph(
         n_stations=plan.sskel.n_stations,
         n_instants=plan.tskel.n_instants,
@@ -513,12 +529,11 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         l_u=l_u,
         w_rd=w_rd,
         l_rd=l_rd,
-        call_rd=symmetrized_dglr_matrix(l_rd, l_rd_t),
-        l_n=l_n,
         h_mask=plan.h_mask,
         lanes=lanes,
         l_rd_t=l_rd_t,
-        patterns=plan.patterns,
+        patterns=patterns,
+        **ops,
     )
 
 

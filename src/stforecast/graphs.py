@@ -347,11 +347,6 @@ class Pattern:
         """The operator with ``data`` in this pattern."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def fits(self, mat: sp.csr_matrix) -> bool:
-        """Whether ``mat`` stores exactly this pattern's entries, in its order."""
-        return (mat.shape == (self.n, self.n) and np.array_equal(mat.indptr, self.indptr)
-                and np.array_equal(mat.indices, self.indices))
-
     @cached_property
     def diagonal(self) -> np.ndarray | None:
         """The position of each row's diagonal entry; None if some row stores none, or two."""
@@ -401,17 +396,6 @@ def coo_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[Pattern, np
     indptr = np.zeros(n + 1, dtype=idx)
     indptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
     return Pattern(indptr, (keys % n).astype(idx)), order.astype(idx)
-
-
-def transpose(mat: sp.csr_matrix, pattern: Pattern | None = None) -> sp.csr_matrix:
-    """``mat.T.tocsr()``, bit for bit: ``mat``'s values gathered into the
-    transpose's pattern (``Pattern.transposed``). A planned ``pattern`` that
-    ``mat`` fits works its transpose out once for every operator filled into
-    it; otherwise ``mat``'s own pattern works it out here."""
-    if pattern is None or not pattern.fits(mat):
-        pattern = Pattern.of(mat)
-    t, source = pattern.transposed
-    return t.matrix(mat.data[source])
 
 
 def _without_zeros(pattern: Pattern, data: np.ndarray) -> sp.csr_matrix:
@@ -723,11 +707,11 @@ class MixedGraph:
     concatenated, and ``h_mask`` repeats once per lane.
 
     ``patterns`` maps the name of each operator a fold reads, ``l_u``,
-    ``call_rd`` and ``l_n`` when there is one, to its ``Pattern``, whose
-    index arrays the operator uses. A graph filled from a plan is given the
-    plan's and keeps each that its operator fits, so what a pattern works
-    out is shared by every graph of the plan; any other operator gets a
-    pattern of its own.
+    ``call_rd`` and ``l_n`` when there is one, to its ``Pattern``. A graph
+    filled from a plan is given them (``attention.fill_mixed_graph`` decides
+    which are the plan's), so what a pattern works out is shared by every
+    graph of the plan; a graph built without them works out its own. A given
+    pattern is checked for its operator's size and entry count only.
     """
 
     n_stations: int
@@ -750,30 +734,23 @@ class MixedGraph:
             if mat.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {mat.shape}, expected {(dim, dim)}")
         if self.l_rd_t is None:
-            self.l_rd_t = transpose(self.l_rd)
+            t, source = Pattern.of(self.l_rd).transposed
+            self.l_rd_t = t.matrix(self.l_rd.data[source])
         if self.call_rd is None:
             self.call_rd = symmetrized_dglr_matrix(self.l_rd, self.l_rd_t)
         if self.h_mask is None:
             lane_mask = np.zeros(self.n_stations * self.n_instants, dtype=bool)
             lane_mask[: self.n_stations * self.n_observed] = True
             self.h_mask = np.tile(lane_mask, self.lanes)
-        given = self.patterns or {}
-        self.patterns = {}
-        for name in ("l_u", "call_rd", "l_n"):
-            mat, pattern = getattr(self, name), given.get(name)
-            if mat is None:
-                continue
-            if pattern is None or not pattern.fits(mat):
-                pattern = Pattern.of(mat)
-            elif not np.may_share_memory(mat.indices, pattern.indices):
-                setattr(self, name, pattern.matrix(mat.data))  # on the plan's index arrays
-            self.patterns[name] = pattern
-        self._ops = {
-            "l_u": self.l_u,
-            "l_rd": self.l_rd,
-            "l_rd_t": self.l_rd_t,
-            "call_rd": self.call_rd,
-        }
+        folded = [name for name in ("l_u", "call_rd", "l_n") if getattr(self, name) is not None]
+        if self.patterns is None:
+            self.patterns = {name: Pattern.of(getattr(self, name)) for name in folded}
+        for name in folded:
+            nnz, pattern = getattr(self, name).nnz, self.patterns.get(name)
+            if pattern is None or (pattern.n, pattern.nnz) != (dim, nnz):
+                given = "none" if pattern is None else f"{pattern.nnz} over {pattern.n} nodes"
+                raise ValueError(f"{name} stores {nnz} entries over {dim} nodes; "
+                                 f"its pattern given: {given}")
 
     @property
     def n_nodes(self) -> int:
@@ -790,9 +767,9 @@ class MixedGraph:
 
         ``call_rd`` is the assembled L_r' L_r, not two chained products.
         """
-        mat = self._ops.get(op)
-        if mat is None:
+        if op not in OPERATOR_NAMES:
             raise ValueError(f"unknown operator {op!r}; expected one of {OPERATOR_NAMES}")
+        mat = getattr(self, op)
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_nodes,):
             raise ValueError(f"signal length {x.shape} != {self.n_nodes}")

@@ -364,6 +364,10 @@ class Fold:
         if self.data.dtype != np.float64 or self.data.shape != shape:
             raise ValueError(f"a fold of {what} needs as many float64 values, "
                              f"got {self.data.dtype} {self.data.shape}")
+        # the CSR kernel dispatches on one index dtype and checks no bounds
+        indptr, indices = self.pattern.indptr, self.pattern.indices
+        if indptr.dtype != indices.dtype:
+            raise ValueError(f"fold index arrays differ in dtype: {indptr.dtype}, {indices.dtype}")
 
     def matrix(self) -> sp.csr_matrix:
         data = self.data
@@ -391,8 +395,9 @@ class Fold:
         non-finite entry; and the recurrence's unchecked first pass only
         decides finite or not, where both kernels agree.
 
-        The kernels check no bounds, so the vector, and the index dtypes the
-        CSR kernel dispatches on, are checked first.
+        The kernels check no bounds, so the vector is checked first; the
+        index dtypes the CSR kernel dispatches on are checked when the fold
+        is made.
         """
         indptr, indices = self.pattern.indptr, self.pattern.indices
         n = len(indptr) - 1
@@ -405,8 +410,6 @@ class Fold:
             offsets = self.pattern.band.offsets
             dia_matvec(n, n, len(offsets), n, offsets, self.data, v, out)
             return out
-        if indptr.dtype != indices.dtype:
-            raise ValueError(f"fold index arrays differ in dtype: {indptr.dtype}, {indices.dtype}")
         csr_matvec(n, n, indptr, indices, self.data, v, out)
         return out
 
@@ -470,9 +473,10 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     component blocks, cheaper than the m columns of products by A that the
     rule was first sized for. The components and the blocks' scatter map are
     the fold pattern's (``graphs.Pattern``), worked out when this rule first
-    reads them, after the node budget, and kept: a fold of one operator of a
-    planned graph shares its plan's; a sum of operators (the unsplit signal
-    system) works out its own.
+    reads them, after the node budget, and kept: a fold of one operator
+    shares the pattern its graph was given, which is the plan's for an
+    operator that dropped no entry (``attention.fill_mixed_graph``); a sum
+    of operators (the unsplit signal system) works out its own.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
 

@@ -139,7 +139,8 @@ def pack_config(config: PipelineConfig, n_stations: int) -> np.ndarray:
     for name, size in _tunable_layout(config):
         value = getattr(getattr(config, TUNABLES[name].section), name)
         value = np.full(size, rho0) if value is None else np.asarray(value, dtype=np.float64)
-        parts.append(value.reshape(size, -1).mean(axis=1))
+        # a config of no blocks gives each per-block tunable an empty slot
+        parts.append(value.reshape(size, -1).mean(axis=1) if size else np.zeros(0))
     return np.concatenate(parts)
 
 

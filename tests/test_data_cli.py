@@ -779,6 +779,23 @@ class TestCli:
         tuned = PipelineConfig.load(out)
         assert tuned.layers.blocks == 1
 
+    def test_tune_with_no_blocks_reports_no_change(self, synth_dir, capsys):
+        # a model of no blocks forecasts hold-last; each per-block tunable
+        # packs as an empty slot
+        cfg = json.loads((synth_dir / "config.json").read_text())
+        cfg["layers"] = {"blocks": 0}
+        (synth_dir / "no_blocks.json").write_text(json.dumps(cfg))
+        out = synth_dir / "tuned.json"
+        rc = cli_main([
+            "tune", "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "no_blocks.json"),
+            "--out", str(out), "--iterations", "2",
+        ])
+        assert rc == 0, capsys.readouterr().err
+        assert "(0.0% better)" in capsys.readouterr().out
+        assert PipelineConfig.load(out).layers.blocks == 0
+
     @pytest.mark.parametrize(
         "command,flag,value,low",
         [

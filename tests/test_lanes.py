@@ -454,9 +454,8 @@ class TestFoldKernel:
 
     def test_refuses_index_arrays_of_two_dtypes(self):
         op = random_mixed(np.random.default_rng(41)).l_u
-        fold = Fold(Pattern(op.indptr.astype(np.int64), op.indices.astype(np.int32)), op.data)
         with pytest.raises(ValueError, match="index arrays differ in dtype"):
-            fold.dot(np.ones(op.shape[0]))
+            Fold(Pattern(op.indptr.astype(np.int64), op.indices.astype(np.int32)), op.data)
 
     @pytest.mark.parametrize("bad", ["short", "float32"])
     def test_refuses_values_that_do_not_fill_the_pattern(self, bad):

@@ -13,6 +13,8 @@ from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed
 from stforecast.config import PipelineConfig
 from stforecast.graphs import (
     DegenerateDegreeError,
+    MixedGraph,
+    Pattern,
     assemble_random_walk_digraph,
     directed_skeleton_from_edges,
     plan_random_walk_digraph,
@@ -89,6 +91,54 @@ class TestPlannedAssembly:
             fill_mixed_graph(plan, wu, wd)
 
 
+class TestPlannedPatterns:
+    """A filled operator loses a planned entry only where its value came out
+    exactly 0.0, so it sits on its plan's pattern exactly when it stores as
+    many entries: the rule by which ``fill_mixed_graph`` hands out the
+    plan's patterns."""
+
+    @staticmethod
+    def check(plan, graph) -> set:
+        """Assert the rule for every operator; the names that sit on their plan's."""
+        planned = {"w_rd": plan.walk.w_rd, "l_rd": plan.walk.l_rd,
+                   "l_rd_t": plan.walk.l_rd.transposed[0], **plan.patterns}
+        assert set(graph.patterns) == set(plan.patterns)
+        on_plan = set()
+        for name, pattern in planned.items():
+            mat = getattr(graph, name)
+            same = (np.array_equal(mat.indptr, pattern.indptr)
+                    and np.array_equal(mat.indices, pattern.indices))
+            assert same == (mat.nnz == pattern.nnz), name
+            if name in plan.patterns:
+                assert (graph.patterns[name] is pattern) == same, name
+            if same:
+                on_plan.add(name)
+        return on_plan
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3, 8)), st.booleans(),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_on_the_plan_exactly_when_no_entry_dropped(self, seed, lanes, with_l_n, underflow):
+        rng = np.random.default_rng(seed)
+        wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes)
+        if underflow:  # walk weights that round to 0.0 drop entries of L_r, call_rd and l_n
+            wd = np.where(rng.uniform(size=wd.shape) < 0.3, 5e-324, 1e3 * wd)
+        plan = plan_mixed_graph(sskel, tskel, lanes, n_observed, with_l_n)
+        graph = fill_mixed_graph(plan, wu, wd)
+        on_plan = self.check(plan, graph)
+        assert {"w_rd", "l_u"} <= on_plan
+        assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n)
+
+    @pytest.mark.parametrize("which,off_plan", [
+        ("cancelling_call_rd", {"call_rd"}),
+        ("underflowing_walk_weight", {"l_rd", "l_rd_t", "call_rd", "l_n"}),
+    ])
+    def test_dropped_zero_graphs(self, which, off_plan):
+        plan, graph, _ = dropped_zero_graph(which)
+        names = {"w_rd", "l_rd", "l_rd_t", *graph.patterns}
+        assert names - self.check(plan, graph) == off_plan
+
+
 class TestPlannedErrors:
     def setup_method(self):
         self.wu, self.wd, self.sskel, self.tskel, self.n_observed = split_skeleton_inputs(
@@ -123,6 +173,24 @@ class TestPlannedErrors:
             fill_mixed_graph(plan, self.wu, self.wd)
         with pytest.raises(DegenerateDegreeError):
             assemble_random_walk_digraph(plan_random_walk_digraph(bad), np.ones(bad.n_edges))
+
+    @pytest.mark.parametrize("name", ["l_u", "call_rd", "l_n"])
+    @pytest.mark.parametrize("bad", ["size", "count", "missing"])
+    def test_graph_refuses_a_pattern_that_is_not_its_operators(self, name, bad):
+        graph = fill_mixed_graph(self.plan, self.wu, self.wd)
+        pattern = graph.patterns[name]
+        patterns = dict(graph.patterns)
+        if bad == "missing":
+            del patterns[name]
+        else:
+            patterns[name] = (Pattern(pattern.indptr[:-1], pattern.indices) if bad == "size"
+                              else Pattern(pattern.indptr, pattern.indices[:-1]))
+        with pytest.raises(ValueError, match=f"^{name} stores {pattern.nnz} entries over "
+                                             f"{graph.n_nodes} nodes; its pattern given: "):
+            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, l_u=graph.l_u,
+                       w_rd=graph.w_rd, l_rd=graph.l_rd, call_rd=graph.call_rd, l_n=graph.l_n,
+                       h_mask=graph.h_mask, lanes=graph.lanes, l_rd_t=graph.l_rd_t,
+                       patterns=patterns)
 
     def test_weights_must_fit_the_plans_slices(self):
         one_slice = self.wu.reshape(-1, self.sskel.n_edges)[:1]
