@@ -35,6 +35,7 @@ from .graphs import (
     LaplacianPlan,
     MixedGraph,
     NumericFailure,
+    Operator,
     Pattern,
     PhysicalGraph,
     RandomWalkPlan,
@@ -42,6 +43,7 @@ from .graphs import (
     TemporalSkeleton,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
+    band_transpose,
     component_blocks,
     coo_pattern,
     normalized_laplacian,
@@ -394,7 +396,8 @@ def directed_weights(
     # non-finite features give NaN or infinite distances, silently: the
     # weight check below reports them
     with np.errstate(invalid="ignore", over="ignore"):
-        for w in np.unique(skel.lag):
+        # every lag of a windowed skeleton has edges: no sort to find them
+        for w in range(1, skel.window + 1) if temporal else np.unique(skel.lag).tolist():
             sel = np.flatnonzero(skel.lag == w)
             if temporal:
                 # lag-w edges run (s, t - w) -> (s, t) in child order: two contiguous slices
@@ -426,13 +429,13 @@ class GraphPlan:
     The skeletons, the lane count and the observed prefix fix the plans of
     ``assemble_undirected_laplacian`` (over every lane's instants) and
     ``assemble_random_walk_digraph`` (over the temporal skeleton repeated
-    per lane), the mask, and, with ``l_n``, the symmetrized temporal
-    adjacency and the directed edge each of its entries reads. ``patterns``
-    holds the pattern of each operator a fold reads, ``l_u``, ``call_rd``
-    and ``l_n``, for weights that leave no entry 0.0; the temporal ones,
-    ``call_rd`` and ``l_n``, with their layout as diagonals
-    (``graphs.Band``). A pattern works out its components only when a
-    fold's Q(A) asks (``solver.block_folds``).
+    per lane, banded: W_r, L_r and L_r' as diagonals), the mask, and, with
+    ``l_n``, the symmetrized temporal adjacency and the directed edge each
+    of its entries reads. ``patterns`` holds the pattern of each operator a
+    fold reads, ``l_u``, ``call_rd`` and ``l_n``, for weights that leave no
+    entry 0.0; the temporal ones, ``call_rd`` and ``l_n``, with their layout
+    as diagonals (``graphs.Band``). A pattern works out its components only
+    when a fold's Q(A) asks (``solver.block_folds``).
     """
 
     sskel: SpatialSkeleton
@@ -457,13 +460,12 @@ def plan_mixed_graph(
     ``n_observed`` instants observed, with ``l_n`` when asked."""
     lane_skel = _lane_skeleton(tskel, lanes)
     l_u = plan_undirected_laplacian(sskel, lanes * tskel.n_instants)
-    walk = plan_random_walk_digraph(lane_skel)
+    walk = plan_random_walk_digraph(lane_skel, banded=True)
     # with ones for values the products cancel nowhere and store full
     # patterns; the temporal ones couple (s, t) with (s, t + d), |d| <= window
     # only: 2 window + 1 diagonals at offsets d * stations, in every lane
-    ones_l_rd_t = walk.l_rd.transposed[0]
-    call_rd = symmetrized_dglr_matrix(walk.l_rd.matrix(np.ones(walk.l_rd.nnz)),
-                                      ones_l_rd_t.matrix(np.ones(ones_l_rd_t.nnz)))
+    ones = walk.l_rd.matrix(np.ones(walk.l_rd.nnz))
+    call_rd = symmetrized_dglr_matrix(ones, ones.T.tocsr())
     patterns = {"l_u": l_u.pattern, "call_rd": Pattern.of(call_rd).banded()}
     temporal = None
     if with_undirected_temporal:
@@ -488,12 +490,19 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
     child-normalized, so the in-degree normalization inside the random-walk
     assembly leaves them unchanged.
 
+    L_r's values are written into its band once; L_r' is those diagonals
+    shifted to their mirrors (``graphs.band_transpose``), and L_r'L_r is
+    formed from them diagonal by diagonal (``symmetrized_dglr_matrix``).
+    No scipy sparse matrix is built for them.
+
     A filled operator loses a planned entry only where its value comes out
-    exactly 0.0: L_r in its assembly, ``call_rd`` and ``l_n`` in scipy's
-    products and sums; ``l_u`` and ``w_rd`` lose none. So it sits on its
-    plan's pattern exactly when it stores as many entries. Then it goes on
-    the plan's index arrays, and ``MixedGraph`` is given the plan's pattern,
-    with all it has worked out; otherwise the operator's own.
+    exactly 0.0: L_r in its assembly, ``call_rd`` in its product, ``l_n`` in
+    scipy's sums; ``l_u`` and ``w_rd`` lose none. Such an operator takes a
+    pattern of its own and its values in entry order; every other one sits
+    on its plan's pattern, with all that pattern has worked out. Where L_r
+    loses one, its transpose and product are made in CSR, by scipy, and
+    the product may still keep every planned entry: each pair of nodes
+    that the lost entry coupled can be coupled by another row of L_r.
     """
     weights_u = np.asarray(weights_u, dtype=np.float64)
     weights_d = np.asarray(weights_d, dtype=np.float64)
@@ -506,22 +515,19 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         plan.l_u, weights_u.reshape(lanes * plan.tskel.n_instants, weights_u.shape[-1])
     )
     w_rd, l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
-    l_rd_pattern = plan.walk.l_rd if l_rd.nnz == plan.walk.l_rd.nnz else Pattern.of(l_rd)
-    t, source = l_rd_pattern.transposed
-    l_rd_t = t.matrix(l_rd.data[source])
-    ops = {"call_rd": symmetrized_dglr_matrix(l_rd, l_rd_t)}
+    if l_rd.banded:
+        l_rd_t = band_transpose(l_rd, plan.walk.l_rd_t)
+        call_rd = symmetrized_dglr_matrix(l_rd, l_rd_t, plan.patterns["call_rd"])
+    else:
+        l_rd_t = l_rd.matrix().T.tocsr()
+        call_rd = _on_plan(plan, "call_rd", symmetrized_dglr_matrix(l_rd.matrix(), l_rd_t))
+    l_n = None
     if plan.temporal is not None:
         # each directed edge gives half its weight to the undirected edge (the
         # average with the absent reverse edge); self-loops are dropped
         adjacency, source = plan.temporal
-        ops["l_n"] = normalized_laplacian(adjacency.matrix(0.5 * weights_d.ravel()[source]))
-    patterns = {"l_u": plan.patterns["l_u"]}  # l_u is filled into the plan's
-    for name, mat in ops.items():
-        planned = plan.patterns[name]
-        if mat.nnz == planned.nnz:
-            patterns[name], ops[name] = planned, planned.matrix(mat.data)
-        else:
-            patterns[name] = Pattern.of(mat)
+        l_n = _on_plan(plan, "l_n", normalized_laplacian(
+            adjacency.matrix(0.5 * weights_d.ravel()[source])))
     return MixedGraph(
         n_stations=plan.sskel.n_stations,
         n_instants=plan.tskel.n_instants,
@@ -529,12 +535,19 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         l_u=l_u,
         w_rd=w_rd,
         l_rd=l_rd,
+        l_rd_t=l_rd_t,
+        call_rd=call_rd,
+        l_n=l_n,
         h_mask=plan.h_mask,
         lanes=lanes,
-        l_rd_t=l_rd_t,
-        patterns=patterns,
-        **ops,
     )
+
+
+def _on_plan(plan: GraphPlan, name: str, mat: sp.csr_matrix) -> Operator:
+    """The CSR operator ``name`` on its plan's pattern if it kept every
+    planned entry, and so sits on it, else on its own pattern."""
+    planned = plan.patterns[name]
+    return Operator(planned, mat.data) if mat.nnz == planned.nnz else Operator.of(mat)
 
 
 def build_mixed_graph(

@@ -100,19 +100,25 @@ def _shape(value) -> tuple | None:
         return None
 
 
-def _expand_table(value, blocks: int, layers: int, name: str) -> np.ndarray | None:
-    """Normalize scalar / per-block / per-layer input to a (B, M) array."""
+def _expand_table(value, blocks: int, layers: int, name: str):
+    """Normalize scalar / per-block / per-layer input to a (B, M) array.
+
+    Without blocks the value is checked and kept as given: a table of no
+    rows would lose it, and a saved config could then not take more blocks.
+    """
     if value is None:
         return None
     shape = _shape(value)
     if shape == ():
-        return np.full((blocks, layers), float(value))
-    if shape == (blocks,):
-        return np.repeat(np.asarray(value, dtype=np.float64)[:, None], layers, axis=1)
-    if shape == (blocks, layers):
-        return np.array(value, dtype=np.float64)
-    raise ValueError(f"{name} must be a number, a per-block list of length {blocks} or a "
-                     f"{blocks} x {layers} table, got {_shown(value)}")
+        table = np.full((blocks, layers), float(value))
+    elif shape == (blocks,):
+        table = np.repeat(np.asarray(value, dtype=np.float64)[:, None], layers, axis=1)
+    elif shape == (blocks, layers):
+        table = np.array(value, dtype=np.float64)
+    else:
+        raise ValueError(f"{name} must be a number, a per-block list of length {blocks} or a "
+                         f"{blocks} x {layers} table, got {_shown(value)}")
+    return table if blocks else value
 
 
 @dataclass
@@ -179,7 +185,9 @@ class LayerSettings:
         for name in ("mu_u", "mu_d2", "mu_d1", "rho", "rho_u", "rho_d"):
             setattr(self, name, _expand_table(getattr(self, name), b, m, name))
         # one coefficient per block: a table of one layer
-        self.residual = _expand_table(self.residual, b, 1, "residual")[:, 0]
+        self.residual = _expand_table(self.residual, b, 1, "residual")
+        if b:
+            self.residual = self.residual[:, 0]
 
     def layer_params(self, block: int, default_rho: float) -> list[LayerParams]:
         rho0 = np.full(self.layers, default_rho)

@@ -17,8 +17,16 @@ keeps, what the solver's folded systems read of it: the diagonal's
 positions and, for a fold applied as its polynomial, the connected
 components and the map into dense component blocks. A plan
 gives a pattern of few diagonals, the temporal ones, its ``Band``: where
-each entry sits in scipy's DIA layout, so that a fold on it runs the DIA
-kernel (``solver.Fold``).
+each entry sits in scipy's DIA layout (Saad, *Iterative Methods for Sparse
+Linear Systems*, 2003, section 3.4).
+
+Every operator of a graph, and every folded CG system, is an ``Operator``:
+a pattern and its values, in entry order or as the band's diagonals, applied
+by the scipy kernel that layout calls for. A planned graph holds L_r, L_r'
+and L_r'L_r as bands from the fill on: L_r's diagonals are written once, L_r'
+is them shifted to their mirror offsets, and L_r'L_r is formed diagonal by
+diagonal (``symmetrized_dglr_matrix``). Their CSR forms, which oracles,
+checks and dumps read, are built on each read (``MixedGraph``).
 
 ``NumericFailure`` is the one failure of a forward pass; it lives here, below
 both ``attention`` and ``solver``, which raise it.
@@ -26,11 +34,13 @@ both ``attention`` and ``solver``, which raise it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+# the kernels of scipy's CSR and DIA ``A @ v``
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 from scipy.sparse.csgraph import connected_components
 
 
@@ -357,23 +367,6 @@ class Pattern:
         return on_diag.astype(self.indices.dtype)
 
     @cached_property
-    def transposed(self) -> tuple["Pattern", np.ndarray]:
-        """The transpose's pattern, and the entry of this pattern that each of
-        its entries reads.
-
-        Entries of one column keep their row order, as scipy's CSR-to-CSC
-        conversion places them, and the index arrays keep this pattern's
-        dtype, as scipy's does while every index fits in 32 bits: the
-        operator ``data`` fills here has its transpose,
-        ``matrix(data).T.tocsr()``, bit for bit in ``t.matrix(data[source])``.
-        """
-        source = np.argsort(self.indices, kind="stable").astype(self.indices.dtype)
-        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
-        indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
-        indptr[1:] = np.cumsum(np.bincount(self.indices, minlength=self.n))
-        return Pattern(indptr, rows[source]), source
-
-    @cached_property
     def labels(self) -> np.ndarray:
         """The connected component of each node; a stored entry couples its row and column."""
         return connected_components(self.matrix(np.ones(self.nnz)), directed=False)[1]
@@ -381,6 +374,104 @@ class Pattern:
     @cached_property
     def components(self) -> "ComponentMap":
         return component_map(self, self.labels)
+
+
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A square operator: the values ``data`` in ``pattern``, applied by one of scipy's kernels.
+
+    ``data`` holds one value per stored entry, in the pattern's order, and
+    ``dot`` runs the CSR kernel that ``pattern.matrix(data) @ v`` runs; or,
+    on a pattern with a ``band``, the band's diagonals, a (len(offsets), n)
+    array, and ``dot`` runs scipy's DIA kernel. Either way it builds no
+    matrix and pays no dispatch per product; ``matrix`` is the CSR view.
+    """
+
+    pattern: Pattern
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, mat: sp.csr_matrix) -> "Operator":
+        """A CSR matrix as an operator on its own pattern."""
+        return cls(Pattern.of(mat), mat.data)
+
+    def __post_init__(self):
+        band = self.pattern.band
+        if self.data.ndim == 2 and band is not None:
+            shape = (len(band.offsets), self.pattern.n)
+            what = f"{shape[0]} diagonals of {shape[1]}"
+        else:
+            shape = (self.pattern.nnz,)
+            what = f"{shape[0]} entries"
+        if self.data.dtype != np.float64 or self.data.shape != shape:
+            raise ValueError(f"an operator of {what} needs as many float64 values, "
+                             f"got {self.data.dtype} {self.data.shape}")
+        # the CSR kernel dispatches on one index dtype and checks no bounds
+        indptr, indices = self.pattern.indptr, self.pattern.indices
+        if indptr.dtype != indices.dtype:
+            raise ValueError(f"operator index arrays differ in dtype: "
+                             f"{indptr.dtype}, {indices.dtype}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.pattern.n, self.pattern.n)
+
+    @property
+    def nnz(self) -> int:
+        return self.pattern.nnz
+
+    @property
+    def banded(self) -> bool:
+        """Whether ``data`` holds the band's diagonals."""
+        return self.data.ndim == 2
+
+    def entries(self) -> np.ndarray:
+        """The values in entry order: ``data``, or the band's gathered into a new array."""
+        if self.banded:
+            return self.data[self.pattern.band.which, self.pattern.indices]
+        return self.data
+
+    def matrix(self) -> sp.csr_matrix:
+        return self.pattern.matrix(self.entries())
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """``matrix() @ v``, bit for bit when ``v`` is finite.
+
+        The CSR kernel is the one scipy's product runs. The DIA kernel adds
+        each row's terms diagonal by diagonal, and the offsets ascend, so in
+        the CSR kernel's column order, from the same +0.0. Its padding adds
+        0.0 * v[j], a signed zero, to a partial sum that is never -0.0 (a
+        sum from +0.0 is -0.0 only if both terms are), which changes no bit.
+
+        A non-finite v[j] is another matter: 0.0 * inf is NaN, and the
+        padding carries it into rows that store nothing in column j, at a
+        lane boundary into the lane before. A failure still names the lane
+        that failed, because ``solver.cg_solve`` never takes the place of a
+        failure from the product of such a vector: x0 is finite by its
+        contract; the recurrence checks x, which a non-finite direction
+        makes non-finite, before it applies the direction; exact CG checks
+        each residual, and a direction that fails its curvature check names
+        its own first non-finite entry; and the recurrence's unchecked first
+        pass only decides finite or not, where both kernels agree.
+        ``MixedGraph.apply`` takes the CSR view's product of such a vector.
+
+        The kernels check no bounds, so the vector is checked first; the
+        index dtypes the CSR kernel dispatches on are checked when the
+        operator is made.
+        """
+        indptr, indices = self.pattern.indptr, self.pattern.indices
+        n = len(indptr) - 1
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
+                and v.flags.c_contiguous):
+            raise ValueError(f"an operator of {n} nodes applies a C-contiguous float64 vector "
+                             f"of length {n}, got {getattr(v, 'dtype', type(v))} {np.shape(v)}")
+        out = np.zeros(n)
+        if self.banded:
+            offsets = self.pattern.band.offsets
+            dia_matvec(n, n, len(offsets), n, offsets, self.data, v, out)
+            return out
+        csr_matvec(n, n, indptr, indices, self.data, v, out)
+        return out
 
 
 def coo_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[Pattern, np.ndarray]:
@@ -436,15 +527,16 @@ def plan_undirected_laplacian(skel: SpatialSkeleton, n_slices: int) -> Laplacian
     return LaplacianPlan(skel, n_slices, pattern, np.where(order < m, order, order - m))
 
 
-def assemble_undirected_laplacian(skel, weights: np.ndarray) -> sp.csr_matrix:
+def assemble_undirected_laplacian(skel, weights: np.ndarray):
     """Block-diagonal D - W over slices, usually instants.
 
     ``weights`` has shape (n_slices, n_edges) aligned with the edges of
-    ``skel``, a ``SpatialSkeleton`` (planned here) or its ``LaplacianPlan``;
+    ``skel``, a ``SpatialSkeleton`` (planned here; the result is CSR) or its
+    ``LaplacianPlan`` (the result is an ``Operator`` on the plan's pattern);
     slice t holds nodes t*N .. t*N + N - 1, so the (head, instant) slices of
     several heads, head-major, give one block per head.
     """
-    plan = skel if isinstance(skel, LaplacianPlan) else None
+    given = plan = skel if isinstance(skel, LaplacianPlan) else None
     skel = skel.skel if plan else skel
     weights = np.asarray(weights, dtype=np.float64)
     if (weights.ndim != 2 or weights.shape[1] != skel.n_edges
@@ -464,7 +556,8 @@ def assemble_undirected_laplacian(skel, weights: np.ndarray) -> sp.csr_matrix:
         weights=np.concatenate([weights, weights], axis=1).ravel(),
         minlength=n * weights.shape[0],
     )
-    return plan.pattern.matrix(np.concatenate([-weights.ravel(), deg])[plan.source])
+    lap = Operator(plan.pattern, np.concatenate([-weights.ravel(), deg])[plan.source])
+    return lap if given else lap.matrix()
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,18 +570,27 @@ class RandomWalkPlan:
     ``w_rd.nnz``). L_r leaves out the diagonal of each row whose one W_r
     entry is its own: that entry is its weight over itself, exactly 1, and
     the diagonal reads 1 - 1 = 0.
+
+    A banded plan gives W_r and L_r their ``Band`` on W_r's diagonals, and
+    adds L_r''s pattern ``l_rd_t`` with its band, on the mirrored ones, and
+    ``band_at``, the flat position in W_r's band of each edge's entry. It
+    keeps none of the three entry-order maps: its operators' values in
+    entry order are gathered from their bands.
     """
 
     skel: DirectedSkeleton
     w_rd: Pattern
-    w_source: np.ndarray
+    w_source: np.ndarray | None
     l_rd: Pattern
-    l_diagonal: np.ndarray
-    l_source: np.ndarray
+    l_diagonal: np.ndarray | None
+    l_source: np.ndarray | None
+    l_rd_t: Pattern | None = None
+    band_at: np.ndarray | None = None
 
 
-def plan_random_walk_digraph(skel: DirectedSkeleton) -> RandomWalkPlan:
-    """Plan W_r and I - W_r over ``skel``, a self-loop added at each source."""
+def plan_random_walk_digraph(skel: DirectedSkeleton, banded: bool = False) -> RandomWalkPlan:
+    """Plan W_r and I - W_r over ``skel``, a self-loop added at each source;
+    with ``banded``, for a skeleton of few diagonals and no self-edge, as bands."""
     n = skel.n_nodes
     w_rd, w_source = coo_pattern(np.concatenate([skel.dst, skel.sources]),
                                  np.concatenate([skel.src, skel.sources]), n)
@@ -507,22 +609,41 @@ def plan_random_walk_digraph(skel: DirectedSkeleton) -> RandomWalkPlan:
     diagonal = np.insert(w_diagonal, at, True)
     source = np.insert(np.arange(w_rd.nnz), at, w_rd.nnz).astype(w_source.dtype)
     lone = np.insert(w_diagonal & (per_row[w_rows] == 1), at, False)
-    l_rd, _ = coo_pattern(rows[~lone], np.insert(w_rd.indices, at, lacking)[~lone], n)
-    return RandomWalkPlan(skel, w_rd, w_source, l_rd, diagonal[~lone], source[~lone])
+    rows, cols = rows[~lone], np.insert(w_rd.indices, at, lacking)[~lone]
+    l_rd, _ = coo_pattern(rows, cols, n)
+    if not banded:
+        return RandomWalkPlan(skel, w_rd, w_source, l_rd, diagonal[~lone], source[~lone])
+    # W_r and L_r lie on the same diagonals, every edge's and the main one
+    # (W_r's at the sources, L_r's elsewhere), so the assembly writes L_r
+    # as 0.0 less W_r; a skeleton without sources or non-sources breaks
+    # that, and its assembly fails, on the in-degree or the band's size
+    w_rd, l_rd = w_rd.banded(), l_rd.banded()
+    offsets = w_rd.band.offsets
+    l_rd_t, _ = coo_pattern(cols, rows, n)
+    band_at = np.searchsorted(offsets, skel.src - skel.dst) * n + skel.src
+    return RandomWalkPlan(skel, w_rd, None, l_rd, None, None, l_rd_t.banded(),
+                          band_at.astype(l_rd.indices.dtype))
 
 
-def assemble_random_walk_digraph(skel, weights: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def assemble_random_walk_digraph(skel, weights: np.ndarray):
     """Row-stochastic random-walk adjacency and its Laplacian I - W_r.
 
-    ``skel`` is a ``DirectedSkeleton`` (planned here) or its
-    ``RandomWalkPlan``. Every source node gets a self-loop of weight 1
-    before in-degree normalization, so source rows of W_r are exactly their
-    self-loop. In-degrees sum each node's edges in edge order, then its
-    self-loop. L_r stores no entry that is exactly 0.0, as scipy's I - W_r
-    does not: a planned entry that comes out 0.0 gives L_r a pattern of its
-    own.
+    ``skel`` is a ``DirectedSkeleton`` (planned here; the result is two CSR
+    matrices) or its ``RandomWalkPlan`` (the result is two ``Operator``s).
+    Every source node gets a self-loop of weight 1 before in-degree
+    normalization, so source rows of W_r are exactly their self-loop.
+    In-degrees sum each node's edges in edge order, then its self-loop.
+    L_r stores no entry that is exactly 0.0, as scipy's I - W_r does not: a
+    planned entry that comes out 0.0 gives L_r a pattern of its own.
+
+    A banded plan's operators are written straight into their bands, with
+    the values of the entry-order route bit for bit: W_r's edges at
+    ``band_at`` and its self-loops on the main diagonal, L_r 0.0 less W_r
+    off it and 1 on it at every row but a source's. Where an entry of L_r
+    comes out 0.0, L_r's values are gathered into entry order and the
+    entry dropped, as on any other plan.
     """
-    plan = skel if isinstance(skel, RandomWalkPlan) else None
+    given = plan = skel if isinstance(skel, RandomWalkPlan) else None
     skel = skel.skel if plan else skel
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != skel.src.shape:
@@ -538,25 +659,88 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray) -> tuple[sp.csr_matr
         raise DegenerateDegreeError(
             f"non-source node(s) {dead[:5].tolist()} have zero incoming weight"
         )
-    w_rows = np.repeat(np.arange(n), np.diff(plan.w_rd.indptr))
-    w_data = np.concatenate([weights, np.ones(len(skel.sources))])[plan.w_source] / indeg[w_rows]
-    l_data = plan.l_diagonal - np.append(w_data, 0.0)[plan.l_source]
-    l_rd = plan.l_rd.matrix(l_data) if l_data.all() else _without_zeros(plan.l_rd, l_data)
-    return plan.w_rd.matrix(w_data), l_rd
+    if plan.band_at is None:
+        w_rows = np.repeat(np.arange(n), np.diff(plan.w_rd.indptr))
+        w_data = (np.concatenate([weights, np.ones(len(skel.sources))])[plan.w_source]
+                  / indeg[w_rows])
+        l_data = plan.l_diagonal - np.append(w_data, 0.0)[plan.l_source]
+        dropped = not l_data.all()
+    else:
+        band = plan.w_rd.band
+        w_edges = weights / indeg[skel.dst]
+        w_data = np.zeros((len(band.offsets), n))
+        w_data.ravel()[plan.band_at] = w_edges
+        w_data[band.zero, skel.sources] = 1.0 / indeg[skel.sources]
+        l_data = np.subtract(0.0, w_data)
+        l_data[band.zero] = 1.0
+        l_data[band.zero, skel.sources] = 0.0
+        # L_r stores 1 on the diagonal and 0.0 less each edge's W_r entry off it
+        dropped = not w_edges.all()
+    w_rd, l_rd = Operator(plan.w_rd, w_data), Operator(plan.l_rd, l_data)
+    if dropped:
+        l_rd = Operator.of(_without_zeros(plan.l_rd, l_rd.entries()))
+    return (w_rd, l_rd) if given else (w_rd.matrix(), l_rd.matrix())
 
 
-def symmetrized_dglr_matrix(l_rd: sp.csr_matrix, l_rd_t: sp.csr_matrix) -> sp.csr_matrix:
-    """L_r^T L_r from L_r and its transpose, as CSR: symmetric, PSD,
-    annihilates the constant vector.
+def band_transpose(op: Operator, pattern: Pattern) -> Operator:
+    """The transpose of the band operator ``op`` on ``pattern``, the
+    transpose's pattern with its band: each diagonal moved to the mirrored
+    offset, a shift along its row."""
+    data = op.data
+    rows, n = data.shape
+    out = np.zeros_like(data)
+    for k, o in enumerate(op.pattern.band.offsets.tolist()):
+        # entry (c, c + o), in column c + o, is the transpose's (c + o, c), in column c
+        out[rows - 1 - k, max(-o, 0) : n - max(o, 0)] = data[k, max(o, 0) : n + min(o, 0)]
+    return Operator(pattern, out)
 
-    scipy's sparse product stores no entry that sums to exactly 0.0.
+
+def symmetrized_dglr_matrix(l_rd, l_rd_t, pattern: Pattern | None = None):
+    """L_r^T L_r from L_r and its transpose: symmetric, PSD, annihilates
+    the constant vector.
+
+    From CSR matrices, scipy's sparse product as CSR, indices sorted; it
+    stores no entry that sums to exactly 0.0. Entry (i, k) sums
+    L_r(j, i) L_r(j, k) over the nodes j in ascending order, from +0.0
+    (Gustavson's row-by-row product, scipy's ``csr_matmat``).
+
+    From the band ``Operator``s of a planned temporal graph, whose L_r' has
+    the diagonals 0, N, ..., W N, and ``pattern``, the plan's pattern of the
+    product with its band of 2W + 1 diagonals: an ``Operator`` of the same
+    sums in the same order, formed diagonal by diagonal. For each diagonal
+    -q N of L_r, q ascending, and each p, node j adds
+    L_r(j, j - p N) L_r(j, j - q N) to entry (j - p N, j - q N), on the
+    product's diagonal (p - q) N: L_r''s diagonals p N and q N multiplied
+    column by column, one vector product per (p, q). Where an entry comes
+    out exactly 0.0 the result drops it, as scipy's product does: the
+    values in entry order on a pattern of their own.
     """
-    if l_rd.shape[0] != l_rd.shape[1]:
-        raise ValueError("expected a square matrix")
-    mat = l_rd_t @ l_rd
-    # exact symmetry by construction of the product; enforce sorted indices
-    mat.sort_indices()
-    return mat
+    if not isinstance(l_rd_t, Operator):
+        if l_rd.shape[0] != l_rd.shape[1]:
+            raise ValueError("expected a square matrix")
+        mat = l_rd_t @ l_rd
+        # exact symmetry by construction of the product; enforce sorted indices
+        mat.sort_indices()
+        return mat
+    rows = l_rd_t.data  # row d holds L_r(j, j - d N) in column j
+    span, n = len(rows) - 1, rows.shape[1]
+    if len(pattern.band.offsets) != 2 * span + 1:
+        raise ValueError(f"a product of {span + 1} diagonals has {2 * span + 1}, "
+                         f"its pattern {len(pattern.band.offsets)}")
+    step = int(l_rd_t.pattern.band.offsets[-1]) // max(span, 1)
+    out = np.zeros((2 * span + 1, n))
+    term = np.empty(n)
+    for q in range(span + 1):
+        s = q * step
+        for p in range(span + 1):
+            row = out[p - q + span, : n - s]  # diagonal (p - q) N, column j - q N
+            row += np.multiply(rows[p, s:], rows[q, s:], out=term[: n - s])
+    # a sum from +0.0 is never -0.0, and the band's padding sums zeros
+    # only: an entry came out 0.0 exactly when fewer than nnz values are
+    # nonzero, counted on their bits as integers, which is quicker
+    if np.count_nonzero(out.view(np.int64)) == pattern.nnz:
+        return Operator(pattern, out)
+    return Operator.of(_without_zeros(pattern, out[pattern.band.which, pattern.indices]))
 
 
 def unit_laplacian(pg: PhysicalGraph) -> sp.csr_matrix:
@@ -694,63 +878,72 @@ def component_blocks(a: sp.spmatrix, labels: np.ndarray,
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")
 
 
-@dataclass(eq=False)
+class _CsrView:
+    """A ``MixedGraph`` operator read as CSR, built on each read; None where the graph has none."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        op = graph.ops.get(self.name)
+        return None if op is None else op.matrix()
+
+
 class MixedGraph:
     """Assembled operators of one mixed product graph, or of several stacked.
 
-    Immutable after construction; all operators are CSR with float64 values.
-    ``l_n`` is the normalized Laplacian of the symmetrized temporal graph,
-    used only by the undirected-temporal solver variant.
+    Immutable after construction. ``ops`` maps each operator's name to its
+    ``Operator``; ``l_n`` is the normalized Laplacian of the symmetrized
+    temporal graph, used only by the undirected-temporal solver variant.
+    Reading an operator by its name (``graph.l_rd``) gives its CSR form,
+    built on each read, so no operator is held twice: the oracles, checks,
+    dumps and the unsplit signal system read those, the solver the
+    operators themselves.
 
     A graph with ``lanes`` > 1 holds that many graphs of one shape as the
     diagonal blocks of each operator; signals are the per-lane vectors
     concatenated, and ``h_mask`` repeats once per lane.
 
-    ``patterns`` maps the name of each operator a fold reads, ``l_u``,
-    ``call_rd`` and ``l_n`` when there is one, to its ``Pattern``. A graph
-    filled from a plan is given them (``attention.fill_mixed_graph`` decides
-    which are the plan's), so what a pattern works out is shared by every
-    graph of the plan; a graph built without them works out its own. A given
-    pattern is checked for its operator's size and entry count only.
+    Each operator is given as an ``Operator`` (``attention.fill_mixed_graph``
+    gives those of its plan, L_r, L_r' and L_r'L_r on their bands) or as a
+    CSR matrix, put on its own pattern. ``l_rd_t`` and ``call_rd``, when
+    not given, are worked out from ``l_rd`` in CSR.
     """
 
-    n_stations: int
-    n_instants: int
-    n_observed: int  # observed instants (the prefix 0..T)
-    l_u: sp.csr_matrix
-    w_rd: sp.csr_matrix
-    l_rd: sp.csr_matrix
-    call_rd: sp.csr_matrix = field(default=None)
-    l_n: sp.csr_matrix = None
-    h_mask: np.ndarray = field(default=None)
-    lanes: int = 1
-    l_rd_t: sp.csr_matrix = field(default=None)
-    patterns: dict = field(default=None)
+    l_u = _CsrView()
+    w_rd = _CsrView()
+    l_rd = _CsrView()
+    l_rd_t = _CsrView()
+    call_rd = _CsrView()
+    l_n = _CsrView()
 
-    def __post_init__(self):
+    def __init__(self, n_stations: int, n_instants: int, n_observed: int, l_u, w_rd, l_rd,
+                 call_rd=None, l_n=None, h_mask: np.ndarray | None = None, lanes: int = 1,
+                 l_rd_t=None):
+        self.n_stations, self.n_instants = n_stations, n_instants
+        self.n_observed = n_observed  # observed instants (the prefix 0..T)
+        self.lanes = lanes
         dim = self.n_nodes
-        for name in ("l_u", "w_rd", "l_rd"):
-            mat = getattr(self, name)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"{name} has shape {mat.shape}, expected {(dim, dim)}")
-        if self.l_rd_t is None:
-            t, source = Pattern.of(self.l_rd).transposed
-            self.l_rd_t = t.matrix(self.l_rd.data[source])
-        if self.call_rd is None:
-            self.call_rd = symmetrized_dglr_matrix(self.l_rd, self.l_rd_t)
-        if self.h_mask is None:
-            lane_mask = np.zeros(self.n_stations * self.n_instants, dtype=bool)
-            lane_mask[: self.n_stations * self.n_observed] = True
-            self.h_mask = np.tile(lane_mask, self.lanes)
-        folded = [name for name in ("l_u", "call_rd", "l_n") if getattr(self, name) is not None]
-        if self.patterns is None:
-            self.patterns = {name: Pattern.of(getattr(self, name)) for name in folded}
-        for name in folded:
-            nnz, pattern = getattr(self, name).nnz, self.patterns.get(name)
-            if pattern is None or (pattern.n, pattern.nnz) != (dim, nnz):
-                given = "none" if pattern is None else f"{pattern.nnz} over {pattern.n} nodes"
-                raise ValueError(f"{name} stores {nnz} entries over {dim} nodes; "
-                                 f"its pattern given: {given}")
+        given = {"l_u": l_u, "w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd_t,
+                 "call_rd": call_rd, "l_n": l_n}
+        for name, op in given.items():
+            if op is not None and op.shape != (dim, dim):
+                raise ValueError(f"{name} has shape {op.shape}, expected {(dim, dim)}")
+        if l_rd_t is None or call_rd is None:
+            l_rd, l_rd_t = (op.matrix() if isinstance(op, Operator) else op for op in (l_rd, l_rd_t))
+            if l_rd_t is None:
+                given["l_rd_t"] = l_rd_t = l_rd.T.tocsr()
+            if call_rd is None:
+                given["call_rd"] = symmetrized_dglr_matrix(l_rd, l_rd_t)
+        if h_mask is None:
+            lane_mask = np.zeros(n_stations * n_instants, dtype=bool)
+            lane_mask[: n_stations * n_observed] = True
+            h_mask = np.tile(lane_mask, lanes)
+        self.h_mask = h_mask
+        self.ops = {name: op if isinstance(op, Operator) else Operator.of(op)
+                    for name, op in given.items() if op is not None}
 
     @property
     def n_nodes(self) -> int:
@@ -763,17 +956,22 @@ class MixedGraph:
         return None if entry is None else entry // (self.n_stations * self.n_instants)
 
     def apply(self, op: str, x: np.ndarray) -> np.ndarray:
-        """Operator-vector product, one sparse product with a prebuilt matrix.
+        """Operator-vector product, by the operator's own kernel (``Operator.dot``).
 
-        ``call_rd`` is the assembled L_r' L_r, not two chained products.
+        ``call_rd`` is the assembled L_r' L_r, not two chained products. A
+        band operator applies a vector that is not finite by its CSR view,
+        so that a non-finite entry reaches only the rows that store its
+        column, as in scipy's product.
         """
         if op not in OPERATOR_NAMES:
             raise ValueError(f"unknown operator {op!r}; expected one of {OPERATOR_NAMES}")
-        mat = getattr(self, op)
-        x = np.asarray(x, dtype=np.float64)
+        operator = self.ops[op]
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n_nodes,):
             raise ValueError(f"signal length {x.shape} != {self.n_nodes}")
-        return mat @ x
+        if operator.banded and not np.isfinite(x).all():
+            return operator.matrix() @ x
+        return operator.dot(x)
 
     def project_observed(self, x: np.ndarray) -> np.ndarray:
         """H x: select observed entries."""

@@ -64,10 +64,14 @@ def objective(x: np.ndarray, y: np.ndarray, graph: MixedGraph, w: PriorWeights) 
         raise ValueError("observation length does not match mask")
     resid = y - graph.project_observed(x)
     value = float(resid @ resid)
+    # the graph's own products, which are scipy's bit for bit: ``glr``,
+    # ``dglr`` and ``dgtv`` without a CSR copy of the operators
     if w.mu_u:
-        value += w.mu_u * glr(x, graph.l_u)
-    if w.mu_d2:
-        value += w.mu_d2 * dglr(x, graph.l_rd)
-    if w.mu_d1:
-        value += w.mu_d1 * dgtv(x, graph.l_rd)
+        value += w.mu_u * float(x @ graph.apply("l_u", x))
+    if w.mu_d2 or w.mu_d1:
+        l_rd_x = graph.apply("l_rd", x)
+        if w.mu_d2:
+            value += w.mu_d2 * float(l_rd_x @ l_rd_x)
+        if w.mu_d1:
+            value += w.mu_d1 * float(np.abs(l_rd_x).sum())
     return value

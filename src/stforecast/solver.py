@@ -23,23 +23,23 @@ so each of its solves takes one sparse product and one batched dense product
 instead of the recurrence's ``iters`` sparse products (one for the starting
 residual, one for every step but the last).
 
-A fold (``Fold``) is a ``graphs.Pattern`` and a ``data`` array. A fold of
-one operator fills a new ``data`` array on that operator's pattern, which
-the graph's plan shares with every block: its band, set by the plan, and
-its diagonal positions and, for a fold applied as Q(A), its components and
+A fold is a ``graphs.Operator``, a ``graphs.Pattern`` and its values. A
+fold of one operator fills new values on that operator's pattern, which the
+graph's plan shares with every block: its band, set by the plan, and its
+diagonal positions and, for a fold applied as Q(A), its components and
 block map, kept from the first block that reads them. A block only fills
-values. A fold applies itself by calling one of scipy's matrix-vector
-kernels directly: no ``csr_matrix`` is built and no dispatch is paid per
-product; ``Fold.matrix`` is its CSR view. The
-temporal systems (x and z_d, or z_n) that the recurrence applies are bands
-of 2W + 1 diagonals on a planned graph, and hold their values as diagonals
-for scipy's DIA kernel, which reads no column index per value (Saad,
-*Iterative Methods for Sparse Linear Systems*, 2003, section 3.4). Every
+values, and each fold, like each operator of the graph, applies itself by
+calling one of scipy's matrix-vector kernels directly: no ``csr_matrix`` is
+built and no dispatch is paid per product. On a planned graph L_r'L_r is
+held as its 2W + 1 diagonals, so the temporal folds that the recurrence
+applies (x and z_d) are coef times them plus the diagonal, and run scipy's
+DIA kernel, which reads no column index per value (Saad, *Iterative Methods
+for Sparse Linear Systems*, 2003, section 3.4); the folds applied as Q(A)
+read them in entry order, which the polynomial's fill reads, gathered once
+a block. Every
 other fold runs the CSR kernel that ``A @ v`` runs. On a finite vector both
-give the CSR product bit for bit (``Fold.dot``). ``MixedGraph.apply`` (L_r x
-and L_r' v, once per layer) stays on scipy's ``@``, the product the
-benchmark's tracer counts; once that tracer hooks one product function,
-both can run on the kernels.
+give the CSR product bit for bit (``Operator.dot``). ``MixedGraph.apply``
+(L_r x and L_r' v, once per layer) runs the same ``dot``, on their bands.
 
 A solve returns a finite result or raises ``NumericFailure`` (from
 ``graphs``, importable here), naming its CG iteration when it has one; the
@@ -53,11 +53,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-# the kernels of scipy's CSR and DIA ``A @ v``
-from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from . import priors
-from .graphs import ComponentBlocks, MixedGraph, NumericFailure, Pattern
+from .graphs import ComponentBlocks, MixedGraph, NumericFailure, Operator, Pattern
 
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
@@ -339,131 +337,59 @@ class AdmmState:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class Fold:
-    """A folded CG system: the values ``data`` in ``pattern``, applied by one of scipy's kernels.
-
-    ``data`` holds one value per stored entry, in the pattern's order, and
-    ``dot`` runs the CSR kernel that ``pattern.matrix(data) @ v`` runs; or,
-    on a pattern with a ``band``, the band's diagonals, a (len(offsets), n)
-    array, and ``dot`` runs scipy's DIA kernel. Either way it builds no
-    matrix and pays no dispatch per product; ``matrix`` is the CSR view.
-    """
-
-    pattern: Pattern
-    data: np.ndarray
-
-    def __post_init__(self):
-        band = self.pattern.band
-        if self.data.ndim == 2 and band is not None:
-            shape = (len(band.offsets), self.pattern.n)
-            what = f"{shape[0]} diagonals of {shape[1]}"
-        else:
-            shape = (self.pattern.nnz,)
-            what = f"{shape[0]} entries"
-        if self.data.dtype != np.float64 or self.data.shape != shape:
-            raise ValueError(f"a fold of {what} needs as many float64 values, "
-                             f"got {self.data.dtype} {self.data.shape}")
-        # the CSR kernel dispatches on one index dtype and checks no bounds
-        indptr, indices = self.pattern.indptr, self.pattern.indices
-        if indptr.dtype != indices.dtype:
-            raise ValueError(f"fold index arrays differ in dtype: {indptr.dtype}, {indices.dtype}")
-
-    def matrix(self) -> sp.csr_matrix:
-        data = self.data
-        if data.ndim == 2:  # the band's diagonals, gathered into entry order
-            data = data[self.pattern.band.which, self.pattern.indices]
-        return self.pattern.matrix(data)
-
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        """``matrix() @ v``, bit for bit when ``v`` is finite.
-
-        The CSR kernel is the one scipy's product runs. The DIA kernel adds
-        each row's terms diagonal by diagonal, and the offsets ascend, so in
-        the CSR kernel's column order, from the same +0.0. Its padding adds
-        0.0 * v[j], a signed zero, to a partial sum that is never -0.0 (a
-        sum from +0.0 is -0.0 only if both terms are), which changes no bit.
-
-        A non-finite v[j] is another matter: 0.0 * inf is NaN, and the
-        padding carries it into rows that store nothing in column j, at a
-        lane boundary into the lane before. A failure still names the lane
-        that failed, because ``cg_solve`` never takes the place of a failure
-        from the product of such a vector: x0 is finite by its contract; the
-        recurrence checks x, which a non-finite direction makes non-finite,
-        before it applies the direction; exact CG checks each residual, and
-        a direction that fails its curvature check names its own first
-        non-finite entry; and the recurrence's unchecked first pass only
-        decides finite or not, where both kernels agree.
-
-        The kernels check no bounds, so the vector is checked first; the
-        index dtypes the CSR kernel dispatches on are checked when the fold
-        is made.
-        """
-        indptr, indices = self.pattern.indptr, self.pattern.indices
-        n = len(indptr) - 1
-        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
-                and v.flags.c_contiguous):
-            raise ValueError(f"a fold of {n} nodes applies a C-contiguous float64 vector of "
-                             f"length {n}, got {getattr(v, 'dtype', type(v))} {np.shape(v)}")
-        out = np.zeros(n)
-        if self.data.ndim == 2:
-            offsets = self.pattern.band.offsets
-            dia_matvec(n, n, len(offsets), n, offsets, self.data, v, out)
-            return out
-        csr_matvec(n, n, indptr, indices, self.data, v, out)
-        return out
-
-
 def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: float,
-                  observed: bool, on_band: bool = False) -> Fold:
-    """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one ``Fold``.
+                  observed: bool, on_band: bool = False, gathered: dict | None = None
+                  ) -> Operator:
+    """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one ``Operator``.
 
     ``ops`` pairs operator names of ``graph`` with coefficients. One operator
-    whose pattern stores every diagonal entry gives a new ``data`` array on
-    that operator's pattern, coef times its values plus the diagonal;
-    otherwise the terms are added by scipy (its sparse products drop exact
-    zeros, so even ``call_rd`` may lack a diagonal entry). ``Fold.matrix``
-    is its CSR view.
+    whose pattern stores every diagonal entry gives new values on that
+    operator's pattern, coef times its values plus the diagonal; otherwise
+    the terms are added by scipy in CSR (its sparse products drop exact
+    zeros, so even ``call_rd`` may lack a diagonal entry).
 
     With ``on_band``, a fold on a pattern with a ``band`` holds the band's
-    diagonals: the operator's values are scattered into them
-    (``Pattern.band_values``), scaled in place and given the diagonal on the
-    main diagonal's row, the same operations as in entry order, and no
-    entry-order copy is made.
+    diagonals: coef times the operator's, scattered into them first
+    (``Pattern.band_values``) when it holds its values in entry order, and
+    the diagonal added on the main diagonal's row, the same operations as
+    in entry order. Without, a band operator's values are gathered into
+    entry order (``Operator.entries``), and kept in ``gathered`` by name,
+    when given, for the next fold of the same operator.
     """
     diag = np.full(graph.n_nodes, shift)
     if observed:
         diag[graph.h_mask] += 1.0
     if len(ops) == 1:
         name, coef = ops[0]
-        pattern = graph.patterns[name]
+        op = graph.ops[name]
+        pattern = op.pattern
         if pattern.diagonal is not None:
-            values = getattr(graph, name).data
             if on_band and pattern.band is not None:
-                data = pattern.band_values(values)
-                data *= coef
+                data = coef * (op.data if op.banded else pattern.band_values(op.data))
                 data[pattern.band.zero] += diag
             else:
-                data = coef * values
+                gathered = {} if gathered is None else gathered
+                if name not in gathered:
+                    gathered[name] = op.entries()
+                data = coef * gathered[name]
                 data[pattern.diagonal] += diag
-            return Fold(pattern, data)
+            return Operator(pattern, data)
     folded = sp.diags(diag, format="csr")
     for name, coef in ops:
         folded = folded + coef * getattr(graph, name)
-    folded = folded.tocsr()
-    return Fold(Pattern.of(folded), folded.data)
+    return Operator.of(folded.tocsr())
 
 
 def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
                 sched: CgSchedule) -> dict:
     """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
 
-    Keys are the (ops, shift, observed) of ``_layer_systems``, values
-    (``Fold``, Q(A) or None). A fold that the recurrence applies, on a
-    pattern with a band (a planned temporal one), holds its band's
-    diagonals and runs the DIA kernel; a fold applied as Q(A) takes one
-    product per solve, which would not repay the scatter, and keeps its
-    values in entry order, which the polynomial's fill reads.
+    Keys are the (ops, shift, observed) of ``_layer_systems``, values (the
+    fold, an ``Operator``; Q(A) or None). A fold that the recurrence
+    applies, on a pattern with a band (a planned temporal one), holds its
+    band's diagonals and runs the DIA kernel; a fold applied as Q(A) takes
+    one product per solve and keeps its values in entry order, which the
+    polynomial's fill reads.
 
     A system gets its polynomial (``polynomial_operator``) when the schedule
     is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
@@ -484,12 +410,12 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
         return (sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET
                 and np.bincount(pattern.labels).max() <= count)
 
-    folds = {}
+    folds, gathered = {}, {}  # a band operator's entry order, gathered once a block
     for key, count in uses.items():
         ops = key[0]
         # a fold of one operator takes that operator's pattern
-        on_band = len(ops) == 1 and not polynomial(graph.patterns[ops[0][0]], count)
-        fold, g = folded_system(graph, *key, on_band=on_band), None
+        on_band = len(ops) == 1 and not polynomial(graph.ops[ops[0][0]].pattern, count)
+        fold, g = folded_system(graph, *key, on_band=on_band, gathered=gathered), None
         if polynomial(fold.pattern, count):
             g = polynomial_operator(fold.pattern.components.fill(fold.data), sched)
         folds[key] = (fold, g)
@@ -699,7 +625,7 @@ def admm_block(
     terms = TERMS.get(mode)
     if terms is None:
         raise ValueError(f"unknown solver variant {mode!r}")
-    if terms.temporal == "l_n" and graph.l_n is None:
+    if terms.temporal == "l_n" and "l_n" not in graph.ops:
         raise ValueError("graph has no undirected temporal Laplacian (l_n)")
     if not params:
         raise ValueError("need at least one layer")
@@ -734,5 +660,5 @@ def _trace_record(layer, state, graph, p, y, terms):
     )
     rec["objective"] = priors.objective(state.x, y, graph, weights)
     if terms.temporal == "l_n":
-        rec["objective"] += p.mu_d2 * priors.glr(state.x, graph.l_n)
+        rec["objective"] += p.mu_d2 * float(state.x @ graph.ops["l_n"].dot(state.x))
     return rec

@@ -146,10 +146,14 @@ def pack_config(config: PipelineConfig, n_stations: int) -> np.ndarray:
 
 def unpack_config(config: PipelineConfig, theta: np.ndarray) -> PipelineConfig:
     """Rebuild a config with its tunables replaced by ``theta``; a
-    per-block value fills every layer of its block."""
+    per-block value fills every layer of its block. A tunable with an empty
+    slot (a per-block one of a model of no blocks) keeps the config's value,
+    so a saved config still loads with more blocks."""
     updates = {spec.section: {} for spec in TUNABLES.values()}
     pos = 0
     for name, size in _tunable_layout(config):
+        if not size:
+            continue
         vals = theta[pos : pos + size].copy()
         pos += size
         spec = TUNABLES[name]

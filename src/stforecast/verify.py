@@ -316,7 +316,7 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
     windows), each lane of every operator of ``multi_head_graphs`` must
     equal, bit for bit, the graph of that window and head built alone, and
     every folded system of the first block's layer scalars, in every solver
-    variant, applied by its ``solver.Fold`` as the solver applies it (the
+    variant, applied by its ``graphs.Operator`` as the solver applies it (the
     temporal ones by the DIA kernel on their band), must equal its unfolded
     operator products to 1e-13 relative, and its CSR view's product byte
     for byte.
@@ -392,10 +392,7 @@ def check_planned_assembly(seed: int = 0) -> CheckResult:
         )
         graphs += 1
         for name, mat in want.items():
-            got = getattr(graph, name)
-            if not all(getattr(got, part).dtype == getattr(mat, part).dtype
-                       and getattr(got, part).tobytes() == getattr(mat, part).tobytes()
-                       for part in ("indptr", "indices", "data")):
+            if not _same_csr(getattr(graph, name), mat):
                 mismatched.append(f"windows {pick} {name}")
     return CheckResult(
         f"planned operator assembly vs the COO reference ({graphs} desk graphs, "
@@ -403,6 +400,56 @@ def check_planned_assembly(seed: int = 0) -> CheckResult:
         not mismatched and len(ctx.plans) == 2,
         f"operators differ: {', '.join(mismatched)}" if mismatched
         else f"{len(want)} operators bitwise equal in each graph",
+    )
+
+
+def _same_csr(got, want) -> bool:
+    """Whether two CSR matrices match in each index array's dtype and every byte."""
+    return all(getattr(got, part).dtype == getattr(want, part).dtype
+               and getattr(got, part).tobytes() == getattr(want, part).tobytes()
+               for part in ("indptr", "indices", "data"))
+
+
+def check_band_operators(seed: int = 0) -> CheckResult:
+    """L_r, L_r' and L_r'L_r held as bands equal their CSR references, bit for bit.
+
+    On the seeded desk graph (20 stations, the default model and its first
+    window: 4 lanes) the three temporal operators must be held as their
+    bands' diagonals, and the CSR form of each must equal, in every index
+    dtype and byte, its reference: L_r of the direct COO assembly
+    (``oracles.coo_operators``), its transpose by scipy and scipy's product
+    of the two. ``MixedGraph.apply`` of L_r and of L_r', on scipy's DIA
+    kernel, must equal the references' CSR products byte for byte, on a
+    vector that holds exact zeros of both signs.
+    """
+    cfg = PipelineConfig()
+    table, pg = generate_synthetic(20, 2000, seed)
+    ctx = pipeline.PipelineContext.build(pg, cfg)
+    sample = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
+    x, _, t_steps = pipeline.initial_signal(sample, ctx)
+    graph = pipeline.block_graph(ctx, [x], [t_steps])
+    feats = ctx.feature_map(embed(x, t_steps, ctx.eigmap))[None]
+    want = oracles.coo_operators(
+        ctx.sskel, ctx.tskel, undirected_weights(feats, ctx.sskel, ctx.bank.undirected),
+        directed_weights(feats, ctx.tskel, ctx.bank.directed), with_l_n=False,
+    )
+    names = ("l_rd", "l_rd_t", "call_rd")
+    off_band = [name for name in names if not graph.ops[name].banded]
+    unequal = [name for name in names if not _same_csr(getattr(graph, name), want[name])]
+    v = np.random.default_rng(seed).standard_normal(graph.n_nodes)
+    v[::7], v[3::11] = -0.0, 0.0
+    products = [f"{name} product" for name in ("l_rd", "l_rd_t")
+                if graph.apply(name, v).tobytes() != (want[name] @ v).tobytes()]
+    if off_band:
+        detail = f"not held as bands: {', '.join(off_band)}"
+    elif unequal or products:
+        detail = f"differ from their CSR references: {', '.join(unequal + products)}"
+    else:
+        detail = "bitwise equal to their CSR references; L_r x and L_r' v byte-equal"
+    return CheckResult(
+        f"band L_r, L_r' and L_r'L_r vs their CSR references ({graph.lanes} lanes, desk graph)",
+        not (off_band or unequal or products),
+        detail,
     )
 
 
@@ -500,6 +547,7 @@ ALL_CHECKS = (
     check_sparse_eigenmap,
     check_lanes_and_folds,
     check_planned_assembly,
+    check_band_operators,
     check_window_lanes,
     check_polynomial_sub_solves,
 )

@@ -796,6 +796,27 @@ class TestCli:
         assert "(0.0% better)" in capsys.readouterr().out
         assert PipelineConfig.load(out).layers.blocks == 0
 
+    def test_tuned_config_of_no_blocks_loads_with_a_block(self, synth_dir, capsys):
+        # the empty per-block slots leave the config's own values in the
+        # saved file, so raising blocks there gives a config that loads and runs
+        cfg = json.loads((synth_dir / "config.json").read_text())
+        cfg["layers"] = {"blocks": 0}
+        (synth_dir / "no_blocks.json").write_text(json.dumps(cfg))
+        data_args = ["--signals", str(synth_dir / "signals.csv"),
+                     "--edges", str(synth_dir / "edges.csv")]
+        tuned = synth_dir / "tuned.json"
+        assert cli_main(["tune", *data_args, "--config", str(synth_dir / "no_blocks.json"),
+                         "--out", str(tuned), "--iterations", "2"]) == 0
+        saved = json.loads(tuned.read_text())
+        assert saved["layers"]["mu_u"] != [] and saved["layers"]["rho"] is None
+        saved["layers"]["blocks"] = 1
+        (synth_dir / "one_block.json").write_text(json.dumps(saved))
+        capsys.readouterr()
+        rc = cli_main(["forecast", *data_args, "--config", str(synth_dir / "one_block.json"),
+                       "--out", str(synth_dir / "fc"), "--max-samples", "1"])
+        assert rc == 0, capsys.readouterr().err
+        assert PipelineConfig.load(synth_dir / "one_block.json").layers.blocks == 1
+
     @pytest.mark.parametrize(
         "command,flag,value,low",
         [

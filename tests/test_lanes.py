@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from stforecast import attention, data, pipeline, solver
+from stforecast import attention, data, graphs, pipeline, solver
 from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed_graph
 from stforecast.config import HeadSettings, PipelineConfig
 from stforecast.graphs import (
     MixedGraph,
+    Operator,
     Pattern,
     PhysicalGraph,
     assemble_random_walk_digraph,
@@ -40,7 +41,6 @@ from stforecast.solver import (
     VARIANTS,
     AdmmState,
     CgSchedule,
-    Fold,
     LayerParams,
     NumericFailure,
     admm_block,
@@ -288,12 +288,19 @@ def dropped_zero_graph(which):
     ``"cancelling_call_rd"``: (L'L)(1, 2) = -w(2 <- 1) + w(3 <- 1) w(3 <- 2)
     = -1/8 + 1/2 * 1/4 = 0. ``"underflowing_walk_weight"``: 5e-324 / 2
     rounds to 0.0, so L_r loses entry (2, 0), and half of it leaves l_n's
-    entries (0, 2) and (2, 0) at 0.0.
+    entries (0, 2) and (2, 0) at 0.0. ``"covered_walk_drop"``: L_r loses
+    entry (2, 1) the same way, and l_n (1, 2) and (2, 1), but ``call_rd``
+    keeps every entry: rows {0, 1}, {0, 2} and {1, 2, 3} of L_r still
+    couple every pair of nodes within two instants.
     """
     if which == "cancelling_call_rd":
         # child-major: 1 <- 0; 2 <- 1, 0; 3 <- 2, 1, 0
         n_instants, window, n_observed, with_l_n = 4, 3, 2, False
         wd = np.array([1.0, 0.125, 0.875, 0.25, 0.5, 0.25])
+    elif which == "covered_walk_drop":
+        # child-major: 1 <- 0; 2 <- 1, 0; 3 <- 2, 1
+        n_instants, window, n_observed, with_l_n = 4, 2, 2, True
+        wd = np.array([1.0, 5e-324, 2.0, 0.5, 0.5])
     else:
         n_instants, window, n_observed, with_l_n = 3, 2, 1, True
         wd = np.array([1.0, 2.0, 5e-324])
@@ -423,7 +430,7 @@ def bad_vector(bad, n):
 
 
 class TestFoldKernel:
-    """``Fold.dot`` calls scipy's CSR kernel, which checks no bounds: the
+    """``Operator.dot`` calls scipy's CSR kernel, which checks no bounds: the
     contract it relies on, and the inputs it must refuse."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
@@ -433,13 +440,13 @@ class TestFoldKernel:
         for name in ("l_u", "l_rd", "l_rd_t", "call_rd", "l_n"):
             op = getattr(g, name)
             pattern = Pattern(op.indptr.astype(index_dtype), op.indices.astype(index_dtype))
-            assert Fold(pattern, op.data).dot(v).tobytes() == (op @ v).tobytes(), name
+            assert Operator(pattern, op.data).dot(v).tobytes() == (op @ v).tobytes(), name
 
     def test_off_plan_l_rd(self):
         # L_r rebuilt without its underflowed entry, on a pattern of its own
         plan, g, _ = dropped_zero_graph("underflowing_walk_weight")
         assert not np.shares_memory(g.l_rd.indices, plan.walk.l_rd.indices)
-        fold = Fold(Pattern.of(g.l_rd), g.l_rd.data)
+        fold = Operator(Pattern.of(g.l_rd), g.l_rd.data)
         v = np.random.default_rng(39).standard_normal(g.n_nodes)
         assert fold.dot(v).tobytes() == (g.l_rd @ v).tobytes()
 
@@ -455,14 +462,14 @@ class TestFoldKernel:
     def test_refuses_index_arrays_of_two_dtypes(self):
         op = random_mixed(np.random.default_rng(41)).l_u
         with pytest.raises(ValueError, match="index arrays differ in dtype"):
-            Fold(Pattern(op.indptr.astype(np.int64), op.indices.astype(np.int32)), op.data)
+            Operator(Pattern(op.indptr.astype(np.int64), op.indices.astype(np.int32)), op.data)
 
     @pytest.mark.parametrize("bad", ["short", "float32"])
     def test_refuses_values_that_do_not_fill_the_pattern(self, bad):
         op = random_mixed(np.random.default_rng(42)).l_u
         data = op.data[:-1] if bad == "short" else op.data.astype(np.float32)
         with pytest.raises(ValueError, match="float64 values"):
-            Fold(Pattern.of(op), data)
+            Operator(Pattern.of(op), data)
 
 
 def planned_graph(rng, lanes, n_stations=3, n_instants=5, window=2, n_observed=3):
@@ -479,7 +486,7 @@ def planned_graph(rng, lanes, n_stations=3, n_instants=5, window=2, n_observed=3
 
 @contextlib.contextmanager
 def kernel_calls(fail=False):
-    """The names of the scipy kernels ``Fold.dot`` calls, in order; with
+    """The names of the scipy kernels ``Operator.dot`` calls, in order; with
     ``fail``, a call raises instead."""
     calls = []
 
@@ -493,7 +500,7 @@ def kernel_calls(fail=False):
 
     with pytest.MonkeyPatch.context() as mp:
         for name in ("csr_matvec", "dia_matvec"):
-            mp.setattr(solver, name, recording(name, getattr(solver, name)))
+            mp.setattr(graphs, name, recording(name, getattr(graphs, name)))
         yield calls
 
 
@@ -550,7 +557,7 @@ class TestBandKernel:
             assert all(q is not None for _, q in folds.values())
         else:
             plan, g, _ = dropped_zero_graph(which)
-            assert g.patterns["call_rd"] is not plan.patterns["call_rd"]
+            assert g.ops["call_rd"].pattern is not plan.patterns["call_rd"]
             folds = block_folds(g, [p], TERMS["full"], CgSchedule.exact())
         for key, (fold, _) in folds.items():
             assert fold.data.ndim == 1, key
@@ -575,7 +582,7 @@ class TestBandKernel:
         assert want.pattern.band is None
         assert_same_csr(fold.matrix(), want.matrix())
         with pytest.raises(ValueError, match="5 diagonals of 60 needs as many float64 values"):
-            Fold(fold.pattern, fold.data[:, :-1])
+            Operator(fold.pattern, fold.data[:, :-1])
 
     @pytest.mark.parametrize("bad", BAD_VECTORS)
     def test_refuses_a_vector_before_either_kernel(self, bad):
@@ -597,13 +604,13 @@ class TestBandKernel:
         result = verify.check_lanes_and_folds()
         assert result.passed, result.detail
         assert "each product byte-equal to its CSR view's" in result.detail
-        kernel = solver.dia_matvec
+        kernel = graphs.dia_matvec
 
         def one_ulp_off(*args):
             kernel(*args)
             args[-1][0] = np.nextafter(args[-1][0], np.inf)
 
-        monkeypatch.setattr(solver, "dia_matvec", one_ulp_off)
+        monkeypatch.setattr(graphs, "dia_matvec", one_ulp_off)
         result = verify.check_lanes_and_folds()
         assert not result.passed
         assert result.detail.startswith("fold products differ from their CSR views': call_rd")
@@ -828,15 +835,15 @@ def diverge_temporal_lane(lane):
         rows = np.repeat(lane_scale, g.n_nodes // g.lanes)
         scaled = {}
         for name in ("call_rd", "l_n"):
-            op = getattr(g, name)
+            op = g.ops.get(name)
             if op is not None:
-                data = op.data * np.repeat(rows, np.diff(op.indptr))
-                scaled[name] = sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+                data = op.entries() * np.repeat(rows, np.diff(op.pattern.indptr))
+                scaled[name] = Operator(op.pattern, data)
         out = MixedGraph(
             g.n_stations, g.n_instants, g.n_observed, l_u=g.l_u, w_rd=g.w_rd, l_rd=g.l_rd,
-            h_mask=g.h_mask, lanes=g.lanes, l_rd_t=g.l_rd_t, patterns=plan.patterns, **scaled,
+            h_mask=g.h_mask, lanes=g.lanes, l_rd_t=g.l_rd_t, **scaled,
         )
-        assert all(out.patterns[name] is plan.patterns[name] for name in scaled)
+        assert all(out.ops[name].pattern is plan.patterns[name] for name in scaled)
         return out
 
     return diverging

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import _compressed
 
 from stforecast import attention, data, graphs, pipeline, solver, tuning
 from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed_graph
@@ -22,7 +23,8 @@ from stforecast.graphs import (
 from stforecast.oracles import coo_operators
 from stforecast.solver import TERMS, CgSchedule, LayerParams, block_folds, cg_solve
 
-from test_lanes import dropped_zero_graph, split_skeleton_inputs
+from test_lanes import (FINITE, dropped_zero_graph, kernel_calls, planned_graph,
+                        split_skeleton_inputs)
 
 OPERATORS = ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n")
 
@@ -67,9 +69,9 @@ class TestPlannedAssembly:
             wu, wd = rng.uniform(0.2, 1.5, wu.shape), rng.uniform(0.2, 1.5, wd.shape)
             graph = fill_mixed_graph(plan, wu, wd)
             assert_matches_reference(graph, sskel, tskel, wu, wd, True)
-            assert set(graph.patterns) == set(plan.patterns) == {"l_u", "call_rd", "l_n"}
+            assert set(plan.patterns) == {"l_u", "call_rd", "l_n"}
             for name in ("l_u", "call_rd", "l_n"):
-                assert graph.patterns[name] is plan.patterns[name], name
+                assert graph.ops[name].pattern is plan.patterns[name], name
                 assert np.shares_memory(getattr(graph, name).indices, plan.patterns[name].indices)
             for name in ("w_rd", "l_rd"):
                 assert np.shares_memory(getattr(graph, name).indices,
@@ -101,16 +103,15 @@ class TestPlannedPatterns:
     def check(plan, graph) -> set:
         """Assert the rule for every operator; the names that sit on their plan's."""
         planned = {"w_rd": plan.walk.w_rd, "l_rd": plan.walk.l_rd,
-                   "l_rd_t": plan.walk.l_rd.transposed[0], **plan.patterns}
-        assert set(graph.patterns) == set(plan.patterns)
+                   "l_rd_t": plan.walk.l_rd_t, **plan.patterns}
+        assert set(graph.ops) == set(planned)
         on_plan = set()
         for name, pattern in planned.items():
             mat = getattr(graph, name)
             same = (np.array_equal(mat.indptr, pattern.indptr)
                     and np.array_equal(mat.indices, pattern.indices))
             assert same == (mat.nnz == pattern.nnz), name
-            if name in plan.patterns:
-                assert (graph.patterns[name] is pattern) == same, name
+            assert (graph.ops[name].pattern is pattern) == same, name
             if same:
                 on_plan.add(name)
         return on_plan
@@ -132,11 +133,11 @@ class TestPlannedPatterns:
     @pytest.mark.parametrize("which,off_plan", [
         ("cancelling_call_rd", {"call_rd"}),
         ("underflowing_walk_weight", {"l_rd", "l_rd_t", "call_rd", "l_n"}),
+        ("covered_walk_drop", {"l_rd", "l_rd_t", "l_n"}),
     ])
     def test_dropped_zero_graphs(self, which, off_plan):
         plan, graph, _ = dropped_zero_graph(which)
-        names = {"w_rd", "l_rd", "l_rd_t", *graph.patterns}
-        assert names - self.check(plan, graph) == off_plan
+        assert set(graph.ops) - self.check(plan, graph) == off_plan
 
 
 class TestPlannedErrors:
@@ -177,20 +178,45 @@ class TestPlannedErrors:
     @pytest.mark.parametrize("name", ["l_u", "call_rd", "l_n"])
     @pytest.mark.parametrize("bad", ["size", "count", "missing"])
     def test_graph_refuses_a_pattern_that_is_not_its_operators(self, name, bad):
+        # an operator is given on a pattern of its graph's size ("size", by
+        # ``MixedGraph``), with one value an entry ("count") or the
+        # diagonals of the band the pattern has ("missing": the band left
+        # out), by ``Operator``
         graph = fill_mixed_graph(self.plan, self.wu, self.wd)
-        pattern = graph.patterns[name]
-        patterns = dict(graph.patterns)
-        if bad == "missing":
-            del patterns[name]
+        pattern, n = graph.ops[name].pattern, graph.n_nodes
+        values, nnz = graph.ops[name].entries(), pattern.nnz
+        if bad == "size":
+            pattern = Pattern(pattern.indptr[:-1], pattern.indices)
+            match = rf"^{name} has shape \({n - 1}, {n - 1}\), expected \({n}, {n}\)$"
+        elif bad == "count":
+            pattern = Pattern(pattern.indptr, pattern.indices[:-1])
+            match = (rf"^an operator of {nnz - 1} entries needs as many float64 values, "
+                     rf"got float64 \({nnz},\)$")
         else:
-            patterns[name] = (Pattern(pattern.indptr[:-1], pattern.indices) if bad == "size"
-                              else Pattern(pattern.indptr, pattern.indices[:-1]))
-        with pytest.raises(ValueError, match=f"^{name} stores {pattern.nnz} entries over "
-                                             f"{graph.n_nodes} nodes; its pattern given: "):
-            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, l_u=graph.l_u,
-                       w_rd=graph.w_rd, l_rd=graph.l_rd, call_rd=graph.call_rd, l_n=graph.l_n,
-                       h_mask=graph.h_mask, lanes=graph.lanes, l_rd_t=graph.l_rd_t,
-                       patterns=patterns)
+            values = pattern.banded().band_values(values)
+            pattern = Pattern(pattern.indptr, pattern.indices)
+            match = (rf"^an operator of {nnz} entries needs as many float64 values, "
+                     rf"got float64 \({len(values)}, {n}\)$")
+        ops = {op: getattr(graph, op) for op in OPERATORS}
+        with pytest.raises(ValueError, match=match):
+            ops[name] = graphs.Operator(pattern, values)
+            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, lanes=graph.lanes,
+                       h_mask=graph.h_mask, **ops)
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    @pytest.mark.parametrize("given", ["csr", "operator"])
+    def test_graph_refuses_an_operator_of_another_size(self, name, given):
+        # every given operator is checked, by its name, before any is used
+        graph = fill_mixed_graph(self.plan, self.wu, self.wd)
+        n = graph.n_nodes
+        ops = {op: getattr(graph, op) for op in OPERATORS}
+        ops[name] = sp.identity(n + 3, format="csr")
+        if given == "operator":
+            ops[name] = graphs.Operator.of(ops[name])
+        with pytest.raises(ValueError, match=rf"^{name} has shape \({n + 3}, {n + 3}\), "
+                                             rf"expected \({n}, {n}\)$"):
+            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, lanes=graph.lanes,
+                       h_mask=graph.h_mask, **ops)
 
     def test_weights_must_fit_the_plans_slices(self):
         one_slice = self.wu.reshape(-1, self.sskel.n_edges)[:1]
@@ -227,7 +253,7 @@ class TestDroppedZeros:
         plan, graph, inputs = dropped_zero_graph("cancelling_call_rd")
         assert graph.call_rd.nnz < plan.patterns["call_rd"].nnz
         assert graph.call_rd[1, 2] == 0.0
-        assert graph.patterns["call_rd"] is not plan.patterns["call_rd"]
+        assert graph.ops["call_rd"].pattern is not plan.patterns["call_rd"]
         assert np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
         assert_matches_reference(graph, *inputs, False)
         self.check_folds(graph)
@@ -238,8 +264,18 @@ class TestDroppedZeros:
         assert not np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
         for name in ("call_rd", "l_n"):
             assert getattr(graph, name).nnz < plan.patterns[name].nnz, name
-            assert graph.patterns[name] is not plan.patterns[name], name
+            assert graph.ops[name].pattern is not plan.patterns[name], name
         assert np.shares_memory(graph.w_rd.indices, plan.walk.w_rd.indices)
+        assert_matches_reference(graph, *inputs, True)
+        self.check_folds(graph)
+
+    def test_covered_walk_drop(self):
+        # L_r loses an entry and call_rd none: call_rd stays on the plan's
+        # pattern, so the folds the recurrence applies still take its band
+        plan, graph, inputs = dropped_zero_graph("covered_walk_drop")
+        assert graph.l_rd.nnz < plan.walk.l_rd.nnz
+        assert graph.ops["call_rd"].pattern is plan.patterns["call_rd"]
+        assert solver.folded_system(graph, (("call_rd", 0.7),), 0.3, True, on_band=True).banded
         assert_matches_reference(graph, *inputs, True)
         self.check_folds(graph)
 
@@ -346,3 +382,128 @@ class TestPlanReuse:
         assert len(contexts) == 3 and len({id(c) for c in contexts}) == 3
         assert len(built) == 1
         assert all(c.plans is contexts[0].plans for c in contexts)
+
+
+class TestBandOperators:
+    """A planned graph holds W_r, L_r, L_r' and L_r'L_r as their bands'
+    diagonals, from the fill to the products: each is its CSR reference bit
+    for bit, and so is each product by them."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 4, 8)), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_their_csr_references(self, seed, lanes, data):
+        rng = np.random.default_rng(seed)
+        wu, _, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes, data.draw(
+            st.sampled_from((None, -1))))
+        # weights over many orders of magnitude, so that every sum's order shows
+        wd = np.exp(rng.uniform(-20.0, 20.0, (lanes, tskel.n_edges)))
+        graph = build_mixed_graph(wu, wd, sskel, tskel, n_observed, False)
+        w_rd, l_rd = assemble_random_walk_digraph(attention._lane_skeleton(tskel, lanes),
+                                                  wd.ravel())
+        l_rd_t = l_rd.T.tocsr()
+        call_rd = graphs.symmetrized_dglr_matrix(l_rd, l_rd_t)
+        want = {"w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd_t, "call_rd": call_rd}
+        for name, mat in want.items():
+            assert graph.ops[name].banded == (name != "call_rd" or call_rd.nnz == graph.ops[
+                name].nnz), name
+            assert_bitwise(getattr(graph, name), mat, name)
+        v = np.array(data.draw(st.lists(FINITE, min_size=graph.n_nodes, max_size=graph.n_nodes)))
+        for name in ("l_rd", "l_rd_t", "call_rd"):
+            with kernel_calls() as calls:
+                got = graph.apply(name, v)
+            assert calls == ["dia_matvec" if graph.ops[name].banded else "csr_matvec"], name
+            assert got.tobytes() == (want[name] @ v).tobytes(), name
+
+    @pytest.mark.parametrize("which,on_csr", [
+        ("cancelling_call_rd", {"call_rd"}),
+        ("underflowing_walk_weight", {"l_rd", "l_rd_t", "call_rd"}),
+    ])
+    def test_dropped_zeros_take_the_csr_route(self, which, on_csr):
+        # an exact 0.0 in L_r'L_r leaves L_r and L_r' on their bands; one in
+        # L_r puts it, its transpose and its product in entry order, the
+        # latter two made by scipy; W_r, which keeps its zeros, stays a band
+        plan, graph, inputs = dropped_zero_graph(which)
+        names = ("w_rd", "l_rd", "l_rd_t", "call_rd")
+        assert {name for name in names if not graph.ops[name].banded} == on_csr
+        assert graph.ops["call_rd"].pattern.band is None
+        assert_matches_reference(graph, *inputs, which != "cancelling_call_rd")
+
+    def test_a_planned_block_builds_no_csr_matrix(self, monkeypatch):
+        # once a plan has worked out what its patterns keep, a window's
+        # forecast in the default mode builds no CSR matrix and forms no
+        # scipy sparse product
+        _, _, ctx, windows = desk_context()
+        pipeline.run_forecast(windows[0], ctx)
+        made, products = [], []
+        init, matmat = sp.csr_matrix.__init__, _compressed.csr_matmat
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+        monkeypatch.setattr(_compressed, "csr_matmat",
+                            lambda *args: products.append(1) or matmat(*args))
+        pipeline.run_forecast(windows[1], ctx)
+        assert made == [] and products == []
+        monkeypatch.undo()
+        x, _, t_steps = pipeline.initial_signal(windows[1], ctx)
+        graph = pipeline.block_graph(ctx, [x], [t_steps])
+        assert all(graph.ops[name].banded for name in ("w_rd", "l_rd", "l_rd_t", "call_rd"))
+
+    def test_polynomial_folds_gather_the_band_once(self, monkeypatch):
+        # the x and z_d folds of a block both take Q(A), whose fill reads
+        # entry order: L_r'L_r's band is gathered into it once for both
+        graph = planned_graph(np.random.default_rng(48), 4, n_instants=5)
+        p = LayerParams(0.5, 0.6, 0.7, 1.0, 1.1, 1.2)
+        gathers, entries = [], graphs.Operator.entries
+        monkeypatch.setattr(graphs.Operator, "entries",
+                            lambda op: gathers.append(op.banded) or entries(op))
+        folds = block_folds(graph, [p] * 5, TERMS["full"], CgSchedule.unrolled())
+        assert len(folds) == 3 and all(q is not None for _, q in folds.values())
+        assert gathers.count(True) == 1
+
+    def test_apply_keeps_a_nonfinite_entry_in_its_lane(self):
+        # the band's padding would carry 0 * inf = NaN into the lane before;
+        # apply takes such a vector through the CSR view
+        graph = planned_graph(np.random.default_rng(47), 2)
+        size = graph.n_nodes // 2
+        v = np.ones(graph.n_nodes)
+        v[size + 1] = np.inf
+        for name in ("l_rd", "l_rd_t", "call_rd"):
+            assert graph.ops[name].banded
+            with np.errstate(invalid="ignore"):
+                got, want = graph.apply(name, v), getattr(graph, name) @ v
+            assert got.tobytes() == want.tobytes(), name
+            assert np.isfinite(got[:size]).all(), name
+
+    @pytest.mark.parametrize("broken", ["apply", "product"])
+    def test_verify_check_needs_bitwise_bands(self, monkeypatch, broken):
+        # one ulp off in one value, of a DIA product or of L_r'L_r's band
+        from stforecast import verify
+
+        result = verify.check_band_operators()
+        assert result.passed, result.detail
+        if broken == "apply":
+            kernel = graphs.dia_matvec
+
+            def one_ulp_off(*args):
+                kernel(*args)
+                args[-1][0] = np.nextafter(args[-1][0], np.inf)
+
+            monkeypatch.setattr(graphs, "dia_matvec", one_ulp_off)
+        else:
+            product = attention.symmetrized_dglr_matrix
+
+            def one_ulp_off(*args):
+                out = product(*args)
+                if isinstance(out, graphs.Operator):  # a block's band, not the plan's CSR
+                    zero = out.pattern.band.zero
+                    out.data[zero, -1] = np.nextafter(out.data[zero, -1], np.inf)
+                return out
+
+            monkeypatch.setattr(attention, "symmetrized_dglr_matrix", one_ulp_off)
+        result = verify.check_band_operators()
+        assert not result.passed
+        assert result.detail.startswith("differ from their CSR references: "
+                                        + ("l_rd product" if broken == "apply" else "call_rd"))
