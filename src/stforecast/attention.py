@@ -15,9 +15,9 @@ rejects.
 
 A mixed graph is assembled in two steps: ``plan_mixed_graph`` fixes every
 operator's pattern once for a graph shape and lane count, and
-``fill_mixed_graph`` fills a block's weights into it and decides which
-pattern each filled operator sits on: the plan's, or its own where an entry
-came out exactly 0.0 and was dropped.
+``fill_mixed_graph`` fills a block's weights into it. The plan's patterns
+are final: a filled entry that comes out exactly 0.0 is stored as +0.0,
+where scipy's sparse arithmetic (``oracles.coo_operators``) stores none.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .graphs import (
     band_transpose,
     component_blocks,
     coo_pattern,
-    normalized_laplacian,
     plan_random_walk_digraph,
     plan_undirected_laplacian,
     symmetrized_dglr_matrix,
@@ -429,12 +428,13 @@ class GraphPlan:
     The skeletons, the lane count and the observed prefix fix the plans of
     ``assemble_undirected_laplacian`` (over every lane's instants) and
     ``assemble_random_walk_digraph`` (over the temporal skeleton repeated
-    per lane, banded: W_r, L_r and L_r' as diagonals), the mask, and, with
-    ``l_n``, the symmetrized temporal adjacency and the directed edge each
-    of its entries reads. ``patterns`` holds the pattern of each operator a
-    fold reads, ``l_u``, ``call_rd`` and ``l_n``, for weights that leave no
-    entry 0.0; the temporal ones, ``call_rd`` and ``l_n``, with their layout
-    as diagonals (``graphs.Band``). A pattern works out its components only
+    per lane, banded: W_r, L_r and L_r' as diagonals), the mask, and
+    ``temporal``, the one banded pattern of L_r'L_r and, when planned,
+    ``l_n``: every pair of a station's nodes within the window. With ``l_n``,
+    ``adjacency`` holds the pattern of the symmetrized temporal adjacency,
+    the directed edge each of its entries reads, each entry's row and its
+    flat position in ``temporal``'s band. Every filled operator sits on its
+    plan's pattern (``patterns``). A pattern works out its components only
     when a fold's Q(A) asks (``solver.block_folds``).
     """
 
@@ -444,9 +444,18 @@ class GraphPlan:
     n_observed: int
     l_u: LaplacianPlan
     walk: RandomWalkPlan
-    temporal: tuple[Pattern, np.ndarray] | None
-    patterns: dict
+    temporal: Pattern
+    adjacency: tuple[Pattern, np.ndarray, np.ndarray, np.ndarray] | None
     h_mask: np.ndarray
+
+    @property
+    def patterns(self) -> dict:
+        """The pattern of each planned operator, by name."""
+        out = {"l_u": self.l_u.pattern, "w_rd": self.walk.w_rd, "l_rd": self.walk.l_rd,
+               "l_rd_t": self.walk.l_rd_t, "call_rd": self.temporal}
+        if self.adjacency is not None:
+            out["l_n"] = self.temporal
+        return out
 
 
 def plan_mixed_graph(
@@ -461,24 +470,23 @@ def plan_mixed_graph(
     lane_skel = _lane_skeleton(tskel, lanes)
     l_u = plan_undirected_laplacian(sskel, lanes * tskel.n_instants)
     walk = plan_random_walk_digraph(lane_skel, banded=True)
-    # with ones for values the products cancel nowhere and store full
-    # patterns; the temporal ones couple (s, t) with (s, t + d), |d| <= window
-    # only: 2 window + 1 diagonals at offsets d * stations, in every lane
+    # with ones for values the product cancels nowhere and stores its full
+    # pattern: (s, t) with (s, t + d), |d| <= window, in every lane, on
+    # 2 window + 1 diagonals at offsets d * stations
     ones = walk.l_rd.matrix(np.ones(walk.l_rd.nnz))
-    call_rd = symmetrized_dglr_matrix(ones, ones.T.tocsr())
-    patterns = {"l_u": l_u.pattern, "call_rd": Pattern.of(call_rd).banded()}
-    temporal = None
+    temporal = Pattern.of(symmetrized_dglr_matrix(ones, ones.T.tocsr())).banded()
+    adjacency = None
     if with_undirected_temporal:
         n, src, dst = lane_skel.n_nodes, lane_skel.src, lane_skel.dst
-        adjacency, order = coo_pattern(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
-        temporal = (adjacency, order % max(lane_skel.n_edges, 1))
-        l_n = normalized_laplacian(adjacency.matrix(np.ones(adjacency.nnz)))
-        patterns["l_n"] = Pattern.of(l_n).banded()
+        pattern, order = coo_pattern(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        at = np.searchsorted(temporal.band.offsets, pattern.indices - rows) * n + pattern.indices
+        adjacency = (pattern, order % max(lane_skel.n_edges, 1), rows, at)
     lane_mask = np.zeros(tskel.n_nodes, dtype=bool)
     lane_mask[: sskel.n_stations * n_observed] = True
     h_mask = np.tile(lane_mask, lanes)
     h_mask.flags.writeable = False
-    return GraphPlan(sskel, tskel, lanes, n_observed, l_u, walk, temporal, patterns, h_mask)
+    return GraphPlan(sskel, tskel, lanes, n_observed, l_u, walk, temporal, adjacency, h_mask)
 
 
 def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarray) -> MixedGraph:
@@ -490,19 +498,13 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
     child-normalized, so the in-degree normalization inside the random-walk
     assembly leaves them unchanged.
 
-    L_r's values are written into its band once; L_r' is those diagonals
-    shifted to their mirrors (``graphs.band_transpose``), and L_r'L_r is
-    formed from them diagonal by diagonal (``symmetrized_dglr_matrix``).
-    No scipy sparse matrix is built for them.
-
-    A filled operator loses a planned entry only where its value comes out
-    exactly 0.0: L_r in its assembly, ``call_rd`` in its product, ``l_n`` in
-    scipy's sums; ``l_u`` and ``w_rd`` lose none. Such an operator takes a
-    pattern of its own and its values in entry order; every other one sits
-    on its plan's pattern, with all that pattern has worked out. Where L_r
-    loses one, its transpose and product are made in CSR, by scipy, and
-    the product may still keep every planned entry: each pair of nodes
-    that the lost entry coupled can be coupled by another row of L_r.
+    Every operator sits on its plan's pattern, an entry that comes out
+    exactly 0.0 stored as +0.0. L_r's values are written into its band
+    once; L_r' is those diagonals shifted to their mirrors
+    (``graphs.band_transpose``), and L_r'L_r is formed from them diagonal
+    by diagonal (``symmetrized_dglr_matrix``). ``l_n`` is written into its
+    band from the plan's adjacency, in the sums scipy's I - D^-1/2 A D^-1/2
+    makes (``oracles.coo_operators``). No scipy sparse matrix is built.
     """
     weights_u = np.asarray(weights_u, dtype=np.float64)
     weights_d = np.asarray(weights_d, dtype=np.float64)
@@ -515,19 +517,24 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         plan.l_u, weights_u.reshape(lanes * plan.tskel.n_instants, weights_u.shape[-1])
     )
     w_rd, l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
-    if l_rd.banded:
-        l_rd_t = band_transpose(l_rd, plan.walk.l_rd_t)
-        call_rd = symmetrized_dglr_matrix(l_rd, l_rd_t, plan.patterns["call_rd"])
-    else:
-        l_rd_t = l_rd.matrix().T.tocsr()
-        call_rd = _on_plan(plan, "call_rd", symmetrized_dglr_matrix(l_rd.matrix(), l_rd_t))
+    l_rd_t = band_transpose(l_rd, plan.walk.l_rd_t)
+    call_rd = symmetrized_dglr_matrix(l_rd, l_rd_t, plan.temporal)
     l_n = None
-    if plan.temporal is not None:
+    if plan.adjacency is not None:
         # each directed edge gives half its weight to the undirected edge (the
-        # average with the absent reverse edge); self-loops are dropped
-        adjacency, source = plan.temporal
-        l_n = _on_plan(plan, "l_n", normalized_laplacian(
-            adjacency.matrix(0.5 * weights_d.ravel()[source])))
+        # average with the absent reverse edge). I - S A S with S = D^-1/2,
+        # D scipy's row sums (every node has a temporal edge), 1 on the
+        # diagonal and 0.0 less (s_i a_ij) s_j off it
+        adjacency, source, rows, at = plan.adjacency
+        half = 0.5 * weights_d.ravel()[source]
+        deg = np.add.reduceat(half, adjacency.indptr[:-1])
+        linked = deg > 0
+        scale = np.zeros_like(deg)
+        scale[linked] = 1.0 / np.sqrt(deg[linked])
+        values = np.zeros((len(plan.temporal.band.offsets), len(deg)))
+        values.ravel()[at] = 0.0 - (scale[rows] * half) * scale[adjacency.indices]
+        values[plan.temporal.band.zero] = linked
+        l_n = Operator(plan.temporal, values)
     return MixedGraph(
         n_stations=plan.sskel.n_stations,
         n_instants=plan.tskel.n_instants,
@@ -541,13 +548,6 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         h_mask=plan.h_mask,
         lanes=lanes,
     )
-
-
-def _on_plan(plan: GraphPlan, name: str, mat: sp.csr_matrix) -> Operator:
-    """The CSR operator ``name`` on its plan's pattern if it kept every
-    planned entry, and so sits on it, else on its own pattern."""
-    planned = plan.patterns[name]
-    return Operator(planned, mat.data) if mat.nnz == planned.nnz else Operator.of(mat)
 
 
 def build_mixed_graph(

@@ -35,6 +35,13 @@ def _check_at_least(flag: str, value: int | None, low: int) -> None:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
+def _make_parents(*paths) -> None:
+    """Create the directory of each output file given (None: no output), before any work."""
+    for path in paths:
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _head_graph(args, cfg, pg, standardizer, interval, sample):
     """Head ``args.head``'s block-0 graph for ``sample``, with the start signal and observations."""
     _check_range("--head", args.head, cfg.heads.count)
@@ -95,6 +102,7 @@ def cmd_solve(args) -> int:
     samples = getattr(splits, args.split)
     _check_range("--index", args.index, len(samples))
     sample = samples[args.index]
+    _make_parents(args.trace)
     # single-graph single-block solve with a per-layer trace
     x0, y, graph = _head_graph(args, cfg, pg, standardizer, splits.interval, sample)
     params = cfg.layers.layer_params(0, cfg.default_rho(sample.n_stations))
@@ -124,6 +132,7 @@ def cmd_tune(args) -> int:
     if not splits.val:
         print("error: no validation samples", file=sys.stderr)
         return 1
+    _make_parents(args.out, args.trace)
     best, trace = tuning.tune_spsa(
         cfg, pg, splits.val, standardizer=standardizer,
         iterations=args.iterations, eval_samples=args.eval_samples, interval=splits.interval,

@@ -12,21 +12,23 @@ from a numeric phase (Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006). A plan (``plan_undirected_laplacian``,
 ``plan_random_walk_digraph``) holds what depends on the skeleton alone: each
 operator's CSR ``Pattern`` and where each stored entry's value comes from.
-An assembly fills values only. A ``Pattern`` works out on first use, and
-keeps, what the solver's folded systems read of it: the diagonal's
-positions and, for a fold applied as its polynomial, the connected
-components and the map into dense component blocks. A plan
-gives a pattern of few diagonals, the temporal ones, its ``Band``: where
-each entry sits in scipy's DIA layout (Saad, *Iterative Methods for Sparse
-Linear Systems*, 2003, section 3.4).
+An assembly fills values only, and a plan's patterns are final: an entry
+that comes out exactly 0.0 is stored as +0.0, where scipy's sparse
+arithmetic stores none, which adds nothing to a product of a finite
+vector. A ``Pattern`` works out on first use, and keeps, what the
+solver's folded systems read of it: the diagonal's positions and, for a
+fold applied as its polynomial, the connected components and the map into
+dense component blocks. A plan gives a pattern of few diagonals, the
+temporal ones, its ``Band``: where each entry sits in scipy's DIA layout
+(Saad, *Iterative Methods for Sparse Linear Systems*, 2003, section 3.4).
 
 Every operator of a graph, and every folded CG system, is an ``Operator``:
 a pattern and its values, in entry order or as the band's diagonals, applied
-by the scipy kernel that layout calls for. A planned graph holds L_r, L_r'
-and L_r'L_r as bands from the fill on: L_r's diagonals are written once, L_r'
-is them shifted to their mirror offsets, and L_r'L_r is formed diagonal by
-diagonal (``symmetrized_dglr_matrix``). Their CSR forms, which oracles,
-checks and dumps read, are built on each read (``MixedGraph``).
+by the scipy kernel that layout calls for. A planned graph holds L_r, L_r',
+L_r'L_r and ``l_n`` as bands from the fill on: L_r's diagonals are written
+once, L_r' is them shifted to their mirror offsets, and L_r'L_r is formed
+diagonal by diagonal (``symmetrized_dglr_matrix``). Their CSR forms, which
+oracles, checks and dumps read, are built on each read (``MixedGraph``).
 
 ``NumericFailure`` is the one failure of a forward pass; it lives here, below
 both ``attention`` and ``solver``, which raise it.
@@ -339,12 +341,6 @@ class Pattern:
         which = np.searchsorted(offsets, offset).astype(np.min_scalar_type(len(offsets)))
         return Pattern(self.indptr, self.indices, Band(offsets, which))
 
-    def band_values(self, data: np.ndarray) -> np.ndarray:
-        """The operator with ``data`` in this pattern as its ``band``'s diagonals."""
-        values = np.zeros((len(self.band.offsets), self.n))
-        values[self.band.which, self.indices] = data
-        return values
-
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
@@ -455,23 +451,27 @@ class Operator:
         pass only decides finite or not, where both kernels agree.
         ``MixedGraph.apply`` takes the CSR view's product of such a vector.
 
-        The kernels check no bounds, so the vector is checked first; the
-        index dtypes the CSR kernel dispatches on are checked when the
-        operator is made.
+        The kernels check no bounds, so the vector is checked first
+        (``check``); the index dtypes the CSR kernel dispatches on are
+        checked when the operator is made.
         """
-        indptr, indices = self.pattern.indptr, self.pattern.indices
-        n = len(indptr) - 1
-        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
-                and v.flags.c_contiguous):
-            raise ValueError(f"an operator of {n} nodes applies a C-contiguous float64 vector "
-                             f"of length {n}, got {getattr(v, 'dtype', type(v))} {np.shape(v)}")
+        n = self.check(v)
         out = np.zeros(n)
         if self.banded:
             offsets = self.pattern.band.offsets
             dia_matvec(n, n, len(offsets), n, offsets, self.data, v, out)
             return out
-        csr_matvec(n, n, indptr, indices, self.data, v, out)
+        csr_matvec(n, n, self.pattern.indptr, self.pattern.indices, self.data, v, out)
         return out
+
+    def check(self, v) -> int:
+        """The node count, if ``v`` is a vector ``dot`` can apply; else a ``ValueError``."""
+        n = len(self.pattern.indptr) - 1
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
+                and v.flags.c_contiguous):
+            raise ValueError(f"an operator of {n} nodes applies a C-contiguous float64 vector "
+                             f"of length {n}, got {getattr(v, 'dtype', type(v))} {np.shape(v)}")
+        return n
 
 
 def coo_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[Pattern, np.ndarray]:
@@ -487,15 +487,6 @@ def coo_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[Pattern, np
     indptr = np.zeros(n + 1, dtype=idx)
     indptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
     return Pattern(indptr, (keys % n).astype(idx)), order.astype(idx)
-
-
-def _without_zeros(pattern: Pattern, data: np.ndarray) -> sp.csr_matrix:
-    """The operator with ``data`` in ``pattern``, less the entries that are exactly 0.0."""
-    keep = data != 0
-    rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
-    indptr = np.zeros(pattern.n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows[keep], minlength=pattern.n))
-    return sp.csr_matrix((data[keep], pattern.indices[keep], indptr), shape=(pattern.n, pattern.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,15 +624,13 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray):
     Every source node gets a self-loop of weight 1 before in-degree
     normalization, so source rows of W_r are exactly their self-loop.
     In-degrees sum each node's edges in edge order, then its self-loop.
-    L_r stores no entry that is exactly 0.0, as scipy's I - W_r does not: a
-    planned entry that comes out 0.0 gives L_r a pattern of its own.
+    Both operators keep their plan's patterns: an entry of L_r that comes
+    out exactly 0.0 is stored as +0.0, where scipy's I - W_r stores none.
 
     A banded plan's operators are written straight into their bands, with
     the values of the entry-order route bit for bit: W_r's edges at
     ``band_at`` and its self-loops on the main diagonal, L_r 0.0 less W_r
-    off it and 1 on it at every row but a source's. Where an entry of L_r
-    comes out 0.0, L_r's values are gathered into entry order and the
-    entry dropped, as on any other plan.
+    off it and 1 on it at every row but a source's.
     """
     given = plan = skel if isinstance(skel, RandomWalkPlan) else None
     skel = skel.skel if plan else skel
@@ -664,7 +653,6 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray):
         w_data = (np.concatenate([weights, np.ones(len(skel.sources))])[plan.w_source]
                   / indeg[w_rows])
         l_data = plan.l_diagonal - np.append(w_data, 0.0)[plan.l_source]
-        dropped = not l_data.all()
     else:
         band = plan.w_rd.band
         w_edges = weights / indeg[skel.dst]
@@ -674,11 +662,7 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray):
         l_data = np.subtract(0.0, w_data)
         l_data[band.zero] = 1.0
         l_data[band.zero, skel.sources] = 0.0
-        # L_r stores 1 on the diagonal and 0.0 less each edge's W_r entry off it
-        dropped = not w_edges.all()
     w_rd, l_rd = Operator(plan.w_rd, w_data), Operator(plan.l_rd, l_data)
-    if dropped:
-        l_rd = Operator.of(_without_zeros(plan.l_rd, l_rd.entries()))
     return (w_rd, l_rd) if given else (w_rd.matrix(), l_rd.matrix())
 
 
@@ -711,9 +695,8 @@ def symmetrized_dglr_matrix(l_rd, l_rd_t, pattern: Pattern | None = None):
     -q N of L_r, q ascending, and each p, node j adds
     L_r(j, j - p N) L_r(j, j - q N) to entry (j - p N, j - q N), on the
     product's diagonal (p - q) N: L_r''s diagonals p N and q N multiplied
-    column by column, one vector product per (p, q). Where an entry comes
-    out exactly 0.0 the result drops it, as scipy's product does: the
-    values in entry order on a pattern of their own.
+    column by column, one vector product per (p, q). An entry that comes
+    out exactly 0.0, which scipy's product drops, is kept as +0.0.
     """
     if not isinstance(l_rd_t, Operator):
         if l_rd.shape[0] != l_rd.shape[1]:
@@ -735,12 +718,7 @@ def symmetrized_dglr_matrix(l_rd, l_rd_t, pattern: Pattern | None = None):
         for p in range(span + 1):
             row = out[p - q + span, : n - s]  # diagonal (p - q) N, column j - q N
             row += np.multiply(rows[p, s:], rows[q, s:], out=term[: n - s])
-    # a sum from +0.0 is never -0.0, and the band's padding sums zeros
-    # only: an entry came out 0.0 exactly when fewer than nnz values are
-    # nonzero, counted on their bits as integers, which is quicker
-    if np.count_nonzero(out.view(np.int64)) == pattern.nnz:
-        return Operator(pattern, out)
-    return Operator.of(_without_zeros(pattern, out[pattern.band.which, pattern.indices]))
+    return Operator(pattern, out)
 
 
 def unit_laplacian(pg: PhysicalGraph) -> sp.csr_matrix:
@@ -753,20 +731,6 @@ def unit_laplacian(pg: PhysicalGraph) -> sp.csr_matrix:
     rows = np.concatenate([ends, diag])
     cols = np.concatenate([ej, ei, diag])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def normalized_laplacian(w: sp.spmatrix) -> sp.csr_matrix:
-    """I - D^{-1/2} W D^{-1/2}; rows of isolated nodes are zero."""
-    w = w.tocsr()
-    deg = np.asarray(w.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(deg)
-    nz = deg > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    d = sp.diags(inv_sqrt)
-    # the identity part skips isolated nodes, so their diagonal is left empty
-    lap = (sp.diags(nz.astype(np.float64)) - d @ w @ d).tocsr()
-    lap.sort_indices()
-    return lap
 
 
 @dataclass(frozen=True, eq=False)
@@ -908,8 +872,8 @@ class MixedGraph:
 
     Each operator is given as an ``Operator`` (``attention.fill_mixed_graph``
     gives those of its plan, L_r, L_r' and L_r'L_r on their bands) or as a
-    CSR matrix, put on its own pattern. ``l_rd_t`` and ``call_rd``, when
-    not given, are worked out from ``l_rd`` in CSR.
+    CSR matrix, put on its own pattern. Every operator but ``l_n`` must be
+    given; none is worked out from another.
     """
 
     l_u = _CsrView()
@@ -929,14 +893,10 @@ class MixedGraph:
         given = {"l_u": l_u, "w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd_t,
                  "call_rd": call_rd, "l_n": l_n}
         for name, op in given.items():
+            if op is None and name != "l_n":
+                raise ValueError(f"{name} is missing")
             if op is not None and op.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {op.shape}, expected {(dim, dim)}")
-        if l_rd_t is None or call_rd is None:
-            l_rd, l_rd_t = (op.matrix() if isinstance(op, Operator) else op for op in (l_rd, l_rd_t))
-            if l_rd_t is None:
-                given["l_rd_t"] = l_rd_t = l_rd.T.tocsr()
-            if call_rd is None:
-                given["call_rd"] = symmetrized_dglr_matrix(l_rd, l_rd_t)
         if h_mask is None:
             lane_mask = np.zeros(n_stations * n_instants, dtype=bool)
             lane_mask[: n_stations * n_observed] = True
@@ -958,18 +918,17 @@ class MixedGraph:
     def apply(self, op: str, x: np.ndarray) -> np.ndarray:
         """Operator-vector product, by the operator's own kernel (``Operator.dot``).
 
-        ``call_rd`` is the assembled L_r' L_r, not two chained products. A
-        band operator applies a vector that is not finite by its CSR view,
-        so that a non-finite entry reaches only the rows that store its
-        column, as in scipy's product.
+        ``call_rd`` is the assembled L_r' L_r, not two chained products. The
+        vector must be one ``Operator.dot`` applies. A band operator applies
+        a vector that is not finite by its CSR view, so that a non-finite
+        entry reaches only the rows that store its column, as in scipy's
+        product.
         """
         if op not in OPERATOR_NAMES:
             raise ValueError(f"unknown operator {op!r}; expected one of {OPERATOR_NAMES}")
         operator = self.ops[op]
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape != (self.n_nodes,):
-            raise ValueError(f"signal length {x.shape} != {self.n_nodes}")
         if operator.banded and not np.isfinite(x).all():
+            operator.check(x)
             return operator.matrix() @ x
         return operator.dot(x)
 

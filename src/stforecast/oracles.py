@@ -22,8 +22,10 @@ def coo_operators(sskel: SpatialSkeleton, tskel: TemporalSkeleton, weights_u: np
     from COO triplets and scipy sparse arithmetic, as a dict by name.
 
     Weights take ``attention.build_mixed_graph``'s shapes, lanes in front.
-    The planned assembly must equal this bit for bit: ``indptr``,
-    ``indices`` and ``data``, dtypes included.
+    The planned assembly must equal this bit for bit on every entry this
+    stores, index dtypes included. scipy's arithmetic stores no entry that
+    comes out exactly 0.0, which a planned operator keeps as +0.0; where
+    none does, the two agree in ``indptr``, ``indices`` and ``data``.
     """
     weights_u = np.asarray(weights_u, dtype=np.float64)
     lanes = int(np.prod(weights_u.shape[:-2]))

@@ -27,17 +27,20 @@ A fold is a ``graphs.Operator``, a ``graphs.Pattern`` and its values. A
 fold of one operator fills new values on that operator's pattern, which the
 graph's plan shares with every block: its band, set by the plan, and its
 diagonal positions and, for a fold applied as Q(A), its components and
-block map, kept from the first block that reads them. A block only fills
-values, and each fold, like each operator of the graph, applies itself by
-calling one of scipy's matrix-vector kernels directly: no ``csr_matrix`` is
-built and no dispatch is paid per product. On a planned graph L_r'L_r is
-held as its 2W + 1 diagonals, so the temporal folds that the recurrence
-applies (x and z_d) are coef times them plus the diagonal, and run scipy's
-DIA kernel, which reads no column index per value (Saad, *Iterative Methods
-for Sparse Linear Systems*, 2003, section 3.4); the folds applied as Q(A)
-read them in entry order, which the polynomial's fill reads, gathered once
-a block. Every
-other fold runs the CSR kernel that ``A @ v`` runs. On a finite vector both
+block map, kept from the first block that reads them. The plan's patterns
+are final: a planned operator stores +0.0 where an entry comes out exactly
+0.0 and scipy's arithmetic would store none, which adds nothing to a
+product of a finite vector (a sum from +0.0 is never -0.0). A block only
+fills values, and each fold, like each operator of the graph, applies
+itself by calling one of scipy's matrix-vector kernels directly: no
+``csr_matrix`` is built and no dispatch is paid per product. On a planned
+graph L_r'L_r and ``l_n`` are held as their 2W + 1 diagonals, so the
+temporal folds that the recurrence applies (x and z_d) are coef times them
+plus the diagonal, and run scipy's DIA kernel, which reads no column index
+per value (Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
+section 3.4); the folds applied as Q(A) read them in entry order, which
+the polynomial's fill reads, gathered once a block. Every other fold runs
+the CSR kernel that ``A @ v`` runs. On a finite vector both
 give the CSR product bit for bit (``Operator.dot``). ``MixedGraph.apply``
 (L_r x and L_r' v, once per layer) runs the same ``dot``, on their bands.
 
@@ -346,15 +349,14 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
     whose pattern stores every diagonal entry gives new values on that
     operator's pattern, coef times its values plus the diagonal; otherwise
     the terms are added by scipy in CSR (its sparse products drop exact
-    zeros, so even ``call_rd`` may lack a diagonal entry).
+    zeros, so a ``call_rd`` given in CSR may lack a diagonal entry).
 
-    With ``on_band``, a fold on a pattern with a ``band`` holds the band's
-    diagonals: coef times the operator's, scattered into them first
-    (``Pattern.band_values``) when it holds its values in entry order, and
-    the diagonal added on the main diagonal's row, the same operations as
-    in entry order. Without, a band operator's values are gathered into
-    entry order (``Operator.entries``), and kept in ``gathered`` by name,
-    when given, for the next fold of the same operator.
+    With ``on_band``, a fold of a band operator holds the band's diagonals:
+    coef times the operator's, and the diagonal added on the main
+    diagonal's row, the same operations as in entry order. Without, a band
+    operator's values are gathered into entry order (``Operator.entries``),
+    and kept in ``gathered`` by name, when given, for the next fold of the
+    same operator.
     """
     diag = np.full(graph.n_nodes, shift)
     if observed:
@@ -364,8 +366,8 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
         op = graph.ops[name]
         pattern = op.pattern
         if pattern.diagonal is not None:
-            if on_band and pattern.band is not None:
-                data = coef * (op.data if op.banded else pattern.band_values(op.data))
+            if on_band and op.banded:
+                data = coef * op.data
                 data[pattern.band.zero] += diag
             else:
                 gathered = {} if gathered is None else gathered
@@ -400,9 +402,9 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     rule was first sized for. The components and the blocks' scatter map are
     the fold pattern's (``graphs.Pattern``), worked out when this rule first
     reads them, after the node budget, and kept: a fold of one operator
-    shares the pattern its graph was given, which is the plan's for an
-    operator that dropped no entry (``attention.fill_mixed_graph``); a sum
-    of operators (the unsplit signal system) works out its own.
+    shares the pattern its graph was given, on a planned graph the plan's
+    (``attention.fill_mixed_graph``), which ``call_rd`` and ``l_n`` share;
+    a sum of operators (the unsplit signal system) works out its own.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
 

@@ -379,12 +379,16 @@ def check_planned_assembly(seed: int = 0) -> CheckResult:
     the first two windows, once each (4 lanes) and together (8 lanes), and
     of the first window again on a reused plan, must equal
     ``oracles.coo_operators`` of the same weights in every operator's
-    ``indptr``, ``indices`` and ``data``.
+    ``indptr``, ``indices`` and ``data``, and every operator must hold its
+    plan's ``Pattern`` object.
     """
     _, _, ctx, xs, t_steps = _desk_starts(seed)
     mismatched, graphs = [], 0
     for pick in ([0], [1], [0, 1], [0]):
         graph = pipeline.block_graph(ctx, [xs[i] for i in pick], [t_steps[i] for i in pick])
+        plan = next(p for p in ctx.plans.values() if p.lanes == graph.lanes)
+        mismatched += [f"windows {pick} {name} off its plan" for name, op in graph.ops.items()
+                       if op.pattern is not plan.patterns[name]]
         feats = np.stack([ctx.feature_map(embed(xs[i], t_steps[i], ctx.eigmap)) for i in pick])
         want = oracles.coo_operators(
             ctx.sskel, ctx.tskel, undirected_weights(feats, ctx.sskel, ctx.bank.undirected),
@@ -399,7 +403,7 @@ def check_planned_assembly(seed: int = 0) -> CheckResult:
         f"{len(ctx.plans)} plans)",
         not mismatched and len(ctx.plans) == 2,
         f"operators differ: {', '.join(mismatched)}" if mismatched
-        else f"{len(want)} operators bitwise equal in each graph",
+        else f"{len(want)} operators bitwise equal in each graph, each on its plan",
     )
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from stforecast import data as dmod
-from stforecast import priors, tuning
+from stforecast import priors, solver, tuning
 from stforecast.attention import (
     DegenerateWeightError,
     MetricBank,
@@ -778,6 +778,38 @@ class TestCli:
         assert rc == 0
         tuned = PipelineConfig.load(out)
         assert tuned.layers.blocks == 1
+
+    def test_outputs_into_missing_directories(self, synth_dir, capsys):
+        # each output's directory is made before the work, as forecast and
+        # graph-dump make theirs
+        data_args = ["--signals", str(synth_dir / "signals.csv"),
+                     "--edges", str(synth_dir / "edges.csv"),
+                     "--config", str(synth_dir / "config.json")]
+        out, trace = synth_dir / "a" / "b" / "tuned.json", synth_dir / "c" / "trace.csv"
+        rc = cli_main(["tune", *data_args, "--iterations", "1", "--out", str(out),
+                       "--trace", str(trace)])
+        assert rc == 0, capsys.readouterr().err
+        assert PipelineConfig.load(out).layers.blocks == 1
+        assert trace.read_text().startswith("iter,loss_plus,loss_minus,best,rejected\n")
+        trace = synth_dir / "d" / "solve.csv"
+        assert cli_main(["solve", *data_args, "--trace", str(trace)]) == 0
+        assert len(trace.read_text().strip().splitlines()) == 1 + 3
+
+    def test_output_directory_that_is_a_file_fails_before_the_work(self, synth_dir, capsys,
+                                                                    monkeypatch):
+        (synth_dir / "file").write_text("")
+        monkeypatch.setattr(tuning, "tune_spsa", lambda *a, **k: pytest.fail("tuned"))
+        monkeypatch.setattr(solver, "admm_block", lambda *a, **k: pytest.fail("solved"))
+        data_args = ["--signals", str(synth_dir / "signals.csv"),
+                     "--edges", str(synth_dir / "edges.csv"),
+                     "--config", str(synth_dir / "config.json")]
+        for argv in (["tune", "--out", str(synth_dir / "file" / "tuned.json")],
+                     ["tune", "--out", str(synth_dir / "tuned.json"),
+                      "--trace", str(synth_dir / "file" / "t.csv")],
+                     ["solve", "--trace", str(synth_dir / "file" / "t.csv")]):
+            assert cli_main([*argv, *data_args]) == 1
+            assert capsys.readouterr().err.startswith("error: [Errno")
+        assert not (synth_dir / "tuned.json").exists()
 
     def test_tune_with_no_blocks_reports_no_change(self, synth_dir, capsys):
         # a model of no blocks forecasts hold-last; each per-block tunable

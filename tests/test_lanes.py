@@ -27,6 +27,7 @@ from stforecast.graphs import (
     build_temporal_skeleton,
     component_blocks,
     directed_skeleton_from_edges,
+    symmetrized_dglr_matrix,
 )
 from stforecast.pipeline import (
     PipelineContext,
@@ -271,9 +272,11 @@ def no_diagonal_graph():
     """
     sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
     w_rd, l_rd = assemble_random_walk_digraph(directed_skeleton_from_edges(3, [(0, 1)]), np.ones(1))
+    l_rd_t = l_rd.T.tocsr()
     g = MixedGraph(
         n_stations=1, n_instants=3, n_observed=2,
         l_u=assemble_undirected_laplacian(sskel, np.zeros((3, 0))), w_rd=w_rd, l_rd=l_rd,
+        l_rd_t=l_rd_t, call_rd=symmetrized_dglr_matrix(l_rd, l_rd_t),
         l_n=sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])),
     )
     assert g.call_rd[2, 2] == 0 and 2 not in g.call_rd[2].indices
@@ -281,16 +284,17 @@ def no_diagonal_graph():
 
 
 def dropped_zero_graph(which):
-    """A planned one-station graph one of whose operators loses an entry that
-    comes out exactly 0.0, as scipy's products store none: its plan, the
-    graph, and the skeletons and weights it was filled from.
+    """A planned one-station graph one of whose operators has an entry that
+    comes out exactly 0.0, which scipy's arithmetic stores nowhere and the
+    plan keeps as +0.0: its plan, the graph, and the skeletons and weights
+    it was filled from.
 
     ``"cancelling_call_rd"``: (L'L)(1, 2) = -w(2 <- 1) + w(3 <- 1) w(3 <- 2)
     = -1/8 + 1/2 * 1/4 = 0. ``"underflowing_walk_weight"``: 5e-324 / 2
-    rounds to 0.0, so L_r loses entry (2, 0), and half of it leaves l_n's
-    entries (0, 2) and (2, 0) at 0.0. ``"covered_walk_drop"``: L_r loses
-    entry (2, 1) the same way, and l_n (1, 2) and (2, 1), but ``call_rd``
-    keeps every entry: rows {0, 1}, {0, 2} and {1, 2, 3} of L_r still
+    rounds to 0.0, so L_r's entry (2, 0) is 0.0, and half of it leaves
+    l_n's entries (0, 2) and (2, 0) at 0.0. ``"covered_walk_drop"``: L_r's
+    entry (2, 1) is 0.0 the same way, and l_n's (1, 2) and (2, 1), but no
+    entry of ``call_rd`` is: rows {0, 1}, {0, 2} and {1, 2, 3} of L_r still
     couple every pair of nodes within two instants.
     """
     if which == "cancelling_call_rd":
@@ -417,9 +421,10 @@ class TestFoldedSystem:
 BAD_VECTORS = ["short", "long", "float32", "strided", "2-d", "list"]
 
 
-def bad_vector(bad, n):
-    """A vector that a fold of ``n`` nodes must refuse, of the kind ``bad``."""
-    return {
+def bad_vector(bad, n, first=1.0):
+    """A vector that a fold of ``n`` nodes must refuse, of the kind ``bad``,
+    its first value ``first`` and every other 1."""
+    v = {
         "short": np.ones(n - 1),
         "long": np.ones(n + 1),
         "float32": np.ones(n, dtype=np.float32),
@@ -427,6 +432,8 @@ def bad_vector(bad, n):
         "2-d": np.ones((n, 1)),
         "list": [1.0] * n,
     }[bad]
+    v[0] = first
+    return v
 
 
 class TestFoldKernel:
@@ -442,13 +449,14 @@ class TestFoldKernel:
             pattern = Pattern(op.indptr.astype(index_dtype), op.indices.astype(index_dtype))
             assert Operator(pattern, op.data).dot(v).tobytes() == (op @ v).tobytes(), name
 
-    def test_off_plan_l_rd(self):
-        # L_r rebuilt without its underflowed entry, on a pattern of its own
+    def test_underflowed_l_rd_stays_on_its_plan(self):
+        # L_r keeps its underflowed entry as +0.0 on its plan's band; its
+        # CSR view, on a pattern of its own, gives the same bytes
         plan, g, _ = dropped_zero_graph("underflowing_walk_weight")
-        assert not np.shares_memory(g.l_rd.indices, plan.walk.l_rd.indices)
+        assert g.ops["l_rd"].pattern is plan.walk.l_rd and g.ops["l_rd"].banded
         fold = Operator(Pattern.of(g.l_rd), g.l_rd.data)
         v = np.random.default_rng(39).standard_normal(g.n_nodes)
-        assert fold.dot(v).tobytes() == (g.l_rd @ v).tobytes()
+        assert fold.dot(v).tobytes() == (g.l_rd @ v).tobytes() == g.ops["l_rd"].dot(v).tobytes()
 
     @pytest.mark.parametrize("bad", BAD_VECTORS)
     def test_refuses_a_vector_the_kernel_would_misread(self, bad):
@@ -535,13 +543,12 @@ class TestBandKernel:
             ran.update(calls)
         assert "dia_matvec" in ran  # every one of these modes has a temporal solve
 
-    @pytest.mark.parametrize("which", ["unplanned", "direct_unsplit", "cancelling_call_rd",
-                                       "polynomial"])
+    @pytest.mark.parametrize("which", ["unplanned", "direct_unsplit", "polynomial"])
     def test_other_folds_stay_on_csr(self, which):
-        # a graph made without a plan, the unsplit signal system (a sum of
-        # operators) and a call_rd that dropped an exact 0.0 have patterns
-        # of their own, without a band; a fold applied as Q(A) keeps its
-        # values in entry order, which the polynomial's fill reads
+        # a graph made without a plan and the unsplit signal system (a sum
+        # of operators) have patterns of their own, without a band; a fold
+        # applied as Q(A) keeps its values in entry order, which the
+        # polynomial's fill reads
         rng = np.random.default_rng(43)
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         if which == "unplanned":
@@ -555,10 +562,6 @@ class TestBandKernel:
             g = planned_graph(rng, 4, n_instants=5)
             folds = block_folds(g, [p] * 5, TERMS["full"], CgSchedule.unrolled())
             assert all(q is not None for _, q in folds.values())
-        else:
-            plan, g, _ = dropped_zero_graph(which)
-            assert g.ops["call_rd"].pattern is not plan.patterns["call_rd"]
-            folds = block_folds(g, [p], TERMS["full"], CgSchedule.exact())
         for key, (fold, _) in folds.items():
             assert fold.data.ndim == 1, key
             assert which == "polynomial" or fold.pattern.band is None, key
@@ -567,6 +570,26 @@ class TestBandKernel:
                 got = fold.dot(v)
             assert calls == ["csr_matvec"]
             assert got.tobytes() == (fold.matrix() @ v).tobytes(), key
+
+    @pytest.mark.parametrize("which", ["cancelling_call_rd", "underflowing_walk_weight",
+                                       "covered_walk_drop"])
+    def test_dropped_zero_folds_run_the_band_kernel(self, which):
+        # an entry that came out 0.0 leaves L_r'L_r and l_n on their plan's
+        # band: the folds the recurrence applies run the DIA kernel, each
+        # product byte-equal to its CSR view's
+        plan, g, _ = dropped_zero_graph(which)
+        rng = np.random.default_rng(43)
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        modes = [m for m in VARIANTS if g.l_n is not None or TERMS[m].temporal != "l_n"]
+        for mode in modes:
+            for key, (fold, _) in block_folds(g, [p], TERMS[mode], CgSchedule.exact()).items():
+                banded = [name for name, _ in key[0]] in (["call_rd"], ["l_n"])
+                assert (fold.pattern is plan.temporal) == banded == fold.banded, (mode, key)
+                v = rng.standard_normal(g.n_nodes)
+                with kernel_calls() as calls:
+                    got = fold.dot(v)
+                assert calls == ["dia_matvec" if banded else "csr_matvec"], (mode, key)
+                assert got.tobytes() == (fold.matrix() @ v).tobytes(), (mode, key)
 
     def test_banded_fold_holds_the_diagonals_only(self):
         g = planned_graph(np.random.default_rng(44), 4)
@@ -577,7 +600,7 @@ class TestBandKernel:
         np.testing.assert_array_equal(band.offsets, np.arange(-2, 3) * g.n_stations)
         # the same operators without the plan's patterns fold on CSR
         unplanned = MixedGraph(g.n_stations, g.n_instants, g.n_observed, l_u=g.l_u, w_rd=g.w_rd,
-                               l_rd=g.l_rd, lanes=g.lanes)
+                               l_rd=g.l_rd, l_rd_t=g.l_rd_t, call_rd=g.call_rd, lanes=g.lanes)
         want = folded_system(unplanned, (("call_rd", 0.7),), 0.3, True)
         assert want.pattern.band is None
         assert_same_csr(fold.matrix(), want.matrix())
@@ -595,6 +618,20 @@ class TestBandKernel:
             with kernel_calls(fail=True), pytest.raises(
                     ValueError, match=f"C-contiguous float64 vector of length {n}"):
                 fold.dot(v)
+
+    @pytest.mark.parametrize("first", [1.0, np.inf], ids=["finite", "inf"])
+    @pytest.mark.parametrize("bad", BAD_VECTORS)
+    def test_apply_refuses_a_vector_before_either_kernel(self, bad, first):
+        # banded and CSR operators alike, a non-finite vector too, which a
+        # band operator would apply by its CSR view
+        g = planned_graph(np.random.default_rng(45), 4)
+        n = g.n_nodes
+        v = bad_vector(bad, n, first)
+        for name in graphs.OPERATOR_NAMES:
+            assert g.ops[name].banded == (name != "l_u")
+            with kernel_calls(fail=True), pytest.raises(
+                    ValueError, match=f"C-contiguous float64 vector of length {n}"):
+                g.apply(name, v)
 
     def test_verify_check_needs_byte_equal_products(self, monkeypatch):
         # one ulp off in one entry is far inside the check's 1e-13 tolerance;
@@ -816,7 +853,7 @@ def diverge_lane(lane, after_calls=0):
         return MixedGraph(
             g.n_stations, g.n_instants, g.n_observed,
             l_u=sp.diags(np.repeat(lane_scale, g.n_nodes // g.lanes)) @ g.l_u,
-            w_rd=g.w_rd, l_rd=g.l_rd, lanes=g.lanes,
+            w_rd=g.w_rd, l_rd=g.l_rd, l_rd_t=g.l_rd_t, call_rd=g.call_rd, lanes=g.lanes,
         )
 
     return diverging
@@ -837,8 +874,8 @@ def diverge_temporal_lane(lane):
         for name in ("call_rd", "l_n"):
             op = g.ops.get(name)
             if op is not None:
-                data = op.entries() * np.repeat(rows, np.diff(op.pattern.indptr))
-                scaled[name] = Operator(op.pattern, data)
+                # a band entry's column is in its row's lane
+                scaled[name] = Operator(op.pattern, op.data * rows)
         out = MixedGraph(
             g.n_stations, g.n_instants, g.n_observed, l_u=g.l_u, w_rd=g.w_rd, l_rd=g.l_rd,
             h_mask=g.h_mask, lanes=g.lanes, l_rd_t=g.l_rd_t, **scaled,

@@ -1,6 +1,6 @@
 """Planned operator assembly: the plan-and-fill operators against the direct
-COO assembly, the zero entries scipy drops, and plan reuse in the forward
-pass and the tuner."""
+COO assembly, the +0.0 a plan keeps where scipy drops a zero, and plan
+reuse in the forward pass and the tuner."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from stforecast.graphs import (
     plan_random_walk_digraph,
 )
 from stforecast.oracles import coo_operators
-from stforecast.solver import TERMS, CgSchedule, LayerParams, block_folds, cg_solve
+from stforecast.solver import TERMS, VARIANTS, CgSchedule, LayerParams, block_folds, cg_solve
 
 from test_lanes import (FINITE, dropped_zero_graph, kernel_calls, planned_graph,
                         split_skeleton_inputs)
@@ -36,13 +36,30 @@ def assert_bitwise(got: sp.csr_matrix, want: sp.csr_matrix, name: str):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
 
 
-def assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n):
+def assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n) -> set:
+    """Assert that each operator's CSR view equals ``coo_operators`` bit for
+    bit, index dtypes included, on every entry the reference stores, and
+    holds +0.0 on the rest; the names of the operators that hold such a rest."""
     want = coo_operators(sskel, tskel, wu, wd, with_l_n)
     assert set(want) == set(OPERATORS if with_l_n else OPERATORS[:-1])
-    for name, mat in want.items():
-        assert_bitwise(getattr(graph, name), mat, name)
     if not with_l_n:
         assert graph.l_n is None
+    kept = set()
+    for name, mat in want.items():
+        got = getattr(graph, name)
+        if got.nnz == mat.nnz:
+            assert_bitwise(got, mat, name)
+            continue
+        kept.add(name)
+        assert got.shape == mat.shape and got.indices.dtype == mat.indices.dtype, name
+        n = got.shape[0]
+        keys = [np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices for m in (got, mat)]
+        at = np.searchsorted(keys[0], keys[1])
+        assert np.array_equal(keys[0][at], keys[1]), name
+        assert got.data[at].tobytes() == mat.data.tobytes(), name
+        rest = np.delete(got.data, at)
+        assert len(rest) and rest.tobytes() == bytes(rest.nbytes), name
+    return kept
 
 
 class TestPlannedAssembly:
@@ -69,13 +86,12 @@ class TestPlannedAssembly:
             wu, wd = rng.uniform(0.2, 1.5, wu.shape), rng.uniform(0.2, 1.5, wd.shape)
             graph = fill_mixed_graph(plan, wu, wd)
             assert_matches_reference(graph, sskel, tskel, wu, wd, True)
-            assert set(plan.patterns) == {"l_u", "call_rd", "l_n"}
-            for name in ("l_u", "call_rd", "l_n"):
+            assert set(plan.patterns) == set(OPERATORS)
+            # l_n shares L_r'L_r's pattern: every pair of a station's nodes within the window
+            assert plan.patterns["l_n"] is plan.patterns["call_rd"]
+            for name in OPERATORS:
                 assert graph.ops[name].pattern is plan.patterns[name], name
                 assert np.shares_memory(getattr(graph, name).indices, plan.patterns[name].indices)
-            for name in ("w_rd", "l_rd"):
-                assert np.shares_memory(getattr(graph, name).indices,
-                                        getattr(plan.walk, name).indices), name
             assert graph.h_mask is plan.h_mask
 
     def test_zero_spatial_weights_stored(self):
@@ -94,41 +110,46 @@ class TestPlannedAssembly:
 
 
 class TestPlannedPatterns:
-    """A filled operator loses a planned entry only where its value came out
-    exactly 0.0, so it sits on its plan's pattern exactly when it stores as
-    many entries: the rule by which ``fill_mixed_graph`` hands out the
-    plan's patterns."""
+    """A plan's patterns are final: every filled operator holds its plan's
+    pattern, an entry that comes out exactly 0.0 stored as +0.0 where the
+    COO reference stores none, and that +0.0 adds nothing to a product."""
 
     @staticmethod
-    def check(plan, graph) -> set:
-        """Assert the rule for every operator; the names that sit on their plan's."""
-        planned = {"w_rd": plan.walk.w_rd, "l_rd": plan.walk.l_rd,
-                   "l_rd_t": plan.walk.l_rd_t, **plan.patterns}
-        assert set(graph.ops) == set(planned)
-        on_plan = set()
-        for name, pattern in planned.items():
-            mat = getattr(graph, name)
-            same = (np.array_equal(mat.indptr, pattern.indptr)
-                    and np.array_equal(mat.indices, pattern.indices))
-            assert same == (mat.nnz == pattern.nnz), name
-            assert (graph.ops[name].pattern is pattern) == same, name
-            if same:
-                on_plan.add(name)
-        return on_plan
+    def check(plan, graph):
+        """Assert that every operator holds its plan's ``Pattern`` object."""
+        assert set(graph.ops) == set(plan.patterns)
+        for name, op in graph.ops.items():
+            assert op.pattern is plan.patterns[name], name
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3, 8)), st.booleans(),
-           st.booleans())
+           st.sampled_from(("plain", "underflowing", "cancelling")), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_on_the_plan_exactly_when_no_entry_dropped(self, seed, lanes, with_l_n, underflow):
+    def test_every_operator_holds_its_plans_pattern(self, seed, lanes, with_l_n, draw, data):
         rng = np.random.default_rng(seed)
-        wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes)
-        if underflow:  # walk weights that round to 0.0 drop entries of L_r, call_rd and l_n
+        wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes, data.draw(
+            st.sampled_from((None, -1))))
+        if draw == "underflowing":  # walk weights that round to 0.0 in L_r, call_rd and l_n
             wd = np.where(rng.uniform(size=wd.shape) < 0.3, 5e-324, 1e3 * wd)
+        elif draw == "cancelling":  # dyadic weights whose L_r'L_r sums can come out 0.0
+            wd = cancelling_weights(rng, tskel, lanes)
         plan = plan_mixed_graph(sskel, tskel, lanes, n_observed, with_l_n)
         graph = fill_mixed_graph(plan, wu, wd)
-        on_plan = self.check(plan, graph)
-        assert {"w_rd", "l_u"} <= on_plan
+        self.check(plan, graph)
         assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n)
+        want = coo_operators(sskel, tskel, wu, wd, with_l_n)
+        v = np.array(data.draw(st.lists(FINITE, min_size=graph.n_nodes, max_size=graph.n_nodes)))
+        for name in graphs.OPERATOR_NAMES:
+            got = graph.apply(name, v)
+            assert got.tobytes() == (getattr(graph, name) @ v).tobytes(), name
+            assert got.tobytes() == (want[name] @ v).tobytes(), name
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        for mode in VARIANTS:
+            if TERMS[mode].temporal == "l_n" and not with_l_n:
+                continue
+            for layers in (1, 5):  # the recurrence's folds, and Q(A)'s where reuse pays
+                for key, (fold, _) in block_folds(graph, [p] * layers, TERMS[mode],
+                                                  CgSchedule.unrolled()).items():
+                    assert fold.dot(v).tobytes() == (fold.matrix() @ v).tobytes(), (mode, key)
 
     @pytest.mark.parametrize("which,off_plan", [
         ("cancelling_call_rd", {"call_rd"}),
@@ -136,8 +157,40 @@ class TestPlannedPatterns:
         ("covered_walk_drop", {"l_rd", "l_rd_t", "l_n"}),
     ])
     def test_dropped_zero_graphs(self, which, off_plan):
-        plan, graph, _ = dropped_zero_graph(which)
-        assert set(graph.ops) - self.check(plan, graph) == off_plan
+        # ``off_plan``: the operators whose COO reference leaves the plan's
+        # pattern, each dropping a 0.0 that the planned operator keeps
+        plan, graph, inputs = dropped_zero_graph(which)
+        self.check(plan, graph)
+        assert assert_matches_reference(graph, *inputs, "l_n" in graph.ops) == off_plan
+
+
+    def test_verify_check_needs_operators_on_their_plan(self, monkeypatch):
+        # L_r' on a copy of its plan's pattern: the same bits, another object
+        from stforecast import verify
+
+        transpose = attention.band_transpose
+
+        def on_a_copy(op, pattern):
+            out = transpose(op, pattern)
+            return graphs.Operator(Pattern(pattern.indptr, pattern.indices, pattern.band),
+                                   out.data)
+
+        monkeypatch.setattr(attention, "band_transpose", on_a_copy)
+        result = verify.check_planned_assembly()
+        assert not result.passed
+        assert result.detail.startswith("operators differ: windows [0] l_rd_t off its plan")
+
+
+def cancelling_weights(rng, tskel, lanes):
+    """Temporal weights, each child's 1/2, 1/4, ... and the last repeated, in a
+    random order: they sum to exactly 1, and sums of their products cancel."""
+    out = np.empty((lanes, tskel.n_edges))
+    for child in np.unique(tskel.dst):
+        edges = np.flatnonzero(tskel.dst == child)
+        halves = 0.5 ** np.minimum(np.arange(1, len(edges) + 1), len(edges) - 1)
+        for lane in range(lanes):
+            out[lane, edges] = rng.permutation(halves)
+    return out
 
 
 class TestPlannedErrors:
@@ -181,7 +234,7 @@ class TestPlannedErrors:
         # an operator is given on a pattern of its graph's size ("size", by
         # ``MixedGraph``), with one value an entry ("count") or the
         # diagonals of the band the pattern has ("missing": the band left
-        # out), by ``Operator``
+        # out, the values given as its diagonals), by ``Operator``
         graph = fill_mixed_graph(self.plan, self.wu, self.wd)
         pattern, n = graph.ops[name].pattern, graph.n_nodes
         values, nnz = graph.ops[name].entries(), pattern.nnz
@@ -193,7 +246,7 @@ class TestPlannedErrors:
             match = (rf"^an operator of {nnz - 1} entries needs as many float64 values, "
                      rf"got float64 \({nnz},\)$")
         else:
-            values = pattern.banded().band_values(values)
+            values = np.zeros((len(pattern.banded().band.offsets), n))
             pattern = Pattern(pattern.indptr, pattern.indices)
             match = (rf"^an operator of {nnz} entries needs as many float64 values, "
                      rf"got float64 \({len(values)}, {n}\)$")
@@ -218,6 +271,26 @@ class TestPlannedErrors:
             MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, lanes=graph.lanes,
                        h_mask=graph.h_mask, **ops)
 
+    @pytest.mark.parametrize("name", OPERATORS[:-1])
+    def test_graph_needs_every_operator_but_l_n(self, name):
+        # none is worked out from another; l_rd_t and call_rd may be left out,
+        # as l_n may, and every operator but l_n is refused as None
+        graph = fill_mixed_graph(self.plan, self.wu, self.wd)
+        ops = {op: graph.ops[op] for op in OPERATORS}
+        ops[name] = None
+        with pytest.raises(ValueError, match=rf"^{name} is missing$"):
+            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, lanes=graph.lanes,
+                       h_mask=graph.h_mask, **ops)
+        if name in ("l_rd_t", "call_rd"):
+            del ops[name]
+            with pytest.raises(ValueError, match=rf"^{name} is missing$"):
+                MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed,
+                           lanes=graph.lanes, **ops)
+        del ops["l_n"]
+        ops[name] = graph.ops[name]
+        assert MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed,
+                          lanes=graph.lanes, **ops).l_n is None
+
     def test_weights_must_fit_the_plans_slices(self):
         one_slice = self.wu.reshape(-1, self.sskel.n_edges)[:1]
         with pytest.raises(ValueError, match=f"in {self.plan.l_u.n_slices} slices"):
@@ -226,8 +299,8 @@ class TestPlannedErrors:
 
 class TestDroppedZeros:
     """scipy stores no entry of I - W_r, L_r'L_r or l_n that comes out exactly
-    0.0; an operator that drops one gets a pattern of its own, and its folds
-    work out their own components."""
+    0.0; a planned operator keeps it as +0.0 on its plan's pattern, and its
+    folds take the plan's components."""
 
     def check_folds(self, graph):
         # every system, on its polynomial, against its operators and the recurrence
@@ -249,34 +322,43 @@ class TestDroppedZeros:
             np.testing.assert_allclose(cg_solve(a.dot, b, x0, sched, poly.dot),
                                        cg_solve(a.dot, b, x0, sched), rtol=0, atol=1e-12)
 
+    @staticmethod
+    def kept_zero(graph, name, row, col):
+        """Assert that ``name`` stores +0.0 at (row, col), on its plan's pattern."""
+        mat = getattr(graph, name)
+        at = mat.indptr[row] + np.flatnonzero(mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
+                                              == col)
+        assert len(at) == 1 and mat.data[at].tobytes() == bytes(8), (name, row, col)
+
     def test_cancelling_call_rd_entry(self):
         plan, graph, inputs = dropped_zero_graph("cancelling_call_rd")
-        assert graph.call_rd.nnz < plan.patterns["call_rd"].nnz
-        assert graph.call_rd[1, 2] == 0.0
-        assert graph.ops["call_rd"].pattern is not plan.patterns["call_rd"]
-        assert np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
-        assert_matches_reference(graph, *inputs, False)
+        self.kept_zero(graph, "call_rd", 1, 2)
+        assert graph.call_rd.nnz == plan.patterns["call_rd"].nnz
+        assert graph.ops["call_rd"].pattern is plan.patterns["call_rd"]
+        assert assert_matches_reference(graph, *inputs, False) == {"call_rd"}
         self.check_folds(graph)
 
     def test_underflowing_walk_weight(self):
+        # 5e-324 / 2 rounds to 0.0: L_r (2, 0), its transpose (0, 2), and
+        # half of it leaves l_n (0, 2) and (2, 0) at 0.0
         plan, graph, inputs = dropped_zero_graph("underflowing_walk_weight")
-        assert graph.l_rd.nnz < plan.walk.l_rd.nnz
-        assert not np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
-        for name in ("call_rd", "l_n"):
-            assert getattr(graph, name).nnz < plan.patterns[name].nnz, name
-            assert graph.ops[name].pattern is not plan.patterns[name], name
-        assert np.shares_memory(graph.w_rd.indices, plan.walk.w_rd.indices)
-        assert_matches_reference(graph, *inputs, True)
+        for name, row, col in [("l_rd", 2, 0), ("l_rd_t", 0, 2), ("l_n", 0, 2), ("l_n", 2, 0)]:
+            self.kept_zero(graph, name, row, col)
+        for name, pattern in plan.patterns.items():
+            assert graph.ops[name].pattern is pattern, name
+        assert np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
+        assert assert_matches_reference(graph, *inputs, True) == {"l_rd", "l_rd_t", "call_rd",
+                                                                  "l_n"}
         self.check_folds(graph)
 
     def test_covered_walk_drop(self):
-        # L_r loses an entry and call_rd none: call_rd stays on the plan's
-        # pattern, so the folds the recurrence applies still take its band
+        # L_r keeps its underflowed entry as +0.0, and call_rd loses none:
+        # the folds the recurrence applies take its band
         plan, graph, inputs = dropped_zero_graph("covered_walk_drop")
-        assert graph.l_rd.nnz < plan.walk.l_rd.nnz
+        self.kept_zero(graph, "l_rd", 2, 1)
         assert graph.ops["call_rd"].pattern is plan.patterns["call_rd"]
         assert solver.folded_system(graph, (("call_rd", 0.7),), 0.3, True, on_band=True).banded
-        assert_matches_reference(graph, *inputs, True)
+        assert assert_matches_reference(graph, *inputs, True) == {"l_rd", "l_rd_t", "l_n"}
         self.check_folds(graph)
 
     def test_single_node_source_row(self):
@@ -404,8 +486,7 @@ class TestBandOperators:
         call_rd = graphs.symmetrized_dglr_matrix(l_rd, l_rd_t)
         want = {"w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd_t, "call_rd": call_rd}
         for name, mat in want.items():
-            assert graph.ops[name].banded == (name != "call_rd" or call_rd.nnz == graph.ops[
-                name].nnz), name
+            assert graph.ops[name].banded, name
             assert_bitwise(getattr(graph, name), mat, name)
         v = np.array(data.draw(st.lists(FINITE, min_size=graph.n_nodes, max_size=graph.n_nodes)))
         for name in ("l_rd", "l_rd_t", "call_rd"):
@@ -414,19 +495,24 @@ class TestBandOperators:
             assert calls == ["dia_matvec" if graph.ops[name].banded else "csr_matvec"], name
             assert got.tobytes() == (want[name] @ v).tobytes(), name
 
-    @pytest.mark.parametrize("which,on_csr", [
-        ("cancelling_call_rd", {"call_rd"}),
-        ("underflowing_walk_weight", {"l_rd", "l_rd_t", "call_rd"}),
-    ])
-    def test_dropped_zeros_take_the_csr_route(self, which, on_csr):
-        # an exact 0.0 in L_r'L_r leaves L_r and L_r' on their bands; one in
-        # L_r puts it, its transpose and its product in entry order, the
-        # latter two made by scipy; W_r, which keeps its zeros, stays a band
-        plan, graph, inputs = dropped_zero_graph(which)
-        names = ("w_rd", "l_rd", "l_rd_t", "call_rd")
-        assert {name for name in names if not graph.ops[name].banded} == on_csr
-        assert graph.ops["call_rd"].pattern.band is None
-        assert_matches_reference(graph, *inputs, which != "cancelling_call_rd")
+    @pytest.mark.parametrize("which", ["cancelling_call_rd", "underflowing_walk_weight",
+                                       "covered_walk_drop"])
+    def test_dropped_zeros_stay_on_their_bands(self, which):
+        # an exact 0.0 in L_r or L_r'L_r is kept on the band as +0.0: every
+        # temporal operator stays a band, applied by the DIA kernel, and its
+        # product is the COO reference's byte for byte
+        plan, graph, (sskel, tskel, wu, wd) = dropped_zero_graph(which)
+        want = coo_operators(sskel, tskel, wu, wd, False)
+        v = np.random.default_rng(49).standard_normal(graph.n_nodes)
+        v[::3] = -0.0
+        for name in ("w_rd", "l_rd", "l_rd_t", "call_rd"):
+            assert graph.ops[name].banded, name
+            assert graph.ops[name].pattern is plan.patterns[name], name
+        for name in ("l_rd", "l_rd_t", "call_rd"):
+            with kernel_calls() as calls:
+                got = graph.apply(name, v)
+            assert calls == ["dia_matvec"], name
+            assert got.tobytes() == (want[name] @ v).tobytes(), name
 
     def test_a_planned_block_builds_no_csr_matrix(self, monkeypatch):
         # once a plan has worked out what its patterns keep, a window's

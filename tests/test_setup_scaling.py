@@ -1,8 +1,8 @@
 """Context set-up at large station counts: array-built skeletons and the eigenmap solve.
 
 The per-station loop versions of the skeleton builders, the neighbor
-aggregation and the normalized Laplacian, and the per-component loop of the
-eigensolve, are kept here as references; the array versions must reproduce
+aggregation and the normalized Laplacian (against the planned ``l_n``), and
+the per-component loop of the eigensolve, are kept here as references; the array versions must reproduce
 them exactly. The eigenmap solve is held to the dense oracle
 (``oracles.dense_spectrum``) on the whole graph: vector by vector where the
 spectrum is simple, by spanned subspace where it is not.
@@ -32,7 +32,6 @@ from stforecast.graphs import (
     build_spatial_skeleton,
     build_temporal_skeleton,
     flat_index,
-    normalized_laplacian,
     unit_laplacian,
 )
 from stforecast.oracles import dense_spectrum
@@ -250,14 +249,24 @@ class TestVectorisedLoopsMatch:
         out = FeatureMap(np.eye(width), skeleton=skel)(emb)
         np.testing.assert_array_equal(out, loop_aggregate(emb, skel) @ np.eye(width))
 
-    @given(st.integers(1, 25), st.floats(0.0, 0.6), st.booleans(), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 6), st.integers(2, 7), st.integers(0, 5), st.sampled_from((1, 2, 3)),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_normalized_laplacian(self, n, density, symmetric, seed):
+    def test_normalized_laplacian(self, n, n_instants, window, lanes, seed):
+        # the planned l_n, filled into its band, against the normalized
+        # Laplacian of the symmetrized temporal adjacency, half of each weight
         rng = np.random.default_rng(seed)
-        w = sp.random(n, n, density=density, format="csr", random_state=rng)
-        if symmetric:
-            w = w + w.T
-        got, ref = normalized_laplacian(w), lil_normalized_laplacian(w)
+        sskel = build_spatial_skeleton(PhysicalGraph(n, ()), 1)
+        tskel = build_temporal_skeleton(n, n_instants, 1 + window % (n_instants - 1))
+        wd = rng.uniform(0.2, 1.5, (lanes, tskel.n_edges))
+        plan = attention.plan_mixed_graph(sskel, tskel, lanes, 1, True)
+        got = attention.fill_mixed_graph(plan, np.zeros((lanes, n_instants, 0)), wd).l_n
+        lane = attention._lane_skeleton(tskel, lanes)
+        half = np.tile(0.5 * wd.ravel(), 2)
+        w = sp.coo_matrix((half, (np.concatenate([lane.src, lane.dst]),
+                                  np.concatenate([lane.dst, lane.src]))),
+                          shape=(lane.n_nodes, lane.n_nodes))
+        ref = lil_normalized_laplacian(w)
         np.testing.assert_array_equal(got.indptr, ref.indptr)
         np.testing.assert_array_equal(got.indices, ref.indices)
         np.testing.assert_array_equal(got.data, ref.data)
