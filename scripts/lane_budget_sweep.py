@@ -8,7 +8,10 @@ The W values take turns within each repeat, so drift of the host's speed
 falls on all of them alike. It prints the median and the best (least)
 milliseconds per window over the repeats, each with its speed-up over the
 first W; ``solver.LANE_NODE_BUDGET`` is set from the lane nodes per call
-(W x heads x stations x instants) at which stacking stops paying.
+(W x heads x stations x instants) at which stacking stops paying. Which
+systems run as their unrolled polynomial Q(A) does not depend on W (the
+rule in ``solver.block_folds`` reads no node count), so every W runs each
+window on the solver path it takes alone.
 
     python scripts/lane_budget_sweep.py
     python scripts/lane_budget_sweep.py --scales 20:4 --windows 1 2 4 --repeats 3

@@ -395,9 +395,7 @@ def directed_weights(
     # non-finite features give NaN or infinite distances, silently: the
     # weight check below reports them
     with np.errstate(invalid="ignore", over="ignore"):
-        # every lag of a windowed skeleton has edges: no sort to find them
-        for w in range(1, skel.window + 1) if temporal else np.unique(skel.lag).tolist():
-            sel = np.flatnonzero(skel.lag == w)
+        for w, sel in skel.lag_edges:
             if temporal:
                 # lag-w edges run (s, t - w) -> (s, t) in child order: two contiguous slices
                 shift = w * skel.n_stations

@@ -243,6 +243,11 @@ class DirectedSkeleton:
     def n_edges(self) -> int:
         return len(self.src)
 
+    @cached_property
+    def lag_edges(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """Each lag, ascending, with the positions of its edges: selected once per skeleton."""
+        return tuple((w, np.flatnonzero(self.lag == w)) for w in np.unique(self.lag).tolist())
+
 
 def directed_skeleton_from_edges(n_nodes: int, edges) -> DirectedSkeleton:
     """Build a DirectedSkeleton from (src, dst) or (src, dst, lag) tuples."""
@@ -919,7 +924,8 @@ class MixedGraph:
         """Operator-vector product, by the operator's own kernel (``Operator.dot``).
 
         ``call_rd`` is the assembled L_r' L_r, not two chained products. The
-        vector must be one ``Operator.dot`` applies. A band operator applies
+        vector must be one ``Operator.dot`` applies; any other raises its
+        ``ValueError``, whatever the operator's layout. A band operator applies
         a vector that is not finite by its CSR view, so that a non-finite
         entry reaches only the rows that store its column, as in scipy's
         product.
@@ -927,9 +933,10 @@ class MixedGraph:
         if op not in OPERATOR_NAMES:
             raise ValueError(f"unknown operator {op!r}; expected one of {OPERATOR_NAMES}")
         operator = self.ops[op]
-        if operator.banded and not np.isfinite(x).all():
-            operator.check(x)
-            return operator.matrix() @ x
+        if operator.banded:
+            operator.check(x)  # before the finiteness test reads x as numbers
+            if not np.isfinite(x).all():
+                return operator.matrix() @ x
         return operator.dot(x)
 
     def project_observed(self, x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
 as dense blocks over its connected components with the steps run backwards,
 so each of its solves takes one sparse product and one batched dense product
 instead of the recurrence's ``iters`` sparse products (one for the starting
-residual, one for every step but the last).
+residual, one for every step but the last). The rule reads no node count
+(``block_folds``), so it holds at every station count, and Q(A) is written
+over the filled blocks of A, a chunk of components at a time.
 
 A fold is a ``graphs.Operator``, a ``graphs.Pattern`` and its values. A
 fold of one operator fills new values on that operator's pattern, which the
@@ -35,14 +37,15 @@ fills values, and each fold, like each operator of the graph, applies
 itself by calling one of scipy's matrix-vector kernels directly: no
 ``csr_matrix`` is built and no dispatch is paid per product. On a planned
 graph L_r'L_r and ``l_n`` are held as their 2W + 1 diagonals, so the
-temporal folds that the recurrence applies (x and z_d) are coef times them
-plus the diagonal, and run scipy's DIA kernel, which reads no column index
-per value (Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
-section 3.4); the folds applied as Q(A) read them in entry order, which
-the polynomial's fill reads, gathered once a block. Every other fold runs
-the CSR kernel that ``A @ v`` runs. On a finite vector both
-give the CSR product bit for bit (``Operator.dot``). ``MixedGraph.apply``
-(L_r x and L_r' v, once per layer) runs the same ``dot``, on their bands.
+temporal folds (x and z_d) are coef times them plus the diagonal, and run
+scipy's DIA kernel, which reads no column index per value (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2003, section 3.4), for the
+recurrence and for a polynomial solve's starting residual alike; a build
+of Q(A) gathers its fold's band into entry order once, for the component
+fill. Every other fold runs the CSR kernel that ``A @ v`` runs. On a
+finite vector both give the CSR product bit for bit (``Operator.dot``).
+``MixedGraph.apply`` (L_r x and L_r' v, once per layer) runs the same
+``dot``, on their bands.
 
 A solve returns a finite result or raises ``NumericFailure`` (from
 ``graphs``, importable here), naming its CG iteration when it has one; the
@@ -52,7 +55,7 @@ layer adds the sub-step and the block the lane.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,14 +69,18 @@ DEFAULT_CG_INIT = 0.08
 DEFAULT_EXACT_TOL = 1e-10
 
 # Windows run as lanes of one system while windows x heads x stations x
-# instants stays within this many nodes (``pipeline.reconstruct_batch``), and
-# only a folded system of at most this many nodes may be applied as its
-# unrolled polynomial (``block_folds``). One bound for both keeps a stacked
-# window on the path it takes alone, so its result stays bitwise the same.
-# Sized by ``scripts/lane_budget_sweep.py`` (table in README) for stacking;
-# it also bounds a polynomial's memory, n x m values for n nodes and a
-# largest component of m (README, Layout).
+# instants stays within this many nodes (``pipeline.reconstruct_batch``).
+# Sized by ``scripts/lane_budget_sweep.py`` (table in README). Whether a
+# system is applied as its unrolled polynomial does not read it
+# (``block_folds``), so a stacked window stays on the path it takes alone.
 LANE_NODE_BUDGET = 12000
+
+# Components per chunk of ``polynomial_operator``'s in-place build: its
+# temporaries are three chunks of its stack. Timed at 1000 components of 18
+# nodes (city-1000) and 80 of 18 (desk), one BLAS thread: 96 to 128 were
+# the fastest at both, 2x faster at city than the whole stack at once;
+# 128 keeps a desk stack in one chunk (README, Layout).
+POLYNOMIAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -285,24 +292,31 @@ def polynomial_operator(blocks: ComponentBlocks, sched: CgSchedule) -> Component
     v <- alpha_k (I - A s) + beta_k v and then s <- s + v, ending at
     s = Q(A): ``iters`` - 1 steps of one batched matmul per stack. Both
     orders agree to rounding.
+
+    Q(A) is written over A, in ``blocks`` itself, which is returned. Each
+    stack is built ``POLYNOMIAL_CHUNK`` components at a time, so the build's
+    temporaries are one chunk's copy of A, v and step: every component
+    takes the same matmuls and elementwise steps whatever the chunk.
     """
     alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
-    q = []
     with np.errstate(over="ignore", invalid="ignore"):  # cg_solve checks what it applies
         for blk in blocks.blocks:
-            c, k, _ = blk.shape
-            s = np.zeros_like(blk)
-            s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]  # each diagonal, as a strided view
-            v, step = s.copy(), np.empty_like(blk)
-            for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
-                np.matmul(blk, s, out=step)
-                step *= -alpha
-                v *= beta
-                v += step
-                v.reshape(c, k * k)[:, :: k + 1] += alpha
-                s += v
-            q.append(s)
-    return replace(blocks, blocks=tuple(q))
+            for first in range(0, len(blk), POLYNOMIAL_CHUNK):
+                s = blk[first : first + POLYNOMIAL_CHUNK]
+                c, k, _ = s.shape
+                a = s.copy()
+                s.fill(0.0)
+                s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]  # each diagonal, as a strided view
+                v, step = s.copy(), np.empty_like(s)
+                for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
+                    np.matmul(a, s, out=step)
+                    step *= -alpha
+                    v *= beta
+                    v += step
+                    v.reshape(c, k * k)[:, :: k + 1] += alpha
+                    s += v
+                del a, v, step  # so that one chunk's temporaries are alive at a time
+    return blocks
 
 
 @dataclass(eq=False)
@@ -341,22 +355,16 @@ class AdmmState:
 
 
 def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: float,
-                  observed: bool, on_band: bool = False, gathered: dict | None = None
-                  ) -> Operator:
+                  observed: bool) -> Operator:
     """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one ``Operator``.
 
     ``ops`` pairs operator names of ``graph`` with coefficients. One operator
     whose pattern stores every diagonal entry gives new values on that
-    operator's pattern, coef times its values plus the diagonal; otherwise
-    the terms are added by scipy in CSR (its sparse products drop exact
-    zeros, so a ``call_rd`` given in CSR may lack a diagonal entry).
-
-    With ``on_band``, a fold of a band operator holds the band's diagonals:
-    coef times the operator's, and the diagonal added on the main
-    diagonal's row, the same operations as in entry order. Without, a band
-    operator's values are gathered into entry order (``Operator.entries``),
-    and kept in ``gathered`` by name, when given, for the next fold of the
-    same operator.
+    operator's pattern, in its layout: coef times its values plus the
+    diagonal, which a band operator adds on its main diagonal's row, the
+    same operations as in entry order. Otherwise the terms are added by
+    scipy in CSR (its sparse products drop exact zeros, so a ``call_rd``
+    given in CSR may lack a diagonal entry).
     """
     diag = np.full(graph.n_nodes, shift)
     if observed:
@@ -366,14 +374,10 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
         op = graph.ops[name]
         pattern = op.pattern
         if pattern.diagonal is not None:
-            if on_band and op.banded:
-                data = coef * op.data
+            data = coef * op.data
+            if op.banded:
                 data[pattern.band.zero] += diag
             else:
-                gathered = {} if gathered is None else gathered
-                if name not in gathered:
-                    gathered[name] = op.entries()
-                data = coef * gathered[name]
                 data[pattern.diagonal] += diag
             return Operator(pattern, data)
     folded = sp.diags(diag, format="csr")
@@ -382,44 +386,50 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
     return Operator.of(folded.tocsr())
 
 
+def _takes_polynomial(sched: CgSchedule, pattern: Pattern, count: int) -> bool:
+    """Whether a system on ``pattern`` that ``count`` of a block's layers solve gets Q(A).
+
+    It does when the schedule is unrolled and its largest connected
+    component has at most ``count`` nodes; the components are worked out
+    only then. This is the rule's one place: a recurrence-only reference
+    replaces it.
+    """
+    return sched.mode == "unrolled" and np.bincount(pattern.labels).max() <= count
+
+
 def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
                 sched: CgSchedule) -> dict:
     """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
 
     Keys are the (ops, shift, observed) of ``_layer_systems``, values (the
-    fold, an ``Operator``; Q(A) or None). A fold that the recurrence
-    applies, on a pattern with a band (a planned temporal one), holds its
-    band's diagonals and runs the DIA kernel; a fold applied as Q(A) takes
-    one product per solve and keeps its values in entry order, which the
-    polynomial's fill reads.
+    fold, an ``Operator``; Q(A) or None). A fold on a pattern with a band
+    (a planned temporal one) holds its band's diagonals and runs the DIA
+    kernel, for the recurrence's products and for the starting residual of
+    a solve by Q(A) alike.
 
     A system gets its polynomial (``polynomial_operator``) when the schedule
-    is unrolled, the system has at most ``LANE_NODE_BUDGET`` nodes, and at
-    least m of the block's layers solve it, m being the size of its largest
-    connected component. Each solve then takes 2 products instead of
-    ``iters``; the build takes ``iters`` - 1 batched matmuls of the
-    component blocks, cheaper than the m columns of products by A that the
-    rule was first sized for. The components and the blocks' scatter map are
-    the fold pattern's (``graphs.Pattern``), worked out when this rule first
-    reads them, after the node budget, and kept: a fold of one operator
+    is unrolled and at least m of the block's layers solve it, m being the
+    size of its largest connected component (``_takes_polynomial``). Each
+    solve then takes 2 products instead of ``iters``; the build takes
+    ``iters`` - 1 batched matmuls of the component blocks, cheaper than the
+    m columns of products by A that the rule was first sized for. Q(A)
+    holds sum(k^2) <= n m values for n nodes, so at most n times the
+    block's layer count. The rule reads no node count, so a window stacked
+    with others takes the path it takes alone. The components and the
+    blocks' scatter map are the fold pattern's (``graphs.Pattern``), worked
+    out when the rule first reads them and kept: a fold of one operator
     shares the pattern its graph was given, on a planned graph the plan's
-    (``attention.fill_mixed_graph``), which ``call_rd`` and ``l_n`` share;
-    a sum of operators (the unsplit signal system) works out its own.
+    (``attention.fill_mixed_graph``), which ``call_rd`` and ``l_n`` share; a
+    sum of operators (the unsplit signal system) works out its own. The
+    fill reads the fold's values in entry order, gathered from a band once
+    per build.
     """
     uses = Counter(key for p in params for key in _layer_systems(terms, p))
-
-    def polynomial(pattern: Pattern, count: int) -> bool:
-        return (sched.mode == "unrolled" and graph.n_nodes <= LANE_NODE_BUDGET
-                and np.bincount(pattern.labels).max() <= count)
-
-    folds, gathered = {}, {}  # a band operator's entry order, gathered once a block
+    folds = {}
     for key, count in uses.items():
-        ops = key[0]
-        # a fold of one operator takes that operator's pattern
-        on_band = len(ops) == 1 and not polynomial(graph.ops[ops[0][0]].pattern, count)
-        fold, g = folded_system(graph, *key, on_band=on_band, gathered=gathered), None
-        if polynomial(fold.pattern, count):
-            g = polynomial_operator(fold.pattern.components.fill(fold.data), sched)
+        fold, g = folded_system(graph, *key), None
+        if _takes_polynomial(sched, fold.pattern, count):
+            g = polynomial_operator(fold.pattern.components.fill(fold.entries()), sched)
         folds[key] = (fold, g)
     return folds
 

@@ -22,7 +22,7 @@ from .attention import (
     smallest_eigenpairs,
     undirected_weights,
 )
-from .config import PipelineConfig
+from .config import HeadSettings, PipelineConfig
 from .data import cut_windows, generate_synthetic, split_dataset
 from .graphs import (
     MixedGraph,
@@ -484,56 +484,80 @@ def check_window_lanes(seed: int = 0) -> CheckResult:
     )
 
 
+def _polynomial_gaps(graph: MixedGraph, cfg: PipelineConfig, n_stations: int,
+                     rng: np.random.Generator) -> dict:
+    """For each CG system of the first block on ``graph``: None when it stays
+    on the recurrence, else the relative gap between its solve from random
+    b and x0 by x0 + Q(A)(b - A x0) and by the step-by-step recurrence."""
+    sched = cfg.solver.schedule()
+    folds = solver.block_folds(graph, cfg.layers.layer_params(0, cfg.default_rho(n_stations)),
+                               solver.TERMS[cfg.solver.mode], sched)
+    gaps = {}
+    for key, (a, poly) in folds.items():
+        gaps[key] = None
+        if poly is not None:
+            b, x0 = rng.standard_normal((2, graph.n_nodes))
+            want = cg_solve(a.dot, b, x0, sched)
+            got = cg_solve(a.dot, b, x0, sched, poly.dot)
+            gaps[key] = float(np.abs(got - want).max() / np.abs(want).max())
+    return gaps
+
+
 def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
     """Reused CG systems applied as their unrolled polynomial agree with the recurrence.
 
     On the seeded desk graph (20 stations, the default model and its first
     window) every CG system of the first block must get its polynomial
-    Q(A), and x0 + Q(A)(b - A x0) must match the step-by-step recurrence to
-    1e-12 relative. The 12 criterion-10 test forecasts (evenly spaced, the
-    training-split standardizer) must match the forecasts made with every
-    system on the recurrence, a reference that must build no Q(A), to 1e-9
-    raw units.
+    Q(A), and so must the x and z_d systems (18 instants a station) of a
+    one-head graph of 700 seeded stations, 12 600 nodes; x0 + Q(A)(b - A x0)
+    must match the step-by-step recurrence to 1e-12 relative. The 12
+    criterion-10 desk test forecasts (evenly spaced, the training-split
+    standardizer) must match the forecasts made with every system on the
+    recurrence, a reference that must build no Q(A), to 1e-9 raw units.
     """
+    name = "unrolled CG as its polynomial"
     cfg = PipelineConfig()
     table, pg = generate_synthetic(20, 2000, seed)
     splits, standardizer = split_dataset(table, cfg.data)
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer=standardizer)
     x, _, t_steps = pipeline.initial_signal(splits.train[0], ctx)
-    graph = pipeline.block_graph(ctx, [x], [t_steps])
-    sched = cfg.solver.schedule()
-    folds = solver.block_folds(
-        graph, cfg.layers.layer_params(0, cfg.default_rho(pg.n_stations)),
-        solver.TERMS[cfg.solver.mode], sched,
-    )
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for a, poly in folds.values():
-        if poly is None:
-            return CheckResult("unrolled CG as its polynomial (desk)", False,
-                               "a desk CG system stayed on the recurrence")
-        b, x0 = rng.standard_normal((2, graph.n_nodes))
-        want = cg_solve(a.dot, b, x0, sched)
-        got = cg_solve(a.dot, b, x0, sched, poly.dot)
-        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    gaps = _polynomial_gaps(pipeline.block_graph(ctx, [x], [t_steps]), cfg, pg.n_stations, rng)
+    if None in gaps.values():
+        return CheckResult(name, False, "a desk CG system stayed on the recurrence")
+
+    large = PipelineConfig()
+    large.heads = HeadSettings(count=1)
+    d = large.data
+    large_table, large_pg = generate_synthetic(700, d.n_instants, seed)
+    large_ctx = pipeline.PipelineContext.build(large_pg, large)
+    sample = cut_windows(large_table, d.history, d.horizon, d.stride)[0]
+    x, _, t_steps = pipeline.initial_signal(sample, large_ctx)
+    large_graph = pipeline.block_graph(large_ctx, [x], [t_steps])
+    large_gaps = _polynomial_gaps(large_graph, large, large_pg.n_stations, rng)
+    temporal = [gap for (ops, _, _), gap in large_gaps.items() if ops[0][0] == "call_rd"]
+    if len(temporal) != 2 or None in temporal:
+        return CheckResult(name, False, f"an x or z_d system of {large_graph.n_nodes} nodes "
+                                        "stayed on the recurrence")
+    worst = max(gap for gap in [*gaps.values(), *large_gaps.values()] if gap is not None)
 
     test = pipeline.evenly_spaced_subset(splits.test, 12)
     polynomial = pipeline.reconstruct_batch(test, ctx)
     # every system on the recurrence: the reference must build no Q(A)
-    with mock.patch.object(solver, "LANE_NODE_BUDGET", 0), mock.patch.object(
-        solver, "polynomial_operator", wraps=solver.polynomial_operator
-    ) as build:
+    with mock.patch.object(solver, "_takes_polynomial", return_value=False), \
+            mock.patch.object(solver, "polynomial_operator",
+                              wraps=solver.polynomial_operator) as build:
         recurrence = pipeline.reconstruct_batch(test, ctx)
     if build.call_count:
-        return CheckResult("unrolled CG as its polynomial (desk)", False,
+        return CheckResult(name, False,
                            f"the recurrence-only reference built {build.call_count} polynomials")
     gap = max(
         float(np.abs(p[:, cfg.data.history:] - r[:, cfg.data.history:]).max())
         for p, r in zip(polynomial, recurrence)
     )
     return CheckResult(
-        f"unrolled CG as its polynomial vs the recurrence ({len(folds)} desk systems, "
-        f"{len(test)} forecasts)",
+        f"unrolled CG as its polynomial vs the recurrence ({len(gaps)} desk systems, "
+        f"{len(temporal)} of {large_graph.n_nodes} nodes, {len(test)} forecasts)",
         worst <= 1e-12 and gap <= 1e-9,
         f"sub-solves max relative deviation {worst:.1e}; forecasts max deviation {gap:.1e}",
     )

@@ -1,5 +1,7 @@
 """Embeddings, Mahalanobis metrics, and attention-style edge weights."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +365,28 @@ class TestDirectedWeights:
         got = directed_weights(feats, skel, factors)
         assert got.tobytes() == directed_weights(feats, plain, factors).tobytes()
         assert set(np.unique(skel.lag)) == set(range(1, window + 1))
+
+    @pytest.mark.parametrize("temporal", [True, False], ids=["windowed", "plain"])
+    def test_lag_selections_made_once_per_skeleton(self, temporal):
+        # each lag's edges are selected on the first call and kept by the
+        # skeleton; a later call selects none again and gives, bit for bit,
+        # the weights of a fresh skeleton that selects them in that call
+        skel = build_temporal_skeleton(3, 6, 2)
+        if not temporal:
+            skel = DirectedSkeleton(skel.n_nodes, skel.src, skel.dst, skel.lag, skel.sources)
+        rng = np.random.default_rng(7)
+        factors = rng.standard_normal((2, 2, 3, 3))
+        directed_weights(rng.standard_normal((2, skel.n_nodes, 3)), skel, factors)
+        kept = skel.__dict__["lag_edges"]
+        assert [w for w, _ in kept] == [1, 2]
+        for w, sel in kept:
+            np.testing.assert_array_equal(sel, np.flatnonzero(skel.lag == w))
+        feats = rng.standard_normal((2, skel.n_nodes, 3))
+        got = directed_weights(feats, skel, factors)
+        assert skel.lag_edges is kept
+        fresh = dataclasses.replace(skel)
+        assert "lag_edges" not in fresh.__dict__
+        assert got.tobytes() == directed_weights(feats, fresh, factors).tobytes()
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0))
     @settings(max_examples=30, deadline=None)

@@ -4,6 +4,7 @@ solve per head and per window."""
 import contextlib
 import dataclasses
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from stforecast import attention, data, graphs, pipeline, solver
 from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed_graph
-from stforecast.config import HeadSettings, PipelineConfig
+from stforecast.config import HeadSettings, LayerSettings, PipelineConfig
 from stforecast.graphs import (
     MixedGraph,
     Operator,
@@ -543,32 +544,44 @@ class TestBandKernel:
             ran.update(calls)
         assert "dia_matvec" in ran  # every one of these modes has a temporal solve
 
-    @pytest.mark.parametrize("which", ["unplanned", "direct_unsplit", "polynomial"])
+    @pytest.mark.parametrize("which", ["unplanned", "direct_unsplit"])
     def test_other_folds_stay_on_csr(self, which):
         # a graph made without a plan and the unsplit signal system (a sum
-        # of operators) have patterns of their own, without a band; a fold
-        # applied as Q(A) keeps its values in entry order, which the
-        # polynomial's fill reads
+        # of operators) have patterns of their own, without a band
         rng = np.random.default_rng(43)
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         if which == "unplanned":
             g = stack_graphs(random_heads(rng, 2))
             folds = block_folds(g, [p], TERMS["full"], CgSchedule.exact())
-        elif which == "direct_unsplit":
+        else:
             g = planned_graph(rng, 4)
             folds = block_folds(g, [p], TERMS["direct_unsplit"], CgSchedule.exact())
-        elif which == "polynomial":
-            # 5 layers of one system, and components of 5 nodes (a station's instants)
-            g = planned_graph(rng, 4, n_instants=5)
-            folds = block_folds(g, [p] * 5, TERMS["full"], CgSchedule.unrolled())
-            assert all(q is not None for _, q in folds.values())
         for key, (fold, _) in folds.items():
             assert fold.data.ndim == 1, key
-            assert which == "polynomial" or fold.pattern.band is None, key
+            assert fold.pattern.band is None, key
             v = rng.standard_normal(g.n_nodes)
             with kernel_calls() as calls:
                 got = fold.dot(v)
             assert calls == ["csr_matvec"]
+            assert got.tobytes() == (fold.matrix() @ v).tobytes(), key
+
+    def test_polynomial_folds_stay_on_their_bands(self):
+        # 5 layers of one system, and components of 5 nodes (a station's
+        # instants): every system takes Q(A), and the temporal folds keep
+        # their band, so a solve's starting residual runs the DIA kernel
+        rng = np.random.default_rng(43)
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        g = planned_graph(rng, 4, n_instants=5)
+        folds = block_folds(g, [p] * 5, TERMS["full"], CgSchedule.unrolled())
+        assert all(q is not None for _, q in folds.values())
+        for key, (fold, _) in folds.items():
+            banded = [name for name, _ in key[0]] == ["call_rd"]
+            assert fold.banded == banded, key
+            assert fold.pattern is g.ops[key[0][0][0]].pattern, key
+            v = rng.standard_normal(g.n_nodes)
+            with kernel_calls() as calls:
+                got = fold.dot(v)
+            assert calls == ["dia_matvec" if banded else "csr_matvec"], key
             assert got.tobytes() == (fold.matrix() @ v).tobytes(), key
 
     @pytest.mark.parametrize("which", ["cancelling_call_rd", "underflowing_walk_weight",
@@ -593,7 +606,7 @@ class TestBandKernel:
 
     def test_banded_fold_holds_the_diagonals_only(self):
         g = planned_graph(np.random.default_rng(44), 4)
-        fold = folded_system(g, (("call_rd", 0.7),), 0.3, True, on_band=True)
+        fold = folded_system(g, (("call_rd", 0.7),), 0.3, True)
         band = fold.pattern.band
         assert band.which.dtype == np.uint8
         assert fold.data.shape == (len(band.offsets), g.n_nodes)
@@ -613,7 +626,7 @@ class TestBandKernel:
         n = g.n_nodes
         v = bad_vector(bad, n)
         for name in ("l_u", "call_rd", "l_n"):
-            fold = folded_system(g, ((name, 0.5),), 0.3, True, on_band=True)
+            fold = folded_system(g, ((name, 0.5),), 0.3, True)
             assert (fold.data.ndim == 2) == (name != "l_u")
             with kernel_calls(fail=True), pytest.raises(
                     ValueError, match=f"C-contiguous float64 vector of length {n}"):
@@ -632,6 +645,17 @@ class TestBandKernel:
             with kernel_calls(fail=True), pytest.raises(
                     ValueError, match=f"C-contiguous float64 vector of length {n}"):
                 g.apply(name, v)
+
+    @pytest.mark.parametrize("name", ["l_u", "l_rd"], ids=["csr", "band"])
+    def test_apply_refuses_what_is_not_a_vector_with_one_error(self, name):
+        # the band's finiteness test reads the vector as numbers: the check
+        # runs first, so a band operator refuses these as a CSR one does
+        g = planned_graph(np.random.default_rng(45), 2)
+        assert g.ops[name].banded == (name == "l_rd")
+        for bad in (None, "text", [[1.0]]):
+            with kernel_calls(fail=True), pytest.raises(
+                    ValueError, match=f"C-contiguous float64 vector of length {g.n_nodes}"):
+                g.apply(name, bad)
 
     def test_verify_check_needs_byte_equal_products(self, monkeypatch):
         # one ulp off in one entry is far inside the check's 1e-13 tolerance;
@@ -657,7 +681,7 @@ class TestBandKernel:
         # reaches lane 0's last rows through the band's padding (0 * inf),
         # so the failure must name the direction's entry, not A p's first
         g = planned_graph(np.random.default_rng(46), 2)
-        fold = folded_system(g, (("call_rd", 0.7),), 0.3, True, on_band=True)
+        fold = folded_system(g, (("call_rd", 0.7),), 0.3, True)
         b = np.ones(g.n_nodes)
         size = g.n_nodes // 2
         b[size + 1] = np.inf
@@ -1079,10 +1103,54 @@ def split_skeleton_inputs(rng, lanes, window=None):
 
 @contextlib.contextmanager
 def recurrence_only():
-    """A context in which no folded system is small enough for its polynomial."""
+    """A context in which no folded system takes its polynomial: the rule refuses every one."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "LANE_NODE_BUDGET", 0)
+        mp.setattr(solver, "_takes_polynomial", lambda *args: False)
         yield
+
+
+@functools.lru_cache(maxsize=1)
+def above_the_old_bound():
+    """Two windows of 700 stations x 18 instants, 12 600 nodes each, above
+    the 12 000 that once bounded Q(A), and a one-head, one-block, 18-layer
+    context of them."""
+    cfg = PipelineConfig()
+    cfg.layers = LayerSettings(blocks=1, layers=18)
+    cfg.heads = HeadSettings(count=1)
+    d = cfg.data
+    table, pg = data.generate_synthetic(700, d.n_instants + d.stride, 0)
+    windows = data.cut_windows(table, d.history, d.horizon, d.stride)[:2]
+    return windows, PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
+
+
+def whole_stack_polynomial(blocks, sched):
+    """Q(A) built out of place, each stack at once, with full-size s, v and
+    step (the reference for the chunked build in place)."""
+    alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
+    q = []
+    for blk in blocks.blocks:
+        c, k, _ = blk.shape
+        s = np.zeros_like(blk)
+        s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]
+        v, step = s.copy(), np.empty_like(blk)
+        for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
+            np.matmul(blk, s, out=step)
+            step *= -alpha
+            v *= beta
+            v += step
+            v.reshape(c, k * k)[:, :: k + 1] += alpha
+            s += v
+        q.append(s)
+    return q
+
+
+def component_stacks(rng, shapes):
+    """``ComponentBlocks`` of random symmetric (C, k, k) stacks, one per (C, k)."""
+    blocks = []
+    for c, k in shapes:
+        a = rng.uniform(-0.1, 0.1, (c, k, k))
+        blocks.append(a + a.transpose(0, 2, 1) + rng.uniform(0.5, 2.0, (c, 1, 1)) * np.eye(k))
+    return graphs.ComponentBlocks(0, (), tuple(blocks))
 
 
 class TestPolynomialPath:
@@ -1184,19 +1252,101 @@ class TestPolynomialPath:
         assert places[0][:5] == (0, 1, 1, 0, "z_u")
 
     def test_verify_check_needs_a_reference_without_q(self, monkeypatch):
-        # a node bound that no longer keeps the reference on the recurrence
-        # must fail the check, not compare the polynomial with itself
+        # a plan that ignores the reference's refusing rule, so that the
+        # reference is no longer on the recurrence, must fail the check,
+        # not compare the polynomial with itself
         from stforecast import verify
 
         assert verify.check_polynomial_sub_solves().passed
-        folds = solver.block_folds
+        folds, rule = solver.block_folds, solver._takes_polynomial
 
-        def ignoring_the_bound(*args):
+        def ignoring_the_reference(*args):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(solver, "LANE_NODE_BUDGET", 10**9)
+                mp.setattr(solver, "_takes_polynomial", rule)
                 return folds(*args)
 
-        monkeypatch.setattr(solver, "block_folds", ignoring_the_bound)
+        monkeypatch.setattr(solver, "block_folds", ignoring_the_reference)
         result = verify.check_polynomial_sub_solves()
         assert not result.passed
         assert "the recurrence-only reference built" in result.detail
+
+    @pytest.mark.parametrize("chunk,counts", [
+        (None, (1,)), (None, (solver.POLYNOMIAL_CHUNK - 1,)), (None, (solver.POLYNOMIAL_CHUNK,)),
+        (None, (2 * solver.POLYNOMIAL_CHUNK + 5, 3, 1)), (1, (10, 2)), (3, (10, 2)),
+    ], ids=["one", "chunk-1", "chunk", "mixed", "chunks-of-1", "chunks-of-3"])
+    def test_in_place_build_is_the_whole_stack_build(self, monkeypatch, chunk, counts):
+        # each component takes the same matmuls and elementwise steps in its
+        # chunk as in the whole stack: Q(A) is bitwise the same, whether the
+        # last chunk is full or not
+        if chunk is not None:
+            monkeypatch.setattr(solver, "POLYNOMIAL_CHUNK", chunk)
+        rng = np.random.default_rng(len(counts) + counts[0])
+        for iters in (1, 2, 8):
+            sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters),
+                                        rng.uniform(0, 1, iters))
+            blocks = component_stacks(rng, [(c, k) for c, k in zip(counts, (18, 7, 1))])
+            want = whole_stack_polynomial(blocks, sched)
+            stacks = blocks.blocks
+            got = polynomial_operator(blocks, sched)
+            assert got is blocks and all(q is a for q, a in zip(got.blocks, stacks))
+            for q, w in zip(got.blocks, want):
+                assert q.tobytes() == w.tobytes()
+
+    def test_build_holds_one_chunk_of_temporaries(self):
+        # a stack of 3 chunks and 5 components more, city-1000's 18 nodes
+        # each: beyond its output (written over A) the build allocates at
+        # most one chunk's s, v, step and copy of A, not two more stacks
+        chunk, k = solver.POLYNOMIAL_CHUNK, 18
+        sched = CgSchedule.unrolled()
+        polynomial_operator(component_stacks(np.random.default_rng(0), [(2, k)]), sched)  # warm-up
+        blocks = component_stacks(np.random.default_rng(1), [(3 * chunk + 5, k)])
+        tracemalloc.start()
+        try:
+            polynomial_operator(blocks, sched)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= 4 * chunk * k * k * 8
+
+    def test_a_block_above_the_old_bound_agrees_with_the_recurrence(self):
+        # 12 600 nodes and 18 layers: x and z_d (18 instants a station) take
+        # Q(A), and z_u (700 stations an instant) stays on the recurrence
+        windows, ctx = above_the_old_bound()
+        cfg = ctx.config
+        x, _, t_steps = pipeline.initial_signal(windows[0], ctx)
+        graph = pipeline.block_graph(ctx, [x], [t_steps])
+        assert graph.n_nodes == 12600 > solver.LANE_NODE_BUDGET
+        sched = cfg.solver.schedule()
+        params = cfg.layers.layer_params(0, cfg.default_rho(ctx.pg.n_stations))
+        folds = block_folds(graph, params, TERMS["full"], sched)
+        assert sorted((key[0][0][0], poly is not None) for key, (_, poly) in folds.items()) == [
+            ("call_rd", True), ("call_rd", True), ("l_u", False)]
+        rng = np.random.default_rng(0)
+        for key, (a, poly) in folds.items():
+            if poly is None:
+                continue
+            b, x0 = rng.standard_normal((2, graph.n_nodes))
+            want = cg_solve(a.dot, b, x0, sched)
+            got = cg_solve(a.dot, b, x0, sched, poly.dot)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
+        got = reconstruct(windows[0], ctx)
+        with recurrence_only():
+            want = reconstruct(windows[0], ctx)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_a_stack_above_the_old_bound_equals_its_windows_alone(self, monkeypatch):
+        # two 12 600-node windows in one stacked call of 25 200 nodes, each
+        # on the path it takes alone: byte for byte
+        windows, ctx = above_the_old_bound()
+        alone = [reconstruct(w, ctx) for w in windows]
+        calls, builds = [], []
+        forward, build = pipeline._forward, solver.polynomial_operator
+        monkeypatch.setattr(pipeline, "_forward",
+                            lambda batch, ctx: calls.append(len(batch)) or forward(batch, ctx))
+        monkeypatch.setattr(solver, "polynomial_operator",
+                            lambda *args: builds.append(1) or build(*args))
+        monkeypatch.setattr(solver, "LANE_NODE_BUDGET", 2 * ctx.tskel.n_nodes)
+        together = pipeline.reconstruct_batch(windows, ctx)
+        assert calls == [2] and len(builds) == 2  # x and z_d of the one block
+        for got, want in zip(together, alone):
+            assert got.tobytes() == want.tobytes()

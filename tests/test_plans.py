@@ -357,7 +357,7 @@ class TestDroppedZeros:
         plan, graph, inputs = dropped_zero_graph("covered_walk_drop")
         self.kept_zero(graph, "l_rd", 2, 1)
         assert graph.ops["call_rd"].pattern is plan.patterns["call_rd"]
-        assert solver.folded_system(graph, (("call_rd", 0.7),), 0.3, True, on_band=True).banded
+        assert solver.folded_system(graph, (("call_rd", 0.7),), 0.3, True).banded
         assert assert_matches_reference(graph, *inputs, True) == {"l_rd", "l_rd_t", "l_n"}
         self.check_folds(graph)
 
@@ -409,13 +409,15 @@ class TestPlanReuse:
         # the l_u and call_rd fold patterns of each plan
         assert components == [False] * 4
 
-    @pytest.mark.parametrize("budget", [solver.LANE_NODE_BUDGET, 0], ids=["within", "over"])
-    def test_components_only_when_a_polynomial_asks(self, monkeypatch, budget):
-        # over the node budget no system takes Q(A) and no fold pattern
-        # works its components out; within it the first block does. Either
-        # way, plans that work them out up front choose the same Q(A) and
+    @pytest.mark.parametrize("refused", [False, True], ids=["within", "over"])
+    def test_components_only_when_a_polynomial_asks(self, monkeypatch, refused):
+        # with the rule refusing every system (the recurrence-only
+        # reference) no system takes Q(A) and no fold pattern works its
+        # components out; under the rule the first block does. Either way,
+        # plans that work them out up front choose the same Q(A) and
         # forecast bitwise the same
-        monkeypatch.setattr(solver, "LANE_NODE_BUDGET", budget)
+        if refused:
+            monkeypatch.setattr(solver, "_takes_polynomial", lambda *args: False)
         plan, folds_of = attention.plan_mixed_graph, solver.block_folds
 
         def eager(*args):
@@ -449,7 +451,7 @@ class TestPlanReuse:
         (lazy, lazy_choices, lazy_known), (eager_, eager_choices, _) = runs
         assert lazy == eager_ and lazy_choices == eager_choices
         polynomials = any(lazy_choices[0].values())
-        assert polynomials == (budget > 0)
+        assert polynomials == (not refused)
         assert lazy_known == {"l_u": polynomials, "call_rd": polynomials}
 
     def test_tune_candidates_share_the_base_plan(self, monkeypatch):
@@ -538,16 +540,23 @@ class TestBandOperators:
         assert all(graph.ops[name].banded for name in ("w_rd", "l_rd", "l_rd_t", "call_rd"))
 
     def test_polynomial_folds_gather_the_band_once(self, monkeypatch):
-        # the x and z_d folds of a block both take Q(A), whose fill reads
-        # entry order: L_r'L_r's band is gathered into it once for both
+        # the x and z_d folds of a block both take Q(A) and keep their band;
+        # the fill reads entry order, gathered from each fold's band once,
+        # at its build. On the recurrence nothing is gathered
         graph = planned_graph(np.random.default_rng(48), 4, n_instants=5)
         p = LayerParams(0.5, 0.6, 0.7, 1.0, 1.1, 1.2)
         gathers, entries = [], graphs.Operator.entries
         monkeypatch.setattr(graphs.Operator, "entries",
-                            lambda op: gathers.append(op.banded) or entries(op))
+                            lambda op: gathers.append(op) or entries(op))
         folds = block_folds(graph, [p] * 5, TERMS["full"], CgSchedule.unrolled())
         assert len(folds) == 3 and all(q is not None for _, q in folds.values())
-        assert gathers.count(True) == 1
+        banded = [fold for fold, _ in folds.values() if fold.banded]
+        assert len(banded) == 2
+        assert [op for op in gathers if op.banded] == banded
+        gathers.clear()
+        monkeypatch.setattr(solver, "_takes_polynomial", lambda *args: False)
+        block_folds(graph, [p] * 5, TERMS["full"], CgSchedule.unrolled())
+        assert gathers == []
 
     def test_apply_keeps_a_nonfinite_entry_in_its_lane(self):
         # the band's padding would carry 0 * inf = NaN into the lane before;
