@@ -432,8 +432,7 @@ class GraphPlan:
     ``adjacency`` holds the pattern of the symmetrized temporal adjacency,
     the directed edge each of its entries reads, each entry's row and its
     flat position in ``temporal``'s band. Every filled operator sits on its
-    plan's pattern (``patterns``). A pattern works out its components only
-    when a fold's Q(A) asks (``solver.block_folds``).
+    plan's pattern (``patterns``).
     """
 
     sskel: SpatialSkeleton

@@ -16,11 +16,10 @@ An assembly fills values only, and a plan's patterns are final: an entry
 that comes out exactly 0.0 is stored as +0.0, where scipy's sparse
 arithmetic stores none, which adds nothing to a product of a finite
 vector. A ``Pattern`` works out on first use, and keeps, what the
-solver's folded systems read of it: the diagonal's positions and, for a
-fold applied as its polynomial, the connected components and the map into
-dense component blocks. A plan gives a pattern of few diagonals, the
-temporal ones, its ``Band``: where each entry sits in scipy's DIA layout
-(Saad, *Iterative Methods for Sparse Linear Systems*, 2003, section 3.4).
+solver's folded systems read of it: the diagonal's positions. A plan gives
+a pattern of few diagonals, the temporal ones, its ``Band``: where each
+entry sits in scipy's DIA layout (Saad, *Iterative Methods for Sparse
+Linear Systems*, 2003, section 3.4).
 
 Every operator of a graph, and every folded CG system, is an ``Operator``:
 a pattern and its values, in entry order or as the band's diagonals, applied
@@ -323,11 +322,9 @@ class Band:
 class Pattern:
     """The sparsity pattern of a square CSR operator: ``indptr`` and ``indices``.
 
-    Operators filled into one pattern share it, and with it what the cached
-    properties work out on first use: the diagonal's positions, the
-    connected components and the map into their dense blocks. ``band``, set
-    by ``banded``, is the pattern's layout as diagonals, for a pattern of
-    few of them.
+    Operators filled into one pattern share it, and with it the diagonal's
+    positions, worked out on first use. ``band``, set by ``banded``, is the
+    pattern's layout as diagonals, for a pattern of few of them.
     """
 
     indptr: np.ndarray
@@ -366,15 +363,6 @@ class Pattern:
         if not np.array_equal(rows[on_diag], np.arange(self.n)):
             return None
         return on_diag.astype(self.indices.dtype)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """The connected component of each node; a stored entry couples its row and column."""
-        return connected_components(self.matrix(np.ones(self.nnz)), directed=False)[1]
-
-    @cached_property
-    def components(self) -> "ComponentMap":
-        return component_map(self, self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -747,58 +735,24 @@ class ComponentBlocks:
     component of k nodes in ascending order, and ``blocks[i]`` the (C, k, k)
     stack of the matrix's entries among them, rows and columns in that order.
     Stacks run in ascending k, and the components of one stack in label
-    order. A node in no stack has a zero row and column.
+    order. A node in no stack has a zero row and column. The eigenmap
+    solves the small components of the road graph this way
+    (``attention.smallest_eigenpairs``).
     """
 
     n_nodes: int
     members: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
 
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        """The matrix-vector product: per stack a gather, one batched matmul and a scatter."""
-        out = np.zeros(self.n_nodes)
-        for idx, blk in zip(self.members, self.blocks):
-            out[idx] = np.matmul(blk, v[idx][..., None])[..., 0]
-        return out
 
-
-@dataclass(frozen=True, eq=False)
-class ComponentMap:
-    """Where the stored entries of one pattern go in ``ComponentBlocks``.
-
-    ``fill`` scatter-adds entry i's value to position ``at[i]`` of one buffer
-    of sum(k^2) values, entries outside the kept components (``on`` False)
-    left out, and cuts the buffer into one (C, k, k) stack per ``shapes``
-    entry (C, k). Duplicate entries add up, and a stored -0.0 reads 0.0, as
-    in ``toarray``.
-    """
-
-    n_nodes: int
-    members: tuple[np.ndarray, ...]
-    shapes: tuple[tuple[int, int], ...]
-    at: np.ndarray
-    on: np.ndarray | None
-
-    def fill(self, data: np.ndarray) -> "ComponentBlocks":
-        if self.on is not None:
-            data = data[self.on]
-        sizes = [c * k * k for c, k in self.shapes]
-        values = np.bincount(self.at, weights=data, minlength=sum(sizes))
-        ends = np.cumsum(sizes)
-        return ComponentBlocks(
-            n_nodes=self.n_nodes,
-            members=self.members,
-            blocks=tuple(values[e - c * k * k : e].reshape(c, k, k)
-                         for e, (c, k) in zip(ends, self.shapes)),
-        )
-
-
-def component_map(pattern: Pattern, labels: np.ndarray,
-                  max_size: int | None = None) -> ComponentMap:
-    """The ``ComponentMap`` of ``pattern`` over the components ``labels``
-    gives, as ``connected_components`` of it does: the pattern must couple
-    no two components. Components of more than ``max_size`` nodes are left
-    out."""
+def component_blocks(a: sp.spmatrix, labels: np.ndarray,
+                     max_size: int | None = None) -> ComponentBlocks:
+    """The entries of ``a`` among the nodes of each connected component that
+    ``labels`` gives, as ``connected_components`` of ``a`` does, as
+    ``ComponentBlocks``: ``a`` must couple no two components. Components of
+    more than ``max_size`` nodes are left out. Duplicate entries add up, and
+    a stored -0.0 reads 0.0, as in ``toarray``."""
+    a = a.tocsr()
     labels = np.asarray(labels)
     n = len(labels)
     sizes = np.bincount(labels)
@@ -818,30 +772,19 @@ def component_map(pattern: Pattern, labels: np.ndarray,
     members = np.empty(int(k.sum()), dtype=np.intp)
     members[node_start[labels[kept]] + rank[kept]] = np.flatnonzero(kept)
     # entry (i, j) sits at row rank(i), column rank(j) of its component's block
-    per_row = np.diff(pattern.indptr)
-    at = np.repeat(value_start[labels] + rank * sizes[labels], per_row) + rank[pattern.indices]
-    on = None
-    if not kept.all():
-        on = np.repeat(kept, per_row)
-        at = at[on]
+    per_row = np.diff(a.indptr)
+    at = np.repeat(value_start[labels] + rank * sizes[labels], per_row) + rank[a.indices]
+    on = np.repeat(kept, per_row)
+    values = np.bincount(at[on], weights=a.data[on], minlength=int((k * k).sum()))
     size, count = np.unique(k, return_counts=True)
-    node_end = np.cumsum(count * size)
-    return ComponentMap(
+    node_end, value_end = np.cumsum(count * size), np.cumsum(count * size * size)
+    return ComponentBlocks(
         n_nodes=n,
         members=tuple(members[e - c * s : e].reshape(c, s)
                       for e, c, s in zip(node_end, count, size)),
-        shapes=tuple(zip(count.tolist(), size.tolist())),
-        at=at,
-        on=on,
+        blocks=tuple(values[e - c * s * s : e].reshape(c, s, s)
+                     for e, c, s in zip(value_end, count, size)),
     )
-
-
-def component_blocks(a: sp.spmatrix, labels: np.ndarray,
-                     max_size: int | None = None) -> ComponentBlocks:
-    """The entries of ``a`` among the nodes of each connected component, as
-    ``ComponentBlocks`` (``component_map`` of its pattern, filled)."""
-    a = a.tocsr()
-    return component_map(Pattern.of(a), labels, max_size).fill(a.data)
 
 
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")

@@ -18,21 +18,25 @@ built once per distinct set of layer scalars in a block.
 Unrolled CG with a fixed schedule is a fixed polynomial Q(A) of its system:
 x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
 2021). A fold that enough of a block's layers share gets Q(A) built once,
-as dense blocks over its connected components with the steps run backwards,
-so each of its solves takes one sparse product and one batched dense product
-instead of the recurrence's ``iters`` sparse products (one for the starting
-residual, one for every step but the last). The rule reads no node count
-(``block_folds``), so it holds at every station count, and Q(A) is written
-over the filled blocks of A, a chunk of components at a time.
+with the steps run backwards, so each of its solves takes one sparse product
+and one batched dense product instead of the recurrence's ``iters`` sparse
+products (one for the starting residual, one for every step but the last).
+A lane is time-major, so which nodes a fold couples is known from the names
+of its operators (``fold_slices``): a temporal fold couples one station's
+instants, a spatial fold one instant's stations, the unsplit sum a whole
+lane. Q(A) is a (size, size) block per slice, filled from the fold's band
+or its entries, written over in place a chunk of slices at a time, and
+applied by one ``np.matmul`` on the vector's slice view (``SliceBlocks``).
+The rule reads the slice size and no node count (``block_folds``), so it
+holds at every station count.
 
 A fold is a ``graphs.Operator``, a ``graphs.Pattern`` and its values. A
 fold of one operator fills new values on that operator's pattern, which the
 graph's plan shares with every block: its band, set by the plan, and its
-diagonal positions and, for a fold applied as Q(A), its components and
-block map, kept from the first block that reads them. The plan's patterns
-are final: a planned operator stores +0.0 where an entry comes out exactly
-0.0 and scipy's arithmetic would store none, which adds nothing to a
-product of a finite vector (a sum from +0.0 is never -0.0). A block only
+diagonal positions, kept from the first block that reads them. The plan's
+patterns are final: a planned operator stores +0.0 where an entry comes out
+exactly 0.0 and scipy's arithmetic would store none, which adds nothing to
+a product of a finite vector (a sum from +0.0 is never -0.0). A block only
 fills values, and each fold, like each operator of the graph, applies
 itself by calling one of scipy's matrix-vector kernels directly: no
 ``csr_matrix`` is built and no dispatch is paid per product. On a planned
@@ -40,12 +44,18 @@ graph L_r'L_r and ``l_n`` are held as their 2W + 1 diagonals, so the
 temporal folds (x and z_d) are coef times them plus the diagonal, and run
 scipy's DIA kernel, which reads no column index per value (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2003, section 3.4), for the
-recurrence and for a polynomial solve's starting residual alike; a build
-of Q(A) gathers its fold's band into entry order once, for the component
-fill. Every other fold runs the CSR kernel that ``A @ v`` runs. On a
-finite vector both give the CSR product bit for bit (``Operator.dot``).
+recurrence and for a polynomial solve's starting residual alike. Every
+other fold runs the CSR kernel that ``A @ v`` runs. On a finite vector
+both give the CSR product bit for bit (``Operator.dot``).
 ``MixedGraph.apply`` (L_r x and L_r' v, once per layer) runs the same
 ``dot``, on their bands.
+
+Vector updates of the form y + a x (CG's x and r, the build's v, the
+layer's weighted sums) run BLAS ``daxpy`` (Lawson, Hanson, Kincaid and
+Krogh, *ACM TOMS* 1979): one pass, no temporary. It may round a x + y once
+(FMA), as the CPU's kernel chooses, so its bits can differ from numpy's
+two roundings; it works entry by entry, so a value's bits do not depend on
+where it sits in the vector, and a stacked lane follows its path alone.
 
 A solve returns a finite result or raises ``NumericFailure`` (from
 ``graphs``, importable here), naming its CG iteration when it has one; the
@@ -59,9 +69,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy
 
 from . import priors
-from .graphs import ComponentBlocks, MixedGraph, NumericFailure, Operator, Pattern
+from .graphs import MixedGraph, NumericFailure, Operator
 
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
@@ -75,8 +86,8 @@ DEFAULT_EXACT_TOL = 1e-10
 # (``block_folds``), so a stacked window stays on the path it takes alone.
 LANE_NODE_BUDGET = 12000
 
-# Components per chunk of ``polynomial_operator``'s in-place build: its
-# temporaries are three chunks of its stack. Timed at 1000 components of 18
+# Slices per chunk of ``polynomial_operator``'s in-place build: its
+# temporaries are three chunks of its stack. Timed at 1000 slices of 18
 # nodes (city-1000) and 80 of 18 (desk), one BLAS thread: 96 to 128 were
 # the fastest at both, 2x faster at city than the whole stack at once;
 # 128 keeps a desk stack in one chunk (README, Layout).
@@ -205,10 +216,13 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
     The result is finite, or the solve raises ``NumericFailure``. An
     unrolled result is checked once, at the end: a non-finite entry of x
     stays non-finite through x + alpha p, so the recurrence cannot fail
-    unseen. When the result is not finite, the recurrence runs again with a
-    check per step, names the failing iteration and entry, and its result is
-    returned if it finds no failure. Exact mode checks its curvature and
-    residual at every step, and the x it returns.
+    unseen. A zero alpha, which the schedule allows, adds nothing to x, as
+    in exact arithmetic, even where the direction has overflowed: that step
+    cannot fail, and a later step that applies the direction with a nonzero
+    alpha makes x non-finite. When the result is not finite, the recurrence
+    runs again with a check per step, names the failing iteration and
+    entry, and its result is returned if it finds no failure. Exact mode
+    checks its curvature and residual at every step, and the x it returns.
     """
     b = np.asarray(b, dtype=np.float64)
     unrolled = sched.mode == "unrolled"
@@ -260,63 +274,144 @@ def _unrolled_steps(apply_a, x0: np.ndarray, r0: np.ndarray, sched: CgSchedule,
     """The fixed-step CG iterations from x0 and its residual r0, which stay unchanged.
 
     Every step but the last takes one product by A; the last only moves x,
-    so a run of ``iters`` steps takes ``iters`` - 1 products. With
+    so a run of ``iters`` steps takes ``iters`` - 1 products. x and r move
+    by BLAS ``daxpy``, one pass that rounds alpha * p + x once, and leaves
+    its target as it is for a zero alpha, even where p is not finite. With
     ``check``, a non-finite iterate raises ``NumericFailure`` naming the
     iteration and the first non-finite entry.
     """
     x, r, p = x0.copy(), r0.copy(), r0.copy()
-    scaled = np.empty_like(x)
     last = sched.iters - 1
     for k, (alpha, beta) in enumerate(zip(sched.alphas.tolist(), sched.betas.tolist())):
-        x += np.multiply(alpha, p, out=scaled)
+        daxpy(p, x, a=alpha)
         if check and not np.all(np.isfinite(x)):
             raise NumericFailure("unrolled CG diverged", iteration=k, entry=_first_nonfinite(x))
         if k == last:  # the residual would only feed a next direction
             break
-        r -= np.multiply(alpha, apply_a(p), out=scaled)
+        daxpy(apply_a(p), r, a=-alpha)
         p *= beta
         p += r
     return x
 
 
-def polynomial_operator(blocks: ComponentBlocks, sched: CgSchedule) -> ComponentBlocks:
-    """Q(A) of an unrolled schedule, x_K = x0 + Q(A) r0, as dense component blocks.
+@dataclass(frozen=True)
+class Slices:
+    """The nodes a fold couples: each lane's nodes as ``count`` slices of ``size``.
 
-    ``blocks`` holds A over its connected components (``graphs.ComponentBlocks``).
-    Q(A) couples only nodes of one component, so it is kept the same way:
-    one (C, k, k) stack per component size k, sum(k^2) values in all.
+    A lane is time-major (instants x stations), so the operators a fold
+    sums say which nodes it can couple (``fold_slices``). ``strided``: a
+    slice is one station's instants, ``count`` (the station count) apart;
+    otherwise a slice is a run of ``size`` consecutive nodes: one instant's
+    stations, a whole lane, or one node.
+    """
+
+    lanes: int
+    count: int
+    size: int
+    strided: bool = False
+
+    def view(self, v: np.ndarray) -> np.ndarray:
+        """The (lanes, count, size) view of the node vector ``v``, slice by slice."""
+        if self.strided:
+            return v.reshape(self.lanes, self.size, self.count).transpose(0, 2, 1)
+        return v.reshape(self.lanes, self.count, self.size)
+
+    def blocks(self, fold: Operator) -> np.ndarray:
+        """The (lanes * count, size, size) stack of ``fold``'s entries among each slice's nodes.
+
+        A band, which only a temporal fold has, is copied in one strided
+        copy per diagonal: diagonal d N holds entry (t - d, t) of each
+        station's block. Entries in entry order are scattered, duplicates
+        added (a stored -0.0 reads 0.0, as in ``toarray``); an entry that
+        couples two slices raises ``ValueError``.
+        """
+        k = self.size
+        n = self.lanes * self.count * k
+        if fold.banded:
+            out = np.zeros((self.lanes, self.count, k * k))
+            for row, offset in zip(fold.data, fold.pattern.band.offsets.tolist()):
+                d, off_slice = divmod(offset, self.count)
+                if not self.strided or off_slice or abs(d) >= k:
+                    raise ValueError(f"a band diagonal at offset {offset} couples two slices")
+                first = max(-d, 0) * k + max(d, 0)  # entry (t - d, t) at its first t
+                cols = row.reshape(self.lanes, k, self.count)[:, max(d, 0) : k + min(d, 0)]
+                out[..., first : first + (k - abs(d) - 1) * (k + 1) + 1 : k + 1] = (
+                    cols.transpose(0, 2, 1))
+            return out.reshape(-1, k, k)
+        # each entry's row and column as places in the slices' order
+        rows = np.repeat(np.arange(n), np.diff(fold.pattern.indptr))
+        cols = fold.pattern.indices
+        if self.strided:
+            slot = np.empty(n, dtype=np.intp)
+            slot[self.view(np.arange(n)).ravel()] = np.arange(n)
+            rows, cols = slot[rows], slot[cols]
+        if np.any(rows // k != cols // k):
+            raise ValueError(f"an operator entry couples two slices of {k} nodes")
+        values = np.bincount(rows * k + cols % k, weights=fold.entries(), minlength=n * k)
+        return values.reshape(-1, k, k)
+
+
+@dataclass(frozen=True, eq=False)
+class SliceBlocks:
+    """A matrix that couples only nodes of one slice, as a stack of dense blocks.
+
+    ``blocks[i]`` is slice i's (size, size) block, in the order of
+    ``slices.view``. ``dot`` applies it by one ``np.matmul`` on the
+    vector's slice view, into the result's, with no gather or scatter:
+    one BLAS matrix-vector product per slice.
+    """
+
+    slices: Slices
+    blocks: np.ndarray
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        s = self.slices
+        out = np.empty_like(v)
+        np.matmul(self.blocks.reshape(s.lanes, s.count, s.size, s.size), s.view(v)[..., None],
+                  out=s.view(out)[..., None])
+        return out
+
+
+def polynomial_operator(stack: np.ndarray, sched: CgSchedule) -> np.ndarray:
+    """Q(A) of an unrolled schedule, x_K = x0 + Q(A) r0, over a (C, k, k) stack of A's blocks.
+
+    ``stack`` holds A over independent slices (``Slices.blocks``). Q(A)
+    couples only nodes of one slice, so it is kept the same way.
 
     The forward steps give Q(A) = sum_k alpha_k P_k(A), P_k(A) r0 being the
     k-th search direction. The build runs that sum in reverse, which needs
     no x and no r: from s = v = alpha_{K-1} I, each k = K-2 .. 0 sets
     v <- alpha_k (I - A s) + beta_k v and then s <- s + v, ending at
-    s = Q(A): ``iters`` - 1 steps of one batched matmul per stack. Both
+    s = Q(A). The first A s is A times alpha_{K-1}, the matmul's result
+    bit for bit, so a build takes ``iters`` - 2 batched matmuls. v moves
+    by one ``daxpy`` a step, as ``_unrolled_steps`` moves x and r. Both
     orders agree to rounding.
 
-    Q(A) is written over A, in ``blocks`` itself, which is returned. Each
-    stack is built ``POLYNOMIAL_CHUNK`` components at a time, so the build's
-    temporaries are one chunk's copy of A, v and step: every component
-    takes the same matmuls and elementwise steps whatever the chunk.
+    Q(A) is written over A, in ``stack`` itself, which is returned. It is
+    built ``POLYNOMIAL_CHUNK`` blocks at a time, so the build's temporaries
+    are one chunk's copy of A, v and step: every block takes the same
+    matmuls and elementwise steps whatever the chunk.
     """
     alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # cg_solve checks what it applies
-        for blk in blocks.blocks:
-            for first in range(0, len(blk), POLYNOMIAL_CHUNK):
-                s = blk[first : first + POLYNOMIAL_CHUNK]
-                c, k, _ = s.shape
-                a = s.copy()
-                s.fill(0.0)
-                s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]  # each diagonal, as a strided view
-                v, step = s.copy(), np.empty_like(s)
-                for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
+        for first in range(0, len(stack), POLYNOMIAL_CHUNK):
+            s = stack[first : first + POLYNOMIAL_CHUNK]
+            c, k, _ = s.shape
+            a = s.copy()
+            s.fill(0.0)
+            s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]  # each diagonal, as a strided view
+            v, step = s.copy(), np.empty_like(s)
+            for i, (alpha, beta) in enumerate(zip(alphas[-2::-1], betas[-2::-1])):
+                if i:
                     np.matmul(a, s, out=step)
-                    step *= -alpha
-                    v *= beta
-                    v += step
-                    v.reshape(c, k * k)[:, :: k + 1] += alpha
-                    s += v
-                del a, v, step  # so that one chunk's temporaries are alive at a time
-    return blocks
+                else:  # s is alpha_{K-1} I
+                    np.multiply(a, alphas[-1], out=step)
+                v *= beta
+                daxpy(step.reshape(-1), v.reshape(-1), a=-alpha)
+                v.reshape(c, k * k)[:, :: k + 1] += alpha
+                s += v
+            del a, v, step  # so that one chunk's temporaries are alive at a time
+    return stack
 
 
 @dataclass(eq=False)
@@ -386,15 +481,33 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
     return Operator.of(folded.tocsr())
 
 
-def _takes_polynomial(sched: CgSchedule, pattern: Pattern, count: int) -> bool:
-    """Whether a system on ``pattern`` that ``count`` of a block's layers solve gets Q(A).
+def fold_slices(graph: MixedGraph, ops: tuple[tuple[str, float], ...]) -> Slices:
+    """The slices a fold of ``ops`` on ``graph`` couples, read from the operators' names.
 
-    It does when the schedule is unrolled and its largest connected
-    component has at most ``count`` nodes; the components are worked out
-    only then. This is the rule's one place: a recurrence-only reference
+    ``l_u`` couples one instant's stations, ``call_rd`` and ``l_n`` one
+    station's instants, a sum of both a whole lane, and no operator (the
+    identity shift and the mask) nothing beyond a node.
+    """
+    n, t, lanes = graph.n_stations, graph.n_instants, graph.lanes
+    names = {name for name, _ in ops}
+    if not names:
+        return Slices(lanes, n * t, 1)
+    if names == {"l_u"}:
+        return Slices(lanes, t, n)
+    if names <= {"call_rd", "l_n"}:
+        return Slices(lanes, n, t, strided=True)
+    return Slices(lanes, 1, n * t)
+
+
+def _takes_polynomial(sched: CgSchedule, size: int, count: int) -> bool:
+    """Whether a system whose slices hold ``size`` nodes, which ``count`` of a
+    block's layers solve, gets Q(A).
+
+    It does when the schedule is unrolled and ``size`` is at most
+    ``count``. This is the rule's one place: a recurrence-only reference
     replaces it.
     """
-    return sched.mode == "unrolled" and np.bincount(pattern.labels).max() <= count
+    return sched.mode == "unrolled" and size <= count
 
 
 def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
@@ -402,34 +515,34 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
 
     Keys are the (ops, shift, observed) of ``_layer_systems``, values (the
-    fold, an ``Operator``; Q(A) or None). A fold on a pattern with a band
-    (a planned temporal one) holds its band's diagonals and runs the DIA
-    kernel, for the recurrence's products and for the starting residual of
-    a solve by Q(A) alike.
+    fold, an ``Operator``; Q(A), a ``SliceBlocks``, or None). A fold on a
+    pattern with a band (a planned temporal one) holds its band's diagonals
+    and runs the DIA kernel, for the recurrence's products and for the
+    starting residual of a solve by Q(A) alike.
 
     A system gets its polynomial (``polynomial_operator``) when the schedule
     is unrolled and at least m of the block's layers solve it, m being the
-    size of its largest connected component (``_takes_polynomial``). Each
-    solve then takes 2 products instead of ``iters``; the build takes
-    ``iters`` - 1 batched matmuls of the component blocks, cheaper than the
-    m columns of products by A that the rule was first sized for. Q(A)
-    holds sum(k^2) <= n m values for n nodes, so at most n times the
-    block's layer count. The rule reads no node count, so a window stacked
-    with others takes the path it takes alone. The components and the
-    blocks' scatter map are the fold pattern's (``graphs.Pattern``), worked
-    out when the rule first reads them and kept: a fold of one operator
-    shares the pattern its graph was given, on a planned graph the plan's
-    (``attention.fill_mixed_graph``), which ``call_rd`` and ``l_n`` share; a
-    sum of operators (the unsplit signal system) works out its own. The
-    fill reads the fold's values in entry order, gathered from a band once
-    per build.
+    size of its slices (``fold_slices``, ``_takes_polynomial``): the
+    station's instants of a temporal fold, the instant's stations of a
+    spatial one. Each solve then takes 2 products instead of ``iters``; the
+    build takes ``iters`` - 2 batched matmuls of the slice blocks. Q(A)
+    holds n m values for n nodes, so at most n times the block's layer
+    count. The rule reads no node count, so a window stacked with others
+    takes the path it takes alone. A slice can hold several connected
+    components, of a road network in pieces: its block is still exact,
+    since nothing couples them, but the rule reads the slice's size, not
+    theirs. Systems are counted once per distinct set of layer scalars.
     """
-    uses = Counter(key for p in params for key in _layer_systems(terms, p))
+    systems = Counter()
+    for p, layers in Counter(params).items():
+        for key in _layer_systems(terms, p):
+            systems[key] += layers
     folds = {}
-    for key, count in uses.items():
+    for key, count in systems.items():
         fold, g = folded_system(graph, *key), None
-        if _takes_polynomial(sched, fold.pattern, count):
-            g = polynomial_operator(fold.pattern.components.fill(fold.entries()), sched)
+        slices = fold_slices(graph, key[0])
+        if _takes_polynomial(sched, slices.size, count):
+            g = SliceBlocks(slices, polynomial_operator(slices.blocks(fold), sched))
         folds[key] = (fold, g)
     return folds
 
@@ -481,10 +594,8 @@ def _layer_systems(terms: Terms, p: LayerParams) -> list[tuple]:
 
 
 def _weighted_sum(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
-    """a x + b y, in that order, as one new array."""
-    out = np.multiply(a, x)
-    out += np.multiply(b, y)
-    return out
+    """a x + b y, in that order, as one new array: b y is added by ``daxpy``."""
+    return daxpy(y, np.multiply(a, x), a=b)
 
 
 def update_x(
@@ -587,15 +698,19 @@ def update_multipliers(
 
 
 def _layer(state: AdmmState, graph: MixedGraph, p: LayerParams, hty, sched, layer: int,
-           terms: Terms, folds: dict):
+           terms: Terms, folds: dict, x_only: bool):
     """One ADMM layer; a failure in a sub-step names the layer and the step.
 
-    Each CG solve returns a finite result or raises (``cg_solve``), so only
-    phi, which no solve makes, is checked here.
+    ``x_only``: the layer updates x and nothing else, for a block's last
+    layer, whose auxiliaries and multipliers nothing reads. Each CG solve
+    returns a finite result or raises (``cg_solve``), so only phi, which no
+    solve makes, is checked here.
     """
     step = "x"
     try:
         state.x = update_x(state, graph, p, hty, sched, terms, folds)
+        if x_only:
+            return
         if terms.split:
             step = "z_u"
             state.z_u = update_zu(state, graph, p, sched, folds)
@@ -626,8 +741,10 @@ def admm_block(
 
     The block re-derives phi from the incoming signal and zeroes all
     multipliers; phi and the multipliers are then carried across layers.
-    When ``trace`` is a list, a per-layer record with the objective and the
-    three split residual norms is appended.
+    The last layer updates x only, since nothing reads its auxiliaries or
+    multipliers. When ``trace`` is a list, every layer runs every step, and
+    a per-layer record with the objective and the three split residual
+    norms is appended.
 
     On a stacked graph (``graph.lanes`` > 1) ``x0``, ``y`` and the result
     hold one lane after another, and a trace record covers all lanes at once.
@@ -646,9 +763,10 @@ def admm_block(
     # the solves and the layer report overflow and NaN, naming where
     with np.errstate(over="ignore", invalid="ignore"):
         folds = block_folds(graph, params, terms, sched)
+        last = len(params) - 1 if trace is None else None
         for layer, p in enumerate(params):
             try:
-                _layer(state, graph, p, hty, sched, layer, terms, folds)
+                _layer(state, graph, p, hty, sched, layer, terms, folds, layer == last)
             except NumericFailure as exc:
                 exc.lane = graph.lane_of(exc.entry)
                 raise

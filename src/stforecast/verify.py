@@ -8,6 +8,7 @@ without a test harness.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from unittest import mock
 
@@ -508,9 +509,12 @@ def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
 
     On the seeded desk graph (20 stations, the default model and its first
     window) every CG system of the first block must get its polynomial
-    Q(A), and so must the x and z_d systems (18 instants a station) of a
-    one-head graph of 700 seeded stations, 12 600 nodes; x0 + Q(A)(b - A x0)
-    must match the step-by-step recurrence to 1e-12 relative. The 12
+    Q(A), and so must the spatial z_u system of the same window on a road
+    network of two pieces (two copies of a seeded 10-station network), whose
+    slices, one instant's 20 stations, each hold both pieces, and the x and
+    z_d systems (18 instants a station) of a one-head graph of 700 seeded
+    stations, 12 600 nodes; x0 + Q(A)(b - A x0) must match the step-by-step
+    recurrence to 1e-12 relative. The 12
     criterion-10 desk test forecasts (evenly spaced, the training-split
     standardizer) must match the forecasts made with every system on the
     recurrence, a reference that must build no Q(A), to 1e-9 raw units.
@@ -526,6 +530,20 @@ def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
     if None in gaps.values():
         return CheckResult(name, False, "a desk CG system stayed on the recurrence")
 
+    _, half = generate_synthetic(10, 200, seed + 1)
+    edges = [(i + at, j + at, cost) for at in (0, 10) for i, j, cost in half.edges.tolist()]
+    with warnings.catch_warnings():  # two pieces on purpose
+        warnings.filterwarnings("ignore", "road graph has 2 connected components", UserWarning)
+        pieces_ctx = pipeline.PipelineContext.build(PhysicalGraph(20, edges), cfg,
+                                                    standardizer=standardizer)
+    x, _, t_steps = pipeline.initial_signal(splits.train[0], pieces_ctx)
+    pieces_gaps = _polynomial_gaps(pipeline.block_graph(pieces_ctx, [x], [t_steps]), cfg,
+                                   pg.n_stations, rng)
+    spatial = [gap for (ops, _, _), gap in pieces_gaps.items() if ops[0][0] == "l_u"]
+    if len(spatial) != 1 or None in spatial:
+        return CheckResult(name, False, "the spatial system on a road network in two pieces "
+                                        "stayed on the recurrence")
+
     large = PipelineConfig()
     large.heads = HeadSettings(count=1)
     d = large.data
@@ -539,7 +557,8 @@ def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
     if len(temporal) != 2 or None in temporal:
         return CheckResult(name, False, f"an x or z_d system of {large_graph.n_nodes} nodes "
                                         "stayed on the recurrence")
-    worst = max(gap for gap in [*gaps.values(), *large_gaps.values()] if gap is not None)
+    worst = max(gap for gap in [*gaps.values(), *spatial, *large_gaps.values()]
+                if gap is not None)
 
     test = pipeline.evenly_spaced_subset(splits.test, 12)
     polynomial = pipeline.reconstruct_batch(test, ctx)
@@ -557,7 +576,8 @@ def check_polynomial_sub_solves(seed: int = 0) -> CheckResult:
     )
     return CheckResult(
         f"unrolled CG as its polynomial vs the recurrence ({len(gaps)} desk systems, "
-        f"{len(temporal)} of {large_graph.n_nodes} nodes, {len(test)} forecasts)",
+        f"1 on two road pieces, {len(temporal)} of {large_graph.n_nodes} nodes, "
+        f"{len(test)} forecasts)",
         worst <= 1e-12 and gap <= 1e-9,
         f"sub-solves max relative deviation {worst:.1e}; forecasts max deviation {gap:.1e}",
     )

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import connected_components
 
 from stforecast import attention, data, graphs, pipeline, solver
@@ -26,7 +27,6 @@ from stforecast.graphs import (
     assemble_undirected_laplacian,
     build_spatial_skeleton,
     build_temporal_skeleton,
-    component_blocks,
     directed_skeleton_from_edges,
     symmetrized_dglr_matrix,
 )
@@ -45,9 +45,12 @@ from stforecast.solver import (
     CgSchedule,
     LayerParams,
     NumericFailure,
+    SliceBlocks,
+    Slices,
     admm_block,
     block_folds,
     cg_solve,
+    fold_slices,
     folded_system,
     polynomial_operator,
     update_zu,
@@ -395,11 +398,16 @@ class TestFoldedSystem:
             return solve(apply_a, *args)
 
         monkeypatch.setattr(solver, "cg_solve", recording)
+        layer_systems, listed = solver._layer_systems, []
+        monkeypatch.setattr(solver, "_layer_systems",
+                            lambda *args: listed.append(1) or layer_systems(*args))
         params = [LayerParams(0.5, 0.6, 0.7, 1.0, 1.1, 1.2)] * 5
         y = np.ones(int(g.h_mask.sum()))
         admm_block(np.zeros(g.n_nodes), y, g, params, CgSchedule.unrolled())
-        assert len(systems) == 3 * 5  # x, z_u and z_d in every layer
+        # x, z_u and z_d in every layer but the last, which solves x only
+        assert len(systems) == 3 * 4 + 1
         assert len({id(a) for a in systems}) == 3
+        assert len(listed) == 1  # the systems of one set of scalars, listed once
 
     @pytest.mark.parametrize("which", ["desk_lanes", "cancelling_call_rd", "underflowing_walk_weight"])
     def test_kernel_product_is_the_csr_product(self, which):
@@ -696,19 +704,28 @@ class TestBandKernel:
 
 
 def per_step_unrolled(apply_a, b, x0, sched):
-    """Unrolled CG with the finiteness check after every step (the reference)."""
+    """Unrolled CG with the finiteness check after every step (the reference).
+
+    x and r move by ``daxpy``, entry by entry, as the solver's steps do;
+    ``b`` and ``x0`` may be matrices, a column per right-hand side.
+    """
     x = np.array(x0, dtype=np.float64)
     r = b - apply_a(x)
     p = r.copy()
     for k in range(sched.iters):
         ap = apply_a(p)
-        x = x + sched.alphas[k] * p
-        r = r - sched.alphas[k] * ap
+        daxpy(p.ravel(), x.ravel(), a=sched.alphas[k])
+        daxpy(ap.ravel(), r.ravel(), a=-sched.alphas[k])
         bad = np.flatnonzero(~np.isfinite(x))
         if len(bad):
             raise NumericFailure("unrolled CG diverged", iteration=k, entry=int(bad[0]))
         p = r + sched.betas[k] * p
     return x
+
+
+def slice_polynomial(a, slices, sched):
+    """Q(A) of the matrix ``a`` over ``slices``, as a block plans it."""
+    return SliceBlocks(slices, polynomial_operator(slices.blocks(Operator.of(a.tocsr())), sched))
 
 
 def exact_unrolled(d, b, x0, sched):
@@ -728,18 +745,25 @@ def exact_unrolled(d, b, x0, sched):
 
 class TestUnrolledFailure:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_names_the_reference_iteration_and_entry(self, seed, iters, polynomial):
-        # the recurrence, or a diverging fold on the polynomial path
+    def test_names_the_reference_iteration_and_entry(self, seed, iters, polynomial, zeros):
+        # the recurrence, or a diverging fold on the polynomial path; with
+        # ``zeros``, a schedule with zero alphas, the clamp's lower end: a
+        # zero step adds nothing to x, even from a direction that has
+        # overflowed, so the checked rerun still names the reference's place
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
         # entries grow like (alpha d)^k, so large d overflow after a few steps
         a = sp.diags(10.0 ** rng.uniform(-1, 160, n), format="csr")
         b = rng.standard_normal(n)
         x0 = rng.standard_normal(n)
-        sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
-        apply_g = polynomial_operator(component_blocks(a, np.arange(n)), sched).dot if polynomial else None
+        alphas = rng.uniform(0.05, 0.8, iters)
+        if zeros:
+            alphas[rng.uniform(size=iters) < 0.4] = 0.0
+            alphas[rng.integers(iters)] = 0.0
+        sched = CgSchedule.unrolled(iters, alphas, rng.uniform(0, 1, iters))
+        apply_g = slice_polynomial(a, Slices(1, n, 1), sched).dot if polynomial else None
         try:
             want = per_step_unrolled(a.dot, b, x0, sched)
         except NumericFailure as ref:
@@ -759,7 +783,21 @@ class TestUnrolledFailure:
             if polynomial:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             else:
-                np.testing.assert_array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_zero_step_leaves_x_where_the_direction_overflowed(self):
+        # step 0 overflows the residual's first entry, and with it every
+        # later direction; steps 1 and 2 have alpha 0, so x keeps step 0's
+        # bits, on the recurrence, in the reference and as Q(A)
+        a = sp.diags([1e308, 2.0], format="csr")
+        b, x0 = np.array([10.0, 1.0]), np.zeros(2)
+        sched = CgSchedule.unrolled(3, [0.5, 0.0, 0.0], [0.5, 0.5, 0.5])
+        assert not np.isfinite(b - 0.5 * (a @ b)).all()
+        want = daxpy(b, x0.copy(), a=0.5)
+        assert cg_solve(a.dot, b, x0, sched).tobytes() == want.tobytes()
+        assert per_step_unrolled(a.dot, b, x0, sched).tobytes() == want.tobytes()
+        poly = slice_polynomial(a, Slices(1, 2, 1), sched)
+        assert cg_solve(a.dot, b, x0, sched, poly.dot).tobytes() == want.tobytes()
 
 
 class TestStackedBlock:
@@ -1014,10 +1052,11 @@ class TestWindowLanes:
 
     def test_one_window_makes_the_same_solves_and_products(self, monkeypatch):
         # the default 5 x 25 x 4 model on one desk-scale window: each block
-        # builds Q(A) of its 3 folded systems once, from dense component
-        # blocks with no sparse product, then runs 3 CG solves per layer of
-        # one product by A and one by G = Q(A); and L_r x once per block plus
-        # L_r' and L_r once per layer
+        # builds Q(A) of its 3 folded systems once, from dense slice blocks
+        # with no sparse product, then runs 3 CG solves per layer but the
+        # last, which solves x only, of one product by A and one by
+        # G = Q(A); and L_r x once per block plus L_r' once per layer and
+        # L_r once per layer but the last
         table, pg = data.generate_synthetic(20, 200, 0)
         cfg = PipelineConfig()
         ctx = PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
@@ -1068,8 +1107,8 @@ class TestWindowLanes:
             monkeypatch.setattr(sparse_owner, name, sparse_hook(getattr(sparse_owner, name)))
         run_forecast(window, ctx)
         assert counts == {
-            "cg": 375, "folded": 375, "polynomial": 375, "build": 5 * 3, "build_sparse": 0,
-            "apply": 5 * (1 + 2 * 25),
+            "cg": 5 * (3 * 24 + 1), "folded": 365, "polynomial": 365, "build": 5 * 3,
+            "build_sparse": 0, "apply": 5 * (1 + 25 + 24),
         }
 
 
@@ -1123,34 +1162,55 @@ def above_the_old_bound():
     return windows, PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
 
 
-def whole_stack_polynomial(blocks, sched):
-    """Q(A) built out of place, each stack at once, with full-size s, v and
-    step (the reference for the chunked build in place)."""
+def whole_stack_polynomial(stack, sched):
+    """Q(A) built out of place, the whole stack at once, with full-size s, v
+    and step, every step's A s by matmul (the reference for the chunked
+    build in place)."""
     alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
-    q = []
-    for blk in blocks.blocks:
-        c, k, _ = blk.shape
-        s = np.zeros_like(blk)
-        s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]
-        v, step = s.copy(), np.empty_like(blk)
-        for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
-            np.matmul(blk, s, out=step)
-            step *= -alpha
-            v *= beta
-            v += step
-            v.reshape(c, k * k)[:, :: k + 1] += alpha
-            s += v
-        q.append(s)
-    return q
+    c, k, _ = stack.shape
+    s = np.zeros_like(stack)
+    s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]
+    v, step = s.copy(), np.empty_like(stack)
+    for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
+        np.matmul(stack, s, out=step)
+        v *= beta
+        daxpy(step.ravel(), v.ravel(), a=-alpha)
+        v.reshape(c, k * k)[:, :: k + 1] += alpha
+        s += v
+    return s
 
 
-def component_stacks(rng, shapes):
-    """``ComponentBlocks`` of random symmetric (C, k, k) stacks, one per (C, k)."""
-    blocks = []
+def random_stacks(rng, shapes):
+    """Random symmetric (C, k, k) stacks, one per (C, k)."""
+    stacks = []
     for c, k in shapes:
         a = rng.uniform(-0.1, 0.1, (c, k, k))
-        blocks.append(a + a.transpose(0, 2, 1) + rng.uniform(0.5, 2.0, (c, 1, 1)) * np.eye(k))
-    return graphs.ComponentBlocks(0, (), tuple(blocks))
+        stacks.append(a + a.transpose(0, 2, 1) + rng.uniform(0.5, 2.0, (c, 1, 1)) * np.eye(k))
+    return stacks
+
+
+def slice_ids(slices):
+    """The slice of each node, numbered in ``slices.view`` order."""
+    n = slices.lanes * slices.count * slices.size
+    ids = np.empty(n, dtype=np.intp)
+    ids[slices.view(np.arange(n)).reshape(-1, slices.size)] = np.arange(n // slices.size)[:, None]
+    return ids
+
+
+@functools.lru_cache(maxsize=2)
+def two_piece_desk(layers):
+    """Desk-sized windows (20 stations) on a road network of two pieces, two
+    copies of one 10-station network, and a two-head, one-block context of
+    ``layers`` layers."""
+    table, _ = data.generate_synthetic(20, 200, 0)
+    _, half = data.generate_synthetic(10, 200, 1)
+    edges = [(i + shift, j + shift, cost) for shift in (0, 10) for i, j, cost in half.edges.tolist()]
+    pg = PhysicalGraph(20, edges)
+    cfg = small_config(heads=2, blocks=1, layers=layers)
+    windows = data.cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[:3]
+    with pytest.warns(UserWarning, match="2 connected components"):
+        ctx = PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
+    return windows, ctx
 
 
 class TestPolynomialPath:
@@ -1162,20 +1222,23 @@ class TestPolynomialPath:
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
         for ops, shift, observed in fold_cases(p):
-            a = folded_system(g, ops, shift, observed).matrix()
-            labels = connected_components(a, directed=False)[1]
-            poly = polynomial_operator(component_blocks(a, labels), sched)
-            # one (C, k, k) stack per component size: sum(k^2) values, not C * m^2
-            sizes = np.bincount(labels)
-            assert sorted(q.shape[1] for q in poly.blocks) == sorted(set(sizes.tolist()))
-            assert sum(q.size for q in poly.blocks) == int((sizes**2).sum())
+            fold = folded_system(g, ops, shift, observed)
+            a = fold.matrix()
+            slices = fold_slices(g, ops)
+            poly = SliceBlocks(slices, polynomial_operator(slices.blocks(fold), sched))
+            # one (m, m) block per slice of m nodes: n m values
+            assert poly.blocks.shape == (g.lanes * slices.count, slices.size, slices.size)
             # Q(A) of the reference recurrence run on the identity, densely
             dense = a.toarray()
             q = per_step_unrolled(lambda v: dense @ v, np.eye(g.n_nodes), np.zeros_like(dense),
                                   sched)
             got = np.column_stack([poly.dot(e) for e in np.eye(g.n_nodes)])
             assert np.abs(got - q).max() <= 1e-12 * np.abs(q).max()
-            # and nothing outside the components
+            # nothing outside the slices, and, within one, nothing between
+            # the road network's pieces
+            ids = slice_ids(slices)
+            assert np.all(got[ids[:, None] != ids[None, :]] == 0)
+            labels = connected_components(a, directed=False)[1]
             assert np.all(got[labels[:, None] != labels[None, :]] == 0)
             for _ in range(2):
                 b, x0 = rng.standard_normal((2, g.n_nodes))
@@ -1186,8 +1249,8 @@ class TestPolynomialPath:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from(VARIANTS))
     @settings(max_examples=40, deadline=None)
     def test_stacked_equals_alone(self, seed, heads, mode):
-        # 8 layers with one set of scalars: every fold whose components have
-        # at most 8 nodes (all but a large direct_unsplit lane) goes polynomial
+        # 8 layers with one set of scalars: every fold whose slices have at
+        # most 8 nodes (all but the direct_unsplit lane) goes polynomial
         rng = np.random.default_rng(seed)
         graphs = random_heads(rng, heads)
         params = random_params(rng, 1) * 8
@@ -1275,34 +1338,33 @@ class TestPolynomialPath:
         (None, (2 * solver.POLYNOMIAL_CHUNK + 5, 3, 1)), (1, (10, 2)), (3, (10, 2)),
     ], ids=["one", "chunk-1", "chunk", "mixed", "chunks-of-1", "chunks-of-3"])
     def test_in_place_build_is_the_whole_stack_build(self, monkeypatch, chunk, counts):
-        # each component takes the same matmuls and elementwise steps in its
+        # each block takes the same matmuls and elementwise steps in its
         # chunk as in the whole stack: Q(A) is bitwise the same, whether the
-        # last chunk is full or not
+        # last chunk is full or not, and the first A s taken as A times
+        # alpha_{K-1} is bitwise the matmul's
         if chunk is not None:
             monkeypatch.setattr(solver, "POLYNOMIAL_CHUNK", chunk)
         rng = np.random.default_rng(len(counts) + counts[0])
         for iters in (1, 2, 8):
             sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters),
                                         rng.uniform(0, 1, iters))
-            blocks = component_stacks(rng, [(c, k) for c, k in zip(counts, (18, 7, 1))])
-            want = whole_stack_polynomial(blocks, sched)
-            stacks = blocks.blocks
-            got = polynomial_operator(blocks, sched)
-            assert got is blocks and all(q is a for q, a in zip(got.blocks, stacks))
-            for q, w in zip(got.blocks, want):
-                assert q.tobytes() == w.tobytes()
+            for stack in random_stacks(rng, [(c, k) for c, k in zip(counts, (18, 7, 1))]):
+                want = whole_stack_polynomial(stack, sched)
+                got = polynomial_operator(stack, sched)
+                assert got is stack
+                assert got.tobytes() == want.tobytes()
 
     def test_build_holds_one_chunk_of_temporaries(self):
-        # a stack of 3 chunks and 5 components more, city-1000's 18 nodes
+        # a stack of 3 chunks and 5 slices more, city-1000's 18 nodes
         # each: beyond its output (written over A) the build allocates at
         # most one chunk's s, v, step and copy of A, not two more stacks
         chunk, k = solver.POLYNOMIAL_CHUNK, 18
         sched = CgSchedule.unrolled()
-        polynomial_operator(component_stacks(np.random.default_rng(0), [(2, k)]), sched)  # warm-up
-        blocks = component_stacks(np.random.default_rng(1), [(3 * chunk + 5, k)])
+        polynomial_operator(random_stacks(np.random.default_rng(0), [(2, k)])[0], sched)  # warm-up
+        (stack,) = random_stacks(np.random.default_rng(1), [(3 * chunk + 5, k)])
         tracemalloc.start()
         try:
-            polynomial_operator(blocks, sched)
+            polynomial_operator(stack, sched)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1350,3 +1412,68 @@ class TestPolynomialPath:
         assert calls == [2] and len(builds) == 2  # x and z_d of the one block
         for got, want in zip(together, alone):
             assert got.tobytes() == want.tobytes()
+
+    def test_slice_fill_refuses_an_entry_between_slices(self):
+        # a spatial slice is one instant's stations: an entry between two
+        # instants, in entry order or on a band, fits no slice block
+        between = sp.csr_matrix(np.eye(4) + np.eye(4, k=2))
+        with pytest.raises(ValueError, match="couples two slices"):
+            Slices(1, 2, 2).blocks(Operator.of(between))
+        band = Operator(Pattern.of(between).banded(), np.array([[1.0] * 4, [0.0, 0.0, 1.0, 1.0]]))
+        with pytest.raises(ValueError, match="couples two slices"):
+            Slices(1, 2, 2).blocks(band)
+        # the same band is one station's instants, 2 stations apart
+        np.testing.assert_array_equal(Slices(1, 2, 2, strided=True).blocks(band),
+                                      [[[1.0, 1.0], [0.0, 1.0]]] * 2)
+
+    def test_a_road_network_in_pieces_takes_q_over_whole_instants(self):
+        # 20 layers: z_u's slices are one instant's 20 stations, two pieces
+        # of 10 each; Q(A) is one dense block per instant, exactly zero
+        # between the pieces, and agrees with the recurrence
+        windows, ctx = two_piece_desk(20)
+        cfg = ctx.config
+        x, _, t_steps = pipeline.initial_signal(windows[0], ctx)
+        graph = pipeline.block_graph(ctx, [x], [t_steps])
+        sched = cfg.solver.schedule()
+        params = cfg.layers.layer_params(0, cfg.default_rho(ctx.pg.n_stations))
+        folds = block_folds(graph, params, TERMS["full"], sched)
+        ((key, (a, poly)),) = [(k, f) for k, f in folds.items() if k[0][0][0] == "l_u"]
+        assert poly.blocks.shape == (graph.lanes * graph.n_instants, 20, 20)
+        labels = connected_components(a.matrix(), directed=False)[1]
+        assert np.bincount(labels).max() == 10
+        q = poly.blocks.reshape(-1, 2, 10, 2, 10)
+        assert not q[:, 0, :, 1].any() and not q[:, 1, :, 0].any()
+        rng = np.random.default_rng(0)
+        for key, (a, poly) in folds.items():
+            assert poly is not None
+            b, x0 = rng.standard_normal((2, graph.n_nodes))
+            want = cg_solve(a.dot, b, x0, sched)
+            got = cg_solve(a.dot, b, x0, sched, poly.dot)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
+        got = reconstruct(windows[0], ctx)
+        with recurrence_only():
+            want = reconstruct(windows[0], ctx)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_pieces_within_the_layer_count_take_the_recurrence(self):
+        # 12 layers: each piece (10 stations) is within the layer count, but
+        # z_u's slice (20 stations, an instant) is not, so z_u takes the
+        # recurrence; so do x and z_d (18 instants a station)
+        windows, ctx = two_piece_desk(12)
+        cfg = ctx.config
+        x, _, t_steps = pipeline.initial_signal(windows[0], ctx)
+        graph = pipeline.block_graph(ctx, [x], [t_steps])
+        params = cfg.layers.layer_params(0, cfg.default_rho(ctx.pg.n_stations))
+        folds = block_folds(graph, params, TERMS["full"], cfg.solver.schedule())
+        ((a, poly),) = [f for k, f in folds.items() if k[0][0][0] == "l_u"]
+        labels = connected_components(a.matrix(), directed=False)[1]
+        assert np.bincount(labels).max() <= len(params) < graph.n_stations
+        assert poly is None
+        assert all(poly is None for _, poly in folds.values())
+
+    @pytest.mark.parametrize("layers", [12, 20], ids=["recurrence", "polynomial"])
+    def test_a_stack_on_a_road_network_in_pieces_equals_its_windows_alone(self, layers):
+        windows, ctx = two_piece_desk(layers)
+        together = pipeline._forward(windows, ctx)
+        for w, got in zip(windows, together):
+            assert got.tobytes() == reconstruct(w, ctx).tobytes()

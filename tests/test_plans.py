@@ -380,8 +380,8 @@ class TestPlanReuse:
     def test_one_plan_per_lane_count(self, monkeypatch):
         # the default 5 x 25 x 4 model: context set-up builds no plan; one
         # window (4 lanes) and two (8 lanes) each build theirs once, and
-        # connected_components runs once for each fold pattern of a plan,
-        # not while the plan is built but when a first block's Q(A) asks
+        # connected_components never runs: a fold's Q(A) reads its slices
+        # from its operators' names
         pg, cfg, ctx, windows = desk_context()
         assert ctx.plans == {}
         built, building, components = [], [], []
@@ -406,53 +406,29 @@ class TestPlanReuse:
             pipeline.reconstruct_batch(windows[1:3], ctx)
         assert built == [4, 8]
         assert sorted(key[2] for key in ctx.plans) == [4, 8]
-        # the l_u and call_rd fold patterns of each plan
-        assert components == [False] * 4
+        assert components == []
 
     @pytest.mark.parametrize("refused", [False, True], ids=["within", "over"])
-    def test_components_only_when_a_polynomial_asks(self, monkeypatch, refused):
-        # with the rule refusing every system (the recurrence-only
-        # reference) no system takes Q(A) and no fold pattern works its
-        # components out; under the rule the first block does. Either way,
-        # plans that work them out up front choose the same Q(A) and
-        # forecast bitwise the same
+    def test_slice_blocks_only_when_a_polynomial_asks(self, monkeypatch, refused):
+        # under the rule every system of the default model's blocks takes
+        # Q(A), filled over the slices its operators' names give: x and z_d
+        # over one station's instants, z_u over one instant's stations. With
+        # the rule refusing every system (the recurrence-only reference) no
+        # slice stack is filled
         if refused:
             monkeypatch.setattr(solver, "_takes_polynomial", lambda *args: False)
-        plan, folds_of = attention.plan_mixed_graph, solver.block_folds
-
-        def eager(*args):
-            out = plan(*args)
-            for pattern in out.patterns.values():
-                pattern.labels
-            return out
-
-        runs = []
-        for planner in (plan, eager):
-            plans, choices = [], []
-
-            def spied_plan(*args):
-                plans.append(planner(*args))
-                if planner is plan:
-                    assert not any("labels" in p.__dict__ for p in plans[-1].patterns.values())
-                return plans[-1]
-
-            def spied_folds(*args):
-                folds = folds_of(*args)
-                choices.append({key: g is not None for key, (_, g) in folds.items()})
-                return folds
-
-            monkeypatch.setattr(attention, "plan_mixed_graph", spied_plan)
-            monkeypatch.setattr(solver, "block_folds", spied_folds)
-            _, _, ctx, windows = desk_context()
-            forecast = pipeline.run_forecast(windows[0], ctx)
-            (made,) = plans
-            known = {name: "labels" in made.patterns[name].__dict__ for name in ("l_u", "call_rd")}
-            runs.append((forecast.tobytes(), choices, known))
-        (lazy, lazy_choices, lazy_known), (eager_, eager_choices, _) = runs
-        assert lazy == eager_ and lazy_choices == eager_choices
-        polynomials = any(lazy_choices[0].values())
-        assert polynomials == (not refused)
-        assert lazy_known == {"l_u": polynomials, "call_rd": polynomials}
+        _, cfg, ctx, windows = desk_context()
+        fills, fill = [], solver.Slices.blocks
+        monkeypatch.setattr(solver.Slices, "blocks",
+                            lambda slices, fold: fills.append(slices) or fill(slices, fold))
+        pipeline.run_forecast(windows[0], ctx)
+        if refused:
+            assert fills == []
+            return
+        heads, stations, instants = cfg.heads.count, 20, cfg.data.history + cfg.data.horizon
+        assert len(fills) == cfg.layers.blocks * 3
+        assert set(fills) == {solver.Slices(heads, stations, instants, strided=True),
+                              solver.Slices(heads, instants, stations)}
 
     def test_tune_candidates_share_the_base_plan(self, monkeypatch):
         pg, cfg, _, windows = desk_context()
@@ -539,10 +515,11 @@ class TestBandOperators:
         graph = pipeline.block_graph(ctx, [x], [t_steps])
         assert all(graph.ops[name].banded for name in ("w_rd", "l_rd", "l_rd_t", "call_rd"))
 
-    def test_polynomial_folds_gather_the_band_once(self, monkeypatch):
+    def test_polynomial_folds_fill_from_the_band(self, monkeypatch):
         # the x and z_d folds of a block both take Q(A) and keep their band;
-        # the fill reads entry order, gathered from each fold's band once,
-        # at its build. On the recurrence nothing is gathered
+        # their slice blocks are copied straight from the band, with no
+        # gather into entry order, and equal the fill from the CSR view's
+        # entries and the dense matrix's blocks
         graph = planned_graph(np.random.default_rng(48), 4, n_instants=5)
         p = LayerParams(0.5, 0.6, 0.7, 1.0, 1.1, 1.2)
         gathers, entries = [], graphs.Operator.entries
@@ -552,11 +529,16 @@ class TestBandOperators:
         assert len(folds) == 3 and all(q is not None for _, q in folds.values())
         banded = [fold for fold, _ in folds.values() if fold.banded]
         assert len(banded) == 2
-        assert [op for op in gathers if op.banded] == banded
-        gathers.clear()
-        monkeypatch.setattr(solver, "_takes_polynomial", lambda *args: False)
-        block_folds(graph, [p] * 5, TERMS["full"], CgSchedule.unrolled())
-        assert gathers == []
+        assert not any(op.banded for op in gathers)
+        monkeypatch.undo()
+        slices = solver.Slices(graph.lanes, graph.n_stations, graph.n_instants, strided=True)
+        for fold in banded:
+            got = slices.blocks(fold)
+            np.testing.assert_array_equal(got, slices.blocks(graphs.Operator.of(fold.matrix())))
+            dense = fold.matrix().toarray()
+            nodes = slices.view(np.arange(graph.n_nodes)).reshape(-1, graph.n_instants)
+            for block, idx in zip(got, nodes):
+                np.testing.assert_array_equal(block, dense[np.ix_(idx, idx)])
 
     def test_apply_keeps_a_nonfinite_entry_in_its_lane(self):
         # the band's padding would carry 0 * inf = NaN into the lane before;

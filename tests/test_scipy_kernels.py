@@ -1,7 +1,11 @@
-"""The private scipy kernels that ``graphs.Operator.dot`` calls, against scipy's public products.
+"""The private scipy kernels that ``graphs.Operator.dot`` calls, against scipy's public products,
+and the BLAS ``daxpy`` wrapper that ``solver`` calls.
 
 ``scipy.sparse._sparsetools`` is not public API; if a scipy release moves
 or changes ``csr_matvec`` or ``dia_matvec``, this is the test that names it.
+``scipy.linalg.blas.daxpy`` is, but the solver relies on more than its
+result: an update in place, no copy, and bits that do not depend on an
+entry's place in the vector.
 """
 
 import numpy as np
@@ -56,3 +60,61 @@ def test_dia_kernel_on_a_strict_band_of_lane_stride_offsets(side):
     assert out.tobytes() == (dia @ v).tobytes()
     assert out.tobytes() == (dia.tocsr() @ v).tobytes()
     assert not out[: stations if side == "lower" else 0].any()
+
+
+class TestDaxpy:
+    """``scipy.linalg.blas.daxpy``, y <- a x + y, which ``solver`` runs for its vector updates."""
+
+    def test_updates_y_in_place_and_returns_it(self):
+        from scipy.linalg.blas import daxpy
+
+        x, y = VECTOR.copy(), np.array([0.5, 0.25, -1.0, 2.0])
+        want = [0.5 + 0.3 * 1.0, 0.25 + 0.3 * -2.0, -1.0 + 0.3 * 0.5, 2.0 + 0.3 * -0.0]
+        got = daxpy(x, y, a=0.3)
+        assert got is y
+        np.testing.assert_allclose(y, want, rtol=1e-15)
+        assert x.tobytes() == VECTOR.tobytes()
+
+    def test_allocates_nothing_on_a_flat_view_of_a_stack(self):
+        # the polynomial build's v and step: contiguous (C, k, k) stacks
+        import tracemalloc
+
+        from scipy.linalg.blas import daxpy
+
+        rng = np.random.default_rng(0)
+        step, v = rng.standard_normal((2, 64, 18, 18))
+        daxpy(step.reshape(-1), v.reshape(-1), a=-0.25)  # warm-up
+        want = v.copy()
+        daxpy(step.reshape(-1), want.reshape(-1), a=-0.25)
+        tracemalloc.start()
+        try:
+            out = daxpy(step.reshape(-1), v.reshape(-1), a=-0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(out, v)
+        assert v.tobytes() == want.tobytes()
+        assert peak < 1024  # at most the wrapper's views, no copy of 165 kB
+
+    def test_an_entry_has_the_same_bits_at_any_offset(self):
+        # a lane's entries keep their bits when the lane sits inside a stack
+        from scipy.linalg.blas import daxpy
+
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((2, 97))
+        alone = daxpy(x, y.copy(), a=0.7)
+        for before, after in [(1, 0), (3, 5), (8, 13), (64, 7)]:
+            xs = np.concatenate([rng.standard_normal(before), x, rng.standard_normal(after)])
+            ys = np.concatenate([rng.standard_normal(before), y, rng.standard_normal(after)])
+            daxpy(xs, ys, a=0.7)
+            assert ys[before : before + len(x)].tobytes() == alone.tobytes()
+
+    def test_a_zero_multiple_leaves_y_unchanged(self):
+        # even where x is not finite, where numpy's 0 * inf makes NaN
+        from scipy.linalg.blas import daxpy
+
+        x = np.array([np.inf, -np.inf, np.nan, 1.0])
+        y = np.array([1.0, -2.0, 3.0, -0.0])
+        want = y.tobytes()
+        daxpy(x, y, a=0.0)
+        assert y.tobytes() == want

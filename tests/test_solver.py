@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import daxpy
 
 from stforecast import oracles, solver
 from stforecast.priors import PriorWeights, glr, objective
@@ -124,10 +125,10 @@ class TestCgSolve:
         b = np.array([1.0, -1.0, 1.0])
         x, r = np.zeros(3), b.copy()
         p, want = r.copy(), None
-        for k in range(iters):
+        for k in range(iters):  # x and r move by daxpy, as the solver's steps do
             ap = a @ p
-            x = x + 0.8 * p
-            r = r - 0.8 * ap
+            daxpy(p, x, a=0.8)
+            daxpy(ap, r, a=-0.8)
             bad = np.flatnonzero(~np.isfinite(x))
             if len(bad):
                 want = (k, int(bad[0]))
@@ -543,7 +544,8 @@ class TestAdmmBlock:
     ])
     def test_non_finite_sub_step_names_layer_and_step(self, monkeypatch, case, message):
         # a start with a NaN fails the signal solve of the first layer, in
-        # either CG mode; a non-finite phi is checked by the layer itself
+        # either CG mode; a non-finite phi is checked by the layer itself,
+        # here in layer 1 of 3 (the last layer updates x only)
         g, y = tiny_instance(np.random.default_rng(25))
         x0 = np.zeros(g.n_nodes)
         sched = CgSchedule.exact(iters=0) if case == "exact" else CgSchedule.unrolled(iters=3)
@@ -562,7 +564,7 @@ class TestAdmmBlock:
         else:
             x0[1] = np.nan
         with pytest.raises(NumericFailure) as info:
-            admm_block(x0, y, g, [LayerParams(1, 1, 1, 1, 1, 1)] * 2, sched)
+            admm_block(x0, y, g, [LayerParams(1, 1, 1, 1, 1, 1)] * 3, sched)
         assert str(info.value) == message
         assert info.value.lane == 0
 
