@@ -31,6 +31,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 from .graphs import (
+    Band,
     DirectedSkeleton,
     LaplacianPlan,
     MixedGraph,
@@ -426,9 +427,9 @@ class GraphPlan:
     The skeletons, the lane count and the observed prefix fix the plans of
     ``assemble_undirected_laplacian`` (over every lane's instants) and
     ``assemble_random_walk_digraph`` (over the temporal skeleton repeated
-    per lane, banded: W_r, L_r and L_r' as diagonals), the mask, and
-    ``temporal``, the one banded pattern of L_r'L_r and, when planned,
-    ``l_n``: every pair of a station's nodes within the window. With ``l_n``,
+    per lane: W_r, L_r and L_r' as bands), the mask, and ``temporal``, the
+    one banded pattern of L_r'L_r and, when planned, ``l_n``: every pair of
+    a station's nodes within the window (``_window_pattern``). With ``l_n``,
     ``adjacency`` holds the pattern of the symmetrized temporal adjacency,
     the directed edge each of its entries reads, each entry's row and its
     flat position in ``temporal``'s band. Every filled operator sits on its
@@ -466,12 +467,8 @@ def plan_mixed_graph(
     ``n_observed`` instants observed, with ``l_n`` when asked."""
     lane_skel = _lane_skeleton(tskel, lanes)
     l_u = plan_undirected_laplacian(sskel, lanes * tskel.n_instants)
-    walk = plan_random_walk_digraph(lane_skel, banded=True)
-    # with ones for values the product cancels nowhere and stores its full
-    # pattern: (s, t) with (s, t + d), |d| <= window, in every lane, on
-    # 2 window + 1 diagonals at offsets d * stations
-    ones = walk.l_rd.matrix(np.ones(walk.l_rd.nnz))
-    temporal = Pattern.of(symmetrized_dglr_matrix(ones, ones.T.tocsr())).banded()
+    walk = plan_random_walk_digraph(lane_skel)
+    temporal = _window_pattern(tskel, lanes)
     adjacency = None
     if with_undirected_temporal:
         n, src, dst = lane_skel.n_nodes, lane_skel.src, lane_skel.dst
@@ -495,13 +492,14 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
     child-normalized, so the in-degree normalization inside the random-walk
     assembly leaves them unchanged.
 
-    Every operator sits on its plan's pattern, an entry that comes out
-    exactly 0.0 stored as +0.0. L_r's values are written into its band
-    once; L_r' is those diagonals shifted to their mirrors
-    (``graphs.band_transpose``), and L_r'L_r is formed from them diagonal
-    by diagonal (``symmetrized_dglr_matrix``). ``l_n`` is written into its
-    band from the plan's adjacency, in the sums scipy's I - D^-1/2 A D^-1/2
-    makes (``oracles.coo_operators``). No scipy sparse matrix is built.
+    This is the one route that builds the operators, each on its plan's
+    pattern, an entry that comes out exactly 0.0 stored as +0.0. L_r's
+    values are written into its band once; L_r' is those diagonals shifted
+    to their mirrors (``graphs.band_transpose``), and L_r'L_r is formed
+    from them diagonal by diagonal (``symmetrized_dglr_matrix``). ``l_n``
+    is written into its band from the plan's adjacency, in the sums scipy's
+    I - D^-1/2 A D^-1/2 makes (``oracles.coo_operators``). No scipy sparse
+    matrix is built.
     """
     weights_u = np.asarray(weights_u, dtype=np.float64)
     weights_d = np.asarray(weights_d, dtype=np.float64)
@@ -564,6 +562,25 @@ def build_mixed_graph(
     lanes = int(np.prod(np.shape(weights_u)[:-2]))
     plan = plan_mixed_graph(sskel, tskel, lanes, n_observed, with_undirected_temporal)
     return fill_mixed_graph(plan, weights_u, weights_d)
+
+
+def _window_pattern(tskel: TemporalSkeleton, lanes: int) -> Pattern:
+    """L_r'L_r's pattern with its band, in closed form: every pair of a
+    station's nodes within the window, 2W + 1 diagonals at offsets d N,
+    |d| <= W, each cut at its lane's ends; index dtype as ``coo_pattern``'s."""
+    n, w = tskel.n_stations, tskel.window
+    d = np.arange(-w, w + 1)
+    instant = np.arange(tskel.n_instants)[:, None] + d
+    inside = np.broadcast_to(((instant >= 0) & (instant < tskel.n_instants))[None, :, None],
+                             (lanes, tskel.n_instants, n, 2 * w + 1))
+    nodes = np.arange(lanes * tskel.n_nodes).reshape(inside.shape[:-1])
+    columns = (nodes[..., None] + d * n)[inside]
+    idx = np.int32 if max(len(columns), nodes.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(nodes.size + 1, dtype=idx)
+    indptr[1:] = np.cumsum(inside.sum(axis=-1).ravel())
+    which = np.broadcast_to(np.arange(2 * w + 1), inside.shape)[inside]
+    band = Band((d * n).astype(idx), which.astype(np.min_scalar_type(2 * w + 1)))
+    return Pattern(indptr, columns.astype(idx), band)
 
 
 def _lane_skeleton(tskel: TemporalSkeleton, lanes: int) -> DirectedSkeleton:

@@ -178,7 +178,7 @@ def cmd_graph_dump(args) -> int:
         data.write_csv(out / f"{name}.csv", ["row", "col", "value"], rows)
     n = pg.n_stations
     w_slice = graph.l_u[:n, :n].toarray()
-    np.fill_diagonal(w_slice, 0.0)
+    w_slice[np.diag_indices(n)] = 0.0
     centrality = pipeline.component_centrality(-w_slice)
     data.write_csv(out / "perron.csv", ["station", "centrality"], enumerate(centrality.tolist()))
     print(f"wrote operators and perron.csv to {out}")

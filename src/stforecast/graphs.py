@@ -10,16 +10,16 @@ skeleton keeps the road graph's connected components.
 Operator assembly has two phases, as sparse direct methods split a symbolic
 from a numeric phase (Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006). A plan (``plan_undirected_laplacian``,
-``plan_random_walk_digraph``) holds what depends on the skeleton alone: each
-operator's CSR ``Pattern`` and where each stored entry's value comes from.
-An assembly fills values only, and a plan's patterns are final: an entry
-that comes out exactly 0.0 is stored as +0.0, where scipy's sparse
-arithmetic stores none, which adds nothing to a product of a finite
-vector. A ``Pattern`` works out on first use, and keeps, what the
-solver's folded systems read of it: the diagonal's positions. A plan gives
-a pattern of few diagonals, the temporal ones, its ``Band``: where each
-entry sits in scipy's DIA layout (Saad, *Iterative Methods for Sparse
-Linear Systems*, 2003, section 3.4).
+``plan_random_walk_digraph``) holds what depends on the skeleton alone:
+each operator's CSR ``Pattern`` and where each stored entry's value comes
+from. An assembly takes a plan, its one input besides the weights, and
+fills values only; a plan's patterns are final: an entry that comes out
+exactly 0.0 is stored as +0.0, where scipy's sparse arithmetic stores none,
+which adds nothing to a product of a finite vector. A ``Pattern`` works out
+on first use, and keeps, what the solver's folded systems read of it: the
+diagonal's positions. The random walk's patterns, of few diagonals, have
+their ``Band``: where each entry sits in scipy's DIA layout (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2003, section 3.4).
 
 Every operator of a graph, and every folded CG system, is an ``Operator``:
 a pattern and its values, in entry order or as the band's diagonals, applied
@@ -511,129 +511,85 @@ def plan_undirected_laplacian(skel: SpatialSkeleton, n_slices: int) -> Laplacian
     return LaplacianPlan(skel, n_slices, pattern, np.where(order < m, order, order - m))
 
 
-def assemble_undirected_laplacian(skel, weights: np.ndarray):
-    """Block-diagonal D - W over slices, usually instants.
+def assemble_undirected_laplacian(plan: LaplacianPlan, weights: np.ndarray) -> Operator:
+    """Block-diagonal D - W over slices, usually instants, on the plan's pattern.
 
-    ``weights`` has shape (n_slices, n_edges) aligned with the edges of
-    ``skel``, a ``SpatialSkeleton`` (planned here; the result is CSR) or its
-    ``LaplacianPlan`` (the result is an ``Operator`` on the plan's pattern);
-    slice t holds nodes t*N .. t*N + N - 1, so the (head, instant) slices of
-    several heads, head-major, give one block per head.
+    ``weights`` has shape (n_slices, n_edges) aligned with the edges of the
+    plan's skeleton; slice t holds nodes t*N .. t*N + N - 1, so the (head,
+    instant) slices of several heads, head-major, give one block per head.
     """
-    given = plan = skel if isinstance(skel, LaplacianPlan) else None
-    skel = skel.skel if plan else skel
+    skel = plan.skel
     weights = np.asarray(weights, dtype=np.float64)
-    if (weights.ndim != 2 or weights.shape[1] != skel.n_edges
-            or (plan and weights.shape[0] != plan.n_slices)):
-        raise ValueError(
-            f"weights shape {weights.shape} does not match {skel.n_edges} skeleton edges"
-            + (f" in {plan.n_slices} slices" if plan else "")
-        )
+    if weights.shape != (plan.n_slices, skel.n_edges):
+        raise ValueError(f"weights shape {weights.shape} does not match {skel.n_edges} "
+                         f"skeleton edges in {plan.n_slices} slices")
     if not np.all((weights >= 0) & (weights < np.inf)):
         raise ValueError("non-finite or negative edge weight")
-    plan = plan or plan_undirected_laplacian(skel, weights.shape[0])
     n = skel.n_stations
-    off = (np.arange(weights.shape[0]) * n)[:, None]
+    off = (np.arange(plan.n_slices) * n)[:, None]
     # each degree sums its slice's edges in edge order, the i ends first
     deg = np.bincount(
         np.concatenate([off + skel.edges[:, 0], off + skel.edges[:, 1]], axis=1).ravel(),
         weights=np.concatenate([weights, weights], axis=1).ravel(),
-        minlength=n * weights.shape[0],
+        minlength=n * plan.n_slices,
     )
-    lap = Operator(plan.pattern, np.concatenate([-weights.ravel(), deg])[plan.source])
-    return lap if given else lap.matrix()
+    return Operator(plan.pattern, np.concatenate([-weights.ravel(), deg])[plan.source])
 
 
 @dataclass(frozen=True, eq=False)
 class RandomWalkPlan:
-    """The patterns of ``assemble_random_walk_digraph`` for one skeleton.
+    """The patterns of ``assemble_random_walk_digraph`` for one skeleton, each with its band.
 
-    Stored W_r entry i is entry ``w_source[i]`` of the edges followed by a
-    self-loop per source. Stored L_r = I - W_r entry i reads 1 on the
-    diagonal (``l_diagonal``) less W_r entry ``l_source[i]`` (none at
-    ``w_rd.nnz``). L_r leaves out the diagonal of each row whose one W_r
-    entry is its own: that entry is its weight over itself, exactly 1, and
-    the diagonal reads 1 - 1 = 0.
-
-    A banded plan gives W_r and L_r their ``Band`` on W_r's diagonals, and
-    adds L_r''s pattern ``l_rd_t`` with its band, on the mirrored ones, and
-    ``band_at``, the flat position in W_r's band of each edge's entry. It
-    keeps none of the three entry-order maps: its operators' values in
-    entry order are gathered from their bands.
+    W_r lies on the diagonals of the edges and, for the sources' self-loops,
+    the main one; L_r = I - W_r on the edges' and, for every row but a
+    source's, the main one. A source's one W_r entry is its weight over
+    itself, exactly 1, so its diagonal in L_r reads 1 - 1 = 0 and is left
+    out. ``l_rd_t`` is L_r''s pattern, on the mirrored diagonals, and
+    ``band_at`` the flat position in W_r's band of each edge's entry.
     """
 
     skel: DirectedSkeleton
     w_rd: Pattern
-    w_source: np.ndarray | None
     l_rd: Pattern
-    l_diagonal: np.ndarray | None
-    l_source: np.ndarray | None
-    l_rd_t: Pattern | None = None
-    band_at: np.ndarray | None = None
+    l_rd_t: Pattern
+    band_at: np.ndarray
 
 
-def plan_random_walk_digraph(skel: DirectedSkeleton, banded: bool = False) -> RandomWalkPlan:
-    """Plan W_r and I - W_r over ``skel``, a self-loop added at each source;
-    with ``banded``, for a skeleton of few diagonals and no self-edge, as bands."""
+def plan_random_walk_digraph(skel: DirectedSkeleton) -> RandomWalkPlan:
+    """Plan W_r, I - W_r and its transpose over ``skel``, a DAG of few
+    diagonals, with a self-loop added at each source."""
     n = skel.n_nodes
-    w_rd, w_source = coo_pattern(np.concatenate([skel.dst, skel.sources]),
-                                 np.concatenate([skel.src, skel.sources]), n)
-    per_row = np.diff(w_rd.indptr)
-    w_rows = np.repeat(np.arange(n), per_row)
-    diag = np.arange(n)
-    w_keys = w_rows * n + w_rd.indices
-    at = np.searchsorted(w_keys, diag * (n + 1))
-    has = at < w_rd.nnz
-    has[has] = w_keys[at[has]] == diag[has] * (n + 1)
-    # I - W_r over both patterns: W_r's entries, each diagonal W_r lacks
-    # inserted where it sorts in its row
-    at, lacking = at[~has], diag[~has]
-    rows = np.insert(w_rows, at, lacking)
-    w_diagonal = w_rd.indices == w_rows
-    diagonal = np.insert(w_diagonal, at, True)
-    source = np.insert(np.arange(w_rd.nnz), at, w_rd.nnz).astype(w_source.dtype)
-    lone = np.insert(w_diagonal & (per_row[w_rows] == 1), at, False)
-    rows, cols = rows[~lone], np.insert(w_rd.indices, at, lacking)[~lone]
-    l_rd, _ = coo_pattern(rows, cols, n)
-    if not banded:
-        return RandomWalkPlan(skel, w_rd, w_source, l_rd, diagonal[~lone], source[~lone])
-    # W_r and L_r lie on the same diagonals, every edge's and the main one
-    # (W_r's at the sources, L_r's elsewhere), so the assembly writes L_r
-    # as 0.0 less W_r; a skeleton without sources or non-sources breaks
-    # that, and its assembly fails, on the in-degree or the band's size
-    w_rd, l_rd = w_rd.banded(), l_rd.banded()
-    offsets = w_rd.band.offsets
-    l_rd_t, _ = coo_pattern(cols, rows, n)
-    band_at = np.searchsorted(offsets, skel.src - skel.dst) * n + skel.src
-    return RandomWalkPlan(skel, w_rd, None, l_rd, None, None, l_rd_t.banded(),
-                          band_at.astype(l_rd.indices.dtype))
+    inner = np.delete(np.arange(n), skel.sources)  # the rows L_r stores a diagonal in
+    w_rd, _ = coo_pattern(np.concatenate([skel.dst, skel.sources]),
+                          np.concatenate([skel.src, skel.sources]), n)
+    rows, cols = np.concatenate([skel.dst, inner]), np.concatenate([skel.src, inner])
+    l_rd, l_rd_t = coo_pattern(rows, cols, n)[0], coo_pattern(cols, rows, n)[0]
+    w_rd = w_rd.banded()
+    band_at = np.searchsorted(w_rd.band.offsets, skel.src - skel.dst) * n + skel.src
+    return RandomWalkPlan(skel, w_rd, l_rd.banded(), l_rd_t.banded(),
+                          band_at.astype(w_rd.indices.dtype))
 
 
-def assemble_random_walk_digraph(skel, weights: np.ndarray):
-    """Row-stochastic random-walk adjacency and its Laplacian I - W_r.
+def assemble_random_walk_digraph(plan: RandomWalkPlan,
+                                 weights: np.ndarray) -> tuple[Operator, Operator]:
+    """Row-stochastic random-walk adjacency W_r and its Laplacian I - W_r,
+    written straight into the plan's bands.
 
-    ``skel`` is a ``DirectedSkeleton`` (planned here; the result is two CSR
-    matrices) or its ``RandomWalkPlan`` (the result is two ``Operator``s).
     Every source node gets a self-loop of weight 1 before in-degree
     normalization, so source rows of W_r are exactly their self-loop.
     In-degrees sum each node's edges in edge order, then its self-loop.
-    Both operators keep their plan's patterns: an entry of L_r that comes
-    out exactly 0.0 is stored as +0.0, where scipy's I - W_r stores none.
-
-    A banded plan's operators are written straight into their bands, with
-    the values of the entry-order route bit for bit: W_r's edges at
-    ``band_at`` and its self-loops on the main diagonal, L_r 0.0 less W_r
-    off it and 1 on it at every row but a source's.
+    W_r holds its edges' weights at ``band_at`` and the self-loops on the
+    main diagonal; L_r holds 0.0 less W_r's diagonals off the main one and
+    1 on it at every row but a source's. Both keep their plan's patterns:
+    an entry of L_r that comes out exactly 0.0 is stored as +0.0, where
+    scipy's I - W_r stores none.
     """
-    given = plan = skel if isinstance(skel, RandomWalkPlan) else None
-    skel = skel.skel if plan else skel
+    skel, n = plan.skel, plan.skel.n_nodes
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != skel.src.shape:
         raise ValueError("weights must align with skeleton edges")
     if not np.all((weights > 0) & (weights < np.inf)):
         raise ValueError("directed edge weights must be positive and finite")
-    plan = plan or plan_random_walk_digraph(skel)
-    n = skel.n_nodes
     indeg = np.bincount(skel.dst, weights=weights, minlength=n).astype(np.float64, copy=False)
     indeg[skel.sources] += 1.0
     dead = np.flatnonzero(indeg == 0)
@@ -641,22 +597,18 @@ def assemble_random_walk_digraph(skel, weights: np.ndarray):
         raise DegenerateDegreeError(
             f"non-source node(s) {dead[:5].tolist()} have zero incoming weight"
         )
-    if plan.band_at is None:
-        w_rows = np.repeat(np.arange(n), np.diff(plan.w_rd.indptr))
-        w_data = (np.concatenate([weights, np.ones(len(skel.sources))])[plan.w_source]
-                  / indeg[w_rows])
-        l_data = plan.l_diagonal - np.append(w_data, 0.0)[plan.l_source]
-    else:
-        band = plan.w_rd.band
-        w_edges = weights / indeg[skel.dst]
-        w_data = np.zeros((len(band.offsets), n))
-        w_data.ravel()[plan.band_at] = w_edges
-        w_data[band.zero, skel.sources] = 1.0 / indeg[skel.sources]
-        l_data = np.subtract(0.0, w_data)
-        l_data[band.zero] = 1.0
-        l_data[band.zero, skel.sources] = 0.0
-    w_rd, l_rd = Operator(plan.w_rd, w_data), Operator(plan.l_rd, l_data)
-    return (w_rd, l_rd) if given else (w_rd.matrix(), l_rd.matrix())
+    band, l_band = plan.w_rd.band, plan.l_rd.band
+    w_data = np.zeros((len(band.offsets), n))
+    w_data.ravel()[plan.band_at] = weights / indeg[skel.dst]
+    w_data[band.zero, skel.sources] = 1.0 / indeg[skel.sources]
+    # L_r lies on W_r's diagonals, less the main one where every row is a
+    # source's, and takes them by offset
+    l_data = w_data[np.searchsorted(band.offsets, l_band.offsets)]
+    np.subtract(0.0, l_data, out=l_data)
+    if len(l_band.offsets):
+        l_data[l_band.zero] = 1.0
+        l_data[l_band.zero, skel.sources] = 0.0
+    return Operator(plan.w_rd, w_data), Operator(plan.l_rd, l_data)
 
 
 def band_transpose(op: Operator, pattern: Pattern) -> Operator:
@@ -672,32 +624,21 @@ def band_transpose(op: Operator, pattern: Pattern) -> Operator:
     return Operator(pattern, out)
 
 
-def symmetrized_dglr_matrix(l_rd, l_rd_t, pattern: Pattern | None = None):
-    """L_r^T L_r from L_r and its transpose: symmetric, PSD, annihilates
-    the constant vector.
+def symmetrized_dglr_matrix(l_rd: Operator, l_rd_t: Operator, pattern: Pattern) -> Operator:
+    """L_r^T L_r from the band ``Operator``s of a planned temporal graph:
+    symmetric, PSD, annihilates the constant vector.
 
-    From CSR matrices, scipy's sparse product as CSR, indices sorted; it
-    stores no entry that sums to exactly 0.0. Entry (i, k) sums
-    L_r(j, i) L_r(j, k) over the nodes j in ascending order, from +0.0
-    (Gustavson's row-by-row product, scipy's ``csr_matmat``).
-
-    From the band ``Operator``s of a planned temporal graph, whose L_r' has
-    the diagonals 0, N, ..., W N, and ``pattern``, the plan's pattern of the
-    product with its band of 2W + 1 diagonals: an ``Operator`` of the same
-    sums in the same order, formed diagonal by diagonal. For each diagonal
-    -q N of L_r, q ascending, and each p, node j adds
-    L_r(j, j - p N) L_r(j, j - q N) to entry (j - p N, j - q N), on the
-    product's diagonal (p - q) N: L_r''s diagonals p N and q N multiplied
-    column by column, one vector product per (p, q). An entry that comes
-    out exactly 0.0, which scipy's product drops, is kept as +0.0.
+    L_r' has the diagonals 0, N, ..., W N, and ``pattern``, the plan's
+    pattern of the product, its band of 2W + 1 diagonals. Entry (i, k) sums
+    L_r(j, i) L_r(j, k) over the nodes j in ascending order, from +0.0, as
+    scipy's sparse product does (Gustavson's row-by-row product,
+    ``csr_matmat``), formed diagonal by diagonal. For each diagonal -q N of
+    L_r, q ascending, and each p, node j adds L_r(j, j - p N) L_r(j, j - q N)
+    to entry (j - p N, j - q N), on the product's diagonal (p - q) N: L_r''s
+    diagonals p N and q N multiplied column by column, one vector product
+    per (p, q). An entry that comes out exactly 0.0, which scipy's product
+    drops, is kept as +0.0.
     """
-    if not isinstance(l_rd_t, Operator):
-        if l_rd.shape[0] != l_rd.shape[1]:
-            raise ValueError("expected a square matrix")
-        mat = l_rd_t @ l_rd
-        # exact symmetry by construction of the product; enforce sorted indices
-        mat.sort_indices()
-        return mat
     rows = l_rd_t.data  # row d holds L_r(j, j - d N) in column j
     span, n = len(rows) - 1, rows.shape[1]
     if len(pattern.band.offsets) != 2 * span + 1:

@@ -19,7 +19,9 @@ from .attention import (
     MetricBank,
     directed_weights,
     embed,
+    fill_mixed_graph,
     orient_columns,
+    plan_mixed_graph,
     smallest_eigenpairs,
     undirected_weights,
 )
@@ -32,7 +34,7 @@ from .graphs import (
     build_spatial_skeleton,
     build_temporal_skeleton,
     directed_skeleton_from_edges,
-    symmetrized_dglr_matrix,
+    plan_random_walk_digraph,
     unit_laplacian,
 )
 from .priors import PriorWeights
@@ -46,10 +48,12 @@ class CheckResult:
     detail: str
 
 
-def line_digraph(n: int):
-    """Directed line over n nodes, unit weights, unit self-loop at the source."""
-    skel = directed_skeleton_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    return assemble_random_walk_digraph(skel, np.ones(n - 1))
+def line_graph(n: int) -> MixedGraph:
+    """Directed line over n nodes, unit weights, unit self-loop at the source,
+    as a forecast's graph: one station's n instants, window 1."""
+    sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
+    plan = plan_mixed_graph(sskel, build_temporal_skeleton(1, n, 1), 1, 1, False)
+    return fill_mixed_graph(plan, np.zeros((n, 0)), np.ones(n - 1))
 
 
 def path_laplacian(n: int) -> np.ndarray:
@@ -93,8 +97,7 @@ def check_line_graph_symmetrization() -> CheckResult:
     """Symmetrized DAG operator of a directed line == undirected path Laplacian."""
     worst = 0.0
     for n in range(2, 33):
-        _, l_rd = line_digraph(n)
-        call = symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr()).toarray()
+        call = line_graph(n).call_rd.toarray()
         worst = max(worst, float(np.abs(call - path_laplacian(n)).max()))
     return CheckResult(
         "line-digraph symmetrization equals path Laplacian (N=2..32)",
@@ -105,16 +108,16 @@ def check_line_graph_symmetrization() -> CheckResult:
 
 def check_four_node_line_matrices() -> CheckResult:
     """Golden 4-node directed-line operators, entrywise."""
-    w_rd, l_rd = line_digraph(4)
+    graph = line_graph(4)
     w_gold = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
     l_gold = np.eye(4) - w_gold
     call_gold = np.array(
         [[1, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 1]], dtype=float
     )
     dev = max(
-        float(np.abs(w_rd.toarray() - w_gold).max()),
-        float(np.abs(l_rd.toarray() - l_gold).max()),
-        float(np.abs(symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr()).toarray() - call_gold).max()),
+        float(np.abs(graph.w_rd.toarray() - w_gold).max()),
+        float(np.abs(graph.l_rd.toarray() - l_gold).max()),
+        float(np.abs(graph.call_rd.toarray() - call_gold).max()),
     )
     return CheckResult("4-node line golden matrices", dev == 0.0, f"max deviation {dev:.1e}")
 
@@ -122,12 +125,10 @@ def check_four_node_line_matrices() -> CheckResult:
 def check_directionality() -> CheckResult:
     """The l2 temporal prior respects edge direction on a 3-node DAG."""
     x = np.array([2.0, 0.0, 1.0])
-    skel_fwd = directed_skeleton_from_edges(3, [(0, 2), (1, 2)])
-    _, l_fwd = assemble_random_walk_digraph(skel_fwd, np.ones(2))
-    skel_rev = directed_skeleton_from_edges(3, [(2, 0), (2, 1)])
-    _, l_rev = assemble_random_walk_digraph(skel_rev, np.ones(2))
-    fwd = priors.dglr(x, l_fwd)
-    rev = priors.dglr(x, l_rev)
+    fwd, rev = (  # parents 0 and 1 averaged into 2, then the edges reversed
+        priors.dglr(x, assemble_random_walk_digraph(plan_random_walk_digraph(
+            directed_skeleton_from_edges(3, edges)), np.ones(2))[1].matrix())
+        for edges in ([(0, 2), (1, 2)], [(2, 0), (2, 1)]))
     ok = abs(fwd) < 1e-15 and abs(rev - 2.0) < 1e-12
     return CheckResult(
         "directionality: parents-average vs reversed DAG",

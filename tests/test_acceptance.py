@@ -16,18 +16,17 @@ from stforecast.attention import MetricBank, build_mixed_graph, directed_weights
 from stforecast.config import PipelineConfig
 from stforecast.graphs import (
     PhysicalGraph,
-    assemble_random_walk_digraph,
     build_spatial_skeleton,
     build_temporal_skeleton,
     directed_skeleton_from_edges,
-    symmetrized_dglr_matrix,
 )
 from stforecast.pipeline import PipelineContext, Standardizer, evaluate
 from stforecast.priors import PriorWeights, dglr, objective
 from stforecast.solver import AdmmState, CgSchedule, LayerParams, admm_block, cg_solve, update_zd, update_zu
 from stforecast.tuning import tune_spsa
+from stforecast.verify import line_graph
 
-from test_graphs import random_mixed
+from test_graphs import random_mixed, random_walk
 
 
 def report(num, message):
@@ -38,14 +37,12 @@ def test_criterion_01_line_digraph_symmetrization_exact():
     start = time.perf_counter()
     worst = 0.0
     for n in range(2, 33):
-        skel = directed_skeleton_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        _, l_rd = assemble_random_walk_digraph(skel, np.ones(n - 1))
         path = np.zeros((n, n))
         for i in range(n - 1):
             path[i, i] += 1
             path[i + 1, i + 1] += 1
             path[i, i + 1] = path[i + 1, i] = -1
-        call = symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr()).toarray()
+        call = line_graph(n).call_rd.toarray()
         worst = max(worst, np.abs(call - path).max())
     elapsed = time.perf_counter() - start
     assert worst == 0.0
@@ -54,8 +51,7 @@ def test_criterion_01_line_digraph_symmetrization_exact():
 
 
 def test_criterion_02_four_node_golden_matrices():
-    skel = directed_skeleton_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    w_rd, l_rd = assemble_random_walk_digraph(skel, np.ones(3))
+    graph = line_graph(4)
     w_gold = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], float)
     l_gold = np.array(
         [[0, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]], float
@@ -63,19 +59,18 @@ def test_criterion_02_four_node_golden_matrices():
     call_gold = np.array(
         [[1, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 1]], float
     )
-    np.testing.assert_array_equal(w_rd.toarray(), w_gold)
-    np.testing.assert_array_equal(l_rd.toarray(), l_gold)
-    call = symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr())
-    np.testing.assert_array_equal(call.toarray(), call_gold)
+    np.testing.assert_array_equal(graph.w_rd.toarray(), w_gold)
+    np.testing.assert_array_equal(graph.l_rd.toarray(), l_gold)
+    np.testing.assert_array_equal(graph.call_rd.toarray(), call_gold)
     report(2, "4-node golden matrices entrywise exact")
 
 
 def test_criterion_03_directionality_examples():
     x = np.array([2.0, 0.0, 1.0])
     fwd = directed_skeleton_from_edges(3, [(0, 2), (1, 2)])
-    _, l_fwd = assemble_random_walk_digraph(fwd, np.ones(2))
+    _, l_fwd = random_walk(fwd, np.ones(2))
     rev = directed_skeleton_from_edges(3, [(2, 0), (2, 1)])
-    _, l_rev = assemble_random_walk_digraph(rev, np.ones(2))
+    _, l_rev = random_walk(rev, np.ones(2))
     assert dglr(x, l_fwd) == pytest.approx(0.0, abs=1e-15)
     assert dglr(x, l_rev) == pytest.approx(2.0, abs=1e-12)
     report(3, "parents-average DAG gives 0, reversed DAG gives 2")

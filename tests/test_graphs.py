@@ -14,6 +14,7 @@ from stforecast.graphs import (
     EDGE_DTYPE,
     DegenerateDegreeError,
     EdgeError,
+    Operator,
     PhysicalGraph,
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
@@ -22,8 +23,31 @@ from stforecast.graphs import (
     component_blocks,
     directed_skeleton_from_edges,
     flat_index,
+    plan_random_walk_digraph,
+    plan_undirected_laplacian,
     symmetrized_dglr_matrix,
 )
+from stforecast.verify import line_graph
+
+
+def laplacian(skel, weights):
+    """D - W of a spatial skeleton over the slices of ``weights``, as CSR, planned on the spot."""
+    weights = np.asarray(weights, dtype=np.float64)
+    return assemble_undirected_laplacian(plan_undirected_laplacian(skel, len(weights)),
+                                         weights).matrix()
+
+
+def random_walk(skel, weights):
+    """W_r and L_r of a DAG skeleton, as CSR, planned on the spot."""
+    w_rd, l_rd = assemble_random_walk_digraph(plan_random_walk_digraph(skel), weights)
+    return w_rd.matrix(), l_rd.matrix()
+
+
+def scipy_dglr(l_rd):
+    """scipy's L_r'L_r of a CSR L_r, indices sorted."""
+    mat = (l_rd.T @ l_rd).tocsr()
+    mat.sort_indices()
+    return mat
 
 
 class TestIndexing:
@@ -260,26 +284,26 @@ class TestUndirectedLaplacian:
     def test_single_edge(self):
         pg = PhysicalGraph(2, ((0, 1, 1.0),))
         skel = build_spatial_skeleton(pg, 1)
-        lap = assemble_undirected_laplacian(skel, np.array([[1.0]]))
+        lap = laplacian(skel, np.array([[1.0]]))
         np.testing.assert_array_equal(lap.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_zero_weights(self):
         pg = PhysicalGraph(2, ((0, 1, 1.0),))
         skel = build_spatial_skeleton(pg, 1)
-        lap = assemble_undirected_laplacian(skel, np.array([[0.0]]))
+        lap = laplacian(skel, np.array([[0.0]]))
         assert np.abs(lap.toarray()).max() == 0.0
 
     def test_path4_tridiagonal(self):
         pg = PhysicalGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
         skel = build_spatial_skeleton(pg, 2)
-        lap = assemble_undirected_laplacian(skel, np.ones((1, 3))).toarray()
+        lap = laplacian(skel, np.ones((1, 3))).toarray()
         assert np.diag(lap).tolist() == [1.0, 2.0, 2.0, 1.0]
         np.testing.assert_array_equal(lap, lap.T)
 
     def test_block_diagonal_over_instants(self):
         pg = PhysicalGraph(2, ((0, 1, 1.0),))
         skel = build_spatial_skeleton(pg, 1)
-        lap = assemble_undirected_laplacian(skel, np.array([[2.0], [3.0]])).toarray()
+        lap = laplacian(skel, np.array([[2.0], [3.0]])).toarray()
         assert lap.shape == (4, 4)
         assert np.abs(lap[:2, 2:]).max() == 0.0
         np.testing.assert_array_equal(lap[2:, 2:], [[3.0, -3.0], [-3.0, 3.0]])
@@ -288,14 +312,14 @@ class TestUndirectedLaplacian:
         pg = PhysicalGraph(3, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)))
         skel = build_spatial_skeleton(pg, 2)
         rng = np.random.default_rng(0)
-        lap = assemble_undirected_laplacian(skel, rng.uniform(0.1, 2, (4, skel.n_edges)))
+        lap = laplacian(skel, rng.uniform(0.1, 2, (4, skel.n_edges)))
         assert np.abs(lap @ np.ones(12)).max() < 1e-12
 
     def test_negative_weight_rejected(self):
         pg = PhysicalGraph(2, ((0, 1, 1.0),))
         skel = build_spatial_skeleton(pg, 1)
         with pytest.raises(ValueError, match="negative"):
-            assemble_undirected_laplacian(skel, np.array([[-0.5]]))
+            laplacian(skel, np.array([[-0.5]]))
 
 
 LINE4_W = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
@@ -307,25 +331,25 @@ LINE4_CALL = np.array(
 class TestRandomWalkDigraph:
     def test_four_node_line_matrices(self):
         skel = directed_skeleton_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        w_rd, l_rd = assemble_random_walk_digraph(skel, np.ones(3))
+        w_rd, l_rd = random_walk(skel, np.ones(3))
         np.testing.assert_array_equal(w_rd.toarray(), LINE4_W)
         np.testing.assert_array_equal(l_rd.toarray(), np.eye(4) - LINE4_W)
 
     def test_single_node_self_loop(self):
         skel = directed_skeleton_from_edges(1, [])
-        w_rd, l_rd = assemble_random_walk_digraph(skel, np.zeros(0) + 1.0)
+        w_rd, l_rd = random_walk(skel, np.zeros(0) + 1.0)
         np.testing.assert_array_equal(w_rd.toarray(), [[1.0]])
         np.testing.assert_array_equal(l_rd.toarray(), [[0.0]])
 
     def test_two_predecessors_normalized(self):
         skel = directed_skeleton_from_edges(3, [(0, 2), (1, 2)])
-        w_rd, _ = assemble_random_walk_digraph(skel, np.array([1.0, 3.0]))
+        w_rd, _ = random_walk(skel, np.array([1.0, 3.0]))
         np.testing.assert_allclose(w_rd.toarray()[2], [0.25, 0.75, 0.0])
 
     def test_row_sums_one(self):
         skel = build_temporal_skeleton(3, 5, 2)
         rng = np.random.default_rng(1)
-        w_rd, _ = assemble_random_walk_digraph(skel, rng.uniform(0.5, 2, skel.n_edges))
+        w_rd, _ = random_walk(skel, rng.uniform(0.5, 2, skel.n_edges))
         sums = np.asarray(w_rd.sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() < 1e-12
 
@@ -337,45 +361,45 @@ class TestRandomWalkDigraph:
             n_stations=1, n_instants=3, window=1,
         )
         with pytest.raises(DegenerateDegreeError):
-            assemble_random_walk_digraph(bad, np.ones(2))
+            random_walk(bad, np.ones(2))
 
     def test_nonpositive_weight_rejected(self):
         skel = directed_skeleton_from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="positive"):
-            assemble_random_walk_digraph(skel, np.array([0.0]))
+            random_walk(skel, np.array([0.0]))
 
 
 class TestSymmetrizedOperator:
     def test_four_node_line(self):
-        skel = directed_skeleton_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        _, l_rd = assemble_random_walk_digraph(skel, np.ones(3))
-        call = symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr())
-        np.testing.assert_array_equal(call.toarray(), LINE4_CALL)
+        np.testing.assert_array_equal(line_graph(4).call_rd.toarray(), LINE4_CALL)
 
     def test_line_equals_path_laplacian_exactly(self):
         for n in range(2, 33):
-            skel = directed_skeleton_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-            _, l_rd = assemble_random_walk_digraph(skel, np.ones(n - 1))
             path = np.zeros((n, n))
             for i in range(n - 1):
                 path[i, i] += 1
                 path[i + 1, i + 1] += 1
                 path[i, i + 1] = path[i + 1, i] = -1
-            dev = np.abs(symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr()).toarray() - path).max()
+            dev = np.abs(line_graph(n).call_rd.toarray() - path).max()
             assert dev == 0.0
 
     def test_zero_matrix(self):
-        zero = sp.csr_matrix((3, 3))
-        assert symmetrized_dglr_matrix(zero, zero).nnz == 0
+        # the band product of a zero L_r stores no nonzero, and no -0.0
+        ops = line_graph(3).ops
+        zero = {name: Operator(ops[name].pattern, np.zeros_like(ops[name].data))
+                for name in ("l_rd", "l_rd_t", "call_rd")}
+        call = symmetrized_dglr_matrix(zero["l_rd"], zero["l_rd_t"], zero["call_rd"].pattern)
+        assert call.matrix().count_nonzero() == 0
+        assert call.data.tobytes() == bytes(call.data.nbytes)
 
     def test_two_parent_dag_rank_one(self):
         # child 2 averages parents 0 and 1: the only nonzero row of the
         # random-walk Laplacian is v = [-1/2, -1/2, 1], so L'L = outer(v, v)
         skel = directed_skeleton_from_edges(3, [(0, 2), (1, 2)])
-        _, l_rd = assemble_random_walk_digraph(skel, np.ones(2))
+        _, l_rd = random_walk(skel, np.ones(2))
         v = np.array([-0.5, -0.5, 1.0])
         np.testing.assert_allclose(
-            symmetrized_dglr_matrix(l_rd, l_rd.T.tocsr()).toarray(), np.outer(v, v), atol=1e-15
+            scipy_dglr(l_rd).toarray(), np.outer(v, v), atol=1e-15
         )
 
 

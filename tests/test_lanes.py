@@ -23,12 +23,9 @@ from stforecast.graphs import (
     Operator,
     Pattern,
     PhysicalGraph,
-    assemble_random_walk_digraph,
-    assemble_undirected_laplacian,
     build_spatial_skeleton,
     build_temporal_skeleton,
     directed_skeleton_from_edges,
-    symmetrized_dglr_matrix,
 )
 from stforecast.pipeline import (
     PipelineContext,
@@ -56,7 +53,7 @@ from stforecast.solver import (
     update_zu,
 )
 
-from test_graphs import random_mixed
+from test_graphs import laplacian, random_mixed, random_walk, scipy_dglr
 from test_pipeline import small_config, tiny_dataset
 
 STACKED_OPS = ("l_u", "w_rd", "l_rd", "call_rd", "l_rd_t", "l_n")
@@ -237,7 +234,7 @@ class TestLaneAssembly:
         weights = rng.uniform(0.0, 2.0, (int(rng.integers(1, 10)), skel.n_edges))
         weights[rng.uniform(size=weights.shape) < 0.2] = 0.0
         assert_same_csr(
-            assemble_undirected_laplacian(skel, weights), slice_loop_laplacian(skel, weights)
+            laplacian(skel, weights), slice_loop_laplacian(skel, weights)
         )
 
 
@@ -275,12 +272,11 @@ def no_diagonal_graph():
     spatial Laplacian stores nothing at all.
     """
     sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
-    w_rd, l_rd = assemble_random_walk_digraph(directed_skeleton_from_edges(3, [(0, 1)]), np.ones(1))
-    l_rd_t = l_rd.T.tocsr()
+    w_rd, l_rd = random_walk(directed_skeleton_from_edges(3, [(0, 1)]), np.ones(1))
     g = MixedGraph(
         n_stations=1, n_instants=3, n_observed=2,
-        l_u=assemble_undirected_laplacian(sskel, np.zeros((3, 0))), w_rd=w_rd, l_rd=l_rd,
-        l_rd_t=l_rd_t, call_rd=symmetrized_dglr_matrix(l_rd, l_rd_t),
+        l_u=laplacian(sskel, np.zeros((3, 0))), w_rd=w_rd, l_rd=l_rd,
+        l_rd_t=l_rd.T.tocsr(), call_rd=scipy_dglr(l_rd),
         l_n=sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])),
     )
     assert g.call_rd[2, 2] == 0 and 2 not in g.call_rd[2].indices
@@ -1118,10 +1114,11 @@ def split_skeleton_graph(rng, lanes):
     return build_mixed_graph(*split_skeleton_inputs(rng, lanes), with_undirected_temporal=True)
 
 
-def split_skeleton_inputs(rng, lanes, window=None):
+def split_skeleton_inputs(rng, lanes, window=None, stations=None):
     """The weights, skeletons and observed prefix of ``split_skeleton_graph``;
-    ``window`` = -1 takes the longest, one less than the instants."""
-    n = int(rng.integers(2, 8))
+    ``window`` = -1 takes the longest, one less than the instants, and
+    ``stations`` fixes the station count."""
+    n = int(rng.integers(2, 8)) if stations is None else stations
     cluster = rng.integers(0, 3, n)
     edges = tuple(
         (i, j, float(rng.uniform(0.1, 2)))

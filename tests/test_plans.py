@@ -125,14 +125,25 @@ class TestPlannedPatterns:
            st.sampled_from(("plain", "underflowing", "cancelling")), st.data())
     @settings(max_examples=60, deadline=None)
     def test_every_operator_holds_its_plans_pattern(self, seed, lanes, with_l_n, draw, data):
+        # the window pattern's edges too: one station, whose diagonals d N
+        # are next to each other, and the longest window, cut at both ends
         rng = np.random.default_rng(seed)
         wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes, data.draw(
-            st.sampled_from((None, -1))))
+            st.sampled_from((None, -1))), data.draw(st.sampled_from((None, 1))))
         if draw == "underflowing":  # walk weights that round to 0.0 in L_r, call_rd and l_n
             wd = np.where(rng.uniform(size=wd.shape) < 0.3, 5e-324, 1e3 * wd)
         elif draw == "cancelling":  # dyadic weights whose L_r'L_r sums can come out 0.0
             wd = cancelling_weights(rng, tskel, lanes)
         plan = plan_mixed_graph(sskel, tskel, lanes, n_observed, with_l_n)
+        # the closed-form window pattern is that of L_r'L_r with ones for
+        # values, whose sums cancel nowhere: scipy's product, band included
+        ones = plan.walk.l_rd.matrix(np.ones(plan.walk.l_rd.nnz))
+        product = ones.T.tocsr() @ ones
+        product.sort_indices()
+        got, want = plan.temporal, Pattern.of(product).banded()
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.band.offsets, want.band.offsets), (got.band.which, want.band.which)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         graph = fill_mixed_graph(plan, wu, wd)
         self.check(plan, graph)
         assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n)
@@ -458,11 +469,8 @@ class TestBandOperators:
         # weights over many orders of magnitude, so that every sum's order shows
         wd = np.exp(rng.uniform(-20.0, 20.0, (lanes, tskel.n_edges)))
         graph = build_mixed_graph(wu, wd, sskel, tskel, n_observed, False)
-        w_rd, l_rd = assemble_random_walk_digraph(attention._lane_skeleton(tskel, lanes),
-                                                  wd.ravel())
-        l_rd_t = l_rd.T.tocsr()
-        call_rd = graphs.symmetrized_dglr_matrix(l_rd, l_rd_t)
-        want = {"w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd_t, "call_rd": call_rd}
+        reference = coo_operators(sskel, tskel, wu, wd, False)
+        want = {name: reference[name] for name in ("w_rd", "l_rd", "l_rd_t", "call_rd")}
         for name, mat in want.items():
             assert graph.ops[name].banded, name
             assert_bitwise(getattr(graph, name), mat, name)
@@ -574,9 +582,8 @@ class TestBandOperators:
 
             def one_ulp_off(*args):
                 out = product(*args)
-                if isinstance(out, graphs.Operator):  # a block's band, not the plan's CSR
-                    zero = out.pattern.band.zero
-                    out.data[zero, -1] = np.nextafter(out.data[zero, -1], np.inf)
+                zero = out.pattern.band.zero
+                out.data[zero, -1] = np.nextafter(out.data[zero, -1], np.inf)
                 return out
 
             monkeypatch.setattr(attention, "symmetrized_dglr_matrix", one_ulp_off)

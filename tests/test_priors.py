@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stforecast.graphs import (
-    PhysicalGraph,
-    assemble_random_walk_digraph,
-    assemble_undirected_laplacian,
-    build_spatial_skeleton,
-    directed_skeleton_from_edges,
-)
+from stforecast.graphs import PhysicalGraph, build_spatial_skeleton, directed_skeleton_from_edges
 from stforecast.oracles import dense_spectrum
 from stforecast.priors import (
     PriorWeights,
@@ -22,7 +16,7 @@ from stforecast.priors import (
     objective,
 )
 
-from test_graphs import random_mixed
+from test_graphs import laplacian, random_mixed, random_walk
 
 
 def random_undirected(rng, n=10):
@@ -33,7 +27,7 @@ def random_undirected(rng, n=10):
     pg = PhysicalGraph(n, edges)
     skel = build_spatial_skeleton(pg, 3)
     weights = rng.uniform(0.1, 2, (1, skel.n_edges))
-    return skel, weights, assemble_undirected_laplacian(skel, weights)
+    return skel, weights, laplacian(skel, weights)
 
 
 class TestGlr:
@@ -44,7 +38,7 @@ class TestGlr:
 
     def test_two_node_unit(self):
         pg = PhysicalGraph(2, ((0, 1, 1.0),))
-        lap = assemble_undirected_laplacian(build_spatial_skeleton(pg, 1), np.array([[1.0]]))
+        lap = laplacian(build_spatial_skeleton(pg, 1), np.array([[1.0]]))
         assert glr(np.array([0.0, 1.0]), lap) == pytest.approx(1.0)
 
     def test_matches_pairwise_sum_oracle(self):
@@ -66,12 +60,12 @@ class TestGlr:
 def fig_dag_forward():
     """3-node DAG: node 2 has parents 0 and 1 with equal weights."""
     skel = directed_skeleton_from_edges(3, [(0, 2), (1, 2)])
-    return assemble_random_walk_digraph(skel, np.ones(2))[1]
+    return random_walk(skel, np.ones(2))[1]
 
 
 def fig_dag_reversed():
     skel = directed_skeleton_from_edges(3, [(2, 0), (2, 1)])
-    return assemble_random_walk_digraph(skel, np.ones(2))[1]
+    return random_walk(skel, np.ones(2))[1]
 
 
 class TestDglr:
@@ -96,7 +90,7 @@ class TestDglr:
         rng = np.random.default_rng(4)
         skel = directed_skeleton_from_edges(5, [(0, 2), (1, 2), (2, 3), (1, 3), (3, 4)])
         weights = rng.uniform(0.5, 2, 5)
-        w_rd, l_rd = assemble_random_walk_digraph(skel, weights)
+        w_rd, l_rd = random_walk(skel, weights)
         x = rng.standard_normal(5)
         wbar = w_rd.toarray()
         oracle = sum(
@@ -121,14 +115,14 @@ class TestDgtv:
 
     def test_two_node_chain(self):
         skel = directed_skeleton_from_edges(2, [(0, 1)])
-        _, l_rd = assemble_random_walk_digraph(skel, np.ones(1))
+        _, l_rd = random_walk(skel, np.ones(1))
         assert dgtv(np.array([0.0, 3.0]), l_rd) == pytest.approx(3.0)
 
     def test_per_child_oracle(self):
         rng = np.random.default_rng(5)
         skel = directed_skeleton_from_edges(5, [(0, 2), (1, 2), (2, 3), (1, 3), (3, 4)])
         weights = rng.uniform(0.5, 2, 5)
-        w_rd, l_rd = assemble_random_walk_digraph(skel, weights)
+        w_rd, l_rd = random_walk(skel, weights)
         x = rng.standard_normal(5)
         wbar = w_rd.toarray()
         oracle = sum(abs(x[j] - wbar[j] @ x) for j in range(5) if j not in (0, 1))
@@ -206,7 +200,7 @@ class TestSpectrum:
     def test_path4_closed_form(self):
         # path-graph Laplacian eigenvalues are 2 - 2 cos(k pi / N)
         pg = PhysicalGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
-        lap = assemble_undirected_laplacian(build_spatial_skeleton(pg, 2), np.ones((1, 3)))
+        lap = laplacian(build_spatial_skeleton(pg, 2), np.ones((1, 3)))
         expected = sorted(2 - 2 * np.cos(k * np.pi / 4) for k in range(4))
         np.testing.assert_allclose(dense_spectrum(lap)[0], expected, atol=1e-12)
 

@@ -238,18 +238,17 @@ class TestUpdateX:
     def test_single_station_two_instants_2x2_oracle(self):
         # one station, two instants: the whole system is a hand-checkable 2x2
         from stforecast.graphs import (
-            MixedGraph, PhysicalGraph, assemble_random_walk_digraph,
-            assemble_undirected_laplacian, build_spatial_skeleton, build_temporal_skeleton,
-            symmetrized_dglr_matrix,
+            MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton,
         )
+
+        from test_graphs import laplacian, random_walk, scipy_dglr
 
         sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
         tskel = build_temporal_skeleton(1, 2, 1)
-        l_u = assemble_undirected_laplacian(sskel, np.zeros((2, 0)))
-        w_rd, l_rd = assemble_random_walk_digraph(tskel, np.ones(1))
-        l_rd_t = l_rd.T.tocsr()
+        l_u = laplacian(sskel, np.zeros((2, 0)))
+        w_rd, l_rd = random_walk(tskel, np.ones(1))
         g = MixedGraph(n_stations=1, n_instants=2, n_observed=1, l_u=l_u, w_rd=w_rd, l_rd=l_rd,
-                       l_rd_t=l_rd_t, call_rd=symmetrized_dglr_matrix(l_rd, l_rd_t))
+                       l_rd_t=l_rd.T.tocsr(), call_rd=scipy_dglr(l_rd))
         y = np.array([3.0])
         state = AdmmState.initial(np.array([1.0, -2.0]), g)
         state.gamma = np.array([0.2, -0.1])
