@@ -126,14 +126,22 @@ def initial_signal(
 
     ``x`` is the standardized history with its last observation held over
     the future, flattened time-major; ``y`` is its observed part;
-    ``t_steps`` are the timestamps in sampling intervals.
+    ``t_steps`` are the timestamps in sampling intervals. A window whose
+    timestamps are not ``ctx.interval`` apart is refused: its time codes
+    would be off by their ratio.
     """
+    stamps = np.asarray(sample.timestamps, dtype=np.float64)
+    if len(stamps) > 1 and stamps[1] - stamps[0] != ctx.interval:
+        raise ValueError(
+            f"the window's timestamps are {stamps[1] - stamps[0]:g} s apart, but the "
+            f"context's sampling interval is {ctx.interval:g} s: build the context "
+            "with the data's interval"
+        )
     obs_std = ctx.standardizer.transform(sample.observed)
     future = np.repeat(obs_std[:, -1:], sample.target.shape[1], axis=1)
     x = flatten_time_major(np.concatenate([obs_std, future], axis=1))
     y = x[: sample.observed.size].copy()
-    t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
-    return x, y, t_steps
+    return x, y, stamps / ctx.interval
 
 
 def block_graph(

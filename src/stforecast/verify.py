@@ -138,7 +138,7 @@ def check_directionality() -> CheckResult:
 
 
 def check_soft_threshold(n_cases: int = 1000, seed: int = 11) -> CheckResult:
-    """Closed-form shrink matches scalar grid search."""
+    """``solver.update_phi`` on one entry matches scalar grid search."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
@@ -147,14 +147,14 @@ def check_soft_threshold(n_cases: int = 1000, seed: int = 11) -> CheckResult:
         gamma = rng.uniform(-1.5, 1.5)
         mu = rng.uniform(0, 2)
         rho = rng.uniform(0.5, 3)
-        delta = shift - gamma / rho
-        closed = np.sign(delta) * max(abs(delta) - mu / rho, 0.0)
+        phi = solver.update_phi(np.array([shift]), np.array([gamma]),
+                                LayerParams(0, 0, mu, rho, 1, 1))[0]
         grid = oracles.soft_threshold_grid(shift, gamma, mu, rho, step=1e-3)
-        worst = max(worst, abs(closed - grid))
+        worst = max(worst, abs(phi - grid))
     return CheckResult(
-        f"soft-threshold vs grid argmin ({n_cases} cases)",
+        f"update_phi soft-threshold vs grid argmin ({n_cases} cases)",
         worst <= 1e-3 + 1e-9,
-        f"max |closed - grid| = {worst:.2e}",
+        f"max |update_phi - grid| = {worst:.2e}",
     )
 
 
@@ -376,36 +376,47 @@ def check_lanes_and_folds(seed: int = 0) -> CheckResult:
 def check_planned_assembly(seed: int = 0) -> CheckResult:
     """Operators filled into the context's plans equal the direct COO assembly, bit for bit.
 
-    On the seeded desk graph (20 stations, the default model in the
-    undirected-temporal mode, so that ``l_n`` is planned too) the graphs of
-    the first two windows, once each (4 lanes) and together (8 lanes), and
-    of the first window again on a reused plan, must equal
-    ``oracles.coo_operators`` of the same weights in every operator's
-    ``indptr``, ``indices`` and ``data``, and every operator must hold its
-    plan's ``Pattern`` object.
+    On the seeded desk graph (20 stations): the first window's graph in the
+    default mode (4 lanes, no ``l_n``), and in the undirected-temporal mode
+    the first two windows' graphs, once each and together (8 lanes), and the
+    first window's again on a reused plan. Each operator must equal
+    ``oracles.coo_operators`` of the same weights in every index dtype and
+    byte and hold its plan's ``Pattern``, each temporal one (W_r, L_r, L_r',
+    L_r'L_r, ``l_n``) as its band's diagonals. ``MixedGraph.apply`` of L_r
+    and L_r' (scipy's DIA kernel) must equal the reference's CSR products
+    byte for byte, on a vector with exact zeros of both signs.
     """
-    _, _, ctx, xs, t_steps = _desk_starts(seed)
+    _, pg, ctx, xs, t_steps = _desk_starts(seed)
+    default = pipeline.PipelineContext.build(pg, PipelineConfig())
+    rng = np.random.default_rng(seed)
     mismatched, graphs = [], 0
-    for pick in ([0], [1], [0, 1], [0]):
-        graph = pipeline.block_graph(ctx, [xs[i] for i in pick], [t_steps[i] for i in pick])
-        plan = next(p for p in ctx.plans.values() if p.lanes == graph.lanes)
-        mismatched += [f"windows {pick} {name} off its plan" for name, op in graph.ops.items()
-                       if op.pattern is not plan.patterns[name]]
-        feats = np.stack([ctx.feature_map(embed(xs[i], t_steps[i], ctx.eigmap)) for i in pick])
+    for c, pick in [(default, [0]), *((ctx, pick) for pick in ([0], [1], [0, 1], [0]))]:
+        graph = pipeline.block_graph(c, [xs[i] for i in pick], [t_steps[i] for i in pick])
+        plan = next(p for p in c.plans.values() if p.lanes == graph.lanes)
+        feats = np.stack([c.feature_map(embed(xs[i], t_steps[i], c.eigmap)) for i in pick])
         want = oracles.coo_operators(
-            ctx.sskel, ctx.tskel, undirected_weights(feats, ctx.sskel, ctx.bank.undirected),
-            directed_weights(feats, ctx.tskel, ctx.bank.directed), with_l_n=True,
+            c.sskel, c.tskel, undirected_weights(feats, c.sskel, c.bank.undirected),
+            directed_weights(feats, c.tskel, c.bank.directed), with_l_n=c is ctx,
         )
+        v = rng.standard_normal(graph.n_nodes)
+        v[::7], v[3::11] = -0.0, 0.0
+        at = f"{c.config.solver.mode} windows {pick}"
         graphs += 1
-        for name, mat in want.items():
-            if not _same_csr(getattr(graph, name), mat):
-                mismatched.append(f"windows {pick} {name}")
+        mismatched += [f"{at} {name} off its plan" for name, op in graph.ops.items()
+                       if op.pattern is not plan.patterns[name]]
+        mismatched += [f"{at} {name} off its band" for name, op in graph.ops.items()
+                       if name != "l_u" and not op.banded]
+        mismatched += [f"{at} {name}" for name, mat in want.items()
+                       if not _same_csr(getattr(graph, name), mat)]
+        mismatched += [f"{at} {name} product" for name in ("l_rd", "l_rd_t")
+                       if graph.apply(name, v).tobytes() != (want[name] @ v).tobytes()]
     return CheckResult(
         f"planned operator assembly vs the COO reference ({graphs} desk graphs, "
-        f"{len(ctx.plans)} plans)",
-        not mismatched and len(ctx.plans) == 2,
+        f"{len(default.plans) + len(ctx.plans)} plans)",
+        not mismatched and len(default.plans) == 1 and len(ctx.plans) == 2,
         f"operators differ: {', '.join(mismatched)}" if mismatched
-        else f"{len(want)} operators bitwise equal in each graph, each on its plan",
+        else "every operator bitwise equal in each graph and on its plan, the temporal ones "
+             "on their bands; L_r x and L_r' v byte-equal",
     )
 
 
@@ -414,49 +425,6 @@ def _same_csr(got, want) -> bool:
     return all(getattr(got, part).dtype == getattr(want, part).dtype
                and getattr(got, part).tobytes() == getattr(want, part).tobytes()
                for part in ("indptr", "indices", "data"))
-
-
-def check_band_operators(seed: int = 0) -> CheckResult:
-    """L_r, L_r' and L_r'L_r held as bands equal their CSR references, bit for bit.
-
-    On the seeded desk graph (20 stations, the default model and its first
-    window: 4 lanes) the three temporal operators must be held as their
-    bands' diagonals, and the CSR form of each must equal, in every index
-    dtype and byte, its reference: L_r of the direct COO assembly
-    (``oracles.coo_operators``), its transpose by scipy and scipy's product
-    of the two. ``MixedGraph.apply`` of L_r and of L_r', on scipy's DIA
-    kernel, must equal the references' CSR products byte for byte, on a
-    vector that holds exact zeros of both signs.
-    """
-    cfg = PipelineConfig()
-    table, pg = generate_synthetic(20, 2000, seed)
-    ctx = pipeline.PipelineContext.build(pg, cfg)
-    sample = cut_windows(table, cfg.data.history, cfg.data.horizon, cfg.data.stride)[0]
-    x, _, t_steps = pipeline.initial_signal(sample, ctx)
-    graph = pipeline.block_graph(ctx, [x], [t_steps])
-    feats = ctx.feature_map(embed(x, t_steps, ctx.eigmap))[None]
-    want = oracles.coo_operators(
-        ctx.sskel, ctx.tskel, undirected_weights(feats, ctx.sskel, ctx.bank.undirected),
-        directed_weights(feats, ctx.tskel, ctx.bank.directed), with_l_n=False,
-    )
-    names = ("l_rd", "l_rd_t", "call_rd")
-    off_band = [name for name in names if not graph.ops[name].banded]
-    unequal = [name for name in names if not _same_csr(getattr(graph, name), want[name])]
-    v = np.random.default_rng(seed).standard_normal(graph.n_nodes)
-    v[::7], v[3::11] = -0.0, 0.0
-    products = [f"{name} product" for name in ("l_rd", "l_rd_t")
-                if graph.apply(name, v).tobytes() != (want[name] @ v).tobytes()]
-    if off_band:
-        detail = f"not held as bands: {', '.join(off_band)}"
-    elif unequal or products:
-        detail = f"differ from their CSR references: {', '.join(unequal + products)}"
-    else:
-        detail = "bitwise equal to their CSR references; L_r x and L_r' v byte-equal"
-    return CheckResult(
-        f"band L_r, L_r' and L_r'L_r vs their CSR references ({graph.lanes} lanes, desk graph)",
-        not (off_band or unequal or products),
-        detail,
-    )
 
 
 def check_window_lanes(seed: int = 0) -> CheckResult:
@@ -596,7 +564,6 @@ ALL_CHECKS = (
     check_sparse_eigenmap,
     check_lanes_and_folds,
     check_planned_assembly,
-    check_band_operators,
     check_window_lanes,
     check_polynomial_sub_solves,
 )

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from stforecast import data as dmod
-from stforecast import priors, solver, tuning
+from stforecast import priors, solver, tuning, verify
 from stforecast.attention import (
     DegenerateWeightError,
     MetricBank,
@@ -1127,8 +1128,12 @@ class TestCli:
         rc = cli_main(["verify"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "checks passed" in out
+        n = len(verify.ALL_CHECKS)
+        assert f"{n}/{n} checks passed" in out
         assert "FAIL" not in out
+        # the README's self-check table states the same count
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"self-check table of {n} checks" in readme
 
     def test_files_with_a_byte_order_mark_forecast_as_plain(self, synth_dir):
         for name in ("signals.csv", "edges.csv"):

@@ -1,9 +1,12 @@
 """Forecast orchestration: first guess, standardization, blocks, metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stforecast import data as dmod
+from stforecast import tuning
 from stforecast.attention import DegenerateWeightError
 from stforecast.config import PipelineConfig
 from stforecast.pipeline import (
@@ -69,6 +72,22 @@ class TestInitialSignal:
             np.concatenate([obs_std, np.repeat(obs_std[:, -1:], 6, axis=1)], axis=1),
         )
         np.testing.assert_array_equal(y, x[: s.observed.size])
+
+    def test_interval_must_match_the_windows(self):
+        # 60 s windows with the 300 s default left in place would get time
+        # codes 5x off: the forecast and the tuner refuse them, naming both
+        splits, pg, std = tiny_dataset()
+        cfg = small_config(blocks=1, layers=2, heads=1)
+        windows = [replace(s, timestamps=s.timestamps // 5) for s in splits.val[:2]]
+        ctx = PipelineContext.build(pg, cfg, standardizer=std)
+        for call in (lambda: run_forecast(windows[0], ctx),
+                     lambda: tuning.tune_spsa(cfg, pg, windows, std, iterations=1)):
+            with pytest.raises(ValueError, match="timestamps are 60 s apart, but the "
+                                                 "context's sampling interval is 300 s"):
+                call()
+        ctx = PipelineContext.build(pg, cfg, standardizer=std, interval=60.0)
+        _, _, t_steps = initial_signal(windows[0], ctx)
+        np.testing.assert_array_equal(t_steps, windows[0].timestamps / 60.0)
 
 
 class TestFeatureMapSettings:

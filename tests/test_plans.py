@@ -63,18 +63,32 @@ def assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n) -> set:
 
 
 class TestPlannedAssembly:
-    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3, 8)), st.booleans(),
-           st.sampled_from((None, -1)))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3, 4, 8)), st.booleans(),
+           st.sampled_from((None, -1)), st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_equals_the_coo_reference(self, seed, lanes, with_l_n, window):
+    def test_equals_the_coo_reference(self, seed, lanes, with_l_n, window, wide, data):
         # stations in several spatial pieces, some isolated; short windows
-        # and the longest, one less than the instants
-        wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(
-            np.random.default_rng(seed), lanes, window
-        )
+        # and the longest, one less than the instants; walk weights over
+        # many orders of magnitude, so that every sum's order shows
+        rng = np.random.default_rng(seed)
+        wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes, window)
+        if wide:
+            wd = np.exp(rng.uniform(-20.0, 20.0, wd.shape))
         graph = build_mixed_graph(wu, wd, sskel, tskel, n_observed, with_l_n)
         assert graph.lanes == lanes
-        assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n)
+        kept = assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n)
+        assert not (wide and kept), kept  # such weights cancel and underflow nowhere
+        # the temporal operators stay bands, applied by the DIA kernel, and
+        # each product is the reference's byte for byte
+        for name in ("w_rd", "l_rd", "l_rd_t", "call_rd", "l_n"):
+            assert name not in graph.ops or graph.ops[name].banded, name
+        want = coo_operators(sskel, tskel, wu, wd, with_l_n)
+        v = np.array(data.draw(st.lists(FINITE, min_size=graph.n_nodes, max_size=graph.n_nodes)))
+        for name in ("l_rd", "l_rd_t", "call_rd"):
+            with kernel_calls() as calls:
+                got = graph.apply(name, v)
+            assert calls == ["dia_matvec"], name
+            assert got.tobytes() == (want[name] @ v).tobytes(), name
 
     def test_refills_share_the_plan(self):
         # one plan, two sets of weights: both equal the reference, and every
@@ -189,7 +203,7 @@ class TestPlannedPatterns:
         monkeypatch.setattr(attention, "band_transpose", on_a_copy)
         result = verify.check_planned_assembly()
         assert not result.passed
-        assert result.detail.startswith("operators differ: windows [0] l_rd_t off its plan")
+        assert result.detail.startswith("operators differ: full windows [0] l_rd_t off its plan")
 
 
 def cancelling_weights(rng, tskel, lanes):
@@ -460,27 +474,6 @@ class TestBandOperators:
     diagonals, from the fill to the products: each is its CSR reference bit
     for bit, and so is each product by them."""
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 4, 8)), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_equal_their_csr_references(self, seed, lanes, data):
-        rng = np.random.default_rng(seed)
-        wu, _, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes, data.draw(
-            st.sampled_from((None, -1))))
-        # weights over many orders of magnitude, so that every sum's order shows
-        wd = np.exp(rng.uniform(-20.0, 20.0, (lanes, tskel.n_edges)))
-        graph = build_mixed_graph(wu, wd, sskel, tskel, n_observed, False)
-        reference = coo_operators(sskel, tskel, wu, wd, False)
-        want = {name: reference[name] for name in ("w_rd", "l_rd", "l_rd_t", "call_rd")}
-        for name, mat in want.items():
-            assert graph.ops[name].banded, name
-            assert_bitwise(getattr(graph, name), mat, name)
-        v = np.array(data.draw(st.lists(FINITE, min_size=graph.n_nodes, max_size=graph.n_nodes)))
-        for name in ("l_rd", "l_rd_t", "call_rd"):
-            with kernel_calls() as calls:
-                got = graph.apply(name, v)
-            assert calls == ["dia_matvec" if graph.ops[name].banded else "csr_matvec"], name
-            assert got.tobytes() == (want[name] @ v).tobytes(), name
-
     @pytest.mark.parametrize("which", ["cancelling_call_rd", "underflowing_walk_weight",
                                        "covered_walk_drop"])
     def test_dropped_zeros_stay_on_their_bands(self, which):
@@ -567,7 +560,7 @@ class TestBandOperators:
         # one ulp off in one value, of a DIA product or of L_r'L_r's band
         from stforecast import verify
 
-        result = verify.check_band_operators()
+        result = verify.check_planned_assembly()
         assert result.passed, result.detail
         if broken == "apply":
             kernel = graphs.dia_matvec
@@ -587,7 +580,7 @@ class TestBandOperators:
                 return out
 
             monkeypatch.setattr(attention, "symmetrized_dglr_matrix", one_ulp_off)
-        result = verify.check_band_operators()
+        result = verify.check_planned_assembly()
         assert not result.passed
-        assert result.detail.startswith("differ from their CSR references: "
+        assert result.detail.startswith("operators differ: full windows [0] "
                                         + ("l_rd product" if broken == "apply" else "call_rd"))

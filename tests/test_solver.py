@@ -366,12 +366,9 @@ class TestUpdatePhi:
 
     def test_halfway_shrink(self):
         # delta = 1.5 with threshold 0.5 shrinks to exactly 1.0
-        g = self.make_graph()
-        p = LayerParams(1, 1, 1.0, rho=2.0, rho_u=1, rho_d=1)  # threshold 0.5
-        delta = 1.5
-        expected = np.sign(delta) * max(abs(delta) - 0.5, 0)
-        assert expected == 1.0
-        grid = oracles.soft_threshold_grid(delta, 0.0, 1.0, 2.0)
+        p = LayerParams(0, 0, 1.0, rho=2.0, rho_u=1, rho_d=1)  # threshold 0.5
+        assert update_phi(np.array([1.5]), np.array([0.0]), p)[0] == 1.0
+        grid = oracles.soft_threshold_grid(1.5, 0.0, 1.0, 2.0)
         assert abs(grid - 1.0) < 1e-3
 
     @given(
@@ -380,10 +377,9 @@ class TestUpdatePhi:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_grid_search(self, shift, gamma, mu, rho):
-        delta = shift - gamma / rho
-        closed = np.sign(delta) * max(abs(delta) - mu / rho, 0.0)
+        phi = update_phi(np.array([shift]), np.array([gamma]), LayerParams(0, 0, mu, rho, 1, 1))
         grid = oracles.soft_threshold_grid(shift, gamma, mu, rho, step=1e-4)
-        assert abs(closed - grid) <= 1e-3
+        assert abs(phi[0] - grid) <= 1e-3
 
 
 class TestMultipliers:
