@@ -45,7 +45,7 @@ from .graphs import (
     assemble_random_walk_digraph,
     assemble_undirected_laplacian,
     band_transpose,
-    component_blocks,
+    components_by_size,
     coo_pattern,
     plan_random_walk_digraph,
     plan_undirected_laplacian,
@@ -114,8 +114,9 @@ def smallest_eigenpairs(lap: sp.spmatrix, count: int,
     ``labels``, the component of each node as ``connected_components`` gives
     it, is computed when not given. The components of at most
     max(``count`` + 1, ``DENSE_COMPONENT_MAX_STATIONS``) nodes are solved by
-    dense ``eigh``, one stacked call per size (``component_blocks``); a
-    larger component by shift-invert Lanczos about a small negative shift
+    dense ``eigh``, one stacked call per size (``components_by_size``), each
+    stack cut out of ``lap``, a CSR matrix, by scipy indexing; a larger
+    component by shift-invert Lanczos about a small negative shift
     (``lap - shift I`` is positive definite and factorizes once). The fixed
     start vector makes repeated calls bitwise equal; it is not the all-ones
     vector, an exact eigenvector. Ties between eigenvalues go to the lower
@@ -123,23 +124,25 @@ def smallest_eigenpairs(lap: sp.spmatrix, count: int,
     """
     if labels is None:
         labels = connected_components(lap, directed=False)[1]
-    sizes = np.bincount(labels)
     dense_max = max(count + 1, DENSE_COMPONENT_MAX_STATIONS)
     # per part: members (C, k), eigenvalues (C, j) and eigenvectors (C, k, j)
     parts = []
-    small = component_blocks(lap, labels, max_size=dense_max)
-    for members, blocks in zip(small.members, small.blocks):
-        v, vec = np.linalg.eigh(blocks)
-        k = min(count, members.shape[1])
-        parts.append((members, v[:, :k], vec[:, :, :k]))
-    by_label = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    for comp in np.flatnonzero(sizes > dense_max):
-        idx = by_label[starts[comp] : starts[comp] + sizes[comp]]
-        v0 = np.random.default_rng(0).standard_normal(len(idx))
-        v, vec = eigsh(lap[idx][:, idx].tocsc(), k=count, sigma=EIGSH_SHIFT, which="LM", v0=v0)
-        order = np.argsort(v, kind="stable")
-        parts.append((idx[None], v[order][None], vec[:, order][None]))
+    for members in components_by_size(labels):
+        k = members.shape[1]
+        if k <= dense_max:
+            # the group's block-diagonal slice: entry (r, q) is in block r // k
+            nodes = members.ravel()
+            sub = lap[nodes][:, nodes].tocoo()
+            blocks = np.zeros((len(members), k, k))
+            blocks[sub.row // k, sub.row % k, sub.col % k] = sub.data
+            v, vec = np.linalg.eigh(blocks)
+            parts.append((members, v[:, :count], vec[:, :, :count]))
+            continue
+        for idx in members:
+            v0 = np.random.default_rng(0).standard_normal(k)
+            v, vec = eigsh(lap[idx][:, idx].tocsc(), k=count, sigma=EIGSH_SHIFT, which="LM", v0=v0)
+            order = np.argsort(v, kind="stable")
+            parts.append((idx[None], v[order][None], vec[:, order][None]))
     # every eigenpair by (value, component label, column)
     vals = np.concatenate([v.ravel() for _, v, _ in parts])
     label = np.concatenate([np.repeat(labels[m[:, 0]], v.shape[1]) for m, v, _ in parts])

@@ -667,65 +667,18 @@ def unit_laplacian(pg: PhysicalGraph) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentBlocks:
-    """A matrix that couples only nodes of one connected component, as dense
-    blocks: one stack per component size.
-
-    ``members[i]`` is a (C, k) array whose row c lists the nodes of one
-    component of k nodes in ascending order, and ``blocks[i]`` the (C, k, k)
-    stack of the matrix's entries among them, rows and columns in that order.
-    Stacks run in ascending k, and the components of one stack in label
-    order. A node in no stack has a zero row and column. The eigenmap
-    solves the small components of the road graph this way
-    (``attention.smallest_eigenpairs``).
-    """
-
-    n_nodes: int
-    members: tuple[np.ndarray, ...]
-    blocks: tuple[np.ndarray, ...]
-
-
-def component_blocks(a: sp.spmatrix, labels: np.ndarray,
-                     max_size: int | None = None) -> ComponentBlocks:
-    """The entries of ``a`` among the nodes of each connected component that
-    ``labels`` gives, as ``connected_components`` of ``a`` does, as
-    ``ComponentBlocks``: ``a`` must couple no two components. Components of
-    more than ``max_size`` nodes are left out. Duplicate entries add up, and
-    a stored -0.0 reads 0.0, as in ``toarray``."""
-    a = a.tocsr()
-    labels = np.asarray(labels)
-    n = len(labels)
+def components_by_size(labels: np.ndarray) -> list[np.ndarray]:
+    """The nodes of each connected component that ``labels`` gives, as
+    ``connected_components`` does, grouped by size: one (C, k) array per
+    component size k, in ascending k, whose row c lists the nodes of one
+    component in ascending order, its C components in label order. Both
+    per-component dense eigensolves take a group as one stack
+    (``attention.smallest_eigenpairs``, ``pipeline.component_centrality``)."""
     sizes = np.bincount(labels)
-    # each node's rank in its component, in index order
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(labels, kind="stable")] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # kept components by (size, label), each a run of nodes and a run of values
-    comps = np.argsort(sizes, kind="stable")
-    if max_size is not None:
-        comps = comps[sizes[comps] <= max_size]
-    k = sizes[comps]
-    node_start = np.full(len(sizes), -1, dtype=np.intp)
-    node_start[comps] = np.cumsum(k) - k
-    value_start = np.zeros(len(sizes), dtype=np.intp)
-    value_start[comps] = np.cumsum(k * k) - k * k
-    kept = node_start[labels] >= 0
-    members = np.empty(int(k.sum()), dtype=np.intp)
-    members[node_start[labels[kept]] + rank[kept]] = np.flatnonzero(kept)
-    # entry (i, j) sits at row rank(i), column rank(j) of its component's block
-    per_row = np.diff(a.indptr)
-    at = np.repeat(value_start[labels] + rank * sizes[labels], per_row) + rank[a.indices]
-    on = np.repeat(kept, per_row)
-    values = np.bincount(at[on], weights=a.data[on], minlength=int((k * k).sum()))
-    size, count = np.unique(k, return_counts=True)
-    node_end, value_end = np.cumsum(count * size), np.cumsum(count * size * size)
-    return ComponentBlocks(
-        n_nodes=n,
-        members=tuple(members[e - c * s : e].reshape(c, s)
-                      for e, c, s in zip(node_end, count, size)),
-        blocks=tuple(values[e - c * s * s : e].reshape(c, s, s)
-                     for e, c, s in zip(value_end, count, size)),
-    )
+    nodes = np.lexsort((labels, sizes[labels]))
+    size, count = np.unique(sizes, return_counts=True)
+    return [group.reshape(c, k) for group, c, k
+            in zip(np.split(nodes, np.cumsum(size * count)[:-1]), count, size)]
 
 
 OPERATOR_NAMES = ("l_u", "l_rd", "l_rd_t", "call_rd")

@@ -22,7 +22,8 @@ from scipy.sparse.csgraph import connected_components
 
 from . import attention, solver
 from .config import PipelineConfig
-from .graphs import MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
+from .graphs import (MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton,
+                     components_by_size)
 
 
 @dataclass(eq=False)
@@ -327,7 +328,8 @@ def component_centrality(w_slice) -> np.ndarray:
 
     By Perron-Frobenius the eigenvector of the largest eigenvalue of a
     connected such matrix is unique and positive, so each is read off one
-    dense symmetric eigensolve.
+    dense symmetric eigensolve: one stacked ``eigh`` per component size
+    (``components_by_size``), which gives each block the bits it gets alone.
     """
     w = w_slice.toarray() if sp.issparse(w_slice) else np.asarray(w_slice, dtype=np.float64)
     n = w.shape[0]
@@ -337,19 +339,10 @@ def component_centrality(w_slice) -> np.ndarray:
         raise ValueError("matrix must be nonnegative")
     if not np.array_equal(w, w.T):
         raise ValueError("matrix must be symmetric")
-    labels = connected_components(w, directed=False)[1]
-    if labels.max() == 0:
-        return _perron_vector(w)
-    out = np.empty(len(w))
-    for comp in range(labels.max() + 1):
-        idx = np.flatnonzero(labels == comp)
-        out[idx] = _perron_vector(w[np.ix_(idx, idx)])
+    out = np.empty(n)
+    for m in components_by_size(connected_components(w, directed=False)[1]):
+        v = np.abs(np.linalg.eigh(w[m[:, :, None], m[:, None, :]])[1][:, :, -1])
+        if np.any(v <= 0):
+            raise ValueError("Perron vector has non-positive entries")
+        out[m] = v / v.sum(axis=1, keepdims=True)
     return out
-
-
-def _perron_vector(w: np.ndarray) -> np.ndarray:
-    """The top eigenvector of a connected slice, made positive and summing to 1."""
-    v = np.abs(np.linalg.eigh(w)[1][:, -1])
-    if np.any(v <= 0):
-        raise ValueError("Perron vector has non-positive entries")
-    return v / v.sum()

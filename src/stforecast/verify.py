@@ -17,6 +17,7 @@ import numpy as np
 from . import oracles, pipeline, priors, solver
 from .attention import (
     MetricBank,
+    build_mixed_graph,
     directed_weights,
     embed,
     fill_mixed_graph,
@@ -88,8 +89,6 @@ def random_mixed_graph(
     bank = MetricBank.default(n_instants, window, feature_dim=4, heads=1)
     wu = undirected_weights(feats, sskel, bank.undirected[0])
     wd = directed_weights(feats, tskel, bank.directed[0])
-    from .attention import build_mixed_graph
-
     return build_mixed_graph(wu, wd, sskel, tskel, n_observed)
 
 

@@ -920,7 +920,7 @@ class TestCli:
                             for name in ("l_u", "w_rd", "l_rd", "call_rd", "perron")}
         assert dumps["val"] == dumps["test"]
 
-    def test_graph_dump_writes_each_components_perron_vector(self, tmp_path):
+    def test_graph_dump_writes_each_components_perron_centrality(self, tmp_path):
         # a road network of two 6-station pieces gives a spatial slice of two
         # components: each gets its own Perron vector, summing to 1 over it
         assert cli_main([

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from stforecast.graphs import (
     assemble_undirected_laplacian,
     build_spatial_skeleton,
     build_temporal_skeleton,
-    component_blocks,
     directed_skeleton_from_edges,
     flat_index,
     plan_random_walk_digraph,
@@ -385,55 +383,6 @@ class TestSymmetrizedOperator:
         np.testing.assert_allclose(
             scipy_dglr(l_rd).toarray(), np.outer(v, v), atol=1e-15
         )
-
-
-class TestComponentBlocks:
-    @staticmethod
-    def random_block_diagonal(rng):
-        """A sparse matrix with random dense blocks on randomly permuted nodes,
-        and the components of its nodes."""
-        sizes = rng.integers(1, 6, rng.integers(1, 10))
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        dense = np.where(labels[:, None] == labels[None, :],
-                         rng.standard_normal((len(labels),) * 2), 0.0)
-        perm = rng.permutation(len(labels))
-        return sp.csr_matrix(dense[np.ix_(perm, perm)]), labels[perm]
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_stacks_each_component_size(self, seed, max_size):
-        rng = np.random.default_rng(seed)
-        a, labels = self.random_block_diagonal(rng)
-        dense = a.toarray()
-        sizes = np.bincount(labels)
-        got = component_blocks(a, labels, max_size=max_size)
-        shown = sizes[sizes <= max_size]
-        assert [m.shape[1] for m in got.members] == sorted(set(shown.tolist()))
-        assert sum(b.size for b in got.blocks) == int((shown**2).sum())
-        assert len({id(b.base) for b in got.blocks}) <= 1  # views of one buffer
-        seen = []
-        for members, blocks in zip(got.members, got.blocks):
-            assert members.shape == blocks.shape[:2]
-            for idx, blk in zip(members, blocks):
-                assert np.all(np.diff(idx) > 0) and len(set(labels[idx].tolist())) == 1
-                np.testing.assert_array_equal(blk, dense[np.ix_(idx, idx)])
-                seen.append(labels[idx[0]])
-        # the components of one size in label order; every kept component once
-        assert sorted(seen) == np.flatnonzero(sizes <= max_size).tolist()
-        kept = sizes[labels] <= max_size
-        v = rng.standard_normal(len(labels))
-        want = np.where(kept, dense @ np.where(kept, v, 0.0), 0.0)
-        product = np.zeros(len(labels))
-        for members, blocks in zip(got.members, got.blocks):
-            product[members] = np.matmul(blocks, v[members][..., None])[..., 0]
-        np.testing.assert_allclose(product, want, rtol=0, atol=1e-12)
-
-    def test_duplicates_add_up(self):
-        a = sp.csr_matrix((np.array([1.0, 2.0, -0.0, 3.0]), np.array([0, 0, 1, 1]),
-                           np.array([0, 2, 4])), shape=(2, 2))
-        got = component_blocks(a, np.array([0, 0]))
-        np.testing.assert_array_equal(got.blocks[0], [[[3.0, -0.0], [0.0, 3.0]]])
-        assert not np.signbit(got.blocks[0][0, 0, 1])
 
 
 def random_mixed(rng, n_stations=3, n_instants=4, window=2, n_observed=2, with_l_n=False):

@@ -294,6 +294,19 @@ class TestPerron:
         v = component_centrality(w)
         assert v[:2].sum() == pytest.approx(1.0) and v[2:].sum() == pytest.approx(1.0)
         np.testing.assert_allclose(v, 0.5, atol=1e-12)
+        # components of 1, 2, 2 and 3 stations on shuffled ids: each is the
+        # Perron vector of its own block solved alone, bit for bit
+        rng = np.random.default_rng(0)
+        pieces = np.split(rng.permutation(8), [1, 3, 5])
+        w = np.zeros((8, 8))
+        for piece in pieces:
+            block = np.triu(rng.uniform(0.5, 2.0, (len(piece), len(piece))), 1)
+            w[np.ix_(piece, piece)] = block + block.T
+        v = component_centrality(w)
+        for piece in pieces:
+            idx = np.sort(piece)
+            alone = np.abs(np.linalg.eigh(w[np.ix_(idx, idx)])[1][:, -1])
+            assert v[idx].tobytes() == (alone / alone.sum()).tobytes()
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
