@@ -323,8 +323,9 @@ class Pattern:
     """The sparsity pattern of a square CSR operator: ``indptr`` and ``indices``.
 
     Operators filled into one pattern share it, and with it the diagonal's
-    positions, worked out on first use. ``band``, set by ``banded``, is the
-    pattern's layout as diagonals, for a pattern of few of them.
+    positions, worked out on first use, and ``cache``. ``band``, set by
+    ``banded``, is the pattern's layout as diagonals, for a pattern of few
+    of them.
     """
 
     indptr: np.ndarray
@@ -354,6 +355,13 @@ class Pattern:
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The operator with ``data`` in this pattern."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def cache(self) -> dict:
+        """What other modules derive from this pattern alone, kept as long as it
+        lives: ``solver.Slices.blocks`` keeps each entry's place in a slice
+        stack here, keyed by the ``Slices``."""
+        return {}
 
     @cached_property
     def diagonal(self) -> np.ndarray | None:

@@ -178,7 +178,9 @@ def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
     ADMM block on it, lanes window-major, head-minor. In unrolled CG each
     window's result is bitwise the one it gets alone; exact CG runs one CG
     on the whole stack. A failure names the window by its position in
-    ``samples``.
+    ``samples``. The blocks share one ``solver.Workspace``, which lives for
+    this call: block 0 makes the Q(A) buffers, every later block refills
+    them in place.
     """
     cfg = ctx.config
     for s in samples:
@@ -192,12 +194,14 @@ def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
     y = np.concatenate([np.tile(y0, heads) for _, y0, _ in starts])
     sched = cfg.solver.schedule()
     rho0 = cfg.default_rho(ctx.pg.n_stations)
+    workspace = solver.Workspace()
     for b in range(cfg.layers.blocks):
         try:
             graph = block_graph(ctx, x, t_steps)
             params = cfg.layers.layer_params(b, rho0)
             out = solver.admm_block(
-                np.repeat(x, heads, axis=0).ravel(), y, graph, params, sched, cfg.solver.mode
+                np.repeat(x, heads, axis=0).ravel(), y, graph, params, sched, cfg.solver.mode,
+                workspace=workspace,
             )
         except solver.NumericFailure as exc:
             exc.block = b

@@ -28,7 +28,13 @@ lane. Q(A) is a (size, size) block per slice, filled from the fold's band
 or its entries, written over in place a chunk of slices at a time, and
 applied by one ``np.matmul`` on the vector's slice view (``SliceBlocks``).
 The rule reads the slice size and no node count (``block_folds``), so it
-holds at every station count.
+holds at every station count. The stacks and the build's chunk scratch
+belong to a ``Workspace``, which lives for one ``pipeline._forward`` call:
+its first block makes them, and every later block, whose systems have the
+same shapes, zero-fills and refills them in place, so that the heap the
+blocks use is neither given back nor faulted in again between them. The
+``l_u`` fold's place of each entry in its stack is worked out once and kept
+on the plan's pattern.
 
 A fold is a ``graphs.Operator``, a ``graphs.Pattern`` and its values. A
 fold of one operator fills new values on that operator's pattern, which the
@@ -72,7 +78,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
 
 from . import priors
-from .graphs import MixedGraph, NumericFailure, Operator
+from .graphs import MixedGraph, NumericFailure, Operator, Pattern
 
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
@@ -87,9 +93,11 @@ DEFAULT_EXACT_TOL = 1e-10
 LANE_NODE_BUDGET = 12000
 
 # Slices per chunk of ``polynomial_operator``'s in-place build: its
-# temporaries are three chunks of its stack. Timed at 1000 slices of 18
-# nodes (city-1000) and 80 of 18 (desk), one BLAS thread: 96 to 128 were
-# the fastest at both, 2x faster at city than the whole stack at once;
+# temporaries, one chunk's copy of A, v and step, are three chunks of its
+# stack, held in the forward pass's ``Workspace`` scratch (sized for the
+# largest chunk of any system: 1.0 MB at city-1000). Timed at 1000 slices
+# of 18 nodes (city-1000) and 80 of 18 (desk), one BLAS thread: 96 to 128
+# were the fastest at both, 2x faster at city than the whole stack at once;
 # 128 keeps a desk stack in one chunk (README, Layout).
 POLYNOMIAL_CHUNK = 128
 
@@ -316,39 +324,60 @@ class Slices:
             return v.reshape(self.lanes, self.size, self.count).transpose(0, 2, 1)
         return v.reshape(self.lanes, self.count, self.size)
 
-    def blocks(self, fold: Operator) -> np.ndarray:
+    def blocks(self, fold: Operator, out: np.ndarray | None = None) -> np.ndarray:
         """The (lanes * count, size, size) stack of ``fold``'s entries among each slice's nodes.
 
-        A band, which only a temporal fold has, is copied in one strided
-        copy per diagonal: diagonal d N holds entry (t - d, t) of each
-        station's block. Entries in entry order are scattered, duplicates
-        added (a stored -0.0 reads 0.0, as in ``toarray``); an entry that
-        couples two slices raises ``ValueError``.
+        It is written into ``out``, a C-contiguous stack of that shape
+        (``Workspace.stack``), zero-filled first, or into a new one. A band,
+        which only a temporal fold has, is copied in one strided copy per
+        diagonal: diagonal d N holds entry (t - d, t) of each station's
+        block. Entries are added to their places in the stack in entry
+        order (``np.add.at``), so a stored -0.0 reads 0.0 and duplicates
+        add up, as in ``toarray``. The places are worked out
+        once per pattern and kept on it (``Pattern.cache``): the plan's
+        ``l_u`` pattern serves every block. An entry that couples two
+        slices raises ``ValueError``.
         """
         k = self.size
-        n = self.lanes * self.count * k
+        shape = (self.lanes * self.count, k, k)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"slice blocks fill a C-contiguous float64 stack of {shape}, "
+                             f"got {out.dtype} {out.shape}")
+        out.fill(0.0)
         if fold.banded:
-            out = np.zeros((self.lanes, self.count, k * k))
+            flat = out.reshape(self.lanes, self.count, k * k)
             for row, offset in zip(fold.data, fold.pattern.band.offsets.tolist()):
                 d, off_slice = divmod(offset, self.count)
                 if not self.strided or off_slice or abs(d) >= k:
                     raise ValueError(f"a band diagonal at offset {offset} couples two slices")
                 first = max(-d, 0) * k + max(d, 0)  # entry (t - d, t) at its first t
                 cols = row.reshape(self.lanes, k, self.count)[:, max(d, 0) : k + min(d, 0)]
-                out[..., first : first + (k - abs(d) - 1) * (k + 1) + 1 : k + 1] = (
+                flat[..., first : first + (k - abs(d) - 1) * (k + 1) + 1 : k + 1] = (
                     cols.transpose(0, 2, 1))
-            return out.reshape(-1, k, k)
+            return out
+        np.add.at(out.reshape(-1), self._places(fold.pattern), fold.entries())
+        return out
+
+    def _places(self, pattern: Pattern) -> np.ndarray:
+        """Each entry's place in the flattened stack of ``blocks``, kept on ``pattern``."""
+        places = pattern.cache.get(self)
+        if places is not None:
+            return places
+        k = self.size
+        n = self.lanes * self.count * k
         # each entry's row and column as places in the slices' order
-        rows = np.repeat(np.arange(n), np.diff(fold.pattern.indptr))
-        cols = fold.pattern.indices
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        cols = pattern.indices
         if self.strided:
             slot = np.empty(n, dtype=np.intp)
             slot[self.view(np.arange(n)).ravel()] = np.arange(n)
             rows, cols = slot[rows], slot[cols]
         if np.any(rows // k != cols // k):
             raise ValueError(f"an operator entry couples two slices of {k} nodes")
-        values = np.bincount(rows * k + cols % k, weights=fold.entries(), minlength=n * k)
-        return values.reshape(-1, k, k)
+        places = pattern.cache[self] = rows * k + cols % k
+        return places
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +401,41 @@ class SliceBlocks:
         return out
 
 
-def polynomial_operator(stack: np.ndarray, sched: CgSchedule) -> np.ndarray:
+class Workspace:
+    """The Q(A) buffers of a run of blocks: the first block that needs one
+    makes it, and every later block zero-fills and refills it in place.
+
+    Every block of one ``pipeline._forward`` call solves systems of the same
+    shapes, and the call holds one workspace for its blocks; ``admm_block``
+    makes its own when given none. ``stack`` gives each polynomial system
+    its (lanes * count, size, size) stack, keyed by the system's position
+    in ``block_folds`` and by its ``Slices``, so that two systems of one
+    block (x and z_d, on the same slices) never share one. ``chunk`` gives
+    ``polynomial_operator`` its temporaries, one flat scratch sized for the
+    largest chunk and shared by every system, as one build ends before the
+    next begins. A block reads its Q(A) only while it runs.
+    """
+
+    def __init__(self):
+        self.stacks: dict = {}
+        self.scratch = np.empty(0)
+
+    def stack(self, position: int, slices: Slices) -> np.ndarray:
+        """The stack of system ``position`` on ``slices``, as its last block left it."""
+        key = (position, slices)
+        if key not in self.stacks:
+            self.stacks[key] = np.empty((slices.lanes * slices.count, slices.size, slices.size))
+        return self.stacks[key]
+
+    def chunk(self, size: int) -> np.ndarray:
+        """``size`` values of scratch, their contents undefined."""
+        if len(self.scratch) < size:
+            self.scratch = np.empty(size)
+        return self.scratch[:size]
+
+
+def polynomial_operator(stack: np.ndarray, sched: CgSchedule,
+                        workspace: Workspace | None = None) -> np.ndarray:
     """Q(A) of an unrolled schedule, x_K = x0 + Q(A) r0, over a (C, k, k) stack of A's blocks.
 
     ``stack`` holds A over independent slices (``Slices.blocks``). Q(A)
@@ -389,18 +452,23 @@ def polynomial_operator(stack: np.ndarray, sched: CgSchedule) -> np.ndarray:
 
     Q(A) is written over A, in ``stack`` itself, which is returned. It is
     built ``POLYNOMIAL_CHUNK`` blocks at a time, so the build's temporaries
-    are one chunk's copy of A, v and step: every block takes the same
-    matmuls and elementwise steps whatever the chunk.
+    are one chunk's copy of A, v and step, held in ``workspace``'s scratch
+    (``Workspace.chunk``; a new workspace's without one): every block takes
+    the same matmuls and elementwise steps whatever the chunk.
     """
     alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
+    k = stack.shape[1]
+    workspace = Workspace() if workspace is None else workspace
+    scratch = workspace.chunk(3 * min(len(stack), POLYNOMIAL_CHUNK) * k * k)
     with np.errstate(over="ignore", invalid="ignore"):  # cg_solve checks what it applies
         for first in range(0, len(stack), POLYNOMIAL_CHUNK):
             s = stack[first : first + POLYNOMIAL_CHUNK]
-            c, k, _ = s.shape
-            a = s.copy()
+            c = len(s)
+            a, v, step = scratch[: 3 * c * k * k].reshape(3, c, k, k)
+            np.copyto(a, s)
             s.fill(0.0)
             s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]  # each diagonal, as a strided view
-            v, step = s.copy(), np.empty_like(s)
+            np.copyto(v, s)
             for i, (alpha, beta) in enumerate(zip(alphas[-2::-1], betas[-2::-1])):
                 if i:
                     np.matmul(a, s, out=step)
@@ -410,7 +478,6 @@ def polynomial_operator(stack: np.ndarray, sched: CgSchedule) -> np.ndarray:
                 daxpy(step.reshape(-1), v.reshape(-1), a=-alpha)
                 v.reshape(c, k * k)[:, :: k + 1] += alpha
                 s += v
-            del a, v, step  # so that one chunk's temporaries are alive at a time
     return stack
 
 
@@ -511,7 +578,7 @@ def _takes_polynomial(sched: CgSchedule, size: int, count: int) -> bool:
 
 
 def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
-                sched: CgSchedule) -> dict:
+                sched: CgSchedule, workspace: Workspace | None = None) -> dict:
     """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
 
     Keys are the (ops, shift, observed) of ``_layer_systems``, values (the
@@ -532,17 +599,23 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     components, of a road network in pieces: its block is still exact,
     since nothing couples them, but the rule reads the slice's size, not
     theirs. Systems are counted once per distinct set of layer scalars.
+
+    Q(A) is filled, built and held in ``workspace``'s stacks (``Workspace``;
+    a new workspace's without one), which the next call on the same
+    workspace fills over: a plan is read only until then.
     """
+    workspace = Workspace() if workspace is None else workspace
     systems = Counter()
     for p, layers in Counter(params).items():
         for key in _layer_systems(terms, p):
             systems[key] += layers
     folds = {}
-    for key, count in systems.items():
+    for position, (key, count) in enumerate(systems.items()):
         fold, g = folded_system(graph, *key), None
         slices = fold_slices(graph, key[0])
         if _takes_polynomial(sched, slices.size, count):
-            g = SliceBlocks(slices, polynomial_operator(slices.blocks(fold), sched))
+            stack = slices.blocks(fold, workspace.stack(position, slices))
+            g = SliceBlocks(slices, polynomial_operator(stack, sched, workspace))
         folds[key] = (fold, g)
     return folds
 
@@ -736,6 +809,7 @@ def admm_block(
     sched: CgSchedule,
     mode: str = "full",
     trace: list | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Run one block of ADMM layers and return the final signal.
 
@@ -750,6 +824,10 @@ def admm_block(
     hold one lane after another, and a trace record covers all lanes at once.
     A ``NumericFailure`` leaves with its ``lane`` set from its ``entry``;
     numpy warns of no overflow or invalid value on the way.
+
+    The block's Q(A) are built in ``workspace`` (``block_folds``): the
+    forward pass passes its own, so that its blocks refill one set of
+    buffers; without one the block makes its own.
     """
     terms = TERMS.get(mode)
     if terms is None:
@@ -762,7 +840,7 @@ def admm_block(
     hty = graph.lift_observed(y)
     # the solves and the layer report overflow and NaN, naming where
     with np.errstate(over="ignore", invalid="ignore"):
-        folds = block_folds(graph, params, terms, sched)
+        folds = block_folds(graph, params, terms, sched, workspace)
         last = len(params) - 1 if trace is None else None
         for layer, p in enumerate(params):
             try:

@@ -4,6 +4,7 @@ solve per head and per window."""
 import contextlib
 import dataclasses
 import functools
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -1474,3 +1475,102 @@ class TestPolynomialPath:
         together = pipeline._forward(windows, ctx)
         for w, got in zip(windows, together):
             assert got.tobytes() == reconstruct(w, ctx).tobytes()
+
+
+class TestWorkspace:
+    # systems of a block that take Q(A) at 18 layers on the tiny data (5
+    # stations, 18 instants): x and z_d over a station's 18 instants, z_u
+    # over an instant's 5 stations, an x of no operator over single nodes;
+    # the unsplit x couples a whole lane of 90 nodes and keeps the recurrence
+    POLYNOMIALS = {"full": 3, "no_dgtv": 3, "no_dglr": 2, "undirected_temporal": 3,
+                   "direct_unsplit": 0}
+
+    @pytest.mark.parametrize("mode", VARIANTS)
+    def test_reused_buffers_give_the_bytes_of_fresh_ones(self, monkeypatch, mode):
+        # a 3-block forward refills block 0's stacks in blocks 1 and 2; run
+        # with a fresh workspace per block instead, it gives the same bytes.
+        # A 1-window forward, then a 2-window one, changes the lane count
+        splits, pg, std = cached_dataset()
+        cfg = small_config(heads=2, blocks=3, layers=18)
+        cfg.solver.mode = mode
+        ctx = PipelineContext.build(pg, cfg, standardizer=std)
+        batches = [splits.test[:1], splits.test[1:3]]
+        stacks = []
+        build = solver.polynomial_operator
+        monkeypatch.setattr(solver, "polynomial_operator",
+                            lambda stack, *args: stacks.append(stack) or build(stack, *args))
+        systems = self.POLYNOMIALS[mode]
+        runs = {}
+        for fresh in (False, True):
+            if fresh:
+                block = solver.admm_block
+                monkeypatch.setattr(solver, "admm_block",
+                                    lambda *args, workspace=None, **kw: block(*args, **kw))
+            runs[fresh] = []
+            for batch in batches:
+                stacks.clear()
+                got = pipeline._forward(batch, ctx)
+                assert len(stacks) == 3 * systems
+                for i in range(systems):  # system i's stacks in blocks 0, 1 and 2
+                    first, *later = stacks[i::systems]
+                    assert all(np.shares_memory(first, s) != fresh for s in later)
+                for a, b in itertools.combinations(stacks[:systems], 2):
+                    assert not np.shares_memory(a, b)  # x and z_d apart
+                runs[fresh].append([r.tobytes() for r in got])
+        assert runs[False] == runs[True]
+
+    @pytest.mark.parametrize("scale", ["desk", "city-shaped"])
+    def test_a_warmed_workspace_allocates_no_stack(self, scale):
+        # a second block_folds on a warmed workspace refills its stacks and
+        # its chunk scratch: beyond the fold values it returns, it allocates
+        # less than one Q(A) stack, where a new workspace allocates them all.
+        # City-shaped: 700 slices of 18 instants, over 5 chunks a stack
+        if scale == "desk":
+            table, pg = data.generate_synthetic(20, 200, 0)
+            cfg = PipelineConfig()
+            ctx = PipelineContext.build(pg, cfg, standardizer=Standardizer.fit(table.values))
+            window = data.cut_windows(table, cfg.data.history, cfg.data.horizon,
+                                      cfg.data.stride)[0]
+        else:
+            (window, _), ctx = above_the_old_bound()
+            cfg = ctx.config
+        x, _, t_steps = pipeline.initial_signal(window, ctx)
+        graph = pipeline.block_graph(ctx, [x], [t_steps])
+        params = cfg.layers.layer_params(0, cfg.default_rho(ctx.pg.n_stations))
+        args = (graph, params, TERMS["full"], cfg.solver.schedule())
+        warmed = solver.Workspace()
+        folds = block_folds(*args, warmed)
+        stack = min(q.blocks.nbytes for _, q in folds.values() if q is not None)
+        del folds
+        over = []
+        for workspace in (warmed, solver.Workspace()):
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                folds = block_folds(*args, workspace)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            over.append(peak - start - sum(fold.data.nbytes for fold, _ in folds.values()))
+            del folds
+        assert over[0] < stack < over[1]
+
+    def test_csr_fill_zeroes_its_stack_and_adds_in_entry_order(self):
+        # into a stack a former fill left dirty: a stored -0.0 reads 0.0 and
+        # repeated entries add in entry order (1e16 + 1 - 1e16 is 0), as
+        # toarray has them; each entry's place is kept on the pattern
+        data_ = np.array([1e16, 1.0, -1e16, -0.0, 2.0, 3.0, -0.0])
+        indices = np.array([0, 0, 0, 1, 1, 3, 2], dtype=np.int32)
+        indptr = np.array([0, 4, 5, 6, 7], dtype=np.int32)
+        op = Operator.of(sp.csr_matrix((data_, indices, indptr), shape=(4, 4)))
+        slices = Slices(1, 2, 2)
+        dense = op.matrix().toarray()
+        want = np.stack([dense[:2, :2], dense[2:, 2:]])
+        assert want[0, 0, 0] == 0.0 and np.signbit(want).sum() == 0
+        out = np.full((2, 2, 2), np.nan)
+        for _ in range(2):
+            assert slices.blocks(op, out) is out
+            assert out.tobytes() == want.tobytes()
+        assert op.pattern.cache[slices] is slices._places(op.pattern)
+        with pytest.raises(ValueError, match="C-contiguous float64 stack"):
+            slices.blocks(op, np.empty((2, 2, 4))[..., ::2])  # a copy would take the fill

@@ -445,7 +445,7 @@ class TestPlanReuse:
         _, cfg, ctx, windows = desk_context()
         fills, fill = [], solver.Slices.blocks
         monkeypatch.setattr(solver.Slices, "blocks",
-                            lambda slices, fold: fills.append(slices) or fill(slices, fold))
+                            lambda slices, *args: fills.append(slices) or fill(slices, *args))
         pipeline.run_forecast(windows[0], ctx)
         if refused:
             assert fills == []
