@@ -113,7 +113,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.trace:
-        columns = ["layer", "objective", "res_phi", "res_zu", "res_zd"]
+        columns = ["layer", "objective", "res_phi", "res_zu", "res_zd", "phi_kept"]
         rows = ([rec["layer"], *(repr(rec[k]) for k in columns[1:])] for rec in trace)
         data.write_csv(args.trace, columns, rows)
         print(f"wrote {args.trace} ({len(trace)} layers)")

@@ -1,10 +1,11 @@
 """Independent reference solvers used by tests, verification, and diagnostics.
 
-Nothing here shares code with the iterative solver path: dense elimination,
-dense spectra and spectral filters, scalar grid search, and an accelerated
-proximal-gradient method provide second opinions at desk scale. Nor with the
-planned operator assembly: ``coo_operators`` builds every operator directly
-from scipy COO and CSR arithmetic.
+Nothing here shares code with the iterative solver path or the planned
+operator assembly: dense elimination, dense spectra and spectral filters,
+scalar grid search, an accelerated proximal-gradient method, ``coo_operators``
+(scipy COO and CSR arithmetic), and ``reference_forward``, a whole forecast
+in dense numpy, which by design shares graph learning (embedding, feature map,
+attention weights) with the model, to judge everything after it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from . import attention
 from .graphs import MixedGraph, SpatialSkeleton, TemporalSkeleton
 from .priors import PriorWeights
+from .solver import TERMS, CgSchedule, LayerParams, Terms
 
 
 def coo_operators(sskel: SpatialSkeleton, tskel: TemporalSkeleton, weights_u: np.ndarray,
@@ -217,4 +220,118 @@ def prox_grad_minimizer(
         x, t_acc, prev_obj = x_new, t_next, obj
         if done:
             break
+    return x
+
+
+def reference_forward(samples, ctx) -> list[np.ndarray]:
+    """``pipeline._forward``'s reconstructions of ``samples`` under ``ctx``, from the
+    paper's equations in dense numpy, one window and one head at a time.
+
+    A window starts from its standardized history, the last observation
+    held over the future. Each block weighs every head's edges with the
+    model's ``attention`` functions, assembles its operators densely by
+    ``coo_operators``, runs ``_dense_block`` on them, merges the heads and
+    mixes them in by the block's residual weight. No plan, band, fold,
+    lane, Q(A), chunk or workspace.
+    """
+    cfg = ctx.config
+    terms, sched, n = TERMS[cfg.solver.mode], cfg.solver.schedule(), ctx.pg.n_stations
+    out = []
+    for sample in samples:
+        obs = ctx.standardizer.transform(sample.observed)
+        held = np.repeat(obs[:, -1:], sample.target.shape[1], axis=1)
+        x = np.concatenate([obs, held], axis=1).T.ravel()  # time-major
+        y, t_steps = x[: obs.size].copy(), np.asarray(sample.timestamps, float) / ctx.interval
+        for b in range(cfg.layers.blocks):
+            feats = ctx.feature_map(attention.embed(x, t_steps, ctx.eigmap))
+            params = cfg.layers.layer_params(b, cfg.default_rho(n))
+            heads = []
+            for h in range(ctx.bank.heads):
+                wu = attention.undirected_weights(feats, ctx.sskel, ctx.bank.undirected[h])
+                wd = attention.directed_weights(feats, ctx.tskel, ctx.bank.directed[h])
+                ops = coo_operators(ctx.sskel, ctx.tskel, wu, wd, terms.temporal == "l_n")
+                dense = {name: op.toarray() for name, op in ops.items()}
+                heads.append(_dense_block(x, y, dense, params, sched, terms))
+            merged = sum(w * x_h for w, x_h in zip(cfg.heads.merge, heads))
+            x = cfg.layers.residual[b] * merged + (1.0 - cfg.layers.residual[b]) * x
+        out.append(ctx.standardizer.inverse(x.reshape(-1, n).T))
+    return out
+
+
+def _dense_block(x0, y, ops: dict, params: list[LayerParams], sched: CgSchedule,
+                 terms: Terms) -> np.ndarray:
+    """ADMM layers on ||y - Hx||^2 + mu_u x'L_u x + mu_d2 x'L_r'L_r x + mu_d1 ||L_r x||_1
+    (``l_n`` for L_r'L_r when undirected), H observing the first ``len(y)``
+    nodes, with phi = L_r x, z_u = x, z_d = x split out as ``terms`` says.
+    From phi = L_r x0, z_u = z_d = x0 and zero multipliers, a layer solves
+    (H'H + 0.5 rho L_r'L_r + 0.5 (rho_u + rho_d) I) x = H'y + L_r'(0.5 gamma
+    + 0.5 rho phi) + 0.5 (rho_u z_u - gamma_u + rho_d z_d - gamma_d) (an
+    unsplit l2 term joins the matrix instead), (mu_u L_u + 0.5 rho_u I) z_u =
+    0.5 (gamma_u + rho_u x) and z_d likewise, sets phi = soft(L_r x - gamma
+    / rho, mu_d1 / rho), and takes dual ascent on each split.
+    """
+    n, l_rd, l_u = len(x0), ops["l_rd"], ops["l_u"]
+    temporal, eye = ops.get(terms.temporal), np.eye(n)
+    hty = np.concatenate([y, np.zeros(n - len(y))])
+    x = z_u = z_d = x0
+    phi, gamma = l_rd @ x0, np.zeros(n)
+    gamma_u = gamma_d = gamma
+    systems = {}  # the x, z_u and z_d matrices of each distinct set of layer scalars
+    for p in params:
+        if p not in systems:
+            a_x = np.diag((np.arange(n) < len(y)).astype(np.float64))  # H'H
+            if terms.l1:
+                a_x += 0.5 * p.rho * ops["call_rd"]
+            a_u = a_d = None
+            if not terms.split:
+                a_x += p.mu_u * l_u + p.mu_d2 * temporal
+            else:
+                a_u = p.mu_u * l_u + 0.5 * p.rho_u * eye
+                a_x += 0.5 * p.rho_u * eye
+                if temporal is not None:
+                    a_d = p.mu_d2 * temporal + 0.5 * p.rho_d * eye
+                    a_x += 0.5 * p.rho_d * eye
+            systems[p] = a_x, a_u, a_d
+        a_x, a_u, a_d = systems[p]
+        rhs = hty.copy()
+        if terms.l1:
+            rhs += l_rd.T @ (0.5 * gamma + 0.5 * p.rho * phi)
+        if a_u is not None:
+            rhs += 0.5 * (p.rho_u * z_u - gamma_u)
+        if a_d is not None:
+            rhs += 0.5 * (p.rho_d * z_d - gamma_d)
+        x = _dense_cg(a_x, rhs, x, sched)
+        if a_u is not None:
+            z_u = _dense_cg(a_u, 0.5 * (gamma_u + p.rho_u * x), z_u, sched)
+            gamma_u = gamma_u + p.rho_u * (x - z_u)
+        if a_d is not None:
+            z_d = _dense_cg(a_d, 0.5 * (gamma_d + p.rho_d * x), z_d, sched)
+            gamma_d = gamma_d + p.rho_d * (x - z_d)
+        if terms.l1:
+            l_x = l_rd @ x
+            delta = l_x - gamma / p.rho
+            phi = np.sign(delta) * np.maximum(np.abs(delta) - p.mu_d1 / p.rho, 0.0)
+            gamma = gamma + p.rho * (phi - l_x)
+    return x
+
+
+def _dense_cg(a: np.ndarray, b: np.ndarray, x: np.ndarray, sched: CgSchedule) -> np.ndarray:
+    """Conjugate gradient on a x = b from x: the schedule's fixed alpha and beta
+    for ``sched.iters`` steps, or, in exact mode, the classical ones until
+    ||b - a x|| <= ``sched.tol`` (at most ``sched.iters`` steps when set)."""
+    p = r = b - a @ x
+    if sched.mode == "unrolled":
+        for alpha, beta in zip(sched.alphas, sched.betas):
+            x, r = x + alpha * p, r - alpha * (a @ p)
+            p = r + beta * p
+        return x
+    rr = r @ r
+    for _ in range(sched.iters if sched.iters is not None else 2 * len(b) + 10):
+        if np.sqrt(rr) <= sched.tol:
+            break
+        ap = a @ p
+        alpha = rr / (p @ ap)
+        x, r = x + alpha * p, r - alpha * ap
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
     return x

@@ -566,17 +566,6 @@ def fold_slices(graph: MixedGraph, ops: tuple[tuple[str, float], ...]) -> Slices
     return Slices(lanes, 1, n * t)
 
 
-def _takes_polynomial(sched: CgSchedule, size: int, count: int) -> bool:
-    """Whether a system whose slices hold ``size`` nodes, which ``count`` of a
-    block's layers solve, gets Q(A).
-
-    It does when the schedule is unrolled and ``size`` is at most
-    ``count``. This is the rule's one place: a recurrence-only reference
-    replaces it.
-    """
-    return sched.mode == "unrolled" and size <= count
-
-
 def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
                 sched: CgSchedule, workspace: Workspace | None = None) -> dict:
     """The plan of every CG system a block solves: its fold, and Q(A) where reuse pays.
@@ -589,13 +578,13 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
 
     A system gets its polynomial (``polynomial_operator``) when the schedule
     is unrolled and at least m of the block's layers solve it, m being the
-    size of its slices (``fold_slices``, ``_takes_polynomial``): the
-    station's instants of a temporal fold, the instant's stations of a
-    spatial one. Each solve then takes 2 products instead of ``iters``; the
-    build takes ``iters`` - 2 batched matmuls of the slice blocks. Q(A)
-    holds n m values for n nodes, so at most n times the block's layer
-    count. The rule reads no node count, so a window stacked with others
-    takes the path it takes alone. A slice can hold several connected
+    size of its slices (``fold_slices``): the station's instants of a
+    temporal fold, the instant's stations of a spatial one. Each solve then
+    takes 2 products instead of ``iters``; the build takes ``iters`` - 2
+    batched matmuls of the slice blocks. Q(A) holds n m values for n nodes,
+    so at most n times the block's layer count. The rule reads no node
+    count, so a window stacked with others takes the path it takes alone.
+    A slice can hold several connected
     components, of a road network in pieces: its block is still exact,
     since nothing couples them, but the rule reads the slice's size, not
     theirs. Systems are counted once per distinct set of layer scalars.
@@ -613,7 +602,7 @@ def block_folds(graph: MixedGraph, params: list[LayerParams], terms: Terms,
     for position, (key, count) in enumerate(systems.items()):
         fold, g = folded_system(graph, *key), None
         slices = fold_slices(graph, key[0])
-        if _takes_polynomial(sched, slices.size, count):
+        if sched.mode == "unrolled" and slices.size <= count:
             stack = slices.blocks(fold, workspace.stack(position, slices))
             g = SliceBlocks(slices, polynomial_operator(stack, sched, workspace))
         folds[key] = (fold, g)
@@ -854,9 +843,11 @@ def admm_block(
 
 
 def _trace_record(layer, state, graph, p, y, terms):
-    """Objective and split residuals after one layer; NaN for the splits the variant drops."""
+    """Objective, split residuals (NaN for the splits the variant drops) and
+    ``phi_kept``, the count of phi's nonzero entries (0 without the l1 term)."""
     rec = {"layer": layer}
     rec.update(state.residuals(graph))
+    rec["phi_kept"] = int(np.count_nonzero(state.phi)) if terms.l1 else 0
     if not terms.l1:
         rec["res_phi"] = float("nan")
     if not (terms.split and terms.temporal):

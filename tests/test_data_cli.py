@@ -1,5 +1,6 @@
 """Dataset I/O, window cutting, synthetic generation, and the CLI surface."""
 
+import csv
 import json
 import warnings
 from pathlib import Path
@@ -745,8 +746,25 @@ class TestCli:
         ])
         assert rc == 0
         lines = trace.read_text().strip().splitlines()
-        assert lines[0] == "layer,objective,res_phi,res_zu,res_zd"
+        assert lines[0] == "layer,objective,res_phi,res_zu,res_zd,phi_kept"
         assert len(lines) == 1 + 3  # three layers
+
+    def test_solve_trace_counts_the_kept_phi_entries(self, tmp_path):
+        # seed-0 desk data, 3 x 5 x 1, the first validation window: the l1
+        # threshold mu_d1 / rho = 3 / sqrt(20 / 18) keeps no phi entry in any
+        # layer of block 0; mu_d1 = 0.01 keeps some in every layer
+        assert cli_main(["synth", "--out", str(tmp_path), "--seed", "0"]) == 0
+        config, trace, kept = tmp_path / "config.json", tmp_path / "trace.csv", {}
+        for mu_d1 in (3.0, 0.01):
+            layers = {"blocks": 3, "layers": 5, "mu_d1": mu_d1}
+            config.write_text(json.dumps({"layers": layers, "heads": {"count": 1}}))
+            assert cli_main(["solve", "--signals", str(tmp_path / "signals.csv"), "--edges",
+                             str(tmp_path / "edges.csv"), "--config", str(config),
+                             "--split", "val", "--trace", str(trace)]) == 0
+            rows = csv.DictReader(trace.read_text().splitlines())
+            kept[mu_d1] = [int(row["phi_kept"]) for row in rows]
+        assert kept[3.0] == [0] * 5
+        assert len(kept[0.01]) == 5 and min(kept[0.01]) > 0
 
     def test_solve_trace_decays_on_smooth_instance(self, synth_dir):
         # longer run: split residuals must decay

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import connected_components
 
-from stforecast import attention, data, graphs, pipeline, solver
+from stforecast import attention, data, graphs, oracles, pipeline, solver
 from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed_graph
 from stforecast.config import HeadSettings, LayerSettings, PipelineConfig
 from stforecast.graphs import (
@@ -31,10 +31,8 @@ from stforecast.graphs import (
 from stforecast.pipeline import (
     PipelineContext,
     Standardizer,
-    flatten_time_major,
     reconstruct,
     run_forecast,
-    unflatten_time_major,
 )
 from stforecast.solver import (
     TERMS,
@@ -376,8 +374,8 @@ class TestFoldedSystem:
         p = LayerParams(0.5, 0.6, 0.7, 1.0, 1.1, 1.2)
         sched = CgSchedule.unrolled()
         state = AdmmState.initial(np.ones(g.n_nodes), g)
-        with recurrence_only():
-            plan = block_folds(g, [p], TERMS["full"], sched)
+        plan = block_folds(g, [p], TERMS["full"], sched)
+        assert all(q is None for _, q in plan.values())  # one layer: no Q(A)
         planned = update_zu(state, g, p, sched, plan)
         assert planned.tobytes() == update_zu(state, g, p, sched).tobytes()
         with pytest.raises(KeyError):
@@ -824,46 +822,16 @@ class TestStackedBlock:
         np.testing.assert_allclose(stacked.reshape(heads, n), np.array(per_head), rtol=0, atol=tol)
 
 
-def per_head_forward(sample, ctx):
-    """The pipeline's forward pass with one admm_block call per head (the reference)."""
-    cfg = ctx.config
-    n = sample.n_stations
-    t_obs = sample.observed.shape[1]
-    obs_std = ctx.standardizer.transform(sample.observed)
-    future = np.repeat(obs_std[:, -1:], sample.target.shape[1], axis=1)
-    x = flatten_time_major(np.concatenate([obs_std, future], axis=1))
-    y = x[: n * t_obs].copy()
-    t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
-    for b in range(cfg.layers.blocks):
-        feats = ctx.feature_map(attention.embed(x, t_steps, ctx.eigmap))
-        graphs = [
-            attention.build_mixed_graph(
-                attention.undirected_weights(feats, ctx.sskel, ctx.bank.undirected[h]),
-                attention.directed_weights(feats, ctx.tskel, ctx.bank.directed[h]),
-                ctx.sskel, ctx.tskel, t_obs,
-                with_undirected_temporal=cfg.solver.mode == "undirected_temporal",
-            )
-            for h in range(ctx.bank.heads)
-        ]
-        params = cfg.layers.layer_params(b, cfg.default_rho(n))
-        outs = [
-            admm_block(x, y, g, params, cfg.solver.schedule(), cfg.solver.mode) for g in graphs
-        ]
-        x_new = sum(w * out for w, out in zip(cfg.heads.merge, outs))
-        x = cfg.layers.residual[b] * x_new + (1.0 - cfg.layers.residual[b]) * x
-    return ctx.standardizer.inverse(unflatten_time_major(x, n))
-
-
 class TestForwardLanes:
     @pytest.mark.parametrize("mode", VARIANTS)
     def test_two_heads_match_per_head_loop(self, mode):
+        # the per-head loop is the dense reference forward, one head at a time
         splits, pg, std = tiny_dataset()
         cfg = small_config(heads=2)
         cfg.solver.mode = mode
         ctx = PipelineContext.build(pg, cfg, standardizer=std)
-        for s in splits.test[:2]:
-            expected = per_head_forward(s, ctx)[:, s.observed.shape[1]:]
-            np.testing.assert_allclose(run_forecast(s, ctx), expected, rtol=0, atol=1e-10)
+        for s, want in zip(splits.test[:2], oracles.reference_forward(splits.test[:2], ctx)):
+            np.testing.assert_allclose(reconstruct(s, ctx), want, rtol=0, atol=1e-10)
 
     def test_failing_lane_names_its_head(self, monkeypatch):
         splits, pg, std = tiny_dataset()
@@ -946,25 +914,6 @@ def diverge_temporal_lane(lane):
 
 
 class TestWindowLanes:
-    @given(
-        st.lists(st.integers(0, 20), min_size=1, max_size=3),
-        st.integers(1, 3),
-        st.sampled_from(VARIANTS),
-        st.sampled_from(("unrolled", "exact")),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_batch_matches_per_head_forward_per_window(self, picks, heads, mode, cg_mode):
-        windows, ctx = window_context(heads, mode, cg_mode)
-        batch = [windows[i % len(windows)] for i in picks]
-        together = pipeline._forward(batch, ctx)
-        assert len(together) == len(batch)
-        for sample, got in zip(batch, together):
-            want = per_head_forward(sample, ctx)
-            if cg_mode == "unrolled":
-                assert got.tobytes() == want.tobytes()
-            else:
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
-
     def test_batch_over_the_budget_runs_in_chunks(self, monkeypatch):
         windows, ctx = window_context(heads=2)
         windows = windows[:5]
@@ -1138,14 +1087,6 @@ def split_skeleton_inputs(rng, lanes, window=None, stations=None):
     )
 
 
-@contextlib.contextmanager
-def recurrence_only():
-    """A context in which no folded system takes its polynomial: the rule refuses every one."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_takes_polynomial", lambda *args: False)
-        yield
-
-
 @functools.lru_cache(maxsize=1)
 def above_the_old_bound():
     """Two windows of 700 stations x 18 instants, 12 600 nodes each, above
@@ -1263,38 +1204,11 @@ class TestPolynomialPath:
         per_head = [admm_block(x0, y, g, params, sched, mode) for g in graphs]
         stacked = admm_block(np.tile(x0, heads), np.tile(y, heads), stack, params, sched, mode)
         assert stacked.tobytes() == np.concatenate(per_head).tobytes()
-        with recurrence_only():
-            assert all(g is None for _, g in block_folds(stack, params, TERMS[mode], sched).values())
-            want = [admm_block(x0, y, g, params, sched, mode) for g in graphs]
-        np.testing.assert_allclose(
-            stacked, np.concatenate(want), rtol=0, atol=1e-10 * np.abs(want).max()
-        )
-
-    def test_windows_stacked_equal_alone_and_the_recurrence(self, monkeypatch):
-        # 18 layers: x and z_d (18 instants a station) and z_u (5 stations an
-        # instant) all go polynomial
-        splits, pg, std = cached_dataset()
-        cfg = small_config(heads=2, blocks=2, layers=18)
-        ctx = PipelineContext.build(pg, cfg, standardizer=std)
-        windows = splits.test[:3]
-        builds = []
-        build = solver.polynomial_operator
-        monkeypatch.setattr(
-            solver, "polynomial_operator", lambda *args: builds.append(1) or build(*args)
-        )
-        together = pipeline._forward(windows, ctx)
-        assert len(builds) == 2 * 3
-        with recurrence_only():
-            recurrence = pipeline._forward(windows, ctx)
-        assert len(builds) == 2 * 3
-        for w, got, want in zip(windows, together, recurrence):
-            assert got.tobytes() == reconstruct(w, ctx).tobytes()
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_diverging_lane_names_the_same_place_as_the_recurrence(self, monkeypatch):
-        # 5 layers put z_u (5 stations an instant) on the polynomial path
+        # 5 layers put z_u (5 stations an instant) on the polynomial path, 4
+        # keep it on the recurrence; layer 0 runs the same steps in both
         splits, pg, std = cached_dataset()
-        ctx = PipelineContext.build(pg, small_config(heads=2, layers=5), standardizer=std)
         monkeypatch.setattr(attention, "multi_head_graphs", diverge_lane(3))
         builds = []
         build = solver.polynomial_operator
@@ -1302,8 +1216,9 @@ class TestPolynomialPath:
             solver, "polynomial_operator", lambda *args: builds.append(1) or build(*args)
         )
         places = []
-        for context in (contextlib.nullcontext(), recurrence_only()):
-            with context, pytest.raises(NumericFailure) as info:
+        for layers in (5, 4):
+            ctx = PipelineContext.build(pg, small_config(heads=2, layers=layers), standardizer=std)
+            with pytest.raises(NumericFailure) as info:
                 pipeline._forward(splits.test[:2], ctx)
             exc = info.value
             places.append((exc.block, exc.window, exc.head, exc.layer, exc.step, exc.iteration,
@@ -1311,25 +1226,6 @@ class TestPolynomialPath:
         assert len(builds) == 1  # z_u of block 0, on the polynomial path the first time
         assert places[0] == places[1]
         assert places[0][:5] == (0, 1, 1, 0, "z_u")
-
-    def test_verify_check_needs_a_reference_without_q(self, monkeypatch):
-        # a plan that ignores the reference's refusing rule, so that the
-        # reference is no longer on the recurrence, must fail the check,
-        # not compare the polynomial with itself
-        from stforecast import verify
-
-        assert verify.check_polynomial_sub_solves().passed
-        folds, rule = solver.block_folds, solver._takes_polynomial
-
-        def ignoring_the_reference(*args):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(solver, "_takes_polynomial", rule)
-                return folds(*args)
-
-        monkeypatch.setattr(solver, "block_folds", ignoring_the_reference)
-        result = verify.check_polynomial_sub_solves()
-        assert not result.passed
-        assert "the recurrence-only reference built" in result.detail
 
     @pytest.mark.parametrize("chunk,counts", [
         (None, (1,)), (None, (solver.POLYNOMIAL_CHUNK - 1,)), (None, (solver.POLYNOMIAL_CHUNK,)),
@@ -1389,10 +1285,6 @@ class TestPolynomialPath:
             want = cg_solve(a.dot, b, x0, sched)
             got = cg_solve(a.dot, b, x0, sched, poly.dot)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
-        got = reconstruct(windows[0], ctx)
-        with recurrence_only():
-            want = reconstruct(windows[0], ctx)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_a_stack_above_the_old_bound_equals_its_windows_alone(self, monkeypatch):
         # two 12 600-node windows in one stacked call of 25 200 nodes, each
@@ -1449,8 +1341,7 @@ class TestPolynomialPath:
             got = cg_solve(a.dot, b, x0, sched, poly.dot)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
         got = reconstruct(windows[0], ctx)
-        with recurrence_only():
-            want = reconstruct(windows[0], ctx)
+        want = oracles.reference_forward(windows[:1], ctx)[0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_pieces_within_the_layer_count_take_the_recurrence(self):

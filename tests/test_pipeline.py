@@ -106,6 +106,21 @@ class TestFeatureMapSettings:
 
 
 class TestRunForecast:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_station_units_move_the_forecast_alike(self, seed):
+        # a per-station a y + b (a > 0) on the signal: the standardizer fitted
+        # on the training span takes it out, so each forecast is a f + b
+        cfg = small_config(blocks=3, layers=5, heads=1)
+        table, pg = dmod.generate_synthetic(8, 200, seed)
+        a, b = np.random.default_rng(seed).uniform((0.1, -100.0), (10.0, 100.0), (8, 2)).T
+        forecasts = []
+        for values in (table.values, table.values * a + b):
+            splits, std = dmod.split_dataset(replace(table, values=values), cfg.data)
+            ctx = PipelineContext.build(pg, cfg, standardizer=std)
+            forecasts.append(np.stack(evaluate(splits.test, ctx, max_samples=4)["predictions"]))
+        want = forecasts[0] * a[:, None] + b[:, None]
+        assert np.abs(forecasts[1] - want).max() <= 1e-11 * np.abs(want).max()
+
     def test_zero_blocks_returns_extrapolation(self):
         splits, pg, std = tiny_dataset()
         cfg = small_config(blocks=0)

@@ -11,7 +11,7 @@ from scipy.sparse import _compressed
 
 from stforecast import attention, data, graphs, pipeline, solver, tuning
 from stforecast.attention import build_mixed_graph, fill_mixed_graph, plan_mixed_graph
-from stforecast.config import PipelineConfig
+from stforecast.config import LayerSettings, PipelineConfig
 from stforecast.graphs import (
     DegenerateDegreeError,
     MixedGraph,
@@ -438,11 +438,12 @@ class TestPlanReuse:
         # under the rule every system of the default model's blocks takes
         # Q(A), filled over the slices its operators' names give: x and z_d
         # over one station's instants, z_u over one instant's stations. With
-        # the rule refusing every system (the recurrence-only reference) no
-        # slice stack is filled
-        if refused:
-            monkeypatch.setattr(solver, "_takes_polynomial", lambda *args: False)
+        # 17 layers, each slice size (18 instants, 20 stations) is over the
+        # layer count, the rule refuses every system, and no slice stack is
+        # filled
         _, cfg, ctx, windows = desk_context()
+        if refused:
+            cfg.layers = LayerSettings(layers=17)
         fills, fill = [], solver.Slices.blocks
         monkeypatch.setattr(solver.Slices, "blocks",
                             lambda slices, *args: fills.append(slices) or fill(slices, *args))
