@@ -31,8 +31,10 @@ from stforecast.graphs import (
 from stforecast.pipeline import (
     PipelineContext,
     Standardizer,
+    flatten_time_major,
     reconstruct,
     run_forecast,
+    unflatten_time_major,
 )
 from stforecast.solver import (
     TERMS,
@@ -822,6 +824,36 @@ class TestStackedBlock:
         np.testing.assert_allclose(stacked.reshape(heads, n), np.array(per_head), rtol=0, atol=tol)
 
 
+def per_head_forward(sample, ctx):
+    """The pipeline's forward pass with one admm_block call per head (the reference)."""
+    cfg = ctx.config
+    n = sample.n_stations
+    t_obs = sample.observed.shape[1]
+    obs_std = ctx.standardizer.transform(sample.observed)
+    future = np.repeat(obs_std[:, -1:], sample.target.shape[1], axis=1)
+    x = flatten_time_major(np.concatenate([obs_std, future], axis=1))
+    y = x[: n * t_obs].copy()
+    t_steps = np.asarray(sample.timestamps, dtype=np.float64) / ctx.interval
+    for b in range(cfg.layers.blocks):
+        feats = ctx.feature_map(attention.embed(x, t_steps, ctx.eigmap))
+        graphs = [
+            attention.build_mixed_graph(
+                attention.undirected_weights(feats, ctx.sskel, ctx.bank.undirected[h]),
+                attention.directed_weights(feats, ctx.tskel, ctx.bank.directed[h]),
+                ctx.sskel, ctx.tskel, t_obs,
+                with_undirected_temporal=cfg.solver.mode == "undirected_temporal",
+            )
+            for h in range(ctx.bank.heads)
+        ]
+        params = cfg.layers.layer_params(b, cfg.default_rho(n))
+        outs = [
+            admm_block(x, y, g, params, cfg.solver.schedule(), cfg.solver.mode) for g in graphs
+        ]
+        x_new = sum(w * out for w, out in zip(cfg.heads.merge, outs))
+        x = cfg.layers.residual[b] * x_new + (1.0 - cfg.layers.residual[b]) * x
+    return ctx.standardizer.inverse(unflatten_time_major(x, n))
+
+
 class TestForwardLanes:
     @pytest.mark.parametrize("mode", VARIANTS)
     def test_two_heads_match_per_head_loop(self, mode):
@@ -914,6 +946,25 @@ def diverge_temporal_lane(lane):
 
 
 class TestWindowLanes:
+    @given(
+        st.lists(st.integers(0, 20), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.sampled_from(VARIANTS),
+        st.sampled_from(("unrolled", "exact")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_per_head_forward_per_window(self, picks, heads, mode, cg_mode):
+        windows, ctx = window_context(heads, mode, cg_mode)
+        batch = [windows[i % len(windows)] for i in picks]
+        together = pipeline._forward(batch, ctx)
+        assert len(together) == len(batch)
+        for sample, got in zip(batch, together):
+            want = per_head_forward(sample, ctx)
+            if cg_mode == "unrolled":
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
     def test_batch_over_the_budget_runs_in_chunks(self, monkeypatch):
         windows, ctx = window_context(heads=2)
         windows = windows[:5]
@@ -1204,6 +1255,27 @@ class TestPolynomialPath:
         per_head = [admm_block(x0, y, g, params, sched, mode) for g in graphs]
         stacked = admm_block(np.tile(x0, heads), np.tile(y, heads), stack, params, sched, mode)
         assert stacked.tobytes() == np.concatenate(per_head).tobytes()
+
+    def test_windows_stacked_equal_alone_and_the_recurrence(self, monkeypatch):
+        # 18 layers: x and z_d (18 instants a station) and z_u (5 stations an
+        # instant) all go polynomial; the dense reference forward runs every
+        # sub-solve as the recurrence and builds no Q(A)
+        splits, pg, std = cached_dataset()
+        cfg = small_config(heads=2, blocks=2, layers=18)
+        ctx = PipelineContext.build(pg, cfg, standardizer=std)
+        windows = splits.test[:3]
+        builds = []
+        build = solver.polynomial_operator
+        monkeypatch.setattr(
+            solver, "polynomial_operator", lambda *args: builds.append(1) or build(*args)
+        )
+        together = pipeline._forward(windows, ctx)
+        assert len(builds) == 2 * 3
+        recurrence = oracles.reference_forward(windows, ctx)
+        assert len(builds) == 2 * 3
+        for w, got, want in zip(windows, together, recurrence):
+            assert got.tobytes() == reconstruct(w, ctx).tobytes()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_diverging_lane_names_the_same_place_as_the_recurrence(self, monkeypatch):
         # 5 layers put z_u (5 stations an instant) on the polynomial path, 4

@@ -221,6 +221,17 @@ class TestZUpdates:
         np.testing.assert_allclose(z, want, atol=1e-8)
 
 
+def full_x_system(g, state, p, y):
+    """The full variant's x system written out densely: H'H + 0.5 rho L_r'L_r
+    + 0.5 (rho_u + rho_d) I and its right-hand side."""
+    a = (np.diag(g.h_mask.astype(float)) + 0.5 * p.rho * g.call_rd.toarray()
+         + 0.5 * (p.rho_u + p.rho_d) * np.eye(g.n_nodes))
+    rhs = (g.l_rd.toarray().T @ (0.5 * state.gamma + 0.5 * p.rho * state.phi)
+           - 0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u
+           - 0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d + g.lift_observed(y))
+    return a, rhs
+
+
 class TestUpdateX:
     def test_tiny_rho_limit_projects_observations(self):
         # the temporal coupling rho must vanish faster than rho_u + rho_d,
@@ -258,18 +269,23 @@ class TestUpdateX:
         state.gamma_d = np.array([0.15, 0.25])
         p = LayerParams(0.7, 0.9, 0.3, rho=1.4, rho_u=0.6, rho_d=1.2)
         x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-14))
-        a = (
-            np.diag([1.0, 0.0])
-            + 0.5 * p.rho * g.call_rd.toarray()
-            + 0.5 * (p.rho_u + p.rho_d) * np.eye(2)
-        )
-        rhs = (
-            g.l_rd.toarray().T @ (0.5 * state.gamma + 0.5 * p.rho * state.phi)
-            - 0.5 * state.gamma_u + 0.5 * p.rho_u * state.z_u
-            - 0.5 * state.gamma_d + 0.5 * p.rho_d * state.z_d
-            + g.lift_observed(y)
-        )
+        a, rhs = full_x_system(g, state, p, y)
         np.testing.assert_allclose(x, oracles.dense_solve(a, rhs), atol=1e-10)
+
+    def test_two_station_two_instant_dense_oracle(self):
+        rng = np.random.default_rng(5)
+        g = random_mixed(rng, n_stations=2, n_instants=2, window=1, n_observed=1)
+        y = rng.standard_normal(2)
+        state = AdmmState.initial(rng.standard_normal(4), g)
+        state.gamma = rng.standard_normal(4)
+        state.gamma_u = rng.standard_normal(4)
+        state.gamma_d = rng.standard_normal(4)
+        state.z_u = rng.standard_normal(4)
+        state.z_d = rng.standard_normal(4)
+        p = LayerParams(0.5, 0.5, 0.5, rho=1.2, rho_u=0.8, rho_d=1.1)
+        x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-13))
+        a, rhs = full_x_system(g, state, p, y)
+        np.testing.assert_allclose(x, oracles.dense_solve(a, rhs), atol=1e-8)
 
     @pytest.mark.parametrize("mode", VARIANTS)
     def test_variant_dense_oracle(self, mode):
@@ -298,6 +314,17 @@ class TestUpdateX:
         }[mode]
         x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-13), TERMS[mode])
         np.testing.assert_allclose(x, oracles.dense_solve(a, rhs), atol=1e-8)
+
+    def test_linear_system_residual(self):
+        rng = np.random.default_rng(6)
+        g = random_mixed(rng)
+        y = rng.standard_normal(int(g.h_mask.sum()))
+        state = AdmmState.initial(rng.standard_normal(g.n_nodes), g)
+        p = LayerParams(1, 1, 1, 1.0, 1.0, 1.0)
+        x = update_x(state, g, p, g.lift_observed(y), CgSchedule.exact(tol=1e-12))
+        a, rhs = full_x_system(g, state, p, y)
+        assert np.linalg.norm(a @ x - rhs) < 1e-8
+
 
 class TestUpdatePhi:
     def make_graph(self):
