@@ -7,20 +7,26 @@ out into auxiliaries. A layer runs the signal solve (CG), one CG low-pass
 solve per l2 auxiliary (z_u spatial, z_d temporal), the entrywise
 soft-threshold for the l1 auxiliary phi, and dual ascent on the multipliers
 of the splits it has (Boyd et al., *Distributed Optimization and Statistical
-Learning via ADMM*, FnT ML 2011, section 3). ``full`` splits everything, so
-each solve stays cheap and well conditioned; ``direct_unsplit`` keeps the l2
-terms in the signal system, for fixed-point checks; the other three are the
-ablations. The heads of a block, of one window or of several, run together
-as lanes of one block-diagonal system (a lane-stacked ``MixedGraph``). Each
-CG solve applies one folded matrix, coef * operator + diag(shift [+ H'H]),
-built once per distinct set of layer scalars in a block.
+Learning via ADMM*, FnT ML 2011, section 3). The soft threshold is delta -
+clip(delta, -t, t), and the l1 multiplier's ascent is then -rho times that
+clip in closed form (section 6.4), so phi's residual is never formed.
+``full`` splits everything, so each solve stays cheap and well conditioned;
+``direct_unsplit`` keeps the l2 terms in the signal system, for fixed-point
+checks; the other three are the ablations. The heads of a block, of one
+window or of several, run together as lanes of one block-diagonal system (a
+lane-stacked ``MixedGraph``). Each CG solve applies one folded matrix,
+coef * operator + diag(shift [+ H'H]), built once per distinct set of layer
+scalars in a block.
 
 Unrolled CG with a fixed schedule is a fixed polynomial Q(A) of its system:
 x0 + Q(A)(b - A x0) (Monga, Li and Eldar, *Algorithm Unrolling*, IEEE SPM
 2021). A fold that enough of a block's layers share gets Q(A) built once,
-with the steps run backwards, so each of its solves takes one sparse product
-and one batched dense product instead of the recurrence's ``iters`` sparse
-products (one for the starting residual, one for every step but the last).
+with the steps run backwards in three-term form, s_{j+1} = B s_j -
+beta s_{j-1} + alpha I with B = (1 + beta) I - alpha A, B formed anew only
+where the schedule's (alpha, beta) changes (``polynomial_operator``), so
+each of its solves takes one sparse product and one batched dense product
+instead of the recurrence's ``iters`` sparse products (one for the starting
+residual, one for every step but the last).
 A lane is time-major, so which nodes a fold couples is known from the names
 of its operators (``fold_slices``): a temporal fold couples one station's
 instants, a spatial fold one instant's stations, the unsplit sum a whole
@@ -56,8 +62,8 @@ both give the CSR product bit for bit (``Operator.dot``).
 ``MixedGraph.apply`` (L_r x and L_r' v, once per layer) runs the same
 ``dot``, on their bands.
 
-Vector updates of the form y + a x (CG's x and r, the build's v, the
-layer's weighted sums) run BLAS ``daxpy`` (Lawson, Hanson, Kincaid and
+Vector updates of the form y + a x (CG's x and r, the build's beta term,
+the layer's weighted sums) run BLAS ``daxpy`` (Lawson, Hanson, Kincaid and
 Krogh, *ACM TOMS* 1979): one pass, no temporary. It may round a x + y once
 (FMA), as the CPU's kernel chooses, so its bits can differ from numpy's
 two roundings; it works entry by entry, so a value's bits do not depend on
@@ -93,12 +99,13 @@ DEFAULT_EXACT_TOL = 1e-10
 LANE_NODE_BUDGET = 12000
 
 # Slices per chunk of ``polynomial_operator``'s in-place build: its
-# temporaries, one chunk's copy of A, v and step, are three chunks of its
-# stack, held in the forward pass's ``Workspace`` scratch (sized for the
-# largest chunk of any system: 1.0 MB at city-1000). Timed at 1000 slices
-# of 18 nodes (city-1000) and 80 of 18 (desk), one BLAS thread: 96 to 128
-# were the fastest at both, 2x faster at city than the whole stack at once;
-# 128 keeps a desk stack in one chunk (README, Layout).
+# temporaries, one chunk's B and three s, are four chunks of its stack,
+# held in the forward pass's ``Workspace`` scratch (sized for the largest
+# chunk of any system: 1.33 MB at city-1000). Timed at 64, 96, 128 and 192
+# slices a chunk, on 1000 slices of 18 nodes (city-1000) and 80 of 18
+# (desk), one BLAS thread: 96 and 128 were the fastest at both (3.38 and
+# 3.35 ms at city, 259 and 257 us at desk), 1.4x faster at city than the
+# whole stack at once; 128 keeps a desk stack in one chunk (README, Layout).
 POLYNOMIAL_CHUNK = 128
 
 
@@ -219,7 +226,10 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
     ``apply_g``, in unrolled mode, applies the schedule's polynomial Q(A)
     (``polynomial_operator``): the result is then x0 + Q(A)(b - A x0), two
     products in all. It agrees with the step-by-step recurrence to rounding,
-    and can stay finite where the recurrence's own iterates overflow.
+    and can stay finite where the recurrence's own iterates overflow. Both
+    products are then written over in place (the residual into A x0, x0
+    added to Q(A) r0), so ``apply_a`` and ``apply_g`` must return arrays of
+    their own, as a fold's ``dot`` and ``SliceBlocks.dot`` do.
 
     The result is finite, or the solve raises ``NumericFailure``. An
     unrolled result is checked once, at the end: a non-finite entry of x
@@ -239,15 +249,19 @@ def cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, sched: CgSchedule,
     x = np.ascontiguousarray(x0, dtype=np.float64) if unrolled else np.array(x0, dtype=np.float64)
     if x.shape != b.shape:
         raise ValueError("x0 and b must have the same shape")
-    r = b - apply_a(x)
     if unrolled:
         if apply_g is None:
+            r = b - apply_a(x)
             out = _unrolled_steps(apply_a, x, r, sched, check=False)
         else:
-            out = x + apply_g(r)
+            r = apply_a(x)
+            np.subtract(b, r, out=r)
+            out = apply_g(r)
+            out += x
         if np.isfinite(out).all():
             return out
         return _unrolled_steps(apply_a, x, r, sched, check=True)
+    r = b - apply_a(x)
     p = r.copy()
     rr = float(r @ r)
     cap = sched.iters if sched.iters is not None else 2 * len(b) + 10
@@ -443,42 +457,68 @@ def polynomial_operator(stack: np.ndarray, sched: CgSchedule,
 
     The forward steps give Q(A) = sum_k alpha_k P_k(A), P_k(A) r0 being the
     k-th search direction. The build runs that sum in reverse, which needs
-    no x and no r: from s = v = alpha_{K-1} I, each k = K-2 .. 0 sets
-    v <- alpha_k (I - A s) + beta_k v and then s <- s + v, ending at
-    s = Q(A). The first A s is A times alpha_{K-1}, the matmul's result
-    bit for bit, so a build takes ``iters`` - 2 batched matmuls. v moves
-    by one ``daxpy`` a step, as ``_unrolled_steps`` moves x and r. Both
-    orders agree to rounding.
+    no x and no r, in three-term form: from s_0 = alpha_{K-1} I and
+    s_{-1} = 0, step j = 1 .. K-1 takes the schedule's k = K-1-j and sets
+    s_j = B_k s_{j-1} - beta_k s_{j-2} + alpha_k I, with
+    B_k = (1 + beta_k) I - alpha_k A, ending at s_{K-1} = Q(A). (It is the
+    two-term v <- alpha_k (I - A s) + beta_k v, s <- s + v with v
+    eliminated; both agree to rounding.) B_k is formed only when
+    (alpha_k, beta_k) differs from the step before's, so a constant
+    schedule forms it once, and where alpha_k is 0 it is (1 + beta_k) I,
+    read from no entry of A. The first step is scalar, s_1 = alpha_{K-1} B
+    + alpha_k I, and the second's beta s_0 is a diagonal, so a build takes
+    ``iters`` - 2 batched matmuls, each followed by at most one ``daxpy``
+    (none for a zero beta) and one add on the diagonal.
 
-    Q(A) is written over A, in ``stack`` itself, which is returned. It is
+    Q(A) is written over A, in ``stack`` itself, which is returned: A stays
+    there until the last step, which writes Q(A) straight into it. It is
     built ``POLYNOMIAL_CHUNK`` blocks at a time, so the build's temporaries
-    are one chunk's copy of A, v and step, held in ``workspace``'s scratch
+    are one chunk's B and three s, held in ``workspace``'s scratch
     (``Workspace.chunk``; a new workspace's without one): every block takes
     the same matmuls and elementwise steps whatever the chunk.
     """
     alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
+    steps = list(zip(alphas[-2::-1], betas[-2::-1]))
     k = stack.shape[1]
     workspace = Workspace() if workspace is None else workspace
-    scratch = workspace.chunk(3 * min(len(stack), POLYNOMIAL_CHUNK) * k * k)
+    scratch = workspace.chunk(4 * min(len(stack), POLYNOMIAL_CHUNK) * k * k)
     with np.errstate(over="ignore", invalid="ignore"):  # cg_solve checks what it applies
         for first in range(0, len(stack), POLYNOMIAL_CHUNK):
-            s = stack[first : first + POLYNOMIAL_CHUNK]
-            c = len(s)
-            a, v, step = scratch[: 3 * c * k * k].reshape(3, c, k, k)
-            np.copyto(a, s)
-            s.fill(0.0)
-            s.reshape(c, k * k)[:, :: k + 1] = alphas[-1]  # each diagonal, as a strided view
-            np.copyto(v, s)
-            for i, (alpha, beta) in enumerate(zip(alphas[-2::-1], betas[-2::-1])):
-                if i:
-                    np.matmul(a, s, out=step)
-                else:  # s is alpha_{K-1} I
-                    np.multiply(a, alphas[-1], out=step)
-                v *= beta
-                daxpy(step.reshape(-1), v.reshape(-1), a=-alpha)
-                v.reshape(c, k * k)[:, :: k + 1] += alpha
-                s += v
+            a = stack[first : first + POLYNOMIAL_CHUNK]  # A, then Q(A)
+            c = len(a)
+            b, *free = scratch[: 4 * c * k * k].reshape(4, c, k, k)
+            s = prev = None  # s_{j-1} and s_{j-2}, None while it is s_0 or before it
+            for j, (alpha, beta) in enumerate(steps, 1):
+                if j == 1 or (alpha, beta) != steps[j - 2]:
+                    if alpha:
+                        np.multiply(a, -alpha, out=b)
+                    else:
+                        b.fill(0.0)
+                    _diagonal(b)[...] += 1.0 + beta
+                out = a if j == len(steps) else free.pop()
+                shift = alpha
+                if s is None:
+                    np.multiply(b, alphas[-1], out=out)
+                else:
+                    np.matmul(b, s, out=out)
+                    if prev is None:
+                        shift -= beta * alphas[-1]
+                    else:
+                        if beta:
+                            daxpy(prev.reshape(-1), out.reshape(-1), a=-beta)
+                        free.append(prev)
+                _diagonal(out)[...] += shift
+                s, prev = out, s
+            if s is None:  # a one-step schedule: Q(A) is alpha_0 I
+                a.fill(0.0)
+                _diagonal(a)[...] = alphas[-1]
     return stack
+
+
+def _diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (C, k) diagonals of a C-contiguous (C, k, k) stack, as a strided view."""
+    c, k, _ = blocks.shape
+    return blocks.reshape(c, k * k)[:, :: k + 1]
 
 
 @dataclass(eq=False)
@@ -716,19 +756,20 @@ def update_zd(
     return _sub_solve(graph, _zd_system(p, temporal), rhs, state.z_d, sched, folds)
 
 
-def update_phi(l_rd_x: np.ndarray, gamma: np.ndarray, p: LayerParams) -> np.ndarray:
-    """Entrywise soft threshold of L_r x - gamma/rho at level mu_d1/rho; ``l_rd_x`` is L_r x.
+def update_phi(l_rd_x: np.ndarray, gamma: np.ndarray, p: LayerParams,
+               clipped: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise soft threshold of delta = L_r x - gamma/rho at level t = mu_d1/rho; ``l_rd_x`` is L_r x.
 
-    sign(delta) * max(|delta| - mu_d1/rho, 0), in three new arrays.
+    delta - clip(delta, -t, t) (Boyd et al., section 4.4.3), returned in
+    delta's new array: the clip is what the threshold takes away. With
+    ``clipped``, an array of delta's shape, which may be ``l_rd_x`` itself,
+    the clip is written there, for the l1 multiplier
+    (``update_multipliers``); without it, into a temporary.
     """
     delta = np.divide(gamma, p.rho)
     np.subtract(l_rd_x, delta, out=delta)
-    shrunk = np.abs(delta)
-    shrunk -= p.mu_d1 / p.rho
-    np.maximum(shrunk, 0.0, out=shrunk)
-    out = np.sign(delta)  # a new array: numpy's sign in place runs several times slower
-    out *= shrunk
-    return out
+    t = p.mu_d1 / p.rho
+    return np.subtract(delta, delta.clip(-t, t, out=clipped), out=delta)
 
 
 def _ascent(gamma: np.ndarray, rho: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -740,18 +781,22 @@ def _ascent(gamma: np.ndarray, rho: float, a: np.ndarray, b: np.ndarray) -> np.n
 
 def update_multipliers(
     state: AdmmState,
-    l_rd_x: np.ndarray | None,
+    clipped: np.ndarray | None,
     p: LayerParams,
     terms: Terms = TERMS["full"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dual ascent on each split the variant has; the others keep their multiplier.
 
-    Reads the layer's updated x, phi, z_u and z_d from ``state``; ``l_rd_x``
-    is L_r x, needed only with the l1 term.
+    Reads the layer's updated x, z_u and z_d from ``state``. ``clipped``,
+    needed only with the l1 term, is the clip ``update_phi`` wrote, c =
+    clip(delta, -t, t) of delta = L_r x - gamma/rho, t = mu_d1/rho; the
+    new l1 multiplier is written over it. With phi = delta - c, the ascent
+    gamma + rho (phi - L_r x) is -rho c in closed form (Boyd et al.,
+    section 6.4), which lies in [-mu_d1, mu_d1].
     """
     gamma, gamma_u, gamma_d = state.gamma, state.gamma_u, state.gamma_d
     if terms.l1:
-        gamma = _ascent(gamma, p.rho, state.phi, l_rd_x)
+        gamma = np.multiply(clipped, -p.rho, out=clipped)
     if terms.split:
         gamma_u = _ascent(gamma_u, p.rho_u, state.x, state.z_u)
         if terms.temporal:
@@ -779,15 +824,15 @@ def _layer(state: AdmmState, graph: MixedGraph, p: LayerParams, hty, sched, laye
             if terms.temporal:
                 step = "z_n" if terms.temporal == "l_n" else "z_d"
                 state.z_d = update_zd(state, graph, p, sched, terms.temporal, folds)
-        l_rd_x = None
+        clipped = None
         if terms.l1:
             step = "phi"
-            l_rd_x = graph.apply("l_rd", state.x)
-            state.phi = _finite(update_phi(l_rd_x, state.gamma, p))
+            clipped = graph.apply("l_rd", state.x)  # L_r x, written over with the clip
+            state.phi = _finite(update_phi(clipped, state.gamma, p, clipped))
     except NumericFailure as exc:
         exc.layer, exc.step = layer, step
         raise
-    state.gamma, state.gamma_u, state.gamma_d = update_multipliers(state, l_rd_x, p, terms)
+    state.gamma, state.gamma_u, state.gamma_d = update_multipliers(state, clipped, p, terms)
 
 
 def admm_block(

@@ -1170,6 +1170,35 @@ def whole_stack_polynomial(stack, sched):
     return s
 
 
+def whole_stack_three_term(stack, sched):
+    """Q(A) in ``polynomial_operator``'s three-term form, built out of place,
+    the whole stack at once, with full-size B and s, B formed afresh at
+    every step, and the first step's B s_0 by matmul (the reference for the
+    chunked build in place)."""
+    alphas, betas = sched.alphas.tolist(), sched.betas.tolist()
+    c, k, _ = stack.shape
+
+    def diagonal(m):
+        return m.reshape(c, k * k)[:, :: k + 1]
+
+    s, prev = np.zeros_like(stack), None
+    diagonal(s)[...] = alphas[-1]
+    for j, (alpha, beta) in enumerate(zip(alphas[-2::-1], betas[-2::-1]), 1):
+        b = stack * -alpha if alpha else np.zeros_like(stack)
+        diagonal(b)[...] += 1.0 + beta
+        new = b @ s
+        if j == 1:
+            diagonal(new)[...] += alpha
+        elif j == 2:
+            diagonal(new)[...] += alpha - beta * alphas[-1]
+        else:
+            if beta:
+                daxpy(prev.ravel(), new.ravel(), a=-beta)
+            diagonal(new)[...] += alpha
+        s, prev = new, s
+    return s
+
+
 def random_stacks(rng, shapes):
     """Random symmetric (C, k, k) stacks, one per (C, k)."""
     stacks = []
@@ -1306,24 +1335,65 @@ class TestPolynomialPath:
     def test_in_place_build_is_the_whole_stack_build(self, monkeypatch, chunk, counts):
         # each block takes the same matmuls and elementwise steps in its
         # chunk as in the whole stack: Q(A) is bitwise the same, whether the
-        # last chunk is full or not, and the first A s taken as A times
-        # alpha_{K-1} is bitwise the matmul's
+        # last chunk is full or not, whether B is formed once or at every
+        # step, and the first B s_0 taken as B times alpha_{K-1} is bitwise
+        # the matmul's
         if chunk is not None:
             monkeypatch.setattr(solver, "POLYNOMIAL_CHUNK", chunk)
         rng = np.random.default_rng(len(counts) + counts[0])
-        for iters in (1, 2, 8):
-            sched = CgSchedule.unrolled(iters, rng.uniform(0.05, 0.8, iters),
-                                        rng.uniform(0, 1, iters))
+        for iters, constant in ((1, False), (2, False), (3, True), (8, False), (8, True)):
+            draw = (rng.uniform(0.05, 0.8), rng.uniform(0, 1)) if constant else \
+                (rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters))
+            sched = CgSchedule.unrolled(iters, *draw)
             for stack in random_stacks(rng, [(c, k) for c, k in zip(counts, (18, 7, 1))]):
-                want = whole_stack_polynomial(stack, sched)
+                want = whole_stack_three_term(stack, sched)
                 got = polynomial_operator(stack, sched)
                 assert got is stack
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("iters", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", ["per-step", "constant", "beta-0", "alpha-0"])
+    def test_three_term_build_agrees_with_the_two_term_and_the_recurrence(self, iters, case):
+        # the reversed two-term sum and the forward recurrence run on the
+        # identity (x0 = 0, r0 = I, a column per node) give the same Q(A)
+        rng = np.random.default_rng(iters)
+        alphas, betas = rng.uniform(0.05, 0.8, iters), rng.uniform(0, 1, iters)
+        if case == "constant":
+            alphas, betas = alphas[0], betas[0]
+        elif case == "beta-0":
+            betas[rng.uniform(size=iters) < 0.5] = 0.0
+            betas[-1] = 0.0
+        elif case == "alpha-0":
+            alphas[rng.uniform(size=iters) < 0.4] = 0.0
+            alphas[rng.integers(iters)] = 0.0
+        sched = CgSchedule.unrolled(iters, alphas, betas)
+        for stack in random_stacks(rng, [(30, 18), (7, 5), (3, 1)]):
+            c, k, _ = stack.shape
+            eye = np.broadcast_to(np.eye(k), stack.shape).ravel()
+            recurrence = solver._unrolled_steps(
+                lambda v: (stack @ v.reshape(stack.shape)).ravel(), np.zeros(c * k * k), eye,
+                sched, check=False).reshape(stack.shape)
+            two_term = whole_stack_polynomial(stack, sched)
+            got = polynomial_operator(stack.copy(), sched)
+            for want in (two_term, recurrence):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), case
+
+    def test_a_zero_alpha_step_reads_no_entry_of_a(self):
+        # only the last step's alpha applies the direction: Q(A) is then a
+        # multiple of I, and it is the same from an A of NaN as from any A
+        rng = np.random.default_rng(2)
+        sched = CgSchedule.unrolled(5, [0.0, 0.0, 0.0, 0.0, 0.6], rng.uniform(0, 1, 5))
+        (stack,) = random_stacks(rng, [(4, 6)])
+        want = polynomial_operator(stack, sched)
+        np.testing.assert_array_equal(want, np.broadcast_to(want[0, 0, 0] * np.eye(6), want.shape))
+        got = polynomial_operator(np.full((4, 6, 6), np.nan), sched)
+        assert got.tobytes() == want.tobytes()
+
     def test_build_holds_one_chunk_of_temporaries(self):
         # a stack of 3 chunks and 5 slices more, city-1000's 18 nodes
-        # each: beyond its output (written over A) the build allocates at
-        # most one chunk's s, v, step and copy of A, not two more stacks
+        # each: beyond its output (written over A) the build allocates one
+        # chunk's B and three s and numpy's buffer for the diagonal adds,
+        # within a quarter chunk, not two more stacks
         chunk, k = solver.POLYNOMIAL_CHUNK, 18
         sched = CgSchedule.unrolled()
         polynomial_operator(random_stacks(np.random.default_rng(0), [(2, k)])[0], sched)  # warm-up
@@ -1334,7 +1404,7 @@ class TestPolynomialPath:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - current <= 4 * chunk * k * k * 8
+        assert peak - current <= 4.25 * chunk * k * k * 8
 
     def test_a_block_above_the_old_bound_agrees_with_the_recurrence(self):
         # 12 600 nodes and 18 layers: x and z_d (18 instants a station) take

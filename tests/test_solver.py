@@ -367,14 +367,18 @@ class TestMultipliers:
     def test_zero_residuals_leave_multipliers(self):
         rng = np.random.default_rng(9)
         g = random_mixed(rng)
-        x = rng.standard_normal(g.n_nodes)
+        x = np.ones(g.n_nodes)  # L_r x = 0
         state = AdmmState.initial(x, g)
-        state.gamma = rng.standard_normal(g.n_nodes)
+        p = LayerParams(1, 1, 1, 1.3, 0.7, 2.1)
+        # |gamma| < mu_d1 keeps delta = -gamma/rho inside the threshold, so
+        # phi = 0 = L_r x, and z_u = z_d = x: every split residual is zero
+        state.gamma = rng.uniform(-0.9, 0.9, g.n_nodes)
         state.gamma_u = rng.standard_normal(g.n_nodes)
         state.gamma_d = rng.standard_normal(g.n_nodes)
-        p = LayerParams(1, 1, 1, 1.3, 0.7, 2.1)
-        # AdmmState.initial sets phi = L_r x and z_u = z_d = x: every split residual is zero
-        gamma, gamma_u, gamma_d = update_multipliers(state, g.apply("l_rd", x), p)
+        clipped = g.apply("l_rd", x)
+        state.phi = update_phi(clipped, state.gamma, p, clipped)
+        np.testing.assert_array_equal(state.phi, 0.0)
+        gamma, gamma_u, gamma_d = update_multipliers(state, clipped, p)
         np.testing.assert_allclose(gamma, state.gamma, atol=1e-14)
         np.testing.assert_allclose(gamma_u, state.gamma_u, atol=1e-14)
         np.testing.assert_allclose(gamma_d, state.gamma_d, atol=1e-14)
@@ -385,13 +389,20 @@ class TestMultipliers:
         state = AdmmState.initial(np.zeros(n), g)
         p = LayerParams(1, 1, 1, 1.0, 1.0, 1.0)
         x = np.zeros(n)
-        state.phi, state.z_u, state.z_d = g.apply("l_rd", x) + 1.0, x - 1.0, x - 1.0
-        gamma, gamma_u, gamma_d = update_multipliers(state, g.apply("l_rd", x), p)
-        np.testing.assert_allclose(gamma, np.ones(n))
+        # delta = 2 at threshold 1: phi = 1 = L_r x + 1
+        state.gamma = np.full(n, -2.0)
+        clipped = g.apply("l_rd", x)
+        state.phi = update_phi(clipped, state.gamma, p, clipped)
+        state.z_u, state.z_d = x - 1.0, x - 1.0
+        np.testing.assert_array_equal(state.phi, 1.0)
+        gamma, gamma_u, gamma_d = update_multipliers(state, clipped, p)
+        np.testing.assert_allclose(gamma, state.gamma + 1.0)
         np.testing.assert_allclose(gamma_u, np.ones(n))
         np.testing.assert_allclose(gamma_d, np.ones(n))
 
     def test_matches_recomputation(self):
+        # the l1 multiplier is -rho clip(delta, -t, t): the textbook ascent
+        # gamma + rho (phi - L_r x) from phi = update_phi, and within mu_d1
         rng = np.random.default_rng(11)
         g = random_mixed(rng)
         n = g.n_nodes
@@ -399,13 +410,43 @@ class TestMultipliers:
         state.gamma, state.gamma_u, state.gamma_d = (
             rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n)
         )
-        x, phi, zu, zd = (rng.standard_normal(n) for _ in range(4))
-        state.x, state.phi, state.z_u, state.z_d = x, phi, zu, zd
-        p = LayerParams(1, 1, 1, 0.9, 1.7, 0.4)
-        gamma, gamma_u, gamma_d = update_multipliers(state, g.apply("l_rd", x), p)
-        np.testing.assert_allclose(gamma, state.gamma + 0.9 * (phi - g.l_rd.toarray() @ x))
+        x, zu, zd = (rng.standard_normal(n) for _ in range(3))
+        state.x, state.z_u, state.z_d = x, zu, zd
+        p = LayerParams(1, 1, 0.6, 0.9, 1.7, 0.4)
+        clipped = g.apply("l_rd", x)
+        state.phi = update_phi(clipped, state.gamma, p, clipped)
+        gamma, gamma_u, gamma_d = update_multipliers(state, clipped, p)
+        textbook = state.gamma + 0.9 * (state.phi - g.l_rd.toarray() @ x)
+        np.testing.assert_allclose(gamma, textbook, rtol=0, atol=1e-14 * (1 + np.abs(textbook).max()))
+        assert np.abs(gamma).max() <= 0.6
+        assert 0 < np.count_nonzero(np.abs(gamma) < 0.6) < n  # inside and on the threshold
         np.testing.assert_allclose(gamma_u, state.gamma_u + 1.7 * (x - zu))
         np.testing.assert_allclose(gamma_d, state.gamma_d + 0.4 * (x - zd))
+
+    @pytest.mark.parametrize("mode", ["full", "direct_unsplit"])
+    @pytest.mark.parametrize("cg", ["exact", "unrolled"])
+    def test_every_layer_takes_the_textbook_ascent(self, monkeypatch, mode, cg):
+        # after every layer of a block, the closed form equals gamma + rho
+        # (phi - L_r x) of that layer's phi and x, and lies in [-mu_d1, mu_d1]
+        rng = np.random.default_rng(12)
+        g, y = tiny_instance(rng)
+        params = [LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+                  for _ in range(6)]
+        sched = CgSchedule.exact(tol=1e-12) if cg == "exact" else CgSchedule.unrolled(8)
+        ascend, checked = solver.update_multipliers, []
+
+        def textbook_checked(state, clipped, p, terms):
+            want = state.gamma + p.rho * (state.phi - g.l_rd.toarray() @ state.x)
+            got = ascend(state, clipped, p, terms)
+            scale = 1 + np.abs(state.gamma).max() + p.rho * np.abs(state.phi).max()
+            np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-13 * scale)
+            assert np.abs(got[0]).max() <= p.mu_d1
+            checked.append(p)
+            return got
+
+        monkeypatch.setattr(solver, "update_multipliers", textbook_checked)
+        admm_block(g.lift_observed(y), y, g, params, sched, mode)
+        assert checked == params[:-1]  # the last layer updates x only
 
 
 def tiny_instance(rng, **kw):
