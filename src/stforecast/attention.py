@@ -430,9 +430,10 @@ class GraphPlan:
     The skeletons, the lane count and the observed prefix fix the plans of
     ``assemble_undirected_laplacian`` (over every lane's instants) and
     ``assemble_random_walk_digraph`` (over the temporal skeleton repeated
-    per lane: W_r, L_r and L_r' as bands), the mask, and ``temporal``, the
-    one banded pattern of L_r'L_r and, when planned, ``l_n``: every pair of
-    a station's nodes within the window (``_window_pattern``). With ``l_n``,
+    per lane: W_r, L_r and L_r' as bands), the mask ``h_mask``, which
+    carries the prefix, and ``temporal``, the one banded pattern of
+    L_r'L_r and, when planned, ``l_n``: every pair of a station's nodes
+    within the window (``_window_pattern``). With ``l_n``,
     ``adjacency`` holds the pattern of the symmetrized temporal adjacency,
     the directed edge each of its entries reads, each entry's row and its
     flat position in ``temporal``'s band. Every filled operator sits on its
@@ -442,7 +443,6 @@ class GraphPlan:
     sskel: SpatialSkeleton
     tskel: TemporalSkeleton
     lanes: int
-    n_observed: int
     l_u: LaplacianPlan
     walk: RandomWalkPlan
     temporal: Pattern
@@ -483,7 +483,7 @@ def plan_mixed_graph(
     lane_mask[: sskel.n_stations * n_observed] = True
     h_mask = np.tile(lane_mask, lanes)
     h_mask.flags.writeable = False
-    return GraphPlan(sskel, tskel, lanes, n_observed, l_u, walk, temporal, adjacency, h_mask)
+    return GraphPlan(sskel, tskel, lanes, l_u, walk, temporal, adjacency, h_mask)
 
 
 def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarray) -> MixedGraph:
@@ -533,19 +533,8 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         values.ravel()[at] = 0.0 - (scale[rows] * half) * scale[adjacency.indices]
         values[plan.temporal.band.zero] = linked
         l_n = Operator(plan.temporal, values)
-    return MixedGraph(
-        n_stations=plan.sskel.n_stations,
-        n_instants=plan.tskel.n_instants,
-        n_observed=plan.n_observed,
-        l_u=l_u,
-        w_rd=w_rd,
-        l_rd=l_rd,
-        l_rd_t=l_rd_t,
-        call_rd=call_rd,
-        l_n=l_n,
-        h_mask=plan.h_mask,
-        lanes=lanes,
-    )
+    return MixedGraph(plan.sskel.n_stations, plan.tskel.n_instants, lanes, plan.h_mask,
+                      l_u=l_u, w_rd=w_rd, l_rd=l_rd, l_rd_t=l_rd_t, call_rd=call_rd, l_n=l_n)
 
 
 def build_mixed_graph(

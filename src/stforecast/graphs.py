@@ -718,12 +718,12 @@ class MixedGraph:
 
     A graph with ``lanes`` > 1 holds that many graphs of one shape as the
     diagonal blocks of each operator; signals are the per-lane vectors
-    concatenated, and ``h_mask`` repeats once per lane.
+    concatenated. ``h_mask`` marks the observed nodes of every lane.
 
-    Each operator is given as an ``Operator`` (``attention.fill_mixed_graph``
-    gives those of its plan, L_r, L_r' and L_r'L_r on their bands) or as a
-    CSR matrix, put on its own pattern. Every operator but ``l_n`` must be
-    given; none is worked out from another.
+    ``attention.fill_mixed_graph`` makes every graph: each operator an
+    ``Operator`` on its plan's pattern, L_r, L_r' and L_r'L_r on their
+    bands. Every operator but ``l_n`` must be given, and none is worked
+    out from another.
     """
 
     l_u = _CsrView()
@@ -733,27 +733,22 @@ class MixedGraph:
     call_rd = _CsrView()
     l_n = _CsrView()
 
-    def __init__(self, n_stations: int, n_instants: int, n_observed: int, l_u, w_rd, l_rd,
-                 call_rd=None, l_n=None, h_mask: np.ndarray | None = None, lanes: int = 1,
-                 l_rd_t=None):
-        self.n_stations, self.n_instants = n_stations, n_instants
-        self.n_observed = n_observed  # observed instants (the prefix 0..T)
-        self.lanes = lanes
+    def __init__(self, n_stations: int, n_instants: int, lanes: int, h_mask: np.ndarray, *,
+                 l_u, w_rd, l_rd, l_rd_t, call_rd, l_n=None):
+        self.n_stations, self.n_instants, self.lanes = n_stations, n_instants, lanes
+        self.h_mask = h_mask
         dim = self.n_nodes
         given = {"l_u": l_u, "w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd_t,
                  "call_rd": call_rd, "l_n": l_n}
         for name, op in given.items():
-            if op is None and name != "l_n":
-                raise ValueError(f"{name} is missing")
-            if op is not None and op.shape != (dim, dim):
+            if op is None:
+                if name != "l_n":
+                    raise ValueError(f"{name} is missing")
+            elif not isinstance(op, Operator):
+                raise TypeError(f"{name} must be an Operator, got {type(op).__name__}")
+            elif op.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {op.shape}, expected {(dim, dim)}")
-        if h_mask is None:
-            lane_mask = np.zeros(n_stations * n_instants, dtype=bool)
-            lane_mask[: n_stations * n_observed] = True
-            h_mask = np.tile(lane_mask, lanes)
-        self.h_mask = h_mask
-        self.ops = {name: op if isinstance(op, Operator) else Operator.of(op)
-                    for name, op in given.items() if op is not None}
+        self.ops = {name: op for name, op in given.items() if op is not None}
 
     @property
     def n_nodes(self) -> int:

@@ -565,8 +565,9 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
     operator's pattern, in its layout: coef times its values plus the
     diagonal, which a band operator adds on its main diagonal's row, the
     same operations as in entry order. Otherwise the terms are added by
-    scipy in CSR (its sparse products drop exact zeros, so a ``call_rd``
-    given in CSR may lack a diagonal entry).
+    scipy in CSR: a sum of operators (the unsplit signal system), the
+    identity shift alone, or the one operator whose plan can store no
+    diagonal, an ``l_u`` without edges (one station, or no roads).
     """
     diag = np.full(graph.n_nodes, shift)
     if observed:

@@ -26,7 +26,6 @@ from stforecast.graphs import (
     PhysicalGraph,
     build_spatial_skeleton,
     build_temporal_skeleton,
-    directed_skeleton_from_edges,
 )
 from stforecast.pipeline import (
     PipelineContext,
@@ -54,7 +53,7 @@ from stforecast.solver import (
     update_zu,
 )
 
-from test_graphs import laplacian, random_mixed, random_walk, scipy_dglr
+from test_graphs import laplacian, random_mixed
 from test_pipeline import small_config, tiny_dataset
 
 STACKED_OPS = ("l_u", "w_rd", "l_rd", "call_rd", "l_rd_t", "l_n")
@@ -73,44 +72,13 @@ def _block_diag_csr(mats: list[sp.csr_matrix]) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
-def stack_graphs(graphs: list[MixedGraph]) -> MixedGraph:
-    """One lane per graph, operators block-diagonal; one graph is returned as is.
-
-    Each operator's blocks keep their rows' entry order, so a product with
-    the stack equals, lane by lane and bit for bit, the products with the
-    separate graphs. The forward pass assembles its lanes directly
-    (``attention.multi_head_graphs``); stacking separately built graphs
-    is the reference the tests hold that assembly to.
-    """
-    if len(graphs) == 1:
-        return graphs[0]
-    first = graphs[0]
-    shape = (first.n_stations, first.n_instants, first.n_observed)
-    for g in graphs[1:]:
-        if (g.n_stations, g.n_instants, g.n_observed) != shape:
-            raise ValueError("stacked graphs must share stations, instants and observed prefix")
-    ops = ["l_u", "w_rd", "l_rd", "call_rd", "l_rd_t"]
-    if all(g.l_n is not None for g in graphs):
-        ops.append("l_n")
-    return MixedGraph(
-        n_stations=first.n_stations,
-        n_instants=first.n_instants,
-        n_observed=first.n_observed,
-        h_mask=np.concatenate([g.h_mask for g in graphs]),
-        lanes=sum(g.lanes for g in graphs),
-        **{name: _block_diag_csr([getattr(g, name) for g in graphs]) for name in ops},
-    )
-
-
-def random_heads(rng, heads):
-    """Graphs of one shape with independently drawn edge weights."""
-    shape = dict(
-        n_stations=int(rng.integers(2, 6)),
-        n_instants=int(rng.integers(3, 7)),
-        window=int(rng.integers(1, 3)),
-    )
-    shape["n_observed"] = int(rng.integers(1, shape["n_instants"]))
-    return [random_mixed(rng, with_l_n=True, **shape) for _ in range(heads)]
+def lanes_and_alone(rng, lanes):
+    """A random graph shape with ``l_n``, and weights for ``lanes`` lanes:
+    the lanes filled into one plan, and each lane built alone from its own
+    weights (``split_skeleton_inputs``)."""
+    wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes)
+    stacked = fill_mixed_graph(plan_mixed_graph(sskel, tskel, lanes, n_observed, True), wu, wd)
+    return stacked, [build_mixed_graph(u, d, sskel, tskel, n_observed) for u, d in zip(wu, wd)]
 
 
 def random_params(rng, layers):
@@ -124,8 +92,7 @@ class TestStack:
     @settings(max_examples=25, deadline=None)
     def test_equals_block_diag(self, seed, heads):
         rng = np.random.default_rng(seed)
-        graphs = random_heads(rng, heads)
-        stacked = stack_graphs(graphs)
+        stacked, graphs = lanes_and_alone(rng, heads)
         assert stacked.lanes == heads
         assert stacked.n_nodes == heads * graphs[0].n_nodes
         np.testing.assert_array_equal(stacked.h_mask, np.tile(graphs[0].h_mask, heads))
@@ -139,19 +106,8 @@ class TestStack:
                 np.concatenate([g.apply(op, x) for g, x in zip(graphs, xs)]),
             )
 
-    def test_single_graph_returned_unchanged(self):
-        g = random_mixed(np.random.default_rng(0))
-        assert stack_graphs([g]) is g
-
-    def test_mismatched_shapes_rejected(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="share"):
-            stack_graphs([random_mixed(rng, n_stations=3), random_mixed(rng, n_stations=4)])
-
     def test_lane_of(self):
-        rng = np.random.default_rng(2)
-        g = random_mixed(rng)
-        stacked = stack_graphs([g, random_mixed(rng), random_mixed(rng)])
+        stacked, (g, *_) = lanes_and_alone(np.random.default_rng(2), 3)
         assert [stacked.lane_of(e) for e in (0, g.n_nodes - 1, g.n_nodes, 3 * g.n_nodes - 1)] == [
             0, 0, 1, 2,
         ]
@@ -215,11 +171,11 @@ class TestLaneAssembly:
             for window_feats in (feats if windows else [feats])
             for h in range(heads)
         ]
-        expected = stack_graphs(alone)
         assert stacked.lanes == (windows or 1) * heads
-        np.testing.assert_array_equal(stacked.h_mask, expected.h_mask)
+        np.testing.assert_array_equal(stacked.h_mask, np.concatenate([g.h_mask for g in alone]))
         for name in STACKED_OPS if with_l_n else STACKED_OPS[:-1]:
-            assert_same_csr(getattr(stacked, name), getattr(expected, name))
+            assert_same_csr(getattr(stacked, name),
+                            _block_diag_csr([getattr(g, name) for g in alone]))
         assert (stacked.l_n is None) == (not with_l_n)
 
     @given(st.integers(0, 2**32 - 1))
@@ -266,21 +222,13 @@ def slice_loop_laplacian(skel, weights):
 
 
 def no_diagonal_graph():
-    """One station, three instants, temporal edge 0 -> 1 only.
-
-    Instant 2 is a source without children: L_r stores nothing in its row or
-    column, so L_r'L_r has no (2, 2) entry; ``l_n`` has none either, and the
-    spatial Laplacian stores nothing at all.
-    """
+    """A planned graph of one station over three instants: its spatial
+    Laplacian stores no entry, so its folds have no diagonal to add to
+    and take the CSR sum."""
     sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
-    w_rd, l_rd = random_walk(directed_skeleton_from_edges(3, [(0, 1)]), np.ones(1))
-    g = MixedGraph(
-        n_stations=1, n_instants=3, n_observed=2,
-        l_u=laplacian(sskel, np.zeros((3, 0))), w_rd=w_rd, l_rd=l_rd,
-        l_rd_t=l_rd.T.tocsr(), call_rd=scipy_dglr(l_rd),
-        l_n=sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])),
-    )
-    assert g.call_rd[2, 2] == 0 and 2 not in g.call_rd[2].indices
+    tskel = build_temporal_skeleton(1, 3, 1)
+    g = build_mixed_graph(np.zeros((3, 0)), np.ones(tskel.n_edges), sskel, tskel, 2)
+    assert g.ops["l_u"].nnz == 0 and g.ops["l_u"].pattern.diagonal is None
     return g
 
 
@@ -343,7 +291,7 @@ class TestFoldedSystem:
         if which == "random":
             g = random_mixed(rng, n_stations=4, n_instants=5, window=2, n_observed=3, with_l_n=True)
         elif which == "lanes":
-            g = stack_graphs(random_heads(rng, 3))
+            g = lanes_and_alone(rng, 3)[0]
         else:
             g = no_diagonal_graph()
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
@@ -521,6 +469,12 @@ def kernel_calls(fail=False):
 FINITE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
 
 
+def unplanned(g):
+    """``g`` with each operator on a pattern of its own: its CSR view's, without a band."""
+    ops = {name: Operator.of(getattr(g, name)) for name in g.ops}
+    return MixedGraph(g.n_stations, g.n_instants, g.lanes, g.h_mask, **ops)
+
+
 class TestBandKernel:
     """A planned temporal pattern (``call_rd``, ``l_n``) has a ``Band``, and
     its folds run scipy's DIA kernel; every other fold runs the CSR kernel.
@@ -556,7 +510,7 @@ class TestBandKernel:
         rng = np.random.default_rng(43)
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         if which == "unplanned":
-            g = stack_graphs(random_heads(rng, 2))
+            g = unplanned(lanes_and_alone(rng, 2)[0])
             folds = block_folds(g, [p], TERMS["full"], CgSchedule.exact())
         else:
             g = planned_graph(rng, 4)
@@ -617,9 +571,7 @@ class TestBandKernel:
         assert fold.data.shape == (len(band.offsets), g.n_nodes)
         np.testing.assert_array_equal(band.offsets, np.arange(-2, 3) * g.n_stations)
         # the same operators without the plan's patterns fold on CSR
-        unplanned = MixedGraph(g.n_stations, g.n_instants, g.n_observed, l_u=g.l_u, w_rd=g.w_rd,
-                               l_rd=g.l_rd, l_rd_t=g.l_rd_t, call_rd=g.call_rd, lanes=g.lanes)
-        want = folded_system(unplanned, (("call_rd", 0.7),), 0.3, True)
+        want = folded_system(unplanned(g), (("call_rd", 0.7),), 0.3, True)
         assert want.pattern.band is None
         assert_same_csr(fold.matrix(), want.matrix())
         with pytest.raises(ValueError, match="5 diagonals of 60 needs as many float64 values"):
@@ -808,7 +760,7 @@ class TestStackedBlock:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_head(self, seed, heads, layers, mode, cg_mode):
         rng = np.random.default_rng(seed)
-        graphs = random_heads(rng, heads)
+        stack, graphs = lanes_and_alone(rng, heads)
         params = random_params(rng, layers)
         n = graphs[0].n_nodes
         x0 = rng.standard_normal(n)
@@ -819,7 +771,7 @@ class TestStackedBlock:
             sched, tol = CgSchedule.exact(tol=1e-12), 1e-8
         per_head = [admm_block(x0, y, g, params, sched, mode) for g in graphs]
         stacked = admm_block(
-            np.tile(x0, heads), np.tile(y, heads), stack_graphs(graphs), params, sched, mode
+            np.tile(x0, heads), np.tile(y, heads), stack, params, sched, mode
         )
         np.testing.assert_allclose(stacked.reshape(heads, n), np.array(per_head), rtol=0, atol=tol)
 
@@ -897,52 +849,49 @@ def diverge_lane(lane, after_calls=0):
     """A stand-in for ``multi_head_graphs`` whose graphs blow up in one lane.
 
     The spatial Laplacian of ``lane`` is scaled by 1e200 from call number
-    ``after_calls`` on, so the first z_u solve there diverges.
+    ``after_calls`` on, on the plan's pattern, so the first z_u solve there
+    diverges.
     """
     build = attention.multi_head_graphs
     calls = []
 
-    def diverging(*args, **kwargs):
-        g = build(*args, **kwargs)
+    def diverging(features, plan, bank):
+        g = build(features, plan, bank)
         calls.append(g.lanes)
         if len(calls) <= after_calls:
             return g
-        lane_scale = np.ones(g.lanes)
-        lane_scale[lane] = 1e200
-        return MixedGraph(
-            g.n_stations, g.n_instants, g.n_observed,
-            l_u=sp.diags(np.repeat(lane_scale, g.n_nodes // g.lanes)) @ g.l_u,
-            w_rd=g.w_rd, l_rd=g.l_rd, l_rd_t=g.l_rd_t, call_rd=g.call_rd, lanes=g.lanes,
-        )
+        return diverged(g, plan, lane, ("l_u",))
 
     return diverging
 
 
 def diverge_temporal_lane(lane):
     """A stand-in for ``multi_head_graphs`` whose temporal operators, ``call_rd``
-    and ``l_n``, have lane ``lane``'s rows scaled by 1e200, on the plan's
+    and ``l_n``, have lane ``lane``'s entries scaled by 1e200, on the plan's
     patterns: their folds run the band kernel."""
     build = attention.multi_head_graphs
 
     def diverging(features, plan, bank):
-        g = build(features, plan, bank)
-        lane_scale = np.ones(g.lanes)
-        lane_scale[lane] = 1e200
-        rows = np.repeat(lane_scale, g.n_nodes // g.lanes)
-        scaled = {}
-        for name in ("call_rd", "l_n"):
-            op = g.ops.get(name)
-            if op is not None:
-                # a band entry's column is in its row's lane
-                scaled[name] = Operator(op.pattern, op.data * rows)
-        out = MixedGraph(
-            g.n_stations, g.n_instants, g.n_observed, l_u=g.l_u, w_rd=g.w_rd, l_rd=g.l_rd,
-            h_mask=g.h_mask, lanes=g.lanes, l_rd_t=g.l_rd_t, **scaled,
-        )
-        assert all(out.ops[name].pattern is plan.patterns[name] for name in scaled)
-        return out
+        return diverged(build(features, plan, bank), plan, lane, ("call_rd", "l_n"))
 
     return diverging
+
+
+def diverged(g, plan, lane, names):
+    """``g`` with lane ``lane``'s entries of each operator of ``names`` it has
+    scaled by 1e200, on the plan's patterns and in their layouts: every
+    entry's column is in its row's lane."""
+    size = g.n_nodes // g.lanes
+    columns = np.ones(g.n_nodes)
+    columns[lane * size : (lane + 1) * size] = 1e200
+    ops = dict(g.ops)
+    for name in set(names) & set(ops):
+        op = ops[name]
+        ops[name] = Operator(op.pattern,
+                             op.data * (columns if op.banded else columns[op.pattern.indices]))
+    out = MixedGraph(g.n_stations, g.n_instants, g.lanes, g.h_mask, **ops)
+    assert all(op.pattern is plan.patterns[name] for name, op in out.ops.items())
+    return out
 
 
 class TestWindowLanes:
@@ -1271,13 +1220,12 @@ class TestPolynomialPath:
         # 8 layers with one set of scalars: every fold whose slices have at
         # most 8 nodes (all but the direct_unsplit lane) goes polynomial
         rng = np.random.default_rng(seed)
-        graphs = random_heads(rng, heads)
+        stack, graphs = lanes_and_alone(rng, heads)
         params = random_params(rng, 1) * 8
         sched = CgSchedule.unrolled(8, rng.uniform(0.05, 0.5, 8), rng.uniform(0, 1, 8))
         n = graphs[0].n_nodes
         x0 = rng.standard_normal(n)
         y = rng.standard_normal(int(graphs[0].h_mask.sum()))
-        stack = stack_graphs(graphs)
         folds = block_folds(stack, params, TERMS[mode], sched)
         if TERMS[mode].split:
             assert all(g is not None for _, g in folds.values())

@@ -275,46 +275,58 @@ class TestPlannedErrors:
             pattern = Pattern(pattern.indptr, pattern.indices)
             match = (rf"^an operator of {nnz} entries needs as many float64 values, "
                      rf"got float64 \({len(values)}, {n}\)$")
-        ops = {op: getattr(graph, op) for op in OPERATORS}
+        ops = dict(graph.ops)
         with pytest.raises(ValueError, match=match):
             ops[name] = graphs.Operator(pattern, values)
-            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, lanes=graph.lanes,
-                       h_mask=graph.h_mask, **ops)
+            MixedGraph(graph.n_stations, graph.n_instants, graph.lanes, graph.h_mask, **ops)
 
     @pytest.mark.parametrize("name", OPERATORS)
     @pytest.mark.parametrize("given", ["csr", "operator"])
     def test_graph_refuses_an_operator_of_another_size(self, name, given):
-        # every given operator is checked, by its name, before any is used
+        # every given operator is checked, by its name, before any is used;
+        # a CSR matrix is refused as one, before its size is read
         graph = fill_mixed_graph(self.plan, self.wu, self.wd)
         n = graph.n_nodes
-        ops = {op: getattr(graph, op) for op in OPERATORS}
+        ops = dict(graph.ops)
         ops[name] = sp.identity(n + 3, format="csr")
+        error, match = TypeError, rf"^{name} must be an Operator, got csr_matrix$"
         if given == "operator":
             ops[name] = graphs.Operator.of(ops[name])
-        with pytest.raises(ValueError, match=rf"^{name} has shape \({n + 3}, {n + 3}\), "
-                                             rf"expected \({n}, {n}\)$"):
-            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, lanes=graph.lanes,
-                       h_mask=graph.h_mask, **ops)
+            error = ValueError
+            match = rf"^{name} has shape \({n + 3}, {n + 3}\), expected \({n}, {n}\)$"
+        with pytest.raises(error, match=match):
+            MixedGraph(graph.n_stations, graph.n_instants, graph.lanes, graph.h_mask, **ops)
+
+    def test_graph_refuses_a_csr_matrix_of_its_size(self):
+        # the CSR view of the graph's own l_u, right in size and values, is
+        # refused by its name: a graph's operators are filled into its plan
+        graph = fill_mixed_graph(self.plan, self.wu, self.wd)
+        ops = dict(graph.ops, l_u=graph.l_u)
+        assert graph.l_u.shape == (graph.n_nodes, graph.n_nodes)
+        with pytest.raises(TypeError, match=r"^l_u must be an Operator, got csr_matrix$"):
+            MixedGraph(graph.n_stations, graph.n_instants, graph.lanes, graph.h_mask, **ops)
 
     @pytest.mark.parametrize("name", OPERATORS[:-1])
     def test_graph_needs_every_operator_but_l_n(self, name):
-        # none is worked out from another; l_rd_t and call_rd may be left out,
-        # as l_n may, and every operator but l_n is refused as None
+        # none is worked out from another: every operator but l_n is refused
+        # as None and must be given; l_n may be left out
         graph = fill_mixed_graph(self.plan, self.wu, self.wd)
-        ops = {op: graph.ops[op] for op in OPERATORS}
+        ops = dict(graph.ops)
         ops[name] = None
         with pytest.raises(ValueError, match=rf"^{name} is missing$"):
-            MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed, lanes=graph.lanes,
-                       h_mask=graph.h_mask, **ops)
-        if name in ("l_rd_t", "call_rd"):
-            del ops[name]
-            with pytest.raises(ValueError, match=rf"^{name} is missing$"):
-                MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed,
-                           lanes=graph.lanes, **ops)
+            MixedGraph(graph.n_stations, graph.n_instants, graph.lanes, graph.h_mask, **ops)
+        del ops[name]
+        with pytest.raises(TypeError, match=rf"'{name}'$"):
+            MixedGraph(graph.n_stations, graph.n_instants, graph.lanes, graph.h_mask, **ops)
         del ops["l_n"]
         ops[name] = graph.ops[name]
-        assert MixedGraph(graph.n_stations, graph.n_instants, graph.n_observed,
-                          lanes=graph.lanes, **ops).l_n is None
+        assert MixedGraph(graph.n_stations, graph.n_instants, graph.lanes, graph.h_mask,
+                          **ops).l_n is None
+
+    def test_weights_must_cover_the_plans_instants(self):
+        with pytest.raises(ValueError, match="^spatial weight map and temporal skeleton "
+                                             "disagree on instants$"):
+            fill_mixed_graph(self.plan, self.wu[:, :-1], self.wd)
 
     def test_weights_must_fit_the_plans_slices(self):
         one_slice = self.wu.reshape(-1, self.sskel.n_edges)[:1]

@@ -248,18 +248,13 @@ class TestUpdateX:
 
     def test_single_station_two_instants_2x2_oracle(self):
         # one station, two instants: the whole system is a hand-checkable 2x2
-        from stforecast.graphs import (
-            MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton,
-        )
-
-        from test_graphs import laplacian, random_walk, scipy_dglr
+        from stforecast.attention import build_mixed_graph
+        from stforecast.graphs import PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton
 
         sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
         tskel = build_temporal_skeleton(1, 2, 1)
-        l_u = laplacian(sskel, np.zeros((2, 0)))
-        w_rd, l_rd = random_walk(tskel, np.ones(1))
-        g = MixedGraph(n_stations=1, n_instants=2, n_observed=1, l_u=l_u, w_rd=w_rd, l_rd=l_rd,
-                       l_rd_t=l_rd.T.tocsr(), call_rd=scipy_dglr(l_rd))
+        g = build_mixed_graph(np.zeros((2, 0)), np.ones(1), sskel, tskel, 1,
+                              with_undirected_temporal=False)
         y = np.array([3.0])
         state = AdmmState.initial(np.array([1.0, -2.0]), g)
         state.gamma = np.array([0.2, -0.1])
@@ -537,13 +532,22 @@ class TestAdmmBlock:
 
     def test_mode_validation(self):
         g, y = tiny_instance(np.random.default_rng(19))
-        with pytest.raises(ValueError, match="variant"):
+        with pytest.raises(ValueError, match="^unknown solver variant 'bogus'$"):
             admm_block(np.zeros(g.n_nodes), y, g, [LayerParams(1, 1, 1, 1, 1, 1)], EXACT, "bogus")
 
     def test_empty_params_rejected(self):
         g, y = tiny_instance(np.random.default_rng(20))
-        with pytest.raises(ValueError, match="layer"):
+        with pytest.raises(ValueError, match="^need at least one layer$"):
             admm_block(np.zeros(g.n_nodes), y, g, [], EXACT)
+
+    def test_undirected_temporal_needs_l_n(self):
+        # a graph planned without l_n runs every variant but this one
+        g, y = tiny_instance(np.random.default_rng(20))
+        assert g.l_n is None
+        with pytest.raises(ValueError,
+                           match=r"^graph has no undirected temporal Laplacian \(l_n\)$"):
+            admm_block(np.zeros(g.n_nodes), y, g, [LayerParams(1, 1, 1, 1, 1, 1)], EXACT,
+                       "undirected_temporal")
 
     def test_numeric_failure_carries_layer_and_step(self):
         g, y = tiny_instance(np.random.default_rng(21))
