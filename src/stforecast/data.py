@@ -2,15 +2,16 @@
 
 Signal tables are CSV with a ``timestamp`` column followed by one column per
 station (``s0, s1, ...``). Values round-trip bit-exactly through repr. Empty
-cells are read as NaN but rejected when windows are cut: gaps in observed
-history are an unsupported case, surfaced as errors rather than imputed.
+and ``nan`` cells are read as NaN but rejected when windows are cut: gaps in
+observed history are an unsupported case, surfaced as errors rather than
+imputed. An infinite cell is rejected as it is read.
 Road networks are CSV with header ``from,to,cost``. Files are UTF-8, with or
 without the byte-order mark that spreadsheet exports start with. Both readers
 vet the header, then parse the rest with numpy's C parser (``_read_numeric``).
 Where that parse fails, as it does on a blank cell or any malformed row, they
 re-read the file with one row reader (``_read_csv``), which reads the blank
-cell as NaN or names the file and line of the error. Every CSV the package
-writes goes through ``write_csv``.
+cell as NaN or names the file and line of the error (an infinite signal cell's
+too). Every CSV the package writes goes through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -175,10 +176,7 @@ def _signal_row(row: list[str]) -> tuple[int, list[float]]:
         raise ValueError(f"column 1: bad timestamp {row[0]!r}") from None
     if not -(2**63) <= stamp < 2**63:
         raise ValueError(f"column 1: timestamp {row[0]!r} does not fit in 64 bits")
-    try:
-        return stamp, [float(cell) for cell in row[1:]]
-    except ValueError:  # a blank or bad cell: go cell by cell to read NaN or name it
-        return stamp, [_signal_cell(col, cell) for col, cell in enumerate(row[1:], start=2)]
+    return stamp, [_signal_cell(col, cell) for col, cell in enumerate(row[1:], start=2)]
 
 
 def _signal_cell(col: int, cell: str) -> float:
@@ -186,9 +184,12 @@ def _signal_cell(col: int, cell: str) -> float:
     if cell == "":
         return math.nan
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ValueError(f"column {col}: non-numeric value {cell!r}") from None
+    if math.isinf(value):
+        raise ValueError(f"column {col}: infinite value {cell!r}")
+    return value
 
 
 def _signal_dtype(header: list[str]) -> np.dtype:
@@ -197,7 +198,8 @@ def _signal_dtype(header: list[str]) -> np.dtype:
 
 def read_signal_csv(path) -> SignalTable:
     rows = _read_numeric(path, _check_signal_header, _signal_dtype)
-    if rows is not None:
+    # an infinite cell: the row reader names its line and column
+    if rows is not None and not np.isinf(rows["values"]).any():
         timestamps = np.ascontiguousarray(rows["timestamp"])
         values = np.ascontiguousarray(rows["values"])
     else:

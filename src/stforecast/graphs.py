@@ -444,13 +444,13 @@ class Operator:
         padding carries it into rows that store nothing in column j, at a
         lane boundary into the lane before. A failure still names the lane
         that failed, because ``solver.cg_solve`` never takes the place of a
-        failure from the product of such a vector: x0 is finite by its
-        contract; the recurrence checks x, which a non-finite direction
-        makes non-finite, before it applies the direction; exact CG checks
-        each residual, and a direction that fails its curvature check names
-        its own first non-finite entry; and the recurrence's unchecked first
-        pass only decides finite or not, where both kernels agree.
-        ``MixedGraph.apply`` takes the CSR view's product of such a vector.
+        failure from the product of such a vector: x0 is finite, as
+        ``solver.admm_block`` checks; the recurrence checks x, which a
+        non-finite direction makes non-finite, before it applies the
+        direction; exact CG checks each residual, and a direction that fails
+        its curvature check names its own first non-finite entry; and the
+        recurrence's unchecked first pass only decides finite or not, where
+        both kernels agree.
 
         The kernels check no bounds, so the vector is checked first
         (``check``); the index dtypes the CSR kernel dispatches on are
@@ -495,7 +495,9 @@ class LaplacianPlan:
     """The pattern of ``assemble_undirected_laplacian`` for one skeleton and slice count.
 
     Stored entry i reads value ``source[i]`` of the edge weights negated, in
-    (slice, edge) order, followed by the node degrees.
+    (slice, edge) order, followed by the node degrees. Every diagonal entry
+    is stored, +0.0 at a station without edges, so the pattern has its
+    diagonal on a skeleton without any.
     """
 
     skel: SpatialSkeleton
@@ -505,15 +507,13 @@ class LaplacianPlan:
 
 
 def plan_undirected_laplacian(skel: SpatialSkeleton, n_slices: int) -> LaplacianPlan:
-    """Plan D - W over ``n_slices`` slices of ``skel``; without edges it stores no entry."""
+    """Plan D - W over ``n_slices`` slices of ``skel``: both entries of each edge and the diagonal."""
     n, m = skel.n_stations, n_slices * skel.n_edges
     dim = n * n_slices
-    rows = cols = np.zeros(0, dtype=np.int64)
-    if skel.n_edges:
-        off = (np.arange(n_slices) * n)[:, None]
-        ei, ej = (off + skel.edges[:, 0]).ravel(), (off + skel.edges[:, 1]).ravel()
-        rows = np.concatenate([ei, ej, np.arange(dim)])
-        cols = np.concatenate([ej, ei, np.arange(dim)])
+    off = (np.arange(n_slices) * n)[:, None]
+    ei, ej = (off + skel.edges[:, 0]).ravel(), (off + skel.edges[:, 1]).ravel()
+    rows = np.concatenate([ei, ej, np.arange(dim)])
+    cols = np.concatenate([ej, ei, np.arange(dim)])
     pattern, order = coo_pattern(rows, cols, dim)
     # both entries of an edge read its one weight
     return LaplacianPlan(skel, n_slices, pattern, np.where(order < m, order, order - m))
@@ -765,19 +765,11 @@ class MixedGraph:
 
         ``call_rd`` is the assembled L_r' L_r, not two chained products. The
         vector must be one ``Operator.dot`` applies; any other raises its
-        ``ValueError``, whatever the operator's layout. A band operator applies
-        a vector that is not finite by its CSR view, so that a non-finite
-        entry reaches only the rows that store its column, as in scipy's
-        product.
+        ``ValueError``, whatever the operator's layout.
         """
         if op not in OPERATOR_NAMES:
             raise ValueError(f"unknown operator {op!r}; expected one of {OPERATOR_NAMES}")
-        operator = self.ops[op]
-        if operator.banded:
-            operator.check(x)  # before the finiteness test reads x as numbers
-            if not np.isfinite(x).all():
-                return operator.matrix() @ x
-        return operator.dot(x)
+        return self.ops[op].dot(x)
 
     def project_observed(self, x: np.ndarray) -> np.ndarray:
         """H x: select observed entries."""
@@ -785,6 +777,9 @@ class MixedGraph:
 
     def lift_observed(self, y: np.ndarray) -> np.ndarray:
         """H^T y: scatter observations into the full-length vector."""
+        observed = int(np.count_nonzero(self.h_mask))
+        if np.shape(y) != (observed,):
+            raise ValueError(f"observations of shape {np.shape(y)} for {observed} observed nodes")
         out = np.zeros(self.n_nodes)
         out[self.h_mask] = y
         return out

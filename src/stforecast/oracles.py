@@ -35,19 +35,16 @@ def coo_operators(sskel: SpatialSkeleton, tskel: TemporalSkeleton, weights_u: np
     w = weights_u.reshape(lanes * weights_u.shape[-2], sskel.n_edges)
     n_slices, n = len(w), sskel.n_stations
     dim = n * n_slices
-    if sskel.n_edges == 0:
-        l_u = sp.csr_matrix((dim, dim))
-    else:
-        off = (np.arange(n_slices) * n)[:, None]
-        ei, ej = off + sskel.edges[:, 0], off + sskel.edges[:, 1]
-        deg = np.bincount(np.concatenate([ei, ej], axis=1).ravel(),
-                          weights=np.concatenate([w, w], axis=1).ravel(), minlength=dim)
-        diag = np.arange(dim)
-        rows = np.concatenate([ei.ravel(), ej.ravel(), diag])
-        cols = np.concatenate([ej.ravel(), ei.ravel(), diag])
-        vals = np.concatenate([-w.ravel(), -w.ravel(), deg])
-        l_u = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-        l_u.sum_duplicates()
+    off = (np.arange(n_slices) * n)[:, None]
+    ei, ej = off + sskel.edges[:, 0], off + sskel.edges[:, 1]
+    deg = np.bincount(np.concatenate([ei, ej], axis=1).ravel(),
+                      weights=np.concatenate([w, w], axis=1).ravel(), minlength=dim)
+    diag = np.arange(dim)
+    rows = np.concatenate([ei.ravel(), ej.ravel(), diag])
+    cols = np.concatenate([ej.ravel(), ei.ravel(), diag])
+    vals = np.concatenate([-w.ravel(), -w.ravel(), deg])
+    l_u = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    l_u.sum_duplicates()
 
     # the temporal skeleton once per lane, lane h's nodes offset by h * n_nodes
     offsets = np.arange(lanes)[:, None] * tskel.n_nodes

@@ -536,7 +536,6 @@ class AdmmState:
     @classmethod
     def initial(cls, x0: np.ndarray, graph: MixedGraph) -> "AdmmState":
         """Block entry: phi from the current signal, multipliers zeroed."""
-        x0 = np.asarray(x0, dtype=np.float64)
         zeros = np.zeros_like(x0)
         return cls(
             x=x0.copy(),
@@ -564,10 +563,10 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
     whose pattern stores every diagonal entry gives new values on that
     operator's pattern, in its layout: coef times its values plus the
     diagonal, which a band operator adds on its main diagonal's row, the
-    same operations as in entry order. Otherwise the terms are added by
-    scipy in CSR: a sum of operators (the unsplit signal system), the
-    identity shift alone, or the one operator whose plan can store no
-    diagonal, an ``l_u`` without edges (one station, or no roads).
+    same operations as in entry order; every plan's pattern does. Otherwise
+    the terms are added by scipy in CSR, in the two systems a solver variant
+    picks: the unsplit signal system's sum of operators, and the identity
+    shift alone (the signal system of ``no_dgtv`` and ``undirected_temporal``).
     """
     diag = np.full(graph.n_nodes, shift)
     if observed:
@@ -859,6 +858,9 @@ def admm_block(
     hold one lane after another, and a trace record covers all lanes at once.
     A ``NumericFailure`` leaves with its ``lane`` set from its ``entry``;
     numpy warns of no overflow or invalid value on the way.
+    ``x0`` must be finite, as every product and solve of the block assumes:
+    a start that is not raises ``NumericFailure`` naming its first
+    non-finite entry and that entry's lane.
 
     The block's Q(A) are built in ``workspace`` (``block_folds``): the
     forward pass passes its own, so that its blocks refill one set of
@@ -871,6 +873,9 @@ def admm_block(
         raise ValueError("graph has no undirected temporal Laplacian (l_n)")
     if not params:
         raise ValueError("need at least one layer")
+    x0 = np.asarray(x0, dtype=np.float64)
+    if (bad := _first_nonfinite(x0)) is not None:
+        raise NumericFailure("the block's start is not finite", entry=bad, lane=graph.lane_of(bad))
     state = AdmmState.initial(x0, graph)
     hty = graph.lift_observed(y)
     # the solves and the layer report overflow and NaN, naming where

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -49,6 +50,17 @@ class TestSignalCsv:
         path = tmp_path / "signals.csv"
         path.write_text("timestamp,s0,s1\n0,1.0,2.0\n300,oops,2.0\n")
         with pytest.raises(dmod.ParseError, match=r"signals.csv:3: column 2"):
+            dmod.read_signal_csv(path)
+
+    @pytest.mark.parametrize("row", ["300,nan,{}", "300,,{}"], ids=["numpy-reads", "blank-cell"])
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+    def test_infinite_cell_names_location(self, tmp_path, cell, row):
+        # on either read route, as the edges reader names an infinite cost;
+        # the nan and blank cells before it stay gaps
+        path = tmp_path / "signals.csv"
+        path.write_text("timestamp,s0,s1\n0,1.0,2.0\n" + row.format(cell) + "\n")
+        want = f"{path}:3: column 3: infinite value {cell!r}"
+        with pytest.raises(dmod.ParseError, match=f"^{re.escape(want)}$"):
             dmod.read_signal_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
@@ -698,6 +710,20 @@ class TestCli:
             float(line.split(",")[2])  # a plain number, not a numpy repr
         assert (out / "metrics.csv").exists()
         assert "rmse" in capsys.readouterr().out
+
+    def test_forecast_names_an_infinite_signal_cell(self, synth_dir, capsys):
+        # refused by the reader, not left to fail graph learning
+        signals = synth_dir / "signals.csv"
+        lines = signals.read_text().splitlines()
+        cells = lines[40].split(",")
+        lines[40] = ",".join(cells[:2] + ["inf"] + cells[3:])
+        signals.write_text("\n".join(lines) + "\n")
+        rc = cli_main([
+            "forecast", "--signals", str(signals), "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(synth_dir / "config.json"), "--out", str(synth_dir / "fc"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {signals}:41: column 3: infinite value 'inf'\n"
 
     def test_forecast_reads_the_signal_once(self, synth_dir, monkeypatch):
         reads = []

@@ -199,8 +199,6 @@ def slice_loop_laplacian(skel, weights):
     """The undirected Laplacian built one slice at a time (the reference)."""
     n = skel.n_stations
     dim = n * weights.shape[0]
-    if skel.n_edges == 0:
-        return sp.csr_matrix((dim, dim))
     ei, ej = skel.edges[:, 0], skel.edges[:, 1]
     rows, cols, vals = [], [], []
     for t, w in enumerate(weights):
@@ -221,14 +219,13 @@ def slice_loop_laplacian(skel, weights):
     return mat
 
 
-def no_diagonal_graph():
+def one_station_graph():
     """A planned graph of one station over three instants: its spatial
-    Laplacian stores no entry, so its folds have no diagonal to add to
-    and take the CSR sum."""
+    Laplacian stores its diagonal alone, each entry +0.0."""
     sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
     tskel = build_temporal_skeleton(1, 3, 1)
     g = build_mixed_graph(np.zeros((3, 0)), np.ones(tskel.n_edges), sskel, tskel, 2)
-    assert g.ops["l_u"].nnz == 0 and g.ops["l_u"].pattern.diagonal is None
+    assert g.ops["l_u"].nnz == 3 and g.ops["l_u"].pattern.diagonal is not None
     return g
 
 
@@ -285,7 +282,7 @@ def fold_cases(p):
 
 
 class TestFoldedSystem:
-    @pytest.mark.parametrize("which", ["random", "lanes", "no_diagonal"])
+    @pytest.mark.parametrize("which", ["random", "lanes", "one_station"])
     def test_matches_unfolded_products(self, which):
         rng = np.random.default_rng(31)
         if which == "random":
@@ -293,10 +290,13 @@ class TestFoldedSystem:
         elif which == "lanes":
             g = lanes_and_alone(rng, 3)[0]
         else:
-            g = no_diagonal_graph()
+            g = one_station_graph()
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         for ops, shift, observed in fold_cases(p):
-            folded = folded_system(g, ops, shift, observed).matrix()
+            fold = folded_system(g, ops, shift, observed)
+            if len(ops) == 1:  # on the plan's pattern, the edgeless l_u's too
+                assert fold.pattern is g.ops[ops[0][0]].pattern, ops
+            folded = fold.matrix()
             for _ in range(3):
                 v = rng.standard_normal(g.n_nodes)
                 want = shift * v + sum(coef * (getattr(g, name) @ v) for name, coef in ops)
@@ -592,8 +592,8 @@ class TestBandKernel:
     @pytest.mark.parametrize("first", [1.0, np.inf], ids=["finite", "inf"])
     @pytest.mark.parametrize("bad", BAD_VECTORS)
     def test_apply_refuses_a_vector_before_either_kernel(self, bad, first):
-        # banded and CSR operators alike, a non-finite vector too, which a
-        # band operator would apply by its CSR view
+        # banded and CSR operators alike, a non-finite vector too: the
+        # kernel's own check refuses it before any kernel runs
         g = planned_graph(np.random.default_rng(45), 4)
         n = g.n_nodes
         v = bad_vector(bad, n, first)
@@ -605,8 +605,8 @@ class TestBandKernel:
 
     @pytest.mark.parametrize("name", ["l_u", "l_rd"], ids=["csr", "band"])
     def test_apply_refuses_what_is_not_a_vector_with_one_error(self, name):
-        # the band's finiteness test reads the vector as numbers: the check
-        # runs first, so a band operator refuses these as a CSR one does
+        # one check, the kernel's own, refuses these for a band operator as
+        # for a CSR one
         g = planned_graph(np.random.default_rng(45), 2)
         assert g.ops[name].banded == (name == "l_rd")
         for bad in (None, "text", [[1.0]]):
@@ -650,6 +650,21 @@ class TestBandKernel:
             cg_solve(fold.dot, b, np.zeros(g.n_nodes), CgSchedule.exact())
         assert info.value.entry == size + 1
         assert g.lane_of(info.value.entry) == 1
+
+    @pytest.mark.parametrize("sched", [CgSchedule.exact(), CgSchedule.unrolled()],
+                             ids=["exact", "unrolled"])
+    def test_a_nonfinite_start_names_its_own_lane(self, sched):
+        # CG's first product by the banded x fold would carry a NaN in lane
+        # 1's start into lane 0's last rows; the block refuses the start first
+        g = planned_graph(np.random.default_rng(46), 2)
+        size = g.n_nodes // 2
+        x0 = np.zeros(g.n_nodes)
+        x0[size + 1] = np.nan
+        y = np.ones(int(g.h_mask.sum()))
+        with pytest.raises(NumericFailure) as info:
+            admm_block(x0, y, g, [LayerParams(1, 1, 1, 1, 1, 1)] * 3, sched)
+        assert str(info.value) == "the block's start is not finite"
+        assert (info.value.entry, info.value.lane) == (size + 1, 1)
 
 
 def per_step_unrolled(apply_a, b, x0, sched):

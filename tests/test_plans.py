@@ -16,12 +16,16 @@ from stforecast.graphs import (
     DegenerateDegreeError,
     MixedGraph,
     Pattern,
+    PhysicalGraph,
     assemble_random_walk_digraph,
+    build_spatial_skeleton,
+    build_temporal_skeleton,
     directed_skeleton_from_edges,
     plan_random_walk_digraph,
 )
 from stforecast.oracles import coo_operators
-from stforecast.solver import TERMS, VARIANTS, CgSchedule, LayerParams, block_folds, cg_solve
+from stforecast.solver import (TERMS, VARIANTS, CgSchedule, LayerParams, block_folds, cg_solve,
+                               folded_system)
 
 from test_lanes import (FINITE, dropped_zero_graph, kernel_calls, planned_graph,
                         split_skeleton_inputs)
@@ -115,6 +119,25 @@ class TestPlannedAssembly:
         wu[..., ::2] = 0.0
         graph = build_mixed_graph(wu, wd, sskel, tskel, n_observed, False)
         assert_matches_reference(graph, sskel, tskel, wu, wd, False)
+
+    @pytest.mark.parametrize("n_stations", [1, 3])
+    def test_edgeless_l_u_stores_its_zero_diagonal(self, n_stations):
+        # one station, or stations without roads: D - W is its diagonal of
+        # +0.0, as the reference's general formula gives it, and the l_u
+        # fold adds to it on the plan's pattern
+        sskel = build_spatial_skeleton(PhysicalGraph(n_stations, ()), 1)
+        tskel = build_temporal_skeleton(n_stations, 4, 2)
+        plan = plan_mixed_graph(sskel, tskel, 2, 2, False)
+        wu, wd = np.zeros((2, 4, 0)), np.ones((2, tskel.n_edges))
+        graph = fill_mixed_graph(plan, wu, wd)
+        l_u = graph.ops["l_u"]
+        assert l_u.pattern is plan.patterns["l_u"]
+        np.testing.assert_array_equal(l_u.pattern.indices, np.arange(graph.n_nodes))
+        assert l_u.data.tobytes() == bytes(l_u.data.nbytes)  # +0.0, not -0.0
+        assert "l_u" not in assert_matches_reference(graph, sskel, tskel, wu, wd, False)
+        fold = folded_system(graph, (("l_u", 0.7),), 0.3, False)
+        assert fold.pattern is l_u.pattern
+        np.testing.assert_array_equal(fold.data, np.full(graph.n_nodes, 0.3))
 
     def test_lane_count_must_match_the_plan(self):
         wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(np.random.default_rng(7), 2)
@@ -553,20 +576,6 @@ class TestBandOperators:
             nodes = slices.view(np.arange(graph.n_nodes)).reshape(-1, graph.n_instants)
             for block, idx in zip(got, nodes):
                 np.testing.assert_array_equal(block, dense[np.ix_(idx, idx)])
-
-    def test_apply_keeps_a_nonfinite_entry_in_its_lane(self):
-        # the band's padding would carry 0 * inf = NaN into the lane before;
-        # apply takes such a vector through the CSR view
-        graph = planned_graph(np.random.default_rng(47), 2)
-        size = graph.n_nodes // 2
-        v = np.ones(graph.n_nodes)
-        v[size + 1] = np.inf
-        for name in ("l_rd", "l_rd_t", "call_rd"):
-            assert graph.ops[name].banded
-            with np.errstate(invalid="ignore"):
-                got, want = graph.apply(name, v), getattr(graph, name) @ v
-            assert got.tobytes() == want.tobytes(), name
-            assert np.isfinite(got[:size]).all(), name
 
     @pytest.mark.parametrize("broken", ["apply", "product"])
     def test_verify_check_needs_bitwise_bands(self, monkeypatch, broken):

@@ -559,17 +559,18 @@ class TestAdmmBlock:
         assert exc_info.value.step is not None
 
     @pytest.mark.parametrize("case, message", [
-        ("exact", "non-finite values (layer 0, step x)"),
+        ("exact", "CG curvature is not positive (layer 0, step x, cg iteration 0)"),
         ("unrolled", "unrolled CG diverged (layer 0, step x, cg iteration 0)"),
         ("phi", "non-finite values (layer 1, step phi)"),
     ])
     def test_non_finite_sub_step_names_layer_and_step(self, monkeypatch, case, message):
-        # a start with a NaN fails the signal solve of the first layer, in
-        # either CG mode; a non-finite phi is checked by the layer itself,
-        # here in layer 1 of 3 (the last layer updates x only)
+        # an observation with a NaN fails the signal solve of the first
+        # layer, in either CG mode, from a finite start; a non-finite phi is
+        # checked by the layer itself, here in layer 1 of 3 (the last layer
+        # updates x only)
         g, y = tiny_instance(np.random.default_rng(25))
         x0 = np.zeros(g.n_nodes)
-        sched = CgSchedule.exact(iters=0) if case == "exact" else CgSchedule.unrolled(iters=3)
+        sched = CgSchedule.exact() if case == "exact" else CgSchedule.unrolled(iters=3)
         if case == "phi":
             update_phi_of = solver.update_phi
             calls = []
@@ -583,11 +584,19 @@ class TestAdmmBlock:
 
             monkeypatch.setattr(solver, "update_phi", failing_second)
         else:
-            x0[1] = np.nan
+            y = y.copy()
+            y[1] = np.nan
         with pytest.raises(NumericFailure) as info:
             admm_block(x0, y, g, [LayerParams(1, 1, 1, 1, 1, 1)] * 3, sched)
         assert str(info.value) == message
         assert info.value.lane == 0
+
+    def test_refuses_observations_of_another_length(self):
+        g, y = tiny_instance(np.random.default_rng(25))
+        n = len(y)
+        with pytest.raises(ValueError,
+                           match=rf"^observations of shape \({n - 1},\) for {n} observed nodes$"):
+            admm_block(np.zeros(g.n_nodes), y[:-1], g, [LayerParams(1, 1, 1, 1, 1, 1)], EXACT)
 
 
 class TestVariants:
