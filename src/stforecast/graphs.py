@@ -15,11 +15,11 @@ each operator's CSR ``Pattern`` and where each stored entry's value comes
 from. An assembly takes a plan, its one input besides the weights, and
 fills values only; a plan's patterns are final: an entry that comes out
 exactly 0.0 is stored as +0.0, where scipy's sparse arithmetic stores none,
-which adds nothing to a product of a finite vector. A ``Pattern`` works out
-on first use, and keeps, what the solver's folded systems read of it: the
-diagonal's positions. The random walk's patterns, of few diagonals, have
-their ``Band``: where each entry sits in scipy's DIA layout (Saad,
-*Iterative Methods for Sparse Linear Systems*, 2003, section 3.4).
+which adds nothing to a product of a finite vector. A ``Pattern`` keeps
+what the solver derives from it (``cache``). The random walk's patterns,
+of few diagonals, have their ``Band``: where each entry sits in scipy's DIA
+layout (Saad, *Iterative Methods for Sparse Linear Systems*, 2003, section
+3.4).
 
 Every operator of a graph, and every folded CG system, is an ``Operator``:
 a pattern and its values, in entry order or as the band's diagonals, applied
@@ -322,19 +322,14 @@ class Band:
 class Pattern:
     """The sparsity pattern of a square CSR operator: ``indptr`` and ``indices``.
 
-    Operators filled into one pattern share it, and with it the diagonal's
-    positions, worked out on first use, and ``cache``. ``band``, set by
-    ``banded``, is the pattern's layout as diagonals, for a pattern of few
-    of them.
+    Operators filled into one pattern share it, and with it ``cache``.
+    ``band``, set by ``banded``, is the pattern's layout as diagonals, for a
+    pattern of few of them.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     band: Band | None = None
-
-    @classmethod
-    def of(cls, mat: sp.csr_matrix) -> "Pattern":
-        return cls(mat.indptr, mat.indices)
 
     def banded(self) -> "Pattern":
         """This pattern with its ``Band``; the offsets keep the index dtype."""
@@ -360,17 +355,9 @@ class Pattern:
     def cache(self) -> dict:
         """What other modules derive from this pattern alone, kept as long as it
         lives: ``solver.Slices.blocks`` keeps each entry's place in a slice
-        stack here, keyed by the ``Slices``."""
+        stack here, keyed by the ``Slices``, and ``solver.fold_layout`` the
+        patterns of its folds (``diagonal_union``)."""
         return {}
-
-    @cached_property
-    def diagonal(self) -> np.ndarray | None:
-        """The position of each row's diagonal entry; None if some row stores none, or two."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        on_diag = np.flatnonzero(self.indices == rows)
-        if not np.array_equal(rows[on_diag], np.arange(self.n)):
-            return None
-        return on_diag.astype(self.indices.dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,11 +373,6 @@ class Operator:
 
     pattern: Pattern
     data: np.ndarray
-
-    @classmethod
-    def of(cls, mat: sp.csr_matrix) -> "Operator":
-        """A CSR matrix as an operator on its own pattern."""
-        return cls(Pattern.of(mat), mat.data)
 
     def __post_init__(self):
         band = self.pattern.band
@@ -488,6 +470,26 @@ def coo_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[Pattern, np
     indptr = np.zeros(n + 1, dtype=idx)
     indptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
     return Pattern(indptr, (keys % n).astype(idx)), order.astype(idx)
+
+
+def diagonal_union(n: int, patterns: tuple[Pattern, ...]) -> tuple[Pattern | None, tuple]:
+    """The n x n pattern of the diagonal and ``patterns`` (sorted rows, each
+    entry once, as a plan's) together, and the place in it of the
+    diagonal's entries, then of each pattern's. Where the first pattern
+    holds every other entry, it is that union: None stands for it, and
+    ``slice(None)`` for its places, so that no pattern's cache holds it."""
+    keys = [np.arange(n, dtype=np.int64) * (n + 1)]
+    for pattern in patterns:
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+        keys.append(rows * n + pattern.indices)
+    if patterns:  # found by binary search, where a union would sort every entry
+        others = keys[:1] + keys[2:]
+        places = [np.searchsorted(keys[1], k) for k in others]
+        if all(np.array_equal(keys[1].take(at, mode="clip"), k) for at, k in zip(places, others)):
+            return None, (places[0], slice(None), *places[1:])
+    union = np.unique(np.concatenate(keys))
+    out = coo_pattern(union // n, union % n, n)[0]
+    return out, tuple(np.searchsorted(union, k) for k in keys)  # intp, numpy's fastest index
 
 
 @dataclass(frozen=True, eq=False)
@@ -712,9 +714,9 @@ class MixedGraph:
     ``Operator``; ``l_n`` is the normalized Laplacian of the symmetrized
     temporal graph, used only by the undirected-temporal solver variant.
     Reading an operator by its name (``graph.l_rd``) gives its CSR form,
-    built on each read, so no operator is held twice: the oracles, checks,
-    dumps and the unsplit signal system read those, the solver the
-    operators themselves.
+    built on each read, so no operator is held twice: the oracles, checks
+    and dumps read those, the solver, its folds too, the operators
+    themselves.
 
     A graph with ``lanes`` > 1 holds that many graphs of one shape as the
     diagonal blocks of each operator; signals are the per-lane vectors

@@ -30,31 +30,31 @@ residual, one for every step but the last).
 A lane is time-major, so which nodes a fold couples is known from the names
 of its operators (``fold_slices``): a temporal fold couples one station's
 instants, a spatial fold one instant's stations, the unsplit sum a whole
-lane. Q(A) is a (size, size) block per slice, filled from the fold's band
-or its entries, written over in place a chunk of slices at a time, and
-applied by one ``np.matmul`` on the vector's slice view (``SliceBlocks``).
+lane, the diagonal alone one node. Q(A) is a (size, size) block per slice,
+filled from the fold's band or its entries, written over in place a chunk
+of slices at a time, and applied by one ``np.matmul`` on the vector's slice
+view (``SliceBlocks``).
 The rule reads the slice size and no node count (``block_folds``), so it
 holds at every station count. The stacks and the build's chunk scratch
 belong to a ``Workspace``, which lives for one ``pipeline._forward`` call:
 its first block makes them, and every later block, whose systems have the
 same shapes, zero-fills and refills them in place, so that the heap the
 blocks use is neither given back nor faulted in again between them. The
-``l_u`` fold's place of each entry in its stack is worked out once and kept
-on the plan's pattern.
+place of each entry of an entry-order fold in its stack is worked out once
+and kept on the fold's pattern, which the plan shares with every block.
 
-A fold is a ``graphs.Operator``, a ``graphs.Pattern`` and its values. A
-fold of one operator fills new values on that operator's pattern, which the
-graph's plan shares with every block: its band, set by the plan, and its
-diagonal positions, kept from the first block that reads them. The plan's
-patterns are final: a planned operator stores +0.0 where an entry comes out
-exactly 0.0 and scipy's arithmetic would store none, which adds nothing to
-a product of a finite vector (a sum from +0.0 is never -0.0). A block only
-fills values, and each fold, like each operator of the graph, applies
-itself by calling one of scipy's matrix-vector kernels directly: no
-``csr_matrix`` is built and no dispatch is paid per product. On a planned
-graph L_r'L_r and ``l_n`` are held as their 2W + 1 diagonals, so the
-temporal folds (x and z_d) are coef times them plus the diagonal, and run
-scipy's DIA kernel, which reads no column index per value (Saad,
+A fold is a ``graphs.Operator``: new values on a pattern the graph's plan
+shares with every block, a band operator's own or the union of the fold's
+operators' patterns and the diagonal (``fold_layout``). The plan's
+patterns are final: a planned operator, and a fold, stores +0.0 where an
+entry comes out exactly 0.0 and scipy's arithmetic would store none, which
+adds nothing to a product of a finite vector (a sum from +0.0 is never
+-0.0). A block only fills values, and each fold, like each operator of the
+graph, applies itself by calling one of scipy's matrix-vector kernels
+directly: no scipy matrix is built and no dispatch is paid per product. On
+a planned graph L_r'L_r and ``l_n`` are held as their 2W + 1 diagonals, so
+the temporal folds (x and z_d) are coef times them plus the diagonal, and
+run scipy's DIA kernel, which reads no column index per value (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2003, section 3.4), for the
 recurrence and for a polynomial solve's starting residual alike. Every
 other fold runs the CSR kernel that ``A @ v`` runs. On a finite vector
@@ -80,11 +80,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
 
 from . import priors
-from .graphs import MixedGraph, NumericFailure, Operator, Pattern
+from .graphs import MixedGraph, NumericFailure, Operator, Pattern, diagonal_union
 
 CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
 DEFAULT_CG_ITERS = 8
@@ -348,9 +347,10 @@ class Slices:
         block. Entries are added to their places in the stack in entry
         order (``np.add.at``), so a stored -0.0 reads 0.0 and duplicates
         add up, as in ``toarray``. The places are worked out
-        once per pattern and kept on it (``Pattern.cache``): the plan's
-        ``l_u`` pattern serves every block. An entry that couples two
-        slices raises ``ValueError``.
+        once per pattern and kept on it (``Pattern.cache``): a fold's
+        pattern, ``l_u``'s or a union of the plan's (``fold_layout``),
+        serves every block. An entry that couples two slices raises
+        ``ValueError``.
         """
         k = self.size
         shape = (self.lanes * self.count, k, k)
@@ -559,41 +559,52 @@ def folded_system(graph: MixedGraph, ops: tuple[tuple[str, float], ...], shift: 
                   observed: bool) -> Operator:
     """The CG matrix sum(coef * op) + shift I (+ H'H when ``observed``) as one ``Operator``.
 
-    ``ops`` pairs operator names of ``graph`` with coefficients. One operator
-    whose pattern stores every diagonal entry gives new values on that
-    operator's pattern, in its layout: coef times its values plus the
-    diagonal, which a band operator adds on its main diagonal's row, the
-    same operations as in entry order; every plan's pattern does. Otherwise
-    the terms are added by scipy in CSR, in the two systems a solver variant
-    picks: the unsplit signal system's sum of operators, and the identity
-    shift alone (the signal system of ``no_dgtv`` and ``undirected_temporal``).
+    ``ops`` pairs operator names of ``graph`` with coefficients. A fold of
+    one band operator (``call_rd``, ``l_n``) is coef times its band's
+    diagonals plus the diagonal on the main one's row. Every other fold
+    (``l_u``, none, the unsplit sum) is values in entry order on the union
+    of its operators' patterns and the diagonal (``fold_layout``): zeros,
+    plus the diagonal, plus each term in ``ops`` order, the order of
+    scipy's sum diag + coef * op + ..., so each value that sum stores is
+    bitwise the same, and an entry it drops, exactly 0.0, is kept as +0.0.
     """
     diag = np.full(graph.n_nodes, shift)
     if observed:
         diag[graph.h_mask] += 1.0
-    if len(ops) == 1:
+    if len(ops) == 1 and graph.ops[ops[0][0]].banded:
         name, coef = ops[0]
         op = graph.ops[name]
-        pattern = op.pattern
-        if pattern.diagonal is not None:
-            data = coef * op.data
-            if op.banded:
-                data[pattern.band.zero] += diag
-            else:
-                data[pattern.diagonal] += diag
-            return Operator(pattern, data)
-    folded = sp.diags(diag, format="csr")
-    for name, coef in ops:
-        folded = folded + coef * getattr(graph, name)
-    return Operator.of(folded.tocsr())
+        data = coef * op.data
+        data[op.pattern.band.zero] += diag
+        return Operator(op.pattern, data)
+    pattern, places = fold_layout(graph, tuple(name for name, _ in ops))
+    data = np.zeros(pattern.nnz)
+    data[places[0]] += diag
+    for (name, coef), at in zip(ops, places[1:]):
+        data[at] += coef * graph.ops[name].entries()
+    return Operator(pattern, data)
+
+
+def fold_layout(graph: MixedGraph, names: tuple[str, ...]) -> tuple[Pattern, tuple]:
+    """``graphs.diagonal_union`` of the operators ``names``, worked out once per
+    plan: kept in the ``cache`` of the first one's pattern, keyed by the
+    others' (of ``l_u``'s, which every graph has, for the diagonal alone).
+    No cache holds its own pattern, so a dropped plan is freed at once."""
+    patterns = tuple(graph.ops[name].pattern for name in names)
+    host, key = (patterns[0], patterns[1:]) if patterns else (graph.ops["l_u"].pattern, "diagonal")
+    if key not in host.cache:
+        host.cache[key] = diagonal_union(graph.n_nodes, patterns)
+    union, places = host.cache[key]
+    return host if union is None else union, places
 
 
 def fold_slices(graph: MixedGraph, ops: tuple[tuple[str, float], ...]) -> Slices:
     """The slices a fold of ``ops`` on ``graph`` couples, read from the operators' names.
 
     ``l_u`` couples one instant's stations, ``call_rd`` and ``l_n`` one
-    station's instants, a sum of both a whole lane, and no operator (the
-    identity shift and the mask) nothing beyond a node.
+    station's instants, a sum of both a whole lane, and the diagonal alone
+    (no operator) one node. A fold's places in them live on its pattern, as
+    long as its plan (``fold_layout``).
     """
     n, t, lanes = graph.n_stations, graph.n_instants, graph.lanes
     names = {name for name, _ in ops}
@@ -858,9 +869,9 @@ def admm_block(
     hold one lane after another, and a trace record covers all lanes at once.
     A ``NumericFailure`` leaves with its ``lane`` set from its ``entry``;
     numpy warns of no overflow or invalid value on the way.
-    ``x0`` must be finite, as every product and solve of the block assumes:
-    a start that is not raises ``NumericFailure`` naming its first
-    non-finite entry and that entry's lane.
+    ``x0`` and ``y`` must be finite, as every product and solve of the
+    block assumes: either raises ``NumericFailure`` otherwise, naming the
+    node of its first non-finite value and that node's lane.
 
     The block's Q(A) are built in ``workspace`` (``block_folds``): the
     forward pass passes its own, so that its blocks refill one set of
@@ -876,8 +887,10 @@ def admm_block(
     x0 = np.asarray(x0, dtype=np.float64)
     if (bad := _first_nonfinite(x0)) is not None:
         raise NumericFailure("the block's start is not finite", entry=bad, lane=graph.lane_of(bad))
-    state = AdmmState.initial(x0, graph)
     hty = graph.lift_observed(y)
+    if (bad := _first_nonfinite(hty)) is not None:
+        raise NumericFailure("an observation is not finite", entry=bad, lane=graph.lane_of(bad))
+    state = AdmmState.initial(x0, graph)
     # the solves and the layer report overflow and NaN, naming where
     with np.errstate(over="ignore", invalid="ignore"):
         folds = block_folds(graph, params, terms, sched, workspace)

@@ -421,6 +421,7 @@ def _assert_paths_agree(read, path, numpy_path=None):
 SIGNAL_CASES = {
     # name: (file text, whether numpy parses it; the table may still be rejected)
     "clean": ("timestamp,s0,s1\n0,1.5,-2.0\n300,nan,1e999\n", True),
+    "nan-cell": ("timestamp,s0,s1\n0,1.5,-2.0\n300,nan,4e2\n", True),
     "one-row-one-station": ("timestamp,s0\n7,0.1\n", True),
     "crlf": ("timestamp,s0,s1\r\n0,1.5,2\r\n300,3,4\r\n", True),
     "bare-cr": ("timestamp,s0\r0,1.5\r300,3\r", True),
@@ -504,13 +505,14 @@ class TestReaderPaths:
         "read,cases,name",
         [
             (dmod.read_signal_csv, SIGNAL_CASES, "clean"),
+            (dmod.read_signal_csv, SIGNAL_CASES, "nan-cell"),
             (dmod.read_signal_csv, SIGNAL_CASES, "blank-cell"),
             (_read_edges(3), EDGE_CASES, "clean"),
             (_read_edges(3), EDGE_CASES, "whitespace-only-row"),
             (_read_edges(3), EDGE_CASES, "blank-cost"),
         ],
-        ids=["signals-clean", "signals-blank-cell", "edges-clean", "edges-blank-row",
-             "edges-blank-cost"],
+        ids=["signals-clean", "signals-nan-cell", "signals-blank-cell", "edges-clean",
+             "edges-blank-row", "edges-blank-cost"],
     )
     def test_byte_order_mark_reads_as_without(self, tmp_path, read, cases, name):
         # spreadsheet exports start with one; the same path, so errors compare too

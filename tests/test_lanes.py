@@ -225,7 +225,9 @@ def one_station_graph():
     sskel = build_spatial_skeleton(PhysicalGraph(1, ()), 1)
     tskel = build_temporal_skeleton(1, 3, 1)
     g = build_mixed_graph(np.zeros((3, 0)), np.ones(tskel.n_edges), sskel, tskel, 2)
-    assert g.ops["l_u"].nnz == 3 and g.ops["l_u"].pattern.diagonal is not None
+    pattern = g.ops["l_u"].pattern
+    np.testing.assert_array_equal(pattern.indptr, np.arange(4))
+    np.testing.assert_array_equal(pattern.indices, np.arange(3))
     return g
 
 
@@ -371,6 +373,100 @@ class TestFoldedSystem:
                 want = folded_system(g, *key).matrix() @ v
                 assert fold.dot(v).tobytes() == want.tobytes(), (mode, key)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_entry_order_folds_are_scipys_sum(self, seed, lanes, zero_weights, data):
+        # the diagonal fold, the unsplit sum and the l_u fold of a planned
+        # graph against scipy's sparse sum, on finite vectors; with zero
+        # spatial weights, l_u stores -0.0 entries, which scipy's sum drops
+        rng = np.random.default_rng(seed)
+        wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes)
+        if zero_weights:
+            wu[rng.uniform(size=wu.shape) < 0.3] = 0.0
+        g = fill_mixed_graph(plan_mixed_graph(sskel, tskel, lanes, n_observed, False), wu, wd)
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        v = np.array(data.draw(st.lists(FINITE, min_size=g.n_nodes, max_size=g.n_nodes)))
+        for key in entry_order_fold_cases(g, p):
+            assert_is_scipys_sum(g, key, v)
+
+    @pytest.mark.parametrize("which", ["cancelling_call_rd", "underflowing_walk_weight",
+                                       "covered_walk_drop"])
+    def test_dropped_zero_folds_are_scipys_sum(self, which):
+        # (L_r'L_r)(1, 2) and (2, 1) cancel to 0.0 in the first: the unsplit
+        # sum keeps them as +0.0 where scipy's sum drops them
+        g = dropped_zero_graph(which)[1]
+        rng = np.random.default_rng(47)
+        p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
+        kept = {key: assert_is_scipys_sum(g, key, rng.standard_normal(g.n_nodes))
+                for key in entry_order_fold_cases(g, p)}
+        if which == "cancelling_call_rd":
+            unsplit = (*solver.signal_system(TERMS["direct_unsplit"], p), True)
+            assert kept[unsplit] == 2
+
+    @pytest.mark.parametrize("sched", [CgSchedule.exact(), CgSchedule.unrolled()],
+                             ids=["exact", "unrolled"])
+    def test_a_block_builds_no_scipy_matrix(self, sched):
+        # every mode, traced or not, from a plan's first block on: each fold
+        # is new values on a pattern its plan keeps, so no scipy sparse
+        # matrix or array is made
+        rng = np.random.default_rng(48)
+        g = planned_graph(rng, 2)
+        y = rng.standard_normal(int(g.h_mask.sum()))
+        params = random_params(rng, 5)  # 5 layers: the temporal folds take Q(A)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a scipy {type(self).__name__} was made")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name, cls in vars(sp).items():
+                if isinstance(cls, type) and name.endswith(("_matrix", "_array")):
+                    mp.setattr(cls, "__init__", refuse)
+            with pytest.raises(AssertionError, match="was made"):
+                sp.diags(np.ones(3), format="csr")
+            for mode in VARIANTS:
+                for trace in (None, []):
+                    x = admm_block(np.zeros(g.n_nodes), y, g, params, sched, mode, trace)
+                    assert np.isfinite(x).all(), (mode, trace)
+
+
+def scipy_fold(g, ops, shift, observed):
+    """A fold by scipy's sparse sum, diag + coef * op + ... in ``ops`` order (the reference)."""
+    diag = np.full(g.n_nodes, shift)
+    if observed:
+        diag[g.h_mask] += 1.0
+    want = sp.diags(diag, format="csr")
+    for name, coef in ops:
+        want = want + coef * getattr(g, name)
+    return want.tocsr()
+
+
+def entry_order_fold_cases(g, p):
+    """The systems of ``fold_cases`` whose folds hold values in entry order:
+    the diagonal, the unsplit sum and ``l_u``."""
+    cases = [key for key in fold_cases(p) if [name for name, _ in key[0]] not in
+             (["call_rd"], ["l_n"])]
+    assert {tuple(name for name, _ in key[0]) for key in cases} == {
+        (), ("l_u", "call_rd"), ("l_u",)}
+    assert not any(folded_system(g, *key).banded for key in cases)
+    return cases
+
+
+def assert_is_scipys_sum(g, key, v) -> int:
+    """Assert that the fold of ``key`` gives scipy's sum's product of ``v``
+    bit for bit, its every stored value bit for bit, and +0.0 on every entry
+    of the fold's pattern that scipy's sum stores none on; their count."""
+    fold, want = folded_system(g, *key), scipy_fold(g, *key)
+    assert fold.dot(v).tobytes() == (want @ v).tobytes(), key
+    got, n = fold.matrix(), g.n_nodes
+    got_keys, want_keys = (np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
+                           for m in (got, want))
+    assert np.isin(want_keys, got_keys).all(), key
+    at = np.searchsorted(got_keys, want_keys)
+    assert got.data[at].tobytes() == want.data.tobytes(), key
+    kept = np.delete(got.data, at)
+    assert kept.tobytes() == bytes(kept.nbytes), key
+    return len(kept)
+
 
 BAD_VECTORS = ["short", "long", "float32", "strided", "2-d", "list"]
 
@@ -408,7 +504,7 @@ class TestFoldKernel:
         # CSR view, on a pattern of its own, gives the same bytes
         plan, g, _ = dropped_zero_graph("underflowing_walk_weight")
         assert g.ops["l_rd"].pattern is plan.walk.l_rd and g.ops["l_rd"].banded
-        fold = Operator(Pattern.of(g.l_rd), g.l_rd.data)
+        fold = csr_operator(g.l_rd)
         v = np.random.default_rng(39).standard_normal(g.n_nodes)
         assert fold.dot(v).tobytes() == (g.l_rd @ v).tobytes() == g.ops["l_rd"].dot(v).tobytes()
 
@@ -431,7 +527,7 @@ class TestFoldKernel:
         op = random_mixed(np.random.default_rng(42)).l_u
         data = op.data[:-1] if bad == "short" else op.data.astype(np.float32)
         with pytest.raises(ValueError, match="float64 values"):
-            Operator(Pattern.of(op), data)
+            Operator(csr_operator(op).pattern, data)
 
 
 def planned_graph(rng, lanes, n_stations=3, n_instants=5, window=2, n_observed=3):
@@ -469,9 +565,14 @@ def kernel_calls(fail=False):
 FINITE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
 
 
+def csr_operator(mat: sp.csr_matrix) -> Operator:
+    """The CSR matrix ``mat`` as an ``Operator`` on a pattern of its own, without a band."""
+    return Operator(Pattern(mat.indptr, mat.indices), mat.data)
+
+
 def unplanned(g):
     """``g`` with each operator on a pattern of its own: its CSR view's, without a band."""
-    ops = {name: Operator.of(getattr(g, name)) for name in g.ops}
+    ops = {name: csr_operator(getattr(g, name)) for name in g.ops}
     return MixedGraph(g.n_stations, g.n_instants, g.lanes, g.h_mask, **ops)
 
 
@@ -505,8 +606,8 @@ class TestBandKernel:
 
     @pytest.mark.parametrize("which", ["unplanned", "direct_unsplit"])
     def test_other_folds_stay_on_csr(self, which):
-        # a graph made without a plan and the unsplit signal system (a sum
-        # of operators) have patterns of their own, without a band
+        # a graph made without a plan has no band, and the unsplit signal
+        # system (a sum of operators) is on the union of their patterns
         rng = np.random.default_rng(43)
         p = LayerParams(*rng.uniform(0.1, 2.0, 3), *rng.uniform(0.5, 2.0, 3))
         if which == "unplanned":
@@ -666,6 +767,24 @@ class TestBandKernel:
         assert str(info.value) == "the block's start is not finite"
         assert (info.value.entry, info.value.lane) == (size + 1, 1)
 
+    @pytest.mark.parametrize("sched", [CgSchedule.exact(), CgSchedule.unrolled()],
+                             ids=["exact", "unrolled"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_names_its_node_and_lane(self, monkeypatch, sched, bad):
+        # refused before any solve, where a non-finite start is, naming the
+        # node of the first bad observation (lane 1's second observed node)
+        # and its lane, not a CG failure of layer 0's signal solve
+        g = planned_graph(np.random.default_rng(46), 2)
+        size, observed = g.n_nodes // 2, int(g.h_mask.sum()) // 2
+        y = np.ones(2 * observed)
+        y[observed + 1] = bad
+        y[observed + 3] = np.nan
+        monkeypatch.setattr(solver, "cg_solve", None)  # calling it would fail
+        with pytest.raises(NumericFailure) as info:
+            admm_block(np.zeros(g.n_nodes), y, g, [LayerParams(1, 1, 1, 1, 1, 1)] * 3, sched)
+        assert str(info.value) == "an observation is not finite"
+        assert (info.value.entry, info.value.lane) == (size + 1, 1)
+
 
 def per_step_unrolled(apply_a, b, x0, sched):
     """Unrolled CG with the finiteness check after every step (the reference).
@@ -689,7 +808,8 @@ def per_step_unrolled(apply_a, b, x0, sched):
 
 def slice_polynomial(a, slices, sched):
     """Q(A) of the matrix ``a`` over ``slices``, as a block plans it."""
-    return SliceBlocks(slices, polynomial_operator(slices.blocks(Operator.of(a.tocsr())), sched))
+    return SliceBlocks(slices,
+                       polynomial_operator(slices.blocks(csr_operator(a.tocsr())), sched))
 
 
 def exact_unrolled(d, b, x0, sched):
@@ -1413,8 +1533,9 @@ class TestPolynomialPath:
         # instants, in entry order or on a band, fits no slice block
         between = sp.csr_matrix(np.eye(4) + np.eye(4, k=2))
         with pytest.raises(ValueError, match="couples two slices"):
-            Slices(1, 2, 2).blocks(Operator.of(between))
-        band = Operator(Pattern.of(between).banded(), np.array([[1.0] * 4, [0.0, 0.0, 1.0, 1.0]]))
+            Slices(1, 2, 2).blocks(csr_operator(between))
+        band = Operator(csr_operator(between).pattern.banded(),
+                        np.array([[1.0] * 4, [0.0, 0.0, 1.0, 1.0]]))
         with pytest.raises(ValueError, match="couples two slices"):
             Slices(1, 2, 2).blocks(band)
         # the same band is one station's instants, 2 stations apart
@@ -1558,7 +1679,7 @@ class TestWorkspace:
         data_ = np.array([1e16, 1.0, -1e16, -0.0, 2.0, 3.0, -0.0])
         indices = np.array([0, 0, 0, 1, 1, 3, 2], dtype=np.int32)
         indptr = np.array([0, 4, 5, 6, 7], dtype=np.int32)
-        op = Operator.of(sp.csr_matrix((data_, indices, indptr), shape=(4, 4)))
+        op = csr_operator(sp.csr_matrix((data_, indices, indptr), shape=(4, 4)))
         slices = Slices(1, 2, 2)
         dense = op.matrix().toarray()
         want = np.stack([dense[:2, :2], dense[2:, 2:]])

@@ -27,8 +27,8 @@ from stforecast.oracles import coo_operators
 from stforecast.solver import (TERMS, VARIANTS, CgSchedule, LayerParams, block_folds, cg_solve,
                                folded_system)
 
-from test_lanes import (FINITE, dropped_zero_graph, kernel_calls, planned_graph,
-                        split_skeleton_inputs)
+from test_lanes import (FINITE, csr_operator, dropped_zero_graph, kernel_calls,
+                        planned_graph, split_skeleton_inputs)
 
 OPERATORS = ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n")
 
@@ -177,7 +177,7 @@ class TestPlannedPatterns:
         ones = plan.walk.l_rd.matrix(np.ones(plan.walk.l_rd.nnz))
         product = ones.T.tocsr() @ ones
         product.sort_indices()
-        got, want = plan.temporal, Pattern.of(product).banded()
+        got, want = plan.temporal, csr_operator(product).pattern.banded()
         for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.band.offsets, want.band.offsets), (got.band.which, want.band.which)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -314,7 +314,7 @@ class TestPlannedErrors:
         ops[name] = sp.identity(n + 3, format="csr")
         error, match = TypeError, rf"^{name} must be an Operator, got csr_matrix$"
         if given == "operator":
-            ops[name] = graphs.Operator.of(ops[name])
+            ops[name] = csr_operator(ops[name])
             error = ValueError
             match = rf"^{name} has shape \({n + 3}, {n + 3}\), expected \({n}, {n}\)$"
         with pytest.raises(error, match=match):
@@ -571,7 +571,7 @@ class TestBandOperators:
         slices = solver.Slices(graph.lanes, graph.n_stations, graph.n_instants, strided=True)
         for fold in banded:
             got = slices.blocks(fold)
-            np.testing.assert_array_equal(got, slices.blocks(graphs.Operator.of(fold.matrix())))
+            np.testing.assert_array_equal(got, slices.blocks(csr_operator(fold.matrix())))
             dense = fold.matrix().toarray()
             nodes = slices.view(np.arange(graph.n_nodes)).reshape(-1, graph.n_instants)
             for block, idx in zip(got, nodes):

@@ -564,10 +564,10 @@ class TestAdmmBlock:
         ("phi", "non-finite values (layer 1, step phi)"),
     ])
     def test_non_finite_sub_step_names_layer_and_step(self, monkeypatch, case, message):
-        # an observation with a NaN fails the signal solve of the first
-        # layer, in either CG mode, from a finite start; a non-finite phi is
-        # checked by the layer itself, here in layer 1 of 3 (the last layer
-        # updates x only)
+        # a finite start so large that its product by the signal system
+        # overflows fails the first layer's signal solve, in either CG
+        # mode; a non-finite phi is checked by the layer itself, here in
+        # layer 1 of 3 (the last layer updates x only)
         g, y = tiny_instance(np.random.default_rng(25))
         x0 = np.zeros(g.n_nodes)
         sched = CgSchedule.exact() if case == "exact" else CgSchedule.unrolled(iters=3)
@@ -584,8 +584,7 @@ class TestAdmmBlock:
 
             monkeypatch.setattr(solver, "update_phi", failing_second)
         else:
-            y = y.copy()
-            y[1] = np.nan
+            x0 = np.full(g.n_nodes, 1e308)
         with pytest.raises(NumericFailure) as info:
             admm_block(x0, y, g, [LayerParams(1, 1, 1, 1, 1, 1)] * 3, sched)
         assert str(info.value) == message
