@@ -430,7 +430,7 @@ class GraphPlan:
     The skeletons, the lane count and the observed prefix fix the plans of
     ``assemble_undirected_laplacian`` (over every lane's instants) and
     ``assemble_random_walk_digraph`` (over the temporal skeleton repeated
-    per lane: W_r, L_r and L_r' as bands), the mask ``h_mask``, which
+    per lane: L_r and L_r' as bands), the mask ``h_mask``, which
     carries the prefix, and ``temporal``, the one banded pattern of
     L_r'L_r and, when planned, ``l_n``: every pair of a station's nodes
     within the window (``_window_pattern``). With ``l_n``,
@@ -452,8 +452,8 @@ class GraphPlan:
     @property
     def patterns(self) -> dict:
         """The pattern of each planned operator, by name."""
-        out = {"l_u": self.l_u.pattern, "w_rd": self.walk.w_rd, "l_rd": self.walk.l_rd,
-               "l_rd_t": self.walk.l_rd_t, "call_rd": self.temporal}
+        out = {"l_u": self.l_u.pattern, "l_rd": self.walk.l_rd, "l_rd_t": self.walk.l_rd_t,
+               "call_rd": self.temporal}
         if self.adjacency is not None:
             out["l_n"] = self.temporal
         return out
@@ -501,8 +501,8 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
     to their mirrors (``graphs.band_transpose``), and L_r'L_r is formed
     from them diagonal by diagonal (``symmetrized_dglr_matrix``). ``l_n``
     is written into its band from the plan's adjacency, in the sums scipy's
-    I - D^-1/2 A D^-1/2 makes (``oracles.coo_operators``). No scipy sparse
-    matrix is built.
+    I - D^-1/2 A D^-1/2 makes (``oracles.coo_operators``). Neither W_r,
+    which no solver step applies, nor any scipy sparse matrix is built.
     """
     weights_u = np.asarray(weights_u, dtype=np.float64)
     weights_d = np.asarray(weights_d, dtype=np.float64)
@@ -514,7 +514,7 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
     l_u = assemble_undirected_laplacian(
         plan.l_u, weights_u.reshape(lanes * plan.tskel.n_instants, weights_u.shape[-1])
     )
-    w_rd, l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
+    l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
     l_rd_t = band_transpose(l_rd, plan.walk.l_rd_t)
     call_rd = symmetrized_dglr_matrix(l_rd, l_rd_t, plan.temporal)
     l_n = None
@@ -534,7 +534,7 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
         values[plan.temporal.band.zero] = linked
         l_n = Operator(plan.temporal, values)
     return MixedGraph(plan.sskel.n_stations, plan.tskel.n_instants, lanes, plan.h_mask,
-                      l_u=l_u, w_rd=w_rd, l_rd=l_rd, l_rd_t=l_rd_t, call_rd=call_rd, l_n=l_n)
+                      l_u=l_u, l_rd=l_rd, l_rd_t=l_rd_t, call_rd=call_rd, l_n=l_n)
 
 
 def build_mixed_graph(

@@ -23,11 +23,12 @@ layout (Saad, *Iterative Methods for Sparse Linear Systems*, 2003, section
 
 Every operator of a graph, and every folded CG system, is an ``Operator``:
 a pattern and its values, in entry order or as the band's diagonals, applied
-by the scipy kernel that layout calls for. A planned graph holds L_r, L_r',
-L_r'L_r and ``l_n`` as bands from the fill on: L_r's diagonals are written
-once, L_r' is them shifted to their mirror offsets, and L_r'L_r is formed
-diagonal by diagonal (``symmetrized_dglr_matrix``). Their CSR forms, which
-oracles, checks and dumps read, are built on each read (``MixedGraph``).
+by the scipy kernel that layout calls for. A graph holds the operators some
+solver step applies, L_r, L_r', L_r'L_r and ``l_n`` as bands from the fill
+on: L_r's diagonals are written once, L_r' is them shifted to their mirror
+offsets, and L_r'L_r is formed diagonal by diagonal
+(``symmetrized_dglr_matrix``). Their CSR forms, which oracles, checks and
+dumps read, are built on each read, W_r's as I - L_r (``MixedGraph``).
 
 ``NumericFailure`` is the one failure of a forward pass; it lives here, below
 both ``attention`` and ``solver``, which raise it.
@@ -550,49 +551,42 @@ def assemble_undirected_laplacian(plan: LaplacianPlan, weights: np.ndarray) -> O
 class RandomWalkPlan:
     """The patterns of ``assemble_random_walk_digraph`` for one skeleton, each with its band.
 
-    W_r lies on the diagonals of the edges and, for the sources' self-loops,
-    the main one; L_r = I - W_r on the edges' and, for every row but a
-    source's, the main one. A source's one W_r entry is its weight over
-    itself, exactly 1, so its diagonal in L_r reads 1 - 1 = 0 and is left
-    out. ``l_rd_t`` is L_r''s pattern, on the mirrored diagonals, and
-    ``band_at`` the flat position in W_r's band of each edge's entry.
+    L_r = I - W_r lies on the diagonals of the edges and, for every row but
+    a source's, the main one. A source's one W_r entry is its self-loop's
+    weight over itself, exactly 1, so its diagonal in L_r reads 1 - 1 = 0
+    and is left out. ``l_rd_t`` is L_r''s pattern, on the mirrored
+    diagonals, and ``band_at`` the flat position in L_r's band of each
+    edge's entry. No solver step applies W_r, so none is planned.
     """
 
     skel: DirectedSkeleton
-    w_rd: Pattern
     l_rd: Pattern
     l_rd_t: Pattern
     band_at: np.ndarray
 
 
 def plan_random_walk_digraph(skel: DirectedSkeleton) -> RandomWalkPlan:
-    """Plan W_r, I - W_r and its transpose over ``skel``, a DAG of few
+    """Plan L_r = I - W_r and its transpose over ``skel``, a DAG of few
     diagonals, with a self-loop added at each source."""
     n = skel.n_nodes
     inner = np.delete(np.arange(n), skel.sources)  # the rows L_r stores a diagonal in
-    w_rd, _ = coo_pattern(np.concatenate([skel.dst, skel.sources]),
-                          np.concatenate([skel.src, skel.sources]), n)
     rows, cols = np.concatenate([skel.dst, inner]), np.concatenate([skel.src, inner])
-    l_rd, l_rd_t = coo_pattern(rows, cols, n)[0], coo_pattern(cols, rows, n)[0]
-    w_rd = w_rd.banded()
-    band_at = np.searchsorted(w_rd.band.offsets, skel.src - skel.dst) * n + skel.src
-    return RandomWalkPlan(skel, w_rd, l_rd.banded(), l_rd_t.banded(),
-                          band_at.astype(w_rd.indices.dtype))
+    l_rd, l_rd_t = coo_pattern(rows, cols, n)[0].banded(), coo_pattern(cols, rows, n)[0].banded()
+    band_at = np.searchsorted(l_rd.band.offsets, skel.src - skel.dst) * n + skel.src
+    return RandomWalkPlan(skel, l_rd, l_rd_t, band_at.astype(l_rd.indices.dtype))
 
 
-def assemble_random_walk_digraph(plan: RandomWalkPlan,
-                                 weights: np.ndarray) -> tuple[Operator, Operator]:
-    """Row-stochastic random-walk adjacency W_r and its Laplacian I - W_r,
-    written straight into the plan's bands.
+def assemble_random_walk_digraph(plan: RandomWalkPlan, weights: np.ndarray) -> Operator:
+    """The random-walk Laplacian L_r = I - W_r, written straight into the plan's band.
 
-    Every source node gets a self-loop of weight 1 before in-degree
-    normalization, so source rows of W_r are exactly their self-loop.
-    In-degrees sum each node's edges in edge order, then its self-loop.
-    W_r holds its edges' weights at ``band_at`` and the self-loops on the
-    main diagonal; L_r holds 0.0 less W_r's diagonals off the main one and
-    1 on it at every row but a source's. Both keep their plan's patterns:
-    an entry of L_r that comes out exactly 0.0 is stored as +0.0, where
-    scipy's I - W_r stores none.
+    W_r is the row-stochastic random-walk adjacency: every source node gets
+    a self-loop of weight 1 before in-degree normalization, so source rows
+    of W_r are exactly their self-loop. In-degrees sum each node's edges in
+    edge order, then its self-loop. L_r holds 0.0 less each edge's weight
+    over its child's in-degree at ``band_at``, and 1 on the main diagonal
+    at every row but a source's. It keeps its plan's pattern: an entry that
+    comes out exactly 0.0 is stored as +0.0, where scipy's I - W_r stores
+    none.
     """
     skel, n = plan.skel, plan.skel.n_nodes
     weights = np.asarray(weights, dtype=np.float64)
@@ -607,18 +601,13 @@ def assemble_random_walk_digraph(plan: RandomWalkPlan,
         raise DegenerateDegreeError(
             f"non-source node(s) {dead[:5].tolist()} have zero incoming weight"
         )
-    band, l_band = plan.w_rd.band, plan.l_rd.band
-    w_data = np.zeros((len(band.offsets), n))
-    w_data.ravel()[plan.band_at] = weights / indeg[skel.dst]
-    w_data[band.zero, skel.sources] = 1.0 / indeg[skel.sources]
-    # L_r lies on W_r's diagonals, less the main one where every row is a
-    # source's, and takes them by offset
-    l_data = w_data[np.searchsorted(band.offsets, l_band.offsets)]
-    np.subtract(0.0, l_data, out=l_data)
-    if len(l_band.offsets):
-        l_data[l_band.zero] = 1.0
-        l_data[l_band.zero, skel.sources] = 0.0
-    return Operator(plan.w_rd, w_data), Operator(plan.l_rd, l_data)
+    band = plan.l_rd.band
+    data = np.zeros((len(band.offsets), n))
+    data.ravel()[plan.band_at] = 0.0 - weights / indeg[skel.dst]
+    if len(band.offsets):
+        data[band.zero] = 1.0
+        data[band.zero, skel.sources] = 0.0
+    return Operator(plan.l_rd, data)
 
 
 def band_transpose(op: Operator, pattern: Pattern) -> Operator:
@@ -710,13 +699,13 @@ class _CsrView:
 class MixedGraph:
     """Assembled operators of one mixed product graph, or of several stacked.
 
-    Immutable after construction. ``ops`` maps each operator's name to its
-    ``Operator``; ``l_n`` is the normalized Laplacian of the symmetrized
-    temporal graph, used only by the undirected-temporal solver variant.
-    Reading an operator by its name (``graph.l_rd``) gives its CSR form,
-    built on each read, so no operator is held twice: the oracles, checks
-    and dumps read those, the solver, its folds too, the operators
-    themselves.
+    Immutable after construction. ``ops`` maps the name of each operator a
+    solver step applies to its ``Operator``; ``l_n`` is the normalized
+    Laplacian of the symmetrized temporal graph, used only by the
+    undirected-temporal solver variant. Reading an operator by its name
+    (``graph.l_rd``) gives its CSR form, built on each read, so no operator
+    is held twice: the oracles, checks and dumps read those, W_r as I - L_r
+    (``w_rd``), the solver, its folds too, the operators themselves.
 
     A graph with ``lanes`` > 1 holds that many graphs of one shape as the
     diagonal blocks of each operator; signals are the per-lane vectors
@@ -729,19 +718,17 @@ class MixedGraph:
     """
 
     l_u = _CsrView()
-    w_rd = _CsrView()
     l_rd = _CsrView()
     l_rd_t = _CsrView()
     call_rd = _CsrView()
     l_n = _CsrView()
 
     def __init__(self, n_stations: int, n_instants: int, lanes: int, h_mask: np.ndarray, *,
-                 l_u, w_rd, l_rd, l_rd_t, call_rd, l_n=None):
+                 l_u, l_rd, l_rd_t, call_rd, l_n=None):
         self.n_stations, self.n_instants, self.lanes = n_stations, n_instants, lanes
         self.h_mask = h_mask
         dim = self.n_nodes
-        given = {"l_u": l_u, "w_rd": w_rd, "l_rd": l_rd, "l_rd_t": l_rd_t,
-                 "call_rd": call_rd, "l_n": l_n}
+        given = {"l_u": l_u, "l_rd": l_rd, "l_rd_t": l_rd_t, "call_rd": call_rd, "l_n": l_n}
         for name, op in given.items():
             if op is None:
                 if name != "l_n":
@@ -751,6 +738,11 @@ class MixedGraph:
             elif op.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {op.shape}, expected {(dim, dim)}")
         self.ops = {name: op for name, op in given.items() if op is not None}
+
+    @property
+    def w_rd(self) -> sp.csr_matrix:
+        """W_r = I - L_r as CSR, built on each read: scipy stores no exact 0.0."""
+        return sp.identity(self.n_nodes, format="csr") - self.l_rd
 
     @property
     def n_nodes(self) -> int:

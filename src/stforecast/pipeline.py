@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,14 +79,15 @@ def unflatten_time_major(x: np.ndarray, n_stations: int) -> np.ndarray:
 class PipelineContext:
     """Shared immutable pieces reused across samples.
 
-    ``plans`` keeps the operator plans (``attention.plan_mixed_graph``)
-    that ``block_graph`` makes on first use, one per lane count; a context
-    made from this one by ``dataclasses.replace`` shares the dict.
+    The skeletons, eigenmap and feature map come from the road network and
+    the ``graph`` and ``data`` sections of ``config``; ``bank`` comes from
+    ``config`` on first read, cached here. ``dataclasses.replace`` with a
+    ``config`` that agrees on those sections derives a new bank and shares
+    ``plans``, the operator plans ``block_graph`` makes, one per lane count.
     """
 
     pg: PhysicalGraph
     config: PipelineConfig
-    bank: attention.MetricBank
     standardizer: Standardizer
     sskel: object
     tskel: object
@@ -106,7 +108,6 @@ class PipelineContext:
         sskel = build_spatial_skeleton(pg, g.k)
         tskel = build_temporal_skeleton(pg.n_stations, config.data.n_instants, g.window)
         eigmap = attention.spatial_eigenmap(pg, g.spatial_dim)
-        bank = config.heads.build_bank(config.data.n_instants, g.window, g.feature_dim)
         if standardizer is None:
             standardizer = Standardizer.identity(pg.n_stations)
         feature_map = attention.FeatureMap(
@@ -117,7 +118,14 @@ class PipelineContext:
             skeleton=sskel if g.aggregate_neighbors else None,
             swish_beta=g.swish_beta,
         )
-        return cls(pg, config, bank, standardizer, sskel, tskel, eigmap, feature_map, interval)
+        ctx = cls(pg, config, standardizer, sskel, tskel, eigmap, feature_map, interval)
+        ctx.bank  # a heads section its rules reject fails the build
+        return ctx
+
+    @cached_property
+    def bank(self) -> attention.MetricBank:
+        c = self.config
+        return c.heads.build_bank(c.data.n_instants, c.graph.window, c.graph.feature_dim)
 
 
 def initial_signal(

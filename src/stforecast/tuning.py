@@ -210,15 +210,14 @@ def tune_spsa(
     def loss_fn(theta: np.ndarray) -> float:
         failure[0] = None
         try:
-            cand = unpack_config(config, theta)
-            bank = cand.heads.build_bank(cand.data.n_instants, cand.graph.window,
-                                         cand.graph.feature_dim)
+            # the candidate reuses the base context's skeletons, eigenmap and feature map
+            ctx = replace(base_ctx, config=unpack_config(config, theta))
+            ctx.bank  # built here, where a rejected candidate scores NaN
         except ValueError as exc:  # the config's rules reject the candidate
             failure[0] = exc
             return float("nan")
         try:
-            # the candidate reuses the base context's skeletons, eigenmap and feature map
-            recons = pipeline.reconstruct_batch(subset, replace(base_ctx, config=cand, bank=bank))
+            recons = pipeline.reconstruct_batch(subset, ctx)
         except NumericFailure as exc:
             failure[0] = exc
             return float("nan")

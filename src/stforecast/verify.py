@@ -124,7 +124,7 @@ def check_directionality() -> CheckResult:
     x = np.array([2.0, 0.0, 1.0])
     fwd, rev = (  # parents 0 and 1 averaged into 2, then the edges reversed
         priors.dglr(x, assemble_random_walk_digraph(plan_random_walk_digraph(
-            directed_skeleton_from_edges(3, edges)), np.ones(2))[1].matrix())
+            directed_skeleton_from_edges(3, edges)), np.ones(2)).matrix())
         for edges in ([(0, 2), (1, 2)], [(2, 0), (2, 1)]))
     ok = abs(fwd) < 1e-15 and abs(rev - 2.0) < 1e-12
     return CheckResult(
@@ -378,10 +378,10 @@ def check_planned_assembly(seed: int = 0) -> CheckResult:
     the first two windows' graphs, once each and together (8 lanes), and the
     first window's again on a reused plan. Each operator must equal
     ``oracles.coo_operators`` of the same weights in every index dtype and
-    byte and hold its plan's ``Pattern``, each temporal one (W_r, L_r, L_r',
-    L_r'L_r, ``l_n``) as its band's diagonals. ``MixedGraph.apply`` of L_r
-    and L_r' (scipy's DIA kernel) must equal the reference's CSR products
-    byte for byte, on a vector with exact zeros of both signs.
+    byte, W_r as I - L_r, and hold its plan's ``Pattern``, each temporal one
+    (L_r, L_r', L_r'L_r, ``l_n``) as its band's diagonals. ``MixedGraph.apply``
+    of L_r and L_r' (scipy's DIA kernel) must equal the reference's CSR
+    products byte for byte, on a vector with exact zeros of both signs.
     """
     _, pg, ctx, xs, t_steps = _desk_starts(seed)
     default = pipeline.PipelineContext.build(pg, PipelineConfig())

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,9 +37,10 @@ def laplacian(skel, weights):
 
 
 def random_walk(skel, weights):
-    """W_r and L_r of a DAG skeleton, as CSR, planned on the spot."""
-    w_rd, l_rd = assemble_random_walk_digraph(plan_random_walk_digraph(skel), weights)
-    return w_rd.matrix(), l_rd.matrix()
+    """W_r and L_r of a DAG skeleton, as CSR, planned on the spot: W_r read
+    as I - L_r, as a graph reads it."""
+    l_rd = assemble_random_walk_digraph(plan_random_walk_digraph(skel), weights).matrix()
+    return sp.identity(skel.n_nodes, format="csr") - l_rd, l_rd
 
 
 def scipy_dglr(l_rd):

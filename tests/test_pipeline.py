@@ -202,6 +202,23 @@ class TestRunForecast:
             run_forecast(splits.test[0], ctx)
 
 
+class TestReplacedContext:
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_forecasts_as_a_fresh_build(self, heads):
+        # a context replaced with a config of another head count derives its
+        # own metric bank: fewer heads must not forecast off, more must not
+        # run past the bank's heads
+        splits, pg, std = tiny_dataset(n_stations=8, steps=200)
+        base = PipelineContext.build(pg, small_config(blocks=1, layers=3), standardizer=std)
+        s = splits.test[0]
+        run_forecast(s, base)
+        cfg = small_config(blocks=1, layers=3, heads=heads)
+        replaced = replace(base, config=cfg)
+        assert base.bank.heads == 2 and replaced.bank.heads == heads
+        fresh = PipelineContext.build(pg, cfg, standardizer=std)
+        assert run_forecast(s, replaced).tobytes() == run_forecast(s, fresh).tobytes()
+
+
 class TestEvaluate:
     def test_persistence_baseline_reported(self):
         splits, pg, std = tiny_dataset()

@@ -2,6 +2,8 @@
 COO assembly, the +0.0 a plan keeps where scipy drops a zero, and plan
 reuse in the forward pass and the tuner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,7 +32,10 @@ from stforecast.solver import (TERMS, VARIANTS, CgSchedule, LayerParams, block_f
 from test_lanes import (FINITE, csr_operator, dropped_zero_graph, kernel_calls,
                         planned_graph, split_skeleton_inputs)
 
-OPERATORS = ("l_u", "w_rd", "l_rd", "l_rd_t", "call_rd", "l_n")
+# the operators a graph holds, those some solver step applies, l_n last
+OPERATORS = ("l_u", "l_rd", "l_rd_t", "call_rd", "l_n")
+# and the reference's, W_r among them: a graph reads it as I - L_r
+REFERENCE = ("w_rd",) + OPERATORS
 
 
 def assert_bitwise(got: sp.csr_matrix, want: sp.csr_matrix, name: str):
@@ -43,11 +48,16 @@ def assert_bitwise(got: sp.csr_matrix, want: sp.csr_matrix, name: str):
 def assert_matches_reference(graph, sskel, tskel, wu, wd, with_l_n) -> set:
     """Assert that each operator's CSR view equals ``coo_operators`` bit for
     bit, index dtypes included, on every entry the reference stores, and
-    holds +0.0 on the rest; the names of the operators that hold such a rest."""
+    holds +0.0 on the rest; the names of the operators that hold such a rest.
+    W_r, read as I - L_r, stores no exact 0.0 at all: it equals the
+    reference with its exact zeros eliminated, which only an underflowed
+    walk weight makes."""
     want = coo_operators(sskel, tskel, wu, wd, with_l_n)
-    assert set(want) == set(OPERATORS if with_l_n else OPERATORS[:-1])
+    assert set(want) == set(REFERENCE if with_l_n else REFERENCE[:-1])
+    assert set(graph.ops) == set(OPERATORS if with_l_n else OPERATORS[:-1])
     if not with_l_n:
         assert graph.l_n is None
+    want["w_rd"].eliminate_zeros()
     kept = set()
     for name, mat in want.items():
         got = getattr(graph, name)
@@ -84,7 +94,7 @@ class TestPlannedAssembly:
         assert not (wide and kept), kept  # such weights cancel and underflow nowhere
         # the temporal operators stay bands, applied by the DIA kernel, and
         # each product is the reference's byte for byte
-        for name in ("w_rd", "l_rd", "l_rd_t", "call_rd", "l_n"):
+        for name in ("l_rd", "l_rd_t", "call_rd", "l_n"):
             assert name not in graph.ops or graph.ops[name].banded, name
         want = coo_operators(sskel, tskel, wu, wd, with_l_n)
         v = np.array(data.draw(st.lists(FINITE, min_size=graph.n_nodes, max_size=graph.n_nodes)))
@@ -404,6 +414,11 @@ class TestDroppedZeros:
         plan, graph, inputs = dropped_zero_graph("underflowing_walk_weight")
         for name, row, col in [("l_rd", 2, 0), ("l_rd_t", 0, 2), ("l_n", 0, 2), ("l_n", 2, 0)]:
             self.kept_zero(graph, name, row, col)
+        # W_r, read as I - L_r, drops the 0.0 at (2, 0) that the reference stores
+        w_rd = coo_operators(*inputs, True)["w_rd"]
+        assert w_rd[2, 0] == 0.0 and graph.w_rd.nnz == w_rd.nnz - 1
+        w_rd.eliminate_zeros()
+        assert_bitwise(graph.w_rd, w_rd, "w_rd")
         for name, pattern in plan.patterns.items():
             assert graph.ops[name].pattern is pattern, name
         assert np.shares_memory(graph.l_rd.indices, plan.walk.l_rd.indices)
@@ -422,10 +437,39 @@ class TestDroppedZeros:
         self.check_folds(graph)
 
     def test_single_node_source_row(self):
-        # a source row's W_r entry is its self-loop, 1 - 1 = 0: planned away
+        # a source row's W_r entry is its self-loop, 1 - 1 = 0 in L_r:
+        # planned away, a band of no diagonals; a graph reads W_r back as I
         plan = plan_random_walk_digraph(directed_skeleton_from_edges(1, []))
-        w_rd, l_rd = assemble_random_walk_digraph(plan, np.zeros(0))
-        assert w_rd.nnz == 1 and l_rd.nnz == 0 and plan.l_rd.nnz == 0
+        l_rd = assemble_random_walk_digraph(plan, np.zeros(0))
+        assert l_rd.nnz == 0 and plan.l_rd.nnz == 0 and l_rd.data.shape == (0, 1)
+        l_u = graphs.Operator(Pattern(np.arange(2, dtype=np.int32), np.zeros(1, np.int32)),
+                              np.zeros(1))
+        graph = MixedGraph(1, 1, 1, np.ones(1, dtype=bool), l_u=l_u, l_rd=l_rd, l_rd_t=l_rd,
+                           call_rd=l_u)
+        assert_bitwise(graph.w_rd, sp.identity(1, format="csr"), "w_rd")
+
+
+class TestWalkAdjacency:
+    """A graph holds the operators some solver step applies, and no other:
+    no plan sorts a W_r pattern and no fill writes W_r's band. W_r is read
+    as I - L_r, the reference's W_r bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_w_rd_is_identity_less_l_rd(self, seed, lanes, with_l_n):
+        # road networks in pieces, some stations isolated
+        rng = np.random.default_rng(seed)
+        wu, wd, sskel, tskel, n_observed = split_skeleton_inputs(rng, lanes)
+        plan = plan_mixed_graph(sskel, tskel, lanes, n_observed, with_l_n)
+        walk = [f.name for f in dataclasses.fields(plan.walk)
+                if isinstance(getattr(plan.walk, f.name), Pattern)]
+        assert walk == ["l_rd", "l_rd_t"]
+        assert set(plan.patterns) == set(OPERATORS if with_l_n else OPERATORS[:-1])
+        graph = fill_mixed_graph(plan, wu, wd)
+        assert set(graph.ops) == set(plan.patterns)
+        w_rd = graph.w_rd
+        assert_bitwise(w_rd, sp.identity(graph.n_nodes, format="csr") - graph.l_rd, "w_rd")
+        assert_bitwise(w_rd, coo_operators(sskel, tskel, wu, wd, with_l_n)["w_rd"], "w_rd")
 
 
 def desk_context():
@@ -506,7 +550,7 @@ class TestPlanReuse:
 
 
 class TestBandOperators:
-    """A planned graph holds W_r, L_r, L_r' and L_r'L_r as their bands'
+    """A planned graph holds L_r, L_r' and L_r'L_r as their bands'
     diagonals, from the fill to the products: each is its CSR reference bit
     for bit, and so is each product by them."""
 
@@ -520,7 +564,7 @@ class TestBandOperators:
         want = coo_operators(sskel, tskel, wu, wd, False)
         v = np.random.default_rng(49).standard_normal(graph.n_nodes)
         v[::3] = -0.0
-        for name in ("w_rd", "l_rd", "l_rd_t", "call_rd"):
+        for name in ("l_rd", "l_rd_t", "call_rd"):
             assert graph.ops[name].banded, name
             assert graph.ops[name].pattern is plan.patterns[name], name
         for name in ("l_rd", "l_rd_t", "call_rd"):
@@ -550,7 +594,7 @@ class TestBandOperators:
         monkeypatch.undo()
         x, _, t_steps = pipeline.initial_signal(windows[1], ctx)
         graph = pipeline.block_graph(ctx, [x], [t_steps])
-        assert all(graph.ops[name].banded for name in ("w_rd", "l_rd", "l_rd_t", "call_rd"))
+        assert all(graph.ops[name].banded for name in ("l_rd", "l_rd_t", "call_rd"))
 
     def test_polynomial_folds_fill_from_the_band(self, monkeypatch):
         # the x and z_d folds of a block both take Q(A) and keep their band;
