@@ -71,11 +71,11 @@ def cmd_forecast(args) -> int:
     if not samples:
         print(f"error: no {args.split} samples", file=sys.stderr)
         return 1
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ctx = pipeline.PipelineContext.build(pg, cfg, standardizer, splits.interval)
     chosen = pipeline.evenly_spaced_subset(samples, args.max_samples)
     report = pipeline.evaluate(chosen, ctx)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = (
         [s, int(stamp), repr(float(pred[s, h])), repr(float(sample.target[s, h]))]
         for sample, pred in zip(chosen, report["predictions"])
@@ -140,8 +140,8 @@ def cmd_tune(args) -> int:
     best.save(args.out)
     if trace.best_losses:  # empty when no iteration ran
         start, end = trace.best_losses[0], trace.best_losses[-1]
-        print(f"validation huber: {start:.6g} -> {end:.6g} "
-              f"({100.0 * (start - end) / start:.1f}% better)")
+        change = f" ({100.0 * (start - end) / start:.1f}% better)" if start else ""
+        print(f"validation huber: {start:.6g} -> {end:.6g}{change}")
     print(f"wrote {args.out}")
     if args.trace:
         rows = ([rec["iter"], rec["loss_plus"], rec["loss_minus"], best_loss, rec["rejected"]]

@@ -266,28 +266,26 @@ class DatasetSplits:
 def cut_windows(table: SignalTable, history: int, horizon: int, stride: int) -> list[Sample]:
     """Sliding windows of length history+horizon at the given stride.
 
-    One gather copies every window at once: window k's observed block, then
-    its target block, each C-contiguous, side by side in row k of one array.
+    Each window is read-only views of the table, not a copy: its observed
+    and target blocks are transposed row slices of ``table.values``, and
+    its timestamps a slice of ``table.timestamps``. Writing to the table
+    changes the windows cut from it.
     """
     window = history + horizon
-    n_steps, n = table.values.shape
+    n_steps = len(table.values)
     if window > n_steps:
         return []
     starts = np.array(range(0, n_steps - window + 1, stride), dtype=np.int64)
     _reject_gaps(table, starts, window)
-    # flat offset of (station, step) within a window, observed steps first
-    offsets = np.arange(n)[:, None] + n * np.arange(window)
-    offsets = np.concatenate([offsets[:, :history].ravel(), offsets[:, history:].ravel()])
-    blocks = np.take(table.values, n * starts[:, None] + offsets)
-    stamps = np.take(table.timestamps, starts[:, None] + np.arange(window))
-    split = n * history
+    values, stamps = table.values.view(), table.timestamps.view()
+    values.flags.writeable = stamps.flags.writeable = False
     return [
         Sample(
-            observed=block[:split].reshape(n, history),
-            target=block[split:].reshape(n, horizon),
-            timestamps=ts,
+            observed=values[start : start + history].T,
+            target=values[start + history : start + window].T,
+            timestamps=stamps[start : start + window],
         )
-        for block, ts in zip(blocks, stamps)
+        for start in starts.tolist()
     ]
 
 

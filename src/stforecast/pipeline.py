@@ -7,12 +7,16 @@ stations x instants; each block relearns the mixed graph from the current
 signal, refines it with one ADMM block that runs every head as a lane of a
 block-diagonal system, merges the heads, and applies a residual step.
 Several windows run together as further lanes of the same system,
-window-major, head-minor. A failing lane, in graph learning or in the solve,
-is reported as one ``NumericFailure`` naming block, window and head.
+window-major, head-minor, and a batch's chunks of such windows run side by
+side on the host's spare cores. A failing lane, in graph learning or in the
+solve, is reported as one ``NumericFailure`` naming block, window and head.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,10 +30,19 @@ from .config import PipelineConfig
 from .graphs import (MixedGraph, PhysicalGraph, build_spatial_skeleton, build_temporal_skeleton,
                      components_by_size)
 
+_PLAN_LOCK = threading.Lock()  # guards every context's ``plans``
+_POOL_LOCK = threading.Lock()
+_pool: concurrent.futures.ThreadPoolExecutor | None = None  # see ``_chunk_pool``
+
 
 @dataclass(eq=False)
 class Sample:
-    """One forecasting window: observed history plus the target block."""
+    """One forecasting window: observed history plus the target block.
+
+    ``data.cut_windows`` gives read-only views of its signal table: the
+    arrays are shared, not copied, and station-major views of time-major
+    rows. Nothing here writes to a sample's arrays.
+    """
 
     observed: np.ndarray  # (N, T+1)
     target: np.ndarray  # (N, S)
@@ -165,7 +178,8 @@ def block_graph(
     window, window-major, every head reading its window's features. The
     configured history is the observed span. The graph holds ``l_n`` when
     the configured solver mode needs it. Its operators fill the context's
-    plan for their lane count, made here on first use."""
+    plan for their lane count, made here on first use under a lock, so
+    chunks that run at once share one plan."""
     bank = ctx.bank if bank is None else bank
     feats = np.stack([
         ctx.feature_map(attention.embed(x, t, ctx.eigmap)) for x, t in zip(xs, t_steps)
@@ -173,9 +187,10 @@ def block_graph(
     # everything the plan depends on, so a replaced context never reads a stale one
     key = (ctx.sskel, ctx.tskel, len(xs) * bank.heads, ctx.config.data.history,
            solver.TERMS[ctx.config.solver.mode].temporal == "l_n")
-    plan = ctx.plans.get(key)
-    if plan is None:
-        plan = ctx.plans[key] = attention.plan_mixed_graph(*key)
+    with _PLAN_LOCK:
+        plan = ctx.plans.get(key)
+        if plan is None:
+            plan = ctx.plans[key] = attention.plan_mixed_graph(*key)
     return attention.multi_head_graphs(feats, plan, bank)
 
 
@@ -188,7 +203,9 @@ def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
     on the whole stack. A failure names the window by its position in
     ``samples``. The blocks share one ``solver.Workspace``, which lives for
     this call: block 0 makes the Q(A) buffers, every later block refills
-    them in place.
+    them in place. Of the context it changes only ``plans``, under
+    ``block_graph``'s lock, so calls on several threads may share one
+    context.
     """
     cfg = ctx.config
     for s in samples:
@@ -229,19 +246,75 @@ def reconstruct_batch(samples: list[Sample], ctx: PipelineContext) -> list[np.nd
 
     Windows join a chunk while its lane nodes, windows x heads x stations x
     instants, stay within ``solver.LANE_NODE_BUDGET``; a window over the
-    budget on its own runs alone. A failure names the window by its position
-    in ``samples``.
+    budget on its own runs alone. Each chunk is one ``_forward``, so its
+    results do not depend on where it runs. The calling thread runs the
+    first chunk while the others run at the same time on the process-wide
+    chunk pool (``_chunk_pool``); then it runs each chunk the pool has not
+    started yet. Results come back in window order. On a failure the call
+    waits for every chunk, then raises the earliest failing chunk's error,
+    naming the window by its position in ``samples``.
     """
     per_call = max(1, solver.LANE_NODE_BUDGET // (ctx.bank.heads * ctx.tskel.n_nodes))
-    recons = []
-    for first in range(0, len(samples), per_call):
+    firsts = range(0, len(samples), per_call)
+
+    def chunk(first: int) -> list[np.ndarray]:
         try:
-            recons += _forward(samples[first : first + per_call], ctx)
+            return _forward(samples[first : first + per_call], ctx)
         except solver.NumericFailure as exc:
             if exc.window is not None:
                 exc.window += first
             raise
+
+    pool = _chunk_pool() if len(firsts) > 1 else None
+    if pool is None:
+        return [recon for first in firsts for recon in chunk(first)]
+    later = [pool.submit(chunk, first) for first in firsts[1:]]
+    try:
+        recons = chunk(firsts[0])
+        done = [_run_here(chunk, first) if future.cancel() else future
+                for future, first in zip(later, firsts[1:])]
+        for future in done:
+            recons += future.result()
+    finally:
+        for future in later:
+            future.cancel()
+        concurrent.futures.wait(later)
     return recons
+
+
+def _run_here(fn, *args) -> concurrent.futures.Future:
+    """``fn(*args)`` run on the calling thread, its result or error held as a pool's would be."""
+    out = concurrent.futures.Future()
+    try:
+        out.set_result(fn(*args))
+    except Exception as exc:
+        out.set_exception(exc)
+    return out
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_pool() -> concurrent.futures.ThreadPoolExecutor | None:
+    """The one pool of usable CPUs - 1 threads that runs a batch's later
+    chunks, started on first need and reused; None on one CPU, where
+    chunks run one after another on the calling thread. The hot kernels
+    (the sparse products, the stacked Q(A) ``matmul`` and numpy's ufuncs)
+    release the GIL, so two chunks keep two cores busy."""
+    global _pool
+    cpus = usable_cpus()
+    if cpus < 2:
+        return None
+    with _POOL_LOCK:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                cpus - 1, thread_name_prefix="stforecast-chunk")
+        return _pool
 
 
 def run_forecast(sample: Sample, ctx: PipelineContext) -> np.ndarray:
@@ -288,8 +361,9 @@ def evaluate(
 ) -> dict:
     """Forecast a batch of windows and aggregate metrics.
 
-    The windows run as lanes of stacked systems (``reconstruct_batch``), and
-    each forecast is bitwise the one the window gets alone in unrolled CG.
+    The windows run as lanes of stacked systems, in chunks that run side
+    by side on the spare cores (``reconstruct_batch``), and each forecast
+    is bitwise the one the window gets alone in unrolled CG.
     The persistence baseline is scored on the same windows; ``max_samples``
     picks an evenly spaced subset, and a failure names the window by its
     position in that subset.

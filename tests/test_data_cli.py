@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from stforecast import data as dmod
-from stforecast import priors, solver, tuning, verify
+from stforecast import pipeline, priors, solver, tuning, verify
 from stforecast.attention import (
     DegenerateWeightError,
     MetricBank,
@@ -188,11 +188,26 @@ class TestCutWindows:
         got = dmod.cut_windows(table, history, horizon, stride)
         assert len(got) == len(want)
         for sample, (observed, target, stamps) in zip(got, want):
-            for mine, ref in ((sample.observed, observed), (sample.target, target),
-                              (sample.timestamps, stamps)):
-                assert mine.flags.c_contiguous
+            for mine, ref, source in ((sample.observed, observed, table.values),
+                                      (sample.target, target, table.values),
+                                      (sample.timestamps, stamps, table.timestamps)):
+                # a read-only view of the table, not a copy
+                assert not mine.flags.writeable
+                assert mine.size == 0 or np.shares_memory(mine, source)
                 assert mine.dtype == ref.dtype and mine.shape == ref.shape
                 assert mine.tobytes() == ref.tobytes()
+
+    def test_windows_are_views_of_the_table(self):
+        table = dmod.SignalTable(np.arange(30, dtype=np.int64) * 300,
+                                 np.arange(60.0).reshape(30, 2))
+        first, second = dmod.cut_windows(table, 12, 6, 3)[:2]
+        assert second.observed[1, 0] == table.values[3, 1] == 7.0
+        table.values[3, 1] = -1.0  # the table itself stays writable
+        assert first.observed[1, 3] == second.observed[1, 0] == -1.0
+        for array in (first.observed, first.target, first.timestamps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert table.values[0, 0] == 0.0 and table.timestamps[0] == 0
 
 
 class TestLoadDataset:
@@ -857,6 +872,38 @@ class TestCli:
             assert cli_main([*argv, *data_args]) == 1
             assert capsys.readouterr().err.startswith("error: [Errno")
         assert not (synth_dir / "tuned.json").exists()
+
+    def test_forecast_output_directory_that_is_a_file_fails_before_the_work(
+            self, synth_dir, capsys, monkeypatch):
+        (synth_dir / "file").write_text("")
+        monkeypatch.setattr(pipeline, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        rc = cli_main(["forecast", "--signals", str(synth_dir / "signals.csv"),
+                       "--edges", str(synth_dir / "edges.csv"),
+                       "--config", str(synth_dir / "config.json"),
+                       "--out", str(synth_dir / "file" / "fc")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
+    def test_tune_from_a_zero_loss_reports_no_percentage(self, tmp_path, capsys):
+        # a constant signal is forecast exactly, so the starting validation
+        # loss is 0; the trace is still written
+        table, pg = dmod.generate_synthetic(4, 120, 0, period=24)
+        table.values[:] = 50.0
+        dmod.write_signal_csv(table, tmp_path / "signals.csv")
+        dmod.write_edges_csv(pg, tmp_path / "edges.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"layers": {"blocks": 1, "layers": 2},
+                                      "heads": {"count": 1}}))
+        out, trace = tmp_path / "best.json", tmp_path / "t.csv"
+        rc = cli_main(["tune", "--signals", str(tmp_path / "signals.csv"),
+                       "--edges", str(tmp_path / "edges.csv"), "--config", str(config),
+                       "--out", str(out), "--iterations", "1", "--eval-samples", "1",
+                       "--trace", str(trace)])
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["validation huber: 0 -> 0", f"wrote {out}", f"wrote {trace}"]
+        assert PipelineConfig.load(out).layers.blocks == 1
+        assert trace.read_text().splitlines()[1].startswith("0,0.0,0.0,0.0,")
 
     def test_tune_with_no_blocks_reports_no_change(self, synth_dir, capsys):
         # a model of no blocks forecasts hold-last; each per-block tunable

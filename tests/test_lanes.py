@@ -5,6 +5,10 @@ import contextlib
 import dataclasses
 import functools
 import itertools
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -980,24 +984,49 @@ def window_context(heads, mode="full", cg_mode="unrolled"):
     return splits.test + splits.val, PipelineContext.build(pg, cfg, standardizer=std)
 
 
-def diverge_lane(lane, after_calls=0):
+def diverge_lane(lane):
     """A stand-in for ``multi_head_graphs`` whose graphs blow up in one lane.
 
-    The spatial Laplacian of ``lane`` is scaled by 1e200 from call number
-    ``after_calls`` on, on the plan's pattern, so the first z_u solve there
-    diverges.
+    The spatial Laplacian of ``lane`` is scaled by 1e200, on the plan's
+    pattern, so the first z_u solve there diverges.
     """
     build = attention.multi_head_graphs
-    calls = []
+
+    def diverging(features, plan, bank):
+        return diverged(build(features, plan, bank), plan, lane, ("l_u",))
+
+    return diverging
+
+
+def diverge_lane_in_chunks(monkeypatch, lane, firsts, before=None):
+    """Make ``lane`` diverge, as ``diverge_lane`` does, in each chunk of
+    ``pipeline.reconstruct_batch`` whose first window is one of ``firsts``,
+    whichever thread runs it; the other chunks run untouched. With
+    ``before``, a pair (a, b) of such windows, a's chunk starts to diverge
+    only once b's chunk has failed (or after 60 s)."""
+    forward, build = pipeline._forward, attention.multi_head_graphs
+    current, failed = threading.local(), threading.Event()
+
+    def forwarding(samples, ctx):
+        current.first = samples[0]
+        try:
+            return forward(samples, ctx)
+        except NumericFailure:
+            if before is not None and samples[0] is before[1]:
+                failed.set()
+            raise
 
     def diverging(features, plan, bank):
         g = build(features, plan, bank)
-        calls.append(g.lanes)
-        if len(calls) <= after_calls:
+        first = current.first
+        if not any(first is w for w in firsts):
             return g
+        if before is not None and first is before[0]:
+            failed.wait(60)
         return diverged(g, plan, lane, ("l_u",))
 
-    return diverging
+    monkeypatch.setattr(pipeline, "_forward", forwarding)
+    monkeypatch.setattr(attention, "multi_head_graphs", diverging)
 
 
 def diverge_temporal_lane(lane):
@@ -1053,11 +1082,11 @@ class TestWindowLanes:
         windows, ctx = window_context(heads=2)
         windows = windows[:5]
         alone = [reconstruct(s, ctx) for s in windows]
-        chunks = []
+        chunks = {}  # first window's position -> chunk size, whatever order chunks run in
         forward = pipeline._forward
 
         def recording(samples, ctx):
-            chunks.append(len(samples))
+            chunks[next(i for i, w in enumerate(windows) if w is samples[0])] = len(samples)
             return forward(samples, ctx)
 
         monkeypatch.setattr(pipeline, "_forward", recording)
@@ -1071,18 +1100,17 @@ class TestWindowLanes:
             monkeypatch.setattr(solver, "LANE_NODE_BUDGET", budget)
             chunks.clear()
             got = pipeline.reconstruct_batch(windows, ctx)
-            assert chunks == sizes
+            assert [chunks[first] for first in sorted(chunks)] == sizes
             for g, a in zip(got, alone):
                 assert g.tobytes() == a.tobytes()
 
-    @pytest.mark.parametrize("per_call,after_calls,window", [(2, 0, 1), (2, 2, 3), (4, 0, 1)])
-    def test_diverging_lane_names_window_and_head(self, monkeypatch, per_call, after_calls,
-                                                   window):
-        # lane 3 is window 1, head 1 of a chunk; with two windows per call and
-        # the first chunk's two blocks passed over, that is window 3 of the list
+    @pytest.mark.parametrize("per_call,first,window", [(2, 0, 1), (2, 2, 3), (4, 0, 1)])
+    def test_diverging_lane_names_window_and_head(self, monkeypatch, per_call, first, window):
+        # lane 3 is window 1, head 1 of a chunk; in the chunk of two windows
+        # that starts at window 2, that is window 3 of the list
         windows, ctx = window_context(heads=2)
         monkeypatch.setattr(solver, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
-        monkeypatch.setattr(attention, "multi_head_graphs", diverge_lane(3, after_calls))
+        diverge_lane_in_chunks(monkeypatch, 3, [windows[first]])
         with pytest.raises(NumericFailure) as info:
             pipeline.reconstruct_batch(windows[:4], ctx)
         exc = info.value
@@ -1191,6 +1219,128 @@ class TestWindowLanes:
             "cg": 5 * (3 * 24 + 1), "folded": 365, "polynomial": 365, "build": 5 * 3,
             "build_sparse": 0, "apply": 5 * (1 + 25 + 24),
         }
+
+
+def pool_chunks(monkeypatch, ctx, per_call, cpus=2):
+    """Chunks of ``per_call`` windows (2 heads), with ``cpus`` usable CPUs."""
+    monkeypatch.setattr(solver, "LANE_NODE_BUDGET", per_call * 2 * ctx.tskel.n_nodes)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+
+
+class TestConcurrentChunks:
+    """A batch's chunks side by side on the chunk pool against one after another."""
+
+    @pytest.mark.parametrize("cg_mode", ["unrolled", "exact"])
+    def test_equal_to_one_thread(self, monkeypatch, cg_mode):
+        windows, ctx = window_context(heads=2, cg_mode=cg_mode)
+        windows = windows[:7]  # chunks of 2, 2, 2 and 1 windows
+        forward, threads, pooled = pipeline._forward, {}, threading.Event()
+        main = threading.current_thread()
+
+        def recording(samples, ctx):
+            threads[id(samples[0])] = threading.current_thread()
+            if threading.current_thread() is not main:
+                pooled.set()
+            elif samples[0] is windows[0] and pipeline.usable_cpus() > 1:
+                pooled.wait(10)  # so that the pool runs a chunk
+            return forward(samples, ctx)
+
+        monkeypatch.setattr(pipeline, "_forward", recording)
+        pool_chunks(monkeypatch, ctx, per_call=2, cpus=1)
+        count = threading.active_count()
+        alone = pipeline.reconstruct_batch(windows, ctx)
+        assert threading.active_count() == count
+        assert len(threads) == 4 and set(threads.values()) == {main}
+        threads.clear()
+        pool_chunks(monkeypatch, ctx, per_call=2)
+        together = pipeline.reconstruct_batch(windows, ctx)
+        assert len(threads) == 4 and threads[id(windows[0])] is main
+        assert pooled.is_set()
+        assert [r.tobytes() for r in together] == [r.tobytes() for r in alone]
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        windows, ctx = window_context(heads=2)
+        pool_chunks(monkeypatch, ctx, per_call=4)
+        monkeypatch.setattr(pipeline, "_chunk_pool", lambda: pytest.fail("pooled"))
+        assert len(pipeline.reconstruct_batch(windows[:4], ctx)) == 4
+
+    def test_earliest_failing_chunk_names_the_window(self, monkeypatch):
+        # lane 3 (window 1, head 1 of a chunk) diverges in the chunks that
+        # start at windows 2 and 4, and the second fails first: the error
+        # still names window 3, as one chunk after another would
+        windows, ctx = window_context(heads=2)
+        windows = windows[:6]
+        pool_chunks(monkeypatch, ctx, per_call=2)
+        diverge_lane_in_chunks(monkeypatch, 3, windows[2::2], before=(windows[2], windows[4]))
+        with pytest.raises(NumericFailure) as info:
+            pipeline.reconstruct_batch(windows, ctx)
+        exc = info.value
+        assert (exc.block, exc.window, exc.head, exc.layer, exc.step) == (0, 3, 1, 0, "z_u")
+
+    def test_chunks_share_one_plan(self, monkeypatch):
+        windows, ctx = window_context(heads=2)
+        pool_chunks(monkeypatch, ctx, per_call=2)
+        plan, build = attention.plan_mixed_graph, attention.multi_head_graphs
+        planned, used = [], []
+
+        def slow_plan(*key):
+            planned.append(key)
+            time.sleep(0.05)  # a window in which another chunk would plan too
+            return plan(*key)
+
+        def recording(features, plan, bank):
+            used.append(plan)
+            return build(features, plan, bank)
+
+        monkeypatch.setattr(attention, "plan_mixed_graph", slow_plan)
+        monkeypatch.setattr(attention, "multi_head_graphs", recording)
+        pipeline.reconstruct_batch(windows[:4], ctx)
+        assert len(planned) == 1 and len(ctx.plans) == 1
+        (shared,) = ctx.plans.values()
+        assert len(used) == 2 * ctx.config.layers.blocks
+        assert all(p is shared for p in used)
+
+    def test_callers_on_many_threads(self, monkeypatch):
+        # more callers than cores, switching threads every microsecond, on
+        # one context: each forecasts as one thread does, and one plan serves
+        windows, ctx = window_context(heads=2)
+        windows = windows[:6]
+        pool_chunks(monkeypatch, ctx, per_call=2, cpus=1)
+        want = [r.tobytes() for r in pipeline.reconstruct_batch(windows, ctx)]
+        shared = dataclasses.replace(ctx, plans={})
+        pool_chunks(monkeypatch, ctx, per_call=2)
+        got = {}
+
+        def call(i):
+            got[i] = [r.tobytes() for r in pipeline.reconstruct_batch(windows, shared)]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [got.get(i) for i in range(4)] == [want] * 4
+        assert len(shared.plans) == 1
+
+    def test_threads_do_not_grow(self, monkeypatch):
+        windows, ctx = window_context(heads=2)
+        pool_chunks(monkeypatch, ctx, per_call=1)
+        pipeline.reconstruct_batch(windows[:3], ctx)
+        count, alive = threading.active_count(), set(threading.enumerate())
+        for _ in range(5):
+            pipeline.reconstruct_batch(windows[:3], ctx)
+            assert threading.active_count() == count
+            assert set(threading.enumerate()) == alive  # the same threads, reused
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pipeline.usable_cpus() == (os.cpu_count() or 1)
 
 
 def split_skeleton_graph(rng, lanes):
