@@ -516,7 +516,7 @@ def fill_mixed_graph(plan: GraphPlan, weights_u: np.ndarray, weights_d: np.ndarr
     )
     l_rd = assemble_random_walk_digraph(plan.walk, weights_d.ravel())
     l_rd_t = band_transpose(l_rd, plan.walk.l_rd_t)
-    call_rd = symmetrized_dglr_matrix(l_rd, l_rd_t, plan.temporal)
+    call_rd = symmetrized_dglr_matrix(l_rd_t, plan.temporal)
     l_n = None
     if plan.adjacency is not None:
         # each directed edge gives half its weight to the undirected edge (the

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .attention import DEFAULT_FEATURE_DIM, DEFAULT_SPATIAL_DIM, MetricBank
-from .solver import (DEFAULT_CG_INIT, DEFAULT_CG_ITERS, DEFAULT_EXACT_TOL, VARIANTS,
-                     CgSchedule, LayerParams)
+from .solver import (CG_ALPHA_MAX, DEFAULT_CG_INIT, DEFAULT_CG_ITERS, VARIANTS, CgSchedule,
+                     LayerParams)
 
 DEFAULT_MU = 3.0
 DEFAULT_RESIDUAL = 0.3
@@ -145,10 +145,8 @@ class SolverSettings:
     mode: str = _rule("full", options=VARIANTS)
     cg_mode: str = _rule("unrolled", options=CG_MODES)
     cg_iters: int = _rule(DEFAULT_CG_ITERS)  # at least 1 in unrolled mode: see schedule
-    cg_alpha: float | list = _rule(DEFAULT_CG_INIT)  # CgSchedule clips alpha and beta
-    cg_beta: float | list = _rule(DEFAULT_CG_INIT)
-    cg_tol: float = _rule(DEFAULT_EXACT_TOL, low=0)
-    exact_cap: int | None = _rule(None, low=1)
+    cg_alpha: float | list = _rule(DEFAULT_CG_INIT, low=0, high=CG_ALPHA_MAX)
+    cg_beta: float | list = _rule(DEFAULT_CG_INIT, low=0)
 
     def __post_init__(self):
         check_rules(self)
@@ -156,7 +154,7 @@ class SolverSettings:
 
     def schedule(self) -> CgSchedule:
         if self.cg_mode == "exact":
-            return CgSchedule.exact(tol=self.cg_tol, iters=self.exact_cap)
+            return CgSchedule.exact()
         if self.cg_iters < 1:
             raise ValueError(f"cg_iters must be an integer >= 1 in unrolled mode, "
                              f"got {self.cg_iters}")
@@ -268,8 +266,6 @@ def _override_slots(overrides, heads: int, n_instants: int, window: int, feature
 class TunerSettings:
     iterations: int = _rule(100, low=0)
     seed: int = _rule(7, low=0)
-    step: float = _rule(0.2, above=0)
-    perturb: float = _rule(0.15, above=0)
     eval_samples: int | None = _rule(4, low=1)  # None: every validation window
 
     __post_init__ = check_rules
@@ -346,13 +342,35 @@ class PipelineConfig:
     def load(cls, path) -> "PipelineConfig":
         with open(path) as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_json_object)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(doc, dict):
+        if not isinstance(doc, (dict, tuple)):  # a tuple: sections given twice
             raise ValueError(f"{path}: expected a JSON object of config sections, "
                              f"got {json.dumps(doc)[:40]}")
+        twice = _given_twice(doc)
+        if twice:
+            section, *key = twice
+            key = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in key).lstrip(".")
+            raise ValueError(f"{path}: config section {section!r}"
+                             + (f": key {key!r}" if key else "") + " given twice")
         return cls.from_dict(doc)
+
+
+def _json_object(pairs) -> dict | tuple:
+    """A JSON object as read; or, if it gives a name twice, which ``json`` alone reads as
+    the name's last value, the 1-tuple of that name, a type no JSON value reads as."""
+    names = [k for k, _ in pairs]
+    return next(((k,) for i, k in enumerate(names) if k in names[:i]), None) or dict(pairs)
+
+
+def _given_twice(value, where=()) -> tuple | None:
+    """The path to the first name given twice in ``value``, a JSON value as read, or None."""
+    if isinstance(value, tuple):
+        return where + value
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    return next(filter(None, (_given_twice(v, (*where, k)) for k, v in items)), None)
 
 
 def _checked_keys(klass, section) -> dict:

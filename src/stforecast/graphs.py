@@ -623,8 +623,8 @@ def band_transpose(op: Operator, pattern: Pattern) -> Operator:
     return Operator(pattern, out)
 
 
-def symmetrized_dglr_matrix(l_rd: Operator, l_rd_t: Operator, pattern: Pattern) -> Operator:
-    """L_r^T L_r from the band ``Operator``s of a planned temporal graph:
+def symmetrized_dglr_matrix(l_rd_t: Operator, pattern: Pattern) -> Operator:
+    """L_r^T L_r from the band ``Operator`` L_r' of a planned temporal graph:
     symmetric, PSD, annihilates the constant vector.
 
     L_r' has the diagonals 0, N, ..., W N, and ``pattern``, the plan's

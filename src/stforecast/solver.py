@@ -85,7 +85,7 @@ from scipy.linalg.blas import daxpy
 from . import priors
 from .graphs import MixedGraph, NumericFailure, Operator, Pattern, diagonal_union
 
-CG_ALPHA_MAX = 0.8  # step-size clamp for the unrolled schedule
+CG_ALPHA_MAX = 0.8  # largest step size an unrolled schedule takes
 DEFAULT_CG_ITERS = 8
 DEFAULT_CG_INIT = 0.08
 DEFAULT_EXACT_TOL = 1e-10
@@ -201,11 +201,15 @@ class CgSchedule:
         alphas=DEFAULT_CG_INIT,
         betas=DEFAULT_CG_INIT,
     ) -> "CgSchedule":
-        """Fixed-step schedule; alphas clamped to [0, 0.8], betas to >= 0."""
+        """Fixed-step schedule; alphas in [0, 0.8] and finite betas >= 0, else a ValueError."""
         if iters < 1:
             raise ValueError("unrolled mode needs a positive iteration count")
-        alphas = np.clip(np.broadcast_to(np.asarray(alphas, dtype=float), (iters,)), 0.0, CG_ALPHA_MAX)
-        betas = np.maximum(np.broadcast_to(np.asarray(betas, dtype=float), (iters,)), 0.0)
+        alphas = np.array(np.broadcast_to(alphas, (iters,)), dtype=float)
+        betas = np.array(np.broadcast_to(betas, (iters,)), dtype=float)
+        if not np.all((alphas >= 0) & (alphas <= CG_ALPHA_MAX)):
+            raise ValueError(f"alphas must be in [0, {CG_ALPHA_MAX:g}], got {alphas.tolist()}")
+        if not np.all((betas >= 0) & np.isfinite(betas)):
+            raise ValueError(f"betas must be finite and >= 0, got {betas.tolist()}")
         return cls(mode="unrolled", iters=iters, alphas=alphas, betas=betas)
 
 

@@ -231,8 +231,6 @@ def tune_spsa(
             theta0,
             iterations,
             seed=tcfg.seed,
-            step=tcfg.step,
-            perturb=tcfg.perturb,
             project=make_projection(config),
         )
     except ValueError:

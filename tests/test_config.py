@@ -24,6 +24,10 @@ RETIRED = {
     ("graph", "projection"): [True, "1", math.nan, math.inf, [math.nan]],
     ("tuner", "decay_exponent"): [True, "1", math.nan, math.inf, -0.5, None],
     ("tuner", "perturb_exponent"): [True, "1", math.nan, math.inf, -0.5, None],
+    ("solver", "cg_tol"): [True, "1", math.nan, math.inf, -0.5, None],
+    ("solver", "exact_cap"): [True, "1", 1.5, 0],
+    ("tuner", "step"): [True, "1", math.nan, math.inf, 0, None],
+    ("tuner", "perturb"): [True, "1", math.nan, math.inf, 0, None],
 }
 
 
@@ -81,16 +85,16 @@ def test_value_breaking_its_rule_rejected_at_load(section, key, value):
 
 @pytest.mark.parametrize(
     "section,key,value",
-    [("layers", "rho", None), ("solver", "exact_cap", None), ("tuner", "eval_samples", None),
+    [("layers", "rho", None), ("solver", "cg_alpha", 0.8), ("tuner", "eval_samples", None),
      ("graph", "swish_beta", None), ("layers", "mu_u", 0), ("layers", "residual", 1),
-     ("solver", "cg_tol", 0.0), ("graph", "aggregate_neighbors", True),
+     ("solver", "cg_beta", 0.0), ("graph", "aggregate_neighbors", True),
      ("heads", "merge", [-1.0, 2.0, 0.0, 0.0]), ("data", "mape_floor", 0)],
 )
 def test_value_on_the_edge_of_its_rule_loads(section, key, value):
     PipelineConfig.from_dict({section: {key: value}})
 
 
-@pytest.mark.parametrize("section,key", [("tuner", "step"), ("layers", "mu_u")])
+@pytest.mark.parametrize("section,key", [("solver", "cg_beta"), ("layers", "mu_u")])
 def test_integer_past_float_range_rejected_in_a_float_field(section, key):
     # JSON reads 1 followed by 400 zeros as an int that no float holds
     with pytest.raises(ValueError, match=f"^config section '{section}': {key} must be a finite"):

@@ -686,6 +686,11 @@ class TestSyntheticData:
         assert len(seen) == 15
 
 
+# the rules of the CG step sizes, as a config error states them
+ALPHA = "a finite number in [0, 0.8] or a list of them"
+BETA = "a finite number >= 0 or a list of them"
+
+
 @pytest.fixture
 def synth_dir(tmp_path):
     rc = cli_main([
@@ -1092,10 +1097,12 @@ class TestCli:
             ("forecast", "graph", {"spatial_dim": -2}, "spatial_dim must be an integer >= 0, got -2"),
             ("forecast", "graph", {"feature_dim": 0}, "feature_dim must be an integer >= 1, got 0"),
             ("forecast", "graph", {"k": 0}, "k must be an integer >= 1, got 0"),
+            # deleted keys: solver.exact_cap and solver.cg_tol, tuner.step and
+            # tuner.perturb are rejected as unknown keys, whatever the value
             ("forecast", "solver", {"cg_mode": "exact", "exact_cap": 0},
-             "exact_cap must be an integer >= 1 or null, got 0"),
+             "unknown key 'exact_cap' (value 0)"),
             ("tune", "solver", {"cg_mode": "exact", "exact_cap": -1},
-             "exact_cap must be an integer >= 1 or null, got -1"),
+             "unknown key 'exact_cap' (value -1)"),
             ("forecast", "layers", {"residual": [0.5, 0.5]},
              "residual must be a number, a per-block list of length 1 or a 1 x 1 table, "
              "got [0.5, 0.5]"),
@@ -1115,9 +1122,9 @@ class TestCli:
             ("forecast", "layers", {"mu_u": float("nan")},
              "mu_u must be a finite number >= 0 or a list of them, got NaN"),
             ("forecast", "solver", {"cg_alpha": float("nan")},
-             "cg_alpha must be a finite number or a list of them, got NaN"),
+             f"cg_alpha must be {ALPHA}, got NaN"),
             ("forecast", "solver", {"cg_mode": "exact", "cg_tol": -1},
-             "cg_tol must be a finite number >= 0, got -1"),
+             "unknown key 'cg_tol' (value -1)"),
             ("tune", "tuner", {"seed": -1}, "seed must be an integer >= 0, got -1"),
             ("forecast", "graph", {"feature_seed": -1},
              "feature_seed must be an integer >= 0, got -1"),
@@ -1130,8 +1137,7 @@ class TestCli:
             ("tune", "tuner", {"perturb_exponent": 0.101},
              "unknown key 'perturb_exponent' (value 0.101)"),
             ("forecast", "graph", {"projection": [[1.0]]}, "unknown key 'projection' (value [[1.0]])"),
-            ("tune", "tuner", {"step": float("inf")},
-             "step must be a finite number > 0, got Infinity"),
+            ("tune", "tuner", {"step": float("inf")}, "unknown key 'step' (value Infinity)"),
             ("forecast", "layers", {"mu_u": True},
              "mu_u must be a finite number >= 0 or a list of them, got true"),
             ("forecast", "heads", {"metric_overrides": [
@@ -1142,6 +1148,19 @@ class TestCli:
              "metric_overrides[0]: unknown key 'scale' (value 9)"),
             ("forecast", "solver", {"cg_iters": 0},
              "cg_iters must be an integer >= 1 in unrolled mode, got 0"),
+            ("tune", "solver", {"cg_tol": 1e-10}, "unknown key 'cg_tol' (value 1e-10)"),
+            ("forecast", "tuner", {"step": 0.2}, "unknown key 'step' (value 0.2)"),
+            ("forecast", "tuner", {"perturb": 0.15}, "unknown key 'perturb' (value 0.15)"),
+            ("tune", "tuner", {"perturb": 0.15}, "unknown key 'perturb' (value 0.15)"),
+            # the step sizes are refused outside their range, not clipped into it
+            ("forecast", "solver", {"cg_alpha": 0.9}, f"cg_alpha must be {ALPHA}, got 0.9"),
+            ("forecast", "solver", {"cg_alpha": [0.1] * 7 + [-0.1]},
+             f"cg_alpha must be {ALPHA}, got {json.dumps([0.1] * 7 + [-0.1])}"),
+            ("forecast", "solver", {"cg_beta": -1}, f"cg_beta must be {BETA}, got -1"),
+            ("tune", "solver", {"cg_alpha": 0.9}, f"cg_alpha must be {ALPHA}, got 0.9"),
+            ("tune", "solver", {"cg_alpha": [0.1] * 7 + [-0.1]},
+             f"cg_alpha must be {ALPHA}, got {json.dumps([0.1] * 7 + [-0.1])}"),
+            ("tune", "solver", {"cg_beta": -1}, f"cg_beta must be {BETA}, got -1"),
         ],
         ids=["forecast-null-mu_u", "forecast-short-scale_u", "tune-short-scale_u",
              "forecast-cg_alpha-length", "forecast-negative-iterations", "tune-zero-eval_samples",
@@ -1158,7 +1177,11 @@ class TestCli:
              "forecast-nan-rho_u", "forecast-nan-metric_scale_d", "tune-nan-decay_exponent",
              "tune-deleted-perturb_exponent", "forecast-deleted-projection",
              "tune-infinite-step", "forecast-boolean-mu_u", "forecast-override-instant-and-lag",
-             "forecast-override-unknown-key", "forecast-zero-cg_iters"],
+             "forecast-override-unknown-key", "forecast-zero-cg_iters", "tune-deleted-cg_tol",
+             "forecast-deleted-step", "forecast-deleted-perturb", "tune-deleted-perturb",
+             "forecast-large-cg_alpha", "forecast-negative-cg_alpha-entry",
+             "forecast-negative-cg_beta", "tune-large-cg_alpha", "tune-negative-cg_alpha-entry",
+             "tune-negative-cg_beta"],
     )
     def test_bad_config_value_exits_1(self, synth_dir, capsys, command, section, bad, message):
         cfg = json.loads((synth_dir / "config.json").read_text())
@@ -1172,6 +1195,21 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config section '{section}': {message}"), err
+
+    @pytest.mark.parametrize("command", ["forecast", "tune"])
+    def test_config_key_given_twice_exits_1(self, synth_dir, capsys, command):
+        # json keeps the last of a repeated name: read as written, this
+        # config would run two CG steps
+        bad = synth_dir / "bad.json"
+        bad.write_text('{"solver": {"cg_iters": 8, "cg_iters": 2}}')
+        rc = cli_main([
+            command, "--signals", str(synth_dir / "signals.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--config", str(bad), "--out", str(synth_dir / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: config section 'solver': key 'cg_iters' given twice\n"
 
     @pytest.mark.parametrize(
         "content,message",

@@ -371,8 +371,8 @@ class TestSymmetrizedOperator:
         # the band product of a zero L_r stores no nonzero, and no -0.0
         ops = line_graph(3).ops
         zero = {name: Operator(ops[name].pattern, np.zeros_like(ops[name].data))
-                for name in ("l_rd", "l_rd_t", "call_rd")}
-        call = symmetrized_dglr_matrix(zero["l_rd"], zero["l_rd_t"], zero["call_rd"].pattern)
+                for name in ("l_rd_t", "call_rd")}
+        call = symmetrized_dglr_matrix(zero["l_rd_t"], zero["call_rd"].pattern)
         assert call.matrix().count_nonzero() == 0
         assert call.data.tobytes() == bytes(call.data.nbytes)
 

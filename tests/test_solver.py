@@ -84,10 +84,16 @@ class TestCgSolve:
         x = cg_solve(lambda v: a @ v, b, np.zeros(12), sched)
         assert np.linalg.norm(a @ x - b) < np.linalg.norm(b)
 
-    def test_alpha_clamped(self):
-        sched = CgSchedule.unrolled(iters=2, alphas=[5.0, -1.0], betas=[-2.0, 0.5])
-        np.testing.assert_array_equal(sched.alphas, [0.8, 0.0])
-        np.testing.assert_array_equal(sched.betas, [0.0, 0.5])
+    @pytest.mark.parametrize("alphas,betas,message", [
+        ([5.0, 0.1], 0.5, r"alphas must be in \[0, 0.8\], got \[5.0, 0.1\]"),
+        ([0.1, -1.0], 0.5, r"alphas must be in \[0, 0.8\], got \[0.1, -1.0\]"),
+        (np.nan, 0.5, r"alphas must be in \[0, 0.8\], got \[nan, nan\]"),
+        (0.1, [-2.0, 0.5], r"betas must be finite and >= 0, got \[-2.0, 0.5\]"),
+        (0.1, np.inf, r"betas must be finite and >= 0, got \[inf, inf\]"),
+    ], ids=["alpha-above", "alpha-below", "alpha-nan", "beta-below", "beta-infinite"])
+    def test_out_of_range_steps_refused(self, alphas, betas, message):
+        with pytest.raises(ValueError, match=message):
+            CgSchedule.unrolled(iters=2, alphas=alphas, betas=betas)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unrolled_divergence_reports_iteration(self):

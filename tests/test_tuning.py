@@ -158,7 +158,7 @@ class TestConfigRoundTrip:
             {
                 "layers": {"blocks": 2, "layers": 3, "mu_u": [1.0, 2.0], "residual": 0.4},
                 "heads": {"count": 2, "merge": [0.7, 0.3]},
-                "solver": {"cg_mode": "exact", "cg_tol": 1e-9},
+                "solver": {"cg_mode": "exact", "cg_iters": 3, "cg_alpha": [0.0, 0.4, 0.8]},
                 "data": {"horizon": 12, "mape_floor": 0.5},
             }
         )
@@ -167,15 +167,30 @@ class TestConfigRoundTrip:
         back = PipelineConfig.load(path)
         assert back.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("text,where", [
+        ('{"solver": {"cg_iters": 8, "cg_iters": 2}, "layers": {"blocks": 1}, '
+         '"layers": {"blocks": 3}}', "config section 'layers'"),
+        ('{"solver": {"cg_iters": 8, "cg_iters": 2}}', "config section 'solver': key 'cg_iters'"),
+        ('{"heads": {"count": 1, "metric_overrides": [{"head": 0, "lag": 1, "lag": 2}]}}',
+         "config section 'heads': key 'metric_overrides[0].lag'"),
+    ], ids=["section", "key", "override-key"])
+    def test_name_given_twice_rejected_at_load(self, tmp_path, text, where):
+        # json alone keeps the last value of a repeated name, at any depth
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.load(path)
+        assert str(info.value) == f"{path}: {where} given twice"
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown config section"):
             PipelineConfig.from_dict({"wat": {}})
 
     def test_integer_fields_take_integers_or_their_null(self):
         cfg = PipelineConfig.from_dict(
-            {"solver": {"exact_cap": None}, "tuner": {"eval_samples": None}, "graph": {"k": 3}}
+            {"solver": {"cg_iters": 3}, "tuner": {"eval_samples": None}, "graph": {"k": 3}}
         )
-        assert (cfg.solver.exact_cap, cfg.tuner.eval_samples, cfg.graph.k) == (None, None, 3)
+        assert (cfg.solver.cg_iters, cfg.tuner.eval_samples, cfg.graph.k) == (3, None, 3)
         with pytest.raises(ValueError, match="section 'graph': k must be an integer >= 1, "
                                              "got null"):
             PipelineConfig.from_dict({"graph": {"k": None}})
@@ -226,8 +241,10 @@ class TestConfigRoundTrip:
              "got [0.0, 0.0, 0.0, 0.0, 0.0, NaN]"),
             ("tuner", {"iterations": -1}, "iterations must be an integer >= 0, got -1"),
             ("tuner", {"eval_samples": 0}, "eval_samples must be an integer >= 1 or null, got 0"),
-            ("tuner", {"step": 0.0}, "step must be a finite number > 0, got 0.0"),
-            ("tuner", {"perturb": -0.1}, "perturb must be a finite number > 0, got -0.1"),
+            # tuner.step and tuner.perturb are deleted, as are solver.exact_cap
+            # and solver.cg_tol: a config naming one is rejected as an unknown key
+            ("tuner", {"step": 0.0}, "unknown key 'step' (value 0.0)"),
+            ("tuner", {"perturb": -0.1}, "unknown key 'perturb' (value -0.1)"),
             ("tuner", {"decay_exponent": 0.602}, "unknown key 'decay_exponent' (value 0.602)"),
             ("tuner", {"perturb_exponent": 0.101},
              "unknown key 'perturb_exponent' (value 0.101)"),
@@ -235,7 +252,7 @@ class TestConfigRoundTrip:
             ("layers", [1], "expected a JSON object of settings, got [1]"),
             ("data", {"stride": 1.5}, "stride must be an integer >= 1, got 1.5"),
             ("layers", {"blocks": False}, "blocks must be an integer >= 0, got false"),
-            ("solver", {"exact_cap": 2.0}, "exact_cap must be an integer >= 1 or null, got 2.0"),
+            ("solver", {"exact_cap": 2.0}, "unknown key 'exact_cap' (value 2.0)"),
             ("data", {"history": 0}, "history must be an integer >= 1, got 0"),
             ("data", {"extrapolation": "linear-trend"},
              "unknown key 'extrapolation' (value \"linear-trend\")"),
@@ -245,7 +262,7 @@ class TestConfigRoundTrip:
             ("graph", {"window": 18},
              "window must satisfy 1 <= window < history + horizon = 18, got 18"),
             ("graph", {"spatial_dim": -1}, "spatial_dim must be an integer >= 0, got -1"),
-            ("solver", {"exact_cap": 0}, "exact_cap must be an integer >= 1 or null, got 0"),
+            ("solver", {"exact_cap": 0}, "unknown key 'exact_cap' (value 0)"),
             ("layers", {"blocks": 2, "residual": [0.1, 0.2, 0.3]},
              "residual must be a number, a per-block list of length 2 or a 2 x 1 table, "
              "got [0.1, 0.2, 0.3]"),
@@ -464,6 +481,20 @@ class TestTuneSpsa:
         assert trace.best_losses[-1] <= trace.best_losses[0]
         # returned config is usable
         assert out.layers.mu_u.shape == (1, 3)
+
+    def test_config_at_the_projection_bounds_loads_and_tunes(self, tmp_path):
+        # the largest alpha and the smallest beta the tuner's projection
+        # keeps load as written, run, and the tuned config loads back
+        cfg, pg, splits, std = self.make_setup()
+        doc = {**cfg.to_dict(), "solver": {"cg_alpha": 0.8, "cg_beta": 0.0}}
+        (tmp_path / "bounds.json").write_text(json.dumps(doc))
+        cfg = PipelineConfig.load(tmp_path / "bounds.json")
+        assert (cfg.solver.cg_alpha, cfg.solver.cg_beta) == (0.8, 0.0)
+        out, trace = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=1)
+        assert not trace.iterations[0]["rejected"]
+        assert np.isfinite(trace.best_losses).all()
+        out.save(tmp_path / "tuned.json")
+        assert PipelineConfig.load(tmp_path / "tuned.json").to_dict() == out.to_dict()
 
     def test_deterministic_under_seed(self):
         cfg, pg, splits, std = self.make_setup()
