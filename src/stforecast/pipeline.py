@@ -17,9 +17,9 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,49 +244,66 @@ def _forward(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
 def reconstruct_batch(samples: list[Sample], ctx: PipelineContext) -> list[np.ndarray]:
     """Full reconstructions in raw units of many windows, stacked in chunks.
 
-    Windows join a chunk while its lane nodes, windows x heads x stations x
-    instants, stay within ``solver.LANE_NODE_BUDGET``; a window over the
-    budget on its own runs alone. Each chunk is one ``_forward``, so its
-    results do not depend on where it runs. The calling thread runs the
-    first chunk while the others run at the same time on the process-wide
-    chunk pool (``_chunk_pool``); then it runs each chunk the pool has not
-    started yet. Results come back in window order. On a failure the call
-    waits for every chunk, then raises the earliest failing chunk's error,
-    naming the window by its position in ``samples``.
+    The batch is cut into as few chunks as keep each chunk's lane nodes,
+    windows x heads x stations x instants, within ``solver.LANE_NODE_BUDGET``,
+    and the windows are shared out evenly among them, the earlier chunks
+    taking one more where they do not divide; a window over the budget on
+    its own runs alone. Each chunk is one ``_forward``, so its results do
+    not depend on where it runs, and the chunks run side by side
+    (``side_by_side``). Results come back in window order. On a failure
+    the call raises the earliest failing chunk's error, naming the window
+    by its position in ``samples``.
     """
     per_call = max(1, solver.LANE_NODE_BUDGET // (ctx.bank.heads * ctx.tskel.n_nodes))
-    firsts = range(0, len(samples), per_call)
+    count = -(-len(samples) // per_call)  # as few chunks as the budget allows
+    size, extra = divmod(len(samples), max(count, 1))
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
 
-    def chunk(first: int) -> list[np.ndarray]:
+    def chunk(first: int, stop: int) -> list[np.ndarray]:
         try:
-            return _forward(samples[first : first + per_call], ctx)
+            return _forward(samples[first:stop], ctx)
         except solver.NumericFailure as exc:
             if exc.window is not None:
                 exc.window += first
             raise
 
-    pool = _chunk_pool() if len(firsts) > 1 else None
+    parts = side_by_side([partial(chunk, *span) for span in zip(bounds, bounds[1:])])
+    return [recon for part in parts for recon in part]
+
+
+def side_by_side(tasks: Sequence[Callable[[], object]]) -> list:
+    """The results of calling each of ``tasks``, in order, the calls run side by side.
+
+    The calling thread runs the first task while the others are submitted
+    to the process-wide chunk pool (``_chunk_pool``); once free, it runs
+    each task the pool has not started yet, so a busy pool, a task that
+    itself calls this on a pool thread included, never stalls a call. With
+    one task or one usable CPU no thread starts, and the tasks run one after
+    another on the calling thread. Tasks may run on several threads at once.
+    On a failure the call waits for every task it started, then raises the
+    earliest failing task's error, as one task after another would.
+    """
+    pool = _chunk_pool() if len(tasks) > 1 else None
     if pool is None:
-        return [recon for first in firsts for recon in chunk(first)]
-    later = [pool.submit(chunk, first) for first in firsts[1:]]
+        return [task() for task in tasks]
+    later = [pool.submit(task) for task in tasks[1:]]
     try:
-        recons = chunk(firsts[0])
-        done = [_run_here(chunk, first) if future.cancel() else future
-                for future, first in zip(later, firsts[1:])]
-        for future in done:
-            recons += future.result()
+        results = [tasks[0]()]
+        done = [_run_here(task) if future.cancel() else future
+                for future, task in zip(later, tasks[1:])]
+        results += [future.result() for future in done]
     finally:
-        for future in later:
-            future.cancel()
-        concurrent.futures.wait(later)
-    return recons
+        # a cancelled task's future is done only once a pool thread drops it,
+        # and every pool thread may be waiting here: wait for the started ones
+        concurrent.futures.wait([future for future in later if not future.cancel()])
+    return results
 
 
-def _run_here(fn, *args) -> concurrent.futures.Future:
-    """``fn(*args)`` run on the calling thread, its result or error held as a pool's would be."""
+def _run_here(fn) -> concurrent.futures.Future:
+    """``fn()`` run on the calling thread, its result or error held as a pool's would be."""
     out = concurrent.futures.Future()
     try:
-        out.set_result(fn(*args))
+        out.set_result(fn())
     except Exception as exc:
         out.set_exception(exc)
     return out
@@ -301,11 +318,13 @@ def usable_cpus() -> int:
 
 
 def _chunk_pool() -> concurrent.futures.ThreadPoolExecutor | None:
-    """The one pool of usable CPUs - 1 threads that runs a batch's later
-    chunks, started on first need and reused; None on one CPU, where
-    chunks run one after another on the calling thread. The hot kernels
-    (the sparse products, the stacked Q(A) ``matmul`` and numpy's ufuncs)
-    release the GIL, so two chunks keep two cores busy."""
+    """The one pool of usable CPUs - 1 threads behind ``side_by_side``,
+    started on first need and reused; None on one CPU, where tasks run one
+    after another on the calling thread. It runs a batch's later chunks
+    (``reconstruct_batch``) and each SPSA iteration's minus candidate
+    (``tuning.spsa_minimize``). The hot kernels (the sparse products, the
+    stacked Q(A) ``matmul`` and numpy's ufuncs) release the GIL, so two
+    forward passes keep two cores busy."""
     global _pool
     cpus = usable_cpus()
     if cpus < 2:

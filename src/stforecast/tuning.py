@@ -1,8 +1,9 @@
 """Derivative-free tuning of the pipeline's scalar parameters.
 
 Simultaneous-perturbation stochastic approximation over the validation Huber
-loss: each iteration evaluates the loss at two random mirror points and takes
-a gradient-like step. Parameters are tuned per block (shared across the
+loss: each iteration evaluates the loss at two random mirror points, side by
+side on the pipeline's chunk pool where the host has a spare CPU, and takes a
+gradient-like step. Parameters are tuned per block (shared across the
 layers inside a block), which keeps the search space small. The gains decay
 as a_k = step / (k + 1 + A)^0.602 and c_k = perturb / (k + 1)^0.101, the
 exponents Spall recommends (IEEE Trans. Aerospace and Electronic Systems
@@ -12,6 +13,7 @@ exponents Spall recommends (IEEE Trans. Aerospace and Electronic Systems
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +54,23 @@ TUNABLES = {
 }
 
 
+class NonFiniteStart(ValueError):
+    """The loss is non-finite at the starting point; ``loss`` is what the loss function returned."""
+
+    def __init__(self, loss: float):
+        super().__init__("loss is non-finite at the starting point")
+        self.loss = loss
+
+
+class _Failed(float):
+    """The NaN score of a candidate that failed, holding the error that failed it."""
+
+    def __new__(cls, error: Exception):
+        score = super().__new__(cls, "nan")
+        score.error = error
+        return score
+
+
 @dataclass
 class SpsaTrace:
     iterations: list
@@ -76,9 +95,13 @@ def spsa_minimize(
 
     Steps are taken in coordinates normalized by |theta0| so heterogeneous
     parameter scales perturb proportionally. A non-finite loss rejects the
-    candidate pair and halves the perturbation size from then on. Each
-    iteration evaluates the loss at its two mirror candidates in turn, the
-    plus side first.
+    candidate pair and halves the perturbation size from then on; at the
+    starting point it raises ``NonFiniteStart``. Each iteration evaluates
+    the loss at its two mirror candidates side by side
+    (``pipeline.side_by_side``): the plus side on the calling thread, the
+    minus side on the chunk pool, so ``loss_fn`` may run on two threads at
+    once. With one usable CPU they run in turn, the plus side first. An
+    error either raises is raised, the plus side's if both fail.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if project is None:
@@ -91,7 +114,7 @@ def spsa_minimize(
     best_theta = project(theta0.copy())
     best_loss = loss_fn(best_theta)
     if not np.isfinite(best_loss):
-        raise ValueError("loss is non-finite at the starting point")
+        raise NonFiniteStart(best_loss)
     trace = SpsaTrace(iterations=[], best_losses=[best_loss])
     c_factor = 1.0
     for k in range(iterations):
@@ -100,8 +123,9 @@ def spsa_minimize(
         delta = rng.choice([-1.0, 1.0], size=len(theta))
         cand_plus = project(theta + c_k * scale * delta)
         cand_minus = project(theta - c_k * scale * delta)
-        loss_plus = loss_fn(cand_plus)
-        loss_minus = loss_fn(cand_minus)
+        # plain floats: what a failed score holds stays out of the trace
+        loss_plus, loss_minus = map(float, pipeline.side_by_side(
+            [partial(loss_fn, cand_plus), partial(loss_fn, cand_minus)]))
         rejected = not (np.isfinite(loss_plus) and np.isfinite(loss_minus))
         if rejected:
             c_factor *= 0.5
@@ -189,7 +213,10 @@ def tune_spsa(
     (a ``ValueError`` from ``unpack_config`` or ``build_bank``), or whose
     forward pass raises a ``NumericFailure``, scores NaN; other errors, and
     the starting point's failure, are raised. A ``NumericFailure`` names the
-    window by its position in the evaluated subset.
+    window by its position in the evaluated subset. The two candidates of an
+    iteration are evaluated at the same time on two threads where the host
+    has a spare CPU (``spsa_minimize``); each keeps its failure in its own
+    score, so one candidate's failure is never raised for the other's.
     """
     tcfg = config.tuner
     iterations = tcfg.iterations if iterations is None else iterations
@@ -205,22 +232,17 @@ def tune_spsa(
         raise ValueError("no validation samples to tune against")
     base_ctx = pipeline.PipelineContext.build(pg, config, standardizer, interval)
 
-    failure = [None]  # why the latest evaluation scored NaN
-
     def loss_fn(theta: np.ndarray) -> float:
-        failure[0] = None
         try:
             # the candidate reuses the base context's skeletons, eigenmap and feature map
             ctx = replace(base_ctx, config=unpack_config(config, theta))
             ctx.bank  # built here, where a rejected candidate scores NaN
         except ValueError as exc:  # the config's rules reject the candidate
-            failure[0] = exc
-            return float("nan")
+            return _Failed(exc)
         try:
             recons = pipeline.reconstruct_batch(subset, ctx)
         except NumericFailure as exc:
-            failure[0] = exc
-            return float("nan")
+            return _Failed(exc)
         losses = [pipeline.huber_loss(r, s.full_truth()) for s, r in zip(subset, recons)]
         return float(np.mean(losses))
 
@@ -233,11 +255,10 @@ def tune_spsa(
             seed=tcfg.seed,
             project=make_projection(config),
         )
-    except ValueError:
-        # a NaN score stops the search only at the starting point, right after
-        # its evaluation: raise what made it NaN
-        if failure[0] is not None:
-            raise failure[0] from None
+    except NonFiniteStart as exc:
+        # a NaN score stops the search only at the starting point: raise what made it NaN
+        if isinstance(exc.loss, _Failed):
+            raise exc.loss.error from None
         raise
     return unpack_config(config, best_theta), trace
 

@@ -1079,8 +1079,10 @@ class TestWindowLanes:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
     def test_batch_over_the_budget_runs_in_chunks(self, monkeypatch):
+        # as few chunks as the budget allows, the windows shared out evenly,
+        # the earlier chunks taking one more where they do not divide
         windows, ctx = window_context(heads=2)
-        windows = windows[:5]
+        windows = windows[:9]
         alone = [reconstruct(s, ctx) for s in windows]
         chunks = {}  # first window's position -> chunk size, whatever order chunks run in
         forward = pipeline._forward
@@ -1091,16 +1093,21 @@ class TestWindowLanes:
 
         monkeypatch.setattr(pipeline, "_forward", recording)
         per_window = ctx.bank.heads * ctx.tskel.n_nodes
-        for budget, sizes in [
-            (2 * per_window, [2, 2, 1]),
-            (2 * per_window + 1, [2, 2, 1]),
-            (5 * per_window, [5]),
-            (per_window - 1, [1] * 5),  # a window over the budget still runs
+        for count, budget, sizes in [
+            (5, 2 * per_window, [2, 2, 1]),
+            (5, 2 * per_window + 1, [2, 2, 1]),
+            (5, 4 * per_window, [3, 2]),
+            (5, 5 * per_window, [5]),
+            (5, per_window - 1, [1] * 5),  # a window over the budget still runs
+            (9, 8 * per_window, [5, 4]),
+            (9, 4 * per_window, [3, 3, 3]),
+            (9, 2 * per_window, [2, 2, 2, 2, 1]),
         ]:
             monkeypatch.setattr(solver, "LANE_NODE_BUDGET", budget)
             chunks.clear()
-            got = pipeline.reconstruct_batch(windows, ctx)
+            got = pipeline.reconstruct_batch(windows[:count], ctx)
             assert [chunks[first] for first in sorted(chunks)] == sizes
+            assert len(got) == count
             for g, a in zip(got, alone):
                 assert g.tobytes() == a.tobytes()
 

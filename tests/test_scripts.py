@@ -3,13 +3,17 @@
 ``scripts/ablation_comparison.py`` is the only caller that runs every solver
 variant through the whole pipeline; ``scripts/run_synthetic_forecast.py`` is
 the only one that tunes with SPSA before forecasting;
-``scripts/lane_budget_sweep.py`` times stacked windows against single ones.
+``scripts/lane_budget_sweep.py`` times stacked windows against single ones;
+``scripts/bench_pairs.py`` times one commit against another.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from stforecast.solver import VARIANTS
 
@@ -60,3 +64,45 @@ def test_lane_budget_sweep_prints_a_row_per_windows_per_call():
     ], proc.stdout
     assert rows[0][5] == rows[0][7] == rows[2][5] == rows[2][7] == "1.00x"
     assert all(float(row[4]) >= float(row[6]) > 0 for row in rows)
+
+
+def test_bench_pairs_writes_both_sides_of_every_metric(tmp_path):
+    # HEAD against itself on the tiny smoke workload, one pair of 1 s runs
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, "scripts/bench_pairs.py", "HEAD", "HEAD", "--workload", "smoke",
+         "--pairs", "1", "--seconds", "1", "--claim", "smoke:tune_s_per_iter",
+         "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(out.read_text())
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True).stdout.strip()
+    assert report["parent_commit"] == report["change_commit"] == head
+    assert set(report) == {"change", "parent_commit", "change_commit", "command", "protocol",
+                           "environment", "claim", "workloads"}
+    assert report["claim"] == {"workload": "smoke", "metric": "tune_s_per_iter"}
+    assert report["environment"]["blas_threads"] == "1"
+    (entry,) = report["workloads"].values()
+    assert entry["pairs"] == 1 and entry["seeds"] == [51] and entry["all_correct"]
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(entry["metrics"]) == [m["name"] for m in declared]
+    for spec in declared:
+        m = entry["metrics"][spec["name"]]
+        assert (m["unit"], m["better"], m["bound"]) == (spec["unit"], spec["better"],
+                                                       spec["bound"])
+        for side in ("parent", "change"):
+            (value,) = m[f"{side}_runs"]
+            assert m[side] == {"median": value, "q1": value, "q3": value, "iqr": 0.0}
+        assert m["wins"] + m["ties"] <= 1
+    # the accuracy of one seed is the same on both sides
+    for name in ("rmse_ratio", "val_huber_best"):
+        assert entry["metrics"][name]["ties"] == 1
+    worktrees = subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
+                               capture_output=True, text=True).stdout
+    assert "bench_pairs-" not in worktrees  # both checkouts removed

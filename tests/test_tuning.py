@@ -1,12 +1,17 @@
 """SPSA core behavior and config packing."""
 
+import concurrent.futures
+import itertools
 import json
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from stforecast import data as dmod
-from stforecast import pipeline, tuning
+from stforecast import pipeline, solver, tuning
 from stforecast.config import HeadSettings, PipelineConfig
 from stforecast.graphs import NumericFailure
 from stforecast.pipeline import Standardizer
@@ -30,17 +35,21 @@ class TestSpsaCore:
         assert best_loss <= 0.05
 
     def test_best_seen_monotone(self):
-        rng = np.random.default_rng(1)
-        noisy = lambda t: float(np.sum(t**2) + 0.1 * rng.standard_normal())
+        rng, lock = np.random.default_rng(1), threading.Lock()
+
+        def noisy(t):
+            with lock:  # the two candidates may draw at once
+                noise = rng.standard_normal()
+            return float(np.sum(t**2) + 0.1 * noise)
+
         _, _, trace = spsa_minimize(noisy, np.array([1.0, -2.0]), 100, seed=2)
         assert trace.best_is_monotone()
 
     def test_nonfinite_rejected_and_perturbation_halved(self):
-        calls = {"n": 0}
+        calls = itertools.count(1)  # one count, whichever thread evaluates
 
         def loss(t):
-            calls["n"] += 1
-            if calls["n"] in (2, 3):  # poison the first perturbation pair
+            if next(calls) in (2, 3):  # poison the first perturbation pair
                 return float("nan")
             return float(t[0] ** 2)
 
@@ -457,11 +466,10 @@ class TestTuneSpsa:
     def test_only_rejected_or_failing_candidates_score_nan(self, monkeypatch, owner, name,
                                                            error, raised):
         cfg, pg, splits, std = self.make_setup()
-        real, calls = getattr(owner, name), []
+        real, calls = getattr(owner, name), itertools.count(1)
 
         def failing(*args):
-            calls.append(1)
-            if len(calls) in (2, 3):  # the first iteration's two candidates, after the start
+            if next(calls) in (2, 3):  # the first iteration's two candidates, after the start
                 raise error
             return real(*args)
 
@@ -502,3 +510,170 @@ class TestTuneSpsa:
         _, t1 = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=4)
         _, t2 = tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=4)
         assert t1.best_losses == t2.best_losses
+
+    def test_a_bug_beside_the_other_candidates_failure_is_raised(self, monkeypatch):
+        # the plus candidate's forward pass raises a bug only once the minus
+        # candidate has scored NaN from a NumericFailure on another thread:
+        # the bug is raised, not the failure that scored the other NaN
+        cfg, pg, splits, std = self.make_setup()
+        main, scored = threading.current_thread(), threading.Event()
+        batch, calls, spsa = pipeline.reconstruct_batch, itertools.count(), tuning.spsa_minimize
+
+        def failing(*args):
+            if next(calls) == 0:  # the starting point
+                return batch(*args)
+            if threading.current_thread() is not main:
+                raise NumericFailure("diverged")
+            scored.wait(5)  # in turn, the minus candidate never runs first
+            raise ValueError("a bug")
+
+        def watching(loss_fn, *args, **kwargs):
+            def loss(theta):
+                score = loss_fn(theta)
+                if threading.current_thread() is not main:
+                    scored.set()
+                return score
+
+            return spsa(loss, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "reconstruct_batch", failing)
+        monkeypatch.setattr(tuning, "spsa_minimize", watching)
+        with pytest.raises(ValueError, match="a bug") as info:
+            tune_spsa(cfg, pg, splits.val, standardizer=std, iterations=1)
+        assert type(info.value) is ValueError
+
+
+class TestCandidatesSideBySide:
+    """An iteration's two candidates on two threads against one after another."""
+
+    make_setup = TestTuneSpsa.make_setup
+
+    @staticmethod
+    def tune(cfg, pg, splits, std, **kwargs) -> bytes:
+        out, trace = tune_spsa(cfg, pg, splits.val, standardizer=std, **kwargs)
+        return pickle.dumps((trace.iterations, trace.best_losses, out.to_dict()))
+
+    def test_equal_to_one_thread(self, monkeypatch):
+        cfg, pg, splits, std = self.make_setup()
+        batch, calls, threads = pipeline.reconstruct_batch, itertools.count(), []
+        main, pooled = threading.current_thread(), threading.Event()
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            if threading.current_thread() is not main:
+                pooled.set()
+            elif next(calls) and pipeline.usable_cpus() > 1:
+                pooled.wait(10)  # so that the pool runs a candidate
+            return batch(*args)
+
+        monkeypatch.setattr(pipeline, "reconstruct_batch", recording)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        together = self.tune(cfg, pg, splits, std)
+        assert pooled.is_set() and len(threads) == 1 + 2 * cfg.tuner.iterations
+        threads.clear()
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        count = threading.active_count()
+        alone = self.tune(cfg, pg, splits, std)
+        assert threading.active_count() == count
+        assert set(threads) == {main}
+        assert together == alone
+
+    def test_threads_do_not_grow(self, monkeypatch):
+        cfg, pg, splits, std = self.make_setup()
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        self.tune(cfg, pg, splits, std, iterations=2)
+        alive = set(threading.enumerate())
+        for _ in range(3):
+            self.tune(cfg, pg, splits, std, iterations=2)
+            assert set(threading.enumerate()) == alive  # the same threads, reused
+
+    def test_tune_calls_on_many_threads(self, monkeypatch):
+        # more tune calls than cores, switching threads every microsecond:
+        # each call's candidates share its context, and each call tunes as
+        # one thread alone does, on one plan
+        cfg, pg, splits, std = self.make_setup()
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        want = self.tune(cfg, pg, splits, std, iterations=3)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        build, contexts, got = pipeline.PipelineContext.build, [], {}
+
+        def recording(*args, **kwargs):
+            contexts.append(build(*args, **kwargs))
+            return contexts[-1]
+
+        monkeypatch.setattr(pipeline.PipelineContext, "build", recording)
+
+        def call(i):
+            got[i] = self.tune(cfg, pg, splits, std, iterations=3)
+
+        callers = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [got.get(i) for i in range(4)] == [want] * 4
+        assert len(contexts) == 4 and all(len(ctx.plans) == 1 for ctx in contexts)
+
+    def test_candidates_of_many_chunks_on_a_one_thread_pool(self, monkeypatch):
+        # 9 desk windows an evaluation, in two chunks: the minus candidate,
+        # on the pool's one thread, submits its second chunk to the pool it
+        # occupies and runs that chunk itself, so nothing stalls
+        table, pg = dmod.generate_synthetic(20, 400, seed=0)
+        samples = dmod.cut_windows(table, 12, 6, 3)
+        splits = dmod.split_windows(samples, (0.6, 0.2, 0.2))
+        std = Standardizer.fit(table.values)
+        cfg = PipelineConfig.from_dict({"layers": {"blocks": 2, "layers": 4}})
+        cfg.tuner.eval_samples = 9
+        per_window = cfg.heads.count * 20 * (12 + 6 + 1)
+        monkeypatch.setattr(solver, "LANE_NODE_BUDGET", 5 * per_window)  # chunks of 5 and 4
+        forward, chunks, started = pipeline._forward, [], threading.Event()
+        calls = itertools.count()  # the calling thread's chunks, with the pool on
+        pooled = lambda thread: thread.name.startswith("one-thread-pool")
+
+        def recording(samples, ctx):
+            chunks.append((threading.current_thread(), len(samples)))
+            if pooled(threading.current_thread()):
+                if len(samples) == 5:  # a first chunk: the minus candidate's
+                    started.set()
+            elif pipeline.usable_cpus() > 1 and next(calls) >= 2:  # past the starting point
+                started.wait(10)  # so that the pool runs the minus candidate
+            return forward(samples, ctx)
+
+        monkeypatch.setattr(pipeline, "_forward", recording)
+
+        def bounded(**kwargs):
+            got = {}
+            caller = threading.Thread(
+                target=lambda: got.setdefault("out", self.tune(cfg, pg, splits, std, **kwargs)),
+                daemon=True)
+            caller.start()
+            caller.join(timeout=300)
+            assert not caller.is_alive(), "a tune call stalled"
+            return got["out"]
+
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        alone = bounded(iterations=1)
+        chunks.clear()
+        pool = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="one-thread-pool")
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "_pool", pool)
+        try:
+            together = bounded(iterations=1)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+            for thread in filter(pooled, threading.enumerate()):
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert together == alone
+        assert sorted(size for _, size in chunks) == [4, 4, 4, 5, 5, 5]
+        # the minus candidate ran on the pool's one thread, and so did its
+        # second chunk, which only that thread could run; the pool may also
+        # have taken the plus candidate's second chunk once free
+        sizes = [size for thread, size in chunks if pooled(thread)]
+        assert sizes.count(5) == 1 and sizes.count(4) in (1, 2)
